@@ -438,7 +438,7 @@ def cmd_lint(args) -> int:
     if args.graph:
         result = lint_project(args.paths, ALL_RULES, PROJECT_RULES,
                               baseline_path=baseline,
-                              cache_dir=args.cache_dir, jobs=args.jobs,
+                              cache_dir=args.cache_dir,
                               known_ids=KNOWN_IDS)
     else:
         result = lint_paths(args.paths, ALL_RULES, baseline_path=baseline,
@@ -649,8 +649,6 @@ def build_parser() -> argparse.ArgumentParser:
            "--graph": dict(action="store_true",
                            help="run the whole-program REP03x/04x/05x "
                                 "families over the project call graph"),
-           "--jobs": dict(type=int, default=1,
-                          help="parallel workers for cold per-file analysis"),
            "--cache-dir": dict(default=None, dest="cache_dir",
                                help="incremental analysis cache directory")})
     add("audit", cmd_audit,

@@ -22,7 +22,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence,
+                    Tuple)
 
 from ..chunking import chunk_data
 from ..cloud import CloudServer, NotFound, QuotaExceeded, TransientError
@@ -41,8 +42,9 @@ from .defer import DeferPolicy, DeferState
 from .hardware import M1, MachineProfile
 from .profiles import BdsMode, ServiceProfile
 from .retry import RetriesExhausted, RetryPolicy, RetryState
-from .strategies.base import SyncStrategy, TransferTally
-from .strategies.fixedblock import FIXED_DELTA
+from .strategies.base import (Exchange, SyncStrategy, TransferTally,
+                              payload_exchange)
+from .strategies.delta import FIXED_DELTA
 from .strategies.fullfile import FULL_FILE
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -56,6 +58,8 @@ _NEG_BASE_DOWN = 60
 #: Small metadata exchange for a deletion (attribute change only, §4.2).
 _DELETE_META_UP = 420
 _DELETE_META_DOWN = 260
+#: Auxiliary request/response some protocols issue around a sync.
+_POLL = Exchange("poll", up_meta=250, down_meta=250)
 
 
 @dataclass
@@ -69,6 +73,17 @@ class PendingChange:
     update_bytes: int = 0
     first_time: float = math.inf
     renamed_from: Optional[str] = None
+
+
+class StagedFile(NamedTuple):
+    """One file whose storage units are in the cloud, ready to commit."""
+
+    content: Content
+    digests: List[str]
+    keys: List[str]
+    sizes: List[int]
+    #: Wire (compressed) size of each unit that had to be uploaded.
+    unit_wires: List[int]
 
 
 @dataclass
@@ -143,18 +158,22 @@ class SyncClient:
         self._retry_state: Optional[RetryState] = (
             retry.make_state() if retry is not None else None)
         self.defer_policy: DeferPolicy = profile.make_defer()
-        #: Explicit sync strategy (see :mod:`repro.client.strategies`).
-        #: ``None`` keeps the profile-driven default route: the IDS delta
-        #: path when eligible, full-file upload otherwise — byte-identical
-        #: to the pre-strategy engine.
-        self.strategy = strategy
+        #: The sync strategy routing every content transfer (see
+        #: :mod:`repro.client.strategies`).  The profile-driven default —
+        #: byte-identical to the pre-strategy engine — is the IDS delta
+        #: strategy for IDS profiles (it resolves to full-file upload
+        #: whenever no non-empty synced basis exists) and full-file
+        #: upload for the rest.
+        self.strategy: SyncStrategy = strategy if strategy is not None else (
+            FIXED_DELTA if profile.uses_ids else FULL_FILE)
         #: Live cost ledger of the strategy transfer in flight, if any.
         self._tally: Optional[TransferTally] = None
         #: Cumulative per-strategy cost vectors, recorder-independent so
         #: untraced runs report identical numbers: name -> TransferTally.
         self.strategy_ledger: Dict[str, TransferTally] = {}
-        #: Per-strategy plan caches (see strategies.base._PlanCache).
-        self._strategy_plans: Dict[str, object] = {}
+        #: path -> strategy name -> plan slot of the transfer in flight
+        #: (see ``SyncStrategy._plan``).
+        self._strategy_plans: Dict[str, Dict[str, tuple]] = {}
 
         self._pending: Dict[str, PendingChange] = {}
         self._defer_states: Dict[str, DeferState] = {}
@@ -197,6 +216,7 @@ class SyncClient:
                 # synced: carry the original pending state — including any
                 # chained rename source — over to the new path.
                 original = self._pending.pop(event.old_path)
+                self._ready_at.pop(event.old_path, None)
                 change.created = original.created
                 change.ops += original.ops
                 change.update_bytes += original.update_bytes
@@ -246,6 +266,7 @@ class SyncClient:
 
         changes = [self._pending.pop(path) for path in batch]
         for path in batch:
+            self._ready_at.pop(path, None)
             state = self._defer_states.get(path)
             if state is not None:
                 self.defer_policy.on_sync(state, now)
@@ -395,35 +416,52 @@ class SyncClient:
 
     # -- resilient transfers ---------------------------------------------------
 
-    def _guarded_exchange(self, kind: str = "exchange", **kwargs) -> float:
-        """One server-bound exchange, retried under the client's retry policy.
+    def _guarded_exchange(self, *requests: Exchange) -> float:
+        """Send server-bound exchanges in order under the retry policy.
 
-        Checks server availability first (brownout windows reject requests
-        before any payload moves), then runs the exchange; network faults
-        surface as :class:`TransferInterrupted` from the channel itself.
-        Without a retry policy the first failure propagates and the sync
-        transaction is abandoned by :meth:`_maybe_sync`.
+        Each request checks server availability first (brownout windows
+        reject requests before any payload moves), then runs the exchange;
+        network faults surface as :class:`TransferInterrupted` from the
+        channel itself.  Without a retry policy the first failure
+        propagates and the sync transaction is abandoned by
+        :meth:`_maybe_sync`.
+
+        Several requests in one call are one chunked payload, and that is
+        where ``RetryPolicy.resumable`` matters: a resumable client picks
+        up at the failed request, while a restart-from-zero client
+        re-sends every payload byte the call already delivered after each
+        failure — metered as pure waste via
+        :meth:`~repro.simnet.protocol.Channel.resend_wasted`, since the
+        server discards the repeated prefix.
         """
-        if self.retry is None:
-            self.server.check_available(self.channel.effective_now())
-            duration = self.channel.exchange(kind=kind, **kwargs)
-            self._note_exchange(kwargs)
-            return duration
         duration = 0.0
-        failures = 0
-        while True:
-            try:
-                self.server.check_available(self.channel.effective_now())
-                duration += self.channel.exchange(kind=kind, **kwargs)
-                self._note_exchange(kwargs)
-                return duration
-            except (TransientError, TransferInterrupted) as error:
-                if isinstance(error, TransientError):
-                    # A rejected request still costs its framing on the wire.
-                    error.elapsed = self.channel.error_exchange(
-                        kind=kind + "-rejected")
-                failures += 1
-                duration += self._recover(error, failures)
+        delivered_wire = 0
+        for request in requests:
+            failures = 0
+            while True:
+                try:
+                    self.server.check_available(self.channel.effective_now())
+                    duration += self.channel.exchange(**request._asdict())
+                    break
+                except (TransientError, TransferInterrupted) as error:
+                    if self.retry is None:
+                        raise
+                    if isinstance(error, TransientError):
+                        # A rejected request still costs its framing on
+                        # the wire.
+                        error.elapsed = self.channel.error_exchange(
+                            kind=request.kind + "-rejected")
+                    failures += 1
+                    duration += self._recover(error, failures)
+                    if not self.retry.resumable and delivered_wire > 0:
+                        # Restart from byte zero: the delivered prefix goes
+                        # over the wire again, and the server throws it away.
+                        duration += self.channel.resend_wasted(
+                            delivered_wire, kind=request.kind + "-restart")
+            if self._tally is not None:
+                self._tally.note(request.up_payload)
+            delivered_wire += request.up_payload
+        return duration
 
     def _recover(self, error: Exception, attempt: int) -> float:
         """Absorb one transient failure: back off, or give up.
@@ -460,54 +498,6 @@ class SyncClient:
         self.stats.retries += 1
         return elapsed + wait
 
-    def _send_units_resilient(self, unit_wires: List[int], meta_up: int,
-                              meta_down: int, kind: str = "upload") -> float:
-        """Send a chunked payload one unit per request, surviving faults.
-
-        This is the transfer loop where ``RetryPolicy.resumable`` matters:
-        a resumable client picks up at the failed unit, while a
-        restart-from-zero client re-sends every already-delivered unit after
-        each failure — metered as pure waste via
-        :meth:`~repro.simnet.protocol.Channel.resend_wasted`, since the
-        server discards the repeated prefix.
-        """
-        policy = self.retry
-        assert policy is not None
-        per_byte = self.profile.overhead.per_byte_factor
-        duration = 0.0
-        delivered_wire = 0
-        failures = 0
-        index = 0
-        while index < len(unit_wires):
-            wire = unit_wires[index]
-            first = index == 0
-            try:
-                self.server.check_available(self.channel.effective_now())
-                duration += self.channel.exchange(
-                    up_payload=wire,
-                    up_meta=(meta_up if first else 0) + int(per_byte * wire),
-                    down_meta=meta_down if first else 0,
-                    kind=kind,
-                )
-            except (TransientError, TransferInterrupted) as error:
-                if isinstance(error, TransientError):
-                    error.elapsed = self.channel.error_exchange(
-                        kind=kind + "-rejected")
-                failures += 1
-                duration += self._recover(error, failures)
-                if not policy.resumable and delivered_wire > 0:
-                    # Restart from byte zero: the delivered prefix goes over
-                    # the wire again, and the server throws it away.
-                    duration += self.channel.resend_wasted(
-                        delivered_wire, kind=kind + "-restart")
-            else:
-                if self._tally is not None:
-                    self._tally.note(wire)
-                delivered_wire += wire
-                failures = 0
-                index += 1
-        return duration
-
     # -- single-file sync --------------------------------------------------------
 
     def _is_pure_rename(self, change: PendingChange) -> bool:
@@ -539,9 +529,9 @@ class SyncClient:
         if self._is_pure_rename(change):
             # Metadata-only move: no content crosses the wire (§4.2's
             # attribute-change pattern applies to renames as well).
-            duration = self._guarded_exchange(
-                up_meta=_DELETE_META_UP, down_meta=_DELETE_META_DOWN,
-                kind="rename")
+            duration = self._guarded_exchange(Exchange(
+                "rename", up_meta=_DELETE_META_UP,
+                down_meta=_DELETE_META_DOWN))
             self.server.rename_file(self.user, change.renamed_from, path)
             self._shadow[path] = self._shadow.pop(change.renamed_from)
             cached = self._signature_cache.pop(change.renamed_from, None)
@@ -560,46 +550,26 @@ class SyncClient:
 
         duration = rename_duration
 
-        if self.strategy is not None:
-            spent, chosen = self._strategy_transfer(
-                self.strategy, change, content,
-                lightweight=lightweight, in_batch=in_batch, resolve=True)
-        else:
-            # The profile-driven default route, unchanged from the
-            # pre-strategy engine: IDS profiles delta-sync modifications
-            # of a synced, non-empty basis; everything else ships whole.
-            use_delta = (
-                profile.uses_ids
-                and not change.created
-                and path in self._shadow
-                and self._shadow[path].size > 0
-            )
-            spent, chosen = self._strategy_transfer(
-                FIXED_DELTA if use_delta else FULL_FILE, change, content,
-                lightweight=lightweight, in_batch=in_batch)
+        spent, chosen = self._strategy_transfer(
+            change, content, lightweight=lightweight, in_batch=in_batch)
         duration += spent
 
         if overhead.notify_down:
             duration += self.channel.notify(overhead.notify_down)
         self._shadow[path] = content
-        if self.strategy is None:
-            if profile.uses_ids:
-                self._signature_cache[path] = (
-                    content, compute_signature(content.data, profile.delta_block))
+        block = chosen.basis_block_size(profile)
+        if block is not None:
+            self._signature_cache[path] = (
+                content, compute_signature(content.data, block))
         else:
-            block = chosen.basis_block_size(profile)
-            if block is not None:
-                self._signature_cache[path] = (
-                    content, compute_signature(content.data, block))
-            else:
-                self._signature_cache.pop(path, None)
+            self._signature_cache.pop(path, None)
         self.stats.files_synced += 1
         return duration
 
-    def _strategy_transfer(self, strategy: SyncStrategy, change: PendingChange,
-                           content: Content, lightweight: bool = False,
-                           in_batch: bool = False, resolve: bool = False):
-        """Run one strategy transfer under a cost tally; returns
+    def _strategy_transfer(self, change: PendingChange, content: Content,
+                           lightweight: bool = False, in_batch: bool = False):
+        """Run one transfer through the strategy ``self.strategy`` resolves
+        to for this change, under a cost tally; returns
         ``(duration, concrete_strategy)``.
 
         Every strategy-routed transfer emits one ``delta-exchange`` span
@@ -614,17 +584,17 @@ class SyncClient:
         tally = TransferTally()
         previous = self._tally
         self._tally = tally
-        concrete = strategy
+        concrete = self.strategy
         spent = 0.0
         try:
-            if resolve:
-                concrete = strategy.resolve(self, change, content)
+            concrete = self.strategy.resolve(self, change, content)
             spent = concrete.transfer(self, change, content,
                                       lightweight=lightweight,
                                       in_batch=in_batch)
             return spent, concrete
         finally:
             self._tally = previous
+            self._strategy_plans.pop(change.path, None)
             totals = self.strategy_ledger.setdefault(
                 concrete.name, TransferTally())
             totals.payload += tally.payload
@@ -657,50 +627,64 @@ class SyncClient:
         if self._tally is not None:
             self._tally.charge_cpu(units)
 
-    def _note_exchange(self, kwargs: Dict) -> None:
-        if self._tally is not None:
-            self._tally.note(int(kwargs.get("up_payload", 0)))
+    def _stage_units(self, contents: Sequence[Content]
+                     ) -> Tuple[float, List[StagedFile]]:
+        """Put every storage unit of ``contents`` in the cloud: chunk, one
+        dedup negotiation covering every unit of every file, then upload
+        the missing units and resolve the ones the cloud already holds.
 
-    def _upload_full(self, path: str, content: Content,
-                     lightweight: bool = False,
-                     in_batch: bool = False,
-                     commit: bool = True) -> float:
-        """Full-file (possibly chunked) upload with dedup negotiation."""
+        Returns the negotiation's duration and one :class:`StagedFile` per
+        content; the caller ships the staged wire bytes and commits.
+        """
+        profile = self.profile
+        chunked = [
+            chunk_data(content.data,
+                       profile.storage_chunk_size or max(content.size, 1))
+            for content in contents]
+        digests = [unit.digest for units in chunked for unit in units]
+        duration = 0.0
+        missing = digests
+        if profile.dedup.enabled and digests:
+            duration = self._guarded_exchange(Exchange(
+                "dedup-negotiation",
+                up_meta=_NEG_BASE_UP + _NEG_UP_PER_UNIT * len(digests),
+                down_meta=_NEG_BASE_DOWN + _NEG_DOWN_PER_UNIT * len(digests)))
+            missing = self.server.negotiate(self.user, digests)
+        missing_set = set(missing)
+        staged = []
+        for content, units in zip(contents, chunked):
+            keys, sizes, unit_wires = [], [], []
+            for unit in units:
+                if unit.digest in missing_set:
+                    unit_wires.append(profile.upload_compression.wire_size(
+                        Content(unit.data)))
+                    key = self.server.upload_chunk(self.user, unit.digest,
+                                                   unit.data)
+                    missing_set.discard(unit.digest)
+                else:
+                    key = self.server.resolve(self.user, unit.digest)
+                    self.stats.dedup_skipped_units += 1
+                    self.stats.dedup_skipped_bytes += unit.length
+                keys.append(key)
+                sizes.append(unit.length)
+            staged.append(StagedFile(content, [unit.digest for unit in units],
+                                     keys, sizes, unit_wires))
+        return duration, staged
+
+    def _commit(self, path: str, staged: StagedFile) -> None:
+        content = staged.content
+        self.server.commit(self.user, path, content.size, content.md5,
+                           staged.digests, staged.keys, staged.sizes)
+
+    def _upload_requests(self, unit_wires: Sequence[int],
+                         lightweight: bool = False, in_batch: bool = False
+                         ) -> Tuple[List[Exchange], List[Exchange]]:
+        """``(polls, upload)`` requests of one full-file upload whose units
+        weigh ``unit_wires`` on the wire — what :meth:`_upload_full` sends
+        and ``FullFileStrategy`` prices."""
         profile = self.profile
         overhead = profile.overhead
-        unit_size = profile.storage_chunk_size or max(content.size, 1)
-        units = chunk_data(content.data, unit_size)
-        digests = [unit.digest for unit in units]
-        duration = 0.0
-
-        missing = digests
-        if profile.dedup.enabled:
-            duration += self._guarded_exchange(
-                up_meta=_NEG_BASE_UP + _NEG_UP_PER_UNIT * len(digests),
-                down_meta=_NEG_BASE_DOWN + _NEG_DOWN_PER_UNIT * len(digests),
-                kind="dedup-negotiation",
-            )
-            missing = self.server.negotiate(self.user, digests)
-
-        missing_set = set(missing)
-        payload = 0
-        unit_wires = []
-        keys = []
-        sizes = []
-        for unit in units:
-            if unit.digest in missing_set:
-                wire = profile.upload_compression.wire_size(Content(unit.data))
-                payload += wire
-                unit_wires.append(wire)
-                key = self.server.upload_chunk(self.user, unit.digest, unit.data)
-                missing_set.discard(unit.digest)
-            else:
-                key = self.server.resolve(self.user, unit.digest)
-                self.stats.dedup_skipped_units += 1
-                self.stats.dedup_skipped_bytes += unit.length
-            keys.append(key)
-            sizes.append(unit.length)
-
+        polls: List[Exchange] = []
         if lightweight:
             meta_up = profile.bds.per_file_bytes
             meta_down = max(profile.bds.per_file_bytes // 4, 60)
@@ -711,81 +695,47 @@ class SyncClient:
         else:
             meta_up = overhead.meta_up
             meta_down = overhead.meta_down
-            duration += self._polls(overhead.requests_per_sync - 1)
+            polls = self.poll_requests()
         if self.retry is not None and len(unit_wires) > 1:
             # Chunked transfer under a retry policy goes one unit per
             # request so a fault costs (at most, if resumable) one unit.
-            duration += self._send_units_resilient(
-                unit_wires, meta_up, meta_down, kind="upload")
-        else:
-            duration += self._guarded_exchange(
-                up_payload=payload,
-                up_meta=meta_up + int(overhead.per_byte_factor * payload),
-                down_meta=meta_down,
-                kind="upload",
-            )
-        if commit:
-            self.server.commit(self.user, path, content.size, content.md5,
-                               digests, keys, sizes)
+            return polls, [
+                payload_exchange(overhead, "upload", wire,
+                                 meta_up if index == 0 else 0,
+                                 meta_down if index == 0 else 0)
+                for index, wire in enumerate(unit_wires)]
+        return polls, [payload_exchange(overhead, "upload", sum(unit_wires),
+                                        meta_up, meta_down)]
+
+    def _upload_full(self, path: str, content: Content,
+                     lightweight: bool = False,
+                     in_batch: bool = False) -> float:
+        """Full-file (possibly chunked) upload with dedup negotiation."""
+        duration, (staged,) = self._stage_units([content])
+        polls, upload = self._upload_requests(
+            staged.unit_wires, lightweight=lightweight, in_batch=in_batch)
+        duration += self._guarded_exchange(*polls)
+        duration += self._guarded_exchange(*upload)
+        self._commit(path, staged)
         return duration
 
     def _sync_combined(self, uploads: List[PendingChange]) -> float:
         """Full BDS: one transaction commits the whole batch (Table 7)."""
-        profile = self.profile
-        overhead = profile.overhead
-        duration = self._polls(overhead.requests_per_sync - 1)
-        total_payload = 0
-        commits = []
-
-        # One negotiation covering every unit of every file.
-        all_units = []
-        for change in uploads:
-            try:
-                content = self.folder.get(change.path)
-            except KeyError:
-                continue
-            unit_size = profile.storage_chunk_size or max(content.size, 1)
-            units = chunk_data(content.data, unit_size)
-            all_units.append((change, content, units))
-        digests = [u.digest for _, _, units in all_units for u in units]
-        missing = digests
-        if profile.dedup.enabled and digests:
-            duration += self._guarded_exchange(
-                up_meta=_NEG_BASE_UP + _NEG_UP_PER_UNIT * len(digests),
-                down_meta=_NEG_BASE_DOWN + _NEG_DOWN_PER_UNIT * len(digests),
-                kind="dedup-negotiation",
-            )
-            missing = self.server.negotiate(self.user, digests)
-        missing_set = set(missing)
-
-        for change, content, units in all_units:
-            keys, sizes = [], []
-            for unit in units:
-                if unit.digest in missing_set:
-                    total_payload += profile.upload_compression.wire_size(
-                        Content(unit.data))
-                    key = self.server.upload_chunk(self.user, unit.digest, unit.data)
-                    missing_set.discard(unit.digest)
-                else:
-                    key = self.server.resolve(self.user, unit.digest)
-                    self.stats.dedup_skipped_units += 1
-                    self.stats.dedup_skipped_bytes += unit.length
-                keys.append(key)
-                sizes.append(unit.length)
-            commits.append((change, content, [u.digest for u in units], keys, sizes))
-
-        manifest_bytes = profile.bds.per_file_bytes * len(commits)
-        duration += self._guarded_exchange(
-            up_payload=total_payload,
-            up_meta=overhead.meta_up + manifest_bytes
-            + int(overhead.per_byte_factor * total_payload),
-            down_meta=overhead.meta_down,
-            kind="bds-commit",
-        )
-        for change, content, digests_, keys, sizes in commits:
-            self.server.commit(self.user, change.path, content.size,
-                               content.md5, digests_, keys, sizes)
-            self._shadow[change.path] = content
+        overhead = self.profile.overhead
+        duration = self._guarded_exchange(*self.poll_requests())
+        # Paths that vanished while queued drop out of the batch.
+        paths = [c.path for c in uploads if self.folder.exists(c.path)]
+        spent, staged = self._stage_units(
+            [self.folder.get(path) for path in paths])
+        duration += spent
+        manifest_bytes = self.profile.bds.per_file_bytes * len(staged)
+        duration += self._guarded_exchange(payload_exchange(
+            overhead, "bds-commit",
+            sum(sum(file.unit_wires) for file in staged),
+            meta_up=overhead.meta_up + manifest_bytes))
+        for path, file in zip(paths, staged):
+            self._commit(path, file)
+            self._shadow[path] = file.content
             self.stats.files_synced += 1
             self.stats.full_file_syncs += 1
         if overhead.notify_down:
@@ -822,58 +772,18 @@ class SyncClient:
         profile = self.profile
         overhead = profile.overhead
         start = self.sim.now
-        duration = self._polls(overhead.requests_per_sync - 1)
-        total_payload = 0
-        commits = []
-        ledger = []
-
-        all_units = []
-        for change in uploads:
-            content = self.folder.get(change.path)
-            unit_size = profile.storage_chunk_size or max(content.size, 1)
-            units = chunk_data(content.data, unit_size)
-            all_units.append((change, content, units))
-        digests = [u.digest for _, _, units in all_units for u in units]
-        missing = digests
-        if profile.dedup.enabled and digests:
-            duration += self._guarded_exchange(
-                up_meta=_NEG_BASE_UP + _NEG_UP_PER_UNIT * len(digests),
-                down_meta=_NEG_BASE_DOWN + _NEG_DOWN_PER_UNIT * len(digests),
-                kind="dedup-negotiation",
-            )
-            missing = self.server.negotiate(self.user, digests)
-        missing_set = set(missing)
-
-        for change, content, units in all_units:
-            keys, sizes = [], []
-            file_wire = 0
-            for unit in units:
-                if unit.digest in missing_set:
-                    wire = profile.upload_compression.wire_size(
-                        Content(unit.data))
-                    file_wire += wire
-                    total_payload += wire
-                    key = self.server.upload_chunk(self.user, unit.digest,
-                                                   unit.data)
-                    missing_set.discard(unit.digest)
-                else:
-                    key = self.server.resolve(self.user, unit.digest)
-                    self.stats.dedup_skipped_units += 1
-                    self.stats.dedup_skipped_bytes += unit.length
-                keys.append(key)
-                sizes.append(unit.length)
-            commits.append((change, content,
-                            [u.digest for u in units], keys, sizes))
-            ledger.append([change.path, file_wire, content.size])
-
-        manifest_bytes = profile.bundle.per_file_bytes * len(commits)
-        duration += self._guarded_exchange(
-            up_payload=total_payload,
-            up_meta=overhead.meta_up + manifest_bytes
-            + int(overhead.per_byte_factor * total_payload),
-            down_meta=overhead.meta_down,
-            kind="bundle-commit",
-        )
+        duration = self._guarded_exchange(*self.poll_requests())
+        paths = [change.path for change in uploads]
+        spent, staged = self._stage_units(
+            [self.folder.get(path) for path in paths])
+        duration += spent
+        ledger = [[path, sum(file.unit_wires), file.content.size]
+                  for path, file in zip(paths, staged)]
+        total_payload = sum(wire for _, wire, _ in ledger)
+        manifest_bytes = profile.bundle.per_file_bytes * len(staged)
+        duration += self._guarded_exchange(payload_exchange(
+            overhead, "bundle-commit", total_payload,
+            meta_up=overhead.meta_up + manifest_bytes))
         # Record the ledger as soon as the bytes are on the wire: even if a
         # later per-file commit fails (quota), every bundled wire byte stays
         # explained, which is what bundle-conservation checks.
@@ -881,14 +791,13 @@ class SyncClient:
             self.recorder.record_span(
                 "bundle-commit", "bundle", "client", start, start + duration,
                 files=len(ledger), payload=total_payload, ledger=ledger)
-        for change, content, digests_, keys, sizes in commits:
-            self.server.commit(self.user, change.path, content.size,
-                               content.md5, digests_, keys, sizes)
-            self._shadow[change.path] = content
+        for path, file in zip(paths, staged):
+            self._commit(path, file)
+            self._shadow[path] = file.content
             if profile.uses_ids:
-                self._signature_cache[change.path] = (
-                    content,
-                    compute_signature(content.data, profile.delta_block))
+                self._signature_cache[path] = (
+                    file.content,
+                    compute_signature(file.content.data, profile.delta_block))
             self.stats.files_synced += 1
             self.stats.full_file_syncs += 1
             self.stats.bundled_files += 1
@@ -915,9 +824,9 @@ class SyncClient:
             return 0.0  # created and deleted before ever reaching the cloud
         duration = 0.0
         for target in targets:
-            duration += self._guarded_exchange(
-                up_meta=_DELETE_META_UP, down_meta=_DELETE_META_DOWN,
-                kind="delete")
+            duration += self._guarded_exchange(Exchange(
+                "delete", up_meta=_DELETE_META_UP,
+                down_meta=_DELETE_META_DOWN))
             try:
                 self.server.delete_file(self.user, target)
             except NotFound:
@@ -930,13 +839,9 @@ class SyncClient:
                 duration += self.channel.notify(self.profile.overhead.notify_down)
         return duration
 
-    def _polls(self, count: int) -> float:
-        """Auxiliary request/response exchanges some protocols issue."""
-        duration = 0.0
-        for _ in range(max(count, 0)):
-            duration += self._guarded_exchange(
-                up_meta=250, down_meta=250, kind="poll")
-        return duration
+    def poll_requests(self) -> List[Exchange]:
+        """The auxiliary polls this service issues ahead of a sync."""
+        return [_POLL] * max(self.profile.overhead.requests_per_sync - 1, 0)
 
     # -- downloads ------------------------------------------------------------
 
@@ -951,11 +856,8 @@ class SyncClient:
         data = self.server.download(self.user, path)
         content = Content(data)
         wire = self.profile.download_compression.wire_size(content)
-        self._guarded_exchange(
-            up_meta=400,
-            down_payload=wire,
+        self._guarded_exchange(Exchange(
+            "download", up_meta=400, down_payload=wire,
             down_meta=overhead.meta_down
-            + int(overhead.per_byte_factor * wire),
-            kind="download",
-        )
+            + int(overhead.per_byte_factor * wire)))
         return content

@@ -16,8 +16,7 @@ Four concrete strategies plus an adaptive selector (see DESIGN.md,
 
 from .adaptive import AdaptiveSelector, PathHistory
 from .base import StrategyEstimate, SyncStrategy, TransferTally
-from .cdc import CdcDeltaStrategy
-from .fixedblock import FIXED_DELTA, FixedBlockDeltaStrategy
+from .delta import FIXED_DELTA, CdcDeltaStrategy, FixedBlockDeltaStrategy
 from .fullfile import FULL_FILE, FullFileStrategy
 from .reconcile import SetReconcileStrategy
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence
 
 from .base import StrategyEstimate, SyncStrategy
-from .cdc import CdcDeltaStrategy
-from .fixedblock import FixedBlockDeltaStrategy
+from .delta import CdcDeltaStrategy, FixedBlockDeltaStrategy
 from .fullfile import FULL_FILE, FullFileStrategy
 from .reconcile import SetReconcileStrategy
 
@@ -57,6 +56,10 @@ class AdaptiveSelector(SyncStrategy):
 
     def applicable(self, client: Any, change: Any, content: Any) -> bool:
         return True
+
+    def estimate(self, client: Any, change: Any,
+                 content: Any) -> Optional[StrategyEstimate]:
+        return None  # a selector has no wire shape of its own to price
 
     def resolve(self, client: Any, change: Any, content: Any) -> SyncStrategy:
         path = change.path

@@ -8,13 +8,14 @@ decides what crosses the wire and through which exchanges.
 
 The contract has three legs:
 
-* :meth:`SyncStrategy.transfer` performs the exchanges against the
-  client's channel and server and returns wall-clock duration, exactly
-  like the engine methods it replaces;
-* :meth:`SyncStrategy.estimate` predicts the transfer's cost vector
-  *without* touching the wire — byte-exact under quiescent conditions
-  (warm connection, no faults), which is what lets the adaptive selector
-  dominate every static choice (a test pins estimate == metered);
+* :meth:`SyncStrategy.describe` states the transfer once, as the ordered
+  :class:`Exchange` requests it makes (auxiliary polls included);
+* :meth:`SyncStrategy.transfer` sends that description through the
+  client's guarded exchange and :meth:`SyncStrategy.estimate` prices the
+  same description through ``Channel.estimate_exchange`` *without*
+  touching the wire — so the estimate is byte-exact under quiescent
+  conditions (warm connection, no faults) by construction, which is what
+  lets the adaptive selector dominate every static choice;
 * every transfer reports a ``(wire_bytes, round_trips, cpu_units)`` cost
   vector through a ``delta-exchange`` span, whose ``payload`` ledger the
   ``strategy-conservation`` audit invariant balances against the named
@@ -28,11 +29,30 @@ so this package stays import-cycle-free, like the recorder protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Iterable, NamedTuple, Optional, Tuple
 
-#: Meta bytes of one auxiliary poll exchange (mirrors ``SyncClient._polls``).
-POLL_META_UP = 250
-POLL_META_DOWN = 250
+
+class Exchange(NamedTuple):
+    """One request/response a transfer makes: the unit that is both priced
+    (``Channel.estimate_exchange``) and sent (``Channel.exchange``)."""
+
+    kind: str
+    up_payload: int = 0
+    up_meta: int = 0
+    down_meta: int = 0
+    down_payload: int = 0
+
+
+def payload_exchange(overhead: Any, kind: str, payload: int,
+                     meta_up: Optional[int] = None,
+                     meta_down: Optional[int] = None) -> Exchange:
+    """The standard metadata+payload request: ``payload`` wrapped in the
+    service's per-byte framing plus its per-sync metadata (``meta_up`` /
+    ``meta_down`` override the profile's for batched or per-unit sends)."""
+    up = overhead.meta_up if meta_up is None else meta_up
+    down = overhead.meta_down if meta_down is None else meta_down
+    return Exchange(kind, payload,
+                    up + int(overhead.per_byte_factor * payload), down)
 
 
 @dataclass
@@ -96,17 +116,46 @@ class SyncStrategy:
         """Can this strategy carry this change at all?"""
         raise NotImplementedError
 
+    def describe(self, client: Any, change: Any, content: Any,
+                 server: Any = None) -> Iterable[Exchange]:
+        """The transfer's :class:`Exchange` requests, in wire order.
+
+        ``server`` is ``None`` while the description is only being priced
+        and the live cloud while it is being sent: a strategy asks it for
+        whatever answer its later requests depend on, and applies the
+        result once the last request has landed.
+        """
+        raise NotImplementedError
+
+    def cpu_units(self, client: Any, change: Any, content: Any) -> int:
+        """Bytes the strategy processes locally to plan this transfer."""
+        raise NotImplementedError
+
     def transfer(self, client: Any, change: Any, content: Any,
                  lightweight: bool = False, in_batch: bool = False) -> float:
         """Move the content; returns wall-clock duration (seconds)."""
-        raise NotImplementedError
+        client.charge_cpu(self.cpu_units(client, change, content))
+        duration = 0.0
+        for request in self.describe(client, change, content, client.server):
+            duration += client._guarded_exchange(request)
+        return duration
 
     def estimate(self, client: Any, change: Any,
                  content: Any) -> Optional[StrategyEstimate]:
         """Exact cost prediction, or ``None`` when one cannot be promised
         (e.g. dedup negotiation or retry chunking makes bytes depend on
         server state the planner does not model)."""
-        return None
+        up = down = trips = 0
+        for request in self.describe(client, change, content):
+            request_up, request_down = client.channel.estimate_exchange(
+                up_payload=request.up_payload, up_meta=request.up_meta,
+                down_meta=request.down_meta,
+                down_payload=request.down_payload)
+            up += request_up
+            down += request_down
+            trips += 1
+        return StrategyEstimate(up, down, trips,
+                                self.cpu_units(client, change, content))
 
     def resolve(self, client: Any, change: Any, content: Any) -> "SyncStrategy":
         """The concrete strategy that will carry this change.
@@ -127,60 +176,25 @@ class SyncStrategy:
 
     # -- shared helpers ---------------------------------------------------
 
-    @staticmethod
-    def _plans_for(client: Any, name: str) -> "_PlanCache":
-        """This strategy's plan cache on the client (client-lifetime, so
-        shared strategy singletons never pin content across sessions)."""
-        caches = client._strategy_plans
-        cache = caches.get(name)
-        if cache is None:
-            cache = _PlanCache()
-            caches[name] = cache
-        return cache
+    def _plan(self, client: Any, path: str, content: Any) -> Any:
+        """This strategy's plan for shipping ``content`` to ``path``, built
+        at most once per transfer.
 
-    @staticmethod
-    def _poll_count(client: Any) -> int:
-        return max(client.profile.overhead.requests_per_sync - 1, 0)
+        The adaptive selector estimates every candidate before picking
+        one; without the memo the winner would redo its (signature /
+        chunking) work when it transfers.  A slot is keyed by the
+        *identity* of the basis and target contents, so a stale plan can
+        never be replayed against different bytes; the engine drops a
+        path's slots as soon as its transfer ends, so none outlives it.
+        """
+        old = client._shadow.get(path)
+        slots = client._strategy_plans.setdefault(path, {})
+        slot = slots.get(self.name)
+        if slot is None or slot[0] is not old or slot[1] is not content:
+            plan = self._build_plan(client, path, old, content)
+            slot = slots[self.name] = (old, content, plan)
+        return slot[2]
 
-    @staticmethod
-    def _estimate_polls(client: Any) -> Tuple[int, int, int]:
-        """(up, down, count) for the auxiliary polls a transfer issues."""
-        count = SyncStrategy._poll_count(client)
-        if count == 0:
-            return 0, 0, 0
-        up, down = client.channel.estimate_exchange(
-            up_meta=POLL_META_UP, down_meta=POLL_META_DOWN)
-        return up * count, down * count, count
-
-    @staticmethod
-    def _estimate_payload_exchange(client: Any,
-                                   payload: int) -> Tuple[int, int]:
-        """Wire cost of the standard single metadata+payload exchange."""
-        overhead = client.profile.overhead
-        return client.channel.estimate_exchange(
-            up_payload=payload,
-            up_meta=overhead.meta_up + int(overhead.per_byte_factor * payload),
-            down_meta=overhead.meta_down)
-
-
-class _PlanCache:
-    """One-slot per-path memo tying an estimate to its transfer.
-
-    The adaptive selector estimates every candidate before picking one;
-    without this, the winner would redo its (signature/chunking) work in
-    :meth:`SyncStrategy.transfer`.  Entries are keyed by the *identity* of
-    the basis and target contents, so a stale plan can never be replayed
-    against different bytes.
-    """
-
-    def __init__(self) -> None:
-        self._slots: Dict[str, Tuple[Any, Any, Any]] = {}
-
-    def get(self, path: str, old: Any, new: Any) -> Optional[Any]:
-        slot = self._slots.get(path)
-        if slot is not None and slot[0] is old and slot[1] is new:
-            return slot[2]
-        return None
-
-    def put(self, path: str, old: Any, new: Any, plan: Any) -> None:
-        self._slots[path] = (old, new, plan)
+    def _build_plan(self, client: Any, path: str, old: Any,
+                    content: Any) -> Any:
+        raise NotImplementedError

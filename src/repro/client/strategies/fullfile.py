@@ -2,19 +2,21 @@
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, Iterable, Optional
 
 from ...chunking import chunk_data
 from ...content import Content
-from .base import StrategyEstimate, SyncStrategy
+from .base import Exchange, StrategyEstimate, SyncStrategy
 
 
 class FullFileStrategy(SyncStrategy):
     """Ship the whole (compressed, possibly chunked) file.
 
-    Delegates to the engine's ``_upload_full`` so the dedup negotiation,
+    Sends through the engine's ``_upload_full`` so the dedup negotiation,
     chunked-transfer, and resilient-retry behaviour stay byte-identical
     with the pre-refactor client — the differential battery pins this.
+    Where those leave the bytes predictable, :meth:`describe` prices the
+    very requests ``_upload_full`` builds (``_upload_requests``).
     """
 
     name = "full-file"
@@ -23,9 +25,21 @@ class FullFileStrategy(SyncStrategy):
     def applicable(self, client: Any, change: Any, content: Any) -> bool:
         return True
 
+    def cpu_units(self, client: Any, change: Any, content: Any) -> int:
+        return content.size
+
+    def describe(self, client: Any, change: Any, content: Any,
+                 server: Any = None) -> Iterable[Exchange]:
+        profile = client.profile
+        unit_size = profile.storage_chunk_size or max(content.size, 1)
+        polls, upload = client._upload_requests([
+            profile.upload_compression.wire_size(Content(unit.data))
+            for unit in chunk_data(content.data, unit_size)])
+        return polls + upload
+
     def transfer(self, client: Any, change: Any, content: Any,
                  lightweight: bool = False, in_batch: bool = False) -> float:
-        client.charge_cpu(content.size)
+        client.charge_cpu(self.cpu_units(client, change, content))
         duration = client._upload_full(
             change.path, content, lightweight=lightweight, in_batch=in_batch)
         client.stats.full_file_syncs += 1
@@ -33,21 +47,12 @@ class FullFileStrategy(SyncStrategy):
 
     def estimate(self, client: Any, change: Any,
                  content: Any) -> Optional[StrategyEstimate]:
-        profile = client.profile
-        if profile.dedup.enabled or client.retry is not None:
+        if client.profile.dedup.enabled or client.retry is not None:
             # Negotiation outcomes and per-unit retry framing depend on
             # server/fault state the planner does not model; refuse to
             # promise exactness rather than guess.
             return None
-        unit_size = profile.storage_chunk_size or max(content.size, 1)
-        payload = sum(
-            profile.upload_compression.wire_size(Content(unit.data))
-            for unit in chunk_data(content.data, unit_size))
-        up, down, trips = self._estimate_polls(client)
-        main_up, main_down = self._estimate_payload_exchange(client, payload)
-        return StrategyEstimate(
-            up_bytes=up + main_up, down_bytes=down + main_down,
-            round_trips=trips + 1, cpu_units=content.size)
+        return super().estimate(client, change, content)
 
 
 #: Shared stateless instance — the engine's default full-file route and

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional
+from typing import Any, Dict, Iterable, List
 
 from ...chunking import cdc_spans, fingerprint
 from ...content import Content
-from .base import StrategyEstimate, SyncStrategy
+from .base import Exchange, SyncStrategy, payload_exchange
 
 #: Round-1 sketch framing: a compact digest list up, a hit bitmap down.
 SKETCH_BASE_BYTES = 16
@@ -22,7 +22,6 @@ class _ReconPlan:
     digests: List[str]          #: ordered CDC chunk manifest of the new file
     pieces: Dict[str, bytes]    #: digest -> chunk bytes (first occurrence)
     missing: List[str]          #: chunks the mirrored server index lacks
-    payload: int                #: predicted round-2 upload payload
 
 
 class SetReconcileStrategy(SyncStrategy):
@@ -48,81 +47,53 @@ class SetReconcileStrategy(SyncStrategy):
     def applicable(self, client: Any, change: Any, content: Any) -> bool:
         return content.size > 0
 
-    def _plan(self, client: Any, path: str, content: Any) -> _ReconPlan:
-        old = client._shadow.get(path)
-        plans = self._plans_for(client, self.name)
-        plan = plans.get(path, old, content)
-        if plan is None:
-            digests: List[str] = []
-            pieces: Dict[str, bytes] = {}
-            for offset, length in cdc_spans(content.data):
-                piece = content.data[offset:offset + length]
-                digest = fingerprint(piece)
-                digests.append(digest)
-                pieces.setdefault(digest, piece)
-            mirror = set()
-            for basis in client._shadow.values():
-                if basis.size == 0:
-                    continue
-                for offset, length in cdc_spans(basis.data):
-                    mirror.add(fingerprint(basis.data[offset:offset + length]))
-            missing: List[str] = []
-            for digest in digests:
-                if digest not in mirror and digest not in missing:
-                    missing.append(digest)
-            blob = b"".join(pieces[digest] for digest in missing)
-            payload = client.profile.upload_compression.wire_size(Content(blob))
-            plan = _ReconPlan(digests, pieces, missing, payload)
-            plans.put(path, old, content, plan)
-        return plan
+    def _build_plan(self, client: Any, path: str, old: Any,
+                    content: Any) -> _ReconPlan:
+        digests: List[str] = []
+        pieces: Dict[str, bytes] = {}
+        for offset, length in cdc_spans(content.data):
+            piece = content.data[offset:offset + length]
+            digest = fingerprint(piece)
+            digests.append(digest)
+            pieces.setdefault(digest, piece)
+        mirror = set()
+        for basis in client._shadow.values():
+            if basis.size == 0:
+                continue
+            for offset, length in cdc_spans(basis.data):
+                mirror.add(fingerprint(basis.data[offset:offset + length]))
+        missing: List[str] = []
+        for digest in digests:
+            if digest not in mirror and digest not in missing:
+                missing.append(digest)
+        return _ReconPlan(digests, pieces, missing)
 
-    def _cpu_units(self, client: Any, content: Any) -> int:
+    def cpu_units(self, client: Any, change: Any, content: Any) -> int:
         # Chunking the new file plus mirroring the server's index over
         # every synced shadow — the planner's real work.
         return content.size + sum(c.size for c in client._shadow.values())
 
-    def transfer(self, client: Any, change: Any, content: Any,
-                 lightweight: bool = False, in_batch: bool = False) -> float:
+    def describe(self, client: Any, change: Any, content: Any,
+                 server: Any = None) -> Iterable[Exchange]:
         path = change.path
         plan = self._plan(client, path, content)
-        client.charge_cpu(self._cpu_units(client, content))
-        overhead = client.profile.overhead
         count = len(plan.digests)
-        duration = client._polls(overhead.requests_per_sync - 1)
-        duration += client._guarded_exchange(
-            up_meta=SKETCH_BASE_BYTES + SKETCH_PER_DIGEST_BYTES * count,
-            down_meta=BITMAP_BASE_BYTES + (count + 7) // 8,
-            kind="recon-sketch",
-        )
-        # The server's answer is authoritative; the plan's mirror is only
-        # a prediction (they agree in single-writer sessions).
-        missing = client.server.reconcile(client.user, path, plan.digests)
-        blob = b"".join(plan.pieces[digest] for digest in missing)
-        payload = client.profile.upload_compression.wire_size(Content(blob))
-        duration += client._guarded_exchange(
-            up_payload=payload,
-            up_meta=overhead.meta_up + int(overhead.per_byte_factor * payload),
-            down_meta=overhead.meta_down,
-            kind="recon-upload",
-        )
-        client.server.apply_reconciled(
-            client.user, path,
-            {digest: plan.pieces[digest] for digest in missing}, content.md5)
-        client.stats.recon_syncs += 1
-        return duration
-
-    def estimate(self, client: Any, change: Any,
-                 content: Any) -> Optional[StrategyEstimate]:
-        plan = self._plan(client, change.path, content)
-        count = len(plan.digests)
-        up, down, trips = self._estimate_polls(client)
-        sketch_up, sketch_down = client.channel.estimate_exchange(
+        yield from client.poll_requests()
+        yield Exchange(
+            "recon-sketch",
             up_meta=SKETCH_BASE_BYTES + SKETCH_PER_DIGEST_BYTES * count,
             down_meta=BITMAP_BASE_BYTES + (count + 7) // 8)
-        main_up, main_down = self._estimate_payload_exchange(
-            client, plan.payload)
-        return StrategyEstimate(
-            up_bytes=up + sketch_up + main_up,
-            down_bytes=down + sketch_down + main_down,
-            round_trips=trips + 2,
-            cpu_units=self._cpu_units(client, content))
+        # The server's answer is authoritative; the plan's mirror is only
+        # a prediction (they agree in single-writer sessions).
+        missing = plan.missing if server is None else server.reconcile(
+            client.user, path, plan.digests)
+        blob = b"".join(plan.pieces[digest] for digest in missing)
+        yield payload_exchange(
+            client.profile.overhead, "recon-upload",
+            client.profile.upload_compression.wire_size(Content(blob)))
+        if server is not None:
+            server.apply_reconciled(
+                client.user, path,
+                {digest: plan.pieces[digest] for digest in missing},
+                content.md5)
+            client.stats.recon_syncs += 1

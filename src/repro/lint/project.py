@@ -24,7 +24,6 @@ from __future__ import annotations
 import ast
 import hashlib
 import json
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -332,18 +331,10 @@ class _Cache:
 # ---------------------------------------------------------------------------
 
 
-def _lint_one(payload: Tuple[str, str, Sequence[Rule],
-                             Set[str]]) -> Tuple[str, List[Finding]]:
-    """Worker for --jobs: lint one (path, source) pair."""
-    path, source, rules, known_ids = payload
-    return path, lint_source(source, path, rules, known_ids=known_ids)
-
-
 def lint_project(paths: Sequence[str], rules: Sequence[Rule],
                  project_rules: Sequence[ProjectRule],
                  baseline_path: Optional[str] = None,
                  cache_dir: Optional[str] = None,
-                 jobs: int = 1,
                  known_ids: Optional[Set[str]] = None) -> LintResult:
     """Run per-file rules plus whole-program rules over ``paths``.
 
@@ -383,17 +374,9 @@ def lint_project(paths: Sequence[str], rules: Sequence[Rule],
         else:
             cold.append(key)
 
-    if jobs > 1 and len(cold) > 1:
-        tasks = [(key, sources[key], rules, known_ids) for key in cold]
-        # The executor forks workers that only ever read immutable inputs
-        # and exit; no lock/fork interleaving is possible here.
-        with ProcessPoolExecutor(max_workers=jobs) as pool:  # reprolint: disable=REP030 single-shot fork of stateless workers over immutable sources
-            for key, result in pool.map(_lint_one, tasks):
-                per_file[key] = result
-    else:
-        for key in cold:
-            per_file[key] = lint_source(sources[key], key, rules,
-                                        known_ids=known_ids)
+    for key in cold:
+        per_file[key] = lint_source(sources[key], key, rules,
+                                    known_ids=known_ids)
     for key in sorted(per_file):
         findings.extend(per_file[key])
 

@@ -21,11 +21,11 @@ depend on serialisation delay and RTT counts, not on slow-start dynamics
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
 
 from .clock import Simulator
 from .faults import FaultInjector, TransferInterrupted
-from .link import Link
+from .link import MSS, Link
 from .meter import Direction, TrafficMeter
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
@@ -56,6 +56,20 @@ class ProtocolCosts:
     #: How long the client takes to notice a dead link (RTO-style timeout)
     #: when a fault-injection blackout swallows its traffic.
     fault_detect_timeout: float = 1.0
+
+
+class _WirePlan(NamedTuple):
+    """Packetisation of one request/response (see ``Channel._wire_plan``)."""
+
+    up_wire: int     #: application bytes: payload + HTTP framing + metadata
+    down_wire: int
+    up_hdr: int      #: per-packet TCP/IP headers of the upstream bytes
+    up_retx: int     #: expected retransmitted bytes
+    down_retx: int
+    gross_up: int    #: wire + headers + retransmissions the sender serialises
+    gross_down: int
+    up_total: int    #: metered upstream: ``gross_up`` + ACKs of the reply
+    down_total: int
 
 
 class Channel:
@@ -117,27 +131,60 @@ class Channel:
         if costs.use_tls:
             up += costs.tls_handshake_up
             down += costs.tls_handshake_down
-        recorder = self.recorder
-        before = self.meter.snapshot() if recorder is not None else None
-        self.meter.record(now, Direction.UP, 0, up, kind="handshake")
-        self.meter.record(now, Direction.DOWN, 0, down, kind="handshake")
         self.handshake_count += 1
         duration = (
             self.link.round_trip_time(costs.handshake_rtts)
             + self.link.transfer_time(up, upstream=True)
             + self.link.transfer_time(down, upstream=False)
         )
-        if recorder is not None:
-            recorder.record_span(
-                "connect", "handshake", "channel", now, now + duration,
-                delta=self.meter.since(before), op="handshake",
-                up_bytes=up, down_bytes=down)
+        self._settle("connect", "handshake", now, now, now + duration,
+                     [(Direction.UP, 0, up, 0), (Direction.DOWN, 0, down, 0)],
+                     op="handshake", up_bytes=up, down_bytes=down)
         return duration
 
-    def _touch(self, end_time: float) -> None:
-        self._connected_until = end_time + self.costs.idle_timeout
+    def _settle(self, span_kind: str, name: str, at: float, start: float,
+                end: float, flows: Sequence[Tuple[Direction, int, int, int]],
+                **attrs) -> None:
+        """The epilogue every wire op shares.
+
+        Meters the op's ``(direction, payload, overhead, wasted)`` flows
+        at time ``at``, emits its one span carrying exactly that meter
+        delta, and advances the wire clock and keep-alive window to
+        ``end``.
+        """
+        recorder = self.recorder
+        before = self.meter.snapshot() if recorder is not None else None
+        for direction, payload, overhead, wasted in flows:
+            self.meter.record(at, direction, payload, overhead, kind=name,
+                              wasted=wasted)
+        if recorder is not None:
+            recorder.record_span(span_kind, name, "channel", start, end,
+                                 delta=self.meter.since(before), **attrs)
+        self._busy_until = end
+        self._connected_until = end + self.costs.idle_timeout
 
     # -- exchanges ---------------------------------------------------------
+
+    def _wire_plan(self, up_payload: int, down_payload: int, up_meta: int,
+                   down_meta: int, loss_rate: Optional[float]) -> _WirePlan:
+        """Packetise one request/response: HTTP framing, per-packet
+        headers, the reverse ACK streams and the expected retransmissions
+        at ``loss_rate`` (``None``: the link's own rate).  The single
+        statement of that arithmetic: :meth:`exchange` meters it,
+        :meth:`estimate_exchange` reports it.
+        """
+        up_wire = up_payload + self.costs.request_header + up_meta
+        down_wire = down_payload + self.costs.response_header + down_meta
+        up_hdr, up_acks = self.link.wire_cost(up_wire)
+        down_hdr, down_acks = self.link.wire_cost(down_wire)
+        up_retx = self.link.retransmit_overhead(up_wire + up_hdr, loss_rate)
+        down_retx = self.link.retransmit_overhead(down_wire + down_hdr,
+                                                  loss_rate)
+        gross_up = up_wire + up_hdr + up_retx
+        gross_down = down_wire + down_hdr + down_retx
+        return _WirePlan(up_wire, down_wire, up_hdr, up_retx, down_retx,
+                         gross_up, gross_down,
+                         gross_up + down_acks, gross_down + up_acks)
 
     def exchange(
         self,
@@ -164,16 +211,6 @@ class Channel:
         start = self.effective_now()
         duration = self._ensure_connection(start)
         costs = self.costs
-        recorder = self.recorder
-        before = self.meter.snapshot() if recorder is not None else None
-
-        up_overhead_app = costs.request_header + up_meta
-        down_overhead_app = costs.response_header + down_meta
-
-        up_wire = up_payload + up_overhead_app
-        down_wire = down_payload + down_overhead_app
-        up_hdr, up_acks = self.link.wire_cost(up_wire)
-        down_hdr, down_acks = self.link.wire_cost(down_wire)
 
         # Loss: expected retransmissions add overhead bytes and recovery
         # RTTs.  An active loss burst raises the loss rate for this exchange.
@@ -182,15 +219,16 @@ class Channel:
             boost = self.faults.loss_boost(start)
             if boost > 0.0:
                 loss_rate = min(self.link.spec.loss_rate + boost, 0.95)
-        up_retx = self.link.retransmit_overhead(up_wire + up_hdr, loss_rate)
-        down_retx = self.link.retransmit_overhead(down_wire + down_hdr, loss_rate)
+        plan = self._wire_plan(up_payload, down_payload, up_meta, down_meta,
+                               loss_rate)
 
-        up_transfer = self.link.transfer_time(up_wire + up_hdr + up_retx,
-                                              upstream=True)
-        down_transfer = self.link.transfer_time(down_wire + down_hdr + down_retx,
+        up_transfer = self.link.transfer_time(plan.gross_up, upstream=True)
+        down_transfer = self.link.transfer_time(plan.gross_down,
                                                 upstream=False)
-        rtts = (costs.exchange_rtts + extra_rtts + self._slow_start_rtts(up_wire)
-                + self.link.recovery_rtts(up_wire + up_hdr, loss_rate=loss_rate))
+        rtts = (costs.exchange_rtts + extra_rtts
+                + self._slow_start_rtts(plan.up_wire)
+                + self.link.recovery_rtts(plan.up_wire + plan.up_hdr,
+                                          loss_rate=loss_rate))
         # Bufferbloat: round trips issued during the upload wait behind the
         # uplink queue, so each effective RTT stretches by the residual
         # serialisation delay.
@@ -203,32 +241,22 @@ class Channel:
         if self.faults is not None:
             episode = self.faults.interrupting_blackout(start, start + duration)
             if episode is not None:
-                raise self._interrupt(
-                    start, duration, episode, kind,
-                    gross_up=up_wire + up_hdr + up_retx,
-                    gross_down=down_wire + down_hdr + down_retx)
+                raise self._interrupt(start, duration, episode, kind,
+                                      plan.gross_up, plan.gross_down)
 
         # Forward bytes (payload split out) + reverse ACK streams.  The
         # retransmitted portion is real wire traffic but delivers nothing
         # new, so it is tagged as the record's wasted component.
-        self.meter.record(start, Direction.UP, up_payload,
-                          up_overhead_app + up_hdr + down_acks + up_retx,
-                          kind=kind, wasted=up_retx)
-        self.meter.record(start, Direction.DOWN, down_payload,
-                          down_overhead_app + down_hdr + up_acks + down_retx,
-                          kind=kind, wasted=down_retx)
-
+        self._settle(
+            "exchange", kind, start, start, start + duration,
+            [(Direction.UP, up_payload, plan.up_total - up_payload,
+              plan.up_retx),
+             (Direction.DOWN, down_payload, plan.down_total - down_payload,
+              plan.down_retx)],
+            op="exchange", up_payload=up_payload, down_payload=down_payload,
+            up_wire=plan.up_wire, down_wire=plan.down_wire,
+            up_retx=plan.up_retx, down_retx=plan.down_retx)
         self.exchange_count += 1
-        end_time = start + duration
-        if recorder is not None:
-            recorder.record_span(
-                "exchange", kind, "channel", start, end_time,
-                delta=self.meter.since(before), op="exchange",
-                up_payload=up_payload, down_payload=down_payload,
-                up_wire=up_wire, down_wire=down_wire,
-                up_retx=up_retx, down_retx=down_retx)
-        self._busy_until = end_time
-        self._touch(end_time)
         return duration
 
     def estimate_exchange(self, up_payload: int = 0, down_payload: int = 0,
@@ -236,22 +264,14 @@ class Channel:
         """Exact ``(up_total, down_total)`` wire bytes :meth:`exchange`
         would meter for these inputs, without performing it.
 
-        Replicates the packetisation arithmetic byte for byte — framing
-        headers, per-packet costs, the reverse ACK streams, and the base
-        link's expected retransmissions — assuming a warm connection and
-        no active fault episode.  This is the planning primitive the
-        adaptive sync-strategy selector scores candidates with; a test
-        pins estimate == metered for executed exchanges.
+        Reads the same :meth:`_wire_plan` the exchange meters, at the base
+        link's loss rate — i.e. assuming a warm connection and no active
+        fault episode.  This is the planning primitive the adaptive
+        sync-strategy selector scores candidates with.
         """
-        costs = self.costs
-        up_wire = up_payload + costs.request_header + up_meta
-        down_wire = down_payload + costs.response_header + down_meta
-        up_hdr, up_acks = self.link.wire_cost(up_wire)
-        down_hdr, down_acks = self.link.wire_cost(down_wire)
-        up_retx = self.link.retransmit_overhead(up_wire + up_hdr, None)
-        down_retx = self.link.retransmit_overhead(down_wire + down_hdr, None)
-        return (up_wire + up_hdr + down_acks + up_retx,
-                down_wire + down_hdr + up_acks + down_retx)
+        plan = self._wire_plan(up_payload, down_payload, up_meta, down_meta,
+                               None)
+        return plan.up_total, plan.down_total
 
     def _interrupt(self, start: float, duration: float, episode,
                    kind: str, gross_up: int, gross_down: int) -> TransferInterrupted:
@@ -268,25 +288,18 @@ class Channel:
             sent_up = costs.tcp_handshake_up
         detect = min(costs.fault_detect_timeout, max(episode.end - fail_at, 0.0))
         elapsed = (fail_at - start) + detect
-        recorder = self.recorder
-        before = self.meter.snapshot() if recorder is not None else None
-        self.meter.record(fail_at, Direction.UP, 0, sent_up,
-                          kind=kind + "-aborted", wasted=sent_up)
+        flows = [(Direction.UP, 0, sent_up, sent_up)]
         if sent_down:
-            self.meter.record(fail_at, Direction.DOWN, 0, sent_down,
-                              kind=kind + "-aborted", wasted=sent_down)
-        if recorder is not None:
-            recorder.record_span(
-                "exchange", kind + "-aborted", "channel", start,
-                start + elapsed, delta=self.meter.since(before), op="aborted",
-                sent_up=sent_up, sent_down=sent_down if sent_down else 0)
-            recorder.record_span(
-                "fault-episode", "blackout", "channel", fail_at, episode.end,
-                wasted=sent_up + (sent_down if sent_down else 0),
-                mid_transfer=mid_transfer)
-        self.faults.note_abort(sent_up + sent_down, mid_transfer)
-        self._busy_until = start + elapsed
+            flows.append((Direction.DOWN, 0, sent_down, sent_down))
+        self._settle("exchange", kind + "-aborted", fail_at, start,
+                     start + elapsed, flows, op="aborted",
+                     sent_up=sent_up, sent_down=sent_down)
         self._connected_until = -1.0  # the blackout killed the connection
+        if self.recorder is not None:
+            self.recorder.record_span(
+                "fault-episode", "blackout", "channel", fail_at, episode.end,
+                wasted=sent_up + sent_down, mid_transfer=mid_transfer)
+        self.faults.note_abort(sent_up + sent_down, mid_transfer)
         return TransferInterrupted(
             f"link blackout at t={fail_at:.3f}s aborted {kind!r}",
             elapsed=elapsed, retry_at=episode.end, wasted=sent_up + sent_down)
@@ -299,28 +312,19 @@ class Channel:
         """
         start = self.effective_now()
         duration = self._ensure_connection(start)
-        costs = self.costs
-        recorder = self.recorder
-        before = self.meter.snapshot() if recorder is not None else None
-        up_hdr, up_acks = self.link.wire_cost(costs.request_header)
-        down_hdr, down_acks = self.link.wire_cost(costs.response_header)
-        up_bytes = costs.request_header + up_hdr + down_acks
-        down_bytes = costs.response_header + down_hdr + up_acks
-        self.meter.record(start, Direction.UP, 0, up_bytes,
-                          kind=kind, wasted=up_bytes)
-        self.meter.record(start, Direction.DOWN, 0, down_bytes,
-                          kind=kind, wasted=down_bytes)
+        # Bare request/response framing; no retransmission is modelled for
+        # a refusal.
+        framing = self._wire_plan(0, 0, 0, 0, loss_rate=0.0)
+        up_bytes, down_bytes = framing.up_total, framing.down_total
         duration += (self.link.transfer_time(up_bytes, upstream=True)
                      + self.link.transfer_time(down_bytes, upstream=False)
-                     + self.link.round_trip_time(costs.exchange_rtts))
-        end_time = start + duration
-        if recorder is not None:
-            recorder.record_span(
-                "exchange", kind, "channel", start, end_time,
-                delta=self.meter.since(before), op="rejected",
-                up_wire=costs.request_header, down_wire=costs.response_header)
-        self._busy_until = end_time
-        self._touch(end_time)
+                     + self.link.round_trip_time(self.costs.exchange_rtts))
+        self._settle(
+            "exchange", kind, start, start, start + duration,
+            [(Direction.UP, 0, up_bytes, up_bytes),
+             (Direction.DOWN, 0, down_bytes, down_bytes)],
+            op="rejected", up_wire=framing.up_wire,
+            down_wire=framing.down_wire)
         return duration
 
     def resend_wasted(self, wire_bytes: int, kind: str = "restart") -> float:
@@ -334,25 +338,16 @@ class Channel:
             return 0.0
         start = self.effective_now()
         duration = self._ensure_connection(start)
-        recorder = self.recorder
-        before = self.meter.snapshot() if recorder is not None else None
         hdr, acks = self.link.wire_cost(wire_bytes)
         gross_up = wire_bytes + hdr
-        self.meter.record(start, Direction.UP, 0, gross_up,
-                          kind=kind, wasted=gross_up)
-        self.meter.record(start, Direction.DOWN, 0, acks,
-                          kind=kind, wasted=acks)
         up_transfer = self.link.transfer_time(gross_up, upstream=True)
         duration += (up_transfer * (1.0 + self.costs.queue_inflation)
                      + self.link.round_trip_time(1.0))
-        end_time = start + duration
-        if recorder is not None:
-            recorder.record_span(
-                "exchange", kind, "channel", start, end_time,
-                delta=self.meter.since(before), op="restart",
-                wire_bytes=wire_bytes)
-        self._busy_until = end_time
-        self._touch(end_time)
+        self._settle(
+            "exchange", kind, start, start, start + duration,
+            [(Direction.UP, 0, gross_up, gross_up),
+             (Direction.DOWN, 0, acks, acks)],
+            op="restart", wire_bytes=wire_bytes)
         return duration
 
     def _slow_start_rtts(self, wire_bytes: int) -> float:
@@ -361,7 +356,6 @@ class Channel:
         Sync transactions are separated by idle periods long enough for the
         congestion window to reset, so every exchange restarts slow start.
         """
-        from .link import MSS
         segments = -(-wire_bytes // MSS) if wire_bytes > 0 else 0
         cwnd = max(self.costs.initial_cwnd, 1)
         rounds = 0
@@ -375,20 +369,13 @@ class Channel:
         """Server→client push (sync notifications, status updates)."""
         hdr, acks = self.link.wire_cost(nbytes)
         start = self.effective_now()
-        recorder = self.recorder
-        before = self.meter.snapshot() if recorder is not None else None
-        self.meter.record(start, Direction.DOWN, 0, nbytes + hdr, kind=kind)
-        if acks:
-            self.meter.record(start, Direction.UP, 0, acks, kind=kind)
         duration = self.link.transfer_time(nbytes + hdr, upstream=False) \
             + self.link.round_trip_time(0.5)
-        if recorder is not None:
-            recorder.record_span(
-                "exchange", kind, "channel", start, start + duration,
-                delta=self.meter.since(before), op="notification",
-                nbytes=nbytes)
-        self._busy_until = start + duration
-        self._touch(start + duration)
+        flows = [(Direction.DOWN, 0, nbytes + hdr, 0)]
+        if acks:
+            flows.append((Direction.UP, 0, acks, 0))
+        self._settle("exchange", kind, start, start, start + duration, flows,
+                     op="notification", nbytes=nbytes)
         return duration
 
     def drop_connection(self) -> None:

@@ -1,5 +1,7 @@
 """Integration-level tests of the sync client engine's behaviours."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.client import (
@@ -9,7 +11,8 @@ from repro.client import (
     SyncSession,
     service_profile,
 )
-from repro.cloud import CloudServer
+from repro.client.engine import PendingChange
+from repro.cloud import CloudServer, DedupConfig
 from repro.content import random_content
 from repro.simnet import LinkSpec, Simulator, mn_link
 from repro.units import KB, MB
@@ -207,6 +210,50 @@ def test_cross_user_dedup_only_when_scoped():
     bob.create_file("f.bin", content)
     bob.run_until_idle()
     assert bob.total_traffic > 512 * KB
+
+
+@pytest.mark.parametrize("dedup", [DedupConfig.none(),
+                                   DedupConfig.block(16 * KB)],
+                         ids=["no-dedup", "dedup"])
+def test_every_upload_route_stages_units_identically(dedup):
+    """_upload_full, a 1-file BDS batch and a 1-file bundle share one
+    staging path: same (digests, keys, sizes), one negotiation each."""
+    profile = replace(service_profile("Dropbox", AccessMethod.PC),
+                      dedup=dedup, storage_chunk_size=16 * KB)
+    content = random_content(40 * KB, seed=7)
+    routes = {
+        "upload": lambda client: client._upload_full("a.bin", content),
+        "bds": lambda client: client._sync_combined(
+            [PendingChange(path="a.bin")]),
+        "bundle": lambda client: client._sync_bundled(
+            [PendingChange(path="a.bin")]),
+    }
+    staged, negotiations = {}, {}
+    for route, send in routes.items():
+        session = SyncSession(profile)
+        session.folder.apply_remote("a.bin", content)
+        client, server = session.client, session.server
+        calls = []
+        stage, negotiate = client._stage_units, server.negotiate
+
+        def spy_stage(contents):
+            duration, files = stage(contents)
+            calls.extend(files)
+            return duration, files
+
+        def spy_negotiate(user, digests):
+            negotiations[route] = negotiations.get(route, 0) + 1
+            return negotiate(user, digests)
+
+        client._stage_units, server.negotiate = spy_stage, spy_negotiate
+        send(client)
+        (file,) = calls
+        staged[route] = (file.digests, file.keys, file.sizes)
+        assert server.download("user1", "a.bin") == content.data
+    assert len(staged["upload"][0]) == 3
+    assert staged["upload"] == staged["bds"] == staged["bundle"]
+    assert negotiations == ({route: 1 for route in routes}
+                            if dedup.enabled else {})
 
 
 def test_rename_after_source_recreated_keeps_both_files():

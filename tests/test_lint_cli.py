@@ -101,8 +101,7 @@ def test_lint_graph_json_payload_includes_graph_block(violating_tree,
                                                       tmp_path, capsys):
     cache = tmp_path / "cache"
     assert main(["lint", str(violating_tree / "src"), "--graph",
-                 "--jobs", "2", "--cache-dir", str(cache),
-                 "--format", "json"]) == 1
+                 "--cache-dir", str(cache), "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["graph"]["modules"] >= 1
     assert payload["graph"]["cache_hits"] == 0

@@ -1,6 +1,7 @@
 """Unit tests for the HTTPS channel cost model."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.simnet import Channel, Link, ProtocolCosts, Simulator, TrafficMeter, mn_link
 
@@ -107,3 +108,31 @@ def test_extra_rtts_extend_duration():
     base = channel.exchange()
     longer = channel.exchange(extra_rtts=4)
     assert longer == pytest.approx(base + 4 * 0.05, rel=0.01)
+
+
+byte_counts = st.integers(min_value=0, max_value=5_000_000)
+
+
+@given(up_payload=byte_counts, down_payload=byte_counts,
+       up_meta=st.integers(min_value=0, max_value=50_000),
+       down_meta=st.integers(min_value=0, max_value=50_000),
+       loss_rate=st.sampled_from([0.0, 0.005, 0.05]))
+@example(up_payload=0, down_payload=0, up_meta=0, down_meta=0, loss_rate=0.05)
+@example(up_payload=1460 - 450, down_payload=0, up_meta=0, down_meta=0,
+         loss_rate=0.005)
+@settings(max_examples=100, deadline=None)
+def test_estimate_exchange_equals_metered_delta_on_warm_channel(
+        up_payload, down_payload, up_meta, down_meta, loss_rate):
+    """The estimate and the exchange read one wire plan, so on a warm,
+    fault-free channel they agree byte for byte at any base loss rate."""
+    meter = TrafficMeter()
+    channel = Channel(Simulator(), Link(mn_link().with_loss(loss_rate)), meter)
+    channel.exchange()  # pay the handshake; the connection is now warm
+    before = meter.snapshot()
+    request = dict(up_payload=up_payload, down_payload=down_payload,
+                   up_meta=up_meta, down_meta=down_meta)
+    channel.exchange(**request)
+    delta = meter.since(before)
+    assert channel.handshake_count == 1
+    assert channel.estimate_exchange(**request) \
+        == (delta.up_total, delta.down_total)

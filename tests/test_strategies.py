@@ -85,26 +85,57 @@ def test_ledger_is_identical_traced_and_untraced():
     assert traced == untraced
 
 
-def test_estimate_is_byte_exact_under_warm_connection():
-    """est_wire stamped by the selector == the measured meter delta of the
-    transfer it chose, whenever no handshake interleaves (30 s gap < the
-    55 s keep-alive)."""
+@pytest.mark.parametrize("link", ["mn", "lte"])
+@pytest.mark.parametrize("name", STRATEGY_NAMES)
+def test_estimate_is_byte_exact_under_warm_connection(name, link):
+    """A strategy's bid == the measured meter delta of its transfer,
+    whenever no handshake interleaves (30 s gap < the 55 s keep-alive):
+    both sides read the one description the strategy states."""
+    strategy = make_strategy(name)
     with recording() as hub:
-        session = stratlab(strategy=AdaptiveSelector())
+        session = stratlab(strategy=strategy, link=link)
         session.create_random_file("a.bin", 128 * KB, seed=5)
         session.run_until_idle()
         session.advance(30.0)
         session.modify_random_byte("a.bin", seed=6)
+        if name != "adaptive":
+            # A static strategy's bid, taken against exactly the client
+            # state its transfer is about to see.
+            change = PendingChange(path="a.bin")
+            content = session.folder.get("a.bin")
+            concrete = strategy.resolve(session.client, change, content)
+            bid = concrete.estimate(session.client, change, content)
+            expected = (concrete.name, bid.wire_bytes, bid.round_trips)
         session.run_until_idle()
-    selects = spans_of(hub, "strategy-select")
-    transfers = {span.attrs["path"]: span
-                 for span in spans_of(hub, "delta-exchange")
-                 if span.start >= selects[-1].start}
-    chosen = selects[-1]
-    measured = transfers[chosen.attrs["path"]]
-    assert measured.attrs["strategy"] == chosen.attrs["chosen"]
-    assert measured.attrs["wire_bytes"] == chosen.attrs["est_wire"]
-    assert measured.attrs["round_trips"] == chosen.attrs["est_round_trips"]
+    if name == "adaptive":
+        chosen = spans_of(hub, "strategy-select")[-1].attrs
+        expected = (chosen["chosen"], chosen["est_wire"],
+                    chosen["est_round_trips"])
+    measured = spans_of(hub, "delta-exchange")[-1].attrs
+    assert (measured["strategy"], measured["wire_bytes"],
+            measured["round_trips"]) == expected
+
+
+def test_per_path_state_does_not_outlive_the_path():
+    """Regression: plan slots (pinning both contents plus the delta /
+    reconcile pieces) and ``_ready_at`` entries used to survive their
+    path's transfer, and even its deletion."""
+    session = stratlab(strategy=AdaptiveSelector())
+    names = ["a.bin", "b.bin", "c.bin"]
+    for index, name in enumerate(names):
+        session.create_random_file(name, 200 * KB, seed=20 + index)
+    session.run_until_idle()
+    session.advance(30.0)
+    for index, name in enumerate(names):
+        session.modify_random_byte(name, seed=30 + index)
+    session.run_until_idle()
+    for name in names:
+        session.delete_file(name)
+    session.run_until_idle()
+    client = session.client
+    assert client.stats.deletions_synced == 3
+    assert client._strategy_plans == {}
+    assert client._ready_at == {}
 
 
 def test_adaptive_picks_the_frontier_winner_per_workload():
