@@ -62,10 +62,8 @@ class SetReconcileStrategy(SyncStrategy):
                 continue
             for offset, length in cdc_spans(basis.data):
                 mirror.add(fingerprint(basis.data[offset:offset + length]))
-        missing: List[str] = []
-        for digest in digests:
-            if digest not in mirror and digest not in missing:
-                missing.append(digest)
+        # ``pieces`` holds each distinct digest once, in first-seen order.
+        missing = [digest for digest in pieces if digest not in mirror]
         return _ReconPlan(digests, pieces, missing)
 
     def cpu_units(self, client: Any, change: Any, content: Any) -> int:

@@ -294,19 +294,18 @@ class CloudServer:
         self.accounts.ensure(user)
         index = self._user_cdc_index(user)
         known: Dict[str, bytes] = {}
-        missing: List[str] = []
+        missing: Dict[str, None] = {}    # ordered set: first-seen order
         for digest in digests:
             if digest in known:
                 continue
             data = index.get(digest)
             if data is None:
-                if digest not in missing:
-                    missing.append(digest)
+                missing[digest] = None
             else:
                 known[digest] = data
         self._recon_sessions[(user, path)] = (list(digests), known)
         self.stats.reconciliations += 1
-        return missing
+        return list(missing)
 
     def apply_reconciled(self, user: str, path: str,
                          supplied: Dict[str, bytes],

@@ -161,19 +161,23 @@ def test_adaptive_picks_the_frontier_winner_per_workload():
 
 def test_recon_client_mirror_agrees_with_server_index():
     """Single-writer contract: the digests the planner predicts missing
-    are exactly what the server's reconcile answers."""
+    are exactly what the server's reconcile answers — each distinct
+    digest once, in first-seen order, however often its chunk repeats."""
     session = stratlab(strategy=AdaptiveSelector())
     session.create_random_file("base.bin", 96 * KB, seed=10)
     session.run_until_idle()
     client = session.client
     strategy = SetReconcileStrategy()
-    clone = Content(random_content(2 * KB, seed=11).data
-                    + session.folder.get("base.bin").data)
-    plan = strategy._plan(client, "copy.bin", clone)
-    assert plan.missing  # the fresh prefix produces at least one new chunk
-    assert len(plan.missing) < len(plan.digests)  # the clone tail dedups
-    answered = client.server.reconcile(client.user, "copy.bin", plan.digests)
-    assert answered == plan.missing
+    for path, repeated in (("copy.bin", b""), ("padded.bin", bytes(200 * KB))):
+        clone = Content(random_content(2 * KB, seed=11).data + repeated
+                        + session.folder.get("base.bin").data)
+        plan = strategy._plan(client, path, clone)
+        assert plan.missing  # the fresh prefix produces a new chunk
+        assert len(plan.missing) < len(plan.digests)  # the clone tail dedups
+        assert plan.missing == list(dict.fromkeys(
+            digest for digest in plan.digests if digest in plan.missing))
+        assert client.server.reconcile(client.user, path,
+                                       plan.digests) == plan.missing
 
 
 def test_full_file_estimate_refuses_inexact_profiles():
