@@ -19,15 +19,15 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..units import KB
-from .schema import BLOCK_GRANULARITIES, Trace
+from .schema import BLOCK_GRANULARITIES, FileRecord, Trace
 
 SMALL_FILE_THRESHOLD = 100 * KB
 
 #: Creation-batch window (seconds): two small files of one user created
-#: within this window count as batchable (§4.1).  Shared by the trace
-#: analysis below and the replay estimator's BDS eligibility test — the
-#: two MUST agree, or the estimator silently drifts from the statistic it
-#: is calibrated against.
+#: within this window count as batchable (§4.1).  The trace analysis
+#: below and the replay estimator's BDS eligibility both apply it through
+#: :func:`creation_batch_flags`, so the estimator cannot drift from the
+#: statistic it is calibrated against.
 BDS_BATCH_WINDOW = 5.0
 
 
@@ -109,33 +109,41 @@ def small_file_fraction(trace: Trace, threshold: int = SMALL_FILE_THRESHOLD,
     return float((sizes < threshold).mean())
 
 
+def creation_batch_flags(records: Sequence[FileRecord],
+                         threshold: int = SMALL_FILE_THRESHOLD,
+                         window: float = BDS_BATCH_WINDOW) -> List[bool]:
+    """Per record, in order: is it a small file whose (service, user)
+    created another small file within ``window`` seconds?
+
+    The one statement of the creation-batch rule — exactly the files BDS
+    could combine: :func:`batchable_small_fraction` counts these flags and
+    the replay estimator grants the batched overhead by them.
+    """
+    small: Dict[Tuple[str, str], List[Tuple[float, int]]] = {}
+    for position, record in enumerate(records):
+        if record.size < threshold:
+            small.setdefault((record.service, record.user), []).append(
+                (record.created_at, position))
+    flags = [False] * len(records)
+    for entries in small.values():
+        entries.sort()
+        last = len(entries) - 1
+        for rank, (moment, position) in enumerate(entries):
+            flags[position] = (
+                (rank > 0 and moment - entries[rank - 1][0] <= window)
+                or (rank < last and entries[rank + 1][0] - moment <= window))
+    return flags
+
+
 def batchable_small_fraction(trace: Trace,
                              threshold: int = SMALL_FILE_THRESHOLD,
                              window: float = BDS_BATCH_WINDOW) -> float:
-    """Fraction of small files that arrive in creation batches (§4.1's 66 %).
-
-    A small file is batchable when the same user created another small file
-    within ``window`` seconds — exactly the files BDS could combine.
-    """
-    per_user: Dict[Tuple[str, str], List[float]] = {}
-    for record in trace:
-        if record.size < threshold:
-            per_user.setdefault((record.service, record.user), []).append(
-                record.created_at)
-    small_total = 0
-    batchable = 0
-    for times in per_user.values():
-        times.sort()
-        for index, moment in enumerate(times):
-            small_total += 1
-            near_prev = index > 0 and moment - times[index - 1] <= window
-            near_next = (index + 1 < len(times)
-                         and times[index + 1] - moment <= window)
-            if near_prev or near_next:
-                batchable += 1
+    """Fraction of small files that arrive in creation batches (§4.1's 66 %)."""
+    small_total = sum(1 for record in trace if record.size < threshold)
     if small_total == 0:
         return 0.0
-    return batchable / small_total
+    return sum(creation_batch_flags(trace.records, threshold, window)) \
+        / small_total
 
 
 # ---------------------------------------------------------------------------

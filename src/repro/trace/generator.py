@@ -133,6 +133,30 @@ def _unit_count(size: int) -> int:
     return max(1, -(-size // UNIT_SIZE))
 
 
+def _activity_cdf(n_users: int) -> np.ndarray:
+    """CDF of the per-burst user draw.  Zipf-ish activity: a few heavy
+    users own most files (observed in every storage-trace study the paper
+    builds on).  Normalised step for step as ``Generator.choice(n, p=)``
+    does, so :func:`_draw_index` over it *is* that draw."""
+    weights = 1.0 / np.arange(1, n_users + 1) ** 0.7
+    weights /= weights.sum()
+    cdf = weights.cumsum()
+    cdf /= cdf[-1]
+    return cdf
+
+
+def _draw_index(rng: np.random.Generator, cdf: np.ndarray) -> int:
+    """``rng.choice(len(cdf), p=weights)`` without the per-call wrapper:
+    same single ``random()``, same inverse-CDF lookup (a draw equal to a
+    CDF edge belongs to the bin above it)."""
+    return int(cdf.searchsorted(rng.random(), side="right"))
+
+
+def _draw_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
+    """``rng.uniform(lo, hi)`` as numpy computes it, minus the wrapper."""
+    return lo + (hi - lo) * rng.random()
+
+
 def _service_records(service: str, n_users: int, n_files: int,
                      rng: np.random.Generator, segments: _SegmentFactory,
                      pool: List[_PoolEntry],
@@ -144,13 +168,10 @@ def _service_records(service: str, n_users: int, n_files: int,
     they produce identical records at the same seed.
     """
     users = [f"{service.lower()}-user{idx:03d}" for idx in range(n_users)]
-    # Zipf-ish activity: a few heavy users own most files (observed in
-    # every storage-trace study the paper builds on).
-    weights = 1.0 / np.arange(1, n_users + 1) ** 0.7
-    weights /= weights.sum()
+    activity = _activity_cdf(n_users)
     files_left = n_files
     while files_left > 0:
-        user = users[int(rng.choice(n_users, p=weights))]
+        user = users[_draw_index(rng, activity)]
         if rng.random() < _P_SOLO_CREATE:
             burst = 1
         else:
@@ -159,7 +180,7 @@ def _service_records(service: str, n_users: int, n_files: int,
         start = float(rng.random() * TRACE_SPAN)
         offset = 0.0
         for _ in range(burst):
-            offset += float(rng.uniform(*_BURST_SPACING))
+            offset += _draw_uniform(rng, *_BURST_SPACING)
             yield _make_record(
                 rng, segments, pool, service, user,
                 created_at=start + offset,
@@ -258,7 +279,7 @@ def _draw_ratio(rng: np.random.Generator, size: int) -> float:
                   else _RATIO_COMPRESSIBLE_LARGE)
     else:
         lo, hi = _RATIO_INCOMPRESSIBLE
-    return float(rng.uniform(lo, hi))
+    return _draw_uniform(rng, lo, hi)
 
 
 def _make_record(rng: np.random.Generator, segments: _SegmentFactory,
@@ -282,14 +303,13 @@ def _make_record(rng: np.random.Generator, segments: _SegmentFactory,
         segment_ids = duplicate_of.segments
         content_id = duplicate_of.content_id
     elif near_source is not None and len(near_source.segments) >= 2:
-        share = float(rng.uniform(*_NEAR_SHARE_RANGE))
+        share = _draw_uniform(rng, *_NEAR_SHARE_RANGE)
         shared_units = max(1, int(len(near_source.segments) * share))
-        size = _draw_size(rng)
-        size = max(size, shared_units * UNIT_SIZE)
-        fresh = segments.fresh(_unit_count(size) - shared_units) \
-            if _unit_count(size) > shared_units else np.empty(0, dtype=np.int64)
+        # At least the shared prefix, so the fresh tail is never negative.
+        size = max(_draw_size(rng), shared_units * UNIT_SIZE)
         segment_ids = np.concatenate(
-            [near_source.segments[:shared_units], fresh])
+            [near_source.segments[:shared_units],
+             segments.fresh(_unit_count(size) - shared_units)])
         compressed = max(1, int(size * _draw_ratio(rng, size)))
         content_id = index
     else:

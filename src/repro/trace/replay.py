@@ -36,8 +36,8 @@ possible (see DESIGN.md, "Parallel replay & determinism contract"):
 
 from __future__ import annotations
 
-import bisect
 import hashlib
+import math
 import multiprocessing
 import os
 import random
@@ -61,7 +61,7 @@ from ..client.defer import NoDefer
 from ..client.profiles import BdsMode
 from ..cloud.dedup import DedupGranularity, DedupScope
 from ..compress import CompressionLevel
-from .analysis import BDS_BATCH_WINDOW, SMALL_FILE_THRESHOLD
+from .analysis import creation_batch_flags
 from .schema import FileRecord, Trace
 
 #: Fraction of a file's *achievable* compression each level realises
@@ -176,24 +176,14 @@ def _fixed_overhead(profile: ServiceProfile) -> int:
             + overhead.notify_down)
 
 
-def _wire_payload(profile: ServiceProfile, size: int, compressed: int) -> int:
-    """Upload bytes for content with a known reference-compressed size."""
-    saving_fraction = _LEVEL_SAVING_FRACTION[profile.upload_compression.level]
+def _wire_payload(size: int, compressed: int, saving_fraction: float,
+                  per_byte_factor: float) -> int:
+    """Upload bytes for content with a known reference-compressed size,
+    under a profile's :data:`_LEVEL_SAVING_FRACTION` entry and per-byte
+    protocol overhead (the replay loop resolves both once per profile)."""
     achievable = max(size - compressed, 0)
     wire = size - int(achievable * saving_fraction)
-    return wire + int(profile.overhead.per_byte_factor * wire)
-
-
-def _in_creation_batch(record: FileRecord,
-                       batch_windows: Dict[Tuple[str, str], List[float]],
-                       window: float = BDS_BATCH_WINDOW) -> bool:
-    times = batch_windows.get((record.service, record.user), [])
-    # times is sorted; record.created_at is in it.  Neighbour within window?
-    index = bisect.bisect_left(times, record.created_at)
-    before = index > 0 and record.created_at - times[index - 1] <= window
-    after = (index + 1 < len(times)
-             and times[index + 1] - record.created_at <= window)
-    return before or after
+    return wire + int(per_byte_factor * wire)
 
 
 def _mod_fractions(seed: int, profile_name: str, index: int,
@@ -203,11 +193,23 @@ def _mod_fractions(seed: int, profile_name: str, index: int,
     Keyed by (seed, profile, global record index) so any shard can
     reproduce exactly the draws the sequential replay makes for this
     record — the determinism contract that makes parallel == sequential.
+
+    Each fraction is ``min(1.0, rng.lognormvariate(mu, sigma))``, drawn by
+    the stdlib's own Kinderman–Monahan loop spelled out over ``rng.random``
+    (tests/test_trace_draws.py holds it to the stdlib call).
     """
-    rng = random.Random(f"replay:{seed}:{profile_name}:{index}")
-    return [min(1.0, rng.lognormvariate(_MOD_FRACTION_LOG_MU,
-                                        _MOD_FRACTION_LOG_SIGMA))
-            for _ in range(count)]
+    draw = random.Random(f"replay:{seed}:{profile_name}:{index}").random
+    fractions = []
+    for _ in range(count):
+        while True:
+            u1 = draw()
+            u2 = 1.0 - draw()
+            z = random.NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -math.log(u2):
+                break
+        fraction = math.exp(_MOD_FRACTION_LOG_MU + z * _MOD_FRACTION_LOG_SIGMA)
+        fractions.append(fraction if fraction < 1.0 else 1.0)
+    return fractions
 
 
 # ---------------------------------------------------------------------------
@@ -336,117 +338,125 @@ def _replay_records(shard: Sequence[Tuple[int, FileRecord]],
     per-user partitions.  ``collect_candidates`` turns on the phase-1 side
     of the CROSS_USER two-phase protocol.
     """
-    report = ReplayReport(service=profile.service,
-                          access=profile.access.value)
+    # ---- constant per profile -----------------------------------------------
     fixed = _fixed_overhead(profile)
-    bds = profile.bds
-
-    # Precompute creation-time neighbourhoods for BDS eligibility.  All of
-    # a user's records live in this shard, so the neighbourhoods equal the
-    # sequential ones.
-    small_times: Dict[Tuple[str, str], List[float]] = {}
-    for _, record in shard:
-        if record.size < SMALL_FILE_THRESHOLD:
-            small_times.setdefault((record.service, record.user), []).append(
-                record.created_at)
-    for times in small_times.values():
-        times.sort()
-
+    saving_fraction = _LEVEL_SAVING_FRACTION[profile.upload_compression.level]
+    per_byte = profile.overhead.per_byte_factor
+    profile_name = profile.name
+    delta_block = profile.delta_block if profile.uses_ids else 0
     dedup = profile.dedup
+    dedup_enabled = dedup.enabled
+    dedup_full_file = dedup.granularity is DedupGranularity.FULL_FILE
+    dedup_cross_user = dedup.scope is DedupScope.CROSS_USER
+    bds = profile.bds
+    batched_overhead = bds.per_file_bytes if bds.mode is BdsMode.FULL \
+        else max(bds.per_file_bytes, fixed // 8)
+    batch_saving = max(fixed - batched_overhead, 0)
+
+    # Which records BDS would batch.  All of a user's records live in this
+    # shard, so the neighbourhoods equal the sequential ones.
+    batched = creation_batch_flags([record for _, record in shard]) \
+        if bds.mode is not BdsMode.NONE else [False] * len(shard)
+
     seen_units: Set = set()
     candidates = _ShardCandidates() if collect_candidates else None
+    per_user_traffic: Dict[str, int] = {}
+    per_user_mod_traffic: Dict[str, int] = {}
+    per_user_mod_update: Dict[str, int] = {}
+    mod_events = data_update = traffic = overhead_total = 0
+    saved_compression = saved_dedup = saved_bds = saved_ids = 0
 
-    for index, record in shard:
-        report.file_count += 1
+    for (index, record), in_batch in zip(shard, batched):
+        size = record.size
+        compressed = record.compressed_size
+        user = record.user
         # ---- creation upload ------------------------------------------------
-        report.data_update_bytes += record.size
-        raw_wire = record.size + int(profile.overhead.per_byte_factor * record.size)
-        wire = _wire_payload(profile, record.size, record.compressed_size)
-        report.saved_by_compression += max(raw_wire - wire, 0)
+        # The pre-dedup full-file wire: what dedup scales down for the
+        # creation, and what every non-IDS modification re-ships whole.
+        full_wire = _wire_payload(size, compressed, saving_fraction, per_byte)
+        saved_compression += max(size + int(per_byte * size) - full_wire, 0)
+        wire = full_wire
 
-        if dedup.enabled:
-            shipped = 0
+        if dedup_enabled:
+            shipped = total_len = 0
             fresh_units: List[Tuple[bytes, int]] = []
-            if dedup.granularity is DedupGranularity.FULL_FILE:
-                keys = [(record.full_file_key(), record.size)]
+            if dedup_full_file:
+                keys = ((record.full_file_key(), size),)
             else:
-                keys = list(record.block_keys(dedup.block_size))
-            total_len = sum(length for _, length in keys)
+                keys = record.block_keys(dedup.block_size)
             for key, length in keys:
+                total_len += length
                 digest = _unit_digest(key)
-                scope_key = digest if dedup.scope is DedupScope.CROSS_USER \
-                    else (record.user, digest)
+                scope_key = digest if dedup_cross_user else (user, digest)
                 if scope_key in seen_units:
                     continue
                 seen_units.add(scope_key)
                 shipped += length
                 if collect_candidates:
                     fresh_units.append((digest, length))
-            if total_len == 0:
-                # Explicit empty-units branch (formerly a silent `or 1`
-                # guard): a size-0 file — or a record with no content
-                # units at all — has no bytes to negotiate, so dedup
-                # neither ships nor saves anything and the wire passes
-                # through unchanged (it is 0 for size-0 records).
-                deduped_wire = wire
-            else:
-                deduped_wire = wire * shipped // total_len
-            report.saved_by_dedup += wire - deduped_wire
-            if collect_candidates and fresh_units and total_len > 0:
-                candidates.add(index, record.user, wire, total_len,
-                               fresh_units)
-            wire = deduped_wire
+            # A size-0 file — or a record with no content units at all —
+            # has no bytes to negotiate: dedup neither ships nor saves
+            # anything and the wire passes through unchanged.
+            if total_len > 0:
+                wire = full_wire * shipped // total_len
+                saved_dedup += full_wire - wire
+                if collect_candidates and fresh_units:
+                    candidates.add(index, user, full_wire, total_len,
+                                   fresh_units)
 
         overhead = fixed
-        if (record.size < SMALL_FILE_THRESHOLD and bds.mode is not BdsMode.NONE
-                and _in_creation_batch(record, small_times)):
-            batched = bds.per_file_bytes if bds.mode is BdsMode.FULL \
-                else max(bds.per_file_bytes, fixed // 8)
-            report.saved_by_bds += max(fixed - batched, 0)
-            overhead = batched
-        report.traffic_bytes += wire + overhead
-        report.overhead_bytes += overhead
-        report.upload_events += 1
-        report.per_user_traffic[record.user] = \
-            report.per_user_traffic.get(record.user, 0) + wire + overhead
+        if in_batch:
+            saved_bds += batch_saving
+            overhead = batched_overhead
+        user_traffic = wire + overhead
+        overhead_total += overhead
+        data_update += size
 
         # ---- modifications ---------------------------------------------------
-        if record.modify_count:
-            fractions = _mod_fractions(seed, profile.name, index,
-                                       record.modify_count)
-        else:
-            fractions = []
-        for fraction in fractions:
-            altered = max(1, int(record.size * fraction))
-            report.data_update_bytes += altered
-            full_wire = _wire_payload(profile, record.size,
-                                      record.compressed_size)
-            if profile.uses_ids:
-                # Delta ships the altered region rounded up to whole blocks.
-                blocks = -(-altered // profile.delta_block) + 1
-                delta_wire = min(blocks * profile.delta_block, record.size)
-                # size == 0 forces delta_wire to 0 above, so the ratio is
-                # never consumed on that branch; no max(size, 1) masking.
-                ratio = (record.compressed_size / record.size
-                         if record.size else 0.0)
-                delta_wire = _wire_payload(
-                    profile, delta_wire, int(delta_wire * ratio))
-                report.saved_by_ids += max(full_wire - delta_wire, 0)
-                wire = delta_wire
-            else:
-                wire = full_wire
-            report.traffic_bytes += wire + fixed
-            report.overhead_bytes += fixed
-            report.upload_events += 1
-            report.per_user_traffic[record.user] = \
-                report.per_user_traffic.get(record.user, 0) + wire + fixed
-            report.per_user_modification_traffic[record.user] = \
-                report.per_user_modification_traffic.get(record.user, 0) \
-                + wire + fixed
-            report.per_user_modification_update[record.user] = \
-                report.per_user_modification_update.get(record.user, 0) \
-                + altered
+        count = record.modify_count
+        if count:
+            # size == 0 forces every delta size to 0 below, so the ratio is
+            # never consumed on that branch; no max(size, 1) masking.
+            ratio = compressed / size if size else 0.0
+            altered_total = 0
+            mod_traffic = count * fixed
+            for fraction in _mod_fractions(seed, profile_name, index, count):
+                altered = max(1, int(size * fraction))
+                altered_total += altered
+                if delta_block:
+                    # Delta ships the altered region in whole blocks.
+                    delta_size = min(
+                        (-(-altered // delta_block) + 1) * delta_block, size)
+                    delta_wire = _wire_payload(
+                        delta_size, int(delta_size * ratio),
+                        saving_fraction, per_byte)
+                    if delta_wire < full_wire:
+                        saved_ids += full_wire - delta_wire
+                    mod_traffic += delta_wire
+                else:
+                    mod_traffic += full_wire
+            per_user_mod_traffic[user] = \
+                per_user_mod_traffic.get(user, 0) + mod_traffic
+            per_user_mod_update[user] = \
+                per_user_mod_update.get(user, 0) + altered_total
+            user_traffic += mod_traffic
+            data_update += altered_total
+            overhead_total += count * fixed
+            mod_events += count
 
+        per_user_traffic[user] = per_user_traffic.get(user, 0) + user_traffic
+        traffic += user_traffic
+
+    report = ReplayReport(
+        service=profile.service, access=profile.access.value,
+        file_count=len(shard), upload_events=len(shard) + mod_events,
+        data_update_bytes=data_update, traffic_bytes=traffic,
+        overhead_bytes=overhead_total,
+        saved_by_compression=saved_compression, saved_by_dedup=saved_dedup,
+        saved_by_bds=saved_bds, saved_by_ids=saved_ids,
+        per_user_traffic=per_user_traffic,
+        per_user_modification_traffic=per_user_mod_traffic,
+        per_user_modification_update=per_user_mod_update)
     return report, candidates
 
 

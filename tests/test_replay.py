@@ -134,20 +134,56 @@ def test_zero_size_files_under_both_dedup_granularities(service):
     assert report.upload_events == 3
 
 
+def _small_record(user, index, created_at, size=4 * KB):
+    return FileRecord(
+        user=user, service="X", path=f"{user}/f{index}.txt",
+        size=size, compressed_size=size // 2, created_at=created_at,
+        modified_at=created_at, modify_count=0,
+        segments=np.arange(index, index + 1, dtype=np.int64),
+        content_id=index)
+
+
 def test_single_record_trace_is_never_batchable():
     """With one record there is no creation neighbour, so the BDS batch
-    test must return False and the file pays the full fixed overhead."""
-    from repro.trace.replay import _in_creation_batch, _fixed_overhead
-    record = FileRecord(
-        user="solo", service="X", path="solo/one.txt",
-        size=4 * KB, compressed_size=2 * KB, created_at=100.0,
-        modified_at=100.0, modify_count=0,
-        segments=np.arange(1, dtype=np.int64), content_id=0,
-    )
-    windows = {("X", "solo"): [record.created_at]}
-    assert _in_creation_batch(record, windows) is False
+    rule must flag nothing and the file pays the full fixed overhead."""
+    from repro.trace.analysis import creation_batch_flags
+    from repro.trace.replay import _fixed_overhead
+    record = _small_record("solo", 0, 100.0)
+    assert creation_batch_flags([record]) == [False]
+    assert creation_batch_flags([]) == []
 
     profile = service_profile("Dropbox", AccessMethod.PC)  # BDS: FULL
     report = replay_trace(Trace(records=[record]), profile)
     assert report.saved_by_bds == 0
     assert report.overhead_bytes == _fixed_overhead(profile)
+
+
+def test_duplicate_creation_times_batch_with_each_other():
+    """Two small files of one user created at the very same instant are
+    each other's neighbour (distance 0).  A third far away is not, nor is
+    another user's file at that instant, nor a large file of the same
+    user — and flags come back in record order, not time order.  The
+    analysis statistic and the replay's BDS saving read the same flags."""
+    from repro.trace.analysis import (
+        BDS_BATCH_WINDOW,
+        SMALL_FILE_THRESHOLD,
+        batchable_small_fraction,
+        creation_batch_flags,
+    )
+    from repro.trace.replay import _fixed_overhead
+    far = 100.0 + 10 * BDS_BATCH_WINDOW
+    records = [_small_record("a", 0, far), _small_record("a", 1, 100.0),
+               _small_record("b", 2, 100.0), _small_record("a", 3, 100.0),
+               _small_record("a", 4, 100.0, size=SMALL_FILE_THRESHOLD)]
+    assert creation_batch_flags(records) == [False, True, False, True, False]
+    edge = [_small_record("a", 0, 100.0 + BDS_BATCH_WINDOW),
+            _small_record("a", 1, 100.0)]
+    assert creation_batch_flags(edge) == [True, True]
+
+    trace = Trace(records=records)
+    assert batchable_small_fraction(trace) == 2 / 4
+    profile = service_profile("Dropbox", AccessMethod.PC)  # BDS: FULL
+    fixed = _fixed_overhead(profile)
+    report = replay_trace(trace, profile)
+    assert report.saved_by_bds == 2 * (fixed - profile.bds.per_file_bytes) > 0
+    assert report.overhead_bytes == 3 * fixed + 2 * profile.bds.per_file_bytes

@@ -404,7 +404,7 @@ def test_dedup_accounting_is_integer_exact_above_2_53():
     integer — this pins the exact value and proves the float form would
     have differed (i.e. the test actually guards the regression).
     """
-    from repro.trace.replay import _wire_payload
+    from repro.trace.replay import _LEVEL_SAVING_FRACTION, _wire_payload
     size = (1 << 54) + 12_345     # wire > 2**53 by construction
     base = service_profile("UbuntuOne", AccessMethod.PC)
     profile = replace(base, dedup=DedupConfig(
@@ -416,7 +416,9 @@ def test_dedup_accounting_is_integer_exact_above_2_53():
         _record("u0", 0, [1, 2, 3], size, created_at=0.0),
         _record("u1", 1, [1, 4, 5], size, created_at=1.0),
     ])
-    wire = _wire_payload(profile, size, size)
+    wire = _wire_payload(
+        size, size, _LEVEL_SAVING_FRACTION[profile.upload_compression.level],
+        profile.overhead.per_byte_factor)
     assert wire > 2 ** 53
     shipped, total_len = 2 * UNIT_SIZE, 3 * UNIT_SIZE
     expected_saved = wire - wire * shipped // total_len
