@@ -11,7 +11,7 @@ version remains addressable for rollback.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List
+from typing import Dict, List, Optional
 
 from .errors import NotFound
 
@@ -28,6 +28,11 @@ class FileVersion:
     stored_sizes: tuple       # on-disk size per chunk (post-compression)
     committed_at: float
     deleted: bool = False
+    #: The reassembled ``bytes`` object that last matched ``md5`` — set by
+    #: :meth:`CloudServer.download`, for single-unit versions only, and
+    #: gone with the version when history is purged.
+    verified: Optional[bytes] = field(
+        default=None, init=False, compare=False, repr=False)
 
     @property
     def manifest_bytes(self) -> int:

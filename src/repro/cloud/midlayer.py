@@ -49,7 +49,9 @@ class ChunkStore:
             except (IntegrityError, NotFound) as error:
                 raise annotate_manifest_error(
                     error, key, position, len(keys)) from error
-        return b"".join(pieces)
+        # One key: hand back the stored object itself, so a caller that
+        # remembers what it verified (``CloudServer.download``) sees it again.
+        return pieces[0] if len(pieces) == 1 else b"".join(pieces)
 
     def delete(self, key: str) -> None:
         self.objects.delete(key)

@@ -12,8 +12,8 @@ paper makes about implementing incremental data sync.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .errors import IntegrityError, NotFound
 
@@ -30,10 +30,30 @@ class ObjectRecord:
     etag: str
     created_at: float
     put_count: int = 1
+    #: The ``(data, etag)`` objects that last passed :meth:`verify`.
+    #: ``bytes`` and ``str`` are immutable, so holding the very same two
+    #: objects again is proof the digest still matches; anything else —
+    #: replaced bytes, a replaced etag — is hashed.  Never set by ``put``.
+    _passed: Tuple[Optional[bytes], Optional[str]] = field(
+        default=(None, None), init=False, compare=False, repr=False)
 
     @property
     def size(self) -> int:
         return len(self.data)
+
+    def verify(self) -> None:
+        """Raise :class:`IntegrityError` unless ``data`` hashes to ``etag``.
+
+        Hashes once per stored object rather than once per read; a failed
+        check is not remembered, so rotten bytes fail every read.
+        """
+        data, etag = self.data, self.etag
+        if data is self._passed[0] and etag is self._passed[1]:
+            return
+        if hashlib.md5(data).hexdigest() != etag:
+            raise IntegrityError(
+                f"object {self.key!r} failed its digest check")
+        self._passed = (data, etag)
 
 
 @dataclass
@@ -107,8 +127,7 @@ class ObjectStore:
             raise NotFound(f"object {key!r} does not exist")
         self.ops.get += 1
         self.ops.get_bytes += record.size
-        if hashlib.md5(record.data).hexdigest() != record.etag:
-            raise IntegrityError(f"object {key!r} failed its digest check")
+        record.verify()
         return record.data
 
     def get_range(self, key: str, offset: int, length: int) -> bytes:
@@ -133,8 +152,7 @@ class ObjectStore:
         data = record.data[offset:offset + length]
         self.ops.get += 1
         self.ops.get_bytes += len(data)
-        if hashlib.md5(record.data).hexdigest() != record.etag:
-            raise IntegrityError(f"object {key!r} failed its digest check")
+        record.verify()
         return data
 
     def delete(self, key: str) -> None:

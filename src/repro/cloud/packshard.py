@@ -252,7 +252,7 @@ class PackShardStore:
             except (IntegrityError, NotFound) as error:
                 raise annotate_manifest_error(
                     error, keys[run_start], run_start, len(keys)) from error
-        return b"".join(pieces)
+        return pieces[0] if len(pieces) == 1 else b"".join(pieces)
 
     def exists(self, key: str) -> bool:
         return key in self._locations

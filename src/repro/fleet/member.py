@@ -333,7 +333,8 @@ class FleetMember:
             return 0.0
         content = Content(data)
         old = self.folder.get(path) if self.folder.exists(path) else None
-        if self.profile.uses_ids and old is not None and old.size > 0:
+        as_delta = self.profile.uses_ids and old is not None and old.size > 0
+        if as_delta:
             signature = compute_signature(old.data, self.profile.delta_block)
             delta = compute_delta(signature, content.data)
             literals = b"".join(op.data for op in delta.ops
@@ -345,8 +346,7 @@ class FleetMember:
         duration = self._fanout_exchange(
             up_meta=_FETCH_META_UP, down_payload=wire,
             down_meta=self.profile.overhead.meta_down // 2,
-            kind="fanout-delta" if old is not None and self.profile.uses_ids
-            and old.size > 0 else "fanout-download")
+            kind="fanout-delta" if as_delta else "fanout-download")
         self.folder.apply_remote(path, content)
         self.client.absorb_remote(path, content)
         # Record the head actually delivered, not just the notified

@@ -173,9 +173,9 @@ class FloatByteArithmeticRule(Rule):
 def meter_mutation_call(node: ast.AST) -> Optional[str]:
     """Describe ``node`` if it mutates a TrafficMeter, else None.
 
-    Matches ``<x>.meter.record(...)`` / ``meter.record(...)``, direct
-    ``.records`` list mutation, and ``._totals`` access on a meter-ish
-    receiver.
+    Matches ``<x>.meter.record(...)`` / ``meter.record(...)`` and direct
+    ``.records`` list mutation.  Writes to the ``.up`` / ``.down`` totals
+    are assignments, not calls — :class:`MeterMutationRule` finds those.
     """
     if not isinstance(node, ast.Call) \
             or not isinstance(node.func, ast.Attribute):
@@ -211,11 +211,17 @@ class MeterMutationRule(Rule):
                 yield self.at(ctx, node,
                               f"{description} in {ctx.module} bypasses the "
                               f"audited Channel wire path")
-            if isinstance(node, ast.Attribute) and node.attr == "_totals" \
-                    and "meter" in _direct_name(node.value):
-                yield self.at(ctx, node,
-                              "direct access to TrafficMeter._totals "
-                              "bypasses the record() invariant checks")
+            # <meter>.up / .down, or a field of one, as a write target
+            # (plain, augmented, del); reading them is what they are for.
+            if isinstance(node, ast.Attribute) \
+                    and isinstance(node.ctx, (ast.Store, ast.Del)):
+                totals = node if node.attr in ("up", "down") else node.value
+                if isinstance(totals, ast.Attribute) \
+                        and totals.attr in ("up", "down") \
+                        and "meter" in _direct_name(totals.value):
+                    yield self.at(ctx, node,
+                                  f"write to TrafficMeter.{totals.attr} "
+                                  f"bypasses the record() invariant checks")
 
 
 class MaskedZeroDenominatorRule(Rule):

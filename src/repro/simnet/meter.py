@@ -77,10 +77,11 @@ class TrafficMeter:
 
     def __init__(self) -> None:
         self.records: List[TrafficRecord] = []
-        self._totals: Dict[Direction, TrafficTotals] = {
-            Direction.UP: TrafficTotals(),
-            Direction.DOWN: TrafficTotals(),
-        }
+        #: Running totals per direction.  Only :meth:`record` and
+        #: :meth:`reset` write them (reprolint REP011); readers may hold
+        #: the objects but must not assign to them or their fields.
+        self.up = TrafficTotals()
+        self.down = TrafficTotals()
 
     def record(
         self,
@@ -100,21 +101,21 @@ class TrafficMeter:
             raise ValueError("traffic byte counts must be non-negative")
         if wasted > payload + overhead:
             raise ValueError("wasted bytes cannot exceed the record's total")
-        entry = TrafficRecord(time, direction, int(payload), int(overhead),
-                              kind, int(wasted))
+        if direction is Direction.UP:
+            totals = self.up
+        elif direction is Direction.DOWN:
+            totals = self.down
+        else:
+            raise ValueError(f"unknown traffic direction {direction!r}")
+        payload, overhead, wasted = int(payload), int(overhead), int(wasted)
+        entry = TrafficRecord(time, direction, payload, overhead, kind, wasted)
         self.records.append(entry)
-        self._totals[direction].add(entry.payload, entry.overhead, entry.wasted)
+        totals.payload += payload
+        totals.overhead += overhead
+        totals.wasted += wasted
         return entry
 
     # -- totals ----------------------------------------------------------
-
-    @property
-    def up(self) -> TrafficTotals:
-        return self._totals[Direction.UP]
-
-    @property
-    def down(self) -> TrafficTotals:
-        return self._totals[Direction.DOWN]
 
     @property
     def total_bytes(self) -> int:
@@ -162,27 +163,21 @@ class TrafficMeter:
 
     def snapshot(self) -> "MeterSnapshot":
         """Capture current totals so a caller can diff across an interval."""
-        return MeterSnapshot(
-            up_payload=self.up.payload,
-            up_overhead=self.up.overhead,
-            down_payload=self.down.payload,
-            down_overhead=self.down.overhead,
-            record_count=len(self.records),
-            up_wasted=self.up.wasted,
-            down_wasted=self.down.wasted,
-        )
+        up, down = self.up, self.down
+        return MeterSnapshot(up.payload, up.overhead, down.payload,
+                             down.overhead, len(self.records), up.wasted,
+                             down.wasted)
 
     def since(self, snapshot: "MeterSnapshot") -> "MeterSnapshot":
         """Totals accumulated since ``snapshot`` was taken."""
-        return MeterSnapshot(
-            up_payload=self.up.payload - snapshot.up_payload,
-            up_overhead=self.up.overhead - snapshot.up_overhead,
-            down_payload=self.down.payload - snapshot.down_payload,
-            down_overhead=self.down.overhead - snapshot.down_overhead,
-            record_count=len(self.records) - snapshot.record_count,
-            up_wasted=self.up.wasted - snapshot.up_wasted,
-            down_wasted=self.down.wasted - snapshot.down_wasted,
-        )
+        up, down = self.up, self.down
+        return MeterSnapshot(up.payload - snapshot.up_payload,
+                             up.overhead - snapshot.up_overhead,
+                             down.payload - snapshot.down_payload,
+                             down.overhead - snapshot.down_overhead,
+                             len(self.records) - snapshot.record_count,
+                             up.wasted - snapshot.up_wasted,
+                             down.wasted - snapshot.down_wasted)
 
     def records_since(self, snapshot: "MeterSnapshot") -> Tuple[TrafficRecord, ...]:
         """Records appended after ``snapshot`` was taken, as an immutable
@@ -191,10 +186,8 @@ class TrafficMeter:
 
     def reset(self) -> None:
         self.records.clear()
-        for totals in self._totals.values():
-            totals.payload = 0
-            totals.overhead = 0
-            totals.wasted = 0
+        for totals in (self.up, self.down):
+            totals.payload = totals.overhead = totals.wasted = 0
 
 
 @dataclass(frozen=True)

@@ -4,3 +4,9 @@
 
 def send_bytes(channel, nbytes):
     return channel.exchange(up_payload=nbytes, down_payload=0)
+
+
+def uploaded_share(session):
+    """Reading the per-direction totals is what they are for."""
+    up = session.meter.up
+    return up.total, session.meter.down.payload

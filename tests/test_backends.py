@@ -214,6 +214,98 @@ def test_get_range_verifies_whole_object_digest():
 
 
 # ---------------------------------------------------------------------------
+# integrity checks and object identity: an object is hashed once, a
+# different object (or a different expectation) is hashed again
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rot", [
+    b"0123456780",       # equal length, one byte off
+    b"012345678",        # truncated
+    b"0123456789!",      # grown
+    b"",
+])
+def test_get_rehashes_replaced_bytes_and_never_remembers_a_failure(rot):
+    store = ObjectStore()
+    original = store.put("a", b"0123456789").data
+    assert store.get("a") is original                # verified, remembered
+    store._objects["a"].data = rot                   # rot *after* a good read
+    for _ in range(3):                               # every read, not just one
+        with pytest.raises(IntegrityError):
+            store.get("a")
+        with pytest.raises(IntegrityError):
+            store.get_range("a", 0, 4)
+    store._objects["a"].data = original              # the good object is back
+    assert store.get("a") is original
+    store._objects["a"].data = bytes(bytearray(original))   # an equal copy
+    assert store.get("a") == original                # hashes, and passes
+
+
+def test_get_rehashes_when_the_expectation_is_replaced():
+    store = ObjectStore()
+    store.put("a", b"0123456789")
+    store.get("a")
+    store._objects["a"].etag = "0" * 32              # same bytes, new etag
+    with pytest.raises(IntegrityError):
+        store.get("a")
+    with pytest.raises(IntegrityError):
+        store.get("a")
+
+
+def test_get_range_rehashes_container_corrupted_after_a_good_ranged_read():
+    store = ObjectStore()
+    store.put("a", b"0123456789")
+    assert store.get_range("a", 0, 4) == b"0123"
+    assert store.get_range("a", 0, 4) == b"0123"
+    store._objects["a"].data = b"0123456789!"        # corrupt past the range
+    with pytest.raises(IntegrityError):
+        store.get_range("a", 0, 4)
+    with pytest.raises(IntegrityError):
+        store.get_range("a", 0, 4)
+
+
+def test_overwriting_put_is_verified_afresh():
+    store = ObjectStore()
+    store.put("a", b"old bytes")
+    store.get("a")
+    record = store.put("a", b"new bytes")
+    assert store.get("a") == b"new bytes"
+    record.data = b"new bytez"                       # rot the replacement
+    with pytest.raises(IntegrityError):
+        store.get("a")
+
+
+def test_store_hashes_each_stored_object_once_and_put_does_not_premark(
+        md5_calls):
+    store = ObjectStore()
+    store.put("a", b"x" * 100)
+    assert md5_calls == [100]                        # the etag, nothing else
+    store.get("a")
+    assert md5_calls == [100, 100]                   # first read verifies
+    for _ in range(5):
+        store.get("a")
+        store.get_range("a", 10, 10)
+    assert md5_calls == [100, 100]                   # same object: no hashing
+    store.put("a", b"y" * 40)                        # overwrite: new record
+    store.get_range("a", 0, 1)
+    store.get("a")
+    assert md5_calls == [100, 100, 40, 40]
+
+
+def test_single_key_fetch_many_hands_back_the_stored_object():
+    """Stated, not inherited from ``b"".join([x]) is x``: the reassembly
+    of a one-unit manifest *is* the stored object."""
+    chunks = ChunkStore(ObjectStore())
+    key = chunks.store(b"only unit")
+    assert chunks.fetch_many([key]) is chunks.objects._objects[key].data
+    other = chunks.store(b" and more")
+    assert chunks.fetch_many([key, other]) == b"only unit and more"
+    shard = _shard()
+    units = [shard.store(b"u" * 8), shard.store(b"v" * 8)]
+    assert shard.fetch_many(units[:1]) == b"u" * 8   # one run, one piece
+    assert shard.fetch_many(units) == b"u" * 8 + b"v" * 8
+
+
+# ---------------------------------------------------------------------------
 # packed-shard backend
 # ---------------------------------------------------------------------------
 
@@ -315,6 +407,34 @@ def test_delete_of_pending_unit_costs_nothing():
         shard.fetch(key)
     with pytest.raises(NotFound):
         shard.delete(key)
+
+
+def test_reads_verify_the_container_units_moved_into(md5_calls):
+    """Compaction re-seals survivors into a new container: reads hash that
+    container (once), and corruption in it fails them."""
+    shard = _shard(fraction=0.5)
+    pieces = [bytes([value]) * 100 for value in range(4)]
+    keys = [shard.store(piece) for piece in pieces]
+    shard.flush()
+    old_container = next(iter(shard._containers))
+    assert shard.fetch(keys[2]) == pieces[2]         # old container verified
+    shard.delete(keys[0])
+    shard.delete(keys[1])                            # compacts
+    assert shard.stats.compactions == 1
+    assert shard.fetch(keys[3]) == pieces[3]         # seals the survivors
+    (new_container,) = shard._containers
+    assert new_container != old_container
+    blob = shard.objects._objects[new_container]
+    assert md5_calls[-1] == blob.size                # ...and hashes them
+    hashed = len(md5_calls)
+    assert shard.fetch_many(keys[2:]) == pieces[2] + pieces[3]
+    assert len(md5_calls) == hashed                  # once per container
+    blob.data = blob.data[:150] + b"!" + blob.data[151:]
+    for _ in range(2):
+        with pytest.raises(IntegrityError):
+            shard.fetch(keys[2])                     # rot outside its range
+        with pytest.raises(IntegrityError):
+            shard.fetch_many(keys[2:])
 
 
 def test_sealed_delete_marks_garbage_then_compacts():

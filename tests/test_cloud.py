@@ -1,5 +1,8 @@
 """Unit tests for the cloud back-end substrate."""
 
+import gc
+import tracemalloc
+
 import pytest
 
 from repro.chunking import fingerprint
@@ -20,6 +23,7 @@ from repro.cloud import (
 )
 from repro.content import random_content
 from repro.delta import compute_delta, compute_signature
+from repro.units import KB, MB
 
 
 # ---------------------------------------------------------------------------
@@ -345,3 +349,118 @@ def test_purge_history_validation_and_noop():
     with pytest.raises(ValueError):
         server.purge_history("u", "f.bin", keep_last=0)
     assert server.purge_history("u", "f.bin", keep_last=5) == 0
+
+
+# ---------------------------------------------------------------------------
+# the reassembly digest check and object identity
+# ---------------------------------------------------------------------------
+
+def _swap_only_chunk(server, user, path, data):
+    """Overwrite the path's single stored unit *with a consistent etag*, so
+    the store's own check passes and only the reassembly check is left."""
+    (key,) = server.metadata.head(user, path).chunk_keys
+    server.objects.put(key, data)
+
+
+def test_download_rehashes_a_swapped_chunk_and_never_remembers_a_failure():
+    server = CloudServer()
+    content = random_content(5000, seed=21)
+    upload(server, "u", "f.bin", content)
+    good = server.download("u", "f.bin")
+    assert server.download("u", "f.bin") is good     # verified, remembered
+    _swap_only_chunk(server, "u", "f.bin",
+                     random_content(5000, seed=22).data)     # equal length
+    for _ in range(3):
+        with pytest.raises(IntegrityError, match="reassembly"):
+            server.download("u", "f.bin")
+    _swap_only_chunk(server, "u", "f.bin", good)     # the good object is back
+    assert server.download("u", "f.bin") is good
+
+
+def test_rename_and_rollback_do_not_inherit_a_verdict():
+    server = CloudServer()
+    content = random_content(5000, seed=23)
+    upload(server, "u", "f.bin", content)
+    server.download("u", "f.bin")
+    _swap_only_chunk(server, "u", "f.bin", random_content(5000, seed=24).data)
+    server.rename_file("u", "f.bin", "g.bin")        # same chunk, new head
+    with pytest.raises(IntegrityError, match="reassembly"):
+        server.download("u", "g.bin")
+    server.restore_version("u", "f.bin", 1)          # same chunk, new head
+    with pytest.raises(IntegrityError, match="reassembly"):
+        server.download("u", "f.bin")
+
+
+def test_digest_work_follows_heads_and_stored_objects_not_downloads(
+        md5_calls):
+    server = CloudServer()
+    v1, v2 = random_content(3000, seed=25), random_content(4000, seed=26)
+
+    def download(path="f.bin"):
+        """(bytes returned, sizes hashed to return them)."""
+        before = len(md5_calls)
+        return server.download("u", path), md5_calls[before:]
+
+    upload(server, "u", "f.bin", v1)
+    assert download() == (v1.data, [3000, 3000])     # stored object + head
+    assert download() == (v1.data, [])
+    upload(server, "u", "f.bin", v2)                 # a second commit
+    assert download() == (v2.data, [4000, 4000])
+    assert download() == (v2.data, [])
+    server.rename_file("u", "f.bin", "g.bin")        # known object, new head
+    assert download("g.bin") == (v2.data, [4000])
+    assert download("g.bin") == (v2.data, [])
+    server.restore_version("u", "f.bin", 1)          # rollback: new head too
+    assert download() == (v1.data, [3000])
+    assert download() == (v1.data, [])
+
+
+def test_multi_chunk_file_is_hashed_on_every_download(md5_calls):
+    """Its reassembly is a fresh joined copy each call: nothing to
+    recognise, and remembering it would pin a second copy of the file."""
+    server = CloudServer(storage_chunk_size=1024)
+    content = random_content(4096, seed=27)
+    upload(server, "u", "f.bin", content, chunk_size=1024)
+    server.download("u", "f.bin")                    # verifies the four units
+    for _ in range(3):
+        before = len(md5_calls)
+        assert server.download("u", "f.bin") == content.data
+        assert md5_calls[before:] == [4096]
+    assert server.metadata.head("u", "f.bin").verified is None
+
+
+@pytest.mark.parametrize("backend, chunk_size, held_after_download", [
+    ("chunk", None, 0),           # the stored unit is the uploaded object
+    ("chunk", 256 * KB, 1),       # four stored units; the joined copy is gone
+    ("packshard", 256 * KB, 1),   # one container; the joined copy is gone
+    # A packed unit is a fresh slice of its container per ranged GET: the
+    # remembered slice never recurs, and is held until the next download
+    # of that head or its purge (DESIGN.md, "Integrity checks ...").
+    ("packshard", None, 2),
+])
+def test_no_memo_outlives_the_bytes_it_describes(backend, chunk_size,
+                                                 held_after_download):
+    size = 1 * MB
+    server = CloudServer(storage_chunk_size=chunk_size, backend=backend)
+    tracemalloc.start()
+    try:
+        v1, v2 = random_content(size, seed=28), random_content(size, seed=29)
+
+        def held():
+            """Whole files' worth of memory traced beyond ``baseline``."""
+            gc.collect()
+            return (tracemalloc.get_traced_memory()[0] - baseline) / size
+
+        gc.collect()
+        baseline = tracemalloc.get_traced_memory()[0]
+        upload(server, "u", "f.bin", v1, chunk_size=chunk_size)
+        assert server.download("u", "f.bin") == v1.data
+        assert held() < held_after_download + 0.25
+        upload(server, "u", "f.bin", v2, chunk_size=chunk_size)   # overwrite
+        assert server.download("u", "f.bin") == v2.data
+        server.delete_file("u", "f.bin")
+        assert server.purge_history("u", "f.bin", keep_last=1) == 2
+        assert server.objects.stored_bytes == 0
+        assert held() < 0.25                         # nothing pinned
+    finally:
+        tracemalloc.stop()

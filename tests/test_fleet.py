@@ -359,6 +359,25 @@ def test_backfill_epoch_is_exempt_from_fanout_balance():
     fleet.audit()
 
 
+# -- digest work per pass ---------------------------------------------------
+
+def test_digest_work_grows_with_commits_not_with_members(md5_calls):
+    """One commit's stored object reaches every member as the same
+    ``bytes``: it is hashed when stored and first served, not once per
+    delivery.  The fleet-fanout benchmark shape at two fleet sizes."""
+    hashed = {}
+    for clients in (10, 40):
+        del md5_calls[:]
+        fleet = Fleet("GoogleDrive", clients=clients, seed=42)
+        schedule_writer_workload(fleet, writers=4, files_per_writer=2,
+                                 file_size=16 * KB, seed=42)
+        fleet.run_until_idle()
+        hashed[clients] = sorted(md5_calls)
+        assert fleet.converged()     # (hashes every folder: not the pass)
+    assert hashed[10] == hashed[40]
+    assert len(hashed[10]) < 10 * 8                  # fewer than deliveries
+
+
 # -- scale (slow tier) ------------------------------------------------------
 
 @pytest.mark.slow

@@ -1,8 +1,11 @@
 """Unit tests for the traffic meter (the simulated Wireshark)."""
 
-import pytest
+import dataclasses
 
-from repro.simnet import Direction, TrafficMeter
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.simnet import Direction, MeterSnapshot, TrafficMeter, TrafficTotals
 
 
 def test_empty_meter_is_zero():
@@ -159,3 +162,118 @@ def test_reset_clears_wasted():
     meter.record(0.0, Direction.UP, payload=10, overhead=2, wasted=4)
     meter.reset()
     assert meter.wasted_bytes == 0
+
+
+def test_unknown_direction_rejected_before_anything_is_metered():
+    meter = TrafficMeter()
+    with pytest.raises(ValueError):
+        meter.record(0.0, "up", payload=1)
+    assert meter.records == [] and meter.total_bytes == 0
+
+
+def test_reset_zeroes_the_totals_in_place():
+    """``up`` / ``down`` are plain attributes a caller may hold on to; a
+    reset must be visible through a held reference, not rebind it."""
+    meter = TrafficMeter()
+    up, down = meter.up, meter.down
+    meter.record(0.0, Direction.UP, 10, 2, wasted=1)
+    meter.record(0.0, Direction.DOWN, 3, 4, wasted=2)
+    meter.reset()
+    assert meter.up is up and meter.down is down
+    assert up == down == TrafficTotals()
+
+
+def test_snapshot_stays_a_replaceable_frozen_dataclass():
+    """The recorder rebuilds snapshots with ``MeterSnapshot(**dict)`` and
+    ``dataclasses.replace``; both, and immutability, must survive the
+    positional construction inside the meter."""
+    meter = TrafficMeter()
+    record = meter.record(0.0, Direction.UP, 10, 2, kind="k", wasted=1)
+    snap = meter.snapshot()
+    assert MeterSnapshot(**dataclasses.asdict(snap)) == snap
+    assert dataclasses.replace(snap, up_wasted=0).up_wasted == 0
+    assert dataclasses.replace(record, kind="other").total == 12
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        snap.up_payload = 0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        record.payload = 0
+
+
+# -- the ledger against its own record list ---------------------------------
+
+_FIELDS = ("payload", "overhead", "wasted")
+
+
+def _sums(records):
+    """Per-direction (payload, overhead, wasted) recomputed from records."""
+    out = {Direction.UP: [0, 0, 0], Direction.DOWN: [0, 0, 0]}
+    for record in records:
+        for slot, name in enumerate(_FIELDS):
+            out[record.direction][slot] += getattr(record, name)
+    return out
+
+
+def _snapshot_sums(snap):
+    """The same shape read off a :class:`MeterSnapshot`."""
+    return {Direction.UP: [snap.up_payload, snap.up_overhead, snap.up_wasted],
+            Direction.DOWN: [snap.down_payload, snap.down_overhead,
+                             snap.down_wasted]}
+
+
+@st.composite
+def _wire_events(draw):
+    """One valid ``record()`` call, or ``None`` for "take a snapshot"."""
+    if draw(st.integers(0, 4)) == 0:
+        return None
+    payload = draw(st.integers(0, 1 << 40))
+    overhead = draw(st.integers(0, 1 << 20))
+    return (draw(st.sampled_from(list(Direction))), payload, overhead,
+            draw(st.sampled_from(["", "upload", "ack", "rejected"])),
+            draw(st.integers(0, payload + overhead)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_wire_events(), max_size=40))
+def test_totals_snapshots_and_deltas_equal_sums_over_records(events):
+    meter = TrafficMeter()
+    snapshots = []
+    for time, event in enumerate(events):
+        if event is None:
+            snapshots.append((meter.snapshot(), len(meter.records)))
+            continue
+        direction, payload, overhead, kind, wasted = event
+        meter.record(float(time), direction, payload, overhead, kind=kind,
+                     wasted=wasted)
+
+    expected = _sums(meter.records)
+    for direction, totals in ((Direction.UP, meter.up),
+                              (Direction.DOWN, meter.down)):
+        assert [getattr(totals, name) for name in _FIELDS] \
+            == expected[direction]
+    assert meter.total_bytes == sum(r.total for r in meter.records)
+    assert meter.wasted_bytes == sum(r.wasted for r in meter.records)
+    assert meter.useful_bytes == meter.total_bytes - meter.wasted_bytes
+
+    for snap, count in snapshots:
+        assert snap.record_count == count
+        assert _snapshot_sums(snap) == _sums(meter.records[:count])
+        delta = meter.since(snap)
+        later = meter.records_since(snap)
+        assert later == tuple(meter.records[count:])
+        assert delta.record_count == len(later)
+        assert _snapshot_sums(delta) == _sums(later)
+
+    kinds = meter.totals_by_kind()
+    assert sum(t.payload for t in kinds.values()) == meter.payload_bytes
+    assert sum(t.overhead for t in kinds.values()) == meter.overhead_bytes
+    assert sum(t.wasted for t in kinds.values()) == meter.wasted_bytes
+
+    with pytest.raises(ValueError):
+        meter.record(0.0, Direction.DOWN, payload=-1)
+    with pytest.raises(ValueError):
+        meter.record(0.0, Direction.UP, payload=1, overhead=1, wasted=3)
+    assert _sums(meter.records) == expected          # rejected: not metered
+
+    meter.reset()
+    assert meter.up == meter.down == TrafficTotals()
+    assert meter.records == [] and meter.snapshot() == MeterSnapshot()
