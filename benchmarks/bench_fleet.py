@@ -4,11 +4,12 @@ The fleet layer (`repro.fleet`) interleaves every client's wire events
 through one logical event queue, so its cost is the scheduler's — this
 bench measures how many simulator events per second the queue sustains as
 the fleet grows, and how far client count can scale before a fixed
-workload's wall time degrades.  The calendar queue keeps the per-event cost
-flat: fan-out bursts (every commit lands N-1 same-time notifications in one
-slot) pop in O(log k) off the slot's bucket heap, where the unsorted-bucket
-variant — and a lazy-deletion global heap full of tombstones — would go
-quadratic.
+workload's wall time degrades.  The queue is a ``heapq`` keyed by
+``(time, seq)`` (since PR 21; DESIGN.md "Parallel mechanisms" holds this
+bench's 100k-client point on it and on the calendar queue it replaced): a
+fan-out burst — every commit lands N-1 same-time notifications — costs
+O(log n) per event, and the fleet cancels almost nothing, so lazy deletion
+leaves no tombstones to wade through.
 
 Each sweep point builds a fleet of N clients (a small fixed set of writers;
 everyone else follows), schedules the standard writer workload, then steps
@@ -139,7 +140,7 @@ def sweep(client_counts, seed: int, parity_points=PARITY_POINTS) -> dict:
         "peak_clients": max(point["clients"] for point in points),
         "events_per_sec": max(point["events_per_sec"] for point in points),
         "note": ("single-threaded by design: the global (time, seq) order is "
-                 "the determinism contract; events/sec is the calendar "
+                 "the determinism contract; events/sec is the heapq "
                  "queue's pop+dispatch rate including fan-out notification "
                  "work.  Points marked sharded_parity also ran split into "
                  "4 event domains and matched the single-queue run byte for "

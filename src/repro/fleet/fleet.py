@@ -2,7 +2,7 @@
 
 :class:`Fleet` is the collaboration-scale counterpart of
 :class:`~repro.client.session.SyncSession`: one seeded
-:class:`~repro.simnet.Simulator` (a calendar-queue event loop keyed by
+:class:`~repro.simnet.Simulator` (a ``heapq`` event loop keyed by
 ``(time, seq)`` — the global scheduler), one
 :class:`~repro.cloud.CloudServer`, one :class:`~repro.fleet.shared.
 SharedFolderHub`, and per-member links/meters/engines.  Everything the run

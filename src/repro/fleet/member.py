@@ -174,18 +174,18 @@ class FleetMember:
     def receive_notification(self, entry: FanoutEpoch) -> None:
         """The server pushes a notification frame at commit time."""
         self.stats.notifications += 1
-        before = self.meter.snapshot()
+        down = self.meter.down
+        before = down.total
         self.channel.notify(max(self.profile.overhead.notify_down,
                                 _NOTIFY_FLOOR))
-        delta = self.meter.since(before)
-        entry.pushed_bytes += delta.down_total
+        down_bytes = down.total - before
+        entry.pushed_bytes += down_bytes
         if self.recorder is not None:
             now = self.sim.now
             self.recorder.record_span(
                 "fanout-notification", "notify", f"fleet:{self.name}",
                 now, now, epoch=entry.epoch, origin=entry.origin,
-                path=entry.path, member=self.name,
-                down_bytes=delta.down_total)
+                path=entry.path, member=self.name, down_bytes=down_bytes)
         self.sim.schedule(self.hub.notification_delay,
                           self._fetch_entry, entry)
 
@@ -198,7 +198,9 @@ class FleetMember:
     def _apply_entry(self, entry: FanoutEpoch) -> None:
         if not self.live:
             return
-        before = self.meter.snapshot()
+        up, down = self.meter.up, self.meter.down
+        up_before = up.total
+        down_before = down.total
         try:
             applied, duration = self._apply(entry)
         except (TransientError, TransferInterrupted) as error:
@@ -206,18 +208,18 @@ class FleetMember:
             # the meter (and in the epoch ledger); a later epoch for this
             # path will re-converge the member.
             self.stats.fetch_giveups += 1
-            delta = self.meter.since(before)
-            entry.pushed_bytes += delta.down_total
+            down_bytes = down.total - down_before
+            entry.pushed_bytes += down_bytes
             if self.recorder is not None:
                 now = self.sim.now
                 self.recorder.record_span(
                     "fanout-notification", "give-up", f"fleet:{self.name}",
                     now, now, epoch=entry.epoch, origin=entry.origin,
                     path=entry.path, member=self.name,
-                    down_bytes=delta.down_total, error=str(error))
+                    down_bytes=down_bytes, error=str(error))
             return
-        delta = self.meter.since(before)
-        entry.pushed_bytes += delta.down_total
+        down_bytes = down.total - down_before
+        entry.pushed_bytes += down_bytes
         if not applied:
             self.stats.suppressed += 1
             return
@@ -228,8 +230,8 @@ class FleetMember:
             self.recorder.record_span(
                 "fanout-notification", "fetch", f"fleet:{self.name}",
                 now, now + duration, epoch=entry.epoch, origin=entry.origin,
-                path=entry.path, member=self.name,
-                down_bytes=delta.down_total, up_bytes=delta.up_total)
+                path=entry.path, member=self.name, down_bytes=down_bytes,
+                up_bytes=up.total - up_before)
         self._busy_until = self.sim.now + duration
 
     # -- remote-change application -------------------------------------------
@@ -420,31 +422,30 @@ class FleetMember:
     def backfill(self) -> None:
         """Download every live shared path (a client joining mid-run)."""
         server = self.hub.server
+        down = self.meter.down
         total = 0.0
         for path in server.metadata.list_paths(self.hub.user):
-            before = self.meter.snapshot()
+            before = down.total
             head = server.head_version(self.hub.user, path)
             try:
                 total += self._download(path, head, EPOCH_BACKFILL)
             except (TransientError, TransferInterrupted) as error:
                 self.stats.fetch_giveups += 1
-                delta = self.meter.since(before)
                 if self.recorder is not None:
                     now = self.sim.now
                     self.recorder.record_span(
                         "fanout-notification", "give-up",
                         f"fleet:{self.name}", now, now,
                         epoch=EPOCH_BACKFILL, path=path, member=self.name,
-                        down_bytes=delta.down_total, error=str(error))
+                        down_bytes=down.total - before, error=str(error))
                 continue
-            delta = self.meter.since(before)
             self.stats.backfilled += 1
             if self.recorder is not None:
                 now = self.sim.now
                 self.recorder.record_span(
                     "fanout-notification", "backfill", f"fleet:{self.name}",
                     now, now, epoch=EPOCH_BACKFILL, path=path,
-                    member=self.name, down_bytes=delta.down_total)
+                    member=self.name, down_bytes=down.total - before)
         self._busy_until = self.sim.now + total
 
     # -- measurement -----------------------------------------------------------

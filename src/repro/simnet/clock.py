@@ -6,14 +6,12 @@ because the paper's TUE numbers depend on the precise interleaving of file
 modifications, metadata computation, and network transfers (§6.2 of the
 paper); a real-time implementation would make the figures unrepeatable.
 
-Two interchangeable queue implementations back the simulator:
-
-* :class:`CalendarEventQueue` (the default) — a Brown-style calendar/bucket
-  queue with O(1) amortized push/pop and **eager** cancellation (a cancelled
-  event leaves its bucket immediately instead of lingering until popped);
-* :class:`HeapEventQueue` — the original ``heapq`` implementation with lazy
-  cancellation, kept as the reference the calendar queue is property-tested
-  against (``Simulator(queue="heap")``).
+Every simulator runs on :class:`HeapEventQueue`, a ``heapq`` of
+``(time, seq, event)`` with lazy cancellation.  :class:`CalendarEventQueue`
+(a Brown-style calendar/bucket queue with eager cancellation, the default
+from PR 6 until PR 21) is a reference only: the pop-order property test
+compares the heap against it, and it stays importable
+(``Simulator(queue="calendar")``) because ``benchmarks/perf`` probes it.
 
 Both order events by ``(time, seq)`` where ``seq`` is the schedule-call
 counter, so pop order — and therefore every downstream byte count — is
@@ -24,6 +22,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from math import inf
 from typing import Any, Callable, List, Optional, Tuple, Union
 
 
@@ -47,14 +46,18 @@ def resolve_delay(now: float, delay: float) -> float:
     """Validate a relative delay, clamping sub-epsilon float noise to zero.
 
     Shared by :class:`Simulator` and the per-domain handles in
-    :mod:`repro.simnet.domains` so both reject genuinely past times and
-    forgive ulp-scale negatives identically.
+    :mod:`repro.simnet.domains` so both reject genuinely past and
+    non-finite times and forgive ulp-scale negatives identically.  (A
+    ``nan`` key corrupts heap order; ``inf`` drags the clock to ``inf``.)
     """
     if delay < 0:
         if -delay <= PAST_EPSILON * max(1.0, abs(now)):
             return 0.0
         raise SimulationError(
             f"cannot schedule into the past (delay={delay})")
+    if not delay < inf:
+        raise SimulationError(
+            f"cannot schedule at a non-finite time (delay={delay})")
     return delay
 
 
@@ -91,43 +94,47 @@ class Event:
 
 
 class HeapEventQueue:
-    """The reference ``heapq`` queue: lazy cancellation, O(log n) ops.
+    """The ``heapq`` queue every simulator runs on: O(log n) push/pop.
 
-    Cancelled events stay on the heap (flag-skipped at pop/peek time) —
-    exactly the pre-calendar behaviour the equivalence property test pins
-    the calendar queue against.
+    Cancellation is lazy — a cancelled event stays on the heap and is
+    skipped when it surfaces — so ``_live`` counts the events that can
+    still fire: up on push, down on pop and on :meth:`discard` (which
+    :meth:`Event.cancel` calls exactly once per queued event).
     """
 
     def __init__(self) -> None:
         self._heap: List[Tuple[float, int, Event]] = []
+        self._live = 0
 
     def __len__(self) -> int:
-        return sum(1 for _, _, event in self._heap if not event.cancelled)
+        return self._live
 
     def push(self, event: Event) -> None:
         heapq.heappush(self._heap, (event.time, event.seq, event))
         event.queue = self
+        self._live += 1
 
     def discard(self, event: Event) -> None:
         """Lazy: the ``cancelled`` flag alone keeps the event from firing."""
-
-    def _prune(self) -> None:
-        while self._heap and self._heap[0][2].cancelled:
-            heapq.heappop(self._heap)
+        self._live -= 1
 
     def pop(self) -> Optional[Event]:
-        self._prune()
-        if not self._heap:
-            return None
-        _, _, event = heapq.heappop(self._heap)
-        event.queue = None
-        return event
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[2]
+            if not event.cancelled:
+                event.queue = None
+                self._live -= 1
+                return event
+        return None
 
     def peek_key(self) -> Optional[Tuple[float, int]]:
-        self._prune()
-        if not self._heap:
+        heap = self._heap
+        while heap and heap[0][2].cancelled:
+            heapq.heappop(heap)
+        if not heap:
             return None
-        time, seq, _ = self._heap[0]
+        time, seq, _ = heap[0]
         return (time, seq)
 
 
@@ -278,8 +285,8 @@ class CalendarEventQueue:
 EventQueue = Union[HeapEventQueue, CalendarEventQueue]
 
 
-def make_event_queue(kind: str = "calendar") -> EventQueue:
-    """Build an event queue by name (``"calendar"`` or ``"heap"``)."""
+def make_event_queue(kind: str = "heap") -> EventQueue:
+    """Build an event queue by name (``"heap"`` or ``"calendar"``)."""
     if kind == "calendar":
         return CalendarEventQueue()
     if kind == "heap":
@@ -298,7 +305,7 @@ class Simulator:
     """
 
     def __init__(self, start_time: float = 0.0,
-                 queue: Union[str, EventQueue] = "calendar",
+                 queue: Union[str, EventQueue] = "heap",
                  seq: Optional[Any] = None):
         self._now = float(start_time)
         self._queue: EventQueue = (make_event_queue(queue)
@@ -317,7 +324,8 @@ class Simulator:
     def schedule(self, delay: float, callback: Callable[..., Any],
                  *args: Any) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        delay = resolve_delay(self._now, delay)
+        if not 0.0 <= delay < inf:
+            delay = resolve_delay(self._now, delay)
         event = Event(self._now + delay, next(self._seq), callback, args)
         self._queue.push(event)
         return event
@@ -357,13 +365,13 @@ class Simulator:
         self._running = True
         try:
             for _ in range(max_events):
-                next_time = self.peek_next_time()
-                if next_time is None:
+                if max_time is not None:
+                    next_time = self.peek_next_time()
+                    if next_time is not None and next_time > max_time:
+                        self._now = max(self._now, max_time)
+                        return self._now
+                if not self.step():
                     return self._now
-                if max_time is not None and next_time > max_time:
-                    self._now = max(self._now, max_time)
-                    return self._now
-                self.step()
             raise SimulationError(
                 f"exceeded {max_events} events; runaway simulation?")
         finally:

@@ -1,7 +1,7 @@
 """Sharded event domains: independently schedulable clock-and-queue shards.
 
 A :class:`DomainScheduler` partitions one logical simulation into ``D``
-:class:`EventDomain` shards.  Each domain owns its own calendar queue (and,
+:class:`EventDomain` shards.  Each domain owns its own event queue (and,
 at the fleet layer, its members' links/meters/folders); the scheduler's run
 loop repeatedly dispatches the globally ``(time, epoch)``-minimal event
 across domains.  Because every event — local or not — is stamped from one
@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import inf
 from typing import Any, Callable, List, Optional
 
 from .clock import (
@@ -74,7 +75,8 @@ class EventDomain:
                  *args: Any) -> Event:
         """Schedule ``callback(*args)`` on this domain ``delay`` from now."""
         scheduler = self.scheduler
-        delay = resolve_delay(scheduler.now, delay)
+        if not 0.0 <= delay < inf:
+            delay = resolve_delay(scheduler.now, delay)
         event = Event(scheduler.now + delay, next(scheduler._epochs),
                       callback, args)
         self.queue.push(event)
@@ -101,7 +103,7 @@ class DomainScheduler:
     """
 
     def __init__(self, domains: int = 1, start_time: float = 0.0,
-                 queue: str = "calendar", trace_messages: bool = False):
+                 queue: str = "heap", trace_messages: bool = False):
         if domains < 1:
             raise SimulationError(f"need at least one domain (got {domains})")
         self._now = float(start_time)
@@ -216,13 +218,13 @@ class DomainScheduler:
         self._running = True
         try:
             for _ in range(max_events):
-                next_time = self.peek_next_time()
-                if next_time is None:
+                if max_time is not None:
+                    next_time = self.peek_next_time()
+                    if next_time is not None and next_time > max_time:
+                        self._now = max(self._now, max_time)
+                        return self._now
+                if not self.step():
                     return self._now
-                if max_time is not None and next_time > max_time:
-                    self._now = max(self._now, max_time)
-                    return self._now
-                self.step()
             raise SimulationError(
                 f"exceeded {max_events} events; runaway simulation?")
         finally:

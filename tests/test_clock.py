@@ -4,7 +4,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.simnet import SimulationError, Simulator
+from repro.simnet import (
+    DomainScheduler,
+    HeapEventQueue,
+    SimulationError,
+    Simulator,
+    make_event_queue,
+)
+
+QUEUE_KINDS = ["calendar", "heap"]
 
 
 def test_clock_starts_at_zero():
@@ -167,7 +175,115 @@ def test_schedule_rejects_genuinely_negative_delay():
         Simulator().schedule(-0.5, lambda: None)
 
 
-# -- calendar queue vs. heapq equivalence -----------------------------------
+# -- non-finite delays and times --------------------------------------------
+
+def simulator_and_domain(queue_kind):
+    """Both ``resolve_delay`` callers: a Simulator and a domain handle."""
+    return [Simulator(queue=queue_kind),
+            DomainScheduler(domains=2, queue=queue_kind).domain(1)]
+
+
+@pytest.mark.parametrize("method", ["schedule", "schedule_at"])
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("queue_kind", QUEUE_KINDS)
+def test_non_finite_delay_or_time_rejected(queue_kind, bad, method):
+    # Regression: ``nan < 0`` is false, so both slipped past the past-time
+    # check; the calendar queue then died on ``int(nan // width)`` with a
+    # bare ValueError while the heap took a key that breaks its ordering
+    # (nan) or drags ``run_until_idle`` to ``now == inf``.
+    for sim in simulator_and_domain(queue_kind):
+        with pytest.raises(SimulationError):
+            getattr(sim, method)(bad, lambda: None)
+        assert sim.pending_count() == 0
+
+
+# -- the default queue, and how often the run loop touches it -----------------
+
+def test_heap_is_the_default_queue():
+    assert isinstance(Simulator()._queue, HeapEventQueue)
+    assert isinstance(make_event_queue(), HeapEventQueue)
+    assert all(isinstance(domain.queue, HeapEventQueue)
+               for domain in DomainScheduler(domains=3).domains)
+
+
+class CountingQueue:
+    """Forwards to a real queue, counting ``pop`` and ``peek_key`` calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.pops = self.peeks = 0
+
+    def __len__(self):
+        return len(self.inner)
+
+    def push(self, event):
+        self.inner.push(event)
+
+    def pop(self):
+        self.pops += 1
+        return self.inner.pop()
+
+    def peek_key(self):
+        self.peeks += 1
+        return self.inner.peek_key()
+
+
+@pytest.mark.parametrize("queue_kind", QUEUE_KINDS)
+def test_run_until_idle_pops_once_per_event_and_never_peeks(queue_kind):
+    queue = CountingQueue(make_event_queue(queue_kind))
+    sim = Simulator(queue=queue)
+    for delay in (3.0, 1.0, 2.0, 2.0):
+        sim.schedule(delay, lambda: None)
+    assert sim.run_until_idle() == 3.0
+    assert (queue.pops, queue.peeks) == (4 + 1, 0)  # +1: the empty pop
+    # A bounded run has to look before it pops.
+    sim.schedule(5.0, lambda: None)
+    assert sim.run_until_idle(max_time=4.0) == 4.0
+    assert (queue.pops, queue.peeks) == (5, 1)
+
+
+def test_scheduler_run_until_idle_scans_domains_once_per_event():
+    scheduler = DomainScheduler(domains=3)
+    queues = []
+    for domain in scheduler.domains:
+        domain.queue = CountingQueue(domain.queue)
+        queues.append(domain.queue)
+    for index, delay in enumerate((3.0, 1.0, 2.0, 2.0)):
+        scheduler.domain(index % 3).schedule(delay, lambda: None)
+    assert scheduler.run_until_idle() == 3.0
+    assert sum(queue.pops for queue in queues) == 4
+    # One head scan per dispatched event plus the one that finds it empty.
+    assert [queue.peeks for queue in queues] == [4 + 1] * 3
+
+
+# -- pending_count under cancellation ----------------------------------------
+
+@pytest.mark.parametrize("queue_kind", QUEUE_KINDS)
+def test_pending_count_exact_under_every_cancel_order(queue_kind):
+    """The heap's live counter can drift four ways; none may move it."""
+    sim = Simulator(queue=queue_kind)
+    fired = []
+    head = sim.schedule(1.0, fired.append, "head")
+    events = [sim.schedule(2.0 + i, fired.append, i) for i in range(4)]
+    assert sim.pending_count() == 5
+    events[2].cancel()                      # cancel before pop
+    assert sim.pending_count() == 4
+    events[2].cancel()                      # double cancel
+    assert sim.pending_count() == 4
+    head.cancel()                           # cancel the head, then peek
+    assert sim.peek_next_time() == 2.0      # (prunes the tombstone)
+    assert sim.pending_count() == 3
+    assert sim.step() and fired == [0]
+    assert sim.pending_count() == 2
+    events[0].cancel()                      # cancel after fire
+    head.cancel()                           # ... and a pruned one again
+    assert sim.pending_count() == 2
+    sim.run_until_idle()
+    assert fired == [0, 1, 3]
+    assert sim.pending_count() == 0
+
+
+# -- heapq vs. the calendar-queue reference -----------------------------------
 
 def run_script(queue_kind, script):
     """Drive one simulator through a schedule/cancel script; return firings.
@@ -196,7 +312,7 @@ def run_script(queue_kind, script):
     return fired
 
 
-@pytest.mark.parametrize("queue_kind", ["calendar", "heap"])
+@pytest.mark.parametrize("queue_kind", QUEUE_KINDS)
 def test_queue_kinds_run_identical_scripts(queue_kind):
     script = [(2.5, None), (2.5, None), (0.0, 0), (7.25, None), (2.5, 1)]
     assert run_script(queue_kind, script) == [
@@ -212,10 +328,11 @@ def test_queue_kinds_run_identical_scripts(queue_kind):
     min_size=1, max_size=64))
 @settings(deadline=None, max_examples=200)
 def test_calendar_queue_matches_heap_pop_order(script):
-    """The determinism contract: both queues fire the same events at the
-    same times in the same order, for any schedule including cancellations
-    and exact time ties."""
-    assert run_script("calendar", script) == run_script("heap", script)
+    """The determinism contract: the heap every simulator runs on fires
+    the same events at the same times in the same order as the calendar
+    queue it replaced as the default, for any schedule including
+    cancellations and exact time ties."""
+    assert run_script("heap", script) == run_script("calendar", script)
 
 
 def test_calendar_queue_slot_boundary_regression():
@@ -261,7 +378,5 @@ def test_event_cancel_after_fire_is_noop():
 
 
 def test_make_event_queue_rejects_unknown_kind():
-    from repro.simnet import make_event_queue
-
     with pytest.raises(ValueError):
         make_event_queue("fibonacci")

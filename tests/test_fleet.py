@@ -19,7 +19,7 @@ from repro.fleet import (
     schedule_writer_workload,
 )
 from repro.obs import verify_fleet_fanout
-from repro.simnet import FaultSchedule
+from repro.simnet import Direction, FaultEpisode, FaultKind, FaultSchedule
 from repro.units import KB
 
 
@@ -346,6 +346,68 @@ def test_fanout_audit_catches_missing_notification():
     recorders = [member.recorder for member in fleet.members]
     violations = verify_fleet_fanout(fleet.hub.ledger, recorders)
     assert any("targeted" in str(violation) for violation in violations)
+
+
+def fanout_spans(follower):
+    """A pure follower's ``fanout-notification`` spans, checked against
+    the independent witness: it never writes, so every byte its meter saw
+    come down is fan-out traffic.  (The audit alone cannot tell: ledger and
+    spans are fed from the same meter reads.)"""
+    spans = [span for span in follower.recorder.spans
+             if span.kind == "fanout-notification"]
+    assert sum(span.attrs["down_bytes"] for span in spans) \
+        == follower.meter.down.total
+    return spans
+
+
+def test_fanout_balances_when_followers_give_up():
+    """Outage windows that outlast every retry: each follower burns its
+    rejected-request framing, gives up, and the epoch must still balance —
+    the give-up branches work out their own down-byte delta."""
+    # The commit lands (and notifies) at t=5.2; the fetch 0.2 s later finds
+    # the server down, and every retry lands in the next, longer window.
+    # A member joining inside the outage gives up on its backfill too.
+    outage = FaultSchedule(
+        FaultEpisode(start=5.3, duration=40.0 * k,
+                     kind=FaultKind.SERVER_UNAVAILABLE) for k in range(1, 10))
+    fleet = Fleet("GoogleDrive", clients=3, seed=7, faults=outage,
+                  record=True)
+    schedule_writer_workload(fleet, writers=1, spacing=600.0,
+                             file_size=16 * KB, seed=7)
+    fleet.sim.schedule_at(5.35, fleet.join)
+    fleet.run_until_idle()
+    assert [member.stats.fetch_giveups for member in fleet.members] \
+        == [0, 1, 1, 1]
+    for follower in fleet.members[1:]:
+        giveups = [span for span in fanout_spans(follower)
+                   if span.name == "give-up"]
+        assert len(giveups) == 1 and giveups[0].attrs["down_bytes"] > 0
+    first = fleet.hub.ledger[0]
+    assert first.deliveries == 0 and first.pushed_bytes > 0
+    fleet.audit()  # fanout-conservation: pushed == sum of follower down_bytes
+
+
+def test_pure_follower_meter_equals_its_fanout_evidence():
+    """Notify, fetch and join-time backfill spans add up to the follower's
+    meter, in both directions."""
+    fleet = Fleet("GoogleDrive", clients=3, seed=11, record=True)
+    schedule_writer_workload(fleet, writers=1, spacing=30.0,
+                             file_size=16 * KB, seed=11)
+    fleet.sim.schedule_at(15.0, fleet.join)  # between the two commits
+    fleet.run_until_idle()
+    fleet.audit()
+    names = set()
+    for follower in fleet.members[1:]:
+        spans = fanout_spans(follower)
+        names.update(span.name for span in spans)
+        if follower.stats.backfilled:
+            continue  # a backfill's request bytes ride in no span
+        requests = [record.total for record in follower.meter.records
+                    if record.direction is Direction.UP
+                    and record.kind != "notification"]  # i.e. not the acks
+        assert sum(span.attrs.get("up_bytes", 0) for span in spans) \
+            == sum(requests) > 0
+    assert names == {"notify", "fetch", "backfill"}
 
 
 def test_backfill_epoch_is_exempt_from_fanout_balance():
