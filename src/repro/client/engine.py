@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence,
                     Tuple)
 
-from ..chunking import chunk_data
+from ..chunking import Chunk, chunk_data
 from ..cloud import CloudServer, NotFound, QuotaExceeded, TransientError
 from ..content import Content
 from ..delta import FileSignature, compute_signature
@@ -637,9 +637,13 @@ class SyncClient:
         content; the caller ships the staged wire bytes and commits.
         """
         profile = self.profile
+        unit_size = profile.storage_chunk_size
+        # A content that fits one storage unit is that unit, and its
+        # fingerprint is the md5 ``Content`` already caches.
         chunked = [
-            chunk_data(content.data,
-                       profile.storage_chunk_size or max(content.size, 1))
+            chunk_data(content.data, unit_size)
+            if unit_size and content.size > unit_size
+            else [Chunk(0, 0, content.size, content.md5, content.data)]
             for content in contents]
         digests = [unit.digest for units in chunked for unit in units]
         duration = 0.0

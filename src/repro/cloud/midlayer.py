@@ -11,7 +11,7 @@ store's :class:`~repro.cloud.object_store.RestOpCounters`.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, List
+from typing import Iterable, List, Optional
 
 from .errors import IntegrityError, NotFound, annotate_manifest_error
 from .object_store import ObjectStore
@@ -25,10 +25,10 @@ class ChunkStore:
         self.prefix = prefix
         self._sequence = itertools.count()
 
-    def store(self, data: bytes) -> str:
+    def store(self, data: bytes, md5: Optional[str] = None) -> str:
         """PUT one chunk as a fresh object; returns its key."""
         key = f"{self.prefix}{next(self._sequence):012d}"
-        self.objects.put(key, data)
+        self.objects.put(key, data, md5)
         return key
 
     def fetch(self, key: str) -> bytes:

@@ -102,9 +102,12 @@ class ObjectStore:
 
     # -- REST verbs --------------------------------------------------------
 
-    def put(self, key: str, data: bytes) -> ObjectRecord:
-        """Store a whole object (create or full overwrite)."""
-        etag = hashlib.md5(data).hexdigest()
+    def put(self, key: str, data: bytes,
+            md5: Optional[str] = None) -> ObjectRecord:
+        """Store a whole object (create or full overwrite).  ``md5``, a
+        digest the caller already holds for these bytes, becomes the etag
+        unhashed; the first read checks it."""
+        etag = md5 if md5 is not None else hashlib.md5(data).hexdigest()
         existing = self._objects.get(key)
         record = ObjectRecord(
             key=key,

@@ -148,8 +148,9 @@ class PackShardStore:
 
     # -- writes -------------------------------------------------------------
 
-    def store(self, data: bytes) -> str:
-        """Buffer one unit; zero REST ops until the slot seals."""
+    def store(self, data: bytes, md5: Optional[str] = None) -> str:
+        """Buffer one unit; zero REST ops until the slot seals.  ``md5`` is
+        ignored: a container's etag is hashed over the blob at seal."""
         key = f"{self.prefix}u{next(self._sequence):012d}"
         slot = self.placement_slot(data)
         self._open.setdefault(slot, []).append((key, bytes(data)))

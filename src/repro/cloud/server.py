@@ -187,7 +187,7 @@ class CloudServer:
                     "dedup-hit", "upload-race", f"server:{self.name}",
                     self.now, self.now, units=1, hits=1, user=user)
             return existing
-        key = self.chunks.store(data)
+        key = self.chunks.store(data, digest)
         self.dedup.register(user, digest, key)
         self.stats.chunks_received += 1
         self.stats.bytes_received += len(data)
@@ -384,7 +384,7 @@ class CloudServer:
             digest = fingerprint(piece)
             key = self.dedup.lookup(user, digest)
             if key is None:
-                key = self.chunks.store(piece)
+                key = self.chunks.store(piece, digest)
                 self.dedup.register(user, digest, key)
             digests.append(digest)
             keys.append(key)

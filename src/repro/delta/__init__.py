@@ -21,7 +21,7 @@ from .delta import (
     compute_delta,
     diff_stats,
 )
-from .rolling import RollingChecksum, weak_checksum
+from .rolling import weak_checksum
 from .signature import (
     DEFAULT_BLOCK_SIZE,
     SIGNATURE_ENTRY_BYTES,
@@ -49,7 +49,6 @@ __all__ = [
     "FileSignature",
     "LITERAL_HEADER_BYTES",
     "LiteralOp",
-    "RollingChecksum",
     "SIGNATURE_ENTRY_BYTES",
     "apply_delta",
     "compute_delta",

@@ -18,13 +18,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Union
 
-from .rolling import RollingChecksum, weak_checksum
+import numpy as np
+
+from .rolling import weak_checksum, window_digests
 from .signature import DEFAULT_BLOCK_SIZE, FileSignature, compute_signature
 
 #: Wire bytes per copy token (block index + run length encoding).
 COPY_TOKEN_BYTES = 5
 #: Wire bytes of framing per literal run.
 LITERAL_HEADER_BYTES = 4
+#: Fewest window starts one scan covers: a kernel call costs ~10 µs whatever
+#: its width up to a few hundred bytes, so tiny blocks scan this far per call.
+_MIN_SPAN = 256
 
 
 @dataclass(frozen=True)
@@ -82,12 +87,13 @@ class Delta:
 def compute_delta(signature: FileSignature, new_data: bytes) -> Delta:
     """Compute the delta that transforms the basis into ``new_data``.
 
-    The interior scan keeps the rolling checksum in local integers and does a
-    raw dict probe per byte (the overwhelmingly common miss path must stay a
-    handful of bytecode ops).  Once fewer than ``block_size`` bytes remain,
-    only one alignment can still match — a basis block of exactly the
-    remaining length — so the tail is resolved with a single direct check
-    instead of a shrinking-window roll.
+    One aligned probe per position carries runs of matched blocks.  On a
+    miss, ``window_digests`` gives the weak digest of every window start in
+    the next ``span`` bytes, ``np.isin`` keeps those the signature knows,
+    and they are strong-checked in ascending order: the first match is the
+    one a byte-by-byte roll would reach.  Once fewer than ``block_size``
+    bytes remain only a basis block of exactly the remaining length can
+    still match, so the tail is one direct check, not a shrinking roll.
     """
     block_size = signature.block_size
     if not new_data:
@@ -114,33 +120,31 @@ def compute_delta(signature: FileSignature, new_data: bytes) -> Delta:
         else:
             ops.append(CopyOp(block_index))
 
-    by_weak = signature._by_weak
-    mask = 0xFFFF
-    a = b = 0
-    have_roller = False
+    weak_keys = np.fromiter(signature._by_weak, dtype=np.uint32,
+                            count=len(signature._by_weak))
+    span = max(block_size, _MIN_SPAN)
 
     while position + block_size <= n:
-        if not have_roller:
-            roller = RollingChecksum(new_data[position:position + block_size])
-            a, b = roller.a, roller.b
-            have_roller = True
-        digest = (b << 16) | a
-        if digest in by_weak:
-            matched, block_index = signature.find(
-                digest, new_data[position:position + block_size])
-            if matched:
-                flush_literal(position)
-                emit_copy(block_index)
-                position += block_size
-                literal_start = position
-                have_roller = False
+        window = new_data[position:position + block_size]
+        matched, block_index = signature.find(weak_checksum(window), window)
+        if not matched:
+            first = position + 1
+            stop = min(position + span, n - block_size + 1)
+            digests = window_digests(new_data, first, stop, block_size)
+            hits = first + np.flatnonzero(np.isin(digests, weak_keys))
+            for at in hits.tolist():
+                matched, block_index = signature.find(
+                    int(digests[at - first]), new_data[at:at + block_size])
+                if matched:
+                    position = at
+                    break
+            else:
+                position = stop
                 continue
-        next_end = position + block_size
-        if next_end < n:
-            out_byte = new_data[position]
-            a = (a - out_byte + new_data[next_end]) & mask
-            b = (b - block_size * out_byte + a) & mask
-        position += 1
+        flush_literal(position)
+        emit_copy(block_index)
+        position += block_size
+        literal_start = position
 
     # Tail: fewer than block_size bytes remain.  In the classic shrinking-
     # window scan the window is always flush against the end of file here,

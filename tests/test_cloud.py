@@ -464,3 +464,44 @@ def test_no_memo_outlives_the_bytes_it_describes(backend, chunk_size,
         assert held() < 0.25                         # nothing pinned
     finally:
         tracemalloc.stop()
+
+
+# ---------------------------------------------------------------------------
+# a digest handed to put() is trusted at write time, checked at read time
+# ---------------------------------------------------------------------------
+
+def test_put_with_a_wrong_md5_fails_every_read(md5_calls):
+    store = ObjectStore()
+    data = random_content(2000, seed=30).data
+    store.put("k", data, md5=fingerprint(b"something else"))
+    assert md5_calls == [len(b"something else")]     # put hashed nothing
+    for _ in range(3):                               # never remembered
+        with pytest.raises(IntegrityError, match="digest check"):
+            store.get("k")
+        with pytest.raises(IntegrityError, match="digest check"):
+            store.get_range("k", 0, 10)
+    store.put("k", data, md5=fingerprint(data))      # the right one reads
+    assert store.get("k") == data
+
+
+def test_put_with_the_right_md5_is_still_checked_on_first_read(md5_calls):
+    store = ObjectStore()
+    data = random_content(2000, seed=31).data
+    digest = fingerprint(data)
+    del md5_calls[:]
+    record = store.put("k", data, md5=digest)
+    assert record.etag == digest and md5_calls == []
+    assert store.get("k") == data and md5_calls == [2000]
+    assert store.get("k") == data and md5_calls == [2000]
+
+
+@pytest.mark.parametrize("backend", ["chunk", "packshard"])
+def test_upload_chunk_with_a_mismatched_digest_stores_nothing(backend):
+    server = CloudServer(backend=backend)
+    other = fingerprint(b"other bytes")
+    with pytest.raises(IntegrityError, match="declared digest"):
+        server.upload_chunk("u", other, b"data")
+    assert len(server.objects) == 0 and server.objects.ops.put == 0
+    assert server.resolve("u", other) is None
+    assert server.stats.chunks_received == 0
+    assert server.chunks.flush() == 0                # nothing buffered either

@@ -7,7 +7,6 @@ from repro.content import random_content, text_content
 from repro.delta import (
     CopyOp,
     LiteralOp,
-    RollingChecksum,
     apply_delta,
     compute_delta,
     compute_signature,
@@ -17,37 +16,8 @@ from repro.delta import (
 
 
 # ---------------------------------------------------------------------------
-# rolling checksum
+# weak checksum (``RollingChecksum`` is pinned in test_reference_delta.py)
 # ---------------------------------------------------------------------------
-
-def test_rolling_matches_recompute():
-    data = random_content(5000, seed=1).data
-    window = 128
-    roller = RollingChecksum(data[:window])
-    for position in range(1, 200):
-        roller.roll(data[position - 1], data[position + window - 1])
-        assert roller.digest == weak_checksum(data[position:position + window])
-
-
-@given(st.binary(min_size=2, max_size=300), st.integers(min_value=1, max_value=50))
-@settings(max_examples=60, deadline=None)
-def test_rolling_property(data, window):
-    window = min(window, len(data) - 1)
-    if window < 1:
-        return
-    roller = RollingChecksum(data[:window])
-    for position in range(1, len(data) - window + 1):
-        roller.roll(data[position - 1], data[position + window - 1])
-        assert roller.digest == weak_checksum(data[position:position + window])
-
-
-def test_roll_out_shrinks_window():
-    data = b"hello world"
-    roller = RollingChecksum(data)
-    roller.roll_out(data[0])
-    assert roller.digest == weak_checksum(data[1:])
-    assert roller.window_len == len(data) - 1
-
 
 def test_weak_checksum_vectorised_matches_scalar():
     # Cross the numpy threshold (64 bytes) both ways.

@@ -275,6 +275,24 @@ def test_rename_after_source_recreated_keeps_both_files():
             session.folder.get(path).data, path
 
 
+def test_each_uploaded_byte_is_hashed_once_per_side(md5_calls):
+    """Dropbox profile, one file that fits one storage unit: the client
+    hashes it once (``Content.md5``, which is also the unit's fingerprint),
+    the server once (``upload_chunk``'s check), the store not at all — it
+    takes the server's digest as the etag.  The first download pays the
+    store's read check and the reassembly check; the second pays nothing."""
+    size = 300 * KB
+    session = session_for("Dropbox")
+    session.create_file("a.bin", random_content(size, seed=70))
+    session.run_until_idle()
+    assert md5_calls == [size, size]
+    del md5_calls[:]
+    session.download("a.bin")
+    assert md5_calls == [size, size]
+    session.download("a.bin")
+    assert md5_calls == [size, size]
+
+
 def test_download_restores_content_and_meters_down():
     session = session_for("Dropbox")
     content = random_content(256 * KB, seed=3)
