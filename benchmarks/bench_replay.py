@@ -15,7 +15,7 @@ Two profiles bracket the sharding protocol:
   embarrassingly-parallel case (shards never talk);
 * ``UbuntuOne/pc`` — CROSS_USER full-file dedup: every shard retains
   first-occurrence candidates and the two-phase merge settles the
-  contested ones through a shared-memory winner table.
+  contested ones through a packed winner table on the settle message.
 
 Usage::
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import List, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional
 
 from .client import AccessMethod, SERVICES, service_profile
 from .reporting import (fmt_tue, render_fleet_members, render_series,
@@ -33,29 +33,8 @@ def _access(value: str) -> AccessMethod:
 
 
 def cmd_list(_args) -> int:
-    rows = [
-        ["table6", "creation sync traffic (6 services × 3 access methods)"],
-        ["table7", "batched-data-sync traffic for 100 × 1 KB files"],
-        ["table8", "compression: 10-MB text file UP/DN"],
-        ["table9", "dedup granularity via Algorithm 1"],
-        ["fig3", "TUE vs. created-file size"],
-        ["fig4", "one-byte modification traffic"],
-        ["fig6", "frequent modifications (X KB / X sec)"],
-        ["deletion", "Experiment 2: deletion traffic"],
-        ["probe-dedup", "run Algorithm 1 against one service"],
-        ["probe-defer", "infer a service's fixed sync deferment"],
-        ["trace", "generate the statistical-twin trace"],
-        ["replay", "macro trace-replay traffic estimate"],
-        ["findings", "verify every Table 5 finding live"],
-        ["upgrades", "savings from retrofitting each recommendation"],
-        ["overuse", "per-user traffic-overuse statistic ([36])"],
-        ["fleet", "shared-folder fleet: N writers, fan-out amplification"],
-        ["backends", "Experiment 10: storage backends × file-size mixes"],
-        ["strategies", "Experiment 11: sync strategies × workloads × links"],
-        ["audit", "run an experiment under the byte-conservation auditor"],
-        ["trace-run", "record an experiment's wire-level span trace (JSONL)"],
-        ["lint", "reprolint: static determinism/conservation invariants"],
-    ]
+    rows = [[command.name, command.description]
+            for command in COMMANDS if command.handler is not cmd_list]
     print(render_table(["Command", "Reproduces"], rows))
     return 0
 
@@ -310,8 +289,8 @@ def cmd_replay(args) -> int:
 
 
 #: Small-but-representative targets for traced/audited runs: each exercises
-#: a different slice of the wire model (experiments 1–8 and the parallel
-#: trace replay) while staying fast enough for CI.
+#: a different slice of the wire model while staying fast enough for CI;
+#: ``all`` runs every one before it.
 OBS_TARGETS = ("exp1", "exp2", "exp3", "exp4", "exp5", "exp6", "exp7",
                "exp8", "exp10", "exp11", "replay", "all")
 
@@ -323,7 +302,7 @@ def _obs_run_target(args, target: str) -> str:
     if target == "all":
         for name in OBS_TARGETS[:-1]:
             _obs_run_target(args, name)
-        return "experiments 1-8 + parallel replay"
+        return ", ".join(OBS_TARGETS[:-1])
     if target == "exp1":
         from .core import measure_creation
         for size in (1, 1 * KB, 1 * MB):
@@ -437,9 +416,7 @@ def cmd_lint(args) -> int:
         return 2
     if args.graph:
         result = lint_project(args.paths, ALL_RULES, PROJECT_RULES,
-                              baseline_path=baseline,
-                              cache_dir=args.cache_dir,
-                              known_ids=KNOWN_IDS)
+                              baseline_path=baseline, known_ids=KNOWN_IDS)
     else:
         result = lint_paths(args.paths, ALL_RULES, baseline_path=baseline,
                             known_ids=KNOWN_IDS)
@@ -457,8 +434,7 @@ def cmd_lint(args) -> int:
         }
         if args.graph:
             payload["graph"] = {"modules": result.module_count,
-                                "call_edges": result.call_edges,
-                                "cache_hits": result.cache_hits}
+                                "call_edges": result.call_edges}
         print(_json.dumps(payload, indent=2))
         return 1 if (result.findings or stale_fails) else 0
 
@@ -471,8 +447,7 @@ def cmd_lint(args) -> int:
     status = "FAILED" if (result.findings or stale_fails) else "ok"
     if args.graph:
         print(f"project graph: {result.module_count} module(s), "
-              f"{result.call_edges} call edge(s), "
-              f"{result.cache_hits} cache hit(s)")
+              f"{result.call_edges} call edge(s)")
     print(f"reprolint: {result.file_count} file(s), "
           f"{len(result.findings)} finding(s), "
           f"{result.baseline_applied} baselined, "
@@ -551,111 +526,135 @@ def cmd_trace_run(args) -> int:
     return _cmd_observed(args, audit=args.audit)
 
 
+class Command(NamedTuple):
+    """One subcommand, stated once: ``build_parser`` registers ``name`` with
+    its ``handler`` and ``arguments`` (flag -> ``add_argument`` options), and
+    ``repro list`` prints ``name`` beside ``description`` — so a command
+    cannot be registered without being listed, or listed without existing."""
+
+    name: str
+    description: str
+    handler: Callable[[argparse.Namespace], int]
+    arguments: Dict[str, Dict[str, Any]] = {}
+
+
+_ACCESS = dict(type=_access, default=AccessMethod.PC)
+_MAX_BLOCK = dict(type=int, default=16 * MB, dest="max_block")
+_AUDIT = dict(action="store_true")
+_OBSERVED = {
+    "target": dict(choices=OBS_TARGETS),
+    "--service": dict(default="Dropbox"),
+    "--access": _ACCESS,
+    "--fault-rate": dict(type=float, default=0.5, dest="fault_rate"),
+    "--scale": dict(type=float, default=0.005),
+    "--seed": dict(type=int, default=42),
+    "--workers": dict(type=int, default=2),
+}
+
+#: Every subcommand, in ``repro list`` order.
+COMMANDS = (
+    Command("list", "what can be reproduced", cmd_list),
+    Command("table6", "creation sync traffic (6 services × 3 access methods)",
+            cmd_table6, {"--access": _ACCESS}),
+    Command("table7", "batched-data-sync traffic for 100 × 1 KB files",
+            cmd_table7, {"--access": _ACCESS}),
+    Command("table8", "compression: 10-MB text file UP/DN", cmd_table8,
+            {"--access": _ACCESS, "--size": dict(type=int, default=10 * MB)}),
+    Command("table9", "dedup granularity via Algorithm 1", cmd_table9,
+            {"--max-block": _MAX_BLOCK}),
+    Command("fig3", "TUE vs. created-file size", cmd_fig3,
+            {"--service": dict(default="GoogleDrive")}),
+    Command("fig4", "one-byte modification traffic", cmd_fig4,
+            {"--service": dict(default="Dropbox"), "--access": _ACCESS}),
+    Command("fig6", "frequent modifications (X KB / X sec)", cmd_fig6,
+            {"--service": dict(default="GoogleDrive"),
+             "--max-x": dict(type=int, default=10, dest="max_x"),
+             "--total": dict(type=int, default=256 * KB)}),
+    Command("deletion", "Experiment 2: deletion traffic", cmd_deletion,
+            {"--access": _ACCESS}),
+    Command("probe-dedup", "run Algorithm 1 against one service",
+            cmd_probe_dedup,
+            {"service": dict(), "--access": _ACCESS,
+             "--max-block": _MAX_BLOCK}),
+    Command("probe-defer", "infer a service's fixed sync deferment",
+            cmd_probe_defer, {"service": dict()}),
+    Command("trace", "generate the statistical-twin trace", cmd_trace,
+            {"--scale": dict(type=float, default=0.1),
+             "--seed": dict(type=int, default=42),
+             "--out": dict(default=None)}),
+    Command("replay", "macro trace-replay traffic estimate", cmd_replay,
+            {"--scale": dict(type=float, default=0.05),
+             "--seed": dict(type=int, default=42),
+             "--access": _ACCESS,
+             "--workers": dict(type=int, default=1),
+             "--stream": dict(action="store_true",
+                              help="stream records into the pool instead of "
+                                   "materialising the trace")}),
+    Command("findings", "verify every Table 5 finding live", cmd_findings,
+            {"--scale": dict(type=float, default=0.1)}),
+    Command("upgrades", "savings from retrofitting each recommendation",
+            cmd_upgrades,
+            {"--services": dict(nargs="+", default=list(SERVICES))}),
+    Command("overuse", "per-user traffic-overuse statistic ([36])",
+            cmd_overuse,
+            {"--scale": dict(type=float, default=0.03),
+             "--seed": dict(type=int, default=42),
+             "--access": _ACCESS,
+             "--workers": dict(type=int, default=1)}),
+    Command("fleet", "shared-folder fleet: N writers, fan-out amplification",
+            cmd_fleet,
+            {"--service": dict(default="GoogleDrive"),
+             "--access": _ACCESS,
+             "--clients": dict(type=int, default=4),
+             "--writers": dict(type=int, default=2),
+             "--seed": dict(type=int, default=0),
+             "--files": dict(type=int, default=2),
+             "--size": dict(type=int, default=64 * KB),
+             "--link": dict(choices=("mn", "bj"), default="mn"),
+             "--domains": dict(type=int, default=1),
+             "--trace": dict(default=None),
+             "--audit": _AUDIT}),
+    Command("backends", "Experiment 10: storage backends × file-size mixes",
+            cmd_backends,
+            {"--files": dict(type=int, default=None),
+             "--seed": dict(type=int, default=0),
+             "--audit": _AUDIT}),
+    Command("strategies",
+            "Experiment 11: sync strategies × workloads × links",
+            cmd_strategies,
+            {"--files": dict(type=int, default=3),
+             "--seed": dict(type=int, default=0),
+             "--audit": _AUDIT}),
+    Command("audit", "run an experiment under the byte-conservation auditor",
+            cmd_audit, dict(_OBSERVED, **{"--trace": dict(default=None,
+                                                          dest="out")})),
+    Command("trace-run",
+            "record an experiment's wire-level span trace (JSONL)",
+            cmd_trace_run, dict(_OBSERVED, **{"--out": dict(required=True),
+                                              "--audit": _AUDIT})),
+    Command("lint", "reprolint: static determinism/conservation invariants",
+            cmd_lint,
+            {"paths": dict(nargs="*", default=["src"]),
+             "--format": dict(choices=("text", "json"), default="text"),
+             "--baseline": dict(default=None),
+             "--fail-stale": dict(action="store_true", dest="fail_stale"),
+             "--graph": dict(action="store_true",
+                             help="run the whole-program REP03x/04x/05x "
+                                  "families over the project call graph")}),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description="Reproduce 'Towards Network-level Efficiency for Cloud "
                     "Storage Services' (IMC 2014)")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **arguments):
-        command = sub.add_parser(name)
-        command.set_defaults(fn=fn)
-        for flag, options in arguments.items():
-            command.add_argument(flag, **options)
-        return command
-
-    add("list", cmd_list)
-    add("table6", cmd_table6,
-        **{"--access": dict(type=_access, default=AccessMethod.PC)})
-    add("table7", cmd_table7,
-        **{"--access": dict(type=_access, default=AccessMethod.PC)})
-    add("table8", cmd_table8,
-        **{"--access": dict(type=_access, default=AccessMethod.PC),
-           "--size": dict(type=int, default=10 * MB)})
-    add("table9", cmd_table9,
-        **{"--max-block": dict(type=int, default=16 * MB, dest="max_block")})
-    add("fig3", cmd_fig3,
-        **{"--service": dict(default="GoogleDrive")})
-    add("fig4", cmd_fig4,
-        **{"--service": dict(default="Dropbox"),
-           "--access": dict(type=_access, default=AccessMethod.PC)})
-    add("fig6", cmd_fig6,
-        **{"--service": dict(default="GoogleDrive"),
-           "--max-x": dict(type=int, default=10, dest="max_x"),
-           "--total": dict(type=int, default=256 * KB)})
-    add("deletion", cmd_deletion,
-        **{"--access": dict(type=_access, default=AccessMethod.PC)})
-    add("probe-dedup", cmd_probe_dedup,
-        **{"service": dict(), "--access": dict(type=_access,
-                                               default=AccessMethod.PC),
-           "--max-block": dict(type=int, default=16 * MB, dest="max_block")})
-    add("probe-defer", cmd_probe_defer, **{"service": dict()})
-    add("trace", cmd_trace,
-        **{"--scale": dict(type=float, default=0.1),
-           "--seed": dict(type=int, default=42),
-           "--out": dict(default=None)})
-    add("replay", cmd_replay,
-        **{"--scale": dict(type=float, default=0.05),
-           "--seed": dict(type=int, default=42),
-           "--access": dict(type=_access, default=AccessMethod.PC),
-           "--workers": dict(type=int, default=1),
-           "--stream": dict(action="store_true",
-                            help="stream records into the pool instead of "
-                                 "materialising the trace")})
-    add("findings", cmd_findings,
-        **{"--scale": dict(type=float, default=0.1)})
-    add("upgrades", cmd_upgrades,
-        **{"--services": dict(nargs="+", default=list(SERVICES))})
-    add("fleet", cmd_fleet,
-        **{"--service": dict(default="GoogleDrive"),
-           "--access": dict(type=_access, default=AccessMethod.PC),
-           "--clients": dict(type=int, default=4),
-           "--writers": dict(type=int, default=2),
-           "--seed": dict(type=int, default=0),
-           "--files": dict(type=int, default=2),
-           "--size": dict(type=int, default=64 * KB),
-           "--link": dict(choices=("mn", "bj"), default="mn"),
-           "--domains": dict(type=int, default=1),
-           "--trace": dict(default=None),
-           "--audit": dict(action="store_true")})
-    add("backends", cmd_backends,
-        **{"--files": dict(type=int, default=None),
-           "--seed": dict(type=int, default=0),
-           "--audit": dict(action="store_true")})
-    add("strategies", cmd_strategies,
-        **{"--files": dict(type=int, default=3),
-           "--seed": dict(type=int, default=0),
-           "--audit": dict(action="store_true")})
-    add("overuse", cmd_overuse,
-        **{"--scale": dict(type=float, default=0.03),
-           "--seed": dict(type=int, default=42),
-           "--access": dict(type=_access, default=AccessMethod.PC),
-           "--workers": dict(type=int, default=1)})
-    observed = {
-        "target": dict(choices=OBS_TARGETS),
-        "--service": dict(default="Dropbox"),
-        "--access": dict(type=_access, default=AccessMethod.PC),
-        "--fault-rate": dict(type=float, default=0.5, dest="fault_rate"),
-        "--scale": dict(type=float, default=0.005),
-        "--seed": dict(type=int, default=42),
-        "--workers": dict(type=int, default=2),
-    }
-    add("lint", cmd_lint,
-        **{"paths": dict(nargs="*", default=["src"]),
-           "--format": dict(choices=("text", "json"), default="text"),
-           "--baseline": dict(default=None),
-           "--fail-stale": dict(action="store_true", dest="fail_stale"),
-           "--graph": dict(action="store_true",
-                           help="run the whole-program REP03x/04x/05x "
-                                "families over the project call graph"),
-           "--cache-dir": dict(default=None, dest="cache_dir",
-                               help="incremental analysis cache directory")})
-    add("audit", cmd_audit,
-        **dict(observed, **{"--trace": dict(default=None, dest="out")}))
-    add("trace-run", cmd_trace_run,
-        **dict(observed, **{"--out": dict(required=True),
-                            "--audit": dict(action="store_true")}))
+    for command in COMMANDS:
+        subparser = sub.add_parser(command.name)
+        subparser.set_defaults(fn=command.handler)
+        for flag, options in command.arguments.items():
+            subparser.add_argument(flag, **options)
     return parser
 
 

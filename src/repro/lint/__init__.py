@@ -3,7 +3,7 @@ trace-coverage invariants (``repro lint``; see DESIGN.md).
 
 v2 adds the whole-program layer: :class:`ProjectContext` (import graph,
 symbol tables, approximate call graph) and ``lint_project`` running the
-cross-module REP03x/REP04x/REP05x families with an incremental cache.
+cross-module REP03x/REP04x/REP05x families.
 """
 
 from .engine import (BaselineEntry, FileContext, Finding, LintResult,

@@ -386,7 +386,6 @@ class LintResult:
     # Whole-program stats (populated by lint_project; zero for file-only runs).
     module_count: int = 0
     call_edges: int = 0
-    cache_hits: int = 0
 
     @property
     def ok(self) -> bool:

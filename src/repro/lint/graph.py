@@ -137,9 +137,9 @@ class ModuleInfo:
     def expand(self, dotted: str) -> str:
         """Rewrite a local dotted name through the import table.
 
-        ``shared_memory.SharedMemory`` becomes
-        ``multiprocessing.shared_memory.SharedMemory`` when the module did
-        ``from multiprocessing import shared_memory``.  Names with no
+        ``connection.Pipe`` becomes ``multiprocessing.connection.Pipe``
+        when the module did ``from multiprocessing import connection``.
+        Names with no
         import binding are returned unchanged (they are locals, builtins,
         or module-level definitions of this module).
         """

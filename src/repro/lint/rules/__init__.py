@@ -15,16 +15,16 @@ Whole-program families (run by ``lint_project`` over a
 :class:`~repro.lint.project.ProjectContext`):
 
 * concurrency/fork-safety — REP030 fork primitives outside the
-  ``_fork_lock`` discipline, REP031 shared-memory lifecycle, REP032
-  non-daemon spawns, REP033 locks held across forking call chains,
-  REP034 process-global multiprocessing configuration;
+  ``_fork_lock`` discipline, REP032 non-daemon spawns, REP033 locks
+  held across forking call chains, REP034 process-global
+  multiprocessing configuration;
 * interprocedural determinism taint — REP040 nondeterminism reaching
   byte accounting, REP041 deterministic code consuming tainted helpers
   across the fence, REP042 import-time entropy constants, REP043
   tainted span stamps / RNG seeds;
 * contract conformance — REP050 orphan ``verify_*`` invariants, REP051
-  cross-module span-kind resolution, REP052 CLI/list parity, REP053
-  ``*Stats`` mirror completeness.
+  cross-module span-kind resolution, REP053 ``*Stats`` mirror
+  completeness.
 """
 
 from __future__ import annotations
@@ -34,12 +34,11 @@ from typing import Dict, List, Set
 from ..engine import Rule
 from ..project import ProjectRule
 from .concurrency import (ForkDisciplineRule, GlobalStartMethodRule,
-                          LockAcrossForkRule, NonDaemonSpawnRule,
-                          SharedMemoryLifecycleRule)
+                          LockAcrossForkRule, NonDaemonSpawnRule)
 from .conservation import (FloatByteArithmeticRule, MaskedZeroDenominatorRule,
                            MeterMutationRule)
-from .contracts import (CliParityRule, SpanKindResolutionRule,
-                        StatsMirrorRule, UnregisteredVerifyRule)
+from .contracts import (SpanKindResolutionRule, StatsMirrorRule,
+                        UnregisteredVerifyRule)
 from .determinism import (AmbientEntropyRule, AmbientEnvironmentRule,
                           SaltedHashRule, UnorderedIterationRule,
                           UnseededRngRule, WallClockRule)
@@ -65,7 +64,6 @@ ALL_RULES: List[Rule] = [
 
 PROJECT_RULES: List[ProjectRule] = [
     ForkDisciplineRule(),
-    SharedMemoryLifecycleRule(),
     NonDaemonSpawnRule(),
     LockAcrossForkRule(),
     GlobalStartMethodRule(),
@@ -75,7 +73,6 @@ PROJECT_RULES: List[ProjectRule] = [
     TaintedStampOrSeedRule(),
     UnregisteredVerifyRule(),
     SpanKindResolutionRule(),
-    CliParityRule(),
     StatsMirrorRule(),
 ]
 

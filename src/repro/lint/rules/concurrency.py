@@ -1,13 +1,12 @@
-"""Concurrency / fork-safety rules (REP030–REP034).
+"""Concurrency / fork-safety rules (REP030, REP032–REP034).
 
 PR 7's parallel replay deadlocked in CI because a ``fork()`` could run
-while another thread held the stdio or resource-tracker lock: the child
-inherits the locked lock with no owner to release it.  The hand fix was
-the ``_fork_lock`` discipline in ``repro.trace.replay`` — every fork
-primitive runs under one designated lock so no two threads interleave a
-fork with lock-holding work.  These rules make that discipline (and the
-shared-memory lifecycle around it) a static invariant instead of
-tribal knowledge.
+while another thread held a stdio buffer lock: the child inherits the
+locked lock with no owner to release it.  The hand fix was the
+``_fork_lock`` discipline in ``repro.trace.pool`` — every fork primitive
+runs under one designated lock so no two threads interleave a fork with
+lock-holding work.  These rules make that discipline a static invariant
+instead of tribal knowledge.
 """
 
 from __future__ import annotations
@@ -22,9 +21,7 @@ from ..project import ProjectContext, ProjectRule
 #: Call shapes that fork the process or arm the fork machinery.  Matched
 #: on the import-expanded dotted name's tail so both
 #: ``multiprocessing.Process`` and ``context.Process`` are seen.
-_FORK_TAILS = frozenset({
-    "fork", "Process", "Pool", "ProcessPoolExecutor", "ensure_running",
-})
+_FORK_TAILS = frozenset({"fork", "Process", "Pool", "ProcessPoolExecutor"})
 
 _FORK_EXACT = frozenset({
     "os.fork", "os.forkpty",
@@ -47,17 +44,6 @@ def _keyword(node: ast.Call, name: str) -> Optional[ast.expr]:
     return None
 
 
-def _is_shm_create(node: ast.AST, info: ModuleInfo) -> bool:
-    """``SharedMemory(..., create=True)`` — attach-only calls are safe."""
-    if not isinstance(node, ast.Call):
-        return False
-    dotted = info.expand(dotted_name(node.func))
-    if dotted.split(".")[-1] != "SharedMemory":
-        return False
-    create = _keyword(node, "create")
-    return isinstance(create, ast.Constant) and create.value is True
-
-
 def _fork_primitive(node: ast.AST, info: ModuleInfo) -> Optional[str]:
     """Describe ``node`` if it is a fork primitive call, else None."""
     if not isinstance(node, ast.Call):
@@ -78,8 +64,6 @@ def _fork_primitive(node: ast.AST, info: ModuleInfo) -> Optional[str]:
                 and not dotted.startswith(("multiprocessing", "mp.")):
             return None
         return f"{dotted}()"
-    if _is_shm_create(node, info):
-        return f"{dotted}(create=True)"
     return None
 
 
@@ -95,15 +79,15 @@ def _under_fork_lock(ctx: FileContext, node: ast.AST) -> bool:
 class ForkDisciplineRule(ProjectRule):
     """REP030: fork primitives only under the ``_fork_lock`` discipline.
 
-    The stdio and resource-tracker locks always exist, so *any* fork can
-    inherit one mid-acquire; serialising every fork primitive under one
-    module lock is the only shape that cannot deadlock.
+    The stdio buffer locks always exist, so *any* fork can inherit one
+    mid-acquire; serialising every fork primitive under one module lock
+    is the only shape that cannot deadlock.
     """
 
     id = "REP030"
     summary = "fork primitive outside the _fork_lock discipline"
-    hint = ("wrap the fork/Process/SharedMemory-create/ensure_running call "
-            "in `with _fork_lock:` (see repro.trace.replay)")
+    hint = ("wrap the fork/Process call in `with _fork_lock:` "
+            "(see repro.trace.pool)")
 
     def check_project(self, project: ProjectContext) -> Iterator[Finding]:
         for info in project.repro_modules():
@@ -117,34 +101,6 @@ class ForkDisciplineRule(ProjectRule):
                                   f"{description} in {info.module} runs "
                                   f"outside `with _fork_lock:`; a concurrent "
                                   f"lock holder deadlocks the child")
-
-
-class SharedMemoryLifecycleRule(ProjectRule):
-    """REP031: every created shared-memory segment is closed and unlinked."""
-
-    id = "REP031"
-    summary = "SharedMemory(create=True) without close()+unlink()"
-    hint = ("pair the create with segment.close() and segment.unlink() on "
-            "every exit path (a cleanup closure is fine)")
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        for info in project.repro_modules():
-            ctx = info.ctx
-            for node in ctx.walk():
-                if not _is_shm_create(node, info):
-                    continue
-                scope = ctx.enclosing_function(node) or ctx.tree
-                attrs = {child.func.attr
-                         for child in ast.walk(scope)
-                         if isinstance(child, ast.Call)
-                         and isinstance(child.func, ast.Attribute)}
-                missing = sorted({"close", "unlink"} - attrs)
-                if missing:
-                    yield self.at(ctx, node,
-                                  f"shared-memory segment created in "
-                                  f"{info.module} is never "
-                                  f"{' or '.join(missing)}ed; the segment "
-                                  f"leaks past process exit")
 
 
 class NonDaemonSpawnRule(ProjectRule):

@@ -1,18 +1,17 @@
-"""Contract-conformance rules (REP050–REP053).
+"""Contract-conformance rules (REP050, REP051, REP053).
 
 The runtime contracts — the ConservationAuditor's invariants, the span
-registry, the CLI surface, the backend stats mirrors — are each defined
-in one module and *used* from others.  Per-file rules cannot tell a
-registered invariant from an orphan; these project rules close that gap.
+registry, the backend stats mirrors — are each defined in one module and
+*used* from others.  Per-file rules cannot tell a registered invariant
+from an orphan; these project rules close that gap.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Optional, Set, Tuple
+from typing import Iterator, Set
 
 from ..engine import Finding, dotted_name
-from ..graph import ModuleInfo
 from ..project import ProjectContext, ProjectRule
 
 
@@ -93,77 +92,6 @@ class SpanKindResolutionRule(ProjectRule):
                                   f"{resolved.value!r}, which is not in "
                                   f"SPAN_KINDS; record_span() would "
                                   f"reject it at runtime")
-
-
-class CliParityRule(ProjectRule):
-    """REP052: ``repro list`` and the argparse surface must agree.
-
-    Every registered subcommand (except ``list`` itself) must appear in
-    the ``cmd_list`` table, and the table must not advertise commands
-    that do not exist.
-    """
-
-    id = "REP052"
-    summary = "repro list table out of sync with registered subcommands"
-    hint = "add the command to cmd_list's rows (or remove the dead row)"
-
-    def check_project(self, project: ProjectContext) -> Iterator[Finding]:
-        info = project.modules.get("repro.cli")
-        if info is None:
-            return
-        listed = self._listed_commands(info)
-        registered = self._registered_commands(info)
-        if listed is None or registered is None:
-            return
-        listed_names = {name for name, _ in listed}
-        registered_names = {name for name, _ in registered}
-        for name, node in sorted(registered):
-            if name != "list" and name not in listed_names:
-                yield self.at(info.ctx, node,
-                              f"subcommand '{name}' is registered but "
-                              f"missing from the `repro list` table")
-        for name, node in sorted(listed):
-            if name not in registered_names:
-                yield self.at(info.ctx, node,
-                              f"`repro list` advertises '{name}' but no "
-                              f"such subcommand is registered")
-
-    @staticmethod
-    def _listed_commands(info: ModuleInfo,
-                         ) -> Optional[List[Tuple[str, ast.AST]]]:
-        fn = info.functions.get("cmd_list")
-        if fn is None:
-            return None
-        commands: List[Tuple[str, ast.AST]] = []
-        for node in ast.walk(fn.node):
-            if not (isinstance(node, ast.Assign)
-                    and any(isinstance(t, ast.Name) and t.id == "rows"
-                            for t in node.targets)
-                    and isinstance(node.value, ast.List)):
-                continue
-            for row in node.value.elts:
-                if isinstance(row, (ast.List, ast.Tuple)) and row.elts \
-                        and isinstance(row.elts[0], ast.Constant) \
-                        and isinstance(row.elts[0].value, str):
-                    commands.append((row.elts[0].value, row.elts[0]))
-            return commands
-        return None
-
-    @staticmethod
-    def _registered_commands(info: ModuleInfo,
-                             ) -> Optional[List[Tuple[str, ast.AST]]]:
-        fn = info.functions.get("build_parser")
-        if fn is None:
-            return None
-        commands: List[Tuple[str, ast.AST]] = []
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Call) \
-                    and isinstance(node.func, ast.Name) \
-                    and node.func.id == "add" and node.args \
-                    and isinstance(node.args[0], ast.Constant) \
-                    and isinstance(node.args[0].value, str):
-                commands.append((node.args[0].value, node))
-        return commands or None
 
 
 class StatsMirrorRule(ProjectRule):

@@ -26,7 +26,8 @@ DETERMINISTIC_PACKAGES = (
 #: Modules whose dict/set iteration feeds byte accounting or shard merges,
 #: where ordering must be forced with ``sorted(...)`` (REP003).
 ACCOUNTING_MODULES = (
-    "repro.trace.replay", "repro.trace.analysis", "repro.trace.schema",
+    "repro.trace.replay", "repro.trace.pool", "repro.trace.analysis",
+    "repro.trace.schema",
     "repro.simnet.meter", "repro.simnet.analysis", "repro.obs",
     "repro.cloud.dedup", "repro.core.tue",
 )

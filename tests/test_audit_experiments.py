@@ -12,7 +12,7 @@ from repro.obs import (
     verify_replay_merge,
     verify_replay_report,
 )
-from repro.trace import generate_trace, replay_trace, replay_trace_parallel
+from repro.trace import ReplayPool, generate_trace, replay_trace
 from repro.trace.replay import ReplayReport
 from repro.units import KB
 
@@ -74,7 +74,8 @@ def test_audited_two_worker_parallel_replay():
     trace = generate_trace(scale=0.005, seed=7)
     profile = service_profile("Dropbox", AccessMethod.PC)
     sequential = replay_trace(trace, profile, seed=7)
-    merged = replay_trace_parallel(trace, profile, workers=2, seed=7)
+    with ReplayPool(trace, workers=2) as pool:
+        merged = pool.replay(profile, seed=7)
     assert merged == sequential
     audit_replay_report(merged)                # no raise
     assert verify_replay_report(merged) == []
@@ -103,7 +104,8 @@ def test_replay_merge_is_counterwise_additive():
 def test_corrupted_replay_report_raises():
     trace = generate_trace(scale=0.005, seed=9)
     profile = service_profile("GoogleDrive", AccessMethod.PC)
-    report = replay_trace_parallel(trace, profile, workers=2, seed=9)
+    with ReplayPool(trace, workers=2) as pool:
+        report = pool.replay(profile, seed=9)
     some_user = next(iter(report.per_user_traffic))
     report.per_user_traffic[some_user] += 1
     with pytest.raises(AuditViolation) as err:

@@ -98,15 +98,9 @@ def test_lint_graph_text_mode_prints_graph_stats(violating_tree, capsys):
 
 
 def test_lint_graph_json_payload_includes_graph_block(violating_tree,
-                                                      tmp_path, capsys):
-    cache = tmp_path / "cache"
+                                                      capsys):
     assert main(["lint", str(violating_tree / "src"), "--graph",
-                 "--cache-dir", str(cache), "--format", "json"]) == 1
+                 "--format", "json"]) == 1
     payload = json.loads(capsys.readouterr().out)
     assert payload["graph"]["modules"] >= 1
-    assert payload["graph"]["cache_hits"] == 0
-    # Warm run against the same cache reports the hits.
-    assert main(["lint", str(violating_tree / "src"), "--graph",
-                 "--cache-dir", str(cache), "--format", "json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["graph"]["cache_hits"] == payload["files"] + 1
+    assert sorted(payload["graph"]) == ["call_edges", "modules"]

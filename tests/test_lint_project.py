@@ -1,11 +1,9 @@
-"""lint_project driver tests: incremental cache and the engine edge
-cases from issue 9 (deleted-file baselines, impersonated modules with
-unknown pragma ids, empty/broken files in the project)."""
+"""lint_project driver tests: the engine edge cases from issue 9
+(deleted-file baselines, impersonated modules with unknown pragma ids,
+empty/broken files in the project)."""
 
 import json
 import textwrap
-
-import pytest
 
 from repro.cli import main
 from repro.lint import (ALL_RULES, KNOWN_IDS, META_RULE, PROJECT_RULES,
@@ -19,76 +17,9 @@ def _write_tree(root, tree):
         target.write_text(textwrap.dedent(source), encoding="utf-8")
 
 
-@pytest.fixture()
-def small_tree(tmp_path):
-    _write_tree(tmp_path, {
-        "src/repro/clean.py": """\
-            def double(x):
-                return 2 * x
-            """,
-        "src/repro/simnet/clocked.py": """\
-            import time
-
-            def stamp():
-                return time.time()
-            """,
-    })
-    return tmp_path
-
-
-def _run(tree_root, **kwargs):
+def _run(tree_root):
     return lint_project([str(tree_root / "src")], ALL_RULES, PROJECT_RULES,
-                        known_ids=KNOWN_IDS, **kwargs)
-
-
-# -- cache ------------------------------------------------------------------
-
-def test_warm_cache_reuses_every_file_and_the_project(small_tree):
-    cache = small_tree / "cache"
-    cold = _run(small_tree, cache_dir=str(cache))
-    assert cold.cache_hits == 0
-    assert (cache / "reprolint-cache.json").exists()
-    warm = _run(small_tree, cache_dir=str(cache))
-    # Every file plus the project-level analysis served from cache.
-    assert warm.cache_hits == warm.file_count + 1
-    assert [f.to_dict() for f in warm.findings] \
-        == [f.to_dict() for f in cold.findings]
-    assert warm.module_count == cold.module_count
-    assert warm.call_edges == cold.call_edges
-
-
-def test_single_file_change_invalidates_project_but_not_other_files(
-        small_tree):
-    cache = small_tree / "cache"
-    _run(small_tree, cache_dir=str(cache))
-    target = small_tree / "src" / "repro" / "clean.py"
-    target.write_text(target.read_text(encoding="utf-8")
-                      + "\n\ndef triple(x):\n    return 3 * x\n",
-                      encoding="utf-8")
-    result = _run(small_tree, cache_dir=str(cache))
-    # The untouched file is warm; the edited file and the project graph
-    # both re-analyze.
-    assert result.cache_hits == result.file_count - 1
-
-
-def test_rule_set_change_invalidates_the_whole_cache(small_tree):
-    cache = small_tree / "cache"
-    _run(small_tree, cache_dir=str(cache))
-    result = lint_project([str(small_tree / "src")], ALL_RULES[:3],
-                          PROJECT_RULES, cache_dir=str(cache),
-                          known_ids=KNOWN_IDS)
-    assert result.cache_hits == 0
-
-
-def test_corrupt_cache_file_is_treated_as_cold(small_tree):
-    cache = small_tree / "cache"
-    cache.mkdir()
-    (cache / "reprolint-cache.json").write_text("{not json",
-                                               encoding="utf-8")
-    result = _run(small_tree, cache_dir=str(cache))
-    assert result.cache_hits == 0
-    assert json.loads(
-        (cache / "reprolint-cache.json").read_text(encoding="utf-8"))
+                        known_ids=KNOWN_IDS)
 
 
 # -- edge cases through ProjectContext --------------------------------------

@@ -3,6 +3,7 @@ exact merge semantics, the two-phase CROSS_USER dedup protocol, and the
 streaming shard generator."""
 
 import json
+import multiprocessing
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -12,14 +13,14 @@ from repro.client import AccessMethod, SERVICES, service_profile
 from repro.cloud.dedup import DedupConfig, DedupGranularity, DedupScope
 from repro.trace import (
     FileRecord,
+    ReplayPool,
     ReplayReport,
     Trace,
     generate_trace,
     iter_trace_shards,
     replay_trace,
-    replay_trace_parallel,
 )
-from repro.trace.replay import _shard_by_user
+from repro.trace.pool import _shard_by_user
 from repro.trace.schema import UNIT_SIZE
 from repro.units import KB
 
@@ -27,6 +28,13 @@ from repro.units import KB
 @pytest.fixture(scope="module")
 def trace():
     return generate_trace(scale=0.02, seed=9)
+
+
+def replay_trace_parallel(trace, profile, workers=None, seed=0):
+    """One pool per call: fork, replay one profile, close.  Every parity
+    assertion below runs through ReplayPool itself."""
+    with ReplayPool(trace, workers=workers) as pool:
+        return pool.replay(profile, seed=seed)
 
 
 def canonical(report):
@@ -180,8 +188,7 @@ def test_merge_of_user_shards_equals_whole(trace):
     shards = _shard_by_user(trace, 4)
     assert len(shards) == 4
     from repro.trace.replay import _replay_records
-    parts = [_replay_records(shard, profile, seed=7, collect_candidates=False)[0]
-             for shard in shards]
+    parts = [_replay_records(shard, profile, seed=7) for shard in shards]
     merged = ReplayReport.merge(parts)
     whole = replay_trace(trace, profile, seed=7)
     assert merged.traffic_bytes == whole.traffic_bytes
@@ -378,15 +385,18 @@ def test_from_records_generator_stream_parity():
 
 
 def test_from_shards_matches_assembled_order():
-    from repro.trace import ReplayPool
+    """A shard stream (iter_trace_shards) flattened into from_records: the
+    replay's sequential reference is the concatenated shard ordering."""
     assembled = Trace(records=[record
                                for shard in iter_trace_shards(
                                    scale=0.01, seed=11, shard_users=3)
                                for record in shard])
     profile = service_profile("UbuntuOne", AccessMethod.PC)
-    with ReplayPool.from_shards(iter_trace_shards(scale=0.01, seed=11,
-                                                  shard_users=3),
-                                workers=4) as pool:
+    flattened = (record
+                 for shard in iter_trace_shards(scale=0.01, seed=11,
+                                                shard_users=3)
+                 for record in shard)
+    with ReplayPool.from_records(flattened, workers=4) as pool:
         assert canonical(pool.replay(profile, seed=2)) \
             == canonical(replay_trace(assembled, profile, seed=2))
 
@@ -482,7 +492,7 @@ def test_shard_by_user_ties_by_first_appearance():
 
 
 # ---------------------------------------------------------------------------
-# phase-2 short-circuit and the winner-table transports
+# phase-2 short-circuit and the winner table on the settle message
 # ---------------------------------------------------------------------------
 
 def _single_shard_unit_trace():
@@ -521,7 +531,8 @@ def test_phase2_short_circuit_parity_across_cross_user_profiles():
 
 
 def test_contested_winners_skips_single_shard_units():
-    from repro.trace.replay import _contested_winners, _unit_digest
+    from repro.trace.pool import _contested_winners
+    from repro.trace.replay import _unit_digest
     from array import array
     d = [_unit_digest(bytes([n]) * 4) for n in range(4)]
 
@@ -541,17 +552,20 @@ def test_contested_winners_skips_single_shard_units():
     assert losers == [2]
 
 
-def test_winner_table_round_trips_via_both_transports():
-    from repro.trace.replay import (_load_winner_table, _pack_winner_table,
-                                    _publish_winner_table, _unit_digest)
-    winners = {_unit_digest(bytes([n]) * 8): n * 17 for n in range(5)}
-    descriptor, cleanup = _publish_winner_table(winners)
-    try:
-        assert _load_winner_table(descriptor) == winners
-    finally:
-        cleanup()
-    blob, indices = _pack_winner_table(winners)
-    assert _load_winner_table(("inline", blob, indices)) == winners
+def test_winner_table_round_trips_on_the_settle_message():
+    """The contested-winner table rides ``("settle", digests, indices)``
+    through the worker pipe (which pickles): empty, one entry, and the
+    full-trace 4-worker size."""
+    import pickle
+    from repro.trace.pool import _pack_winner_table, _unpack_winner_table
+    from repro.trace.replay import _unit_digest
+    for entries in (0, 1, 30_219):
+        winners = {_unit_digest(n.to_bytes(8, "little")): n * 17
+                   for n in range(entries)}
+        message = pickle.loads(pickle.dumps(
+            ("settle", *_pack_winner_table(winners))))
+        assert message[0] == "settle"
+        assert _unpack_winner_table(*message[1:]) == winners
 
 
 def test_settle_credits_conserve_bytes_under_audit():
@@ -567,3 +581,87 @@ def test_settle_credits_conserve_bytes_under_audit():
         report = pool.replay_audited(profile, seed=0)
     assert canonical(report) == canonical(replay_trace(trace, profile,
                                                        seed=0))
+
+
+# ---------------------------------------------------------------------------
+# module boundary: the estimator imports no process machinery
+# ---------------------------------------------------------------------------
+
+def test_estimator_module_imports_no_process_machinery():
+    """repro/trace/replay.py is the paper's estimator alone: no
+    multiprocessing, no threading, and never the pool (the pool imports
+    the estimator — one direction)."""
+    import ast
+    import repro.trace.replay as estimator
+    with open(estimator.__file__, encoding="utf-8") as handle:
+        tree = ast.parse(handle.read())
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+            names.update(alias.name for alias in node.names)
+    parts = {part for name in names for part in name.split(".")}
+    assert "hashlib" in parts           # the walk does see imports
+    assert not parts & {"multiprocessing", "threading", "pool"}
+
+
+# ---------------------------------------------------------------------------
+# a dead worker is a structured error and a closed pool
+# ---------------------------------------------------------------------------
+
+needs_fork = pytest.mark.skipif(
+    "fork" not in multiprocessing.get_all_start_methods(),
+    reason="worker processes need the fork start method")
+
+
+def _assert_pool_died_naming_shard_one(pool, children, error):
+    message = str(error.value)
+    assert "shard 1" in message and f"pid {children[1].pid}" in message
+    assert "signal 9" in message
+    assert pool.worker_count == 0
+    assert not set(children) & set(multiprocessing.active_children())
+    assert not any(child.is_alive() for child in children)
+    with pytest.raises(RuntimeError, match="replay pool is closed"):
+        pool.replay(service_profile("Dropbox", AccessMethod.PC))
+
+
+@needs_fork
+def test_worker_killed_between_calls_is_a_structured_error(trace):
+    import os
+    import signal
+    profile = service_profile("UbuntuOne", AccessMethod.PC)
+    pool = ReplayPool(trace, workers=2)
+    children = list(pool._processes)
+    assert canonical(pool.replay(profile, seed=7)) \
+        == canonical(replay_trace(trace, profile, seed=7))
+    os.kill(children[1].pid, signal.SIGKILL)
+    children[1].join(timeout=10)
+    with pytest.raises(RuntimeError) as error:
+        pool.replay(profile, seed=7)
+    _assert_pool_died_naming_shard_one(pool, children, error)
+
+
+@needs_fork
+def test_worker_killed_mid_replay_is_a_structured_error():
+    """Shard 1 is one record with millions of modifications — seconds of
+    draws — so the kill lands while the parent is blocked on its reply."""
+    import os
+    import signal
+    import threading
+    records = [_record("small", 0, [1], UNIT_SIZE, created_at=0.0),
+               replace(_record("large", 1, [2], UNIT_SIZE, created_at=1.0),
+                       modify_count=5_000_000)]
+    pool = ReplayPool(Trace(records=records), workers=2)
+    children = list(pool._processes)
+    assert len(children) == 2
+    killer = threading.Timer(0.2, os.kill,
+                             (children[1].pid, signal.SIGKILL))
+    killer.start()
+    try:
+        with pytest.raises(RuntimeError) as error:
+            pool.replay(service_profile("Dropbox", AccessMethod.PC))
+    finally:
+        killer.join(timeout=10)
+    _assert_pool_died_naming_shard_one(pool, children, error)
