@@ -14,10 +14,12 @@ tests/test_replay.py: for small synthetic traces the two agree on every
 qualitative ordering and within tens of percent on totals.
 
 This module is the estimator alone and starts no process or thread:
-:func:`replay_trace` prices a whole trace in one pass of
-:func:`_replay_records`.  :mod:`repro.trace.pool` runs the same loop over
-user-disjoint shards in a persistent worker pool and merges the parts
-back byte for byte; it imports this module, never the reverse.
+:func:`replay_trace` prices a whole trace in one call of
+:func:`_replay_records`, a columnar kernel over 1024-record blocks whose
+floor is the per-record seeding of the modification draws (DESIGN.md,
+"The kernel and its floor").  :mod:`repro.trace.pool` runs the same
+kernel over user-disjoint shards in a persistent worker pool and merges
+the parts back byte for byte; it imports this module, never the reverse.
 """
 
 from __future__ import annotations
@@ -25,8 +27,11 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
+
+import numpy as np
 
 from ..client import ServiceProfile
 from ..client.profiles import BdsMode
@@ -35,10 +40,10 @@ from ..compress import CompressionLevel
 from .analysis import creation_batch_flags
 from .schema import FileRecord, Trace
 
-#: Fraction of a file's *achievable* compression each level realises
-#: (calibrated against repro.compress on the Experiment 4 text corpus:
-#: HIGH ≈ 0.444, MODERATE ≈ 0.578, LOW ≈ 0.773 of original → savings
-#: fractions relative to HIGH's saving).
+#: Fraction of a file's *achievable* compression each level realises,
+#: relative to HIGH's saving on repro.compress's Experiment 4 text corpus
+#: (HIGH ≈ 0.444, MODERATE ≈ 0.578, LOW ≈ 0.773 of original); pinned to
+#: that module by tests/test_replay.py.
 _LEVEL_SAVING_FRACTION = {
     CompressionLevel.NONE: 0.0,
     CompressionLevel.LOW: 0.41,
@@ -51,6 +56,14 @@ _LEVEL_SAVING_FRACTION = {
 #: everything).
 _MOD_FRACTION_LOG_MU = -3.9   # exp(-3.9) ≈ 0.02
 _MOD_FRACTION_LOG_SIGMA = 1.0
+
+#: Records per kernel block: one block's columns are the kernel's working
+#: set, so memory is O(block) + O(users) whatever the shard length.
+_BLOCK = 1024
+#: Bound on len(block) × (most modifications + 1) × (largest size + its
+#: overheads), which bounds every ``int64`` value of a block.  Half of
+#: int64's range, so no truncated float product can round past the top.
+_INT64_HEADROOM = 1 << 62
 
 #: Counter fields summed exactly by :meth:`ReplayReport.merge`.
 _MERGE_COUNTERS = (
@@ -147,40 +160,54 @@ def _fixed_overhead(profile: ServiceProfile) -> int:
             + overhead.notify_down)
 
 
-def _wire_payload(size: int, compressed: int, saving_fraction: float,
-                  per_byte_factor: float) -> int:
+def _trunc(value):
+    """``int()`` of a float, elementwise over an array (to ``int64``)."""
+    return value.astype(np.int64) if isinstance(value, np.ndarray) \
+        else int(value)
+
+
+def _wire_payload(size, compressed, saving_fraction: float,
+                  per_byte_factor: float):
     """Upload bytes for content with a known reference-compressed size,
     under a profile's :data:`_LEVEL_SAVING_FRACTION` entry and per-byte
-    protocol overhead (the replay loop resolves both once per profile)."""
-    achievable = max(size - compressed, 0)
-    wire = size - int(achievable * saving_fraction)
-    return wire + int(per_byte_factor * wire)
+    protocol overhead: the one payload formula, over ``int64`` columns
+    (creation and IDS delta wires alike) or, step for step, Python ints."""
+    achievable = np.maximum(size - compressed, 0)
+    wire = size - _trunc(achievable * saving_fraction)
+    return wire + _trunc(per_byte_factor * wire)
 
 
-def _mod_fractions(seed: int, profile_name: str, index: int,
-                   count: int) -> List[float]:
-    """Modification fractions for one record: an independent RNG stream.
+def _draw_fractions(rng: random.Random, prefix: str, indices: Sequence[int],
+                    counts: Sequence[int]) -> np.ndarray:
+    """Modification fractions of consecutive records, flattened in record
+    order: ``counts[k]`` draws from the stream of record ``indices[k]``.
 
-    Keyed by (seed, profile, global record index) so any shard can
-    reproduce exactly the draws the sequential replay makes for this
-    record — the determinism contract that makes parallel == sequential.
-
-    Each fraction is ``min(1.0, rng.lognormvariate(mu, sigma))``, drawn by
-    the stdlib's own Kinderman–Monahan loop spelled out over ``rng.random``
+    Each stream is keyed ``replay:{seed}:{profile}:{global index}``
+    (``prefix`` + index), so any shard reproduces exactly the draws the
+    sequential replay makes for a record — the determinism contract behind
+    parallel == sequential.  ``rng.seed(key)`` leaves ``rng`` as
+    ``random.Random(key)`` starts, without building one per record.  Each
+    fraction is ``min(1.0, rng.lognormvariate(mu, sigma))``, drawn by the
+    stdlib's Kinderman–Monahan loop spelled out over ``rng.random``
     (tests/test_trace_draws.py holds it to the stdlib call).
     """
-    draw = random.Random(f"replay:{seed}:{profile_name}:{index}").random
-    fractions = []
-    for _ in range(count):
-        while True:
-            u1 = draw()
-            u2 = 1.0 - draw()
-            z = random.NV_MAGICCONST * (u1 - 0.5) / u2
-            if z * z / 4.0 <= -math.log(u2):
-                break
-        fraction = math.exp(_MOD_FRACTION_LOG_MU + z * _MOD_FRACTION_LOG_SIGMA)
-        fractions.append(fraction if fraction < 1.0 else 1.0)
-    return fractions
+    reseed, draw, log, exp = rng.seed, rng.random, math.log, math.exp
+    magic, mu, sigma = (random.NV_MAGICCONST, _MOD_FRACTION_LOG_MU,
+                        _MOD_FRACTION_LOG_SIGMA)
+    fractions = array("d")
+    append = fractions.append
+    for index, count in zip(indices, counts):
+        reseed(f"{prefix}{index}")
+        for _ in range(count):
+            while True:
+                u1 = draw()
+                u2 = 1.0 - draw()
+                z = magic * (u1 - 0.5) / u2
+                if z * z / 4.0 <= -log(u2):
+                    break
+            fraction = exp(mu + z * sigma)
+            append(fraction if fraction < 1.0 else 1.0)
+    return np.frombuffer(fractions)
 
 
 #: Bytes per unit digest.  Unit identities (segment-id blobs, up to 128 KB
@@ -209,6 +236,12 @@ def _unit_digest(key) -> bytes:
     return digest.digest()
 
 
+def _add(totals: Dict[str, int], users: List[str], values: List[int]) -> None:
+    """Per-user totals as Python ints, users entering at first sight."""
+    for user, value in zip(users, values):
+        totals[user] = totals.get(user, 0) + value
+
+
 def _replay_records(shard: Sequence[Tuple[int, FileRecord]],
                     profile: ServiceProfile, seed: int,
                     candidates=None) -> ReplayReport:
@@ -220,14 +253,14 @@ def _replay_records(shard: Sequence[Tuple[int, FileRecord]],
     per-user partitions.  ``candidates`` is the phase-1 collector of the
     pool's CROSS_USER protocol: when given, every record that ships fresh
     dedup units is reported through ``candidates.add(index, user,
-    full_wire, total_len, fresh_units)`` — the only thing this loop knows
-    about it.
+    full_wire, total_len, fresh_units)`` — the only thing this kernel
+    knows about it.  It prices ``int64`` columns :data:`_BLOCK` records at
+    a time; totals that outlive a block are Python ints.
     """
     # ---- constant per profile -----------------------------------------------
     fixed = _fixed_overhead(profile)
     saving_fraction = _LEVEL_SAVING_FRACTION[profile.upload_compression.level]
     per_byte = profile.overhead.per_byte_factor
-    profile_name = profile.name
     delta_block = profile.delta_block if profile.uses_ids else 0
     dedup = profile.dedup
     dedup_enabled = dedup.enabled
@@ -237,11 +270,15 @@ def _replay_records(shard: Sequence[Tuple[int, FileRecord]],
     batched_overhead = bds.per_file_bytes if bds.mode is BdsMode.FULL \
         else max(bds.per_file_bytes, fixed // 8)
     batch_saving = max(fixed - batched_overhead, 0)
+    pad = max(fixed, batched_overhead) + 2 * delta_block + 1  # for headroom
 
     # Which records BDS would batch.  All of a user's records live in this
     # shard, so the neighbourhoods equal the sequential ones.
     batched = creation_batch_flags([record for _, record in shard]) \
         if bds.mode is not BdsMode.NONE else [False] * len(shard)
+    # One generator per call, re-seeded per record (see _draw_fractions).
+    rng = random.Random(f"replay:{seed}:{profile.name}")
+    key_prefix = f"replay:{seed}:{profile.name}:"
 
     seen_units: Set = set()
     per_user_traffic: Dict[str, int] = {}
@@ -250,88 +287,111 @@ def _replay_records(shard: Sequence[Tuple[int, FileRecord]],
     mod_events = data_update = traffic = overhead_total = 0
     saved_compression = saved_dedup = saved_bds = saved_ids = 0
 
-    for (index, record), in_batch in zip(shard, batched):
-        size = record.size
-        compressed = record.compressed_size
-        user = record.user
+    for start in range(0, len(shard), _BLOCK):
+        block = shard[start:start + _BLOCK]
+        size_list = [record.size for _, record in block]
+        compressed_list = [record.compressed_size for _, record in block]
+        count_list = [record.modify_count for _, record in block]
+        biggest = max(max(size_list), max(compressed_list))
+        if len(block) * (max(count_list) + 1) * (biggest + pad + abs(
+                int(per_byte * biggest))) >= _INT64_HEADROOM:
+            worst = max(range(len(block)), key=lambda k: (count_list[k] + 1)
+                        * max(size_list[k], compressed_list[k]))
+            raise OverflowError(f"record {block[worst][0]}: its replay "
+                                f"block could exceed int64")
+        size = np.array(size_list, dtype=np.int64)
+        counts = np.array(count_list, dtype=np.int64)
+
         # ---- creation upload ------------------------------------------------
         # The pre-dedup full-file wire: what dedup scales down for the
         # creation, and what every non-IDS modification re-ships whole.
-        full_wire = _wire_payload(size, compressed, saving_fraction, per_byte)
-        saved_compression += max(size + int(per_byte * size) - full_wire, 0)
+        full_wire = _wire_payload(size, np.array(compressed_list, np.int64),
+                                  saving_fraction, per_byte)
+        saved_compression += int(np.maximum(
+            size + _trunc(per_byte * size) - full_wire, 0).sum())
         wire = full_wire
-
         if dedup_enabled:
-            shipped = total_len = 0
-            fresh_units: List[Tuple[bytes, int]] = []
-            if dedup_full_file:
-                keys = ((record.full_file_key(), size),)
-            else:
-                keys = record.block_keys(dedup.block_size)
-            for key, length in keys:
-                total_len += length
-                digest = _unit_digest(key)
-                scope_key = digest if dedup_cross_user else (user, digest)
-                if scope_key in seen_units:
-                    continue
-                seen_units.add(scope_key)
-                shipped += length
-                if candidates is not None:
-                    fresh_units.append((digest, length))
-            # A size-0 file — or a record with no content units at all —
-            # has no bytes to negotiate: dedup neither ships nor saves
-            # anything and the wire passes through unchanged.
-            if total_len > 0:
-                wire = full_wire * shipped // total_len
-                saved_dedup += full_wire - wire
-                if fresh_units:     # only ever filled for a collector
-                    candidates.add(index, user, full_wire, total_len,
-                                   fresh_units)
+            wires = full_wire.tolist()
+            for position, (index, record) in enumerate(block):
+                shipped = total_len = 0
+                fresh_units: List[Tuple[bytes, int]] = []
+                if dedup_full_file:
+                    keys = ((record.full_file_key(), record.size),)
+                else:
+                    keys = record.block_keys(dedup.block_size)
+                for key, length in keys:
+                    total_len += length
+                    digest = _unit_digest(key)
+                    scope_key = digest if dedup_cross_user \
+                        else (record.user, digest)
+                    if scope_key in seen_units:
+                        continue
+                    seen_units.add(scope_key)
+                    shipped += length
+                    if candidates is not None:
+                        fresh_units.append((digest, length))
+                # A size-0 file — or a record with no content units at all
+                # — has no bytes to negotiate: dedup neither ships nor
+                # saves anything and the wire passes through unchanged.
+                if total_len > 0:
+                    full = wires[position]
+                    # Python ints: full * shipped can exceed int64.
+                    wires[position] = full * shipped // total_len
+                    saved_dedup += full - wires[position]
+                    if fresh_units:     # only ever filled for a collector
+                        candidates.add(index, record.user, full, total_len,
+                                       fresh_units)
+            wire = np.array(wires, dtype=np.int64)
 
-        overhead = fixed
-        if in_batch:
-            saved_bds += batch_saving
-            overhead = batched_overhead
-        user_traffic = wire + overhead
-        overhead_total += overhead
-        data_update += size
+        in_batch = np.array(batched[start:start + _BLOCK], dtype=bool)
+        saved_bds += batch_saving * int(np.count_nonzero(in_batch))
+        overhead = np.where(in_batch, batched_overhead, fixed)
+        record_traffic = wire + overhead
+        overhead_total += int(overhead.sum())
+        data_update += int(size.sum())
 
         # ---- modifications ---------------------------------------------------
-        count = record.modify_count
-        if count:
-            # size == 0 forces every delta size to 0 below, so the ratio is
-            # never consumed on that branch; no max(size, 1) masking.
-            ratio = compressed / size if size else 0.0
-            altered_total = 0
-            mod_traffic = count * fixed
-            for fraction in _mod_fractions(seed, profile_name, index, count):
-                altered = max(1, int(size * fraction))
-                altered_total += altered
-                if delta_block:
-                    # Delta ships the altered region in whole blocks.
-                    delta_size = min(
-                        (-(-altered // delta_block) + 1) * delta_block, size)
-                    delta_wire = _wire_payload(
-                        delta_size, int(delta_size * ratio),
-                        saving_fraction, per_byte)
-                    if delta_wire < full_wire:
-                        saved_ids += full_wire - delta_wire
-                    mod_traffic += delta_wire
-                else:
-                    mod_traffic += full_wire
-            per_user_mod_traffic[user] = \
-                per_user_mod_traffic.get(user, 0) + mod_traffic
-            per_user_mod_update[user] = \
-                per_user_mod_update.get(user, 0) + altered_total
-            user_traffic += mod_traffic
-            data_update += altered_total
-            overhead_total += count * fixed
-            mod_events += count
+        modified = np.flatnonzero(counts)
+        if modified.size:
+            mod_pairs = [pair for pair in block if pair[1].modify_count]
+            mod_counts = counts[modified]
+            starts = np.cumsum(mod_counts) - mod_counts  # each record's first
+            draw_size = np.repeat(size[modified], mod_counts)   # per draw
+            fractions = _draw_fractions(rng, key_prefix, [
+                index for index, _ in mod_pairs], mod_counts.tolist())
+            # int(size * fraction), at least one byte — in place.
+            altered = _trunc(np.multiply(draw_size, fractions, out=fractions))
+            np.maximum(altered, 1, out=altered)
+            mod_traffic = mod_counts * fixed
+            if delta_block:
+                # Delta ships the altered region in whole blocks.  The ratio
+                # is Python's c / s (float(c) / float(s) rounds twice past
+                # 2**53); size == 0 makes every delta 0, so it goes unused.
+                delta_size = np.minimum(
+                    (-(-altered // delta_block) + 1) * delta_block, draw_size)
+                ratio = np.repeat([r.compressed_size / r.size if r.size
+                                   else 0.0 for _, r in mod_pairs], mod_counts)
+                delta_wire = _wire_payload(delta_size, _trunc(
+                    delta_size * ratio), saving_fraction, per_byte)
+                saved_ids += int(np.maximum(np.repeat(
+                    full_wire[modified], mod_counts) - delta_wire, 0).sum())
+                mod_traffic += np.add.reduceat(delta_wire, starts)
+            else:
+                mod_traffic += mod_counts * full_wire[modified]
+            altered_total = np.add.reduceat(altered, starts)
+            record_traffic[modified] += mod_traffic
+            data_update += int(altered_total.sum())
+            overhead_total += fixed * int(mod_counts.sum())
+            mod_events += int(mod_counts.sum())
+            mod_users = [record.user for _, record in mod_pairs]
+            _add(per_user_mod_traffic, mod_users, mod_traffic.tolist())
+            _add(per_user_mod_update, mod_users, altered_total.tolist())
 
-        per_user_traffic[user] = per_user_traffic.get(user, 0) + user_traffic
-        traffic += user_traffic
+        _add(per_user_traffic, [record.user for _, record in block],
+             record_traffic.tolist())
+        traffic += int(record_traffic.sum())
 
-    report = ReplayReport(
+    return ReplayReport(
         service=profile.service, access=profile.access.value,
         file_count=len(shard), upload_events=len(shard) + mod_events,
         data_update_bytes=data_update, traffic_bytes=traffic,
@@ -341,7 +401,6 @@ def _replay_records(shard: Sequence[Tuple[int, FileRecord]],
         per_user_traffic=per_user_traffic,
         per_user_modification_traffic=per_user_mod_traffic,
         per_user_modification_update=per_user_mod_update)
-    return report
 
 
 def replay_trace(trace: Trace, profile: ServiceProfile,

@@ -1,0 +1,206 @@
+"""Record-at-a-time replay loop — the oracle for ``repro.trace.replay``.
+
+This is ``_replay_records`` as it was before the estimator became a
+columnar kernel over 1024-record blocks: one pass over the shard, Python
+ints throughout, a fresh ``random.Random(key)`` per modified record.  It
+lives here (imported by nothing under ``src/``) so the differential
+battery in ``test_replay_kernel.py`` can hold the kernel to it report for
+report, candidate for candidate.
+
+Its arithmetic is its own: the payload formula and the draw constants are
+copied, not imported, so a change to either in ``src/`` fails the battery
+instead of moving both sides together.  From the estimator it takes only
+what is under comparison or shared by definition — the report type, the
+fixed overhead, the unit digest, the level saving fractions and the §4.1
+creation-batch rule.
+"""
+
+import math
+import random
+from typing import Dict, List, Sequence, Set, Tuple
+
+from repro.client import ServiceProfile
+from repro.client.profiles import BdsMode
+from repro.cloud.dedup import DedupGranularity, DedupScope
+from repro.trace.analysis import creation_batch_flags
+from repro.trace.replay import (
+    _LEVEL_SAVING_FRACTION,
+    ReplayReport,
+    _fixed_overhead,
+    _unit_digest,
+)
+from repro.trace.schema import FileRecord
+
+_MOD_FRACTION_LOG_MU = -3.9   # exp(-3.9) ≈ 0.02
+_MOD_FRACTION_LOG_SIGMA = 1.0
+
+
+def _wire_payload(size: int, compressed: int, saving_fraction: float,
+                  per_byte_factor: float) -> int:
+    """Upload bytes for content with a known reference-compressed size,
+    under a profile's :data:`_LEVEL_SAVING_FRACTION` entry and per-byte
+    protocol overhead (the replay loop resolves both once per profile)."""
+    achievable = max(size - compressed, 0)
+    wire = size - int(achievable * saving_fraction)
+    return wire + int(per_byte_factor * wire)
+
+
+def _mod_fractions(seed: int, profile_name: str, index: int,
+                   count: int) -> List[float]:
+    """Modification fractions for one record: an independent RNG stream.
+
+    Keyed by (seed, profile, global record index) so any shard can
+    reproduce exactly the draws the sequential replay makes for this
+    record — the determinism contract that makes parallel == sequential.
+
+    Each fraction is ``min(1.0, rng.lognormvariate(mu, sigma))``, drawn by
+    the stdlib's own Kinderman–Monahan loop spelled out over ``rng.random``
+    (tests/test_trace_draws.py holds it to the stdlib call).
+    """
+    draw = random.Random(f"replay:{seed}:{profile_name}:{index}").random
+    fractions = []
+    for _ in range(count):
+        while True:
+            u1 = draw()
+            u2 = 1.0 - draw()
+            z = random.NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -math.log(u2):
+                break
+        fraction = math.exp(_MOD_FRACTION_LOG_MU + z * _MOD_FRACTION_LOG_SIGMA)
+        fractions.append(fraction if fraction < 1.0 else 1.0)
+    return fractions
+
+
+def reference_replay_records(shard: Sequence[Tuple[int, FileRecord]],
+                             profile: ServiceProfile, seed: int,
+                             candidates=None) -> ReplayReport:
+    """Replay one shard of (global index, record) pairs.
+
+    The single code path behind both the sequential and the parallel
+    replay: :func:`replay_trace` calls it once with the whole trace (where
+    the local dedup state *is* the global state), shards call it with
+    per-user partitions.  ``candidates`` is the phase-1 collector of the
+    pool's CROSS_USER protocol: when given, every record that ships fresh
+    dedup units is reported through ``candidates.add(index, user,
+    full_wire, total_len, fresh_units)`` — the only thing this loop knows
+    about it.
+    """
+    # ---- constant per profile -----------------------------------------------
+    fixed = _fixed_overhead(profile)
+    saving_fraction = _LEVEL_SAVING_FRACTION[profile.upload_compression.level]
+    per_byte = profile.overhead.per_byte_factor
+    profile_name = profile.name
+    delta_block = profile.delta_block if profile.uses_ids else 0
+    dedup = profile.dedup
+    dedup_enabled = dedup.enabled
+    dedup_full_file = dedup.granularity is DedupGranularity.FULL_FILE
+    dedup_cross_user = dedup.scope is DedupScope.CROSS_USER
+    bds = profile.bds
+    batched_overhead = bds.per_file_bytes if bds.mode is BdsMode.FULL \
+        else max(bds.per_file_bytes, fixed // 8)
+    batch_saving = max(fixed - batched_overhead, 0)
+
+    # Which records BDS would batch.  All of a user's records live in this
+    # shard, so the neighbourhoods equal the sequential ones.
+    batched = creation_batch_flags([record for _, record in shard]) \
+        if bds.mode is not BdsMode.NONE else [False] * len(shard)
+
+    seen_units: Set = set()
+    per_user_traffic: Dict[str, int] = {}
+    per_user_mod_traffic: Dict[str, int] = {}
+    per_user_mod_update: Dict[str, int] = {}
+    mod_events = data_update = traffic = overhead_total = 0
+    saved_compression = saved_dedup = saved_bds = saved_ids = 0
+
+    for (index, record), in_batch in zip(shard, batched):
+        size = record.size
+        compressed = record.compressed_size
+        user = record.user
+        # ---- creation upload ------------------------------------------------
+        # The pre-dedup full-file wire: what dedup scales down for the
+        # creation, and what every non-IDS modification re-ships whole.
+        full_wire = _wire_payload(size, compressed, saving_fraction, per_byte)
+        saved_compression += max(size + int(per_byte * size) - full_wire, 0)
+        wire = full_wire
+
+        if dedup_enabled:
+            shipped = total_len = 0
+            fresh_units: List[Tuple[bytes, int]] = []
+            if dedup_full_file:
+                keys = ((record.full_file_key(), size),)
+            else:
+                keys = record.block_keys(dedup.block_size)
+            for key, length in keys:
+                total_len += length
+                digest = _unit_digest(key)
+                scope_key = digest if dedup_cross_user else (user, digest)
+                if scope_key in seen_units:
+                    continue
+                seen_units.add(scope_key)
+                shipped += length
+                if candidates is not None:
+                    fresh_units.append((digest, length))
+            # A size-0 file — or a record with no content units at all —
+            # has no bytes to negotiate: dedup neither ships nor saves
+            # anything and the wire passes through unchanged.
+            if total_len > 0:
+                wire = full_wire * shipped // total_len
+                saved_dedup += full_wire - wire
+                if fresh_units:     # only ever filled for a collector
+                    candidates.add(index, user, full_wire, total_len,
+                                   fresh_units)
+
+        overhead = fixed
+        if in_batch:
+            saved_bds += batch_saving
+            overhead = batched_overhead
+        user_traffic = wire + overhead
+        overhead_total += overhead
+        data_update += size
+
+        # ---- modifications ---------------------------------------------------
+        count = record.modify_count
+        if count:
+            # size == 0 forces every delta size to 0 below, so the ratio is
+            # never consumed on that branch; no max(size, 1) masking.
+            ratio = compressed / size if size else 0.0
+            altered_total = 0
+            mod_traffic = count * fixed
+            for fraction in _mod_fractions(seed, profile_name, index, count):
+                altered = max(1, int(size * fraction))
+                altered_total += altered
+                if delta_block:
+                    # Delta ships the altered region in whole blocks.
+                    delta_size = min(
+                        (-(-altered // delta_block) + 1) * delta_block, size)
+                    delta_wire = _wire_payload(
+                        delta_size, int(delta_size * ratio),
+                        saving_fraction, per_byte)
+                    if delta_wire < full_wire:
+                        saved_ids += full_wire - delta_wire
+                    mod_traffic += delta_wire
+                else:
+                    mod_traffic += full_wire
+            per_user_mod_traffic[user] = \
+                per_user_mod_traffic.get(user, 0) + mod_traffic
+            per_user_mod_update[user] = \
+                per_user_mod_update.get(user, 0) + altered_total
+            user_traffic += mod_traffic
+            data_update += altered_total
+            overhead_total += count * fixed
+            mod_events += count
+
+        per_user_traffic[user] = per_user_traffic.get(user, 0) + user_traffic
+        traffic += user_traffic
+
+    report = ReplayReport(
+        service=profile.service, access=profile.access.value,
+        file_count=len(shard), upload_events=len(shard) + mod_events,
+        data_update_bytes=data_update, traffic_bytes=traffic,
+        overhead_bytes=overhead_total,
+        saved_by_compression=saved_compression, saved_by_dedup=saved_dedup,
+        saved_by_bds=saved_bds, saved_by_ids=saved_ids,
+        per_user_traffic=per_user_traffic,
+        per_user_modification_traffic=per_user_mod_traffic,
+        per_user_modification_update=per_user_mod_update)
+    return report

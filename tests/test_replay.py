@@ -187,3 +187,26 @@ def test_duplicate_creation_times_batch_with_each_other():
     report = replay_trace(trace, profile)
     assert report.saved_by_bds == 2 * (fixed - profile.bds.per_file_bytes) > 0
     assert report.overhead_bytes == 3 * fixed + 2 * profile.bds.per_file_bytes
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_level_saving_fractions_match_the_compress_module(seed):
+    """The estimator's per-level saving fractions are fitted to
+    ``repro.compress`` on Experiment 4's text corpus: each level's saving
+    relative to HIGH's, ``(1 - r_level) / (1 - r_HIGH)``.  A change to the
+    compression policy must fail here rather than drift every replay."""
+    from repro.compress import (
+        HIGH_COMPRESSION,
+        LOW_COMPRESSION,
+        MODERATE_COMPRESSION,
+        CompressionLevel,
+    )
+    from repro.content import text_content
+    from repro.trace.replay import _LEVEL_SAVING_FRACTION
+    content = text_content(1 * MB, seed=seed)
+    high_saving = 1 - HIGH_COMPRESSION.ratio(content)
+    for policy in (LOW_COMPRESSION, MODERATE_COMPRESSION, HIGH_COMPRESSION):
+        measured = (1 - policy.ratio(content)) / high_saving
+        assert measured == pytest.approx(
+            _LEVEL_SAVING_FRACTION[policy.level], abs=0.01), policy.level
+    assert _LEVEL_SAVING_FRACTION[CompressionLevel.NONE] == 0.0

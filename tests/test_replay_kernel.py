@@ -1,0 +1,274 @@
+"""Differential battery: the columnar replay kernel against the
+record-at-a-time oracle in ``reference_replay.py``.
+
+Equality is on the serialised report — every counter, and the per-user
+dicts' key order — and on the phase-1 dedup candidates the pool's
+CROSS_USER protocol ships and settles, with ``_BLOCK`` patched so block
+edges fall inside a user's run of records.  The kernel's ``int64`` rule
+(prove headroom per block or raise, Python ints across blocks) and its
+O(block) memory are held here too.
+"""
+
+import json
+import tracemalloc
+from dataclasses import asdict, replace
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+import repro.trace.replay as replay_module
+from repro.client import SERVICES, AccessMethod, service_profile
+from repro.cloud.dedup import DedupConfig, DedupGranularity, DedupScope
+from repro.trace import FileRecord, generate_trace, replay_trace
+from repro.trace.pool import _ShardCandidates
+from repro.trace.replay import _DIGEST_SIZE, _replay_records
+from repro.trace.schema import UNIT_SIZE
+from repro.units import GB, MB
+
+from .reference_replay import reference_replay_records
+
+STOCK = [service_profile(service, access)
+         for service in SERVICES for access in AccessMethod]
+DEDUP_VARIANTS = [DedupConfig(granularity, scope)
+                  for granularity in (DedupGranularity.FULL_FILE,
+                                      DedupGranularity.BLOCK)
+                  for scope in DedupScope]
+BLOCKS = [1, 2, 7, 1024]
+
+DROPBOX = service_profile("Dropbox", AccessMethod.PC)         # IDS, dedup, BDS
+UBUNTUONE = service_profile("UbuntuOne", AccessMethod.PC)     # cross-user
+GOOGLEDRIVE = service_profile("GoogleDrive", AccessMethod.PC)  # neither
+
+
+def canonical(report) -> str:
+    """Byte-exact serialisation, per-user dict insertion order included."""
+    return json.dumps(asdict(report))
+
+
+def make_record(user, size, count, created_at=0.0, segments=(),
+                compressed=None):
+    return FileRecord(
+        user=user, service="X", path=f"{user}/{size}-{count}-{created_at}",
+        size=size, compressed_size=size if compressed is None else compressed,
+        created_at=created_at, modified_at=created_at, modify_count=count,
+        segments=np.asarray(segments, dtype=np.int64))
+
+
+def replay_with_candidates(replay, shard, profile, seed):
+    candidates = _ShardCandidates()
+    return replay(shard, profile, seed, candidates), candidates
+
+
+def settle_table(candidates):
+    """A winner table in which every other fresh unit was first seen by an
+    earlier record elsewhere, so ``settle`` has credits to compute."""
+    blob, owner_blob = candidates.summary()
+    owners = np.frombuffer(owner_blob, dtype=np.int64).tolist()
+    return {blob[k * _DIGEST_SIZE:(k + 1) * _DIGEST_SIZE]: owner - k % 2
+            for k, owner in enumerate(owners)}
+
+
+def assert_kernel_equals_oracle(shard, profile, seed):
+    kernel, kernel_units = replay_with_candidates(
+        _replay_records, shard, profile, seed)
+    oracle, oracle_units = replay_with_candidates(
+        reference_replay_records, shard, profile, seed)
+    assert canonical(kernel) == canonical(oracle)
+    assert canonical(_replay_records(shard, profile, seed)) == canonical(oracle)
+    assert kernel_units.summary() == oracle_units.summary()
+    winners = settle_table(oracle_units)
+    assert kernel_units.settle(winners) == oracle_units.settle(winners)
+
+
+# ---------------------------------------------------------------------------
+# random shards
+# ---------------------------------------------------------------------------
+
+profiles = st.one_of(
+    st.sampled_from(STOCK),
+    st.builds(lambda profile, dedup: replace(profile, dedup=dedup),
+              st.sampled_from(STOCK), st.sampled_from(DEDUP_VARIANTS)),
+    st.builds(lambda profile, block: replace(profile, delta_block=block),
+              st.sampled_from(STOCK), st.sampled_from([1, 10240, 131072])))
+
+sizes = st.one_of(
+    st.sampled_from([0, 1, UNIT_SIZE - 1, UNIT_SIZE + 1]),
+    st.builds(lambda blocks, nudge: max(blocks * 4 * MB + nudge, 0),
+              st.integers(0, 512), st.sampled_from([-1, 0, 1])),
+    st.integers(0, 2 * GB))
+
+
+@st.composite
+def shards(draw):
+    """(global index, record) pairs: fresh content, exact duplicates and
+    shared-prefix near duplicates, spread over three users."""
+    index = draw(st.sampled_from([0, 7, 2 ** 31 - 2]))
+    shard, next_segment = [], 1
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["fresh", "exact", "near"])) \
+            if shard else "fresh"
+        if kind == "exact":
+            source = draw(st.sampled_from(shard))[1]
+            size, compressed = source.size, source.compressed_size
+            segments = source.segments
+        else:
+            size = draw(sizes)
+            compressed = size * draw(st.sampled_from([0, 3, 7, 10, 12])) // 10
+            units = -(-size // UNIT_SIZE)
+            kept = []
+            if kind == "near":
+                source = draw(st.sampled_from(shard))[1]
+                kept = source.segments[:draw(st.integers(
+                    0, min(units, len(source.segments))))]
+            fresh = units - len(kept)
+            segments = np.concatenate(
+                [kept, np.arange(next_segment, next_segment + fresh)])
+            next_segment += fresh
+        shard.append((index, make_record(
+            draw(st.sampled_from(["u0", "u1", "u2"])), size,
+            draw(st.integers(0, 40)), float(draw(st.integers(0, 20))),
+            segments, compressed)))
+        index += draw(st.integers(1, 3))
+    return shard
+
+
+NO_MODIFICATION = [
+    (0, make_record("u0", 5 * MB, 0, 0.0, [1, 2])),
+    (1, make_record("u1", 5 * MB, 0, 1.0, [1, 2])),        # exact duplicate
+    (2, make_record("u0", 64, 0, 2.0, [3])),
+]
+EVERY_RECORD_MODIFIED = [
+    (10, make_record("u0", 0, 1, 0.0, [])),
+    (11, make_record("u1", 1, 40, 0.0, [1])),
+    (12, make_record("u0", UNIT_SIZE + 1, 3, 1.0, [2, 3])),
+    (13, make_record("u1", 4 * MB - 1, 7, 2.0, list(range(4, 36)),
+                     compressed=MB)),
+]
+#: Creation order u0, u1; first-modified order u1, u0.
+MODIFIED_OUT_OF_ORDER = [
+    (0, make_record("u0", 3 * MB, 0, 0.0, [1])),
+    (1, make_record("u1", 2 * MB, 2, 1.0, [2])),
+    (2, make_record("u0", 1 * MB, 1, 2.0, [3])),
+    (3, make_record("u1", 1 * MB, 1, 3.0, [4])),
+]
+
+
+@pytest.mark.parametrize("block", BLOCKS)
+@given(shard=shards(), profile=profiles,
+       seed=st.integers(-2 ** 31, 2 ** 40))
+@example(shard=[], profile=DROPBOX, seed=0)
+@example(shard=NO_MODIFICATION, profile=UBUNTUONE, seed=1)
+@example(shard=EVERY_RECORD_MODIFIED, profile=DROPBOX, seed=2)
+@example(shard=MODIFIED_OUT_OF_ORDER, profile=GOOGLEDRIVE, seed=3)
+@example(shard=MODIFIED_OUT_OF_ORDER, profile=DROPBOX, seed=3)
+@settings(max_examples=75, deadline=None)
+def test_kernel_equals_scalar_oracle(block, shard, profile, seed):
+    with mock.patch.object(replay_module, "_BLOCK", block):
+        assert_kernel_equals_oracle(shard, profile, seed)
+
+
+def test_out_of_order_example_orders_the_dicts_differently():
+    """The example above earns its place only if the two orders differ."""
+    report = _replay_records(MODIFIED_OUT_OF_ORDER, DROPBOX, 3)
+    assert list(report.per_user_traffic) == ["u0", "u1"]
+    assert list(report.per_user_modification_traffic) == ["u1", "u0"]
+    assert list(report.per_user_modification_update) == ["u1", "u0"]
+
+
+@pytest.fixture(scope="module")
+def generated_shard():
+    return list(enumerate(generate_trace(scale=0.01, seed=5)))
+
+
+@pytest.mark.parametrize("profile", STOCK, ids=lambda profile: profile.name)
+def test_every_stock_profile_on_a_generated_trace(profile, generated_shard):
+    with mock.patch.object(replay_module, "_BLOCK", 7):
+        assert_kernel_equals_oracle(generated_shard, profile, 5)
+
+
+# ---------------------------------------------------------------------------
+# int64: headroom per block, Python ints across blocks
+# ---------------------------------------------------------------------------
+
+def test_block_without_int64_headroom_raises_naming_the_record():
+    """Bisect for the largest size one modified record's block admits: the
+    kernel is exact right up to that edge and refuses one byte past it,
+    naming the record's global index — never a silent wrap."""
+    index = 7_000_000_001
+
+    def shard(size):
+        return [(index, make_record("u0", size, 3, 0.0, [1]))]
+
+    accepted, refused = 1, 1 << 63
+    while refused - accepted > 1:
+        middle = (accepted + refused) // 2
+        try:
+            _replay_records(shard(middle), DROPBOX, 0)
+            accepted = middle
+        except OverflowError:
+            refused = middle
+    assert accepted > 1 << 58
+    report = _replay_records(shard(accepted), DROPBOX, 0)
+    assert report.traffic_bytes > 1 << 59
+    assert canonical(report) \
+        == canonical(reference_replay_records(shard(accepted), DROPBOX, 0))
+    with pytest.raises(OverflowError, match=f"^record {index}:"):
+        _replay_records(shard(refused), DROPBOX, 0)
+
+
+def test_overflow_names_the_record_that_needs_the_headroom():
+    shard = [(5, make_record("u0", MB, 2)),
+             (9, make_record("u1", 1 << 61, 0)),
+             (12, make_record("u0", MB, 40))]
+    with pytest.raises(OverflowError, match="^record 9:"):
+        _replay_records(shard, GOOGLEDRIVE, 0)
+
+
+def test_totals_that_span_blocks_are_python_ints():
+    """Every one-record block fits ``int64``; the trace-wide counters and
+    the per-user totals do not, and must not wrap."""
+    shard = [(k, make_record("u0", 1 << 60, 0, float(k), [k + 1]))
+             for k in range(16)]
+    with pytest.raises(OverflowError):      # one 16-record block: refused
+        _replay_records(shard, GOOGLEDRIVE, 0)
+    with mock.patch.object(replay_module, "_BLOCK", 1):
+        report = _replay_records(shard, GOOGLEDRIVE, 0)
+    assert report.data_update_bytes == 16 << 60 > 1 << 63
+    assert report.per_user_traffic["u0"] == report.traffic_bytes > 1 << 63
+    assert canonical(report) \
+        == canonical(reference_replay_records(shard, GOOGLEDRIVE, 0))
+
+
+# ---------------------------------------------------------------------------
+# memory: O(block) + O(users) + the dedup set, whatever the trace length
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def memory_trace():
+    return generate_trace(scale=0.05, seed=42)
+
+
+def _traced_peak(run) -> int:
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        run()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak - base
+
+
+@pytest.mark.parametrize("profile", [DROPBOX, UBUNTUONE, GOOGLEDRIVE],
+                         ids=lambda profile: profile.name)
+def test_kernel_memory_stays_within_the_oracles(profile, memory_trace):
+    """Both sides replay the trace from its (index, record) list; the
+    kernel may add one block's columns to what the loop held, not a
+    column per record (an unblocked kernel adds 2.8–4.5 MB here)."""
+    kernel = _traced_peak(lambda: replay_trace(memory_trace, profile, 0))
+    oracle = _traced_peak(lambda: reference_replay_records(
+        list(enumerate(memory_trace)), profile, 0))
+    assert kernel <= 1.3 * oracle
+    assert kernel - oracle <= 1024 * replay_module._BLOCK
