@@ -403,8 +403,7 @@ def cmd_lint(args) -> int:
     import json as _json
     import os.path
 
-    from .lint import (ALL_RULES, KNOWN_IDS, PROJECT_RULES, lint_paths,
-                       lint_project)
+    from .lint import ALL_RULES, lint_paths
 
     baseline = args.baseline
     if baseline is None:
@@ -414,12 +413,7 @@ def cmd_lint(args) -> int:
         print(f"error: baseline file {baseline!r} does not exist",
               file=sys.stderr)
         return 2
-    if args.graph:
-        result = lint_project(args.paths, ALL_RULES, PROJECT_RULES,
-                              baseline_path=baseline, known_ids=KNOWN_IDS)
-    else:
-        result = lint_paths(args.paths, ALL_RULES, baseline_path=baseline,
-                            known_ids=KNOWN_IDS)
+    result = lint_paths(args.paths, ALL_RULES, baseline_path=baseline)
 
     stale_fails = bool(result.stale) and args.fail_stale
     if args.format == "json":
@@ -432,9 +426,6 @@ def cmd_lint(args) -> int:
                  "comment": entry.comment}
                 for entry in result.stale],
         }
-        if args.graph:
-            payload["graph"] = {"modules": result.module_count,
-                                "call_edges": result.call_edges}
         print(_json.dumps(payload, indent=2))
         return 1 if (result.findings or stale_fails) else 0
 
@@ -445,9 +436,6 @@ def cmd_lint(args) -> int:
               f"entry {entry.rule} for {entry.path} — the finding no longer "
               f"fires; remove the suppression")
     status = "FAILED" if (result.findings or stale_fails) else "ok"
-    if args.graph:
-        print(f"project graph: {result.module_count} module(s), "
-              f"{result.call_edges} call edge(s)")
     print(f"reprolint: {result.file_count} file(s), "
           f"{len(result.findings)} finding(s), "
           f"{result.baseline_applied} baselined, "
@@ -637,10 +625,7 @@ COMMANDS = (
             {"paths": dict(nargs="*", default=["src"]),
              "--format": dict(choices=("text", "json"), default="text"),
              "--baseline": dict(default=None),
-             "--fail-stale": dict(action="store_true", dest="fail_stale"),
-             "--graph": dict(action="store_true",
-                             help="run the whole-program REP03x/04x/05x "
-                                  "families over the project call graph")}),
+             "--fail-stale": dict(action="store_true", dest="fail_stale")}),
 )
 
 

@@ -14,8 +14,11 @@ Architecture:
   dotted module name (derived from the path, overridable with a
   ``# reprolint: module=...`` pragma so fixtures can impersonate any
   module), set-binding scope tracking, and pragma suppression state;
-* :class:`Rule` — base class; each rule walks the context and yields
+* :class:`Rule` — base class; each rule walks one context (``check``) or
+  every context of the run at once (``check_tree``) and yields
   :class:`Finding` objects with ``file:line``, rule id, and a fix hint;
+* one pass — every file is parsed once, its per-file rules run, and the
+  same contexts then feed the tree-wide checks;
 * pragmas — ``# reprolint: disable=REP001`` on the offending line or
   ``# reprolint: disable-file[=REP001]`` anywhere; a pragma naming an
   unknown rule id is itself a lint error (``REP000``), never silently
@@ -37,8 +40,7 @@ import json
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path, PurePath
-from typing import (Dict, Iterable, Iterator, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 #: Reserved id for engine-level problems; never suppressible.
 META_RULE = "REP000"
@@ -76,7 +78,9 @@ class Rule:
     """Base class for reprolint rules.
 
     Subclasses set ``id``/``summary``/``hint`` and implement
-    :meth:`check`, yielding findings for one :class:`FileContext`.
+    :meth:`check` (findings within one :class:`FileContext`) or
+    :meth:`check_tree` (findings that need every file of the run, such as
+    "is this function called anywhere").
     """
 
     id: str = META_RULE
@@ -84,7 +88,11 @@ class Rule:
     hint: str = ""
 
     def check(self, ctx: "FileContext") -> Iterator[Finding]:
-        raise NotImplementedError
+        return iter(())
+
+    def check_tree(self, contexts: Sequence["FileContext"],
+                   ) -> Iterator[Finding]:
+        return iter(())
 
     def at(self, ctx: "FileContext", node: ast.AST,
            message: Optional[str] = None,
@@ -144,6 +152,8 @@ class _Pragmas:
 
 def _parse_pragmas(source: str, known_ids: Set[str]) -> _Pragmas:
     pragmas = _Pragmas()
+    if _PRAGMA_PREFIX not in source:
+        return pragmas  # most files carry none; skip the tokenizer
     try:
         tokens = list(tokenize.generate_tokens(io.StringIO(source).readline))
     except (tokenize.TokenError, IndentationError):
@@ -196,8 +206,10 @@ class FileContext:
         self.pragmas = _parse_pragmas(source, known_ids)
         self.module = self.pragmas.module or module or derive_module(path)
         self.tree = ast.parse(source, filename=path)
+        # Every rule walks the whole file; walk it once, in ast.walk order.
+        self._nodes: List[ast.AST] = list(ast.walk(self.tree))
         self._parents: Dict[int, ast.AST] = {}
-        for node in ast.walk(self.tree):
+        for node in self._nodes:
             for child in ast.iter_child_nodes(node):
                 self._parents[id(child)] = node
         self._set_names: Optional[Dict[int, Set[str]]] = None
@@ -218,7 +230,7 @@ class FileContext:
         if not self.pragmas.line_disables:
             return
         spans: List[Tuple[int, int]] = []
-        for node in ast.walk(self.tree):
+        for node in self._nodes:
             if not isinstance(node, ast.stmt):
                 continue
             end = getattr(node, "end_lineno", None) or node.lineno
@@ -245,7 +257,7 @@ class FileContext:
     # -- navigation --------------------------------------------------------
 
     def walk(self) -> Iterator[ast.AST]:
-        return ast.walk(self.tree)
+        return iter(self._nodes)
 
     def parent(self, node: ast.AST) -> Optional[ast.AST]:
         return self._parents.get(id(node))
@@ -383,9 +395,6 @@ class LintResult:
     stale: List[BaselineEntry]
     file_count: int
     baseline_applied: int = 0
-    # Whole-program stats (populated by lint_project; zero for file-only runs).
-    module_count: int = 0
-    call_edges: int = 0
 
     @property
     def ok(self) -> bool:
@@ -403,76 +412,82 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
             yield path
 
 
-def lint_source(source: str, path: str, rules: Sequence[Rule],
-                module: Optional[str] = None,
-                known_ids: Optional[Set[str]] = None) -> List[Finding]:
-    """Lint one source string (the API tests and editors use).
+def _lint_entries(entries: Sequence[Tuple[str, str]], rules: Sequence[Rule],
+                  module: Optional[str] = None) -> List[Finding]:
+    """Parse each ``(path, source)`` once, run every rule's per-file check
+    on it, then every rule's tree check over all of them; pragmas apply
+    to both kinds of finding alike."""
+    known_ids = {rule.id for rule in rules}
+    findings: Dict[Tuple[str, str, int, int], Finding] = {}
 
-    ``known_ids`` is the set of rule ids pragmas may legally name; it
-    defaults to the ids of ``rules`` but callers running only the
-    per-file families pass the full registry (file + project ids) so a
-    ``disable=REP0xx`` pragma for a project rule is not itself an error.
-    """
-    if known_ids is None:
-        known_ids = {rule.id for rule in rules}
-    try:
-        ctx = FileContext(path, source, known_ids, module=module)
-    except SyntaxError as exc:
-        return [Finding(META_RULE, PurePath(path).as_posix(),
-                        exc.lineno or 1, exc.offset or 0,
-                        f"syntax error: {exc.msg}", "")]
-    findings: Dict[Tuple[str, int, int], Finding] = {}
-    for line, message in ctx.pragmas.errors:
-        finding = Finding(META_RULE, ctx.path, line, 0, message,
-                          "see DESIGN.md 'Static invariants and reprolint'")
-        findings[(finding.rule, finding.line, finding.col)] = finding
+    def keep(finding: Finding) -> None:
+        findings.setdefault(
+            (finding.path, finding.rule, finding.line, finding.col), finding)
+
+    contexts: Dict[str, FileContext] = {}
+    for path, source in entries:
+        try:
+            ctx = FileContext(path, source, known_ids, module=module)
+        except SyntaxError as exc:
+            keep(Finding(META_RULE, PurePath(path).as_posix(),
+                         exc.lineno or 1, exc.offset or 0,
+                         f"syntax error: {exc.msg}", ""))
+            continue
+        contexts[ctx.path] = ctx
+        for line, message in ctx.pragmas.errors:
+            keep(Finding(META_RULE, ctx.path, line, 0, message,
+                         "see DESIGN.md 'Static invariants and reprolint'"))
+        for rule in rules:
+            for finding in rule.check(ctx):
+                if not ctx.pragmas.suppresses(finding):
+                    keep(finding)
+    parsed = list(contexts.values())
     for rule in rules:
-        for finding in rule.check(ctx):
-            if not ctx.pragmas.suppresses(finding):
-                findings.setdefault(
-                    (finding.rule, finding.line, finding.col), finding)
+        for finding in rule.check_tree(parsed):
+            if not contexts[finding.path].pragmas.suppresses(finding):
+                keep(finding)
     return sorted(findings.values(), key=lambda f: f.sort_key)
 
 
-def apply_baseline(findings: List[Finding], baseline_path: Optional[str],
-                   known_ids: Set[str], file_count: int) -> LintResult:
-    """Fold raw findings and the committed baseline into a LintResult."""
-    entries: List[BaselineEntry] = []
-    if baseline_path is not None:
-        entries, baseline_errors = load_baseline(baseline_path, known_ids)
-        findings = findings + baseline_errors
-    kept: List[Finding] = []
-    matched: Set[BaselineEntry] = set()
-    suppressed = 0
-    for finding in findings:
-        entry = next((e for e in entries if e.matches(finding)), None)
-        if entry is not None and finding.rule != META_RULE:
-            matched.add(entry)
-            suppressed += 1
-        else:
-            kept.append(finding)
-    stale = [entry for entry in entries if entry not in matched]
-    kept.sort(key=lambda f: f.sort_key)
-    return LintResult(findings=kept, stale=stale, file_count=file_count,
-                      baseline_applied=suppressed)
+def lint_source(source: str, path: str, rules: Sequence[Rule],
+                module: Optional[str] = None) -> List[Finding]:
+    """Lint one source string as a one-file tree: its tree-wide rules see
+    only this file."""
+    return _lint_entries([(path, source)], rules, module)
 
 
 def lint_paths(paths: Sequence[str], rules: Sequence[Rule],
-               baseline_path: Optional[str] = None,
-               known_ids: Optional[Set[str]] = None) -> LintResult:
-    """Lint files/trees, then apply the committed baseline."""
-    if known_ids is None:
-        known_ids = {rule.id for rule in rules}
+               baseline_path: Optional[str] = None) -> LintResult:
+    """Lint files/trees in one pass, then apply the committed baseline."""
+    entries: List[Tuple[str, str]] = []
     findings: List[Finding] = []
     file_count = 0
     for file_path in iter_python_files(paths):
         file_count += 1
         try:
-            source = file_path.read_text(encoding="utf-8")
+            entries.append((file_path.as_posix(),
+                            file_path.read_text(encoding="utf-8")))
         except OSError as exc:
             findings.append(Finding(META_RULE, file_path.as_posix(), 1, 0,
                                     f"cannot read file: {exc}", ""))
-            continue
-        findings.extend(lint_source(source, str(file_path), rules,
-                                    known_ids=known_ids))
-    return apply_baseline(findings, baseline_path, known_ids, file_count)
+    findings.extend(_lint_entries(entries, rules))
+
+    baseline: List[BaselineEntry] = []
+    if baseline_path is not None:
+        baseline, baseline_errors = load_baseline(
+            baseline_path, {rule.id for rule in rules})
+        findings.extend(baseline_errors)
+    kept: List[Finding] = []
+    matched: Set[BaselineEntry] = set()
+    for finding in findings:
+        entry = next((e for e in baseline if e.matches(finding)), None)
+        if entry is not None and finding.rule != META_RULE:
+            matched.add(entry)
+        else:
+            kept.append(finding)
+    kept.sort(key=lambda f: f.sort_key)
+    return LintResult(findings=kept,
+                      stale=[entry for entry in baseline
+                             if entry not in matched],
+                      file_count=file_count,
+                      baseline_applied=len(findings) - len(kept))

@@ -14,7 +14,7 @@ import ast
 import re
 from typing import Iterator, List, Optional
 
-from ..engine import FileContext, Finding, Rule, dotted_name
+from ..engine import FileContext, Finding, Rule
 
 #: Identifier shapes treated as byte counters.
 _BYTEISH_EXACT = frozenset({"payload", "overhead", "wasted", "traffic",

@@ -1,4 +1,4 @@
-"""Observability rules (REP020–REP022).
+"""Observability rules (REP020, REP021).
 
 The conservation audit (PR 3) can only balance the books if every wire
 event produced a span and no failure signal was silently swallowed on the
@@ -11,7 +11,7 @@ import ast
 from typing import Iterator, List, Optional
 
 from ..engine import FileContext, Finding, Rule, dotted_name
-from .conservation import METER_MUTATION_MODULES, meter_mutation_call
+from .conservation import meter_mutation_call
 
 #: Exceptions that carry audit/failure evidence; a handler that catches
 #: one and does nothing destroys the evidence the auditor needs.
@@ -21,20 +21,6 @@ _CRITICAL_EXCEPTIONS = frozenset({
 })
 
 _BROAD_EXCEPTIONS = frozenset({"Exception", "BaseException"})
-
-#: Constant names exported by repro.obs.recorder for span kinds.
-_SPAN_KIND_CONSTANTS = frozenset({
-    "CONNECT", "EXCHANGE", "RETRY_ATTEMPT", "DEFER_WINDOW", "DEDUP_HIT",
-    "FAULT_EPISODE", "SYNC_TRANSACTION", "METER_RESET",
-    "CONFLICT_RESOLVED", "FANOUT_NOTIFICATION", "BUNDLE_COMMIT",
-})
-
-
-def _known_span_kinds() -> frozenset:
-    """The single source of truth: repro.obs.recorder.SPAN_KINDS."""
-    from ...obs.recorder import SPAN_KINDS
-    return frozenset(SPAN_KINDS)
-
 
 class UnpairedEmitRule(Rule):
     """REP020: a meter-mutating function must also emit a span."""
@@ -115,38 +101,3 @@ class SwallowedFailureRule(Rule):
             if name:
                 names.append(name.split(".")[-1])
         return names
-
-
-class UnknownSpanKindRule(Rule):
-    """REP022: span kinds must be literals the auditor understands."""
-
-    id = "REP022"
-    summary = "record_span() with an unknown span kind"
-    hint = "use a kind from repro.obs.recorder.SPAN_KINDS"
-
-    def check(self, ctx: FileContext) -> Iterator[Finding]:
-        if not ctx.in_package("repro"):
-            return
-        known = _known_span_kinds()
-        for node in ctx.walk():
-            if not (isinstance(node, ast.Call)
-                    and isinstance(node.func, ast.Attribute)
-                    and node.func.attr == "record_span"):
-                continue
-            kind_expr = node.args[0] if node.args else next(
-                (kw.value for kw in node.keywords if kw.arg == "kind"), None)
-            if kind_expr is None:
-                continue
-            if isinstance(kind_expr, ast.Constant) \
-                    and isinstance(kind_expr.value, str):
-                if kind_expr.value not in known:
-                    yield self.at(ctx, kind_expr,
-                                  f"span kind {kind_expr.value!r} is not in "
-                                  f"SPAN_KINDS; the audit would reject it "
-                                  f"at runtime")
-            elif isinstance(kind_expr, ast.Name) \
-                    and kind_expr.id.isupper() \
-                    and kind_expr.id not in _SPAN_KIND_CONSTANTS:
-                yield self.at(ctx, kind_expr,
-                              f"span kind constant {kind_expr.id!r} is not "
-                              f"an exported SPAN_KINDS name")

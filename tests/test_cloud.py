@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 from repro.chunking import fingerprint
+from repro.client import AccessMethod, SyncSession
 from repro.cloud import (
     AccountRegistry,
     AlreadyExists,
@@ -23,6 +24,7 @@ from repro.cloud import (
 )
 from repro.content import random_content
 from repro.delta import compute_delta, compute_signature
+from repro.obs import recording
 from repro.units import KB, MB
 
 
@@ -255,6 +257,19 @@ def test_negotiate_respects_dedup_config():
     plain = CloudServer()
     plain.upload_chunk("u", digest, content.data)
     assert plain.negotiate("u", [digest]) == [digest]
+
+
+def test_upload_race_past_negotiation_emits_a_dedup_hit_span():
+    with recording():
+        session = SyncSession("Dropbox", AccessMethod.PC)
+    server = session.server
+    content = random_content(1000, seed=5)
+    digest = fingerprint(content.data)
+    key = server.upload_chunk("user1", digest, content.data)
+    assert server.upload_chunk("user1", digest, content.data) == key
+    assert [(span.kind, span.name) for span in session.recorder.spans] \
+        == [("dedup-hit", "upload-race")]
+    assert server.stats.dedup_bytes_saved == content.size
 
 
 def test_commit_missing_chunk_rejected():

@@ -86,21 +86,3 @@ def test_lint_fixture_files_only_when_named_explicitly(capsys):
 def test_lint_listed_in_cli_index(capsys):
     assert main(["list"]) == 0
     assert "lint" in capsys.readouterr().out
-
-
-# -- whole-program mode (issue 9) -------------------------------------------
-
-def test_lint_graph_text_mode_prints_graph_stats(violating_tree, capsys):
-    assert main(["lint", str(violating_tree / "src"), "--graph"]) == 1
-    out = capsys.readouterr().out
-    assert "project graph:" in out and "call edge(s)" in out
-    assert "REP001" in out
-
-
-def test_lint_graph_json_payload_includes_graph_block(violating_tree,
-                                                      capsys):
-    assert main(["lint", str(violating_tree / "src"), "--graph",
-                 "--format", "json"]) == 1
-    payload = json.loads(capsys.readouterr().out)
-    assert payload["graph"]["modules"] >= 1
-    assert sorted(payload["graph"]) == ["call_edges", "modules"]

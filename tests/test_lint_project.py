@@ -1,13 +1,13 @@
-"""lint_project driver tests: the engine edge cases from issue 9
-(deleted-file baselines, impersonated modules with unknown pragma ids,
-empty/broken files in the project)."""
+"""Whole-tree ``lint_paths`` edge cases: empty and broken files inside the
+tree, impersonated modules with unknown pragma ids, baselines naming a
+deleted file, and pragmas on findings the tree pass reports."""
 
 import json
+import re
 import textwrap
 
 from repro.cli import main
-from repro.lint import (ALL_RULES, KNOWN_IDS, META_RULE, PROJECT_RULES,
-                        ProjectContext, lint_paths, lint_project)
+from repro.lint import ALL_RULES, META_RULE, lint_paths
 
 
 def _write_tree(root, tree):
@@ -18,29 +18,25 @@ def _write_tree(root, tree):
 
 
 def _run(tree_root):
-    return lint_project([str(tree_root / "src")], ALL_RULES, PROJECT_RULES,
-                        known_ids=KNOWN_IDS)
+    return lint_paths([str(tree_root / "src")], ALL_RULES)
 
 
-# -- edge cases through ProjectContext --------------------------------------
+# -- edge cases through the one pass -----------------------------------------
 
 def test_empty_and_syntax_error_files_flow_through_the_project(tmp_path):
     _write_tree(tmp_path, {
         "src/repro/empty.py": "",
         "src/repro/broken.py": "def half(:\n",
-        "src/repro/fine.py": "def ok():\n    return 1\n",
+        "src/repro/orphan.py": "def verify_nothing():\n    return 1\n",
     })
     result = _run(tmp_path)
     # The broken file surfaces as a REP000 finding; the empty file is a
-    # module like any other; the project pass still runs.
-    assert [f.rule for f in result.findings] == [META_RULE]
+    # module like any other; the rest of the tree is still linted, the
+    # tree-wide checks included.
+    assert [(f.rule, f.path.rsplit("/", 1)[-1]) for f in result.findings] \
+        == [(META_RULE, "broken.py"), ("REP050", "orphan.py")]
     assert "syntax error" in result.findings[0].message
-    assert result.module_count == 2  # empty + fine; broken is excluded
-    project = ProjectContext(
-        [("src/repro/empty.py", ""), ("src/repro/broken.py", "def half(:")],
-        KNOWN_IDS)
-    assert "repro.empty" in project.modules
-    assert project.broken and project.broken[0][0] == "src/repro/broken.py"
+    assert result.file_count == 3
 
 
 def test_unknown_rule_pragma_in_impersonated_module(tmp_path):
@@ -70,7 +66,7 @@ def test_fail_stale_when_the_baselined_file_was_deleted(tmp_path, capsys):
          "comment": "file was removed in a refactor"},
     ]}), encoding="utf-8")
     result = lint_paths([str(tmp_path / "src")], ALL_RULES,
-                        baseline_path=str(baseline), known_ids=KNOWN_IDS)
+                        baseline_path=str(baseline))
     assert [entry.path for entry in result.stale] \
         == ["src/repro/deleted.py"]
     assert main(["lint", str(tmp_path / "src"),
@@ -78,7 +74,7 @@ def test_fail_stale_when_the_baselined_file_was_deleted(tmp_path, capsys):
     assert "stale baseline" in capsys.readouterr().out
 
 
-# -- pragma suppression of project findings ---------------------------------
+# -- pragma suppression ---------------------------------------------------------
 
 def test_line_pragma_suppresses_a_project_finding(tmp_path):
     _write_tree(tmp_path, {
@@ -88,13 +84,15 @@ def test_line_pragma_suppresses_a_project_finding(tmp_path):
             def spawn():
                 pid = os.fork()  # reprolint: disable=REP030 test-only fork
                 return pid
+
+            def verify_spawn():  # reprolint: disable=REP050 test-only
+                return spawn()
             """,
     })
     assert _run(tmp_path).findings == []
-    # Without the pragma the same shape is a REP030.
-    source = (tmp_path / "src" / "repro" / "forky.py").read_text(
-        encoding="utf-8")
-    (tmp_path / "src" / "repro" / "forky.py").write_text(
-        source.replace("  # reprolint: disable=REP030 test-only fork", ""),
-        encoding="utf-8")
-    assert [f.rule for f in _run(tmp_path).findings] == ["REP030"]
+    # Without the pragmas the same shapes are a REP030 and a REP050.
+    forky = tmp_path / "src" / "repro" / "forky.py"
+    source = forky.read_text(encoding="utf-8")
+    forky.write_text(re.sub(r"  # reprolint:.*", "", source),
+                     encoding="utf-8")
+    assert [f.rule for f in _run(tmp_path).findings] == ["REP030", "REP050"]

@@ -11,18 +11,19 @@ from pathlib import Path
 
 import pytest
 
-from repro.lint import ALL_RULES, PROJECT_RULES, RULES_BY_ID, lint_source
+from repro.lint import ALL_RULES, RULES_BY_ID, lint_source
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 _EXPECT_RE = re.compile(r"#\s*expect:\s*(REP\d+)")
 
-# Per-file rules only: project rules need a multi-module ProjectContext and
-# get their good/bad pairs inline in test_lint_rules_project.py instead.
+# Every rule, per-file and tree-wide alike: lint_source lints a fixture as
+# a one-file tree, so REP050/REP053 see it the way they see ``src/``.
 RULE_IDS = sorted(rule.id for rule in ALL_RULES)
 
 
 def test_registry_covers_file_and_project_rules():
-    assert set(RULES_BY_ID) == set(RULE_IDS) | {r.id for r in PROJECT_RULES}
+    assert len(RULES_BY_ID) == len(ALL_RULES)  # ids are unique
+    assert set(RULES_BY_ID) == set(RULE_IDS)
 
 
 def _expected_markers(source):

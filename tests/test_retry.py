@@ -9,6 +9,7 @@ from repro.client import (
     RetryState,
     SyncSession,
 )
+from repro.obs import recording
 from repro.simnet import FaultEpisode, FaultKind, FaultSchedule
 from repro.units import KB, MB
 
@@ -128,6 +129,21 @@ def test_exhausted_retries_surface_as_failed_sync():
     stats = session.client.stats
     assert stats.retry_giveups >= 1
     assert stats.failed_syncs == 1
+
+
+def test_exhausted_retries_emit_a_give_up_span():
+    schedule = FaultSchedule([
+        FaultEpisode(start=0.0, duration=30.0, kind=FaultKind.BLACKOUT)])
+    with recording():
+        session = SyncSession("Dropbox", AccessMethod.PC,
+                              retry=RetryPolicy(max_attempts=1, seed=1),
+                              faults=schedule)
+        session.create_random_file("f.bin", 64 * KB, seed=2)
+        session.run_until_idle()
+    give_ups = [span for span in session.recorder.spans
+                if span.name == "give-up"]
+    assert len(give_ups) == session.client.stats.retry_giveups >= 1
+    assert {span.kind for span in give_ups} == {"retry-attempt"}
 
 
 def test_retry_recovers_from_server_brownout():
