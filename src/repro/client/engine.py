@@ -28,7 +28,6 @@ from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence,
 from ..chunking import Chunk, chunk_data
 from ..cloud import CloudServer, NotFound, QuotaExceeded, TransientError
 from ..content import Content
-from ..delta import FileSignature, compute_signature
 from ..fsim import FileEvent, FileOp, SyncFolder
 from ..simnet import (
     Channel,
@@ -42,8 +41,8 @@ from .defer import DeferPolicy, DeferState
 from .hardware import M1, MachineProfile
 from .profiles import BdsMode, ServiceProfile
 from .retry import RetriesExhausted, RetryPolicy, RetryState
-from .strategies.base import (Exchange, SyncStrategy, TransferTally,
-                              payload_exchange)
+from .strategies.base import (Exchange, FileRecord, SyncStrategy,
+                              TransferTally, payload_exchange)
 from .strategies.delta import FIXED_DELTA
 from .strategies.fullfile import FULL_FILE
 
@@ -171,16 +170,15 @@ class SyncClient:
         #: Cumulative per-strategy cost vectors, recorder-independent so
         #: untraced runs report identical numbers: name -> TransferTally.
         self.strategy_ledger: Dict[str, TransferTally] = {}
-        #: path -> strategy name -> plan slot of the transfer in flight
-        #: (see ``SyncStrategy._plan``).
-        self._strategy_plans: Dict[str, Dict[str, tuple]] = {}
+        #: path -> record of its synced version, the basis every strategy
+        #: reads; and the record of the version in flight, if any.  At 30
+        #: attributes a client's instance dict stops sharing its keys and
+        #: grows ~1.3 KB (27 now; see DESIGN.md).
+        self._records: Dict[str, FileRecord] = {}
+        self._in_flight: Optional[FileRecord] = None
 
         self._pending: Dict[str, PendingChange] = {}
         self._defer_states: Dict[str, DeferState] = {}
-        self._shadow: Dict[str, Content] = {}
-        #: path → (shadow Content identity, its signature); recomputing the
-        #: basis signature every sync dominates frequent-modification runs.
-        self._signature_cache: Dict[str, tuple] = {}
         self._ready_at: Dict[str, float] = {}
         self._compute_busy_until = 0.0
         self._uploading = False
@@ -209,7 +207,7 @@ class SyncClient:
             change.deleted = True
         elif event.op is FileOp.RENAME:
             change.deleted = False
-            if event.old_path in self._shadow:
+            if event.old_path in self._records:
                 change.renamed_from = event.old_path
             elif event.old_path in self._pending:
                 # Renamed before its creation (or an earlier rename) ever
@@ -223,7 +221,7 @@ class SyncClient:
                 change.renamed_from = original.renamed_from
         else:
             change.deleted = False
-            if event.op is FileOp.CREATE and event.path not in self._shadow:
+            if event.op is FileOp.CREATE and event.path not in self._records:
                 change.created = True
 
         state = self._defer_states.get(event.path)
@@ -310,7 +308,7 @@ class SyncClient:
     # A fleet follower applies changes that *other* writers committed.  The
     # folder mutation itself goes through SyncFolder.apply_remote() and
     # friends (no event, no echo upload); these methods keep the engine's
-    # synced basis — shadow and signature cache — consistent with it.
+    # synced basis — the path's record — consistent with it.
 
     def has_pending(self, path: str) -> bool:
         """True when the path has local changes not yet synced up."""
@@ -329,21 +327,16 @@ class SyncClient:
 
     def absorb_remote(self, path: str, content: Content) -> None:
         """Adopt remotely-delivered content as the path's synced basis."""
-        self._shadow[path] = content
-        self._signature_cache.pop(path, None)
+        self._records[path] = FileRecord(content)
 
     def drop_remote(self, path: str) -> None:
         """Forget a path the cloud deleted from under us."""
-        self._shadow.pop(path, None)
-        self._signature_cache.pop(path, None)
+        self._records.pop(path, None)
 
     def move_remote(self, old_path: str, new_path: str) -> None:
         """Apply a remote rename to the synced basis (content unchanged)."""
-        if old_path in self._shadow:
-            self._shadow[new_path] = self._shadow.pop(old_path)
-        cached = self._signature_cache.pop(old_path, None)
-        if cached is not None:
-            self._signature_cache[new_path] = cached
+        if old_path in self._records:
+            self._records[new_path] = self._records.pop(old_path)
 
     # -- sync transactions ------------------------------------------------------
 
@@ -506,7 +499,7 @@ class SyncClient:
         source means the move would tombstone the new file, so the change
         must upload as content instead."""
         return (change.renamed_from is not None
-                and change.renamed_from in self._shadow
+                and change.renamed_from in self._records
                 and not self.folder.exists(change.renamed_from))
 
     def _sync_one(self, change: PendingChange, lightweight: bool = False,
@@ -523,8 +516,7 @@ class SyncClient:
         except KeyError:
             return 0.0  # deleted while queued but not flagged; nothing to do
 
-        profile = self.profile
-        overhead = profile.overhead
+        overhead = self.profile.overhead
 
         if self._is_pure_rename(change):
             # Metadata-only move: no content crosses the wire (§4.2's
@@ -533,12 +525,9 @@ class SyncClient:
                 "rename", up_meta=_DELETE_META_UP,
                 down_meta=_DELETE_META_DOWN))
             self.server.rename_file(self.user, change.renamed_from, path)
-            self._shadow[path] = self._shadow.pop(change.renamed_from)
-            cached = self._signature_cache.pop(change.renamed_from, None)
-            if cached is not None:
-                self._signature_cache[path] = cached
+            self._records[path] = self._records.pop(change.renamed_from)
             self.stats.renames_synced += 1
-            if self._shadow[path].md5 == content.md5:
+            if self._records[path].content.md5 == content.md5:
                 self.stats.files_synced += 1
                 if overhead.notify_down:
                     duration += self.channel.notify(overhead.notify_down)
@@ -550,27 +539,23 @@ class SyncClient:
 
         duration = rename_duration
 
-        spent, chosen = self._strategy_transfer(
+        spent, record = self._strategy_transfer(
             change, content, lightweight=lightweight, in_batch=in_batch)
         duration += spent
 
         if overhead.notify_down:
             duration += self.channel.notify(overhead.notify_down)
-        self._shadow[path] = content
-        block = chosen.basis_block_size(profile)
-        if block is not None:
-            self._signature_cache[path] = (
-                content, compute_signature(content.data, block))
-        else:
-            self._signature_cache.pop(path, None)
+        self._records[path] = record
         self.stats.files_synced += 1
         return duration
 
     def _strategy_transfer(self, change: PendingChange, content: Content,
                            lightweight: bool = False, in_batch: bool = False):
         """Run one transfer through the strategy ``self.strategy`` resolves
-        to for this change, under a cost tally; returns
-        ``(duration, concrete_strategy)``.
+        to for this change, under a cost tally; returns ``(duration,
+        record)``, the in-flight record the caller promotes to the path's
+        record once the commit is acknowledged.  A transfer that dies
+        promotes nothing: the path keeps the record of its last version.
 
         Every strategy-routed transfer emits one ``delta-exchange`` span
         carrying its ``(wire_bytes, round_trips, cpu_units)`` cost vector
@@ -584,6 +569,7 @@ class SyncClient:
         tally = TransferTally()
         previous = self._tally
         self._tally = tally
+        self._in_flight = record = FileRecord(content)
         concrete = self.strategy
         spent = 0.0
         try:
@@ -591,10 +577,10 @@ class SyncClient:
             spent = concrete.transfer(self, change, content,
                                       lightweight=lightweight,
                                       in_batch=in_batch)
-            return spent, concrete
+            return spent, record
         finally:
             self._tally = previous
-            self._strategy_plans.pop(change.path, None)
+            self._in_flight = record.plans = None
             totals = self.strategy_ledger.setdefault(
                 concrete.name, TransferTally())
             totals.payload += tally.payload
@@ -611,16 +597,6 @@ class SyncClient:
                     wire_bytes=delta.up_total + delta.down_total,
                     round_trips=tally.exchanges,
                     cpu_units=tally.cpu_units)
-
-    def _basis_signature(self, path: str, old: Content,
-                         block_size: int) -> FileSignature:
-        """The basis signature for a delta sync, from the cache when it
-        still describes this exact basis content at this block size."""
-        cached = self._signature_cache.get(path)
-        if (cached is not None and cached[0] is old
-                and cached[1].block_size == block_size):
-            return cached[1]
-        return compute_signature(old.data, block_size)
 
     def charge_cpu(self, units: int) -> None:
         """Charge strategy computation (bytes processed) to the live tally."""
@@ -739,7 +715,7 @@ class SyncClient:
             meta_up=overhead.meta_up + manifest_bytes))
         for path, file in zip(paths, staged):
             self._commit(path, file)
-            self._shadow[path] = file.content
+            self._records[path] = FileRecord(file.content)
             self.stats.files_synced += 1
             self.stats.full_file_syncs += 1
         if overhead.notify_down:
@@ -759,9 +735,9 @@ class SyncClient:
             return False
         if content.size > self.profile.bundle.max_file_bytes:
             return False
+        record = self._records.get(change.path)
         if (self.profile.uses_ids and not change.created
-                and change.path in self._shadow
-                and self._shadow[change.path].size > 0):
+                and record is not None and record.content.size > 0):
             return False  # delta sync is cheaper than re-shipping the file
         return True
 
@@ -797,11 +773,7 @@ class SyncClient:
                 files=len(ledger), payload=total_payload, ledger=ledger)
         for path, file in zip(paths, staged):
             self._commit(path, file)
-            self._shadow[path] = file.content
-            if profile.uses_ids:
-                self._signature_cache[path] = (
-                    file.content,
-                    compute_signature(file.content.data, profile.delta_block))
+            self._records[path] = FileRecord(file.content)
             self.stats.files_synced += 1
             self.stats.full_file_syncs += 1
             self.stats.bundled_files += 1
@@ -813,10 +785,10 @@ class SyncClient:
     def _sync_delete(self, change: PendingChange) -> float:
         """Fake deletion: a tiny attribute-change exchange (§4.2)."""
         targets = []
-        if change.path in self._shadow:
+        if change.path in self._records:
             targets.append(change.path)
         if (change.renamed_from is not None
-                and change.renamed_from in self._shadow
+                and change.renamed_from in self._records
                 and not self.folder.exists(change.renamed_from)
                 and change.renamed_from not in targets):
             # The deleted path had absorbed a not-yet-synced rename: the
@@ -835,8 +807,7 @@ class SyncClient:
                 self.server.delete_file(self.user, target)
             except NotFound:
                 pass
-            del self._shadow[target]
-            self._signature_cache.pop(target, None)
+            del self._records[target]
             self.stats.deletions_synced += 1
             self.stats.files_synced += 1
             if self.profile.overhead.notify_down:

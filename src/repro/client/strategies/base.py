@@ -3,8 +3,9 @@
 A :class:`SyncStrategy` owns the *content transfer* step of a single-file
 sync: everything between the engine's routing decision and the post-sync
 basis bookkeeping.  The engine stays responsible for batching, renames,
-deletions, notification, and the shadow/signature caches; the strategy
-decides what crosses the wire and through which exchanges.
+deletions, notification, and the per-path :class:`FileRecord` every
+strategy reads its basis from; the strategy decides what crosses the wire
+and through which exchanges.
 
 The contract has three legs:
 
@@ -29,7 +30,9 @@ so this package stays import-cycle-free, like the recorder protocol.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, NamedTuple, Optional, Tuple
+from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
+
+from ...delta import CdcChunk, FileSignature, cdc_chunk_list, compute_signature
 
 
 class Exchange(NamedTuple):
@@ -53,6 +56,41 @@ def payload_exchange(overhead: Any, kind: str, payload: int,
     down = overhead.meta_down if meta_down is None else meta_down
     return Exchange(kind, payload,
                     up + int(overhead.per_byte_factor * payload), down)
+
+
+class FileRecord:
+    """What the client knows about one version of a path, derived at most
+    once — the shape of a sync client's ``state.db`` row.
+
+    It holds the ``Content`` (with the md5 that caches), plus a fixed-block
+    signature and a CDC chunk list, each built on first use.  The engine
+    keeps one record per synced path and one for the version in flight;
+    a record is replaced when its path's synced version changes and
+    dropped with the path, so nothing derived here outlives its version.
+    """
+
+    __slots__ = ("content", "plans", "_signature", "_chunks")
+
+    def __init__(self, content: Any):
+        self.content = content
+        #: strategy name -> (basis record, plan) while this version is in
+        #: flight (see :meth:`SyncStrategy._plan`), else ``None``.
+        self.plans: Optional[Dict[str, tuple]] = None
+        self._signature: Optional[FileSignature] = None
+        self._chunks: Optional[List[CdcChunk]] = None
+
+    def signature(self, block_size: int) -> FileSignature:
+        """The rsync signature of this version at ``block_size``."""
+        if self._signature is None or self._signature.block_size != block_size:
+            self._signature = compute_signature(self.content.data, block_size)
+        return self._signature
+
+    def chunks(self) -> List[CdcChunk]:
+        """``(offset, length, md5 digest)`` of this version's CDC chunks at
+        the library defaults (the server's reconciliation index uses them)."""
+        if self._chunks is None:
+            self._chunks = cdc_chunk_list(self.content.data)
+        return self._chunks
 
 
 @dataclass
@@ -170,8 +208,8 @@ class SyncStrategy:
         return FULL_FILE
 
     def basis_block_size(self, profile: Any) -> Optional[int]:
-        """Fixed block size to pre-sign the new basis with after a
-        successful sync, or ``None`` to drop any cached signature."""
+        """Fixed block size this strategy reads the basis signature at, or
+        ``None`` when it reads no signature."""
         return None
 
     # -- shared helpers ---------------------------------------------------
@@ -181,20 +219,27 @@ class SyncStrategy:
         at most once per transfer.
 
         The adaptive selector estimates every candidate before picking
-        one; without the memo the winner would redo its (signature /
-        chunking) work when it transfers.  A slot is keyed by the
-        *identity* of the basis and target contents, so a stale plan can
-        never be replayed against different bytes; the engine drops a
-        path's slots as soon as its transfer ends, so none outlives it.
+        one; the plans sit on the in-flight record of ``content``, so the
+        winner does not redo its (delta / chunking) work when it transfers
+        and every candidate reads one chunking of the new version.  The
+        in-flight record serves only the ``Content`` object it was made
+        for, and a slot only the basis record it was planned against, so
+        a stale plan can never be replayed against different bytes; the
+        engine drops the in-flight record when its transfer ends.
         """
-        old = client._shadow.get(path)
-        slots = client._strategy_plans.setdefault(path, {})
-        slot = slots.get(self.name)
-        if slot is None or slot[0] is not old or slot[1] is not content:
-            plan = self._build_plan(client, path, old, content)
-            slot = slots[self.name] = (old, content, plan)
-        return slot[2]
+        basis = client._records.get(path)
+        target = client._in_flight
+        if target is None or target.content is not content:
+            target = client._in_flight = FileRecord(content)
+        plans = target.plans
+        if plans is None:
+            plans = target.plans = {}
+        slot = plans.get(self.name)
+        if slot is None or slot[0] is not basis:
+            slot = plans[self.name] = (
+                basis, self._build_plan(client, basis, target))
+        return slot[1]
 
-    def _build_plan(self, client: Any, path: str, old: Any,
-                    content: Any) -> Any:
+    def _build_plan(self, client: Any, basis: Optional[FileRecord],
+                    target: FileRecord) -> Any:
         raise NotImplementedError

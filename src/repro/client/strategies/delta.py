@@ -1,12 +1,12 @@
-"""Delta strategies: ship an edit stream against the synced shadow copy."""
+"""Delta strategies: ship an edit stream against the path's synced record."""
 
 from __future__ import annotations
 
 from typing import Any, Iterable, Optional, Tuple
 
 from ...content import Content
-from ...delta import DEFAULT_BLOCK_SIZE, compute_cdc_delta, compute_delta
-from .base import Exchange, SyncStrategy, payload_exchange
+from ...delta import DEFAULT_BLOCK_SIZE, chunk_list_delta, compute_delta
+from .base import Exchange, FileRecord, SyncStrategy, payload_exchange
 
 
 class DeltaStrategy(SyncStrategy):
@@ -19,20 +19,21 @@ class DeltaStrategy(SyncStrategy):
     """
 
     def applicable(self, client: Any, change: Any, content: Any) -> bool:
-        path = change.path
+        basis = client._records.get(change.path)
         return (not change.created
-                and path in client._shadow
-                and client._shadow[path].size > 0)
+                and basis is not None
+                and basis.content.size > 0)
 
-    def _encode(self, client: Any, path: str, old: Any, content: Any) -> Any:
+    def _encode(self, client: Any, basis: FileRecord,
+                target: FileRecord) -> Any:
         raise NotImplementedError
 
     def _apply(self, client: Any, path: str, delta: Any, md5: str) -> None:
         raise NotImplementedError
 
-    def _build_plan(self, client: Any, path: str, old: Any,
-                    content: Any) -> Tuple[Any, int]:
-        delta = self._encode(client, path, old, content)
+    def _build_plan(self, client: Any, basis: FileRecord,
+                    target: FileRecord) -> Tuple[Any, int]:
+        delta = self._encode(client, basis, target)
         literals = b"".join(
             op.data for op in delta.ops if hasattr(op, "data"))
         wire_literals = client.profile.upload_compression.wire_size(
@@ -40,7 +41,7 @@ class DeltaStrategy(SyncStrategy):
         return delta, wire_literals + (delta.wire_size - len(literals))
 
     def cpu_units(self, client: Any, change: Any, content: Any) -> int:
-        return client._shadow[change.path].size + content.size
+        return client._records[change.path].content.size + content.size
 
     def describe(self, client: Any, change: Any, content: Any,
                  server: Any = None) -> Iterable[Exchange]:
@@ -53,8 +54,8 @@ class DeltaStrategy(SyncStrategy):
 
 
 class FixedBlockDeltaStrategy(DeltaStrategy):
-    """rsync fixed-block delta — the extracted IDS transfer path: signature
-    from the (cached) basis at the profile's delta block, rolling-checksum
+    """rsync fixed-block delta — the extracted IDS transfer path: the basis
+    record's signature at the profile's delta block, rolling-checksum
     delta, application through the IDS mid-layer."""
 
     name = "fixed-delta"
@@ -63,10 +64,10 @@ class FixedBlockDeltaStrategy(DeltaStrategy):
     def basis_block_size(self, profile: Any) -> Optional[int]:
         return profile.delta_block or DEFAULT_BLOCK_SIZE
 
-    def _encode(self, client: Any, path: str, old: Any, content: Any) -> Any:
-        signature = client._basis_signature(
-            path, old, self.basis_block_size(client.profile))
-        return compute_delta(signature, content.data)
+    def _encode(self, client: Any, basis: FileRecord,
+                target: FileRecord) -> Any:
+        signature = basis.signature(self.basis_block_size(client.profile))
+        return compute_delta(signature, target.content.data)
 
     def _apply(self, client: Any, path: str, delta: Any, md5: str) -> None:
         client.server.apply_delta(client.user, path, delta, md5)
@@ -82,8 +83,10 @@ class CdcDeltaStrategy(DeltaStrategy):
     name = "cdc-delta"
     wire_names = ("cdc-delta",)
 
-    def _encode(self, client: Any, path: str, old: Any, content: Any) -> Any:
-        return compute_cdc_delta(old.data, content.data)
+    def _encode(self, client: Any, basis: FileRecord,
+                target: FileRecord) -> Any:
+        return chunk_list_delta(basis.chunks(), basis.content.size,
+                                target.content.data, target.chunks())
 
     def _apply(self, client: Any, path: str, delta: Any, md5: str) -> None:
         client.server.apply_cdc_delta(client.user, path, delta, md5)

@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List
+from typing import Any, Dict, Iterable, List, Optional
 
-from ...chunking import cdc_spans, fingerprint
 from ...content import Content
-from .base import Exchange, SyncStrategy, payload_exchange
+from .base import Exchange, FileRecord, SyncStrategy, payload_exchange
 
 #: Round-1 sketch framing: a compact digest list up, a hit bitmap down.
 SKETCH_BASE_BYTES = 16
@@ -31,14 +30,15 @@ class SetReconcileStrategy(SyncStrategy):
     (``recon-sketch``); the server answers with the subset absent from
     *every* live file the user stores.  Round 2 uploads only those chunks
     (``recon-upload``).  Unlike the delta strategies this needs no synced
-    shadow of the same path, so it works on created files — it wins big
+    record of the same path, so it works on created files — it wins big
     when a "new" file is mostly a clone of existing content, and loses a
     round trip plus the sketch when content is genuinely fresh.
 
     Chunking parameters are pinned to the library defaults because the
     server's reconciliation index uses them; the planner mirrors that
-    index from the client's own synced shadows (exact for a single-writer
-    session, which a test pins).
+    index from the chunk lists of the client's own synced records (exact
+    for a single-writer session, which a test pins).  Digests on the wire
+    are the hex of the chunk lists' MD5s.
     """
 
     name = "set-reconcile"
@@ -47,29 +47,28 @@ class SetReconcileStrategy(SyncStrategy):
     def applicable(self, client: Any, change: Any, content: Any) -> bool:
         return content.size > 0
 
-    def _build_plan(self, client: Any, path: str, old: Any,
-                    content: Any) -> _ReconPlan:
+    def _build_plan(self, client: Any, basis: Optional[FileRecord],
+                    target: FileRecord) -> _ReconPlan:
+        mirror = {digest for record in client._records.values()
+                  for _, _, digest in record.chunks()}
+        data = target.content.data
         digests: List[str] = []
         pieces: Dict[str, bytes] = {}
-        for offset, length in cdc_spans(content.data):
-            piece = content.data[offset:offset + length]
-            digest = fingerprint(piece)
-            digests.append(digest)
-            pieces.setdefault(digest, piece)
-        mirror = set()
-        for basis in client._shadow.values():
-            if basis.size == 0:
-                continue
-            for offset, length in cdc_spans(basis.data):
-                mirror.add(fingerprint(basis.data[offset:offset + length]))
-        # ``pieces`` holds each distinct digest once, in first-seen order.
-        missing = [digest for digest in pieces if digest not in mirror]
+        missing: List[str] = []     # each distinct digest once, first-seen
+        for offset, length, digest in target.chunks():
+            hexdigest = digest.hex()
+            digests.append(hexdigest)
+            if hexdigest not in pieces:
+                pieces[hexdigest] = data[offset:offset + length]
+                if digest not in mirror:
+                    missing.append(hexdigest)
         return _ReconPlan(digests, pieces, missing)
 
     def cpu_units(self, client: Any, change: Any, content: Any) -> int:
         # Chunking the new file plus mirroring the server's index over
-        # every synced shadow — the planner's real work.
-        return content.size + sum(c.size for c in client._shadow.values())
+        # every synced record — the planner's real work.
+        return content.size + sum(record.content.size
+                                  for record in client._records.values())
 
     def describe(self, client: Any, change: Any, content: Any,
                  server: Any = None) -> Iterable[Exchange]:

@@ -3,11 +3,13 @@
 from .cdc_delta import (
     CDC_STREAM_HEADER_BYTES,
     CHUNK_REF_BYTES,
+    CdcChunk,
     CdcDelta,
     ChunkCopyOp,
     ChunkLiteralOp,
     apply_cdc_delta,
-    chunk_digest_map,
+    cdc_chunk_list,
+    chunk_list_delta,
     compute_cdc_delta,
 )
 from .delta import (
@@ -36,6 +38,7 @@ __all__ = [
     "CDC_STREAM_HEADER_BYTES",
     "CHUNK_REF_BYTES",
     "COPY_TOKEN_BYTES",
+    "CdcChunk",
     "CdcDelta",
     "ChunkCopyOp",
     "ChunkLiteralOp",
@@ -44,7 +47,8 @@ __all__ = [
     "Delta",
     "DeltaStats",
     "apply_cdc_delta",
-    "chunk_digest_map",
+    "cdc_chunk_list",
+    "chunk_list_delta",
     "compute_cdc_delta",
     "FileSignature",
     "LITERAL_HEADER_BYTES",

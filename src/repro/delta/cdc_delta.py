@@ -18,7 +18,7 @@ variable-size chunks, quantified by Experiment 11.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Tuple, Union
+from typing import Dict, List, Sequence, Tuple, Union
 
 from ..chunking.cdc import DEFAULT_AVG, DEFAULT_MAX, DEFAULT_MIN, cdc_spans
 from .delta import LITERAL_HEADER_BYTES
@@ -77,43 +77,43 @@ class CdcDelta:
         return size
 
 
-def chunk_digest_map(data: bytes,
-                     min_size: int = DEFAULT_MIN,
-                     avg_size: int = DEFAULT_AVG,
-                     max_size: int = DEFAULT_MAX
-                     ) -> Dict[bytes, Tuple[int, int]]:
-    """Strong digest → first ``(offset, length)`` of each CDC chunk.
+#: One CDC chunk of a file: ``(offset, length, md5 digest)``.
+CdcChunk = Tuple[int, int, bytes]
 
-    The shared index both the CDC delta sender and the set-reconciliation
-    sketch build over a basis.  Zero-length data is an explicit branch
-    (PR 7 empty-units convention): no chunks, never a phantom empty chunk.
+
+def cdc_chunk_list(data: bytes,
+                   min_size: int = DEFAULT_MIN,
+                   avg_size: int = DEFAULT_AVG,
+                   max_size: int = DEFAULT_MAX) -> List[CdcChunk]:
+    """Every CDC chunk of ``data`` as ``(offset, length, md5 digest)``, in
+    file order.
+
+    The form both the CDC delta sender and the set-reconciliation sketch
+    read a file through.  Zero-length data is an explicit branch (the
+    empty-units convention): no chunks, never a phantom empty chunk.
     """
     if not data:
-        return {}
-    index: Dict[bytes, Tuple[int, int]] = {}
-    for offset, length in cdc_spans(data, min_size, avg_size, max_size):
-        index.setdefault(strong_hash(data[offset:offset + length]),
-                         (offset, length))
-    return index
+        return []
+    return [(offset, length, strong_hash(data[offset:offset + length]))
+            for offset, length in cdc_spans(data, min_size, avg_size,
+                                            max_size)]
 
 
-def compute_cdc_delta(old: bytes, new: bytes,
-                      min_size: int = DEFAULT_MIN,
-                      avg_size: int = DEFAULT_AVG,
-                      max_size: int = DEFAULT_MAX) -> CdcDelta:
-    """Delta that transforms ``old`` into ``new`` by whole-chunk matching.
+def chunk_list_delta(basis: Sequence[CdcChunk], basis_length: int,
+                     new: bytes, chunks: Sequence[CdcChunk]) -> CdcDelta:
+    """Delta that transforms a basis into ``new``, given the chunk lists
+    of both (``chunks`` is ``new``'s).
 
-    Adjacent matched chunks coalesce into one copy reference when they are
+    A new chunk matches the first basis chunk with its digest.  Adjacent
+    matched chunks coalesce into one copy reference when they are
     contiguous in the basis; adjacent literal chunks coalesce into one run.
     """
-    basis = chunk_digest_map(old, min_size, avg_size, max_size)
+    index: Dict[bytes, Tuple[int, int]] = {}
+    for offset, length, digest in basis:
+        index.setdefault(digest, (offset, length))
     ops: List[CdcOp] = []
-    if not new:
-        # Explicit zero-length target branch: no ops, header-only stream.
-        return CdcDelta(basis_length=len(old), ops=ops)
-    for offset, length in cdc_spans(new, min_size, avg_size, max_size):
-        piece = new[offset:offset + length]
-        match = basis.get(strong_hash(piece))
+    for offset, length, digest in chunks:
+        match = index.get(digest)
         if match is not None:
             last = ops[-1] if ops else None
             if (isinstance(last, ChunkCopyOp)
@@ -122,12 +122,24 @@ def compute_cdc_delta(old: bytes, new: bytes,
             else:
                 ops.append(ChunkCopyOp(match[0], match[1]))
             continue
+        piece = new[offset:offset + length]
         last = ops[-1] if ops else None
         if isinstance(last, ChunkLiteralOp):
             ops[-1] = ChunkLiteralOp(last.data + piece)
         else:
             ops.append(ChunkLiteralOp(piece))
-    return CdcDelta(basis_length=len(old), ops=ops)
+    return CdcDelta(basis_length=basis_length, ops=ops)
+
+
+def compute_cdc_delta(old: bytes, new: bytes,
+                      min_size: int = DEFAULT_MIN,
+                      avg_size: int = DEFAULT_AVG,
+                      max_size: int = DEFAULT_MAX) -> CdcDelta:
+    """Delta that transforms ``old`` into ``new`` by whole-chunk matching
+    (:func:`chunk_list_delta` over both files' chunk lists)."""
+    return chunk_list_delta(
+        cdc_chunk_list(old, min_size, avg_size, max_size), len(old),
+        new, cdc_chunk_list(new, min_size, avg_size, max_size))
 
 
 def apply_cdc_delta(basis: bytes, delta: CdcDelta) -> bytes:

@@ -146,9 +146,9 @@ def test_signature_size_one():
 
 def test_cdc_delta_sizes_zero_and_one():
     """The CDC codec's zero-length branches mirror the rsync ones."""
-    from repro.delta import apply_cdc_delta, chunk_digest_map, compute_cdc_delta
+    from repro.delta import apply_cdc_delta, cdc_chunk_list, compute_cdc_delta
 
-    assert chunk_digest_map(b"") == {}
+    assert cdc_chunk_list(b"") == []
     empty = compute_cdc_delta(b"", b"")
     assert empty.ops == []
     assert apply_cdc_delta(b"", empty) == b""

@@ -16,6 +16,7 @@ import pytest
 
 from repro.client import (
     AccessMethod,
+    RetryPolicy,
     SyncSession,
     make_strategy,
     service_profile,
@@ -29,8 +30,10 @@ from repro.client.engine import PendingChange
 from repro.cloud import NotFound
 from repro.content import Content, random_content
 from repro.core import strategy_link, strategy_profile
+from repro.delta import cdc_delta
 from repro.obs import recording
 from repro.obs.audit import ConservationAuditor
+from repro.simnet import FaultEpisode, FaultKind, FaultSchedule
 from repro.units import KB
 
 
@@ -119,7 +122,8 @@ def test_estimate_is_byte_exact_under_warm_connection(name, link):
 def test_per_path_state_does_not_outlive_the_path():
     """Regression: plan slots (pinning both contents plus the delta /
     reconcile pieces) and ``_ready_at`` entries used to survive their
-    path's transfer, and even its deletion."""
+    path's transfer, and even its deletion.  A delete leaves neither the
+    path's record nor an in-flight record behind."""
     session = stratlab(strategy=AdaptiveSelector())
     names = ["a.bin", "b.bin", "c.bin"]
     for index, name in enumerate(names):
@@ -134,8 +138,85 @@ def test_per_path_state_does_not_outlive_the_path():
     session.run_until_idle()
     client = session.client
     assert client.stats.deletions_synced == 3
-    assert client._strategy_plans == {}
+    assert client._records == {}
+    assert client._in_flight is None
     assert client._ready_at == {}
+
+
+def test_rename_moves_the_record_and_its_chunking(monkeypatch):
+    """A rename carries the path's record along: the moved version is
+    never chunked again, and the next edit chunks only its new content."""
+    chunked = []
+    real_spans = cdc_delta.cdc_spans
+
+    def counted(data, *args):
+        chunked.append(data)
+        return real_spans(data, *args)
+
+    monkeypatch.setattr(cdc_delta, "cdc_spans", counted)
+    session = stratlab(strategy=AdaptiveSelector())
+    session.create_random_file("a.bin", 96 * KB, seed=40)
+    session.run_until_idle()
+    client = session.client
+    record = client._records["a.bin"]
+    assert [data is record.content.data for data in chunked] == [True]
+    session.advance(30.0)
+    session.folder.rename("a.bin", "b.bin")
+    session.run_until_idle()
+    assert client._records == {"b.bin": record}
+    assert client.stats.renames_synced == 1
+    session.advance(30.0)
+    session.modify_random_byte("b.bin", seed=41)
+    session.run_until_idle()
+    assert len(chunked) == 2
+    assert chunked[1] is client._records["b.bin"].content.data
+    assert session.server.download("user1", "b.bin") == \
+        session.folder.get("b.bin").data
+
+
+def assert_dead_transfer_keeps_the_record(session, path):
+    """Sync ``path`` once, kill the next transfer with the caller's fault
+    armed, then check the record still names the committed version and a
+    later edit round-trips against the cloud's copy."""
+    session.create_random_file(path, 64 * KB, seed=42)
+    session.run_until_idle()
+    client = session.client
+    committed = client._records[path]
+    session.advance(30.0)
+    session.append(path, random_content(128 * KB, seed=43))
+    session.run_until_idle()
+    assert client.stats.failed_syncs == 1
+    assert client._records == {path: committed}
+    assert client._in_flight is None
+
+
+def test_quota_failure_keeps_the_last_committed_record():
+    session = stratlab(strategy=AdaptiveSelector())
+    account = session.server.accounts.register("user1", quota_bytes=160 * KB)
+    assert_dead_transfer_keeps_the_record(session, "a.bin")
+    account.quota_bytes = 1024 * KB
+    session.advance(30.0)
+    session.modify_random_byte("a.bin", seed=44)
+    session.run_until_idle()
+    assert session.client.stats.delta_syncs \
+        + session.client.stats.cdc_delta_syncs == 1
+    assert session.server.download("user1", "a.bin") == \
+        session.folder.get("a.bin").data
+
+
+def test_exhausted_retries_keep_the_last_committed_record():
+    blackout = FaultSchedule([FaultEpisode(start=30.0, duration=30.0,
+                                           kind=FaultKind.BLACKOUT)])
+    session = SyncSession(strategy_profile(), link_spec=strategy_link("mn"),
+                          strategy=AdaptiveSelector(), faults=blackout,
+                          retry=RetryPolicy(max_attempts=1, seed=1))
+    assert_dead_transfer_keeps_the_record(session, "a.bin")
+    assert session.client.stats.retry_giveups == 1
+    session.advance(60.0)
+    session.modify_random_byte("a.bin", seed=44)
+    session.run_until_idle()
+    assert session.server.download("user1", "a.bin") == \
+        session.folder.get("a.bin").data
 
 
 def test_adaptive_picks_the_frontier_winner_per_workload():
