@@ -5,8 +5,8 @@ assemble — folder, link, network emulator, meter, channel, client engine —
 but its engine talks to the cloud through the hub's origin-tagging proxy,
 and the member additionally *receives*: hub notifications land here, get a
 metered notification frame immediately, and schedule a download one
-notification delay later (serialised per member, like
-:class:`~repro.client.devices.MirrorDevice`).
+notification delay later (serialised per member: a device has one network
+interface).
 
 Remote application never echoes: folder mutations go through the silent
 ``apply_remote``/``remove_remote``/``rename_remote`` paths and the engine's
@@ -65,8 +65,9 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
 _FETCH_META_UP = 300
 _RENAME_META_UP, _RENAME_META_DOWN = 240, 160
 _DELETE_META_UP, _DELETE_META_DOWN = 200, 150
-#: Push notifications are at least a minimal frame even for services whose
-#: profile reports no post-commit notify traffic (same floor as MirrorDevice).
+#: A push notification still crosses the wire as a minimal frame when the
+#: profile reports no post-commit notify bytes: a follower can only learn of
+#: a commit from something the server sends it.
 _NOTIFY_FLOOR = 120
 
 
@@ -351,10 +352,11 @@ class FleetMember:
             kind="fanout-delta" if as_delta else "fanout-download")
         self.folder.apply_remote(path, content)
         self.client.absorb_remote(path, content)
-        # Record the head actually delivered, not just the notified
-        # version: two commits inside one notification delay must not
-        # trigger a second identical download (same contract as
-        # MirrorDevice._download_now).
+        # download() delivered the server head, which may already be newer
+        # than the notified version (two commits inside one notification
+        # delay).  Recording the head lets this one download serve both
+        # commits; a later commit has a higher version and its own
+        # notification, so nothing newer is ever skipped.
         self._versions[path] = max(
             version, server.head_version(self.hub.user, path))
         return duration

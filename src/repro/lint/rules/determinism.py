@@ -19,8 +19,7 @@ from ..engine import FileContext, Finding, Rule, dotted_name
 DETERMINISTIC_PACKAGES = (
     "repro.simnet", "repro.client", "repro.cloud", "repro.trace",
     "repro.core", "repro.obs", "repro.content", "repro.delta",
-    "repro.chunking", "repro.compress", "repro.workloads",
-    "repro.fleet", "repro.fsim",
+    "repro.chunking", "repro.compress", "repro.fleet", "repro.fsim",
 )
 
 #: Modules whose dict/set iteration feeds byte accounting or shard merges,

@@ -1,164 +1,99 @@
-"""Tests for multi-device propagation (the Figure 1 fan-out)."""
+"""Multi-device propagation (the Figure 1 fan-out) on :class:`Fleet` followers.
 
-import pytest
+Member 0 edits; every other member is a follower that learns of the commit
+from a push notification and downloads it one notification delay later.
+"""
 
-from repro.client import (
-    AccessMethod,
-    DeviceFleet,
-    attach_commit_feed,
-    service_profile,
-)
 from repro.content import random_content
+from repro.fleet import Fleet
 from repro.units import KB, MB
 
-
-def make_fleet(service="Dropbox", mirrors=1):
-    return DeviceFleet(service_profile(service, AccessMethod.PC),
-                       mirror_count=mirrors)
+from .test_fleet import commit_as_client0
 
 
 def test_single_file_propagates_to_all_mirrors():
-    fleet = make_fleet(mirrors=3)
+    fleet = Fleet("Dropbox", clients=4, seed=1)
+    editor, *followers = fleet.members
     content = random_content(64 * KB, seed=1)
-    fleet.primary.create_file("a.bin", content)
+    editor.folder.create("a.bin", content)
     fleet.run_until_idle()
     assert fleet.converged()
-    for mirror in fleet.mirrors:
-        assert mirror.files["a.bin"].data == content.data
-        assert mirror.stats.downloads == 1
+    for follower in followers:
+        assert follower.folder.get("a.bin").data == content.data
+        assert follower.stats.fanout_fetches == 1
 
 
 def test_modification_propagates():
-    fleet = make_fleet()
-    fleet.primary.create_file("a.bin", random_content(64 * KB, seed=1))
+    fleet = Fleet("Dropbox", clients=2, seed=1)
+    editor, follower = fleet.members
+    editor.folder.create("a.bin", random_content(64 * KB, seed=1))
     fleet.run_until_idle()
-    fleet.primary.modify_random_byte("a.bin", seed=2)
+    editor.folder.modify_random_byte("a.bin", seed=2)
     fleet.run_until_idle()
     assert fleet.converged()
+    assert follower.folder.get("a.bin").data == editor.folder.get("a.bin").data
+    assert follower.stats.fanout_fetches == 2
 
 
 def test_ids_mirror_downloads_delta_not_full_file():
-    fleet = make_fleet("Dropbox")
-    fleet.primary.create_file("big.bin", random_content(1 * MB, seed=1))
+    """The edit reaches the follower as one delta exchange: no second
+    full-file download happens after the initial one."""
+    fleet = Fleet("Dropbox", clients=2, seed=1)
+    editor, follower = fleet.members
+    editor.folder.create("big.bin", random_content(1 * MB, seed=1))
     fleet.run_until_idle()
-    mirror = fleet.mirrors[0]
-    baseline = mirror.total_traffic
-    fleet.primary.modify_random_byte("big.bin", seed=2)
+    full = follower.meter.bytes_by_kind()["fanout-download"]
+    editor.folder.modify_random_byte("big.bin", seed=2)
     fleet.run_until_idle()
-    assert mirror.stats.delta_downloads == 1
-    # The delta download is tiny compared to the 1 MB file.
-    assert mirror.total_traffic - baseline < 100 * KB
+    by_kind = follower.meter.bytes_by_kind()
+    assert by_kind["fanout-download"] == full
+    assert 0 < by_kind["fanout-delta"] < full // 10
     assert fleet.converged()
-
-
-def test_full_file_mirror_redownloads_everything():
-    fleet = make_fleet("GoogleDrive")
-    fleet.primary.create_file("big.bin", random_content(1 * MB, seed=1))
-    fleet.run_until_idle()
-    mirror = fleet.mirrors[0]
-    baseline = mirror.total_traffic
-    fleet.primary.modify_random_byte("big.bin", seed=2)
-    fleet.run_until_idle()
-    assert mirror.stats.delta_downloads == 0
-    assert mirror.total_traffic - baseline > 1 * MB
 
 
 def test_deletion_propagates():
-    fleet = make_fleet()
-    fleet.primary.create_file("gone.bin", random_content(16 * KB, seed=1))
+    """A delete reaches every follower as metadata only."""
+    fleet = Fleet("Dropbox", clients=3, seed=1)
+    editor, *followers = fleet.members
+    editor.folder.create("gone.bin", random_content(16 * KB, seed=1))
     fleet.run_until_idle()
-    fleet.primary.delete_file("gone.bin")
+    downloaded = [follower.meter.bytes_by_kind()["fanout-download"]
+                  for follower in followers]
+    editor.folder.delete("gone.bin")
     fleet.run_until_idle()
-    assert "gone.bin" not in fleet.mirrors[0].files
     assert fleet.converged()
-
-
-def test_fleet_traffic_split_matches_isp_view():
-    """Fan-out makes outbound (cloud→clients) exceed inbound with ≥2 mirrors,
-    matching the ISP trace's 5.18 MB out vs. 2.8 MB in asymmetry (§1)."""
-    fleet = make_fleet("GoogleDrive", mirrors=2)
-    fleet.primary.create_file("f.bin", random_content(512 * KB, seed=3))
-    fleet.run_until_idle()
-    assert fleet.download_traffic > fleet.upload_traffic
-    assert fleet.total_traffic == fleet.upload_traffic + fleet.download_traffic
+    for follower, before in zip(followers, downloaded):
+        assert follower.folder.paths() == []
+        by_kind = follower.meter.bytes_by_kind()
+        assert by_kind["fanout-download"] == before
+        assert by_kind["delete-sync"] > 0
 
 
 def test_stale_notifications_do_not_redownload():
-    fleet = make_fleet()
-    fleet.primary.create_file("f.bin", random_content(8 * KB, seed=1))
+    fleet = Fleet("Dropbox", clients=2, seed=1)
+    editor, follower = fleet.members
+    editor.folder.create("f.bin", random_content(8 * KB, seed=1))
     fleet.run_until_idle()
-    mirror = fleet.mirrors[0]
-    downloads = mirror.stats.downloads
-    # Re-delivering an old version is a no-op.
-    mirror._fetch("f.bin", 1)
+    fetches = follower.stats.fanout_fetches
+    downloaded = follower.meter.bytes_by_kind()["fanout-download"]
+    # Re-delivering an already applied epoch is a no-op.
+    follower.receive_notification(fleet.hub.ledger[-1])
     fleet.run_until_idle()
-    assert mirror.stats.downloads == downloads
-
-
-def test_commit_feed_isolates_users():
-    from repro.cloud import CloudServer
-    server = CloudServer()
-    feed = attach_commit_feed(server)
-    seen = []
-    feed.subscribe("alice", lambda event: seen.append(event))
-    digest_content = random_content(10, seed=1)
-    from repro.chunking import fingerprint
-    digest = fingerprint(digest_content.data)
-    key = server.upload_chunk("bob", digest, digest_content.data)
-    server.commit("bob", "p", 10, digest_content.md5, [digest], [key], [10])
-    assert seen == []  # bob's commit must not reach alice's devices
-    key = server.upload_chunk("alice", digest, digest_content.data)
-    server.commit("alice", "p", 10, digest_content.md5, [digest], [key], [10])
-    assert len(seen) == 1 and seen[0].path == "p"
+    assert follower.stats.fanout_fetches == fetches
+    assert follower.stats.suppressed == 1
+    assert follower.meter.bytes_by_kind()["fanout-download"] == downloaded
 
 
 def test_two_commits_within_one_notification_delay():
-    """Regression: a download that already delivered the head must suppress
-    the second notification's re-fetch — without ever skipping content.
-
-    Two commits land inside one notification delay, so the first fetch
-    already downloads the *second* commit's bytes.  The device used to
-    record only the first notification's version and re-download identical
-    content when the second notification fired; it must now record the head
-    version it actually received and download exactly once.
-    """
-    from repro.chunking import fingerprint
-
-    fleet = make_fleet("GoogleDrive")
-    mirror = fleet.mirrors[0]
-    server = fleet.primary.server  # commit feed already attached
-    first = random_content(32 * KB, seed=1)
+    """The first fetch already delivers the second commit's head, so the
+    second notification is suppressed — one download, newest content."""
+    fleet = Fleet("GoogleDrive", clients=2, seed=0)
+    follower = fleet.members[1]
     second = random_content(32 * KB, seed=2)
-
-    def commit(content):
-        digest = fingerprint(content.data)
-        key = server.upload_chunk("user1", digest, content.data)
-        server.commit("user1", "f.bin", content.size, content.md5,
-                      [digest], [key], [content.size])
-
-    # Versions 1 and 2 land at the same sim instant — strictly inside one
-    # notification delay — so both fetches race one download.
-    commit(first)
-    commit(second)
+    commit_as_client0(fleet, random_content(32 * KB, seed=1))
+    commit_as_client0(fleet, second)
     fleet.run_until_idle()
-
-    # The second commit's content was never skipped...
-    assert mirror.files["f.bin"].data == second.data
-    # ...and the identical head was not downloaded twice.
-    assert mirror.stats.downloads == 1
-    assert mirror.versions["f.bin"] == 2
-
-
-def test_notified_version_still_downloads_after_suppression():
-    """A commit *after* a suppressing download must still be fetched."""
-    fleet = make_fleet("GoogleDrive")
-    mirror = fleet.mirrors[0]
-    fleet.primary.create_file("f.bin", random_content(16 * KB, seed=1))
-    fleet.primary.write_file("f.bin", random_content(16 * KB, seed=2))
-    fleet.run_until_idle()
-    downloads = mirror.stats.downloads
-    third = random_content(16 * KB, seed=3)
-    fleet.primary.write_file("f.bin", third)
-    fleet.run_until_idle()
-    assert mirror.files["f.bin"].data == third.data
-    assert mirror.stats.downloads == downloads + 1
+    assert follower.folder.get("f.bin").data == second.data
+    assert follower.stats.fanout_fetches == 1
+    assert follower.stats.suppressed == 1
+    assert follower._versions["f.bin"] == 2

@@ -10,6 +10,7 @@ import math
 
 import pytest
 
+from repro import chunking
 from repro.content import random_content
 from repro.fleet import (
     EPOCH_BACKFILL,
@@ -20,7 +21,7 @@ from repro.fleet import (
 )
 from repro.obs import verify_fleet_fanout
 from repro.simnet import Direction, FaultEpisode, FaultKind, FaultSchedule
-from repro.units import KB
+from repro.units import KB, MB
 
 
 def small_fleet(service="GoogleDrive", clients=3, seed=7, **kwargs):
@@ -292,6 +293,63 @@ def test_remote_rename_is_metadata_only_when_content_matches():
     assert follower.stats.fanout_renames == 1
     # The rename crossed the wire as metadata, not a re-download.
     assert follower.stats.fanout_fetches == 2  # create + rename epoch
+
+
+# -- follower downloads -----------------------------------------------------
+
+@pytest.mark.parametrize("service, uses_ids",
+                         [("Dropbox", True), ("GoogleDrive", False)])
+def test_one_byte_edit_fans_out_as_delta_only_on_ids_profiles(service,
+                                                             uses_ids):
+    fleet = Fleet(service, clients=2, seed=1, record=True)
+    editor, follower = fleet.members
+    editor.folder.create("big.bin", random_content(1 * MB, seed=1))
+    fleet.run_until_idle()
+    baseline = follower.meter.total_bytes
+    editor.folder.modify_random_byte("big.bin", seed=2)
+    fleet.run_until_idle()
+    assert fleet.converged()
+    fleet.audit()
+    pulled = follower.meter.total_bytes - baseline
+    deltas = follower.meter.bytes_by_kind().get("fanout-delta", 0)
+    if uses_ids:
+        assert 0 < deltas <= pulled < 100 * KB
+    else:
+        assert deltas == 0 and pulled > 1 * MB
+
+
+def test_followers_outbound_exceeds_editor_inbound():
+    """§1's ISP asymmetry: with two followers, the bytes the cloud sends
+    out exceed the bytes the editing device sent in."""
+    fleet = Fleet("GoogleDrive", clients=3, seed=3)
+    editor, *followers = fleet.members
+    editor.folder.create("f.bin", random_content(512 * KB, seed=3))
+    fleet.run_until_idle()
+    assert sum(follower.meter.total_bytes for follower in followers) \
+        > editor.meter.total_bytes
+
+
+def commit_as_client0(fleet, content):
+    """Commit ``f.bin`` straight through client0's server handle, so
+    several commits can land at one simulated instant."""
+    proxy, user = fleet.hub.proxy_for("client0"), fleet.hub.user
+    digest = chunking.fingerprint(content.data)
+    key = proxy.upload_chunk(user, digest, content.data)
+    proxy.commit(user, "f.bin", content.size, content.md5,
+                 [digest], [key], [content.size])
+
+
+def test_commit_after_suppressed_fetch_still_downloads():
+    fleet = Fleet("GoogleDrive", clients=2, seed=0)
+    follower = fleet.members[1]
+    commit_as_client0(fleet, random_content(32 * KB, seed=1))
+    commit_as_client0(fleet, random_content(32 * KB, seed=2))
+    fleet.run_until_idle()
+    third = random_content(32 * KB, seed=3)
+    commit_as_client0(fleet, third)
+    fleet.run_until_idle()
+    assert follower.folder.get("f.bin").data == third.data
+    assert follower.stats.fanout_fetches == 2
 
 
 # -- churn ------------------------------------------------------------------
