@@ -135,6 +135,8 @@ class BatchCreationRow:
 def measure_batch_creation(service: str, access: AccessMethod,
                            count: int = 100, file_size: int = 1 * KB) -> BatchCreationRow:
     """Move ``count`` distinct compressed files into the folder in a batch."""
+    if count <= 0 or file_size <= 0:
+        raise ValueError("count and file_size must be positive")
     session = _session(service, access)
     for index in range(count):
         session.create_random_file(f"batch/file{index:03d}.bin", file_size,
@@ -318,6 +320,8 @@ def run_appending(
     """
     if x <= 0:
         raise ValueError("x must be positive")
+    if total <= 0:
+        raise ValueError("total must be positive")
     chunk = int((append_kb if append_kb is not None else x) * KB)
     if chunk <= 0:
         raise ValueError("append size must be at least 1 byte")
@@ -501,6 +505,8 @@ def run_faulty_sync(
     from ..client import RetryPolicy
     from ..simnet import FaultSchedule, bj_link
 
+    if file_count <= 0 or file_size <= 0:
+        raise ValueError("file_count and file_size must be positive")
     profile = replace(service_profile(service, AccessMethod.PC),
                       storage_chunk_size=unit_size)
     schedule = FaultSchedule.generate(
@@ -962,7 +968,7 @@ def run_strategy_cell(strategy_name: str, workload: str, link_name: str,
     With ``audit=True`` (the default) and no ambient trace hub, the run
     is wrapped in a full conservation audit — including the
     strategy-conservation invariant over the ``delta-exchange`` cost
-    ledger.  An ambient hub (``repro audit exp11``) is used as-is so its
+    ledger.  An ambient hub (``repro audit strategies``) is used as-is so its
     owner audits the whole sweep at once.
     """
     from ..obs import current_hub, recording

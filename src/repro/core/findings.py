@@ -3,10 +3,10 @@
 The paper's Table 5 summarises seven findings with implications.  This
 module re-derives each one from the simulation and the trace, returning a
 :class:`Finding` per row with the measured evidence and a boolean verdict —
-so `pytest benchmarks/bench_table5_findings.py` *is* Table 5.
+so `repro findings` *is* Table 5.
 
 Checks run at reduced scale (small files, short appends) to stay fast; the
-full-scale versions live in the individual table/figure benches.
+full-scale versions are the individual table/figure registry entries.
 """
 
 from __future__ import annotations

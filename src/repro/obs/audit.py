@@ -73,6 +73,12 @@ class AuditViolation(Exception):
         super().__init__(f"[{invariant}]{who} {message}{where}")
 
 
+#: The invariants :meth:`ConservationAuditor.verify` checks, in order.
+SPAN_INVARIANTS = ("span-sanity", "monotone-clock", "wire-packetisation",
+                   "sum-conservation", "kind-conservation",
+                   "bundle-conservation", "strategy-conservation")
+
+
 class ConservationAuditor:
     """Replays a recorder's span ledger and checks every invariant."""
 

@@ -44,11 +44,6 @@ def render_series(points: Sequence[Tuple[float, float]],
     return render_table([x_label, y_label], rows, title=title)
 
 
-def size_cell(nbytes: float) -> str:
-    """Table 6/7/8 style byte formatting."""
-    return fmt_size(nbytes)
-
-
 def render_fleet_members(report: "FleetReport",
                          title: Optional[str] = None) -> str:
     """The per-member fleet table the ``repro fleet`` CLI prints.
@@ -61,8 +56,8 @@ def render_fleet_members(report: "FleetReport",
     """
     rows = [
         [member.name, "yes" if member.live else "left",
-         size_cell(int(member.traffic.total)),
-         size_cell(int(member.traffic.data_update_size)),
+         fmt_size(int(member.traffic.total)),
+         fmt_size(int(member.traffic.data_update_size)),
          fmt_tue(member.tue), str(member.notifications),
          str(member.fanout_fetches), str(member.conflicts)]
         for member in report.members
@@ -82,7 +77,7 @@ def render_backend_matrix(cells: Sequence, title: Optional[str] = None) -> str:
         [cell.mix, cell.backend, str(cell.files),
          f"{cell.rest_ops_per_file:.2f}", str(cell.rest_ops),
          f"{cell.put_ops}/{cell.get_ops}/{cell.delete_ops}/{cell.list_ops}",
-         size_cell(cell.stored_bytes), fmt_tue(cell.tue, precision=3),
+         fmt_size(cell.stored_bytes), fmt_tue(cell.tue, precision=3),
          str(cell.shards_sealed), str(cell.shard_compactions),
          str(cell.bundle_commits)]
         for cell in cells

@@ -599,15 +599,18 @@ def replay_all(trace: Optional[Trace] = None,
                access: AccessMethod = AccessMethod.PC,
                seed: int = 0,
                workers: int = 1,
-               pool: Optional[ReplayPool] = None) -> List[ReplayReport]:
+               pool: Optional[ReplayPool] = None,
+               audit: bool = False) -> List[ReplayReport]:
     """Replay the trace under every service, sorted by estimated traffic.
 
     With ``workers > 1`` a single :class:`ReplayPool` is forked once and
     reused across all profiles; pass ``pool`` to reuse an existing pool
     (e.g. one streamed from ``iter_trace_records``) — the caller keeps
-    ownership and must close it.
+    ownership and must close it.  ``audit=True`` checks every report's
+    replay-conservation invariant, and a pooled replay's shard merge too.
     """
     from ..client import SERVICES
+    from ..obs.audit import audit_replay_report
     names = services or SERVICES
     owns_pool = False
     if pool is None and workers > 1 and trace is not None:
@@ -615,7 +618,8 @@ def replay_all(trace: Optional[Trace] = None,
         owns_pool = True
     try:
         if pool is not None:
-            reports = [pool.replay(service_profile(name, access), seed=seed)
+            replay = pool.replay_audited if audit else pool.replay
+            reports = [replay(service_profile(name, access), seed=seed)
                        for name in names]
         else:
             if trace is None:
@@ -623,6 +627,9 @@ def replay_all(trace: Optional[Trace] = None,
             reports = [replay_trace(trace, service_profile(name, access),
                                     seed=seed)
                        for name in names]
+            if audit:
+                for report in reports:
+                    audit_replay_report(report)
     finally:
         if owns_pool:
             pool.close()

@@ -3,6 +3,25 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.units import KB, MB
+
+#: Each target the pre-registry ``repro audit`` hard-coded, and the
+#: registry entry (with that entry's own flags) that now covers it.
+AUDIT_EQUIVALENTS = {
+    "exp1": ["table6", "--access", "pc"],
+    "exp2": ["deletion", "--access", "pc"],
+    "exp3": ["fig4", "--service", "Dropbox", "--access", "pc"],
+    "exp4": ["table8", "--access", "pc", "--size", str(1 * MB)],
+    "exp5": ["probe-dedup", "Dropbox", "--max-block", str(2 * MB)],
+    "exp6": ["fig6", "--service", "Dropbox", "--max-x", "4",
+             "--total", str(64 * KB)],
+    "exp7": ["fig7", "--service", "Dropbox", "--max-x", "1",
+             "--total", str(64 * KB)],
+    "exp8": ["faults", "--fault-rate", "0.75"],
+    "exp10": ["backends", "--files", "6"],
+    "exp11": ["strategies", "--files", "1"],
+    "replay": ["replay", "--workers", "2", "--scale", "0.005"],
+}
 
 
 def run(capsys, *argv):
@@ -40,7 +59,7 @@ def test_fig6(capsys):
 
 def test_deletion(capsys):
     out = run(capsys, "deletion")
-    assert "Deletion traffic" in out
+    assert "deletion sync traffic" in out
 
 
 def test_probe_defer(capsys):
@@ -99,17 +118,17 @@ def test_overuse_workers_matches_sequential(capsys):
 
 
 def test_fleet_audited(capsys):
-    out = run(capsys, "fleet", "--clients", "3", "--writers", "2",
-              "--seed", "3", "--audit")
+    out = run(capsys, "audit", "fleet", "--clients", "3", "--writers", "2",
+              "--seed", "3")
     assert "client0" in out and "fleet TUE" in out
     assert "event domains" not in out
 
 
 def test_fleet_sharded_matches_single_queue(capsys):
-    single = run(capsys, "fleet", "--clients", "4", "--writers", "2",
-                 "--seed", "3", "--audit")
-    sharded = run(capsys, "fleet", "--clients", "4", "--writers", "2",
-                  "--seed", "3", "--audit", "--domains", "4")
+    single = run(capsys, "audit", "fleet", "--clients", "4", "--writers", "2",
+                 "--seed", "3")
+    sharded = run(capsys, "audit", "fleet", "--clients", "4", "--writers",
+                  "2", "--seed", "3", "--domains", "4")
     assert "4 event domains" in sharded
     assert "cross-domain messages" in sharded
     # Everything but the domains footer is byte-identical.
@@ -139,25 +158,26 @@ def test_upgrades_single_service(capsys):
 
 
 def test_audit_experiment(capsys):
-    out = run(capsys, "audit", "exp1")
+    out = run(capsys, "audit", *AUDIT_EQUIVALENTS["exp1"])
     assert "conservation audit passed" in out
     assert "Per-phase breakdown" in out
     assert "exchange" in out
 
 
 def test_audit_exp8_with_fault_rate(capsys):
-    out = run(capsys, "audit", "exp8", "--fault-rate", "0.75")
+    out = run(capsys, "audit", *AUDIT_EQUIVALENTS["exp8"])
     assert "conservation audit passed" in out
 
 
 def test_audit_parallel_replay(capsys):
-    out = run(capsys, "audit", "replay", "--workers", "2", "--scale", "0.005")
+    out = run(capsys, "audit", *AUDIT_EQUIVALENTS["replay"])
     assert "conservation audit passed" in out
 
 
 def test_audit_writes_optional_trace(tmp_path, capsys):
     path = tmp_path / "spans.jsonl"
-    out = run(capsys, "audit", "exp3", "--trace", str(path))
+    out = run(capsys, "audit", *AUDIT_EQUIVALENTS["exp3"], "--trace",
+              str(path))
     assert "span trace written" in out
     assert path.exists() and path.stat().st_size > 0
 
@@ -166,7 +186,8 @@ def test_trace_run_exports_jsonl(tmp_path, capsys):
     import json
 
     path = tmp_path / "spans.jsonl"
-    out = run(capsys, "trace-run", "exp1", "--out", str(path), "--audit")
+    out = run(capsys, "trace-run", *AUDIT_EQUIVALENTS["exp1"], "--out",
+              str(path), "--audit")
     assert "conservation audit passed" in out
     lines = [json.loads(line) for line in path.read_text().splitlines()]
     assert any(entry["type"] == "session" for entry in lines)
@@ -176,7 +197,7 @@ def test_trace_run_exports_jsonl(tmp_path, capsys):
 
 def test_trace_run_requires_out(capsys):
     with pytest.raises(SystemExit):
-        build_parser().parse_args(["trace-run", "exp1"])
+        build_parser().parse_args(["trace-run", "table6"])
 
 
 def test_audit_rejects_unknown_target():
@@ -193,13 +214,13 @@ def test_backends_prints_matrix_and_ratio(capsys):
 
 
 def test_backends_audited_run_passes(capsys):
-    out = run(capsys, "backends", "--files", "12", "--audit")
+    out = run(capsys, "audit", "backends", "--files", "12")
     assert "conservation audit passed" in out
     assert "bundle-conservation" in out
 
 
 def test_audit_exp10_traces_the_bundled_commit(capsys):
-    out = run(capsys, "audit", "exp10")
+    out = run(capsys, "audit", *AUDIT_EQUIVALENTS["exp10"])
     assert "conservation audit passed" in out
     assert "bundle-commit" in out
 
@@ -221,13 +242,13 @@ def test_strategies_prints_frontier_and_dominance(capsys):
 
 
 def test_strategies_audited_run_passes(capsys):
-    out = run(capsys, "strategies", "--files", "2", "--audit")
+    out = run(capsys, "audit", "strategies", "--files", "2")
     assert "conservation audit passed" in out
     assert "strategy-conservation" in out
 
 
 def test_audit_exp11_traces_the_strategy_ledger(capsys):
-    out = run(capsys, "audit", "exp11")
+    out = run(capsys, "audit", *AUDIT_EQUIVALENTS["exp11"])
     assert "conservation audit passed" in out
     assert "strategy-select" in out
     assert "recon-sketch" in out
@@ -236,3 +257,23 @@ def test_audit_exp11_traces_the_strategy_ledger(capsys):
 def test_list_includes_strategies(capsys):
     out = run(capsys, "list")
     assert "strategies" in out
+
+
+def test_audit_equivalents_cover_every_former_target():
+    assert set(AUDIT_EQUIVALENTS) == {
+        "exp1", "exp2", "exp3", "exp4", "exp5", "exp6", "exp7", "exp8",
+        "exp10", "exp11", "replay"}
+
+
+# The other six equivalents are audited by the tests above.
+@pytest.mark.parametrize("target", ["exp2", "exp4", "exp5", "exp6", "exp7"])
+def test_audit_equivalent_passes(capsys, target):
+    out = run(capsys, "audit", *AUDIT_EQUIVALENTS[target])
+    assert "conservation audit passed" in out
+
+
+def test_zero_size_input_exits_two_with_the_message(capsys):
+    code = main(["fig6", "--service", "Dropbox", "--max-x", "2",
+                 "--total", "0"])
+    assert code == 2
+    assert "total must be positive" in capsys.readouterr().err

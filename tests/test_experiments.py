@@ -12,6 +12,7 @@ from repro.client import AccessMethod
 from repro.core import (
     CreationCell,
     ModificationCell,
+    experiment1_batch,
     experiment2_deletion,
     experiment6_frequent_mods,
     measure_batch_creation,
@@ -19,6 +20,7 @@ from repro.core import (
     measure_creation,
     measure_modification,
     run_appending,
+    run_faulty_sync,
 )
 from repro.units import KB, MB
 
@@ -195,3 +197,25 @@ def test_appending_validation():
         run_appending("Dropbox", 0)
     with pytest.raises(ValueError):
         run_appending("Dropbox", 1.0, append_kb=0.0)
+
+
+def test_appending_rejects_zero_total():
+    """Regression: total=0 divided the traffic by zero appended bytes."""
+    with pytest.raises(ValueError, match="total must be positive"):
+        run_appending("Dropbox", 2.0, total=0)
+
+
+@pytest.mark.parametrize("kwargs", [{"count": 0}, {"file_size": 0},
+                                    {"count": -1}])
+def test_batch_creation_rejects_empty_batches(kwargs):
+    """Regression: an empty batch divided the traffic by a zero update."""
+    with pytest.raises(ValueError, match="must be positive"):
+        experiment1_batch(services=("Dropbox",),
+                          access_methods=(AccessMethod.PC,), **kwargs)
+
+
+@pytest.mark.parametrize("kwargs", [{"file_count": 0}, {"file_size": 0}])
+def test_faulty_sync_rejects_empty_uploads(kwargs):
+    """Regression: no uploaded bytes divided the traffic by zero."""
+    with pytest.raises(ValueError, match="must be positive"):
+        run_faulty_sync(**kwargs)

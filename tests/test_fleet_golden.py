@@ -16,8 +16,8 @@ from pathlib import Path
 
 from repro.core import experiment9_collaboration
 from repro.fleet import Fleet, schedule_writer_workload
-from repro.reporting import fmt_tue, render_table, size_cell
-from repro.units import KB
+from repro.reporting import fmt_tue, render_table
+from repro.units import KB, fmt_size
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -36,14 +36,14 @@ def render_member_table(fleet) -> str:
     report = fleet.report()
     rows = [
         [member.name, "yes" if member.live else "left",
-         size_cell(int(member.traffic.total)),
-         size_cell(int(member.traffic.data_update_size)),
+         fmt_size(int(member.traffic.total)),
+         fmt_size(int(member.traffic.data_update_size)),
          fmt_tue(member.tue), str(member.notifications),
          str(member.fanout_fetches), str(member.conflicts)]
         for member in report.members
     ]
-    rows.append(["fleet", "", size_cell(report.traffic_bytes),
-                 size_cell(report.update_bytes), fmt_tue(report.tue),
+    rows.append(["fleet", "", fmt_size(report.traffic_bytes),
+                 fmt_size(report.update_bytes), fmt_tue(report.tue),
                  "", "", str(report.conflicts)])
     return render_table(
         ["Member", "Live", "Traffic", "Update", "TUE", "Notifs", "Fetches",
@@ -75,7 +75,7 @@ def test_collaboration_sweep_table():
         for cell in out[service]:
             rows.append([
                 cell.service, str(cell.writers),
-                size_cell(cell.update_bytes), size_cell(cell.traffic_bytes),
+                fmt_size(cell.update_bytes), fmt_size(cell.traffic_bytes),
                 fmt_tue(cell.tue), fmt_tue(cell.amplification),
             ])
     text = render_table(

@@ -1,7 +1,6 @@
 """Unit tests for table/series rendering."""
 
-from repro.reporting import render_series, render_table, size_cell
-from repro.units import KB, MB
+from repro.reporting import render_series, render_table
 
 
 def test_render_table_aligns_columns():
@@ -25,11 +24,6 @@ def test_render_series_formats():
     text = render_series([(1, 2.5), (2, 3.25)], x_label="X", y_label="TUE")
     assert "X" in text and "TUE" in text
     assert "2.50" in text and "3.25" in text
-
-
-def test_size_cell_uses_paper_units():
-    assert size_cell(10 * MB) == "10.00 M"
-    assert size_cell(KB) == "1.00 K"
 
 
 def test_row_dict_includes_fields_and_properties():
