@@ -1,6 +1,7 @@
 """Unit tests for table/series rendering."""
 
 from repro.reporting import render_series, render_table
+from repro.units import KB, MB
 
 
 def test_render_table_aligns_columns():
@@ -24,6 +25,17 @@ def test_render_series_formats():
     text = render_series([(1, 2.5), (2, 3.25)], x_label="X", y_label="TUE")
     assert "X" in text and "TUE" in text
     assert "2.50" in text and "3.25" in text
+
+
+def test_size_cell_uses_paper_units():
+    from types import SimpleNamespace
+    from repro.reporting import render_phase_breakdown
+    stat = SimpleNamespace(kind="wire", name="upload", events=1, seconds=0.5,
+                           up_bytes=10 * MB, down_bytes=KB, wasted_bytes=0)
+    source = SimpleNamespace(phase_breakdown=lambda: [stat])
+    row = render_phase_breakdown(source).splitlines()[-1]
+    cells = [cell.strip() for cell in row.split("|")]
+    assert cells[4:6] == ["10.00 M", "1.00 K"]
 
 
 def test_row_dict_includes_fields_and_properties():
