@@ -13,8 +13,8 @@ across three workload mixes (the paper's small-file skew, uniform-large,
 multimedia) and reports TUE plus REST ops per synced file.  Three checks
 run on the way:
 
-* **honest ledger** — every cell's run must pass
-  :func:`repro.obs.audit.audit_rest_ledger` (lifetime
+* **honest ledger** — every cell's run must pass the
+  ``rest-conservation`` invariant (lifetime
   ``put_bytes - reclaimed == stored_bytes``) and, traced, the full
   conservation audit including ``bundle-conservation``;
 * **rerun byte-identity** — the sweep runs twice; the cells *and* the

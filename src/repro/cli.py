@@ -49,8 +49,7 @@ def run_artifact(entry: Artifact, args) -> int:
     its own out-of-ledger invariants when told it is audited) and ``out``
     receives the span trace as JSONL.
     """
-    from .obs import AuditViolation, TraceHub, audit_hub, recording
-    from .obs.audit import SPAN_INVARIANTS
+    from .obs import INVARIANTS, AuditViolation, TraceHub, audit_hub, recording
     from .reporting import render_phase_breakdown
 
     observed = args.audit or args.out
@@ -77,7 +76,9 @@ def run_artifact(entry: Artifact, args) -> int:
     if args.out:
         print(f"span trace written to {args.out}")
     if args.audit:
-        print(f"conservation audit passed ({', '.join(SPAN_INVARIANTS)}): "
+        span_rows = [row.name for row in INVARIANTS
+                     if row.inputs == ("recorder",)]
+        print(f"conservation audit passed ({', '.join(span_rows)}): "
               f"{hub.span_count} spans across {len(hub.recorders)} "
               f"session(s), 0 violations")
     return 0 if entry.ok is None or entry.ok(result) else 1

@@ -184,10 +184,10 @@ class SyncSession:
         invariant; requires the session to have been created with a
         recorder (explicit or ambient via ``obs.recording()``).
         """
-        from ..obs import ConservationAuditor  # local: obs is optional here
+        from ..obs import audit  # local: obs is optional here
 
         if self.recorder is None:
             raise ValueError(
                 "session has no recorder — construct it inside "
                 "obs.recording() or pass recorder= explicitly")
-        ConservationAuditor().audit(self.recorder)
+        audit(recorder=self.recorder)

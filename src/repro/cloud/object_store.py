@@ -83,7 +83,7 @@ class RestOpCounters:
 
         Lifetime conservation: ``put_bytes - reclaimed_bytes`` equals the
         store's current ``stored_bytes`` — asserted by
-        :func:`repro.obs.audit.verify_rest_ledger`.
+        the ``rest-conservation`` row of :data:`repro.obs.INVARIANTS`.
         """
         return self.delete_bytes + self.overwritten_bytes
 

@@ -765,10 +765,10 @@ def run_backend_cell(backend: str, mix: str,
     ``delete_every``-th file and purges its history (exercising the
     delete/GC path where the backends' cost models diverge hardest), then
     reads the REST ledger — which must balance
-    (:func:`repro.obs.audit.audit_rest_ledger`) before the cell is
+    (``rest-conservation``, :func:`repro.obs.audit`) before the cell is
     reported.
     """
-    from ..obs import audit_rest_ledger
+    from ..obs import audit
 
     file_count = files if files is not None else _MIX_FILES[mix]
     sizes = generate_mix(mix, file_count, seed=seed)
@@ -786,7 +786,7 @@ def run_backend_cell(backend: str, mix: str,
     session.run_until_idle()
     for path in deleted:
         session.server.purge_history("user1", path, keep_last=1)
-    audit_rest_ledger(session.server.objects)
+    audit(store=session.server.objects)
     ops = session.server.objects.ops
     stats = session.server.stats
     return BackendCell(

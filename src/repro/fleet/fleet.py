@@ -28,7 +28,7 @@ every member plus the server front door.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Union
+from typing import Any, Dict, List, Optional, Union
 
 from ..client.hardware import M1, MachineProfile
 from ..client.profiles import AccessMethod, ServiceProfile, service_profile
@@ -194,20 +194,17 @@ class Fleet:
         Requires the fleet to have been recording (``record=True`` or an
         ambient hub).
         """
-        from ..obs.audit import (
-            ConservationAuditor,
-            audit_domain_protocol,
-            audit_fleet_fanout,
-        )
+        from ..obs import audit
 
         recorders = [member.recorder for member in self.hub.members
                      if member.recorder is not None]
-        auditor = ConservationAuditor()
         for recorder in recorders:
-            auditor.audit(recorder)
-        audit_fleet_fanout(self.hub.ledger, recorders)
+            audit(recorder=recorder)
+        ledgers: Dict[str, Any] = {"ledger": self.hub.ledger,
+                                   "recorders": recorders}
         if isinstance(self.sim, DomainScheduler):
-            audit_domain_protocol(self.sim)
+            ledgers["scheduler"] = self.sim
+        audit(**ledgers)
 
 
 def schedule_writer_workload(

@@ -2,8 +2,8 @@
 trace-coverage invariants (``repro lint``; see DESIGN.md).
 
 One pass over the tree: ``lint_paths`` parses each file once, runs every
-rule of ``ALL_RULES`` on it, and hands the same parsed files to the two
-tree-wide checks (REP050, REP053).
+rule of ``ALL_RULES`` on it, and hands the same parsed files to the
+tree-wide check (REP053).
 """
 
 from .engine import (BaselineEntry, FileContext, Finding, LintResult,

@@ -15,8 +15,10 @@ evidence each rule has earned its place on):
   ``_fork_lock`` discipline, REP032 non-daemon spawns, REP034
   process-global multiprocessing configuration;
 * contract conformance, checked over every ``repro`` module of the run
-  at once — REP050 orphan ``verify_*`` invariants, REP053 ``*Stats``
-  fields nothing writes.
+  at once — REP053 ``*Stats`` fields nothing writes.  (An orphan
+  conservation invariant needs no rule: ``repro.obs.INVARIANTS`` rows
+  run only through ``verify``/``audit``, and
+  ``tests/test_invariant_coverage.py`` drives every row.)
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .concurrency import (ForkDisciplineRule, GlobalStartMethodRule,
                           NonDaemonSpawnRule)
 from .conservation import (FloatByteArithmeticRule, MaskedZeroDenominatorRule,
                            MeterMutationRule)
-from .contracts import StatsMirrorRule, UnregisteredVerifyRule
+from .contracts import StatsMirrorRule
 from .determinism import (AmbientEntropyRule, AmbientEnvironmentRule,
                           SaltedHashRule, UnorderedIterationRule,
                           UnseededRngRule, WallClockRule)
@@ -49,7 +51,6 @@ ALL_RULES: List[Rule] = [
     ForkDisciplineRule(),
     NonDaemonSpawnRule(),
     GlobalStartMethodRule(),
-    UnregisteredVerifyRule(),
     StatsMirrorRule(),
 ]
 

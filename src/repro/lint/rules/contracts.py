@@ -1,52 +1,16 @@
-"""Contract-conformance rules (REP050, REP053).
+"""Contract-conformance rule (REP053).
 
-The runtime contracts — the ConservationAuditor's invariants, the backend
-stats mirrors — are each defined in one module and *used* from others.
-A per-file check cannot tell a registered invariant from an orphan, so
-these rules look at every ``repro`` module of the run at once.
+A ``*Stats`` counter is defined in one module and written from others.
+A per-file check cannot tell a fed counter from a dead one, so this rule
+looks at every ``repro`` module of the run at once.
 """
 
 from __future__ import annotations
 
 import ast
-from typing import Iterator, List, Sequence, Set
+from typing import Iterator, Sequence, Set
 
 from ..engine import FileContext, Finding, Rule, dotted_name
-
-
-def _repro_contexts(contexts: Sequence[FileContext]) -> List[FileContext]:
-    return [ctx for ctx in contexts if ctx.in_package("repro")]
-
-
-class UnregisteredVerifyRule(Rule):
-    """REP050: every ``verify_*`` invariant must have a caller.
-
-    An invariant nobody calls is an invariant nobody checks — the audit
-    claims coverage it does not have.  Call sites are counted anywhere in
-    the ``repro`` package (method or function, matched by the called
-    name's last segment), so the rule only fires on true orphans.
-    """
-
-    id = "REP050"
-    summary = "verify_* invariant defined but never invoked"
-    hint = ("call it from the audit path (audit_hub / the experiment "
-            "driver) or delete it; unchecked invariants rot")
-
-    def check_tree(self, contexts: Sequence[FileContext],
-                   ) -> Iterator[Finding]:
-        repro = _repro_contexts(contexts)
-        called = {dotted_name(node.func).split(".")[-1]
-                  for ctx in repro for node in ctx.walk()
-                  if isinstance(node, ast.Call)}
-        for ctx in repro:
-            for node in ctx.walk():
-                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
-                        and node.name.startswith("verify_") \
-                        and node.name not in called:
-                    yield self.at(ctx, node,
-                                  f"{ctx.module}.{node.name}() is never "
-                                  f"called from any repro module; the "
-                                  f"invariant is not part of the audit")
 
 
 class StatsMirrorRule(Rule):
@@ -64,7 +28,7 @@ class StatsMirrorRule(Rule):
 
     def check_tree(self, contexts: Sequence[FileContext],
                    ) -> Iterator[Finding]:
-        repro = _repro_contexts(contexts)
+        repro = [ctx for ctx in contexts if ctx.in_package("repro")]
         written = self._written_names(repro)
         for ctx in repro:
             for node in ctx.walk():

@@ -9,11 +9,13 @@ role, and this package is the instrument that makes it trustworthy:
   retry-attempt, defer-window, dedup-hit, fault-episode, sync-transaction)
   emitted by the channel, the client engine, and the cloud server, each
   carrying start/end sim-time and the meter delta it produced;
-* :class:`ConservationAuditor` — replays a recorder and asserts the
-  invariants that make the meter a faithful capture (span deltas sum to
-  meter totals, wire bytes match the packetisation model, wasted is a
-  decomposition, clocks are monotone), raising structured
-  :class:`AuditViolation` errors that name the offending span;
+* :data:`INVARIANTS` — the conservation invariants that make the meter a
+  faithful capture (span deltas sum to meter totals, wire bytes match the
+  packetisation model, wasted is a decomposition, clocks are monotone,
+  and the replay, fan-out, REST and cross-domain ledgers balance), one
+  table row each; :func:`verify` runs every row its inputs allow and
+  :func:`audit` raises the first structured :class:`AuditViolation`,
+  naming the invariant and the offending span;
 * :func:`recording` — an ambient :class:`TraceHub` context so every
   experiment (1–8) and CLI command can run traced/audited without any
   signature changes, at near-zero overhead when disabled (a single
@@ -21,17 +23,11 @@ role, and this package is the instrument that makes it trustworthy:
 """
 
 from .audit import (
+    INVARIANTS,
     AuditViolation,
-    ConservationAuditor,
-    audit_domain_protocol,
-    audit_fleet_fanout,
+    audit,
     audit_hub,
-    audit_replay_report,
-    audit_rest_ledger,
-    verify_fleet_fanout,
-    verify_replay_merge,
-    verify_replay_report,
-    verify_rest_ledger,
+    verify,
 )
 from .recorder import (
     BUNDLE_COMMIT,
@@ -52,7 +48,6 @@ from .recorder import (
     TraceHub,
     TraceRecorder,
     current_hub,
-    load_jsonl,
     recording,
     session_recorder,
 )
@@ -61,12 +56,12 @@ __all__ = [
     "AuditViolation",
     "BUNDLE_COMMIT",
     "CONNECT",
-    "ConservationAuditor",
     "DEDUP_HIT",
     "DEFER_WINDOW",
     "DELTA_EXCHANGE",
     "EXCHANGE",
     "FAULT_EPISODE",
+    "INVARIANTS",
     "METER_RESET",
     "PhaseStat",
     "RETRY_ATTEMPT",
@@ -77,17 +72,10 @@ __all__ = [
     "TraceHub",
     "TraceRecorder",
     "WIRE_KINDS",
-    "audit_domain_protocol",
-    "audit_fleet_fanout",
+    "audit",
     "audit_hub",
-    "audit_replay_report",
-    "audit_rest_ledger",
     "current_hub",
-    "load_jsonl",
     "recording",
     "session_recorder",
-    "verify_fleet_fanout",
-    "verify_replay_merge",
-    "verify_replay_report",
-    "verify_rest_ledger",
+    "verify",
 ]

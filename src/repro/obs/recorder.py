@@ -235,7 +235,11 @@ class TraceHub:
     def from_jsonl(cls, path: str) -> "TraceHub":
         hub = cls()
         current: Optional[TraceRecorder] = None
-        for entry in _read_jsonl_entries(path):
+        with open(path, "r", encoding="utf-8") as stream:
+            entries = [(number, json.loads(text))
+                       for number, text in enumerate(stream, start=1)
+                       if text.strip()]
+        for number, entry in entries:
             if entry["type"] == "session":
                 current = TraceRecorder(entry["session"])
                 if entry["totals"] is not None:
@@ -244,27 +248,15 @@ class TraceHub:
                 continue
             if current is None:
                 raise ValueError("span line before any session header")
+            if entry["kind"] not in SPAN_KINDS:
+                raise ValueError(f"{path}, line {number}: unknown span kind "
+                                 f"{entry['kind']!r}")
             delta = (MeterSnapshot(**entry["delta"])
                      if entry["delta"] is not None else None)
             current.spans.append(Span(
                 entry["index"], entry["kind"], entry["name"], entry["source"],
                 entry["start"], entry["end"], delta, entry.get("attrs", {})))
         return hub
-
-
-def _read_jsonl_entries(path: str) -> List[Dict[str, Any]]:
-    entries: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as stream:
-        for line in stream:
-            line = line.strip()
-            if line:
-                entries.append(json.loads(line))
-    return entries
-
-
-def load_jsonl(path: str) -> "TraceHub":
-    """Load an exported span trace back into an auditable ``TraceHub``."""
-    return TraceHub.from_jsonl(path)
 
 
 # -- ambient hub ----------------------------------------------------------
@@ -296,7 +288,7 @@ def recording(hub: Optional[TraceHub] = None, audit: bool = False,
 
     ``jsonl`` exports the trace on exit (even after an exception, for
     post-mortems); ``audit=True`` runs the full conservation audit on
-    normal exit and raises :class:`~repro.obs.audit.AuditViolation` on the
+    normal exit and raises :class:`~repro.obs.AuditViolation` on the
     first broken invariant.
     """
     global _HUB

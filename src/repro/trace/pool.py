@@ -493,13 +493,9 @@ class ReplayPool:
         ``saved_by_dedup`` exactly, user by user.  Raises the first
         :class:`~repro.obs.AuditViolation` found.
         """
-        from ..obs.audit import verify_replay_merge, verify_replay_report
+        from ..obs import audit
         report, parts, credits = self._replay_full(profile, seed)
-        violations = verify_replay_merge(parts, report,
-                                         settle_credits=credits)
-        violations.extend(verify_replay_report(report))
-        if violations:
-            raise violations[0]
+        audit(report=report, parts=parts, settle_credits=credits)
         return report
 
     def _replay_full(self, profile: ServiceProfile, seed: int
@@ -610,7 +606,7 @@ def replay_all(trace: Optional[Trace] = None,
     replay-conservation invariant, and a pooled replay's shard merge too.
     """
     from ..client import SERVICES
-    from ..obs.audit import audit_replay_report
+    from ..obs import audit as audit_invariants
     names = services or SERVICES
     owns_pool = False
     if pool is None and workers > 1 and trace is not None:
@@ -629,7 +625,7 @@ def replay_all(trace: Optional[Trace] = None,
                        for name in names]
             if audit:
                 for report in reports:
-                    audit_replay_report(report)
+                    audit_invariants(report=report)
     finally:
         if owns_pool:
             pool.close()

@@ -4,14 +4,7 @@ import pytest
 
 from repro.client import AccessMethod, service_profile
 from repro.core import measure_creation, run_faulty_sync
-from repro.obs import (
-    AuditViolation,
-    audit_hub,
-    audit_replay_report,
-    recording,
-    verify_replay_merge,
-    verify_replay_report,
-)
+from repro.obs import AuditViolation, audit, audit_hub, recording, verify
 from repro.trace import ReplayPool, generate_trace, replay_trace
 from repro.trace.replay import ReplayReport
 from repro.units import KB
@@ -77,8 +70,8 @@ def test_audited_two_worker_parallel_replay():
     with ReplayPool(trace, workers=2) as pool:
         merged = pool.replay(profile, seed=7)
     assert merged == sequential
-    audit_replay_report(merged)                # no raise
-    assert verify_replay_report(merged) == []
+    audit(report=merged)                # no raise
+    assert verify(report=merged) == []
 
 
 def test_replay_merge_is_counterwise_additive():
@@ -93,12 +86,12 @@ def test_replay_merge_is_counterwise_additive():
                      per_user_modification_traffic={"u2": 7},
                      per_user_modification_update={"u2": 3})
     merged = ReplayReport.merge([a, b])
-    assert verify_replay_merge([a, b], merged) == []
-    audit_replay_report(merged)
+    assert verify(report=merged, parts=[a, b]) == []
+    audit(report=merged)
     # Tamper with the merge: the auditor must notice.
     merged.per_user_traffic["u2"] -= 1
     assert any(v.invariant == "replay-conservation"
-               for v in verify_replay_merge([a, b], merged))
+               for v in verify(report=merged, parts=[a, b]))
 
 
 def test_corrupted_replay_report_raises():
@@ -109,7 +102,7 @@ def test_corrupted_replay_report_raises():
     some_user = next(iter(report.per_user_traffic))
     report.per_user_traffic[some_user] += 1
     with pytest.raises(AuditViolation) as err:
-        audit_replay_report(report)
+        audit(report=report)
     assert err.value.invariant == "replay-conservation"
 
 
@@ -145,19 +138,19 @@ def test_replay_merge_balances_settle_credits():
     merged.traffic_bytes -= 7
     merged.saved_by_dedup += 7
     merged.per_user_traffic["u2"] -= 7
-    assert verify_replay_merge([a, b], merged, settle_credits=credits) == []
+    assert verify(report=merged, parts=[a, b], settle_credits=credits) == []
     # A settlement that only touched the totals but not the per-user dict
     # is a conservation violation.
     merged.per_user_traffic["u2"] += 7
     assert any(v.invariant == "replay-conservation"
-               for v in verify_replay_merge([a, b], merged,
+               for v in verify(report=merged, parts=[a, b],
                                             settle_credits=credits))
     merged.per_user_traffic["u2"] -= 7
     # Negative credits (bytes conjured into traffic) are rejected outright.
     assert any("negative" in str(v)
-               for v in verify_replay_merge([a, b], merged,
+               for v in verify(report=merged, parts=[a, b],
                                             settle_credits={"u2": -7}))
     # Credits for a user no shard ever saw are rejected.
     assert any("unknown user" in str(v)
-               for v in verify_replay_merge([a, b], merged,
+               for v in verify(report=merged, parts=[a, b],
                                             settle_credits={"ghost": 7}))

@@ -31,14 +31,7 @@ from repro.core import (
     generate_mix,
     run_backend_cell,
 )
-from repro.obs import (
-    AuditViolation,
-    ConservationAuditor,
-    audit_hub,
-    audit_rest_ledger,
-    recording,
-    verify_rest_ledger,
-)
+from repro.obs import AuditViolation, audit, audit_hub, recording, verify
 from repro.units import KB
 
 
@@ -56,7 +49,7 @@ def test_overwrite_and_delete_bytes_balance_the_ledger():
     assert store.ops.reclaimed_bytes == 8
     assert store.ops.put_bytes - store.ops.reclaimed_bytes \
         == store.stored_bytes == 0
-    assert verify_rest_ledger(store) == []
+    assert verify(store=store) == []
 
 
 def test_ledger_detects_uncounted_displacement():
@@ -67,7 +60,7 @@ def test_ledger_detects_uncounted_displacement():
     store.put("a", b"12345")
     store.put("a", b"123")
     store.ops.overwritten_bytes = 0
-    violations = verify_rest_ledger(store)
+    violations = verify(store=store)
     assert violations and all(
         v.invariant == "rest-conservation" for v in violations)
     assert "uncounted" in str(violations[0])
@@ -77,18 +70,18 @@ def test_ledger_rejects_negative_counters():
     store = ObjectStore()
     store.put("a", b"x")
     store.ops.delete_bytes = -1
-    messages = [str(v) for v in verify_rest_ledger(store)]
+    messages = [str(v) for v in verify(store=store)]
     assert any("negative counter delete_bytes" in m for m in messages)
 
 
-def test_audit_rest_ledger_raises_on_imbalance():
+def test_rest_ledger_audit_raises_on_imbalance():
     store = ObjectStore()
     store.put("a", b"12345")
     store.delete("a")
-    audit_rest_ledger(store)         # balanced: no raise
+    audit(store=store)         # balanced: no raise
     store.ops.delete_bytes = 0
     with pytest.raises(AuditViolation):
-        audit_rest_ledger(store)
+        audit(store=store)
 
 
 # ---------------------------------------------------------------------------
@@ -167,7 +160,7 @@ def test_chunkstore_delete_exists_and_flush():
     assert not chunks.exists(key)
     with pytest.raises(NotFound):
         chunks.fetch(key)
-    assert verify_rest_ledger(chunks.objects) == []
+    assert verify(store=chunks.objects) == []
 
 
 def test_chunkstore_collect_garbage_deletes_non_live():
@@ -452,7 +445,7 @@ def test_sealed_delete_marks_garbage_then_compacts():
     assert shard.stats.garbage_reclaimed_bytes == 200
     assert shard.fetch(keys[2]) == pieces[2]  # survivor re-sealed + readable
     assert shard.fetch(keys[3]) == pieces[3]
-    assert verify_rest_ledger(shard.objects) == []
+    assert verify(store=shard.objects) == []
 
 
 def test_fully_garbage_container_is_one_delete():
@@ -465,7 +458,7 @@ def test_fully_garbage_container_is_one_delete():
     assert shard.objects.ops.delete == 1
     assert len(shard.objects) == 0
     assert shard.stats.garbage_reclaimed_bytes == 100
-    assert verify_rest_ledger(shard.objects) == []
+    assert verify(store=shard.objects) == []
 
 
 def test_packshard_collect_garbage_needs_no_list_ops():
@@ -529,7 +522,7 @@ def test_server_packshard_end_to_end():
     server.delete_file("u", "a.bin")
     server.purge_history("u", "a.bin", keep_last=1)
     assert server.download("u", "b.bin") == second.data
-    audit_rest_ledger(server.objects)
+    audit(store=server.objects)
 
 
 def test_server_packshard_commit_flushes_for_durability():
@@ -585,7 +578,7 @@ def test_tampered_bundle_ledger_fails_the_audit():
     span = next(s for s in session.recorder.spans
                 if s.kind == "bundle-commit")
     span.attrs["ledger"][0][1] += 1              # claim one extra wire byte
-    violations = ConservationAuditor().verify(session.recorder)
+    violations = verify(recorder=session.recorder)
     bundle = [v for v in violations if v.invariant == "bundle-conservation"]
     assert len(bundle) >= 2                      # span sum + trace total
     with pytest.raises(AuditViolation):
@@ -597,7 +590,7 @@ def test_bundle_span_without_ledger_is_a_violation():
     recorder = TraceRecorder("synthetic")
     recorder.record_span(BUNDLE_COMMIT, "bundle", "client", 0.0, 1.0,
                          files=2, payload=10)
-    violations = ConservationAuditor().verify(recorder)
+    violations = verify(recorder=recorder)
     assert any("no per-file ledger" in str(v) for v in violations)
 
 

@@ -19,7 +19,7 @@ from repro.fleet import (
     fleet_tue,
     schedule_writer_workload,
 )
-from repro.obs import verify_fleet_fanout
+from repro.obs import verify
 from repro.simnet import Direction, FaultEpisode, FaultKind, FaultSchedule
 from repro.units import KB, MB
 
@@ -390,7 +390,7 @@ def test_fanout_audit_catches_byte_imbalance():
     fleet.run_until_idle()
     fleet.hub.ledger[0].pushed_bytes += 1
     recorders = [member.recorder for member in fleet.members]
-    violations = verify_fleet_fanout(fleet.hub.ledger, recorders)
+    violations = verify(ledger=fleet.hub.ledger, recorders=recorders)
     assert violations
     assert violations[0].invariant == "fanout-conservation"
     assert "pushed" in str(violations[0])
@@ -402,7 +402,7 @@ def test_fanout_audit_catches_missing_notification():
     entry = fleet.hub.ledger[0]
     entry.targets = entry.targets + ("ghost",)
     recorders = [member.recorder for member in fleet.members]
-    violations = verify_fleet_fanout(fleet.hub.ledger, recorders)
+    violations = verify(ledger=fleet.hub.ledger, recorders=recorders)
     assert any("targeted" in str(violation) for violation in violations)
 
 

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from repro.client import AccessMethod, all_profiles
 from repro.fleet import Fleet, schedule_writer_workload
-from repro.obs import AuditViolation, TraceHub, audit_domain_protocol, recording
+from repro.obs import AuditViolation, TraceHub, audit, recording
 from repro.reporting import render_fleet_members
 from repro.simnet import (
     DomainScheduler,
@@ -245,7 +245,7 @@ def test_large_sharded_fleet_matches_global_queue():
 
 def test_domain_protocol_audit_passes_on_clean_run():
     run = run_fleet("Dropbox", domains=4)
-    audit_domain_protocol(run["fleet"].sim)
+    audit(scheduler=run["fleet"].sim)
 
 
 def test_domain_protocol_audit_catches_matrix_drift():
@@ -253,7 +253,7 @@ def test_domain_protocol_audit_catches_matrix_drift():
     scheduler = run["fleet"].sim
     scheduler.cross_matrix[0][1] += 1
     with pytest.raises(AuditViolation) as excinfo:
-        audit_domain_protocol(scheduler)
+        audit(scheduler=scheduler)
     assert excinfo.value.invariant == "domain-protocol"
 
 

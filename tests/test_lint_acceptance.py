@@ -1,10 +1,9 @@
 """Acceptance checks: the real tree lints clean, and deliberately injected
 violations in copies of the real modules are caught with the right rule
-ids — a wall clock in the simulator, a float cast in the meter, the
-fork-inherited-lock deadlock shape, and an orphan ``verify_*`` invariant."""
+ids — a wall clock in the simulator, a float cast in the meter, and the
+fork-inherited-lock deadlock shape."""
 
 import shutil
-import textwrap
 from pathlib import Path
 
 from repro.cli import main
@@ -82,27 +81,3 @@ def test_removing_fork_lock_discipline_from_replay_fails_rep030(tmp_path):
     # discipline.
     assert [f.rule for f in findings] == ["REP030"], \
         "\n".join(f.format() for f in findings)
-
-
-def test_orphan_verify_fails_rep050(tmp_path):
-    """(b) An invariant nobody calls — the state ``verify_replay_merge``
-    was in until ``replay_audited`` called it — next to one that is called
-    from another module."""
-    pkg = tmp_path / "repro" / "obs"
-    pkg.mkdir(parents=True)
-    (pkg / "checks.py").write_text(textwrap.dedent("""
-        def verify_orphan(report):
-            return report
-
-        def verify_books(report):
-            return report
-    """), encoding="utf-8")
-    (pkg / "runner.py").write_text(textwrap.dedent("""
-        from repro.obs.checks import verify_books
-
-        def run(report):
-            return verify_books(report)
-    """), encoding="utf-8")
-    findings = _findings([tmp_path])
-    assert [(f.rule, f.line) for f in findings] == [("REP050", 2)]
-    assert "verify_orphan" in findings[0].message

@@ -27,14 +27,20 @@ def test_empty_and_syntax_error_files_flow_through_the_project(tmp_path):
     _write_tree(tmp_path, {
         "src/repro/empty.py": "",
         "src/repro/broken.py": "def half(:\n",
-        "src/repro/orphan.py": "def verify_nothing():\n    return 1\n",
+        "src/repro/orphan.py": """\
+            from dataclasses import dataclass
+
+            @dataclass
+            class OrphanStats:
+                never_written: int = 0
+            """,
     })
     result = _run(tmp_path)
     # The broken file surfaces as a REP000 finding; the empty file is a
     # module like any other; the rest of the tree is still linted, the
     # tree-wide checks included.
     assert [(f.rule, f.path.rsplit("/", 1)[-1]) for f in result.findings] \
-        == [(META_RULE, "broken.py"), ("REP050", "orphan.py")]
+        == [(META_RULE, "broken.py"), ("REP053", "orphan.py")]
     assert "syntax error" in result.findings[0].message
     assert result.file_count == 3
 
@@ -80,19 +86,21 @@ def test_line_pragma_suppresses_a_project_finding(tmp_path):
     _write_tree(tmp_path, {
         "src/repro/forky.py": """\
             import os
+            from dataclasses import dataclass
+
+            @dataclass
+            class SpawnStats:
+                forks: int = 0  # reprolint: disable=REP053 test-only
 
             def spawn():
                 pid = os.fork()  # reprolint: disable=REP030 test-only fork
                 return pid
-
-            def verify_spawn():  # reprolint: disable=REP050 test-only
-                return spawn()
             """,
     })
     assert _run(tmp_path).findings == []
-    # Without the pragmas the same shapes are a REP030 and a REP050.
+    # Without the pragmas the same shapes are a REP053 and a REP030.
     forky = tmp_path / "src" / "repro" / "forky.py"
     source = forky.read_text(encoding="utf-8")
     forky.write_text(re.sub(r"  # reprolint:.*", "", source),
                      encoding="utf-8")
-    assert [f.rule for f in _run(tmp_path).findings] == ["REP030", "REP050"]
+    assert [f.rule for f in _run(tmp_path).findings] == ["REP053", "REP030"]

@@ -17,7 +17,7 @@ FIXTURES = Path(__file__).parent / "lint_fixtures"
 _EXPECT_RE = re.compile(r"#\s*expect:\s*(REP\d+)")
 
 # Every rule, per-file and tree-wide alike: lint_source lints a fixture as
-# a one-file tree, so REP050/REP053 see it the way they see ``src/``.
+# a one-file tree, so REP053 sees it the way it sees ``src/``.
 RULE_IDS = sorted(rule.id for rule in ALL_RULES)
 
 

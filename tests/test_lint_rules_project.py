@@ -1,7 +1,7 @@
-"""The tree-wide rules (REP050, REP053) across module boundaries.
+"""The tree-wide rule (REP053) across module boundaries.
 
-Their one-file good/bad pairs live in ``lint_fixtures/`` with every other
-rule's; these cases need a caller or a writer in a *different* module.
+Its one-file good/bad pair lives in ``lint_fixtures/`` with every other
+rule's; these cases need a writer in a *different* module.
 """
 
 import textwrap
@@ -16,23 +16,6 @@ def _rules_fired(tmp_path, tree):
         target.write_text(textwrap.dedent(source), encoding="utf-8")
     result = lint_paths([str(tmp_path)], ALL_RULES)
     return sorted({f.rule for f in result.findings})
-
-
-# -- REP050 orphan invariants ------------------------------------------------
-
-def test_rep050_quiet_when_the_invariant_is_called(tmp_path):
-    assert _rules_fired(tmp_path, {
-        "repro/audit.py": """\
-            def verify_books(report):
-                assert report.total >= 0
-            """,
-        "repro/driver.py": """\
-            from repro.audit import verify_books
-
-            def run(report):
-                verify_books(report)
-            """,
-    }) == []
 
 
 # -- REP053 stats completeness ----------------------------------------------

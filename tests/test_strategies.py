@@ -32,7 +32,7 @@ from repro.content import Content, random_content
 from repro.core import strategy_link, strategy_profile
 from repro.delta import cdc_delta
 from repro.obs import recording
-from repro.obs.audit import ConservationAuditor
+from repro.obs import verify
 from repro.simnet import FaultEpisode, FaultKind, FaultSchedule
 from repro.units import KB
 
@@ -298,9 +298,9 @@ def tampered_violations(mutate):
         session.modify_random_byte("a.bin", seed=15)
         session.run_until_idle()
     (recorder,) = hub.recorders
-    assert ConservationAuditor().verify(recorder) == []
+    assert verify(recorder=recorder) == []
     mutate(recorder.spans)
-    return [v for v in ConservationAuditor().verify(recorder)
+    return [v for v in verify(recorder=recorder)
             if v.invariant == "strategy-conservation"]
 
 
