@@ -198,7 +198,8 @@ EXTENSIONS = (
                                                 seed=args.seed),
              _render_backends,
              {"--files": dict(type=int, default=None),
-              "--seed": dict(type=int, default=0)}),
+              "--seed": dict(type=int, default=0)},
+             ("backends",)),
     Artifact("strategies",
              "Experiment 11: sync strategies × workloads × links",
              lambda args: experiment11_strategies(
@@ -206,5 +207,5 @@ EXTENSIONS = (
              _render_strategies,
              {"--files": dict(type=int, default=3),
               "--seed": dict(type=int, default=0)},
-             ok=_dominated),
+             ("strategies",), ok=_dominated),
 )

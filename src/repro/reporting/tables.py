@@ -70,8 +70,8 @@ def render_fleet_members(report: "FleetReport",
 def render_backend_matrix(cells: Sequence, title: Optional[str] = None) -> str:
     """The Experiment 10 backend × mix sweep, one row per cell.
 
-    Shared between ``repro backends`` and ``benchmarks/bench_backends.py``
-    so the rendered sweep is part of the rerun byte-identity contract.
+    Shared between ``repro backends`` and the archive runner
+    ``benchmarks/bench_artifacts.py``, which writes ``results/backends.txt``.
     """
     rows = [
         [cell.mix, cell.backend, str(cell.files),

@@ -35,6 +35,18 @@ def test_design_index_lists_every_entry():
             if f"| `{entry.name}` |" not in design] == []
 
 
+@pytest.mark.parametrize("argv", [["backends", "--files", "6"],
+                                  ["strategies", "--files", "1"]],
+                         ids=lambda argv: argv[0])
+def test_rerun_in_one_process_renders_identical_text(argv):
+    """State leaking from one run into the next shows up as a diff here;
+    the archive's ``git diff`` gate only compares separate processes."""
+    args = build_parser().parse_args(argv)
+    first = args.entry.render(args, args.entry.run(args))
+    again = args.entry.render(args, args.entry.run(args))
+    assert first == again
+
+
 @pytest.mark.parametrize("argv", [["table7", "--access", "web"],
                                   ["table2", "--scale", "0.005"]],
                          ids=lambda argv: argv[0])

@@ -241,6 +241,28 @@ def test_strategies_prints_frontier_and_dominance(capsys):
     assert ": yes" in out
 
 
+def test_strategies_exits_one_when_adaptive_loses_a_cell(monkeypatch, capsys):
+    from dataclasses import replace
+
+    from repro.artifacts import extensions
+
+    sweep = extensions.experiment11_strategies
+
+    def adaptive_loses_one_cell(**kwargs):
+        cells = sweep(**kwargs)
+        loser = next(index for index, cell in enumerate(cells)
+                     if cell.strategy == "adaptive")
+        cells[loser] = replace(cells[loser],
+                               traffic=10 * cells[loser].traffic)
+        return cells
+
+    monkeypatch.setattr(extensions, "experiment11_strategies",
+                        adaptive_loses_one_cell)
+    assert main(["strategies"]) == 1
+    assert "every static strategy on every cell: NO" in \
+        capsys.readouterr().out
+
+
 def test_strategies_audited_run_passes(capsys):
     out = run(capsys, "audit", "strategies", "--files", "2")
     assert "conservation audit passed" in out
