@@ -209,6 +209,12 @@ class SyncClient:
             change.deleted = False
             if event.old_path in self._records:
                 change.renamed_from = event.old_path
+                leftover = self._pending.get(event.old_path)
+                if leftover is not None and leftover.renamed_from is not None:
+                    # The old path had absorbed a not-yet-synced rename and
+                    # is now gone locally: flag it deleted so its orphaned
+                    # source still gets a tombstone.
+                    leftover.deleted = True
             elif event.old_path in self._pending:
                 # Renamed before its creation (or an earlier rename) ever
                 # synced: carry the original pending state — including any
