@@ -86,7 +86,11 @@ def run_artifact(entry: Artifact, args) -> int:
 
 def cmd_trace(args) -> int:
     from .trace import generate_trace, save_trace, summary_stats
-    trace = generate_trace(scale=args.scale, seed=args.seed)
+    try:
+        trace = generate_trace(scale=args.scale, seed=args.seed)
+    except ValueError as error:
+        print(f"repro trace: error: {error}", file=sys.stderr)
+        return 2
     stats = summary_stats(trace)
     print(f"{stats.file_count} files / {stats.user_count} users — "
           f"mean {fmt_size(stats.mean_size)}, median {fmt_size(stats.median_size)}, "

@@ -80,6 +80,22 @@ def test_trace_and_save(tmp_path, capsys):
     assert out_path.exists()
 
 
+@pytest.mark.parametrize("command, argv", [
+    ("trace", ["trace", "--scale", "-1"]),
+    ("trace", ["trace", "--scale", "0"]),
+    ("replay", ["replay", "--scale", "0"]),
+    ("replay", ["replay", "--scale", "0", "--stream", "--workers", "2"]),
+    ("replay", ["audit", "replay", "--scale", "-1"]),
+])
+def test_scale_the_generator_cannot_honour_exits_two(capsys, command, argv):
+    """Regression: each of these printed a 6-file trace or replay."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"repro {command}: error: ")
+    assert "scale" in captured.err
+
+
 def test_replay(capsys):
     out = run(capsys, "replay", "--scale", "0.005")
     assert "Macro replay" in out and "Dropbox" in out

@@ -5,6 +5,7 @@ import pytest
 
 from repro.trace import (
     FileRecord,
+    GeneratorConfig,
     SERVICE_FILES,
     SERVICE_USERS,
     Trace,
@@ -17,6 +18,8 @@ from repro.trace import (
     dedup_ratio_curve,
     duplicate_file_ratio,
     generate_trace,
+    iter_trace_records,
+    iter_trace_shards,
     load_trace,
     modified_fraction,
     save_trace,
@@ -188,6 +191,38 @@ def test_generation_is_deterministic():
     b = generate_trace(scale=0.01, seed=3)
     assert len(a) == len(b)
     assert [r.md5 for r in a.records[:50]] == [r.md5 for r in b.records[:50]]
+
+
+@pytest.mark.parametrize("scale", [0, -1, -0.0, float("nan"), float("inf")])
+def test_generator_refuses_a_scale_it_cannot_honour(scale):
+    """Regression: scale 0 and -1 both clamped every service to one user
+    and one file and returned a 6-record trace."""
+    with pytest.raises(ValueError, match="scale"):
+        generate_trace(scale=scale)
+
+
+@pytest.mark.parametrize("plan, culprit", [
+    ({"Dropbox": (0, 5)}, "Dropbox"),         # was a bare numpy IndexError
+    ({"Box": (2, 3), "OneDrive": (2, -1)}, "OneDrive"),   # was 0 records
+    ({"SugarSync": (-3, 0)}, "SugarSync"),
+])
+def test_generator_refuses_a_service_plan_it_cannot_honour(plan, culprit):
+    config = GeneratorConfig(services=plan)
+    with pytest.raises(ValueError, match=culprit):
+        config.service_plan()
+    with pytest.raises(ValueError, match=culprit):
+        generate_trace(config=config)
+    # Refused when the stream is asked for, not at its first record.
+    with pytest.raises(ValueError, match=culprit):
+        iter_trace_records(config=config)
+    with pytest.raises(ValueError, match=culprit):
+        next(iter_trace_shards(config=config))
+
+
+def test_generator_honours_a_service_with_no_files():
+    trace = generate_trace(config=GeneratorConfig(
+        services={"Box": (2, 0), "Dropbox": (1, 4)}))
+    assert [record.service for record in trace] == ["Dropbox"] * 4
 
 
 def test_cdf_is_monotone(trace):

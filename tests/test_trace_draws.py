@@ -1,12 +1,13 @@
 """Oracles for the draws the trace path spells out itself.
 
-Three library calls were replaced by the arithmetic they perform, because
+Four library calls were replaced by the arithmetic they perform, because
 their per-call wrappers cost several times the draw.  The stdlib / numpy
 calls stay here as the reference: each replacement must return the same
 value *and leave the stream in the same state* (the next ``random()`` is
 equal), on every interpreter and numpy release CI runs.
 """
 
+import copy
 import math
 import random
 
@@ -14,7 +15,12 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.trace.generator import _activity_cdf, _draw_index, _draw_uniform
+from repro.trace.generator import (
+    _activity_cdf,
+    _bounded_draw,
+    _draw_index,
+    _draw_uniform,
+)
 from repro.trace.replay import (
     _MOD_FRACTION_LOG_MU,
     _MOD_FRACTION_LOG_SIGMA,
@@ -156,3 +162,70 @@ def test_affine_draw_equals_generator_uniform(lo, hi, seed):
         assert type(value) is float
         assert value == float(reference.uniform(lo, hi))
     assert ours.random() == reference.random()
+
+
+# -- generator: bounded integer draws ----------------------------------------------
+
+#: Whole-word draws the generator makes between its bounded ones.
+WHOLE_WORD_DRAWS = {
+    "random": lambda rng: rng.random(),
+    "lognormal": lambda rng: rng.lognormal(8.9, 3.17),
+    "geometric": lambda rng: int(rng.geometric(0.35)),
+}
+REJECTING_BOUND = 2 ** 31 + 1   # rejects almost half of all 32-bit words
+
+
+@given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+       steps=st.lists(st.tuples(
+           st.integers(min_value=1, max_value=2 ** 32 - 1),
+           st.sampled_from([None, *WHOLE_WORD_DRAWS])), max_size=40))
+@example(seed=0, steps=[(REJECTING_BOUND, None)] * 4)
+@example(seed=42, steps=[(8, None), (1, "random"), (1, None), (23, "lognormal"),
+                         (1, "geometric"), (8, None)])
+@example(seed=7, steps=[(2 ** 32 - 1, "random"), (2, None), (3, "geometric")])
+@settings(max_examples=200, deadline=None)
+def test_bounded_draw_equals_generator_integers(seed, steps):
+    """Equal values, and an equal stream afterwards: the next ``random()``
+    reads the next whole word, the next ``integers(7)`` the held half."""
+    ours = np.random.default_rng(seed)
+    reference = copy.deepcopy(ours)
+    draw = _bounded_draw(ours)
+    for n, between in steps:
+        value = draw(n)
+        assert type(value) is int
+        assert value == int(reference.integers(n))
+        if between is not None:
+            assert WHOLE_WORD_DRAWS[between](ours) \
+                == WHOLE_WORD_DRAWS[between](reference)
+    assert ours.random() == reference.random()
+    assert draw(7) == int(reference.integers(7))
+
+
+class _CountingWords:
+    """A ``Generator`` stand-in exposing only the raw words, counted."""
+
+    def __init__(self, seed):
+        self.bit_generator = self
+        self._raw = np.random.default_rng(seed).bit_generator.random_raw
+        self.words = 0
+
+    def random_raw(self):
+        self.words += 1
+        return self._raw()
+
+
+def test_bound_of_one_draws_nothing():
+    counting = _CountingWords(42)
+    draw = _bounded_draw(counting)
+    assert [draw(1) for _ in range(5)] == [0] * 5
+    assert counting.words == 0
+
+
+def test_rejecting_example_runs_the_rejection_loop():
+    """Four accepted draws read two words; the committed ``seed=0``
+    example above reads more, so the loop is not left untested to chance."""
+    counting = _CountingWords(0)
+    draw = _bounded_draw(counting)
+    for _ in range(4):
+        draw(REJECTING_BOUND)
+    assert counting.words > 2
