@@ -13,7 +13,7 @@ members); each scheduled op checks applicability at its own fire time, so
 the *interleaving* — not the generator — decides what races occur.
 """
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from repro.content import random_content
 from repro.fleet import Fleet
@@ -73,8 +73,16 @@ def schedule_ops(fleet, ops):
                               fire, op, member_index, path, arg, index)
 
 
+#: Two members move ``c.bin`` onto ``a.bin`` in one window: the second
+#: move finds its source already tombstoned by the first.
+CONCURRENT_RENAMES = [("write", 0, "a.bin", 1), ("write", 0, "c.bin", 1),
+                      ("rename", 0, "a.bin", 1), ("rename", 0, "c.bin", 2),
+                      ("rename", 1, "c.bin", 2)]
+
+
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
+@example(service="GoogleDrive", writers=2, seed=0, ops=CONCURRENT_RENAMES)
 @given(service=st.sampled_from(SERVICES),
        writers=st.integers(min_value=2, max_value=4),
        seed=st.integers(min_value=0, max_value=2 ** 16),
@@ -88,4 +96,15 @@ def test_random_interleavings_converge(service, writers, seed, ops):
             f"  {member.name}: {sorted(member.folder.paths())}"
             for member in fleet.live_members()))
     # Byte conservation on every member, plus the fan-out balance.
+    fleet.audit()
+
+
+def test_a_rename_whose_source_another_member_moved_still_converges():
+    """The losing move uploads its content to the target instead of
+    raising ``NotFound`` out of the event loop."""
+    fleet = Fleet("GoogleDrive", clients=2, seed=0, record=True)
+    schedule_ops(fleet, CONCURRENT_RENAMES)
+    fleet.run_until_idle()
+    assert fleet.converged()
+    assert "c.bin" not in fleet.members[0].folder.paths()
     fleet.audit()
