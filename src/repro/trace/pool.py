@@ -7,9 +7,9 @@ properties make ``pool.replay(profile, seed)`` equal
 ``replay_trace(trace, profile, seed)`` byte for byte (see DESIGN.md,
 "Parallel replay & determinism contract"):
 
-* every record's modification RNG is its own stream keyed by
-  ``(seed, profile, global record index)`` — no draw-order coupling
-  between records;
+* modification fractions come from one stream per ``(seed, user)``,
+  consumed in global index order, and a shard holds all of a user's
+  records in that order — no draw-order coupling between users;
 * BDS batch eligibility and ``SAME_USER`` dedup only couple records of
   one user, and sharding is by user;
 * ``CROSS_USER`` dedup couples records globally, so shards retain per-unit

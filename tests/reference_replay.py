@@ -2,7 +2,7 @@
 
 This is ``_replay_records`` as it was before the estimator became a
 columnar kernel over 1024-record blocks: one pass over the shard, Python
-ints throughout, a fresh ``random.Random(key)`` per modified record.  It
+ints throughout, one scalar draw at a time from each user's stream.  It
 lives here (imported by nothing under ``src/``) so the differential
 battery in ``test_replay_kernel.py`` can hold the kernel to it report for
 report, candidate for candidate.
@@ -15,9 +15,10 @@ fixed overhead, the unit digest, the level saving fractions and the §4.1
 creation-batch rule.
 """
 
-import math
-import random
+import hashlib
 from typing import Dict, List, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro.client import ServiceProfile
 from repro.client.profiles import BdsMode
@@ -45,28 +46,31 @@ def _wire_payload(size: int, compressed: int, saving_fraction: float,
     return wire + int(per_byte_factor * wire)
 
 
-def _mod_fractions(seed: int, profile_name: str, index: int,
-                   count: int) -> List[float]:
-    """Modification fractions for one record: an independent RNG stream.
+def _user_stream(seed: int, user: str) -> np.random.Generator:
+    """One user's modification stream: Philox keyed by the 16-byte
+    blake2b of ``replay:{seed}:{user}``, read as a big-endian int."""
+    key = hashlib.blake2b(f"replay:{seed}:{user}".encode(), digest_size=16)
+    return np.random.Generator(np.random.Philox(
+        key=int.from_bytes(key.digest(), "big")))
 
-    Keyed by (seed, profile, global record index) so any shard can
-    reproduce exactly the draws the sequential replay makes for this
-    record — the determinism contract that makes parallel == sequential.
 
-    Each fraction is ``min(1.0, rng.lognormvariate(mu, sigma))``, drawn by
-    the stdlib's own Kinderman–Monahan loop spelled out over ``rng.random``
-    (tests/test_trace_draws.py holds it to the stdlib call).
+def _mod_fractions(streams: Dict[str, np.random.Generator], seed: int,
+                   user: str, count: int) -> List[float]:
+    """Modification fractions for one record, drawn one scalar
+    ``lognormal`` at a time from its user's stream (built on first sight
+    and kept in ``streams``), each clamped to 1.0.
+
+    Records reach this in global index order, per user, in the whole trace
+    and in any user-disjoint shard alike — the determinism contract that
+    makes parallel == sequential.
     """
-    draw = random.Random(f"replay:{seed}:{profile_name}:{index}").random
+    stream = streams.get(user)
+    if stream is None:
+        stream = streams[user] = _user_stream(seed, user)
     fractions = []
     for _ in range(count):
-        while True:
-            u1 = draw()
-            u2 = 1.0 - draw()
-            z = random.NV_MAGICCONST * (u1 - 0.5) / u2
-            if z * z / 4.0 <= -math.log(u2):
-                break
-        fraction = math.exp(_MOD_FRACTION_LOG_MU + z * _MOD_FRACTION_LOG_SIGMA)
+        fraction = float(stream.lognormal(_MOD_FRACTION_LOG_MU,
+                                          _MOD_FRACTION_LOG_SIGMA))
         fractions.append(fraction if fraction < 1.0 else 1.0)
     return fractions
 
@@ -89,7 +93,6 @@ def reference_replay_records(shard: Sequence[Tuple[int, FileRecord]],
     fixed = _fixed_overhead(profile)
     saving_fraction = _LEVEL_SAVING_FRACTION[profile.upload_compression.level]
     per_byte = profile.overhead.per_byte_factor
-    profile_name = profile.name
     delta_block = profile.delta_block if profile.uses_ids else 0
     dedup = profile.dedup
     dedup_enabled = dedup.enabled
@@ -105,6 +108,7 @@ def reference_replay_records(shard: Sequence[Tuple[int, FileRecord]],
     batched = creation_batch_flags([record for _, record in shard]) \
         if bds.mode is not BdsMode.NONE else [False] * len(shard)
 
+    streams: Dict[str, np.random.Generator] = {}
     seen_units: Set = set()
     per_user_traffic: Dict[str, int] = {}
     per_user_mod_traffic: Dict[str, int] = {}
@@ -166,7 +170,7 @@ def reference_replay_records(shard: Sequence[Tuple[int, FileRecord]],
             ratio = compressed / size if size else 0.0
             altered_total = 0
             mod_traffic = count * fixed
-            for fraction in _mod_fractions(seed, profile_name, index, count):
+            for fraction in _mod_fractions(streams, seed, user, count):
                 altered = max(1, int(size * fraction))
                 altered_total += altered
                 if delta_block:

@@ -4,7 +4,7 @@ micro (packet-level) engine on a small trace."""
 import numpy as np
 import pytest
 
-from repro.client import AccessMethod, SyncSession, service_profile
+from repro.client import SERVICES, AccessMethod, SyncSession, service_profile
 from repro.content import compressible_content, random_content
 from repro.trace import FileRecord, Trace, generate_trace, replay_all, replay_trace
 from repro.trace.schema import UNIT_SIZE
@@ -28,6 +28,20 @@ def test_replay_is_deterministic(trace):
     a = replay_trace(trace, service_profile("Box", AccessMethod.PC), seed=3)
     b = replay_trace(trace, service_profile("Box", AccessMethod.PC), seed=3)
     assert a.traffic_bytes == b.traffic_bytes
+
+
+def test_every_profile_prices_the_same_modifications(trace):
+    """The modification draws belong to the trace, not the service: every
+    profile sees the same altered bytes, user by user, so a comparison of
+    services is paired."""
+    reports = [replay_trace(trace, service_profile(service, access), seed=4)
+               for service in SERVICES for access in AccessMethod]
+    assert len(reports) == 18
+    assert len({report.data_update_bytes for report in reports}) == 1
+    updates = reports[0].per_user_modification_update
+    assert updates and sum(updates.values()) > 0
+    assert all(report.per_user_modification_update == updates
+               for report in reports)
 
 
 def test_mechanism_attribution_matches_design_choices(trace):

@@ -1,15 +1,16 @@
-"""Oracles for the draws the trace path spells out itself.
+"""Oracles for the draws the trace path makes itself.
 
-Four library calls were replaced by the arithmetic they perform, because
-their per-call wrappers cost several times the draw.  The stdlib / numpy
+Three generator calls were replaced by the arithmetic they perform,
+because their per-call wrappers cost several times the draw.  The numpy
 calls stay here as the reference: each replacement must return the same
 value *and leave the stream in the same state* (the next ``random()`` is
-equal), on every interpreter and numpy release CI runs.
+equal), on every interpreter and numpy release CI runs.  The replay draws
+each user's modification fractions in blocks from a per-user Philox
+stream; the reference is that stream read one scalar at a time.
 """
 
 import copy
-import math
-import random
+import hashlib
 
 import numpy as np
 import pytest
@@ -28,85 +29,92 @@ from repro.trace.replay import (
 )
 
 
-# -- replay: per-record modification fractions ---------------------------------
+# -- replay: per-user modification fractions -------------------------------------
 
-def stdlib_fractions(key, count):
-    """The draws ``random.Random(key)`` makes as a fresh generator."""
-    rng = random.Random(key)
-    return [min(1.0, rng.lognormvariate(_MOD_FRACTION_LOG_MU,
-                                        _MOD_FRACTION_LOG_SIGMA))
-            for _ in range(count)]
+def scalar_stream(seed, user):
+    """A user's fractions, one clamped scalar ``lognormal`` at a time from
+    Philox keyed by the blake2b of ``replay:{seed}:{user}``."""
+    key = hashlib.blake2b(f"replay:{seed}:{user}".encode(), digest_size=16)
+    generator = np.random.Generator(np.random.Philox(
+        key=int.from_bytes(key.digest(), "big")))
+    while True:
+        yield min(1.0, float(generator.lognormal(_MOD_FRACTION_LOG_MU,
+                                                 _MOD_FRACTION_LOG_SIGMA)))
 
 
-def reseeded(seed, name):
-    """The generator the replay builds once per call and re-seeds."""
-    return random.Random(f"replay:{seed}:{name}")
+def scalar_fractions(seed, users, counts):
+    """Consecutive records' fractions in record order, each record taking
+    the next ``count`` values of its user's stream."""
+    streams = {}
+    fractions = []
+    for user, count in zip(users, counts):
+        stream = streams.setdefault(user, scalar_stream(seed, user))
+        fractions.extend(next(stream) for _ in range(count))
+    return fractions
+
+
+def block_fractions(seed, users, counts, cuts):
+    """The replay's draws over consecutive blocks, split before each of
+    ``cuts``, with one stream table kept across blocks as the kernel does."""
+    streams = {}
+    bounds = [0, *sorted(set(cut for cut in cuts if 0 < cut < len(users))),
+              len(users)]
+    fractions = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        block = _draw_fractions(streams, seed, users[lo:hi],
+                                np.array(counts[lo:hi], dtype=np.int64))
+        assert block.dtype == np.float64
+        fractions.extend(block.tolist())
+    return fractions
+
+
+records = st.lists(st.tuples(st.sampled_from(["u0", "u1", "u2", "user/ü"]),
+                             st.integers(min_value=1, max_value=30)),
+                   min_size=1, max_size=40)
 
 
 @given(seed=st.integers(min_value=-2 ** 63, max_value=2 ** 63),
-       name=st.text(max_size=24),
-       index=st.integers(min_value=0, max_value=2 ** 40),
-       count=st.integers(min_value=0, max_value=40))
-@example(seed=0, name="Dropbox/pc", index=0, count=1)
-@example(seed=3, name="UbuntuOne/mobile", index=17, count=14)
-@example(seed=42, name="GoogleDrive/web", index=2 ** 31 + 5, count=3)
-@example(seed=7, name="a/b/c", index=2 ** 31, count=14)
+       pairs=records,
+       cuts=st.lists(st.integers(min_value=0, max_value=40), max_size=6))
+@example(seed=0, pairs=[("u0", 1)], cuts=[])
+@example(seed=3, pairs=[("u0", 14), ("u1", 2), ("u0", 3), ("u1", 1)],
+         cuts=[1, 3])
+@example(seed=42, pairs=[("u1", 5), ("u0", 5), ("u1", 5)], cuts=[2])
 @settings(max_examples=200, deadline=None)
-def test_mod_fractions_equal_clamped_stdlib_lognormvariate(seed, name, index,
-                                                           count):
-    fractions = _draw_fractions(reseeded(seed, name), f"replay:{seed}:{name}:",
-                                [index], [count])
-    assert fractions.dtype == np.float64
-    assert fractions.tolist() \
-        == stdlib_fractions(f"replay:{seed}:{name}:{index}", count)
+def test_block_draws_equal_the_scalar_user_stream(seed, pairs, cuts):
+    """Interleaved users, blocks cut anywhere: every record reads the next
+    values of its own user's stream, in record order."""
+    users = [user for user, _ in pairs]
+    counts = [count for _, count in pairs]
+    assert block_fractions(seed, users, counts, cuts) \
+        == scalar_fractions(seed, users, counts)
 
 
-@given(seed=st.integers(min_value=-2 ** 63, max_value=2 ** 63),
-       name=st.text(max_size=24),
-       start=st.integers(min_value=0, max_value=2 ** 40),
-       counts=st.lists(st.integers(min_value=0, max_value=40), max_size=8))
-@example(seed=0, name="Dropbox/pc", start=0, counts=[1, 1, 1, 1, 1, 1])
-@example(seed=42, name="UbuntuOne/pc", start=2 ** 31 - 2, counts=[3, 0, 14])
+@given(seed=st.integers(min_value=0, max_value=2 ** 64 - 1),
+       sizes=st.lists(st.integers(min_value=1, max_value=300), min_size=1,
+                      max_size=8))
 @settings(max_examples=100, deadline=None)
-def test_reseeded_draws_equal_stdlib_over_consecutive_records(seed, name,
-                                                              start, counts):
-    """One generator re-seeded per record draws, record after record, what
-    a fresh ``Random(key)`` per record would — flattened in record order."""
-    indices = range(start, start + len(counts))
-    expected = [fraction for index, count in zip(indices, counts)
-                for fraction in stdlib_fractions(
-                    f"replay:{seed}:{name}:{index}", count)]
-    assert _draw_fractions(reseeded(seed, name), f"replay:{seed}:{name}:",
-                           indices, counts).tolist() == expected
+def test_chunked_draws_equal_one_call(seed, sizes):
+    """One user's fractions drawn in chunks equal one call for the total:
+    a block boundary never moves a user's draws."""
+    chunked = block_fractions(seed, ["u"] * len(sizes), sizes,
+                              range(1, len(sizes)))
+    whole = _draw_fractions({}, seed, ["u"], np.array([sum(sizes)]))
+    assert chunked == whole.tolist()
 
 
-def _first_attempt_rejects(key):
-    """Does the Kinderman–Monahan loop of ``Random(key)`` throw away its
-    first (u1, u2) pair?"""
-    rng = random.Random(key)
-    u1, u2 = rng.random(), 1.0 - rng.random()
-    z = random.NV_MAGICCONST * (u1 - 0.5) / u2
-    return z * z / 4.0 > -math.log(u2)
-
-
-def test_record_after_a_rejected_pair_starts_its_own_stream():
-    """The record before has consumed an extra pair of ``random()`` calls;
-    the next record's draws must not see it."""
-    prefix = "replay:0:Dropbox/pc:"
-    rejecting = next(index for index in range(100)
-                     if _first_attempt_rejects(f"{prefix}{index}"))
-    indices, counts = [rejecting, rejecting + 1], [1, 3]
-    expected = stdlib_fractions(f"{prefix}{rejecting}", 1) \
-        + stdlib_fractions(f"{prefix}{rejecting + 1}", 3)
-    assert _draw_fractions(reseeded(0, "Dropbox/pc"), prefix, indices,
-                           counts).tolist() == expected
+def test_users_never_share_a_stream():
+    """Two users' records interleaved draw what each would alone."""
+    mixed = _draw_fractions({}, 7, ["a", "b", "a"], np.array([2, 3, 1]))
+    alone_a = _draw_fractions({}, 7, ["a"], np.array([3]))
+    alone_b = _draw_fractions({}, 7, ["b"], np.array([3]))
+    assert mixed.tolist() == [*alone_a[:2], *alone_b, alone_a[2]]
 
 
 def test_mod_fractions_clamp_is_exercised():
     """~1 in 20,000 draws exceeds 1.0 (3.9 sigma): make sure the sample
     above is not the only thing standing between the clamp and deletion."""
-    fractions = _draw_fractions(reseeded(0, "clamp"), "replay:0:clamp:",
-                                range(4000), [14] * 4000).tolist()
+    fractions = _draw_fractions({}, 0, ["clamp"], np.array([56_000])).tolist()
     assert max(fractions) == 1.0
     assert fractions.count(1.0) < len(fractions) / 1000
 
