@@ -16,8 +16,9 @@ calibrated against the paper's Tables 6–9 and Figures 4 and 6:
   cross-user; nobody else; never for web access;
 * sync deferment (Fig. 6): Google Drive ≈ 4.2 s, OneDrive ≈ 10.5 s,
   SugarSync ≈ 6 s, fixed, PC only;
-* BDS (Table 7): Dropbox and Ubuntu One PC fully batch; their web (and
-  Dropbox mobile) paths batch partially; the rest not at all;
+* BDS (Table 7): Dropbox and Ubuntu One PC fully batch (one commit for the
+  whole batch, with no file-size cap); their web (and Dropbox mobile)
+  paths batch partially; the rest not at all;
 * fixed and per-byte overheads (Table 6) per service and access method.
 """
 
@@ -58,28 +59,21 @@ class BdsMode(enum.Enum):
 
 @dataclass(frozen=True)
 class BdsSupport:
+    """How a service batches the files of one sync transaction (Table 7).
+
+    Full BDS ships the batch as one packed payload with a per-file
+    manifest — one commit exchange whose per-file ledger the
+    ``bundle-conservation`` audit balances.  Partial BDS shares a
+    connection across per-file commits, each a cheap mini-request.
+    """
+
     mode: BdsMode = BdsMode.NONE
     #: Per-file overhead bytes inside a batch (manifest entry or mini-request).
     per_file_bytes: int = 150
-
-
-@dataclass(frozen=True)
-class BundleSupport:
-    """Small-file bundling: coalesce deferred commits into one transaction.
-
-    Where BDS shares a connection across per-file commits, bundling goes
-    further and ships one packed payload with a per-file manifest — one
-    handshake, one commit exchange, per-file ledger entries preserved for
-    the ``bundle-conservation`` audit.  Off for every measured service
-    (none of the six bundles); the packed-shard what-if profiles enable it.
-    """
-
-    enabled: bool = False
-    #: Files larger than this sync individually — bundling targets the
-    #: 77%-small-file band the paper measures, not multimedia blobs.
-    max_file_bytes: int = 128 * KB
-    #: Manifest entry per bundled file (path, digest, offset, length).
-    per_file_bytes: int = 96
+    #: Full BDS only: files larger than this sync individually.  None for
+    #: every measured service; the packed-shard what-if profile caps it to
+    #: target the 77%-small-file band the paper measures.
+    max_file_bytes: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -117,8 +111,6 @@ class ServiceProfile:
     protocol: ProtocolCosts = field(default_factory=ProtocolCosts)
     #: Factory so every client gets fresh defer state.
     defer_factory: Callable[[], DeferPolicy] = NoDefer
-    #: Small-file bundling (off for every measured service).
-    bundle: BundleSupport = BundleSupport()
     #: Server storage backend: "chunk" (one REST object per chunk) or
     #: "packshard" (packed shard containers, see repro.cloud.packshard).
     storage_backend: str = "chunk"

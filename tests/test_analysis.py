@@ -83,6 +83,6 @@ def test_analysis_on_real_session():
     session.run_until_idle()
     kinds = {row.kind for row in kind_breakdown(session.meter)}
     assert "handshake" in kinds
-    assert "upload" in kinds or "bds-commit" in kinds
+    assert "upload" in kinds or "bundle-commit" in kinds
     events = sync_event_sizes(session.meter)
     assert sum(events) == session.total_traffic

@@ -1,15 +1,21 @@
-"""Experiment 10 surface: packed shards, bundled commits, honest ledgers.
+"""Experiment 10 surface: packed shards, batched commits, honest ledgers.
 
 Covers the three ledger bugfixes (overwrite/delete byte conservation,
 paginated LIST cost, mid-manifest failure attribution), the packed-shard
-backend, client-side small-file bundling with its conservation audit, and
+backend, full BDS (capped for packshard) with its conservation audit, and
 the backend × mix sweep the CLI and bench report.
 """
 
 import pytest
 
 from repro.chunking import fingerprint
-from repro.client import AccessMethod, SyncSession, all_profiles
+from repro.client import (
+    AccessMethod,
+    BdsMode,
+    FixedDefer,
+    SyncSession,
+    all_profiles,
+)
 from repro.cloud import (
     ChunkStore,
     CloudServer,
@@ -533,11 +539,12 @@ def test_server_packshard_commit_flushes_for_durability():
 
 
 # ---------------------------------------------------------------------------
-# client-side bundling + bundle-conservation audit
+# full-BDS commits + bundle-conservation audit
 # ---------------------------------------------------------------------------
 
 def _bundled_session():
-    """Four small files synced through the packshard/bundling profile."""
+    """Four small files synced through the capped full-BDS packshard
+    profile."""
     hub_session = SyncSession(backend_profile("packshard"))
     for index in range(4):
         hub_session.create_random_file(f"s{index}.bin", 2 * KB,
@@ -600,11 +607,11 @@ def test_large_files_are_not_bundled():
     for index in range(3):
         session.create_random_file(f"s{index}.bin", 2 * KB, seed=index)
     session.create_random_file(
-        "big.bin", profile.bundle.max_file_bytes + 1, seed=99)
+        "big.bin", profile.bds.max_file_bytes + 1, seed=99)
     session.run_until_idle()
     assert session.client.stats.bundled_files == 3
     assert session.server.download("user1", "big.bin") \
-        == random_content(profile.bundle.max_file_bytes + 1, seed=99).data
+        == random_content(profile.bds.max_file_bytes + 1, seed=99).data
 
 
 def test_single_small_file_skips_the_bundle_path():
@@ -616,18 +623,73 @@ def test_single_small_file_skips_the_bundle_path():
         == random_content(2 * KB, seed=1).data
 
 
-def test_default_profiles_never_bundle():
-    assert all(not profile.bundle.enabled for profile in all_profiles())
+def test_stock_profiles_batch_without_a_cap():
+    """Only the packshard what-if caps full BDS; Table 7's Dropbox PC batch
+    is one audited ``bundle-commit`` like any other full-BDS commit."""
+    assert all(profile.bds.max_file_bytes is None
+               for profile in all_profiles())
     assert all(profile.storage_backend == "chunk"
                for profile in all_profiles())
-    session = SyncSession("Dropbox", AccessMethod.PC)
-    for index in range(3):
-        session.create_random_file(f"s{index}.bin", 2 * KB, seed=index)
-    session.run_until_idle()
-    assert session.client.stats.bundle_commits == 0
-    assert not any(s.kind == "bundle-commit"
-                   for s in (session.recorder.spans
-                             if session.recorder else []))
+    with recording() as hub:
+        session = SyncSession("Dropbox", AccessMethod.PC)
+        for index in range(3):
+            session.create_random_file(f"s{index}.bin", 2 * KB, seed=index)
+        session.run_until_idle()
+    assert session.client.stats.bundle_commits == 1
+    (span,) = [s for s in session.recorder.spans
+               if s.kind == "bundle-commit"]
+    assert [entry[0] for entry in span.attrs["ledger"]] \
+        == ["s0.bin", "s1.bin", "s2.bin"]
+    audit_hub(hub)
+
+
+_FULL_BDS_PROFILES = [profile for profile in all_profiles()
+                      if profile.bds.mode is BdsMode.FULL] \
+    + [backend_profile("packshard")]
+
+
+@pytest.mark.parametrize("profile", _FULL_BDS_PROFILES,
+                         ids=lambda profile: profile.name)
+def test_mixed_full_bds_batch_converges_and_balances(profile):
+    """Small and large creations, an IDS edit, a rename and a delete in
+    one batch: the combinable uploads share one commit, the rest sync
+    individually, the cloud converges and every invariant holds.  A fixed
+    2 s defer puts every change of the second phase in one batch."""
+    with recording() as hub:
+        session = SyncSession(profile.with_defer(lambda: FixedDefer(2.0)))
+        session.create_random_file("edit.bin", 64 * KB, seed=1)
+        session.create_random_file("old.bin", 4 * KB, seed=2)
+        session.create_random_file("gone.bin", 4 * KB, seed=3)
+        session.run_until_idle()
+        commits = session.client.stats.bundle_commits
+        deltas = session.client.stats.delta_syncs
+        transactions = session.client.stats.sync_transactions
+        session.create_random_file("s0.bin", 2 * KB, seed=4)
+        session.create_random_file("s1.bin", 2 * KB, seed=5)
+        session.create_random_file("big.bin", 200 * KB, seed=6)
+        session.modify_random_byte("edit.bin", seed=7)
+        session.folder.rename("old.bin", "new.bin")
+        session.delete_file("gone.bin")
+        session.run_until_idle()
+    assert session.client.stats.sync_transactions == transactions + 1
+    assert session.client.stats.bundle_commits == commits + 1
+    assert session.client.stats.delta_syncs \
+        == deltas + (1 if profile.uses_ids else 0)
+    ledger = [s for s in session.recorder.spans
+              if s.kind == "bundle-commit"][-1].attrs["ledger"]
+    batched = {"s0.bin", "s1.bin"}
+    if profile.bds.max_file_bytes is None:
+        batched.add("big.bin")
+    if not profile.uses_ids:
+        batched.add("edit.bin")
+    assert {entry[0] for entry in ledger} == batched
+    for path in session.folder.paths():
+        assert session.server.download("user1", path) \
+            == session.folder.get(path).data, path
+    for path in ("old.bin", "gone.bin"):
+        with pytest.raises(NotFound):
+            session.server.download("user1", path)
+    audit_hub(hub)
 
 
 # ---------------------------------------------------------------------------
@@ -648,9 +710,11 @@ def test_backend_profile_declarations():
     with pytest.raises(ValueError):
         backend_profile("tape")
     assert backend_profile("object").storage_chunk_size is None
-    assert not backend_profile("chunk").bundle.enabled
+    assert backend_profile("chunk").bds.mode is BdsMode.NONE
     shard = backend_profile("packshard")
-    assert shard.bundle.enabled and shard.storage_backend == "packshard"
+    assert shard.bds.mode is BdsMode.FULL
+    assert shard.bds.max_file_bytes == 128 * KB
+    assert shard.storage_backend == "packshard"
 
 
 def test_backend_cell_is_rerun_identical():
