@@ -5,7 +5,6 @@ from .dedup import DedupConfig, DedupGranularity, DedupIndex, DedupScope
 from .errors import (
     AlreadyExists,
     CloudError,
-    ConflictError,
     IntegrityError,
     NotFound,
     QuotaExceeded,
@@ -28,7 +27,6 @@ __all__ = [
     "ChunkStore",
     "CloudError",
     "CloudServer",
-    "ConflictError",
     "DedupConfig",
     "DedupGranularity",
     "DedupIndex",

@@ -39,10 +39,6 @@ class AlreadyExists(CloudError):
     """Create-only operation hit an existing key."""
 
 
-class ConflictError(CloudError):
-    """Optimistic-concurrency commit lost the race."""
-
-
 class QuotaExceeded(CloudError):
     """Account storage quota would be exceeded by the operation."""
 

@@ -58,10 +58,5 @@ class NetworkEmulator:
         self.link.spec = self.link.spec.with_loss(loss_rate)
         self._snapshot()
 
-    def schedule_bandwidth(self, delay: float, up_bw: Optional[float] = None,
-                           down_bw: Optional[float] = None) -> None:
-        """Change bandwidth ``delay`` seconds from now (mid-experiment tuning)."""
-        self.sim.schedule(delay, self.set_bandwidth, up_bw, down_bw)
-
     def schedule_latency(self, delay: float, rtt: float) -> None:
         self.sim.schedule(delay, self.set_latency, rtt)

@@ -124,19 +124,6 @@ class Trace:
             out.setdefault(record.service, []).append(record)
         return out
 
-    def by_user(self) -> Dict[str, List[FileRecord]]:
-        """user → that user's records, in trace order.
-
-        Users are keyed by name alone (names embed the service, so they are
-        globally unique); the dict itself is ordered by each user's first
-        appearance in the trace — the order the replay sharder and the
-        parallel-merge canonicalisation both rely on.
-        """
-        out: Dict[str, List[FileRecord]] = {}
-        for record in self.records:
-            out.setdefault(record.user, []).append(record)
-        return out
-
     def user_file_counts(self) -> Dict[str, int]:
         """user → file count, ordered by first appearance in the trace."""
         counts: Dict[str, int] = {}
