@@ -316,9 +316,9 @@ def _ledger_entry(entry: Any) -> Optional[Tuple[int, int]]:
 
 
 def _bundle_conservation(recorder: TraceRecorder) -> List[AuditViolation]:
-    """Bundled commits must explain their wire bytes file by file.
+    """Full-BDS commits must explain their wire bytes file by file.
 
-    Each logical ``bundle-commit`` span carries a per-file ledger
+    Each logical ``bundle-commit`` span (one per full-BDS commit) carries a per-file ledger
     (``[path, wire_bytes, file_bytes]`` entries) whose wire column sums
     to the span's ``payload``; across the trace the ledger total must
     equal the upstream payload of the ``bundle-commit``-named wire
