@@ -119,20 +119,20 @@ def creation_batch_flags(records: Sequence[FileRecord],
     could combine: :func:`batchable_small_fraction` counts these flags and
     the replay estimator grants the batched overhead by them.
     """
-    small: Dict[Tuple[str, str], List[Tuple[float, int]]] = {}
-    for position, record in enumerate(records):
-        if record.size < threshold:
-            small.setdefault((record.service, record.user), []).append(
-                (record.created_at, position))
-    flags = [False] * len(records)
-    for entries in small.values():
-        entries.sort()
-        last = len(entries) - 1
-        for rank, (moment, position) in enumerate(entries):
-            flags[position] = (
-                (rank > 0 and moment - entries[rank - 1][0] <= window)
-                or (rank < last and entries[rank + 1][0] - moment <= window))
-    return flags
+    groups: Dict[Tuple[str, str], int] = {}
+    codes = np.array([   # a group code per small file, -1 for the rest
+        groups.setdefault((record.service, record.user), len(groups))
+        if record.size < threshold else -1 for record in records], np.int64)
+    moments = np.array([record.created_at for record in records], np.float64)
+    # By group, then time; lexsort is stable, so ties keep record order.
+    order = np.lexsort((moments, codes))
+    codes, moments = codes[order], moments[order]
+    near = (codes[1:] == codes[:-1]) & (codes[1:] >= 0) \
+        & (np.diff(moments) <= window)
+    flags = np.zeros(len(records), dtype=bool)
+    flags[order[1:]] |= near     # its predecessor is near
+    flags[order[:-1]] |= near    # its successor is near
+    return flags.tolist()
 
 
 def batchable_small_fraction(trace: Trace,

@@ -522,10 +522,8 @@ class ReplayPool:
                 parts.append(_replay_records(shard, profile, seed, candidates))
                 local_candidates.append(candidates)
                 summaries.append(candidates.summary() if candidates else None)
-        if not parts:
-            empty = ReplayReport(service=profile.service,
-                                 access=profile.access.value)
-            return empty, [], {}
+        if not parts:   # no records: the kernel's empty report, or its error
+            return _replay_records([], profile, seed), [], {}
         merged = ReplayReport.merge(parts)
         credits: Dict[str, int] = {}
         if collect:

@@ -26,6 +26,7 @@ parts back byte for byte; it imports this module, never the reverse.
 from __future__ import annotations
 
 import hashlib
+import sys
 from dataclasses import dataclass, field
 from typing import Dict, List, Sequence, Set, Tuple
 
@@ -36,7 +37,7 @@ from ..client.profiles import BdsMode
 from ..cloud.dedup import DedupGranularity, DedupScope
 from ..compress import CompressionLevel
 from .analysis import creation_batch_flags
-from .schema import FileRecord, Trace
+from .schema import UNIT_SIZE, FileRecord, Trace
 
 #: Fraction of a file's *achievable* compression each level realises,
 #: relative to HIGH's saving on repro.compress's Experiment 4 text corpus
@@ -220,9 +221,11 @@ def _unit_digest(key) -> bytes:
     """Fixed-width identity digest for one dedup unit.
 
     ``key`` is the raw unit identity (the segment-id blob for a block, or
-    the ``(blob, size)`` tuple of a full-file key).  Both the sequential
-    and the sharded replay dedup on these digests, so the two paths agree
-    by construction.
+    the ``(blob, size)`` tuple of a full-file key).  Digests are a unit's
+    identity across processes: the pool's candidates ship them.  Within a
+    shard, an 8-byte blob is keyed by its int instead (see
+    :func:`_aligned_units`), equal exactly when the blobs are, so the
+    sequential and the sharded replay agree up to the collision bound above.
     """
     if isinstance(key, tuple):
         blob, size = key
@@ -231,6 +234,45 @@ def _unit_digest(key) -> bytes:
     else:
         digest = hashlib.blake2b(key, digest_size=_DIGEST_SIZE)
     return digest.digest()
+
+
+def _aligned_units(segments: List[np.ndarray], size: np.ndarray,
+                   block_size: int) -> Tuple[np.ndarray, np.ndarray, list]:
+    """Every unit :meth:`FileRecord.block_keys` yields for a block's
+    records, in record order, as (record position, length, key) columns.
+
+    A unit whose id blob is 8 bytes — one segment of an ``int64`` array,
+    most units of a generated trace — is keyed by that blob read as an
+    ``int64``, any other by its :func:`_unit_digest`: both stand in for the
+    blob exactly, and an int never equals a digest.
+    """
+    per_unit = block_size // UNIT_SIZE
+    counts = np.array([len(ids) for ids in segments], dtype=np.int64)
+    units = -(-counts // per_unit)
+    owner = np.repeat(np.arange(len(segments)), units)
+    first = (np.arange(len(owner))
+             - np.repeat(np.cumsum(units) - units, units)) * per_unit
+    lengths = np.clip(size[owner] - first * UNIT_SIZE, 0, block_size)
+    exact = np.array([ids.dtype == np.int64 for ids in segments], dtype=bool)
+    # The block's ids as one int64 column.  Only an int64 array's values are
+    # its bytes: any other array holds its place with zeros (second loop).
+    column = np.concatenate([ids if ok else np.zeros(len(ids), np.int64)
+                             for ids, ok in zip(segments, exact.tolist())])
+    ends = np.cumsum(counts)[owner]
+    start = ends - counts[owner] + first
+    stop = np.minimum(start + per_unit, ends)
+    keys = column[start].tolist()
+    view = memoryview(column)   # a slice's bytes, uncopied
+    wide = np.flatnonzero((stop - start > 1) & exact[owner])
+    for unit, low, high in zip(wide.tolist(), start[wide].tolist(),
+                               stop[wide].tolist()):
+        keys[unit] = _unit_digest(view[low:high])
+    for unit in np.flatnonzero(~exact[owner]).tolist():
+        low = int(first[unit])
+        blob = segments[owner[unit]][low:low + per_unit].tobytes()
+        keys[unit] = int.from_bytes(blob, sys.byteorder, signed=True) \
+            if len(blob) == 8 else _unit_digest(blob)
+    return owner, lengths, keys
 
 
 def _add(totals: Dict[str, int], users: List[str], values: List[int]) -> None:
@@ -252,14 +294,19 @@ def _replay_records(shard: Sequence[Tuple[int, FileRecord]],
     dedup units is reported through ``candidates.add(index, user,
     full_wire, total_len, fresh_units)`` — the only thing this kernel
     knows about it.  It prices ``int64`` columns :data:`_BLOCK` records at
-    a time; totals that outlive a block are Python ints.
+    a time; totals that outlive a block are Python ints.  A block dedup
+    size the trace's segments cannot align is refused before any record.
     """
+    dedup = profile.dedup
+    if dedup.granularity is DedupGranularity.BLOCK \
+            and dedup.block_size % UNIT_SIZE:
+        raise ValueError(f"{profile.name}: dedup block size {dedup.block_size}"
+                         f" is not a multiple of the {UNIT_SIZE}-byte segment")
     # ---- constant per profile -----------------------------------------------
     fixed = _fixed_overhead(profile)
     saving_fraction = _LEVEL_SAVING_FRACTION[profile.upload_compression.level]
     per_byte = profile.overhead.per_byte_factor
     delta_block = profile.delta_block if profile.uses_ids else 0
-    dedup = profile.dedup
     dedup_enabled = dedup.enabled
     dedup_full_file = dedup.granularity is DedupGranularity.FULL_FILE
     dedup_cross_user = dedup.scope is DedupScope.CROSS_USER
@@ -307,37 +354,49 @@ def _replay_records(shard: Sequence[Tuple[int, FileRecord]],
             size + _trunc(per_byte * size) - full_wire, 0).sum())
         wire = full_wire
         if dedup_enabled:
-            wires = full_wire.tolist()
-            for position, (index, record) in enumerate(block):
-                shipped = total_len = 0
-                fresh_units: List[Tuple[bytes, int]] = []
-                if dedup_full_file:
-                    keys = ((record.full_file_key(), record.size),)
-                else:
-                    keys = record.block_keys(dedup.block_size)
-                for key, length in keys:
-                    total_len += length
-                    digest = _unit_digest(key)
-                    scope_key = digest if dedup_cross_user \
-                        else (record.user, digest)
-                    if scope_key in seen_units:
-                        continue
-                    seen_units.add(scope_key)
-                    shipped += length
-                    if candidates is not None:
-                        fresh_units.append((digest, length))
-                # A size-0 file — or a record with no content units at all
-                # — has no bytes to negotiate: dedup neither ships nor
-                # saves anything and the wire passes through unchanged.
-                if total_len > 0:
-                    full = wires[position]
-                    # Python ints: full * shipped can exceed int64.
-                    wires[position] = full * shipped // total_len
-                    saved_dedup += full - wires[position]
-                    if fresh_units:     # only ever filled for a collector
-                        candidates.add(index, record.user, full, total_len,
-                                       fresh_units)
-            wire = np.array(wires, dtype=np.int64)
+            if dedup_full_file:
+                # _unit_digest((blob, size)) in one call per record.
+                keys = [hashlib.blake2b(record.segments.tobytes()
+                                        + record.size.to_bytes(8, "little"),
+                                        digest_size=_DIGEST_SIZE).digest()
+                        for _, record in block]
+                owner, lengths = np.arange(len(block)), size
+            else:
+                owner, lengths, keys = _aligned_units(
+                    [record.segments for _, record in block], size,
+                    dedup.block_size)
+            owners = owner.tolist()
+            users = [record.user for _, record in block]
+            scoped = keys if dedup_cross_user \
+                else zip([users[p] for p in owners], keys)
+            # Fresh the first time its scoped key is seen (add returns None).
+            fresh = np.array([key not in seen_units
+                              and not seen_units.add(key)
+                              for key in scoped], dtype=bool)
+            shipped, total = np.zeros((2, len(block)), np.int64)
+            np.add.at(shipped, owner, np.where(fresh, lengths, 0))
+            np.add.at(total, owner, lengths)
+            # A size-0 file — or a record with no content units at all —
+            # has total 0: dedup neither ships nor saves anything.
+            wire = full_wire.copy()
+            for p in np.flatnonzero(shipped < total).tolist():
+                # Python ints: full * shipped can exceed int64.
+                wire[p] = int(full_wire[p]) * int(shipped[p]) // int(total[p])
+            saved_dedup += int((full_wire - wire).sum())
+            if candidates is not None:
+                fresh_units: Dict[int, List[Tuple[bytes, int]]] = {}
+                lengths_list = lengths.tolist()
+                for unit in np.flatnonzero(fresh).tolist():
+                    key = keys[unit]
+                    if not isinstance(key, bytes):
+                        key = _unit_digest(key.to_bytes(8, sys.byteorder,
+                                                        signed=True))
+                    fresh_units.setdefault(owners[unit], []).append(
+                        (key, lengths_list[unit]))
+                for p, units in fresh_units.items():
+                    if total[p]:
+                        candidates.add(block[p][0], users[p],
+                                       int(full_wire[p]), int(total[p]), units)
 
         in_batch = np.array(batched[start:start + _BLOCK], dtype=bool)
         saved_bds += batch_saving * int(np.count_nonzero(in_batch))

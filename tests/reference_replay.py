@@ -9,10 +9,14 @@ report, candidate for candidate.
 
 Its arithmetic is its own: the payload formula and the draw constants are
 copied, not imported, so a change to either in ``src/`` fails the battery
-instead of moving both sides together.  From the estimator it takes only
-what is under comparison or shared by definition — the report type, the
-fixed overhead, the unit digest, the level saving fractions and the §4.1
-creation-batch rule.
+instead of moving both sides together.  So is the §4.1 creation-batch
+rule: :func:`reference_creation_batch_flags` is the per-group sort loop
+``repro.trace.analysis.creation_batch_flags`` ran before it became one
+lexsort, and ``test_analysis.py`` holds the two to each other.  From the
+estimator the oracle takes only what is under comparison or shared by
+definition — the report type, the fixed overhead, the unit digest and the
+level saving fractions — and from the trace analysis only the batch
+window and the small-file threshold.
 """
 
 import hashlib
@@ -23,7 +27,7 @@ import numpy as np
 from repro.client import ServiceProfile
 from repro.client.profiles import BdsMode
 from repro.cloud.dedup import DedupGranularity, DedupScope
-from repro.trace.analysis import creation_batch_flags
+from repro.trace.analysis import BDS_BATCH_WINDOW, SMALL_FILE_THRESHOLD
 from repro.trace.replay import (
     _LEVEL_SAVING_FRACTION,
     ReplayReport,
@@ -44,6 +48,28 @@ def _wire_payload(size: int, compressed: int, saving_fraction: float,
     achievable = max(size - compressed, 0)
     wire = size - int(achievable * saving_fraction)
     return wire + int(per_byte_factor * wire)
+
+
+def reference_creation_batch_flags(records: Sequence[FileRecord],
+                                   threshold: int = SMALL_FILE_THRESHOLD,
+                                   window: float = BDS_BATCH_WINDOW
+                                   ) -> List[bool]:
+    """Per record, in order: is it a small file whose (service, user)
+    created another small file within ``window`` seconds?"""
+    small: Dict[Tuple[str, str], List[Tuple[float, int]]] = {}
+    for position, record in enumerate(records):
+        if record.size < threshold:
+            small.setdefault((record.service, record.user), []).append(
+                (record.created_at, position))
+    flags = [False] * len(records)
+    for entries in small.values():
+        entries.sort()
+        last = len(entries) - 1
+        for rank, (moment, position) in enumerate(entries):
+            flags[position] = (
+                (rank > 0 and moment - entries[rank - 1][0] <= window)
+                or (rank < last and entries[rank + 1][0] - moment <= window))
+    return flags
 
 
 def _user_stream(seed: int, user: str) -> np.random.Generator:
@@ -105,7 +131,8 @@ def reference_replay_records(shard: Sequence[Tuple[int, FileRecord]],
 
     # Which records BDS would batch.  All of a user's records live in this
     # shard, so the neighbourhoods equal the sequential ones.
-    batched = creation_batch_flags([record for _, record in shard]) \
+    batched = reference_creation_batch_flags(
+        [record for _, record in shard]) \
         if bds.mode is not BdsMode.NONE else [False] * len(shard)
 
     streams: Dict[str, np.random.Generator] = {}

@@ -21,20 +21,25 @@ from hypothesis import example, given, settings, strategies as st
 import repro.trace.replay as replay_module
 from repro.client import SERVICES, AccessMethod, service_profile
 from repro.cloud.dedup import DedupConfig, DedupGranularity, DedupScope
-from repro.trace import FileRecord, generate_trace, replay_trace
+from repro.trace import FileRecord, Trace, generate_trace, replay_trace
 from repro.trace.pool import _ShardCandidates
 from repro.trace.replay import _DIGEST_SIZE, _replay_records
 from repro.trace.schema import UNIT_SIZE
-from repro.units import GB, MB
+from repro.units import GB, KB, MB
 
 from .reference_replay import reference_replay_records
 
 STOCK = [service_profile(service, access)
          for service in SERVICES for access in AccessMethod]
-DEDUP_VARIANTS = [DedupConfig(granularity, scope)
-                  for granularity in (DedupGranularity.FULL_FILE,
-                                      DedupGranularity.BLOCK)
-                  for scope in DedupScope]
+#: Full-file dedup, and blocks of 1, 2, 32 and 128 segments per unit.
+DEDUP_VARIANTS = [DedupConfig(granularity, scope, block_size)
+                  for scope in DedupScope
+                  for granularity, block_size in (
+                      (DedupGranularity.FULL_FILE, 4 * MB),
+                      (DedupGranularity.BLOCK, UNIT_SIZE),
+                      (DedupGranularity.BLOCK, 2 * UNIT_SIZE),
+                      (DedupGranularity.BLOCK, 4 * MB),
+                      (DedupGranularity.BLOCK, 16 * MB))]
 BLOCKS = [1, 2, 7, 1024]
 
 DROPBOX = service_profile("Dropbox", AccessMethod.PC)         # IDS, dedup, BDS
@@ -155,6 +160,39 @@ MODIFIED_OUT_OF_ORDER = [
 ]
 
 
+def with_dedup(profile, granularity, block_size=4 * MB, cross_user=False):
+    scope = DedupScope.CROSS_USER if cross_user else DedupScope.SAME_USER
+    return replace(profile, dedup=DedupConfig(granularity, scope, block_size))
+
+
+#: Units that recur inside one record, at one and at two segments a unit.
+REPEATS_A_UNIT_INSIDE_ITSELF = [
+    (0, make_record("u0", 4 * UNIT_SIZE, 0, 0.0, [1, 2, 1, 2])),
+    (1, make_record("u0", 3 * UNIT_SIZE, 0, 1.0, [1, 1, 1])),
+]
+#: More segments than the size covers: zero-length units, fresh or not.
+ZERO_LENGTH_UNITS = [
+    (0, make_record("u0", UNIT_SIZE + 1, 0, 0.0, range(1, 9))),
+    (1, make_record("u1", 0, 0, 0.0, [7, 8, 9])),
+    (2, make_record("u1", 5, 1, 1.0, [9, 1, 10])),
+]
+TOP = 2 ** 63 - 1
+#: Ids at both ends of int64, duplicated across users.
+EXTREME_IDS = [
+    (0, make_record("u0", 3 * UNIT_SIZE, 0, 0.0, [TOP, TOP - 1, -TOP - 1])),
+    (1, make_record("u1", 2 * UNIT_SIZE, 0, 1.0, [TOP, -TOP - 1])),
+    (2, make_record("u2", UNIT_SIZE, 0, 2.0, [TOP - 1])),
+]
+#: Equal values, different bytes: an int32 unit is not an int64 unit.  At
+#: two segments a unit, int32 [5, 0] has int64 [5]'s bytes, and is it.
+INT32_NEXT_TO_INT64 = [
+    (0, replace(make_record("u0", 4 * UNIT_SIZE, 0, 0.0),
+                segments=np.array([5, 0, 6, 7], dtype=np.int32))),
+    (1, make_record("u1", 4 * UNIT_SIZE, 0, 0.0, [5, 0, 6, 7])),
+    (2, make_record("u2", UNIT_SIZE, 0, 1.0, [5])),
+]
+
+
 @pytest.mark.parametrize("block", BLOCKS)
 @given(shard=shards(), profile=profiles,
        seed=st.integers(-2 ** 31, 2 ** 40))
@@ -163,6 +201,22 @@ MODIFIED_OUT_OF_ORDER = [
 @example(shard=EVERY_RECORD_MODIFIED, profile=DROPBOX, seed=2)
 @example(shard=MODIFIED_OUT_OF_ORDER, profile=GOOGLEDRIVE, seed=3)
 @example(shard=MODIFIED_OUT_OF_ORDER, profile=DROPBOX, seed=3)
+@example(shard=REPEATS_A_UNIT_INSIDE_ITSELF, seed=4, profile=with_dedup(
+    DROPBOX, DedupGranularity.BLOCK, UNIT_SIZE))
+@example(shard=REPEATS_A_UNIT_INSIDE_ITSELF, seed=4, profile=with_dedup(
+    UBUNTUONE, DedupGranularity.BLOCK, 2 * UNIT_SIZE, cross_user=True))
+@example(shard=ZERO_LENGTH_UNITS, seed=5, profile=with_dedup(
+    UBUNTUONE, DedupGranularity.BLOCK, UNIT_SIZE, cross_user=True))
+@example(shard=ZERO_LENGTH_UNITS, seed=5, profile=with_dedup(
+    DROPBOX, DedupGranularity.BLOCK, 2 * UNIT_SIZE))
+@example(shard=EXTREME_IDS, seed=6, profile=with_dedup(
+    UBUNTUONE, DedupGranularity.BLOCK, UNIT_SIZE, cross_user=True))
+@example(shard=EXTREME_IDS, seed=6, profile=with_dedup(
+    UBUNTUONE, DedupGranularity.FULL_FILE, cross_user=True))
+@example(shard=INT32_NEXT_TO_INT64, seed=7, profile=with_dedup(
+    UBUNTUONE, DedupGranularity.BLOCK, UNIT_SIZE, cross_user=True))
+@example(shard=INT32_NEXT_TO_INT64, seed=7, profile=with_dedup(
+    UBUNTUONE, DedupGranularity.BLOCK, 2 * UNIT_SIZE, cross_user=True))
 @settings(max_examples=75, deadline=None)
 def test_kernel_equals_scalar_oracle(block, shard, profile, seed):
     with mock.patch.object(replay_module, "_BLOCK", block):
@@ -186,6 +240,18 @@ def generated_shard():
 def test_every_stock_profile_on_a_generated_trace(profile, generated_shard):
     with mock.patch.object(replay_module, "_BLOCK", 7):
         assert_kernel_equals_oracle(generated_shard, profile, 5)
+
+
+@pytest.mark.parametrize("records", [[], [make_record("u0", MB, 2, 0.0, [1])]],
+                         ids=["empty", "one-record"])
+def test_block_size_the_trace_cannot_express_is_refused_up_front(records):
+    """A block dedup size DedupConfig accepts but the trace's segments
+    cannot align is refused before any record is priced, naming the
+    profile and the size, whatever the trace holds."""
+    profile = replace(DROPBOX, dedup=DedupConfig.block(100 * KB))
+    with pytest.raises(ValueError, match=r"^Dropbox/pc: dedup block size "
+                       r"102400 is not a multiple of the 131072-byte"):
+        replay_trace(Trace(records=records), profile)
 
 
 # ---------------------------------------------------------------------------

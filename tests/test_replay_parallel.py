@@ -70,6 +70,20 @@ def test_parallel_empty_trace():
     assert report.traffic_bytes == 0
 
 
+@pytest.mark.parametrize("users", [0, 2])
+def test_pool_refuses_a_block_size_the_trace_cannot_express(users):
+    """The pool raises the sequential path's error: in-process for an
+    empty trace, from every worker (wrapped) for a trace with records."""
+    profile = replace(service_profile("Dropbox", AccessMethod.PC),
+                      dedup=DedupConfig.block(100 * KB))
+    trace = Trace(records=[_record(f"u{k}", k, [k + 1], UNIT_SIZE, float(k))
+                           for k in range(users)])
+    message = "Dropbox/pc: dedup block size 102400 is not a multiple"
+    with pytest.raises((ValueError, RuntimeError), match=message) as error:
+        replay_trace_parallel(trace, profile, workers=2)
+    assert error.type is (RuntimeError if users else ValueError)
+
+
 def test_parallel_rejects_bad_worker_count(trace):
     profile = service_profile("Box", AccessMethod.PC)
     with pytest.raises(ValueError):
