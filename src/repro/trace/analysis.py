@@ -14,12 +14,12 @@ Maps each published statistic to a function:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..units import KB
-from .schema import BLOCK_GRANULARITIES, FileRecord, Trace
+from .schema import BLOCK_GRANULARITIES, Trace
 
 SMALL_FILE_THRESHOLD = 100 * KB
 
@@ -109,9 +109,9 @@ def small_file_fraction(trace: Trace, threshold: int = SMALL_FILE_THRESHOLD,
     return float((sizes < threshold).mean())
 
 
-def creation_batch_flags(records: Sequence[FileRecord],
+def creation_batch_flags(trace: Trace,
                          threshold: int = SMALL_FILE_THRESHOLD,
-                         window: float = BDS_BATCH_WINDOW) -> List[bool]:
+                         window: float = BDS_BATCH_WINDOW) -> np.ndarray:
     """Per record, in order: is it a small file whose (service, user)
     created another small file within ``window`` seconds?
 
@@ -119,31 +119,29 @@ def creation_batch_flags(records: Sequence[FileRecord],
     could combine: :func:`batchable_small_fraction` counts these flags and
     the replay estimator grants the batched overhead by them.
     """
-    groups: Dict[Tuple[str, str], int] = {}
-    codes = np.array([   # a group code per small file, -1 for the rest
-        groups.setdefault((record.service, record.user), len(groups))
-        if record.size < threshold else -1 for record in records], np.int64)
-    moments = np.array([record.created_at for record in records], np.float64)
+    # A group code per small file, -1 for the rest.
+    codes = np.where(trace.size < threshold, trace.service_code
+                     * len(trace.user_names) + trace.user_code, -1)
     # By group, then time; lexsort is stable, so ties keep record order.
-    order = np.lexsort((moments, codes))
-    codes, moments = codes[order], moments[order]
+    order = np.lexsort((trace.created_at, codes))
+    codes, moments = codes[order], trace.created_at[order]
     near = (codes[1:] == codes[:-1]) & (codes[1:] >= 0) \
         & (np.diff(moments) <= window)
-    flags = np.zeros(len(records), dtype=bool)
+    flags = np.zeros(len(trace), dtype=bool)
     flags[order[1:]] |= near     # its predecessor is near
     flags[order[:-1]] |= near    # its successor is near
-    return flags.tolist()
+    return flags
 
 
 def batchable_small_fraction(trace: Trace,
                              threshold: int = SMALL_FILE_THRESHOLD,
                              window: float = BDS_BATCH_WINDOW) -> float:
     """Fraction of small files that arrive in creation batches (§4.1's 66 %)."""
-    small_total = sum(1 for record in trace if record.size < threshold)
+    small_total = int(np.count_nonzero(trace.size < threshold))
     if small_total == 0:
         return 0.0
-    return sum(creation_batch_flags(trace.records, threshold, window)) \
-        / small_total
+    return int(np.count_nonzero(creation_batch_flags(trace, threshold,
+                                                     window))) / small_total
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +152,7 @@ def modified_fraction(trace: Trace) -> float:
     """Fraction of files modified at least once (the paper's 84 %)."""
     if len(trace) == 0:
         return 0.0
-    return sum(1 for r in trace if r.was_modified) / len(trace)
+    return int(np.count_nonzero(trace.modify_count > 0)) / len(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -188,50 +186,31 @@ def compression_traffic_saving(trace: Trace) -> float:
 # §5.2 / Figure 5: deduplication
 # ---------------------------------------------------------------------------
 
-def duplicate_file_ratio(trace: Trace) -> float:
-    """Size of duplicate files / total size (the paper's 18.8 %).
-
-    The first occurrence of each content is the original; later identical
-    files are the duplicates.
-    """
-    total = 0
-    duplicate = 0
+def _deduplicated(trace: Trace, block_size: Optional[int]) -> Tuple[int, int]:
+    """(bytes before, bytes after) cross-user dedup: full-file with
+    ``block_size=None``, otherwise head-aligned fixed blocks of that size.
+    The first occurrence of each unit ships; later identical ones do not."""
+    before = after = 0
     seen = set()
     for record in trace:
-        total += record.size
-        key = record.full_file_key()
-        if key in seen:
-            duplicate += record.size
-        else:
-            seen.add(key)
-    if total == 0:
-        return 0.0
-    return duplicate / total
+        before += record.size
+        for unit in ([(record.full_file_key(), record.size)]
+                     if block_size is None else record.block_keys(block_size)):
+            if unit not in seen:     # (identity, length)
+                seen.add(unit)
+                after += unit[1]
+    return before, after
+
+
+def duplicate_file_ratio(trace: Trace) -> float:
+    """Size of duplicate files / total size (the paper's 18.8 %)."""
+    total, originals = _deduplicated(trace, None)
+    return (total - originals) / total if total else 0.0
 
 
 def dedup_ratio(trace: Trace, block_size: Optional[int] = None) -> float:
-    """Cross-user dedup ratio = bytes before / bytes after (Figure 5).
-
-    ``block_size=None`` analyses full-file dedup; otherwise head-aligned
-    fixed blocks of the given size.
-    """
-    before = 0
-    after = 0
-    seen = set()
-    if block_size is None:
-        for record in trace:
-            before += record.size
-            key = record.full_file_key()
-            if key not in seen:
-                seen.add(key)
-                after += record.size
-        return before / after if after else 1.0
-    for record in trace:
-        before += record.size
-        for key in record.block_keys(block_size):
-            if key not in seen:
-                seen.add(key)
-                after += key[1]
+    """Cross-user dedup ratio = bytes before / bytes after (Figure 5)."""
+    before, after = _deduplicated(trace, block_size)
     return before / after if after else 1.0
 
 

@@ -28,14 +28,14 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from operator import attrgetter
+from operator import itemgetter
 from typing import (Callable, Dict, Generator, Iterator, List, NamedTuple,
                     Optional, Tuple)
 
 import numpy as np
 
 from ..units import GB, KB, MB
-from .schema import UNIT_SIZE, FileRecord, Trace
+from .schema import UNIT_SIZE, Trace, TraceRecord
 
 #: Table 2 of the paper.
 SERVICE_USERS = {
@@ -116,7 +116,7 @@ class GeneratorConfig:
 class _Pool(NamedTuple):
     """Prior originals, kept for duplicate sampling: one column per field.
 
-    Holding full :class:`FileRecord` objects in the pool would pin every
+    Holding full :class:`TraceRecord` rows in the pool would pin every
     original of the whole trace in memory; the duplicate/near-duplicate
     draw only needs these four fields, which is what makes
     :func:`iter_trace_shards` memory-bounded at large scales.  Columns,
@@ -194,10 +194,10 @@ def _user_names(service: str, n_users: int) -> List[str]:
 def _service_records(service: str, n_users: int, n_files: int,
                      rng: np.random.Generator, draw: Callable[[int], int],
                      pool: _Pool, index: int,
-                     next_segment: int) -> Generator[FileRecord, None, int]:
-    """Yield one service's records in creation order, the first at global
-    ``index`` and fresh 128 KB segment ids from ``next_segment`` on; return
-    the next free segment id.
+                     next_segment: int) -> Generator[tuple, None, int]:
+    """Yield one service's records' fields in creation order, the first at
+    global ``index`` and fresh 128 KB segment ids from ``next_segment`` on;
+    return the next free segment id.
 
     This is the single code path behind :func:`generate_trace` and
     :func:`iter_trace_shards`, so they consume the identical RNG stream and
@@ -273,12 +273,10 @@ def _service_records(service: str, n_users: int, n_files: int,
             # Every size is clamped to >= 1, so no zero guard is needed.
             extensions = (_EXTENSIONS_COMPRESSIBLE if compressed / size < 0.9
                           else _EXTENSIONS_INCOMPRESSIBLE)
-            # Positional, in field order: keywords cost 0.8 µs a record.
-            yield FileRecord(
-                user, service,
-                f"{user}/f{index:07d}.{extensions[draw(len(extensions))]}",
-                size, compressed, created_at, modified_at, modify_count,
-                segment_ids, content_id)
+            yield (user, service,
+                   f"{user}/f{index:07d}.{extensions[draw(len(extensions))]}",
+                   size, compressed, created_at, modified_at, modify_count,
+                   segment_ids, content_id)
             if not duplicate:
                 sizes.append(size)
                 compressed_sizes.append(compressed)
@@ -290,7 +288,7 @@ def _service_records(service: str, n_users: int, n_files: int,
 
 
 def _plan_records(plan: Dict[str, Tuple[int, int]],
-                  seed: int) -> Iterator[FileRecord]:
+                  seed: int) -> Iterator[tuple]:
     rng = np.random.default_rng(seed)
     draw = _bounded_draw(rng)
     pool = _Pool([], [], [], [])
@@ -303,7 +301,7 @@ def _plan_records(plan: Dict[str, Tuple[int, int]],
 
 def iter_trace_records(scale: float = 1.0, seed: int = 42,
                        config: Optional[GeneratorConfig] = None
-                       ) -> Iterator[FileRecord]:
+                       ) -> Iterator[TraceRecord]:
     """Stream the statistical twin trace record by record.
 
     Yields exactly the records of ``generate_trace(scale, seed)`` in the
@@ -314,7 +312,8 @@ def iter_trace_records(scale: float = 1.0, seed: int = 42,
     checked here, before the first record is asked for.
     """
     config = config or GeneratorConfig(scale=scale, seed=seed)
-    return _plan_records(config.service_plan(), config.seed)
+    rows = _plan_records(config.service_plan(), config.seed)
+    return (TraceRecord(*row) for row in rows)
 
 
 def generate_trace(scale: float = 1.0, seed: int = 42,
@@ -322,10 +321,13 @@ def generate_trace(scale: float = 1.0, seed: int = 42,
     """Generate the statistical twin trace.
 
     ``scale`` < 1 produces a proportionally smaller trace with the same
-    distributions (unit tests use ``scale≈0.02``; benches use 1.0).
+    distributions (unit tests use ``scale≈0.02``; benches use 1.0), its
+    records written straight into columns.
     """
     config = config or GeneratorConfig(scale=scale, seed=seed)
-    return Trace(records=list(iter_trace_records(config=config)))
+    plan = config.service_plan()
+    return Trace.from_fields(_plan_records(plan, config.seed),
+                             sum(files for _, files in plan.values()))
 
 
 def iter_trace_shards(scale: float = 1.0, seed: int = 42,
@@ -347,15 +349,15 @@ def iter_trace_shards(scale: float = 1.0, seed: int = 42,
         raise ValueError("shard_users must be >= 1")
     config = config or GeneratorConfig(scale=scale, seed=seed)
     plan = config.service_plan()
-    for service, records in itertools.groupby(
-            iter_trace_records(config=config), key=attrgetter("service")):
+    for service, rows in itertools.groupby(
+            _plan_records(plan, config.seed), key=itemgetter(1)):
         n_users = plan[service][0]
         group_of = {user: idx // shard_users
                     for idx, user in enumerate(_user_names(service, n_users))}
         n_groups = -(-n_users // shard_users)
-        buckets: List[List[FileRecord]] = [[] for _ in range(n_groups)]
-        for record in records:
-            buckets[group_of[record.user]].append(record)
+        buckets: List[List[tuple]] = [[] for _ in range(n_groups)]
+        for row in rows:
+            buckets[group_of[row[0]]].append(row)
         for group in range(n_groups):
             shard = buckets[group]
             # Hand the bucket off and drop our reference immediately, so a
@@ -363,4 +365,4 @@ def iter_trace_shards(scale: float = 1.0, seed: int = 42,
             # one shard, not one service.
             buckets[group] = []
             if shard:
-                yield Trace(records=shard)
+                yield Trace.from_fields(shard, len(shard))

@@ -1,7 +1,7 @@
 """Trace persistence: CSV (and zip) round-trip.
 
 The paper shipped its trace as a downloadable archive; we do the same.  Each
-row serialises one :class:`~repro.trace.schema.FileRecord`, including the
+row serialises one :class:`~repro.trace.schema.TraceRecord`, including the
 content identity (the 128 KB segment ids) as a run-length-encoded list so
 duplicate/near-duplicate structure — and therefore every dedup analysis —
 survives the round trip exactly.
@@ -11,13 +11,14 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import zipfile
 from pathlib import Path
 from typing import Union
 
 import numpy as np
 
-from .schema import FileRecord, Trace
+from .schema import Trace, TraceRecord
 
 _FIELDS = [
     "user", "service", "path", "size", "compressed_size",
@@ -26,69 +27,37 @@ _FIELDS = [
 
 
 def _encode_segments(segments: np.ndarray) -> str:
-    """Run-length encode consecutive id runs: ``start:length;start:length``."""
-    if len(segments) == 0:
-        return ""
-    runs = []
-    start = int(segments[0])
-    length = 1
-    for value in segments[1:]:
-        value = int(value)
-        if value == start + length:
-            length += 1
-        else:
-            runs.append(f"{start}:{length}")
-            start = value
-            length = 1
-    runs.append(f"{start}:{length}")
-    return ";".join(runs)
+    """Run-length encode consecutive id runs: ``start:length;start:length``
+    (along a run, id minus position is constant)."""
+    runs = itertools.groupby(enumerate(segments.tolist()),
+                             key=lambda pair: pair[1] - pair[0])
+    return ";".join(f"{run[0][1]}:{len(run)}"
+                    for run in (list(pairs) for _, pairs in runs))
 
 
 def _decode_segments(text: str) -> np.ndarray:
-    if not text:
-        return np.empty(0, dtype=np.int64)
-    pieces = []
-    for run in text.split(";"):
-        start, length = run.split(":")
-        pieces.append(np.arange(int(start), int(start) + int(length),
-                                dtype=np.int64))
-    return np.concatenate(pieces)
+    return np.concatenate([np.empty(0, dtype=np.int64)] + [
+        np.arange(int(start), int(start) + int(length), dtype=np.int64)
+        for start, length in (run.split(":") for run in text.split(";")
+                              if run)])
 
 
 def write_csv(trace: Trace, stream) -> None:
     writer = csv.DictWriter(stream, fieldnames=_FIELDS)
     writer.writeheader()
-    for record in trace:
-        writer.writerow({
-            "user": record.user,
-            "service": record.service,
-            "path": record.path,
-            "size": record.size,
-            "compressed_size": record.compressed_size,
-            "created_at": repr(record.created_at),
-            "modified_at": repr(record.modified_at),
-            "modify_count": record.modify_count,
-            "content_id": record.content_id,
-            "segments": _encode_segments(record.segments),
-        })
+    for record in trace:    # csv writes a float as its repr
+        row = {name: getattr(record, name) for name in _FIELDS}
+        row["segments"] = _encode_segments(record.segments)
+        writer.writerow(row)
 
 
 def read_csv(stream) -> Trace:
-    trace = Trace()
-    for row in csv.DictReader(stream):
-        trace.records.append(FileRecord(
-            user=row["user"],
-            service=row["service"],
-            path=row["path"],
-            size=int(row["size"]),
-            compressed_size=int(row["compressed_size"]),
-            created_at=float(row["created_at"]),
-            modified_at=float(row["modified_at"]),
-            modify_count=int(row["modify_count"]),
-            segments=_decode_segments(row["segments"]),
-            content_id=int(row["content_id"]),
-        ))
-    return trace
+    return Trace.from_records(TraceRecord(
+        row["user"], row["service"], row["path"], int(row["size"]),
+        int(row["compressed_size"]), float(row["created_at"]),
+        float(row["modified_at"]), int(row["modify_count"]),
+        _decode_segments(row["segments"]), int(row["content_id"]))
+        for row in csv.DictReader(stream))
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:

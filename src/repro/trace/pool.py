@@ -36,12 +36,14 @@ from array import array
 from dataclasses import replace
 from typing import Dict, Iterable, List, NoReturn, Optional, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..client import AccessMethod, ServiceProfile, service_profile
 from ..client.defer import NoDefer
 from ..cloud.dedup import DedupScope
-from .replay import (_DIGEST_SIZE, ReplayReport, _replay_records,
-                     replay_trace)
-from .schema import FileRecord, Trace
+from .replay import (_DIGEST_SIZE, _MERGE_DICTS, ReplayReport,
+                     _replay_records, replay_trace)
+from .schema import MalformedRecord, Trace, TraceRecord, first_sight
 
 
 class _ShardCandidates:
@@ -128,48 +130,43 @@ class _ShardCandidates:
         return credits
 
 
-def _shard_by_user(trace: Trace,
-                   shard_count: int) -> List[List[Tuple[int, FileRecord]]]:
-    """Partition (index, record) pairs into user-disjoint, balanced shards.
+#: One shard: a columnar trace and the global index of each of its records.
+_Shard = Tuple[Trace, np.ndarray]
+
+
+def _shard_by_user(trace: Trace, shard_count: int) -> List[_Shard]:
+    """Partition the trace into user-disjoint, balanced, gathered shards.
 
     Users are assigned greedily (heaviest first, ties by first appearance)
     to the least-loaded shard — deterministic, so shard contents depend
     only on the trace and ``shard_count``.
     """
-    counts = trace.user_file_counts()
-    # Stable sort: equal counts keep first-appearance order.
-    ordered = sorted(counts.items(), key=lambda item: -item[1])
+    counts = np.bincount(trace.user_code, minlength=len(trace.user_names))
     loads = [0] * shard_count
-    assignment: Dict[str, int] = {}
-    for user, count in ordered:
+    assignment = np.zeros(len(trace.user_names), np.int64)
+    # Stable sort: equal counts keep first-appearance order.
+    for user in sorted(first_sight(trace.user_code),
+                       key=lambda code: -counts[code]):
         target = min(range(shard_count), key=lambda idx: loads[idx])
         assignment[user] = target
-        loads[target] += count
-    shards: List[List[Tuple[int, FileRecord]]] = [[] for _ in range(shard_count)]
-    for index, record in enumerate(trace):
-        shards[assignment[record.user]].append((index, record))
-    return [shard for shard in shards if shard]
+        loads[target] += int(counts[user])
+    owner = assignment[trace.user_code]
+    shards = [np.flatnonzero(owner == target) for target in range(shard_count)]
+    return [(trace.take(indices), indices) for indices in shards
+            if indices.size]
 
 
-def _user_orders(records: Iterable[FileRecord]) -> Tuple[List[str], List[str]]:
+def _user_orders(trace: Trace) -> Tuple[List[str], List[str]]:
     """(creation order, modification order) of users, by first appearance.
 
     Sequential replay inserts users into the per-user dicts on their first
     record (traffic) and first modified record (modification dicts); the
     parallel merge re-canonicalises to these orders.
     """
-    creation_order: List[str] = []
-    modification_order: List[str] = []
-    seen_any: Set[str] = set()
-    seen_modified: Set[str] = set()
-    for record in records:
-        if record.user not in seen_any:
-            seen_any.add(record.user)
-            creation_order.append(record.user)
-        if record.modify_count > 0 and record.user not in seen_modified:
-            seen_modified.add(record.user)
-            modification_order.append(record.user)
-    return creation_order, modification_order
+    names = trace.user_names
+    return ([names[code] for code in first_sight(trace.user_code)],
+            [names[code] for code in first_sight(
+                trace.user_code[trace.modify_count > 0])])
 
 
 def _restore_user_order(report: ReplayReport, creation_order: Sequence[str],
@@ -180,17 +177,11 @@ def _restore_user_order(report: ReplayReport, creation_order: Sequence[str],
     report byte-identical to the sequential one — same ``repr``, same
     JSON — not merely equal.
     """
-    report.per_user_traffic = {
-        user: report.per_user_traffic[user]
-        for user in creation_order if user in report.per_user_traffic}
-    report.per_user_modification_traffic = {
-        user: report.per_user_modification_traffic[user]
-        for user in modification_order
-        if user in report.per_user_modification_traffic}
-    report.per_user_modification_update = {
-        user: report.per_user_modification_update[user]
-        for user in modification_order
-        if user in report.per_user_modification_update}
+    for name, order in zip(_MERGE_DICTS, (creation_order, modification_order,
+                                          modification_order)):
+        totals = getattr(report, name)
+        setattr(report, name,
+                {user: totals[user] for user in order if user in totals})
 
 
 def _parse_summary(summary: Tuple[bytes, bytes]
@@ -278,15 +269,17 @@ def _portable_profile(profile: ServiceProfile) -> ServiceProfile:
     return replace(profile, defer_factory=NoDefer)
 
 
-def _pool_worker_main(channel, shard: List[Tuple[int, FileRecord]]) -> None:
+def _pool_worker_main(channel, shard: _Shard) -> None:
     """Worker loop for one shard.
 
     The shard rides into the process through the fork (``Process`` args —
     no module global, no pickling); commands and compact results ride the
-    pipe.  Phase-1 candidate state stays resident here between a
+    pipe, fed batches too, each joined onto the shard before the first
+    replay.  Phase-1 candidate state stays resident here between a
     ``replay`` and its ``settle``, which is what keeps candidates off the
     IPC boundary entirely.
     """
+    parts = [shard]
     candidates: Optional[_ShardCandidates] = None
     try:
         while True:
@@ -294,12 +287,16 @@ def _pool_worker_main(channel, shard: List[Tuple[int, FileRecord]]) -> None:
             command = message[0]
             try:
                 if command == "feed":
-                    shard.extend(message[1])
+                    parts.append(message[1])
                     continue
                 if command == "replay":
+                    if len(parts) > 1:
+                        parts = [(Trace.concat([part for part, _ in parts]),
+                                  np.concatenate([ids for _, ids in parts]))]
                     _, profile, seed, collect = message
                     candidates = _ShardCandidates() if collect else None
-                    report = _replay_records(shard, profile, seed, candidates)
+                    report = _replay_records(*parts[0], profile, seed,
+                                             candidates)
                     channel.send(("ok", (
                         report, candidates.summary() if candidates else None)))
                 elif command == "settle":
@@ -333,6 +330,15 @@ def _resolve_workers(workers: Optional[int]) -> int:
 _FEED_BATCH = 1024
 
 
+def _batch(rows: List[TraceRecord], indices: List[int]) -> _Shard:
+    """One feed batch; a malformed record is named by its stream index."""
+    try:
+        return Trace.from_records(rows), np.array(indices, dtype=np.int64)
+    except MalformedRecord as error:
+        raise MalformedRecord(indices[error.row], error.path,
+                              error.reason) from None
+
+
 class ReplayPool:
     """A persistent, user-sharded pool of replay worker processes.
 
@@ -352,8 +358,7 @@ class ReplayPool:
 
     def __init__(self, trace: Trace, workers: Optional[int] = None) -> None:
         resolved = _resolve_workers(workers)
-        self._shards: List[List[Tuple[int, FileRecord]]] = \
-            _shard_by_user(trace, resolved)
+        self._shards: List[_Shard] = _shard_by_user(trace, resolved)
         self._creation_order, self._modification_order = _user_orders(trace)
         self._record_count = len(trace)
         self._channels: list = []
@@ -363,53 +368,58 @@ class ReplayPool:
             self._start()
 
     @classmethod
-    def from_records(cls, records: Iterable[FileRecord],
+    def from_records(cls, records: Iterable[TraceRecord],
                      workers: Optional[int] = None) -> "ReplayPool":
         """Build a pool by streaming records into the workers.
 
         The workers fork *first* with empty shards; records are then
         assigned to users' shards on first appearance (least-loaded shard,
-        ties to the lowest) and shipped in batches, so the parent never
-        materialises the trace — peak parent memory is one feed batch plus
-        the record source's own state.  Replay results are byte-identical
-        to ``replay_trace`` over the same records in stream order.
+        ties to the lowest) and shipped in columnar batches with their
+        global indices, so the parent never materialises the trace — peak
+        parent memory is one feed batch plus the record source's own state.
+        Replay results are byte-identical to ``replay_trace`` over the same
+        records in stream order.
         """
         resolved = _resolve_workers(workers)
         pool = cls(Trace(), resolved)   # every field at its empty value
-        pool._shards = [[] for _ in range(resolved)]
+        pool._shards = [_batch([], [])] * resolved
         if resolved > 1:
             pool._start()
         live = bool(pool._processes)
-        buffers: List[List[Tuple[int, FileRecord]]] = \
-            [[] for _ in range(resolved)]
+        buffers: List[List[TraceRecord]] = [[] for _ in range(resolved)]
+        positions: List[List[int]] = [[] for _ in range(resolved)]
         loads = [0] * resolved
         assignment: Dict[str, int] = {}
         seen_modified: Set[str] = set()
-        for index, record in enumerate(records):
-            user = record.user
-            slot = assignment.get(user)
-            if slot is None:
-                slot = min(range(resolved), key=lambda idx: loads[idx])
-                assignment[user] = slot
-                pool._creation_order.append(user)
-            loads[slot] += 1
-            if record.modify_count > 0 and user not in seen_modified:
-                seen_modified.add(user)
-                pool._modification_order.append(user)
-            pool._record_count += 1
-            if live:
-                buffers[slot].append((index, record))
-                if len(buffers[slot]) >= _FEED_BATCH:
-                    pool._send(slot, ("feed", buffers[slot]))
-                    buffers[slot] = []
-            else:
-                pool._shards[slot].append((index, record))
+        try:
+            for index, record in enumerate(records):
+                user = record.user
+                slot = assignment.get(user)
+                if slot is None:
+                    slot = min(range(resolved), key=lambda idx: loads[idx])
+                    assignment[user] = slot
+                    pool._creation_order.append(user)
+                loads[slot] += 1
+                if record.modify_count > 0 and user not in seen_modified:
+                    seen_modified.add(user)
+                    pool._modification_order.append(user)
+                pool._record_count += 1
+                buffers[slot].append(record)
+                positions[slot].append(index)
+                if live and len(buffers[slot]) >= _FEED_BATCH:
+                    pool._send(slot, ("feed", _batch(buffers[slot],
+                                                     positions[slot])))
+                    buffers[slot], positions[slot] = [], []
+            shards = [_batch(*batch) for batch in zip(buffers, positions)]
+        except BaseException:   # a malformed record: no worker outlives it
+            pool.close()
+            raise
         if live:
-            for slot, batch in enumerate(buffers):
-                if batch:
-                    pool._send(slot, ("feed", batch))
+            for slot, shard in enumerate(shards):
+                if len(shard[1]):
+                    pool._send(slot, ("feed", shard))
         else:
-            pool._shards = [shard for shard in pool._shards if shard]
+            pool._shards = [shard for shard in shards if len(shard[1])]
         return pool
 
     # -- lifecycle ---------------------------------------------------------
@@ -519,11 +529,12 @@ class ReplayPool:
             summaries = []
             for shard in self._shards:
                 candidates = _ShardCandidates() if collect else None
-                parts.append(_replay_records(shard, profile, seed, candidates))
+                parts.append(_replay_records(*shard, profile, seed,
+                                             candidates))
                 local_candidates.append(candidates)
                 summaries.append(candidates.summary() if candidates else None)
         if not parts:   # no records: the kernel's empty report, or its error
-            return _replay_records([], profile, seed), [], {}
+            return _replay_records(Trace(), (), profile, seed), [], {}
         merged = ReplayReport.merge(parts)
         credits: Dict[str, int] = {}
         if collect:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import hashlib
 import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -37,7 +37,7 @@ from ..client.profiles import BdsMode
 from ..cloud.dedup import DedupGranularity, DedupScope
 from ..compress import CompressionLevel
 from .analysis import creation_batch_flags
-from .schema import UNIT_SIZE, FileRecord, Trace
+from .schema import UNIT_SIZE, Trace, first_sight
 
 #: Fraction of a file's *achievable* compression each level realises,
 #: relative to HIGH's saving on repro.compress's Experiment 4 text corpus
@@ -176,35 +176,36 @@ def _wire_payload(size, compressed, saving_fraction: float,
     return wire + _trunc(per_byte_factor * wire)
 
 
-def _draw_fractions(streams: Dict[str, np.random.Generator], seed: int,
-                    users: Sequence[str], counts: np.ndarray) -> np.ndarray:
+def _draw_fractions(streams: Dict, seed: int, users: Sequence,
+                    counts: np.ndarray,
+                    names: Optional[Sequence[str]] = None) -> np.ndarray:
     """Modification fractions of consecutive records in record order,
-    ``counts[k]`` for a record of ``users[k]``, clamped to 1.0.
+    ``counts[k]`` for a record of user ``users[k]``, clamped to 1.0.
 
-    Each user's stream in ``streams`` is Philox keyed by the 16-byte blake2b
-    of ``replay:{seed}:{user}`` — no profile, so every service prices the
+    ``users`` holds codes into the name table ``names`` or, without one,
+    the names themselves.  Each user's stream in ``streams`` (keyed as in
+    ``users``) is Philox keyed by the 16-byte blake2b of
+    ``replay:{seed}:{name}`` — no profile, so every service prices the
     same modifications — built on first sight and consumed in global index
     order, in the whole trace and in every user-disjoint shard alike: the
     contract behind pooled == sequential.  Philox draws the same values
     chunked or in one call, so each user's block total is one ``lognormal``
-    call, scattered back by a stable sort on the user."""
-    codes: Dict[str, int] = {}
-    owners = [codes.setdefault(user, len(codes)) for user in users]
-    totals = np.bincount(owners, weights=counts).astype(np.int64)
-    # Draw-order position of every fraction, grouped by user.
-    order = np.argsort(np.repeat(owners, counts), kind="stable")
-    fractions = np.empty(len(order))
-    position = 0
-    for user, total in zip(codes, totals.tolist()):
-        stream = streams.get(user)
+    call, scattered back through a mask of the user's draws."""
+    keys, owners = np.unique(np.asarray(users), return_inverse=True)
+    totals = np.bincount(owners, weights=counts,
+                         minlength=len(keys)).astype(np.int64)
+    fractions = np.empty(int(totals.sum()))
+    for owner, (key, total) in enumerate(zip(keys.tolist(), totals.tolist())):
+        stream = streams.get(key)
         if stream is None:
-            key = hashlib.blake2b(f"replay:{seed}:{user}".encode(),
-                                  digest_size=16).digest()
-            stream = streams[user] = np.random.Generator(
-                np.random.Philox(key=int.from_bytes(key, "big")))
-        fractions[order[position:position + total]] = stream.lognormal(
+            name = key if names is None else names[key]
+            digest = hashlib.blake2b(f"replay:{seed}:{name}".encode(),
+                                     digest_size=16).digest()
+            stream = streams[key] = np.random.Generator(
+                np.random.Philox(key=int.from_bytes(digest, "big")))
+        # A boolean mask takes the user's draw positions in record order.
+        fractions[np.repeat(owners == owner, counts)] = stream.lognormal(
             _MOD_FRACTION_LOG_MU, _MOD_FRACTION_LOG_SIGMA, total)
-        position += total
     return np.minimum(fractions, 1.0, out=fractions)
 
 
@@ -223,7 +224,7 @@ def _unit_digest(key) -> bytes:
     ``key`` is the raw unit identity (the segment-id blob for a block, or
     the ``(blob, size)`` tuple of a full-file key).  Digests are a unit's
     identity across processes: the pool's candidates ship them.  Within a
-    shard, an 8-byte blob is keyed by its int instead (see
+    shard, a one-segment unit is keyed by its id instead (see
     :func:`_aligned_units`), equal exactly when the blobs are, so the
     sequential and the sharded replay agree up to the collision bound above.
     """
@@ -236,55 +237,50 @@ def _unit_digest(key) -> bytes:
     return digest.digest()
 
 
-def _aligned_units(segments: List[np.ndarray], size: np.ndarray,
+def _aligned_units(segments: np.ndarray, bounds: np.ndarray, size: np.ndarray,
                    block_size: int) -> Tuple[np.ndarray, np.ndarray, list]:
-    """Every unit :meth:`FileRecord.block_keys` yields for a block's
-    records, in record order, as (record position, length, key) columns.
+    """Every unit :meth:`TraceRecord.block_keys` yields for a block's
+    records, in record order, as (record position, length, key) columns;
+    record ``p``'s ids are ``segments[bounds[p]:bounds[p + 1]]``.
 
-    A unit whose id blob is 8 bytes — one segment of an ``int64`` array,
-    most units of a generated trace — is keyed by that blob read as an
-    ``int64``, any other by its :func:`_unit_digest`: both stand in for the
-    blob exactly, and an int never equals a digest.
+    A one-segment unit is keyed by its ``int64`` id, any other by the
+    :func:`_unit_digest` of its ids' bytes: both stand in for the id blob
+    exactly, and an int never equals a digest.
     """
     per_unit = block_size // UNIT_SIZE
-    counts = np.array([len(ids) for ids in segments], dtype=np.int64)
+    counts = np.diff(bounds)
     units = -(-counts // per_unit)
-    owner = np.repeat(np.arange(len(segments)), units)
+    owner = np.repeat(np.arange(len(counts)), units)
     first = (np.arange(len(owner))
              - np.repeat(np.cumsum(units) - units, units)) * per_unit
     lengths = np.clip(size[owner] - first * UNIT_SIZE, 0, block_size)
-    exact = np.array([ids.dtype == np.int64 for ids in segments], dtype=bool)
-    # The block's ids as one int64 column.  Only an int64 array's values are
-    # its bytes: any other array holds its place with zeros (second loop).
-    column = np.concatenate([ids if ok else np.zeros(len(ids), np.int64)
-                             for ids, ok in zip(segments, exact.tolist())])
-    ends = np.cumsum(counts)[owner]
-    start = ends - counts[owner] + first
-    stop = np.minimum(start + per_unit, ends)
-    keys = column[start].tolist()
-    view = memoryview(column)   # a slice's bytes, uncopied
-    wide = np.flatnonzero((stop - start > 1) & exact[owner])
+    start = bounds[owner] + first
+    stop = np.minimum(start + per_unit, bounds[1:][owner])
+    keys = segments[start].tolist()
+    view = memoryview(segments)   # a slice's bytes, uncopied
+    wide = np.flatnonzero(stop - start > 1)
     for unit, low, high in zip(wide.tolist(), start[wide].tolist(),
                                stop[wide].tolist()):
         keys[unit] = _unit_digest(view[low:high])
-    for unit in np.flatnonzero(~exact[owner]).tolist():
-        low = int(first[unit])
-        blob = segments[owner[unit]][low:low + per_unit].tobytes()
-        keys[unit] = int.from_bytes(blob, sys.byteorder, signed=True) \
-            if len(blob) == 8 else _unit_digest(blob)
     return owner, lengths, keys
 
 
-def _add(totals: Dict[str, int], users: List[str], values: List[int]) -> None:
-    """Per-user totals as Python ints, users entering at first sight."""
-    for user, value in zip(users, values):
-        totals[user] = totals.get(user, 0) + value
+def _fold(totals: Dict[int, int], users: np.ndarray,
+          values: np.ndarray) -> None:
+    """Add one block's per-record ``values`` into ``totals``, user code →
+    Python int, a user entering at first sight.  A block's per-user sums
+    are exact in ``int64`` under its headroom rule."""
+    sums = np.zeros(int(users.max()) + 1, np.int64)
+    np.add.at(sums, users, values)
+    for code in first_sight(users):
+        totals[code] = totals.get(code, 0) + int(sums[code])
 
 
-def _replay_records(shard: Sequence[Tuple[int, FileRecord]],
+def _replay_records(trace: Trace, indices: Sequence[int],
                     profile: ServiceProfile, seed: int,
                     candidates=None) -> ReplayReport:
-    """Replay one shard of (global index, record) pairs.
+    """Replay one shard: ``trace``'s records, whose global indices (in
+    increasing order) are ``indices``.
 
     The single code path behind both the sequential and the parallel
     replay: :func:`replay_trace` calls it once with the whole trace (where
@@ -293,9 +289,10 @@ def _replay_records(shard: Sequence[Tuple[int, FileRecord]],
     pool's CROSS_USER protocol: when given, every record that ships fresh
     dedup units is reported through ``candidates.add(index, user,
     full_wire, total_len, fresh_units)`` — the only thing this kernel
-    knows about it.  It prices ``int64`` columns :data:`_BLOCK` records at
-    a time; totals that outlive a block are Python ints.  A block dedup
-    size the trace's segments cannot align is refused before any record.
+    knows about it.  It prices column slices :data:`_BLOCK` records at a
+    time and reads no per-record object; totals that outlive a block are
+    Python ints.  A block dedup size the trace's segments cannot align is
+    refused before any record.
     """
     dedup = profile.dedup
     if dedup.granularity is DedupGranularity.BLOCK \
@@ -318,62 +315,60 @@ def _replay_records(shard: Sequence[Tuple[int, FileRecord]],
 
     # Which records BDS would batch.  All of a user's records live in this
     # shard, so the neighbourhoods equal the sequential ones.
-    batched = creation_batch_flags([record for _, record in shard]) \
-        if bds.mode is not BdsMode.NONE else [False] * len(shard)
-    # One modification stream per user, alive across blocks.
-    streams: Dict[str, np.random.Generator] = {}
+    batched = creation_batch_flags(trace) if bds.mode is not BdsMode.NONE \
+        else np.broadcast_to(False, len(trace))
+    names, segments, offsets = trace.user_names, trace.segments, trace.offsets
+    # One modification stream per user code, alive across blocks.
+    streams: Dict[int, np.random.Generator] = {}
 
     seen_units: Set = set()
-    per_user_traffic: Dict[str, int] = {}
-    per_user_mod_traffic: Dict[str, int] = {}
-    per_user_mod_update: Dict[str, int] = {}
+    # Per user code, in first-sight order: the :data:`_MERGE_DICTS`.
+    per_user: Tuple[Dict[int, int], ...] = ({}, {}, {})
     mod_events = data_update = traffic = overhead_total = 0
     saved_compression = saved_dedup = saved_bds = saved_ids = 0
 
-    for start in range(0, len(shard), _BLOCK):
-        block = shard[start:start + _BLOCK]
-        size_list = [record.size for _, record in block]
-        compressed_list = [record.compressed_size for _, record in block]
-        count_list = [record.modify_count for _, record in block]
-        biggest = max(max(size_list), max(compressed_list))
-        if len(block) * (max(count_list) + 1) * (biggest + pad + abs(
+    for start in range(0, len(trace), _BLOCK):
+        stop = min(start + _BLOCK, len(trace))
+        size = trace.size[start:stop]
+        compressed = trace.compressed_size[start:stop]
+        counts = trace.modify_count[start:stop]
+        users = trace.user_code[start:stop]
+        biggest = int(max(size.max(), compressed.max()))
+        if (stop - start) * (int(counts.max()) + 1) * (biggest + pad + abs(
                 int(per_byte * biggest))) >= _INT64_HEADROOM:
-            worst = max(range(len(block)), key=lambda k: (count_list[k] + 1)
-                        * max(size_list[k], compressed_list[k]))
-            raise OverflowError(f"record {block[worst][0]}: its replay "
-                                f"block could exceed int64")
-        size = np.array(size_list, dtype=np.int64)
-        counts = np.array(count_list, dtype=np.int64)
+            need = [(count + 1) * max(a, b) for count, a, b in zip(
+                counts.tolist(), size.tolist(), compressed.tolist())]
+            worst = indices[start + need.index(max(need))]
+            raise OverflowError(f"record {worst}: its replay block could "
+                                f"exceed int64")
 
         # ---- creation upload ------------------------------------------------
         # The pre-dedup full-file wire: what dedup scales down for the
         # creation, and what every non-IDS modification re-ships whole.
-        full_wire = _wire_payload(size, np.array(compressed_list, np.int64),
-                                  saving_fraction, per_byte)
+        full_wire = _wire_payload(size, compressed, saving_fraction, per_byte)
         saved_compression += int(np.maximum(
             size + _trunc(per_byte * size) - full_wire, 0).sum())
         wire = full_wire
         if dedup_enabled:
+            bounds = offsets[start:stop + 1]
             if dedup_full_file:
-                # _unit_digest((blob, size)) in one call per record.
-                keys = [hashlib.blake2b(record.segments.tobytes()
-                                        + record.size.to_bytes(8, "little"),
-                                        digest_size=_DIGEST_SIZE).digest()
-                        for _, record in block]
-                owner, lengths = np.arange(len(block)), size
+                view = memoryview(segments)
+                keys = [_unit_digest((view[low:high], length))
+                        for low, high, length in zip(bounds[:-1].tolist(),
+                                                     bounds[1:].tolist(),
+                                                     size.tolist())]
+                owner, lengths = np.arange(stop - start), size
             else:
                 owner, lengths, keys = _aligned_units(
-                    [record.segments for _, record in block], size,
-                    dedup.block_size)
+                    segments, bounds, size, dedup.block_size)
             owners = owner.tolist()
-            users = [record.user for _, record in block]
             scoped = keys if dedup_cross_user \
-                else zip([users[p] for p in owners], keys)
+                else zip(users[owner].tolist(), keys)
             # Fresh the first time its scoped key is seen (add returns None).
             fresh = np.array([key not in seen_units
                               and not seen_units.add(key)
                               for key in scoped], dtype=bool)
-            shipped, total = np.zeros((2, len(block)), np.int64)
+            shipped, total = np.zeros((2, stop - start), np.int64)
             np.add.at(shipped, owner, np.where(fresh, lengths, 0))
             np.add.at(total, owner, lengths)
             # A size-0 file — or a record with no content units at all —
@@ -395,72 +390,78 @@ def _replay_records(shard: Sequence[Tuple[int, FileRecord]],
                         (key, lengths_list[unit]))
                 for p, units in fresh_units.items():
                     if total[p]:
-                        candidates.add(block[p][0], users[p],
-                                       int(full_wire[p]), int(total[p]), units)
+                        candidates.add(int(indices[start + p]),
+                                       names[users[p]], int(full_wire[p]),
+                                       int(total[p]), units)
 
-        in_batch = np.array(batched[start:start + _BLOCK], dtype=bool)
-        saved_bds += batch_saving * int(np.count_nonzero(in_batch))
-        overhead = np.where(in_batch, batched_overhead, fixed)
-        record_traffic = wire + overhead
-        overhead_total += int(overhead.sum())
+        in_batch = batched[start:stop]
+        batch_count = int(np.count_nonzero(in_batch))
+        saved_bds += batch_saving * batch_count
+        record_traffic = wire + np.where(in_batch, batched_overhead, fixed)
+        overhead_total += fixed * (stop - start - batch_count) \
+            + batched_overhead * batch_count
         data_update += int(size.sum())
 
         # ---- modifications ---------------------------------------------------
         modified = np.flatnonzero(counts)
         if modified.size:
-            mod_pairs = [pair for pair in block if pair[1].modify_count]
             mod_counts = counts[modified]
-            starts = np.cumsum(mod_counts) - mod_counts  # each record's first
-            mod_users = [record.user for _, record in mod_pairs]
-            fractions = _draw_fractions(streams, seed, mod_users, mod_counts)
-            draw_size = np.repeat(size[modified], mod_counts)   # per draw
-            # int(size * fraction), at least one byte — in place.
-            altered = _trunc(np.multiply(draw_size, fractions, out=fractions))
+            mod_users = users[modified]
+            # int(size * fraction) per draw, at least one byte.  Columns per
+            # draw are a block's largest: no more than two live at once.
+            fractions = _draw_fractions(streams, seed, mod_users, mod_counts,
+                                        names)
+            fractions *= np.repeat(size[modified].astype(float), mod_counts)
+            altered = _trunc(fractions)
+            del fractions
             np.maximum(altered, 1, out=altered)
+            starts = np.cumsum(mod_counts) - mod_counts  # each record's first
             mod_traffic = mod_counts * fixed
             if delta_block:
                 # Delta ships the altered region in whole blocks.  The ratio
                 # is Python's c / s (float(c) / float(s) rounds twice past
                 # 2**53); size == 0 makes every delta 0, so it goes unused.
                 delta_size = np.minimum(
-                    (-(-altered // delta_block) + 1) * delta_block, draw_size)
-                ratio = np.repeat([r.compressed_size / r.size if r.size
-                                   else 0.0 for _, r in mod_pairs], mod_counts)
+                    (-(-altered // delta_block) + 1) * delta_block,
+                    np.repeat(size[modified], mod_counts))
+                ratio = np.repeat([c / s if s else 0.0 for c, s in zip(
+                    compressed[modified].tolist(), size[modified].tolist())],
+                    mod_counts)
                 delta_wire = _wire_payload(delta_size, _trunc(
                     delta_size * ratio), saving_fraction, per_byte)
                 saved_ids += int(np.maximum(np.repeat(
                     full_wire[modified], mod_counts) - delta_wire, 0).sum())
                 mod_traffic += np.add.reduceat(delta_wire, starts)
+                del delta_size, delta_wire
             else:
                 mod_traffic += mod_counts * full_wire[modified]
-            altered_total = np.add.reduceat(altered, starts)
+            altered = np.add.reduceat(altered, starts)   # per record
             record_traffic[modified] += mod_traffic
-            data_update += int(altered_total.sum())
+            data_update += int(altered.sum())
             overhead_total += fixed * int(mod_counts.sum())
             mod_events += int(mod_counts.sum())
-            _add(per_user_mod_traffic, mod_users, mod_traffic.tolist())
-            _add(per_user_mod_update, mod_users, altered_total.tolist())
+            _fold(per_user[1], mod_users, mod_traffic)
+            _fold(per_user[2], mod_users, altered)
+            del mod_traffic, altered    # not held into the next block
 
-        _add(per_user_traffic, [record.user for _, record in block],
-             record_traffic.tolist())
+        _fold(per_user[0], users, record_traffic)
         traffic += int(record_traffic.sum())
 
     return ReplayReport(
         service=profile.service, access=profile.access.value,
-        file_count=len(shard), upload_events=len(shard) + mod_events,
+        file_count=len(trace), upload_events=len(trace) + mod_events,
         data_update_bytes=data_update, traffic_bytes=traffic,
         overhead_bytes=overhead_total,
         saved_by_compression=saved_compression, saved_by_dedup=saved_dedup,
         saved_by_bds=saved_bds, saved_by_ids=saved_ids,
-        per_user_traffic=per_user_traffic,
-        per_user_modification_traffic=per_user_mod_traffic,
-        per_user_modification_update=per_user_mod_update)
+        **{name: {names[code]: total for code, total in totals.items()}
+           for name, totals in zip(_MERGE_DICTS, per_user)})
 
 
 def replay_trace(trace: Trace, profile: ServiceProfile,
                  seed: int = 0) -> ReplayReport:
     """Estimate the trace-wide sync traffic under one service profile."""
-    return _replay_records(list(enumerate(trace)), profile, seed)
+    return _replay_records(trace, range(len(trace)), profile, seed)
 
 
 def modification_share(report: ReplayReport) -> Dict[str, float]:

@@ -16,8 +16,10 @@ all the paper's trace analyses (Figures 2 and 5, §4/§5 statistics) consume.
 from __future__ import annotations
 
 import hashlib
+import itertools
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Tuple
+from operator import attrgetter
+from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -32,8 +34,11 @@ BLOCK_GRANULARITIES = (128 * KB, 256 * KB, 512 * KB, 1 * MB, 2 * MB,
 
 
 @dataclass
-class FileRecord:
-    """One tracked file (one row of the paper's trace)."""
+class TraceRecord:
+    """One tracked file (one row of the paper's trace), built from a
+    :class:`Trace`'s columns on demand: every field is a plain Python
+    ``str``/``int``/``float``, and ``segments`` is a read-only ``int64``
+    view of the trace's flat segment column."""
 
     user: str
     service: str
@@ -47,12 +52,6 @@ class FileRecord:
     segments: np.ndarray = field(repr=False)
     #: Shared by exact duplicates; unique otherwise.
     content_id: int = 0
-
-    def __post_init__(self) -> None:
-        if self.size < 0 or self.compressed_size < 0:
-            raise ValueError("sizes must be non-negative")
-        if self.modified_at < self.created_at:
-            raise ValueError("modification cannot precede creation")
 
     @property
     def compression_ratio(self) -> float:
@@ -106,45 +105,184 @@ class FileRecord:
         ]
 
 
-@dataclass
-class Trace:
-    """A full collected trace: many users, many files, several services."""
+#: The per-record columns besides the codes, ``float64`` if named ``*_at``.
+_COLUMNS = ("size", "compressed_size", "created_at", "modified_at",
+            "modify_count", "content_id")
+#: Rows materialised at a time, by iteration and by :meth:`Trace.from_fields`.
+_ROWS_AT_ONCE = 1024
+#: A row's fields as a tuple, in :class:`TraceRecord` field order.
+_FIELDS = attrgetter("user", "service", "path", "size", "compressed_size",
+                     "created_at", "modified_at", "modify_count", "segments",
+                     "content_id")
 
-    records: List[FileRecord] = field(default_factory=list)
+
+def first_sight(codes: np.ndarray) -> List[int]:
+    """The distinct values of ``codes``, in order of first appearance."""
+    unique, first = np.unique(codes, return_index=True)
+    return unique[np.argsort(first)].tolist()
+
+
+class MalformedRecord(ValueError):
+    """A record refused: its position among the rows given, path, reason."""
+
+    def __init__(self, row: int, path: str, reason: str) -> None:
+        super().__init__(f"trace record {row} ({path!r}): {reason}")
+        self.row, self.path, self.reason = row, path, reason
+
+
+@dataclass(eq=False, repr=False)
+class Trace:
+    """A full collected trace as read-only columns, one entry per file.
+
+    File ``k`` is ``user_names[user_code[k]]``'s, of
+    ``service_names[service_code[k]]``, with segment ids
+    ``segments[offsets[k]:offsets[k + 1]]``; times are ``float64``, other
+    numbers ``int64``.  Iterating or indexing builds :class:`TraceRecord`
+    rows.  Rows enter through :meth:`from_fields`; every trace passes one
+    vectorised check, which names the first malformed row.
+    """
+
+    user_names: List[str] = field(default_factory=list)
+    service_names: List[str] = field(default_factory=list)
+    user_code: np.ndarray = ()
+    service_code: np.ndarray = ()
+    path: List[str] = field(default_factory=list)
+    size: np.ndarray = ()
+    compressed_size: np.ndarray = ()
+    created_at: np.ndarray = ()
+    modified_at: np.ndarray = ()
+    modify_count: np.ndarray = ()
+    content_id: np.ndarray = ()
+    offsets: np.ndarray = (0,)
+    segments: np.ndarray = ()
+
+    def __post_init__(self) -> None:
+        for name in ("user_code", "service_code", "offsets", "segments",
+                     *_COLUMNS):
+            column = np.asarray(getattr(self, name), np.float64
+                                if name.endswith("_at") else np.int64)
+            column.flags.writeable = False
+            setattr(self, name, column)
+        failures = [(int(np.argmax(bad)), reason) for bad, reason in (
+            ((self.size < 0) | (self.compressed_size < 0),
+             "sizes must be non-negative"),
+            (self.modify_count < 0, "modify_count must be non-negative"),
+            (~(np.isfinite(self.created_at) & np.isfinite(self.modified_at)),
+             "times must be finite"),
+            (self.modified_at < self.created_at,
+             "modification cannot precede creation")) if bad.any()]
+        if failures:
+            row, reason = min(failures, key=lambda failure: failure[0])
+            raise MalformedRecord(row, self.path[row], reason)
+
+    @classmethod
+    def from_records(cls, rows: Iterable[TraceRecord]) -> "Trace":
+        fields = list(map(_FIELDS, rows))
+        return cls.from_fields(fields, len(fields))
+
+    @classmethod
+    def from_fields(cls, rows: Iterable[tuple], count: int) -> "Trace":
+        """``count`` rows, tuples in :class:`TraceRecord` field order, as a
+        trace: :data:`_ROWS_AT_ONCE` rows at a time into columns allocated
+        once, users and services coded at first sight.  Refuses segment
+        ids that do not cast safely to ``int64``."""
+        rows, tables = iter(rows), ({}, {})
+        # User and service codes, size, compressed size, modify count and
+        # content id; the last row, one longer, becomes the offsets.
+        ints = np.zeros((7, count + 1), np.int64)
+        times = np.empty((2, count))
+        paths: List[str] = []
+        segments = bytearray()
+        for start in range(0, count, _ROWS_AT_ONCE):
+            (users, services, path, size, compressed, created, modified,
+             modify_count, ids, content) = zip(
+                 *itertools.islice(rows, _ROWS_AT_ONCE))
+            stop = start + len(path)
+            for table, codes, names in zip(tables, ints, (users, services)):
+                codes[start:stop] = [table.setdefault(name, len(table))
+                                     for name in names]
+            ints[2:6, start:stop] = size, compressed, modify_count, content
+            times[:, start:stop] = created, modified
+            ints[6, start + 1:stop + 1] = list(map(len, ids))
+            paths += path
+            try:
+                segments += memoryview(np.concatenate(
+                    ids, dtype=np.int64, casting="safe"))
+            except TypeError:
+                for row, blob in enumerate(map(np.asarray, ids), start):
+                    if not np.can_cast(blob.dtype, np.int64, "safe"):
+                        raise MalformedRecord(
+                            row, paths[row], f"segment ids of dtype "
+                            f"{blob.dtype} do not cast safely to int64") \
+                            from None
+        np.cumsum(ints[6], out=ints[6])
+        return cls(list(tables[0]), list(tables[1]), ints[0, :count],
+                   ints[1, :count], paths, ints[2, :count], ints[3, :count],
+                   times[0], times[1], ints[4, :count], ints[5, :count],
+                   ints[6], np.frombuffer(segments, np.int64))
+
+    @classmethod
+    def concat(cls, traces: Sequence["Trace"]) -> "Trace":
+        """The traces' rows in order, as one trace: row by row, for joins
+        paid once (a pool worker's fed batches), not per replay."""
+        return cls.from_fields(map(_FIELDS, itertools.chain(*traces)),
+                               sum(map(len, traces)))
+
+    def take(self, indices) -> "Trace":
+        """The rows at ``indices``, in that order, under the same tables."""
+        indices = np.asarray(indices, dtype=np.int64)
+        starts = self.offsets[indices]
+        lengths = self.offsets[indices + 1] - starts
+        offsets = np.concatenate(([0], np.cumsum(lengths)))
+        gather = np.repeat(starts - offsets[:-1], lengths) \
+            + np.arange(offsets[-1])
+        return Trace(
+            self.user_names, self.service_names, self.user_code[indices],
+            self.service_code[indices],
+            [self.path[index] for index in indices.tolist()],
+            offsets=offsets, segments=self.segments[gather],
+            **{name: getattr(self, name)[indices] for name in _COLUMNS})
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.size)
 
-    def __iter__(self) -> Iterator[FileRecord]:
-        return iter(self.records)
+    def __iter__(self) -> Iterator[TraceRecord]:
+        for start in range(0, len(self), _ROWS_AT_ONCE):
+            yield from self._rows(start, min(start + _ROWS_AT_ONCE, len(self)))
 
-    def by_service(self) -> Dict[str, List[FileRecord]]:
-        out: Dict[str, List[FileRecord]] = {}
-        for record in self.records:
-            out.setdefault(record.service, []).append(record)
-        return out
+    def __getitem__(self, index: int) -> TraceRecord:
+        index = range(len(self))[index]
+        return next(self._rows(index, index + 1))
 
-    def user_file_counts(self) -> Dict[str, int]:
-        """user → file count, ordered by first appearance in the trace."""
-        counts: Dict[str, int] = {}
-        for record in self.records:
-            counts[record.user] = counts.get(record.user, 0) + 1
-        return counts
+    def _rows(self, start: int, stop: int) -> Iterator[TraceRecord]:
+        bounds = self.offsets[start:stop + 1].tolist()
+        for k, (user, service, path, size, compressed, created, modified,
+                count, content) in enumerate(zip(
+                    self.user_code[start:stop].tolist(),
+                    self.service_code[start:stop].tolist(),
+                    self.path[start:stop], *(getattr(self, name)[start:stop]
+                                             .tolist() for name in _COLUMNS))):
+            yield TraceRecord(self.user_names[user],
+                              self.service_names[service], path, size,
+                              compressed, created, modified, count,
+                              self.segments[bounds[k]:bounds[k + 1]], content)
+
+    def by_service(self) -> Dict[str, "Trace"]:
+        """service → its rows, services in order of first appearance."""
+        return {self.service_names[code]:
+                self.take(np.flatnonzero(self.service_code == code))
+                for code in first_sight(self.service_code)}
 
     def users(self) -> Dict[str, int]:
         """service → distinct user count (the paper's Table 2)."""
-        seen: Dict[str, set] = {}
-        for record in self.records:
-            seen.setdefault(record.service, set()).add(record.user)
-        return {service: len(users) for service, users in seen.items()}
+        return {service: len(set(part.user_code.tolist()))
+                for service, part in self.by_service().items()}
 
     def total_bytes(self) -> int:
-        return sum(record.size for record in self.records)
+        return sum(self.size.tolist())
 
     def total_compressed_bytes(self) -> int:
-        return sum(record.compressed_size for record in self.records)
+        return sum(self.compressed_size.tolist())
 
     def sizes(self, compressed: bool = False) -> np.ndarray:
-        if compressed:
-            return np.array([r.compressed_size for r in self.records], dtype=np.int64)
-        return np.array([r.size for r in self.records], dtype=np.int64)
+        return self.compressed_size if compressed else self.size

@@ -20,7 +20,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 
 import numpy as np
 
-from repro.trace.schema import UNIT_SIZE, FileRecord
+from repro.trace.schema import UNIT_SIZE, TraceRecord
 from repro.units import GB, KB, MB
 
 #: Trace collection window: Jul 2013 → Mar 2014, in seconds.
@@ -78,7 +78,7 @@ class _SegmentFactory:
 class _PoolEntry:
     """Content identity of a prior original, kept for duplicate sampling.
 
-    Holding full :class:`FileRecord` objects in the pool would pin every
+    Holding full :class:`TraceRecord` objects in the pool would pin every
     original of the whole trace in memory; the duplicate/near-duplicate
     draw only needs these four fields, which is what makes
     :func:`iter_trace_shards` memory-bounded at large scales.
@@ -121,7 +121,7 @@ def _draw_uniform(rng: np.random.Generator, lo: float, hi: float) -> float:
 def _service_records(service: str, n_users: int, n_files: int,
                      rng: np.random.Generator, segments: _SegmentFactory,
                      pool: List[_PoolEntry],
-                     file_counter: "itertools.count") -> Iterator[FileRecord]:
+                     file_counter: "itertools.count") -> Iterator[TraceRecord]:
     """Yield one service's records in creation order.
 
     This is the single code path behind both :func:`generate_trace` and
@@ -151,7 +151,7 @@ def _service_records(service: str, n_users: int, n_files: int,
 
 
 def reference_records(plan: Dict[str, Tuple[int, int]],
-                      seed: int) -> Iterator[FileRecord]:
+                      seed: int) -> Iterator[TraceRecord]:
     """The record stream ``iter_trace_records`` produced for ``plan``."""
     rng = np.random.default_rng(seed)
     segments = _SegmentFactory()
@@ -163,7 +163,7 @@ def reference_records(plan: Dict[str, Tuple[int, int]],
 
 
 def reference_shards(plan: Dict[str, Tuple[int, int]], seed: int,
-                     shard_users: int = 8) -> Iterator[List[FileRecord]]:
+                     shard_users: int = 8) -> Iterator[List[TraceRecord]]:
     """The shards ``iter_trace_shards`` produced for ``plan``, as lists."""
     rng = np.random.default_rng(seed)
     segments = _SegmentFactory()
@@ -175,7 +175,7 @@ def reference_shards(plan: Dict[str, Tuple[int, int]], seed: int,
         group_of = {user: idx // shard_users
                     for idx, user in enumerate(user_names)}
         n_groups = -(-n_users // shard_users)
-        buckets: List[List[FileRecord]] = [[] for _ in range(n_groups)]
+        buckets: List[List[TraceRecord]] = [[] for _ in range(n_groups)]
         for record in _service_records(service, n_users, n_files, rng,
                                        segments, pool, file_counter):
             buckets[group_of[record.user]].append(record)
@@ -202,7 +202,7 @@ def _draw_ratio(rng: np.random.Generator, size: int) -> float:
 
 def _make_record(rng: np.random.Generator, segments: _SegmentFactory,
                  pool: List[_PoolEntry], service: str, user: str,
-                 created_at: float, index: int) -> FileRecord:
+                 created_at: float, index: int) -> TraceRecord:
     duplicate_of: Optional[_PoolEntry] = None
     near_source: Optional[_PoolEntry] = None
     roll = rng.random()
@@ -252,7 +252,7 @@ def _make_record(rng: np.random.Generator, segments: _SegmentFactory,
     extensions = (_EXTENSIONS_COMPRESSIBLE if compressible
                   else _EXTENSIONS_INCOMPRESSIBLE)
     extension = extensions[int(rng.integers(len(extensions)))]
-    record = FileRecord(
+    record = TraceRecord(
         user=user, service=service,
         path=f"{user}/f{index:07d}.{extension}",
         size=size, compressed_size=compressed,

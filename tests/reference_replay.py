@@ -34,7 +34,7 @@ from repro.trace.replay import (
     _fixed_overhead,
     _unit_digest,
 )
-from repro.trace.schema import FileRecord
+from repro.trace.schema import TraceRecord
 
 _MOD_FRACTION_LOG_MU = -3.9   # exp(-3.9) ≈ 0.02
 _MOD_FRACTION_LOG_SIGMA = 1.0
@@ -50,7 +50,7 @@ def _wire_payload(size: int, compressed: int, saving_fraction: float,
     return wire + int(per_byte_factor * wire)
 
 
-def reference_creation_batch_flags(records: Sequence[FileRecord],
+def reference_creation_batch_flags(records: Sequence[TraceRecord],
                                    threshold: int = SMALL_FILE_THRESHOLD,
                                    window: float = BDS_BATCH_WINDOW
                                    ) -> List[bool]:
@@ -101,7 +101,7 @@ def _mod_fractions(streams: Dict[str, np.random.Generator], seed: int,
     return fractions
 
 
-def reference_replay_records(shard: Sequence[Tuple[int, FileRecord]],
+def reference_replay_records(shard: Sequence[Tuple[int, TraceRecord]],
                              profile: ServiceProfile, seed: int,
                              candidates=None) -> ReplayReport:
     """Replay one shard of (global index, record) pairs.

@@ -13,7 +13,7 @@ from repro.simnet import (
     sync_event_sizes,
     throughput_series,
 )
-from repro.trace import FileRecord
+from repro.trace import Trace, TraceRecord
 from repro.trace.analysis import (
     BDS_BATCH_WINDOW,
     SMALL_FILE_THRESHOLD,
@@ -104,7 +104,7 @@ def test_analysis_on_real_session():
 # ---------------------------------------------------------------------------
 
 def created(user, service, size, at):
-    return FileRecord(user=user, service=service, path=f"{user}/{at}",
+    return TraceRecord(user=user, service=service, path=f"{user}/{at}",
                       size=size, compressed_size=size, created_at=at,
                       modified_at=at, modify_count=0,
                       segments=np.zeros(0, dtype=np.int64))
@@ -139,6 +139,7 @@ batch_records = st.lists(st.builds(
                   created("a", "S", SMALL, 4.0)], window=BDS_BATCH_WINDOW)
 @settings(max_examples=200, deadline=None)
 def test_creation_batch_flags_equal_the_loop(records, window):
-    flags = creation_batch_flags(records, window=window)
-    assert flags == reference_creation_batch_flags(records, window=window)
-    assert all(type(flag) is bool for flag in flags)
+    flags = creation_batch_flags(Trace.from_records(records), window=window)
+    assert flags.dtype == bool
+    assert flags.tolist() == reference_creation_batch_flags(records,
+                                                            window=window)

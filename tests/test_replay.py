@@ -6,7 +6,8 @@ import pytest
 
 from repro.client import SERVICES, AccessMethod, SyncSession, service_profile
 from repro.content import compressible_content, random_content
-from repro.trace import FileRecord, Trace, generate_trace, replay_all, replay_trace
+from repro.trace import (Trace, TraceRecord, generate_trace, replay_all,
+                         replay_trace)
 from repro.trace.schema import UNIT_SIZE
 from repro.units import KB, MB
 
@@ -84,7 +85,7 @@ def test_replay_agrees_with_micro_engine_on_small_trace():
     for index, (path, content) in enumerate(files):
         from repro.compress import winzip_reference_size
         units = max(1, -(-content.size // UNIT_SIZE))
-        records.append(FileRecord(
+        records.append(TraceRecord(
             user="u", service="X", path=path, size=content.size,
             compressed_size=winzip_reference_size(content),
             created_at=index * 100.0, modified_at=index * 100.0,
@@ -93,7 +94,7 @@ def test_replay_agrees_with_micro_engine_on_small_trace():
                                dtype=np.int64),
             content_id=index,
         ))
-    tiny = Trace(records=records)
+    tiny = Trace.from_records(records)
 
     for service in ("GoogleDrive", "Box"):
         profile = service_profile(service, AccessMethod.PC)
@@ -117,7 +118,7 @@ def test_empty_trace():
 
 def _zero_size_record(user, index, segment_base=None):
     base = index * 10 if segment_base is None else segment_base
-    return FileRecord(
+    return TraceRecord(
         user=user, service="X", path=f"{user}/empty{index}.txt",
         size=0, compressed_size=0, created_at=float(index * 1000),
         modified_at=float(index * 1000), modify_count=0,
@@ -134,7 +135,7 @@ def test_zero_size_files_under_both_dedup_granularities(service):
     block-granularity, UbuntuOne full-file, so both code paths run).
     Records 0 and 1 share content identity, so the duplicate-hit path runs
     too — a duplicate of nothing must still save nothing."""
-    trace = Trace(records=[_zero_size_record("u", 0, segment_base=0),
+    trace = Trace.from_records([_zero_size_record("u", 0, segment_base=0),
                            _zero_size_record("u", 1, segment_base=0),
                            _zero_size_record("v", 2)])
     profile = service_profile(service, AccessMethod.PC)
@@ -149,7 +150,7 @@ def test_zero_size_files_under_both_dedup_granularities(service):
 
 
 def _small_record(user, index, created_at, size=4 * KB):
-    return FileRecord(
+    return TraceRecord(
         user=user, service="X", path=f"{user}/f{index}.txt",
         size=size, compressed_size=size // 2, created_at=created_at,
         modified_at=created_at, modify_count=0,
@@ -163,11 +164,12 @@ def test_single_record_trace_is_never_batchable():
     from repro.trace.analysis import creation_batch_flags
     from repro.trace.replay import _fixed_overhead
     record = _small_record("solo", 0, 100.0)
-    assert creation_batch_flags([record]) == [False]
-    assert creation_batch_flags([]) == []
+    assert creation_batch_flags(Trace.from_records([record])).tolist() \
+        == [False]
+    assert creation_batch_flags(Trace()).tolist() == []
 
     profile = service_profile("Dropbox", AccessMethod.PC)  # BDS: FULL
-    report = replay_trace(Trace(records=[record]), profile)
+    report = replay_trace(Trace.from_records([record]), profile)
     assert report.saved_by_bds == 0
     assert report.overhead_bytes == _fixed_overhead(profile)
 
@@ -189,12 +191,14 @@ def test_duplicate_creation_times_batch_with_each_other():
     records = [_small_record("a", 0, far), _small_record("a", 1, 100.0),
                _small_record("b", 2, 100.0), _small_record("a", 3, 100.0),
                _small_record("a", 4, 100.0, size=SMALL_FILE_THRESHOLD)]
-    assert creation_batch_flags(records) == [False, True, False, True, False]
+    assert creation_batch_flags(Trace.from_records(records)).tolist() \
+        == [False, True, False, True, False]
     edge = [_small_record("a", 0, 100.0 + BDS_BATCH_WINDOW),
             _small_record("a", 1, 100.0)]
-    assert creation_batch_flags(edge) == [True, True]
+    assert creation_batch_flags(Trace.from_records(edge)).tolist() \
+        == [True, True]
 
-    trace = Trace(records=records)
+    trace = Trace.from_records(records)
     assert batchable_small_fraction(trace) == 2 / 4
     profile = service_profile("Dropbox", AccessMethod.PC)  # BDS: FULL
     fixed = _fixed_overhead(profile)

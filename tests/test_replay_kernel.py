@@ -12,6 +12,7 @@ O(block) memory are held here too.
 import json
 import tracemalloc
 from dataclasses import asdict, replace
+from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -21,7 +22,7 @@ from hypothesis import example, given, settings, strategies as st
 import repro.trace.replay as replay_module
 from repro.client import SERVICES, AccessMethod, service_profile
 from repro.cloud.dedup import DedupConfig, DedupGranularity, DedupScope
-from repro.trace import FileRecord, Trace, generate_trace, replay_trace
+from repro.trace import Trace, TraceRecord, generate_trace, replay_trace
 from repro.trace.pool import _ShardCandidates
 from repro.trace.replay import _DIGEST_SIZE, _replay_records
 from repro.trace.schema import UNIT_SIZE
@@ -54,16 +55,16 @@ def canonical(report) -> str:
 
 def make_record(user, size, count, created_at=0.0, segments=(),
                 compressed=None):
-    return FileRecord(
+    return TraceRecord(
         user=user, service="X", path=f"{user}/{size}-{count}-{created_at}",
         size=size, compressed_size=size if compressed is None else compressed,
         created_at=created_at, modified_at=created_at, modify_count=count,
         segments=np.asarray(segments, dtype=np.int64))
 
 
-def replay_with_candidates(replay, shard, profile, seed):
+def replay_with_candidates(replay, profile, seed):
     candidates = _ShardCandidates()
-    return replay(shard, profile, seed, candidates), candidates
+    return replay(profile, seed, candidates), candidates
 
 
 def settle_table(candidates):
@@ -75,13 +76,27 @@ def settle_table(candidates):
             for k, owner in enumerate(owners)}
 
 
+def columns(shard):
+    """A list of (global index, record) pairs as the kernel's shard: the
+    records' columnar trace and the index column."""
+    return (Trace.from_records([record for _, record in shard]),
+            np.array([index for index, _ in shard], dtype=np.int64))
+
+
+def kernel(shard, profile, seed, candidates=None):
+    return _replay_records(*columns(shard), profile, seed, candidates)
+
+
 def assert_kernel_equals_oracle(shard, profile, seed):
-    kernel, kernel_units = replay_with_candidates(
-        _replay_records, shard, profile, seed)
+    trace, indices = columns(shard)
+    rows = list(zip(indices.tolist(), trace))    # the oracle reads the rows
+    kernel_report, kernel_units = replay_with_candidates(
+        partial(_replay_records, trace, indices), profile, seed)
     oracle, oracle_units = replay_with_candidates(
-        reference_replay_records, shard, profile, seed)
-    assert canonical(kernel) == canonical(oracle)
-    assert canonical(_replay_records(shard, profile, seed)) == canonical(oracle)
+        partial(reference_replay_records, rows), profile, seed)
+    assert canonical(kernel_report) == canonical(oracle)
+    assert canonical(_replay_records(trace, indices, profile, seed)) \
+        == canonical(oracle)
     assert kernel_units.summary() == oracle_units.summary()
     winners = settle_table(oracle_units)
     assert kernel_units.settle(winners) == oracle_units.settle(winners)
@@ -183,8 +198,9 @@ EXTREME_IDS = [
     (1, make_record("u1", 2 * UNIT_SIZE, 0, 1.0, [TOP, -TOP - 1])),
     (2, make_record("u2", UNIT_SIZE, 0, 2.0, [TOP - 1])),
 ]
-#: Equal values, different bytes: an int32 unit is not an int64 unit.  At
-#: two segments a unit, int32 [5, 0] has int64 [5]'s bytes, and is it.
+#: Ids are values: the trace casts int32 ids to int64 when it is built, so
+#: int32 [5, 0, 6, 7] dedups with int64 [5, 0, 6, 7], and at two segments a
+#: unit its [5, 0] is no longer int64 [5], whose bytes it had.
 INT32_NEXT_TO_INT64 = [
     (0, replace(make_record("u0", 4 * UNIT_SIZE, 0, 0.0),
                 segments=np.array([5, 0, 6, 7], dtype=np.int32))),
@@ -223,9 +239,24 @@ def test_kernel_equals_scalar_oracle(block, shard, profile, seed):
         assert_kernel_equals_oracle(shard, profile, seed)
 
 
+def test_int32_ids_dedup_by_value():
+    profile = with_dedup(UBUNTUONE, DedupGranularity.BLOCK, 2 * UNIT_SIZE,
+                         cross_user=True)
+    report = kernel(INT32_NEXT_TO_INT64, profile, 7)
+    as_int64 = [(0, make_record("u0", 4 * UNIT_SIZE, 0, 0.0, [5, 0, 6, 7])),
+                *INT32_NEXT_TO_INT64[1:]]
+    assert canonical(report) == canonical(kernel(as_int64, profile, 7))
+    # u1 ships none of its units, u2 ships its [5] in full.
+    alone = [kernel([pair], profile, 7).per_user_traffic
+             for pair in INT32_NEXT_TO_INT64]
+    assert alone[1]["u1"] - report.per_user_traffic["u1"] \
+        == report.saved_by_dedup > 0
+    assert report.per_user_traffic["u2"] == alone[2]["u2"]
+
+
 def test_out_of_order_example_orders_the_dicts_differently():
     """The example above earns its place only if the two orders differ."""
-    report = _replay_records(MODIFIED_OUT_OF_ORDER, DROPBOX, 3)
+    report = kernel(MODIFIED_OUT_OF_ORDER, DROPBOX, 3)
     assert list(report.per_user_traffic) == ["u0", "u1"]
     assert list(report.per_user_modification_traffic) == ["u1", "u0"]
     assert list(report.per_user_modification_update) == ["u1", "u0"]
@@ -251,7 +282,7 @@ def test_block_size_the_trace_cannot_express_is_refused_up_front(records):
     profile = replace(DROPBOX, dedup=DedupConfig.block(100 * KB))
     with pytest.raises(ValueError, match=r"^Dropbox/pc: dedup block size "
                        r"102400 is not a multiple of the 131072-byte"):
-        replay_trace(Trace(records=records), profile)
+        replay_trace(Trace.from_records(records), profile)
 
 
 # ---------------------------------------------------------------------------
@@ -271,17 +302,17 @@ def test_block_without_int64_headroom_raises_naming_the_record():
     while refused - accepted > 1:
         middle = (accepted + refused) // 2
         try:
-            _replay_records(shard(middle), DROPBOX, 0)
+            kernel(shard(middle), DROPBOX, 0)
             accepted = middle
         except OverflowError:
             refused = middle
     assert accepted > 1 << 58
-    report = _replay_records(shard(accepted), DROPBOX, 0)
+    report = kernel(shard(accepted), DROPBOX, 0)
     assert report.traffic_bytes > 1 << 59
     assert canonical(report) \
         == canonical(reference_replay_records(shard(accepted), DROPBOX, 0))
     with pytest.raises(OverflowError, match=f"^record {index}:"):
-        _replay_records(shard(refused), DROPBOX, 0)
+        kernel(shard(refused), DROPBOX, 0)
 
 
 def test_overflow_names_the_record_that_needs_the_headroom():
@@ -289,7 +320,7 @@ def test_overflow_names_the_record_that_needs_the_headroom():
              (9, make_record("u1", 1 << 61, 0)),
              (12, make_record("u0", MB, 40))]
     with pytest.raises(OverflowError, match="^record 9:"):
-        _replay_records(shard, GOOGLEDRIVE, 0)
+        kernel(shard, GOOGLEDRIVE, 0)
 
 
 def test_totals_that_span_blocks_are_python_ints():
@@ -298,9 +329,9 @@ def test_totals_that_span_blocks_are_python_ints():
     shard = [(k, make_record("u0", 1 << 60, 0, float(k), [k + 1]))
              for k in range(16)]
     with pytest.raises(OverflowError):      # one 16-record block: refused
-        _replay_records(shard, GOOGLEDRIVE, 0)
+        kernel(shard, GOOGLEDRIVE, 0)
     with mock.patch.object(replay_module, "_BLOCK", 1):
-        report = _replay_records(shard, GOOGLEDRIVE, 0)
+        report = kernel(shard, GOOGLEDRIVE, 0)
     assert report.data_update_bytes == 16 << 60 > 1 << 63
     assert report.per_user_traffic["u0"] == report.traffic_bytes > 1 << 63
     assert canonical(report) \
@@ -330,11 +361,14 @@ def _traced_peak(run) -> int:
 @pytest.mark.parametrize("profile", [DROPBOX, UBUNTUONE, GOOGLEDRIVE],
                          ids=lambda profile: profile.name)
 def test_kernel_memory_stays_within_the_oracles(profile, memory_trace):
-    """Both sides replay the trace from its (index, record) list; the
-    kernel may add one block's columns to what the loop held, not a
-    column per record (an unblocked kernel adds 2.8–4.5 MB here)."""
-    kernel = _traced_peak(lambda: replay_trace(memory_trace, profile, 0))
-    oracle = _traced_peak(lambda: reference_replay_records(
-        list(enumerate(memory_trace)), profile, 0))
-    assert kernel <= 1.3 * oracle
-    assert kernel - oracle <= 1024 * replay_module._BLOCK
+    """The kernel replays the trace's columns, the loop its (index, record)
+    list, built before the measurement as the columns were: both peaks are
+    replay working sets.  The kernel may add one block's columns to what
+    the loop held, not a column per record (an unblocked kernel adds
+    2.8–4.5 MB here)."""
+    pairs = list(enumerate(memory_trace))
+    kernel_peak = _traced_peak(lambda: replay_trace(memory_trace, profile, 0))
+    oracle_peak = _traced_peak(
+        lambda: reference_replay_records(pairs, profile, 0))
+    assert kernel_peak <= 1.3 * oracle_peak
+    assert kernel_peak - oracle_peak <= 1024 * replay_module._BLOCK

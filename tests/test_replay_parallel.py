@@ -12,10 +12,10 @@ import pytest
 from repro.client import AccessMethod, SERVICES, service_profile
 from repro.cloud.dedup import DedupConfig, DedupGranularity, DedupScope
 from repro.trace import (
-    FileRecord,
     ReplayPool,
     ReplayReport,
     Trace,
+    TraceRecord,
     generate_trace,
     iter_trace_shards,
     replay_trace,
@@ -76,8 +76,9 @@ def test_pool_refuses_a_block_size_the_trace_cannot_express(users):
     empty trace, from every worker (wrapped) for a trace with records."""
     profile = replace(service_profile("Dropbox", AccessMethod.PC),
                       dedup=DedupConfig.block(100 * KB))
-    trace = Trace(records=[_record(f"u{k}", k, [k + 1], UNIT_SIZE, float(k))
-                           for k in range(users)])
+    trace = Trace.from_records([
+        _record(f"u{k}", k, [k + 1], UNIT_SIZE, float(k))
+        for k in range(users)])
     message = "Dropbox/pc: dedup block size 102400 is not a multiple"
     with pytest.raises((ValueError, RuntimeError), match=message) as error:
         replay_trace_parallel(trace, profile, workers=2)
@@ -104,7 +105,7 @@ def test_more_workers_than_users():
 # ---------------------------------------------------------------------------
 
 def _record(user, index, segments, size, created_at):
-    return FileRecord(
+    return TraceRecord(
         user=user, service="X", path=f"{user}/f{index:04d}.bin",
         size=size, compressed_size=size,
         created_at=created_at, modified_at=created_at, modify_count=0,
@@ -130,7 +131,7 @@ def _cross_user_duplicate_trace():
             records.append(_record(user, index, content, size,
                                    created_at=float(index)))
             index += 1
-    return Trace(records=records)
+    return Trace.from_records(records)
 
 
 @pytest.mark.parametrize("granularity", [DedupGranularity.FULL_FILE,
@@ -202,7 +203,7 @@ def test_merge_of_user_shards_equals_whole(trace):
     shards = _shard_by_user(trace, 4)
     assert len(shards) == 4
     from repro.trace.replay import _replay_records
-    parts = [_replay_records(shard, profile, seed=7) for shard in shards]
+    parts = [_replay_records(*shard, profile, seed=7) for shard in shards]
     merged = ReplayReport.merge(parts)
     whole = replay_trace(trace, profile, seed=7)
     assert merged.traffic_bytes == whole.traffic_bytes
@@ -212,15 +213,22 @@ def test_merge_of_user_shards_equals_whole(trace):
 
 def test_shard_by_user_is_a_partition(trace):
     shards = _shard_by_user(trace, 5)
-    users_per_shard = [set(record.user for _, record in shard)
-                       for shard in shards]
+    users_per_shard = [set(record.user for record in part)
+                       for part, _ in shards]
     for i, left in enumerate(users_per_shard):
         for right in users_per_shard[i + 1:]:
             assert not (left & right)
-    total = sum(len(shard) for shard in shards)
+    total = sum(len(part) for part, _ in shards)
     assert total == len(trace)
-    indices = sorted(index for shard in shards for index, _ in shard)
+    indices = sorted(index for _, ids in shards for index in ids.tolist())
     assert indices == list(range(len(trace)))
+    # Each shard is gathered once: its rows are the trace's at its indices.
+    rows = list(trace)
+    for part, ids in shards:
+        assert [record.path for record in part] \
+            == [rows[index].path for index in ids.tolist()]
+        assert all(np.array_equal(record.segments, rows[index].segments)
+                   for record, index in zip(part, ids.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -273,10 +281,8 @@ def test_sharded_generation_feeds_parallel_replay():
     """End-to-end at-scale workflow: generate shard-by-shard, replay the
     concatenation in parallel, match the monolithic sequential result."""
     whole = generate_trace(scale=0.015, seed=33)
-    assembled = Trace(records=[record
-                               for shard in iter_trace_shards(
-                                   scale=0.015, seed=33, shard_users=6)
-                               for record in shard])
+    assembled = Trace.concat(list(iter_trace_shards(
+        scale=0.015, seed=33, shard_users=6)))
     profile = service_profile("UbuntuOne", AccessMethod.PC)
     a = replay_trace(whole, profile, seed=0)
     b = replay_trace_parallel(assembled, profile, workers=4, seed=0)
@@ -377,13 +383,28 @@ def test_from_records_streams_byte_identical(trace):
     materialised trace: the parent never needs the full record list."""
     from repro.trace import ReplayPool
     for workers in (1, 3):
-        with ReplayPool.from_records(iter(trace.records),
+        with ReplayPool.from_records(iter(trace),
                                      workers=workers) as pool:
             assert pool.record_count == len(trace)
             for service in ("UbuntuOne", "GoogleDrive"):
                 profile = service_profile(service, AccessMethod.PC)
                 assert canonical(pool.replay(profile, seed=7)) \
                     == canonical(replay_trace(trace, profile, seed=7))
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_from_records_refuses_a_malformed_record_by_its_stream_index(workers):
+    """The feed batches are columnar traces, so they pass the trace's
+    check: a malformed record is named by its index in the stream, not in
+    its batch, and the pool is closed."""
+    records = [_record(f"u{k % 2}", k, [k + 1], UNIT_SIZE, float(k))
+               for k in range(6)]
+    records[3] = replace(records[3], modify_count=-1)
+    before = set(multiprocessing.active_children())
+    with pytest.raises(ValueError, match=r"^trace record 3 \('u1/f0003.bin'"
+                       r"\): modify_count must be non-negative"):
+        ReplayPool.from_records(iter(records), workers=workers)
+    assert set(multiprocessing.active_children()) <= before
 
 
 def test_from_records_generator_stream_parity():
@@ -401,10 +422,8 @@ def test_from_records_generator_stream_parity():
 def test_from_shards_matches_assembled_order():
     """A shard stream (iter_trace_shards) flattened into from_records: the
     replay's sequential reference is the concatenated shard ordering."""
-    assembled = Trace(records=[record
-                               for shard in iter_trace_shards(
-                                   scale=0.01, seed=11, shard_users=3)
-                               for record in shard])
+    assembled = Trace.concat(list(iter_trace_shards(
+        scale=0.01, seed=11, shard_users=3)))
     profile = service_profile("UbuntuOne", AccessMethod.PC)
     flattened = (record
                  for shard in iter_trace_shards(scale=0.01, seed=11,
@@ -436,7 +455,7 @@ def test_dedup_accounting_is_integer_exact_above_2_53():
         block_size=UNIT_SIZE))
     # u0 ships blocks {1,2,3}; u1's first aligned block duplicates u0's,
     # so u1 ships 2 of its 3 equal-length blocks.
-    trace = Trace(records=[
+    trace = Trace.from_records([
         _record("u0", 0, [1, 2, 3], size, created_at=0.0),
         _record("u1", 1, [1, 4, 5], size, created_at=1.0),
     ])
@@ -467,7 +486,7 @@ def test_zero_size_records_under_cross_user_dedup_parallel():
         profile = replace(base, dedup=DedupConfig(
             granularity=granularity, scope=DedupScope.CROSS_USER,
             block_size=UNIT_SIZE))
-        trace = Trace(records=[
+        trace = Trace.from_records([
             _record("u0", 0, [], 0, created_at=0.0),
             _record("u1", 1, [], 0, created_at=1.0),   # identical empty key
             _record("u0", 2, [7, 8], 2 * UNIT_SIZE, created_at=2.0),
@@ -498,10 +517,10 @@ def test_shard_by_user_ties_by_first_appearance():
             records.append(_record(user, index, [index], UNIT_SIZE,
                                    created_at=float(index)))
             index += 1
-    shards = _shard_by_user(Trace(records=records), 2)
+    shards = _shard_by_user(Trace.from_records(records), 2)
     # Greedy heaviest-first with a stable sort: alice -> shard 0,
     # bob -> shard 1, carol ties at load 2/2 -> lowest index, shard 0.
-    assert [sorted({r.user for _, r in shard}) for shard in shards] \
+    assert [sorted({r.user for r in part}) for part, _ in shards] \
         == [["alice", "carol"], ["bob"]]
 
 
@@ -521,7 +540,7 @@ def _single_shard_unit_trace():
             records.append(_record(user, index, [base_id, base_id + 1],
                                    2 * UNIT_SIZE, created_at=float(index)))
             index += 1
-    return Trace(records=records)
+    return Trace.from_records(records)
 
 
 def test_phase2_short_circuit_parity_across_cross_user_profiles():
@@ -667,7 +686,7 @@ def test_worker_killed_mid_replay_is_a_structured_error():
     records = [_record("small", 0, [1], UNIT_SIZE, created_at=0.0),
                replace(_record("large", 1, [2], UNIT_SIZE, created_at=1.0),
                        modify_count=5_000_000)]
-    pool = ReplayPool(Trace(records=records), workers=2)
+    pool = ReplayPool(Trace.from_records(records), workers=2)
     children = list(pool._processes)
     assert len(children) == 2
     killer = threading.Timer(0.2, os.kill,

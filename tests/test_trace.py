@@ -1,14 +1,18 @@
 """Tests for the trace substrate: schema, generator calibration, I/O."""
 
+import io
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.trace import (
-    FileRecord,
     GeneratorConfig,
     SERVICE_FILES,
     SERVICE_USERS,
     Trace,
+    TraceRecord,
     UNIT_SIZE,
     batchable_small_fraction,
     compressible_fraction,
@@ -22,10 +26,12 @@ from repro.trace import (
     iter_trace_shards,
     load_trace,
     modified_fraction,
+    read_csv,
     save_trace,
     size_cdf,
     small_file_fraction,
     summary_stats,
+    write_csv,
 )
 from repro.units import GB, KB, MB
 
@@ -47,14 +53,110 @@ def make_record(size=300 * KB, segments=None, **kwargs):
                     compressed_size=size // 2, created_at=0.0, modified_at=1.0,
                     modify_count=1, segments=segments, content_id=1)
     defaults.update(kwargs)
-    return FileRecord(**defaults)
+    return TraceRecord(**defaults)
 
 
 def test_record_validation():
-    with pytest.raises(ValueError):
-        make_record(size=-1)
-    with pytest.raises(ValueError):
-        make_record(modified_at=-5.0)
+    with pytest.raises(ValueError, match="sizes must be non-negative"):
+        Trace.from_records([make_record(size=-1)])
+    with pytest.raises(ValueError, match="modification cannot precede"):
+        Trace.from_records([make_record(modified_at=-5.0)])
+
+
+#: Rows the trace accepted, wrote to CSV, read back and then crashed the
+#: replay on (a negative count), priced (a NaN creation time) or took as a
+#: dedup identity (float or uint64 segment ids).
+MALFORMED = {
+    "negative-count": (dict(modify_count=-1),
+                       "modify_count must be non-negative"),
+    "nan-created": (dict(created_at=float("nan")), "times must be finite"),
+    "inf-modified": (dict(modified_at=float("inf")), "times must be finite"),
+    "float-ids": (dict(segments=np.array([1.5])),
+                  "segment ids of dtype float64 do not cast safely"),
+    "uint64-ids": (dict(segments=np.array([1], dtype=np.uint64)),
+                   "segment ids of dtype uint64 do not cast safely"),
+}
+
+
+@pytest.mark.parametrize("fields, reason", MALFORMED.values(),
+                         ids=MALFORMED.keys())
+def test_trace_refuses_a_malformed_record_naming_the_first(fields, reason):
+    rows = [make_record(path="fine"), make_record(path="bad", **fields),
+            make_record(path="worse", size=-1, **fields)]
+    with pytest.raises(ValueError,
+                       match=rf"^trace record 1 \('bad'\): {reason}"):
+        Trace.from_records(rows)
+
+
+def csv_with(**fields):
+    """One valid row's CSV text, with ``fields`` written over it."""
+    buffer = io.StringIO()
+    write_csv(Trace.from_records([make_record(path="kept"),
+                                  make_record(path="bad")]), buffer)
+    header, *rows = buffer.getvalue().splitlines()
+    names = header.split(",")
+    row = dict(zip(names, rows[1].split(",")), **fields)
+    rows[1] = ",".join(str(row[name]) for name in names)
+    return io.StringIO("\n".join([header, *rows]) + "\n")
+
+
+@pytest.mark.parametrize("name", ["negative-count", "nan-created",
+                                  "inf-modified"])
+def test_read_csv_refuses_a_malformed_row_naming_it(name):
+    fields, reason = MALFORMED[name]
+    with pytest.raises(ValueError,
+                       match=rf"^trace record 1 \('bad'\): {reason}"):
+        read_csv(csv_with(**fields))
+    assert len(read_csv(csv_with())) == 2
+
+
+def test_int32_segment_ids_are_kept_by_value():
+    ids = np.array([5, 0, 6], dtype=np.int32)
+    row = Trace.from_records([make_record(segments=ids)])[0]
+    assert row.segments.dtype == np.int64
+    assert row.segments.tolist() == [5, 0, 6]
+
+
+def fields(record):
+    """Every field with its type, segments as dtype and values."""
+    scalars = (record.user, record.service, record.path, record.size,
+               record.compressed_size, record.created_at, record.modified_at,
+               record.modify_count, record.content_id)
+    return ([(type(value), value) for value in scalars],
+            record.segments.dtype.str, record.segments.tolist())
+
+
+@st.composite
+def rows(draw):
+    created = draw(st.floats(-1e12, 1e12))
+    return make_record(
+        user=draw(st.sampled_from(["u0", "u1", "ü/2"])),
+        service=draw(st.sampled_from(["A", "B"])), path=draw(st.text()),
+        size=draw(st.integers(0, 2 ** 63 - 1)),
+        compressed_size=draw(st.integers(0, 2 ** 63 - 1)),
+        created_at=created,
+        modified_at=created + draw(st.floats(0, 1e12)),
+        modify_count=draw(st.integers(0, 2 ** 63 - 1)),
+        content_id=draw(st.integers(-2 ** 63, 2 ** 63 - 1)),
+        segments=np.array(draw(st.lists(st.integers(-2 ** 63, 2 ** 63 - 1),
+                                         max_size=4)), dtype=np.int64))
+
+
+@given(records=st.lists(rows(), max_size=12), data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_rows_round_trip_through_the_columns(records, data):
+    trace = Trace.from_records(records)
+    assert [fields(row) for row in trace] == [fields(row) for row in records]
+    picks = data.draw(st.lists(st.integers(0, len(records) - 1))
+                      if records else st.just([]))
+    assert [fields(row) for row in trace.take(picks)] \
+        == [fields(records[pick]) for pick in picks]
+    cut = data.draw(st.integers(0, len(records)))
+    joined = Trace.concat([Trace.from_records(records[:cut]),
+                           trace.take(range(cut, len(records)))])
+    assert [fields(row) for row in joined] == [fields(row) for row in records]
+    if records:
+        assert fields(trace[-1]) == fields(records[-1])
 
 
 def test_compression_properties():
@@ -186,11 +288,24 @@ def test_modified_at_clamped_to_collection_window(trace):
     assert clamped > 0
 
 
+def test_generated_trace_holds_at_most_300_bytes_a_record():
+    """Columns, not an object per record: 512 B a record were held here
+    when each record was a dataclass instance."""
+    tracemalloc.start()
+    try:
+        base, _ = tracemalloc.get_traced_memory()
+        trace = generate_trace(scale=0.05, seed=42)
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (held - base) / len(trace) <= 300
+
+
 def test_generation_is_deterministic():
     a = generate_trace(scale=0.01, seed=3)
     b = generate_trace(scale=0.01, seed=3)
     assert len(a) == len(b)
-    assert [r.md5 for r in a.records[:50]] == [r.md5 for r in b.records[:50]]
+    assert [r.md5 for r in list(a)[:50]] == [r.md5 for r in list(b)[:50]]
 
 
 @pytest.mark.parametrize("scale", [0, -1, -0.0, float("nan"), float("inf")])
