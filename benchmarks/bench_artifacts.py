@@ -24,9 +24,9 @@ from repro.artifacts import ARTIFACTS, bench_args
 from repro.artifacts.ablations import HISTORY_FILE_SIZE, HISTORY_VERSIONS
 from repro.artifacts.paper import FIG2_GRID as GRID
 from repro.artifacts.paper import PAPER_DEFERMENTS as EXPECTED
+from repro.artifacts.paper import TABLE6_SIZES
 from repro.client import AccessMethod
 from repro.core import run_faulty_sync
-from repro.core.experiments import DEFAULT_SIZES
 from repro.trace import SERVICE_FILES
 from repro.units import GB, KB, MB
 
@@ -58,29 +58,30 @@ def check_fig2(args, result):
         assert compressed[size] >= original[size] - 1e-9
 
 
-def check_table6(args, result):
+def check_table6(args, readings):
     # Shape assertions: the paper's qualitative claims hold.
     for access in AccessMethod:
         for service in ("GoogleDrive", "Dropbox", "UbuntuOne"):
-            small = result.get(service, access, 1)
-            large = result.get(service, access, DEFAULT_SIZES[-1])
+            small = readings[service, access, 1]
+            large = readings[service, access, TABLE6_SIZES[-1]]
             assert small.tue > 1000
             assert large.tue < 1.35
 
 
-def check_fig3(args, curves):
-    for service, points in curves.items():
-        tues = dict(points)
+def check_fig3(args, readings):
+    for service in args.services:
+        tues = {size: reading.tue
+                for (name, size), reading in readings.items()
+                if name == service}
         # Paper's moderate-size guidance: ≥100 KB → small TUE; ≥1 MB → ~1.
         assert tues[100 * KB] < 2.5, service
         assert tues[1 * MB] < 1.5, service
         assert tues[1] > 1000, service
-        values = [tue for _, tue in sorted(points)]
+        values = [tue for _, tue in sorted(tues.items())]
         assert values == sorted(values, reverse=True), service
 
 
-def check_table7(args, rows_data):
-    by_key = {(r.service, r.access): r for r in rows_data}
+def check_table7(args, by_key):
     # The paper's finding: only Dropbox and Ubuntu One batch on PC.
     pc = {s: by_key[(s, AccessMethod.PC)].tue
           for s in ("GoogleDrive", "OneDrive", "Dropbox", "Box",
@@ -93,13 +94,12 @@ def check_table7(args, rows_data):
     assert by_key[("Dropbox", AccessMethod.MOBILE)].tue < 10
 
 
-def check_deletion(args, rows_data):
-    for row in rows_data:
-        assert row.deletion_traffic < 100 * KB, row
+def check_deletion(args, readings):
+    for key, reading in readings.items():
+        assert reading.traffic < 100 * KB, (key, reading)
 
 
-def check_fig4(args, cells):
-    by_key = {(c.service, c.access, c.size): c for c in cells}
+def check_fig4(args, by_key):
     # IDS flatness on PC for Dropbox and SugarSync.
     for service in ("Dropbox", "SugarSync"):
         small = by_key[(service, AccessMethod.PC, 100 * KB)].traffic
@@ -114,29 +114,31 @@ def check_fig4(args, cells):
             assert by_key[(service, access, 1 * MB)].traffic > 0.9 * MB
 
 
-def check_table8(args, rows_data):
+def check_table8(args, readings):
     SIZE = args.size
-    by_key = {(r.service, r.access): r for r in rows_data}
+    # The upload is the phase the recipe's mark closed; the download is
+    # the reading's own traffic.
+    up = {key: reading.marked[0] for key, reading in readings.items()}
+    down = {key: reading.traffic for key, reading in readings.items()}
     # Compressors vs non-compressors (upload, PC).
     for service in ("Dropbox", "UbuntuOne"):
-        assert by_key[(service, AccessMethod.PC)].upload_traffic < 0.75 * SIZE
-        assert by_key[(service, AccessMethod.PC)].download_traffic < 0.65 * SIZE
+        assert up[(service, AccessMethod.PC)] < 0.75 * SIZE
+        assert down[(service, AccessMethod.PC)] < 0.65 * SIZE
     for service in ("GoogleDrive", "OneDrive", "Box", "SugarSync"):
         for access in AccessMethod:
-            r = by_key[(service, access)]
-            assert r.upload_traffic > SIZE
-            assert r.download_traffic > SIZE
+            assert up[(service, access)] > SIZE
+            assert down[(service, access)] > SIZE
     # No web-upload compression anywhere.
     for service in ("Dropbox", "UbuntuOne"):
-        assert by_key[(service, AccessMethod.WEB)].upload_traffic > SIZE
+        assert up[(service, AccessMethod.WEB)] > SIZE
     # Mobile upload compression is low-level: between PC and raw.
     for service in ("Dropbox", "UbuntuOne"):
-        pc = by_key[(service, AccessMethod.PC)].upload_traffic
-        mobile = by_key[(service, AccessMethod.MOBILE)].upload_traffic
+        pc = up[(service, AccessMethod.PC)]
+        mobile = up[(service, AccessMethod.MOBILE)]
         assert pc < mobile < SIZE
     # Ubuntu One mobile DN uncompressed; Dropbox mobile DN compressed.
-    assert by_key[("UbuntuOne", AccessMethod.MOBILE)].download_traffic > SIZE
-    assert by_key[("Dropbox", AccessMethod.MOBILE)].download_traffic < 0.65 * SIZE
+    assert down[("UbuntuOne", AccessMethod.MOBILE)] > SIZE
+    assert down[("Dropbox", AccessMethod.MOBILE)] < 0.65 * SIZE
 
 
 def check_table9(args, findings):
@@ -161,9 +163,10 @@ def check_fig5(args, curve):
     assert 1.1 < full_file < 1.4
 
 
-def check_fig6(args, curves):
+def check_fig6(args, readings):
     SERVICES = args.services
-    tue = {s: {r.x: r.tue for r in curves[s]} for s in SERVICES}
+    tue = {s: {x: reading.tue for (name, x), reading in readings.items()
+               if name == s} for s in SERVICES}
 
     # Fixed-defer plateaus below T, spike just above (GD 4.2, OD 10.5, SS 6).
     assert tue["GoogleDrive"][3] < 2 and tue["GoogleDrive"][5] > 20
@@ -193,46 +196,52 @@ def check_probe_defer(args, results):
             assert abs(inferred - expected) < 0.25, (service, inferred)
 
 
-def check_asd(args, results):
+def check_asd(args, readings):
     # ASD's first few iteration rounds sync early while T_i converges, so
     # TUE sits slightly above 1.0 on this short (256 KB) run; the paper's
     # full 1 MB runs amortise that to ≈1.0.
-    for service, comparison in results.items():
-        for x, original, with_asd in comparison:
+    for (service, x, policy), reading in readings.items():
+        if policy == "asd":
+            original = readings[service, x, "fixed"].tue
+            with_asd = reading.tue
             assert with_asd < 2.5, (service, x)
             assert original > 4 * with_asd, (service, x)
 
 
-def check_fig7(args, results):
+def check_fig7(args, readings):
     # BJ never exceeds MN, and is strictly lower at the shortest period
     # for the no-defer/IDS services (the paper's headline contrast).
-    for service, rows_data in results.items():
-        for _, mn, bj in rows_data:
+    for (service, x, site), reading in readings.items():
+        if site == "BJ":
+            mn, bj = readings[service, x, "MN"].tue, reading.tue
             assert bj <= mn * 1.05, (service, mn, bj)
     for service in ("Box", "Dropbox"):
-        x1 = results[service][0]
-        assert x1[2] < x1[1], service
+        x1 = min(x for name, x, _ in readings if name == service)
+        assert readings[service, x1, "BJ"].tue < \
+            readings[service, x1, "MN"].tue, service
 
 
-def check_fig8(args, result):
-    bandwidth, latency, curves = result
-    tues = [tue for _, tue in bandwidth]
+def check_fig8(args, readings):
+    tues = [reading.tue for reading in readings["bandwidth"].values()]
     assert all(a <= b + 1e-9 for a, b in zip(tues, tues[1:]))
     assert tues[-1] > 1.3 * tues[0]
 
-    tues = [tue for _, tue in latency]
+    tues = [reading.tue for reading in readings["rtt"].values()]
     assert all(a >= b - 1e-9 for a, b in zip(tues, tues[1:]))
     assert tues[0] > 2 * tues[-1]
 
     # The outdated machine always at or below the typical one; the typical
     # one at or below the advanced one; strict gap for M2 at X=1.
+    curves = {}
+    for (name, x), reading in readings["machine"].items():
+        curves.setdefault(name, []).append(reading.tue)
     for index in range(len(curves["M1"])):
-        m1 = curves["M1"][index][1]
-        m2 = curves["M2"][index][1]
-        m3 = curves["M3"][index][1]
+        m1 = curves["M1"][index]
+        m2 = curves["M2"][index]
+        m3 = curves["M3"][index]
         assert m2 <= m1 + 1e-9
         assert m1 <= m3 + 1e-9
-    assert curves["M2"][0][1] < 0.8 * curves["M1"][0][1]
+    assert curves["M2"][0] < 0.8 * curves["M1"][0]
 
 
 def check_faults(args, sweep):

@@ -24,11 +24,10 @@ from repro.client import (
     ServiceProfile,
     SyncSession,
 )
-from repro.cloud import CloudServer, DedupConfig
+from repro.cloud import DedupConfig
 from repro.compress import HIGH_COMPRESSION, MODERATE_COMPRESSION
-from repro.content import random_content, text_content
-from repro.core.algorithm1 import iterative_self_duplication
-from repro.simnet import Simulator, mn_link
+from repro.core import (Cell, append, create, iterative_self_duplication,
+                        measure, modify, upload_download)
 from repro.units import KB, MB, fmt_size
 
 # --- the service under test (pretend you cannot read this) -----------------
@@ -51,39 +50,30 @@ def fresh_session() -> SyncSession:
     return SyncSession(ICLOUD_LIKE)
 
 
-def measure_creation(size: int) -> int:
-    session = fresh_session()
-    session.create_file("probe.bin", random_content(size, seed=size))
-    session.run_until_idle()
-    return session.total_traffic
+def probe_cell(recipe):
+    """One measurement cell against the service under test."""
+    return measure(Cell(ICLOUD_LIKE, recipe))
 
 
 def main():
     print("Probing an unknown 'iCloudLike' service with the paper's toolkit\n")
 
-    tiny = measure_creation(1)
+    tiny = probe_cell(create(1)).traffic
     print(f"[Exp 1]  1 B creation: {fmt_size(tiny)} "
           f"→ fixed sync overhead ≈ {fmt_size(tiny)}")
-    big = measure_creation(10 * MB)
+    big = probe_cell(create(10 * MB)).traffic
     print(f"[Exp 1]  10 MB creation: {fmt_size(big)} "
           f"→ per-byte overhead ≈ {(big - tiny) / (10 * MB) - 1:.0%}")
 
-    session = fresh_session()
-    session.create_file("mod.bin", random_content(1 * MB, seed=7))
-    session.run_until_idle()
-    session.reset_meter()
-    session.modify_random_byte("mod.bin", seed=8)
-    session.run_until_idle()
-    granularity = ("full-file sync" if session.total_traffic > 0.9 * MB
+    edit = probe_cell(modify(1 * MB)).traffic
+    granularity = ("full-file sync" if edit > 0.9 * MB
                    else "incremental (IDS)")
-    print(f"[Exp 3]  1-byte edit in 1 MB: {fmt_size(session.total_traffic)} "
+    print(f"[Exp 3]  1-byte edit in 1 MB: {fmt_size(edit)} "
           f"→ {granularity}")
 
-    session = fresh_session()
-    session.create_file("text.txt", text_content(4 * MB, seed=9))
-    session.run_until_idle()
-    ratio = session.total_traffic / (4 * MB)
-    print(f"[Exp 4]  4 MB text upload: {fmt_size(session.total_traffic)} "
+    upload, = probe_cell(upload_download(4 * MB)).marked
+    ratio = upload / (4 * MB)
+    print(f"[Exp 4]  4 MB text upload: {fmt_size(upload)} "
           f"({ratio:.2f}×) → compression {'ON' if ratio < 0.9 else 'OFF'}")
 
     probe = iterative_self_duplication(fresh_session(), max_block=16 * MB)
@@ -92,14 +82,9 @@ def main():
 
     defer_estimate = None
     for x in range(2, 13, 2):
-        session = fresh_session()
-        session.create_file("log.bin", random_content(0))
-        session.run_until_idle()
-        for index in range(12):
-            session.append("log.bin", random_content(1 * KB, seed=index))
-            session.advance(float(x))
-        session.run_until_idle()
-        if session.client.stats.sync_transactions > 6 and defer_estimate is None:
+        appends = append(x, total=12 * KB, append_kb=1.0)
+        syncs = probe_cell(appends).sync_transactions
+        if syncs > 6 and defer_estimate is None:
             defer_estimate = x
     print(f"[§6.1]   per-update syncing starts at X = {defer_estimate} s "
           f"→ fixed sync deferment T ∈ ({defer_estimate - 2}, {defer_estimate}) s")

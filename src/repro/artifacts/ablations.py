@@ -17,39 +17,21 @@ from ..client.defer import ScanIntervalDefer
 from ..compress import (HIGH_COMPRESSION, LOW_COMPRESSION,
                         MODERATE_COMPRESSION, NO_COMPRESSION)
 from ..content import random_content, text_content
-from ..core import UPGRADES, compare_designs, quantify_all, run_appending
+from ..core import (UPGRADES, Cell, append, batch, compare_designs, measure,
+                    modify, quantify_all)
 from ..delta import diff_stats
 from ..reporting import render_table
 from ..trace import generate_trace
 from ..units import KB, MB, fmt_size
-from .base import TRACE_SEED, Artifact
+from .base import TRACE_SEED, Artifact, service_name
 
 # -- commercial services vs. the open-source baselines ---------------------
 
-def _batch_tue(profile) -> float:
-    session = SyncSession(profile)
-    for index in range(40):
-        session.create_file(f"b/{index}.bin",
-                            random_content(1 * KB, seed=index))
-    session.run_until_idle()
-    return session.total_traffic / (40 * KB)
-
-
-def _edit_tue(profile) -> float:
-    session = SyncSession(profile)
-    session.create_file("doc.bin", random_content(1 * MB, seed=1))
-    session.run_until_idle()
-    session.reset_meter()
-    session.modify_random_byte("doc.bin", seed=2)
-    session.run_until_idle()
-    return session.total_traffic / 1.0
-
-
 def _baselines(args):
     profiles = [service_profile(name, AccessMethod.PC) for name in SERVICES]
-    return [(profile.service, _batch_tue(profile), _edit_tue(profile) / KB,
-             run_appending(profile.service, 2.0, total=128 * KB,
-                           profile=profile).tue)
+    return [(profile.service, measure(Cell(profile, batch(count=40))).tue,
+             measure(Cell(profile, modify(1 * MB))).tue / KB,
+             measure(Cell(profile, append(2.0, total=128 * KB))).tue)
             for profile in profiles + list(BASELINES)]
 
 
@@ -178,8 +160,8 @@ DEFER_XS = (1, 3, 6, 12)
 
 def _defer_policies(args):
     base = service_profile("GoogleDrive", AccessMethod.PC)
-    return {name: [run_appending("GoogleDrive", float(x), total=256 * KB,
-                                 profile=base.with_defer(factory)).tue
+    return {name: [measure(Cell(base.with_defer(factory),
+                                append(x, total=256 * KB))).tue
                    for x in DEFER_XS]
             for name, factory in DEFER_POLICIES.items()}
 
@@ -294,7 +276,8 @@ ABLATIONS = (
     Artifact("upgrades", "savings from retrofitting each recommendation",
              lambda args: quantify_all(services=tuple(args.services)),
              _render_upgrades,
-             {"--services": dict(nargs="+", default=list(SERVICES))},
+             {"--services": dict(type=service_name, nargs="+",
+                                 default=list(SERVICES))},
              ("ablation_upgrades",)),
     Artifact("ablation-baselines",
              "commercial services vs. open-source baselines", _baselines,

@@ -5,8 +5,7 @@ from __future__ import annotations
 import argparse
 from typing import Any, Callable, Dict, NamedTuple, Optional, Tuple
 
-from ..client import AccessMethod
-from ..core import ALL_ACCESS
+from ..client import SERVICES, AccessMethod
 from ..units import KB, MB
 
 #: The trace every trace-driven paper artifact analyses.
@@ -60,16 +59,24 @@ def _access(value: str) -> AccessMethod:
     return AccessMethod(value.lower())
 
 
+def service_name(value: str) -> str:
+    """A stock service name, matched case-insensitively and kept as typed."""
+    if value.lower() not in {service.lower() for service in SERVICES}:
+        raise argparse.ArgumentTypeError(
+            f"unknown service {value!r} (one of {', '.join(SERVICES)})")
+    return value
+
+
 def services(*default: str) -> Dict[str, Any]:
     """``--service A [B ...]``, defaulting to the artifact's own set."""
-    return dict(nargs="+", default=list(default), dest="services",
-                metavar="SERVICE")
+    return dict(type=service_name, nargs="+", default=list(default),
+                dest="services", metavar="SERVICE")
 
 
 #: One access method.
 ACCESS = dict(type=_access, default=AccessMethod.PC)
 #: Any of the three access methods, all by default.
-ACCESSES = dict(type=_access, nargs="+", default=list(ALL_ACCESS))
+ACCESSES = dict(type=_access, nargs="+", default=list(AccessMethod))
 MAX_BLOCK = dict(type=int, default=16 * MB, dest="max_block")
 MAX_X = dict(type=int, default=20, dest="max_x")
 TOTAL = dict(type=int, default=512 * KB)

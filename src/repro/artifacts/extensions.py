@@ -14,7 +14,7 @@ from ..simnet import bj_link, mn_link
 from ..trace import (ReplayPool, generate_trace, iter_trace_records,
                      replay_all, traffic_overuse_fraction)
 from ..units import KB, fmt_size
-from .base import ACCESS, SEED, TRACE_SEED, Artifact
+from .base import ACCESS, SEED, TRACE_SEED, Artifact, service_name
 
 # -- Experiment 8: TUE under failure ---------------------------------------
 
@@ -185,7 +185,8 @@ EXTENSIONS = (
              dict(_REPLAY, **{"--scale": dict(type=float, default=0.03)})),
     Artifact("fleet", "shared-folder fleet: N writers, fan-out amplification",
              _fleet, _render_fleet,
-             {"--service": dict(default="GoogleDrive"), "--access": ACCESS,
+             {"--service": dict(type=service_name, default="GoogleDrive"),
+              "--access": ACCESS,
               "--clients": dict(type=int, default=4),
               "--writers": dict(type=int, default=2),
               "--seed": dict(type=int, default=0),

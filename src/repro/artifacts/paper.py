@@ -2,24 +2,21 @@
 
 from __future__ import annotations
 
-from ..client import AccessMethod, AdaptiveSyncDefer, SERVICES
-from ..core import (asd_comparison, experiment1_batch, experiment1_creation,
-                    experiment1_tue_curve, experiment2_deletion,
-                    experiment3_modification, experiment4_compression,
-                    experiment5_dedup, experiment6_frequent_mods,
-                    experiment7_bandwidth, experiment7_hardware,
-                    experiment7_latency, experiment7_locations,
-                    infer_sync_deferment, iterative_self_duplication,
-                    verify_findings)
+from ..client import (M1, M2, M3, SERVICES, AccessMethod, AdaptiveSyncDefer,
+                      service_profile)
+from ..core import (Cell, append, batch, cell, create, delete,
+                    experiment5_dedup, infer_sync_deferment,
+                    iterative_self_duplication, measure, modify,
+                    upload_download, verify_findings)
 from ..core.algorithm1 import _paired_sessions
-from ..core.experiments import DEFAULT_SIZES
 from ..reporting import render_series, render_table
+from ..simnet import LinkSpec, bj_link, mn_link
 from ..trace import (SERVICE_FILES, SERVICE_USERS, batchable_small_fraction,
                      compression_traffic_saving, dedup_ratio_curve,
                      generate_trace, size_cdf, summary_stats)
 from ..units import GB, KB, MB, fmt_size
 from .base import (ACCESS, ACCESSES, MAX_BLOCK, MAX_X, TOTAL, TRACE_SCALE,
-                   TRACE_SEED, Artifact, services)
+                   TRACE_SEED, Artifact, service_name, services)
 
 # -- Table 5 ---------------------------------------------------------------
 
@@ -110,13 +107,26 @@ def _render_dedup_curve(args, curve):
 
 
 # -- Experiment 1: Table 6, Figure 3, Table 7 ------------------------------
+#
+# Each micro entry measures a grid of cells and returns its readings keyed
+# by the grid's own coordinates, which its renderer indexes.
 
-def _render_creation(args, result):
+TABLE6_SIZES = (1, 1 * KB, 1 * MB, 10 * MB)
+
+
+def _creation(args):
+    return {(service, access, size): measure(cell(service, create(size),
+                                                  access))
+            for service in SERVICES for access in args.access
+            for size in TABLE6_SIZES}
+
+
+def _render_creation(args, readings):
     return {
         f"table6_{access.value}": render_table(
-            ["Service"] + [fmt_size(size) for size in DEFAULT_SIZES],
-            [[service] + [fmt_size(result.get(service, access, size).traffic)
-                          for size in DEFAULT_SIZES]
+            ["Service"] + [fmt_size(size) for size in TABLE6_SIZES],
+            [[service] + [fmt_size(readings[service, access, size].traffic)
+                          for size in TABLE6_SIZES]
              for service in SERVICES],
             title=f"Table 6 — creation sync traffic ({access.value} client)")
         for access in args.access
@@ -126,12 +136,17 @@ def _render_creation(args, result):
 FIG3_SIZES = (1, 10, 100, 1 * KB, 10 * KB, 100 * KB, 1 * MB, 10 * MB)
 
 
-def _render_tue_curve(args, curves):
-    rows = [[fmt_size(size)] + [f"{dict(points)[size]:.4g}"
-                                for points in curves.values()]
+def _tue_curve(args):
+    return {(service, size): measure(cell(service, create(size)))
+            for service in args.services for size in FIG3_SIZES}
+
+
+def _render_tue_curve(args, readings):
+    rows = [[fmt_size(size)] + [f"{readings[service, size].tue:.4g}"
+                                for service in args.services]
             for size in FIG3_SIZES]
     return {"fig3_tue_vs_size": render_table(
-        ["Size"] + list(curves), rows,
+        ["Size"] + list(args.services), rows,
         title="Figure 3 — TUE vs. created-file size (PC)")}
 
 
@@ -139,10 +154,14 @@ _ACCESS_LABEL = {AccessMethod.PC: "PC client", AccessMethod.WEB: "Web-based",
                  AccessMethod.MOBILE: "Mobile app"}
 
 
-def _render_batch(args, rows_data):
-    by_key = {(row.service, row.access): row for row in rows_data}
-    rows = [[service] + [f"{fmt_size(by_key[(service, access)].traffic)} "
-                         f"({by_key[(service, access)].tue:.1f})"
+def _batch(args):
+    return {(service, access): measure(cell(service, batch(), access))
+            for service in SERVICES for access in args.access}
+
+
+def _render_batch(args, readings):
+    rows = [[service] + [f"{fmt_size(readings[service, access].traffic)} "
+                         f"({readings[service, access].tue:.1f})"
                          for access in args.access]
             for service in SERVICES]
     return {"table7_bds": render_table(
@@ -155,13 +174,18 @@ def _render_batch(args, rows_data):
 DELETION_SIZES = (1 * KB, 1 * MB, 10 * MB)
 
 
-def _render_deletion(args, rows_data):
-    by_key = {(row.service, row.access, row.size): row for row in rows_data}
+def _deletion(args):
+    return {(service, access, size): measure(cell(service, delete(size),
+                                                  access))
+            for service in SERVICES for access in args.access
+            for size in DELETION_SIZES}
+
+
+def _render_deletion(args, readings):
     rows = [[service, access.value] + [
-                fmt_size(by_key[(service, access, size)].deletion_traffic)
+                fmt_size(readings[service, access, size].traffic)
                 for size in DELETION_SIZES]
-            for service in sorted({row.service for row in rows_data})
-            for access in args.access]
+            for service in sorted(SERVICES) for access in args.access]
     return {"exp2_deletion": render_table(
         ["Service", "Access"] + [fmt_size(size) for size in DELETION_SIZES],
         rows, title="Experiment 2 — deletion sync traffic")}
@@ -170,12 +194,18 @@ def _render_deletion(args, rows_data):
 FIG4_SIZES = (1 * KB, 10 * KB, 100 * KB, 1 * MB)
 
 
-def _render_modification(args, cells):
-    by_key = {(cell.service, cell.access, cell.size): cell for cell in cells}
+def _modification(args):
+    return {(service, access, size): measure(cell(service, modify(size),
+                                                  access))
+            for access in args.access for service in args.services
+            for size in FIG4_SIZES}
+
+
+def _render_modification(args, readings):
     return {
         f"fig4_modification_{access.value}": render_table(
             ["Service"] + [fmt_size(size) for size in FIG4_SIZES],
-            [[service] + [fmt_size(by_key[(service, access, size)].traffic)
+            [[service] + [fmt_size(readings[service, access, size].traffic)
                           for size in FIG4_SIZES]
              for service in args.services],
             title=f"Figure 4 — 1-byte modification traffic ({access.value})")
@@ -189,15 +219,21 @@ _ACCESS_SHORT = {AccessMethod.PC: "PC", AccessMethod.WEB: "Web",
                  AccessMethod.MOBILE: "Mob"}
 
 
-def _render_compression(args, rows_data):
-    by_key = {(row.service, row.access): row for row in rows_data}
+def _compression(args):
+    return {(service, access): measure(cell(service,
+                                            upload_download(args.size),
+                                            access))
+            for service in SERVICES for access in args.access}
+
+
+def _render_compression(args, readings):
     rows = []
     for service in SERVICES:
         row = [service]
         for access in args.access:
-            cell = by_key[(service, access)]
-            row += [f"{cell.upload_traffic / MB:.1f}",
-                    f"{cell.download_traffic / MB:.1f}"]
+            reading = readings[service, access]
+            row += [f"{reading.marked[0] / MB:.1f}",
+                    f"{reading.traffic / MB:.1f}"]
         rows.append(row)
     headers = [f"{_ACCESS_SHORT[access]} {way}"
                for access in args.access for way in ("UP", "DN")]
@@ -233,19 +269,22 @@ FIG6_XS = (1, 2, 3, 4, 5, 6, 7, 8, 10, 12, 14, 16, 18, 20)
 
 
 def _grid(xs, max_x):
+    if max_x < xs[0]:
+        raise ValueError(f"--max-x must be at least {xs[0]}, the grid's "
+                         f"first X (got {max_x})")
     return tuple(x for x in xs if x <= max_x)
 
 
 def _frequent_mods(args):
-    xs = _grid(FIG6_XS, args.max_x)
-    return {service: experiment6_frequent_mods(service, xs=xs,
-                                               total=args.total)
-            for service in args.services}
+    return {(service, x): measure(cell(service,
+                                       append(x, total=args.total)))
+            for service in args.services
+            for x in _grid(FIG6_XS, args.max_x)}
 
 
-def _render_frequent_mods(args, curves):
-    rows = [[str(x)] + [f"{next(r for r in curves[s] if r.x == x).tue:.1f}"
-                        for s in args.services]
+def _render_frequent_mods(args, readings):
+    rows = [[str(x)] + [f"{readings[service, x].tue:.1f}"
+                        for service in args.services]
             for x in _grid(FIG6_XS, args.max_x)]
     return {"fig6_frequent_mods": render_table(
         ["X (KB & sec)"] + list(args.services), rows,
@@ -279,15 +318,23 @@ ASD_CASES = {"GoogleDrive": (5, 6, 7, 9), "OneDrive": (11, 13, 16),
 
 
 def _asd(args):
-    return {service: asd_comparison(service, xs, AdaptiveSyncDefer,
-                                    total=256 * KB)
-            for service, xs in ASD_CASES.items()}
+    """Each case's appends under the fixed deferment and under ASD."""
+    readings = {}
+    for service, xs in ASD_CASES.items():
+        fixed = service_profile(service)
+        policies = {"fixed": fixed,
+                    "asd": fixed.with_defer(AdaptiveSyncDefer)}
+        for x in xs:
+            for policy, profile in policies.items():
+                readings[service, x, policy] = measure(
+                    Cell(profile, append(x, total=256 * KB)))
+    return readings
 
 
-def _render_asd(args, results):
-    rows = [[service, f"{x:g}", f"{original:.1f}", f"{with_asd:.2f}"]
-            for service, comparison in results.items()
-            for x, original, with_asd in comparison]
+def _render_asd(args, readings):
+    rows = [[service, f"{x:g}", f"{readings[service, x, 'fixed'].tue:.1f}",
+             f"{readings[service, x, 'asd'].tue:.2f}"]
+            for service, xs in ASD_CASES.items() for x in xs]
     return {"asd_comparison": render_table(
         ["Service", "X", "TUE (fixed defer)", "TUE (ASD)"], rows,
         title="§6.1 — ASD what-if vs. fixed deferment")}
@@ -298,46 +345,64 @@ def _render_asd(args, results):
 FIG7_XS = (1, 2, 3, 4, 6, 8, 12, 16, 20)
 
 
+FIG7_LINKS = {"MN": mn_link, "BJ": bj_link}
+
+
 def _locations(args):
-    xs = _grid(FIG7_XS, args.max_x)
-    return {service: experiment7_locations(service, xs=xs, total=args.total)
-            for service in args.services}
+    return {(service, x, site): measure(cell(
+                service, append(x, total=args.total), link=link()))
+            for service in args.services
+            for x in _grid(FIG7_XS, args.max_x)
+            for site, link in FIG7_LINKS.items()}
 
 
-def _render_locations(args, results):
+def _render_locations(args, readings):
     return {
         f"fig7_{service.lower()}": render_table(
             ["X (KB & sec)", "TUE @ MN", "TUE @ BJ"],
-            [[f"{x:g}", f"{mn:.1f}", f"{bj:.1f}"] for x, mn, bj in rows],
+            [[f"{x:g}", f"{readings[service, x, 'MN'].tue:.1f}",
+              f"{readings[service, x, 'BJ'].tue:.1f}"]
+             for x in _grid(FIG7_XS, args.max_x)],
             title=f"Figure 7 — {service}: MN vs. BJ")
-        for service, rows in results.items()
+        for service in args.services
     }
 
 
 FIG8A_BANDWIDTHS = (0.4, 0.8, 1.6, 2, 4, 8, 12, 16, 20)
 FIG8B_RTTS = (0.040, 0.100, 0.200, 0.400, 0.600, 0.800, 1.000)
 FIG8C_XS = (1, 2, 3, 4, 6, 8, 10)
-FIG8C_MACHINES = ("M1", "M2", "M3")
+FIG8C_MACHINES = (M1, M2, M3)
 
 
 def _network(args):
-    return (experiment7_bandwidth(bandwidths_mbps=FIG8A_BANDWIDTHS,
-                                  total=256 * KB),
-            experiment7_latency(rtts=FIG8B_RTTS, total=256 * KB),
-            experiment7_hardware(xs=FIG8C_XS, total=512 * KB))
+    """Dropbox "1 KB/sec" appends per link (a, b); X KB/X s per machine (c)."""
+    one_kb = append(1.0, total=256 * KB)
+    return {
+        "bandwidth": {mbps: measure(cell("Dropbox", one_kb, link=LinkSpec(
+                          up_bw=mbps * 1e6, down_bw=mbps * 1e6, rtt=0.050)))
+                      for mbps in FIG8A_BANDWIDTHS},
+        "rtt": {rtt: measure(cell("Dropbox", one_kb, link=LinkSpec(
+                    up_bw=20e6, down_bw=20e6, rtt=rtt)))
+                for rtt in FIG8B_RTTS},
+        "machine": {(machine.name, x): measure(cell(
+                        "Dropbox", append(x, total=512 * KB), machine=machine))
+                    for machine in FIG8C_MACHINES for x in FIG8C_XS},
+    }
 
 
-def _render_network(args, result):
-    bandwidth, latency, hardware = result
-    rows = [[f"{x:g}"] + [f"{hardware[name][index][1]:.1f}"
-                          for name in FIG8C_MACHINES]
-            for index, x in enumerate(FIG8C_XS)]
+def _render_network(args, readings):
+    rows = [[f"{x:g}"] + [f"{readings['machine'][machine.name, x].tue:.1f}"
+                          for machine in FIG8C_MACHINES]
+            for x in FIG8C_XS]
     return {
         "fig8a_bandwidth": render_series(
-            bandwidth, x_label="Bandwidth (Mbps)", y_label="TUE",
+            [(mbps, reading.tue)
+             for mbps, reading in readings["bandwidth"].items()],
+            x_label="Bandwidth (Mbps)", y_label="TUE",
             title='Figure 8(a) — Dropbox "1 KB/sec" TUE vs. bandwidth'),
         "fig8b_latency": render_series(
-            [(rtt * 1000, tue) for rtt, tue in latency],
+            [(rtt * 1000, reading.tue)
+             for rtt, reading in readings["rtt"].items()],
             x_label="RTT (ms)", y_label="TUE",
             title='Figure 8(b) — Dropbox "1 KB/sec" TUE vs. latency'),
         "fig8c_hardware": render_table(
@@ -363,33 +428,23 @@ PAPER = (
              ("table5_findings",),
              ok=lambda findings: all(f.holds for f in findings)),
     Artifact("table6", "creation sync traffic (6 services × 3 access methods)",
-             lambda args: experiment1_creation(access_methods=args.access),
-             _render_creation, {"--access": ACCESSES},
+             _creation, _render_creation, {"--access": ACCESSES},
              ("table6_pc", "table6_web", "table6_mobile")),
     Artifact("fig3", "Figure 3: TUE vs. created-file size",
-             lambda args: experiment1_tue_curve(services=args.services,
-                                                sizes=FIG3_SIZES),
-             _render_tue_curve, {"--service": services(*SERVICES)},
-             ("fig3_tue_vs_size",)),
+             _tue_curve, _render_tue_curve,
+             {"--service": services(*SERVICES)}, ("fig3_tue_vs_size",)),
     Artifact("table7", "batched-data-sync traffic for 100 × 1 KB files",
-             lambda args: experiment1_batch(access_methods=args.access),
-             _render_batch, {"--access": ACCESSES}, ("table7_bds",)),
+             _batch, _render_batch, {"--access": ACCESSES}, ("table7_bds",)),
     Artifact("deletion", "Experiment 2: deletion traffic",
-             lambda args: experiment2_deletion(access_methods=args.access,
-                                               sizes=DELETION_SIZES),
-             _render_deletion, {"--access": ACCESSES}, ("exp2_deletion",)),
+             _deletion, _render_deletion, {"--access": ACCESSES},
+             ("exp2_deletion",)),
     Artifact("fig4", "Figure 4: one-byte modification traffic",
-             lambda args: experiment3_modification(
-                 services=args.services, access_methods=args.access,
-                 sizes=FIG4_SIZES),
-             _render_modification,
+             _modification, _render_modification,
              {"--service": services(*SERVICES), "--access": ACCESSES},
              ("fig4_modification_pc", "fig4_modification_web",
               "fig4_modification_mobile")),
     Artifact("table8", "compression: 10-MB text file UP/DN",
-             lambda args: experiment4_compression(access_methods=args.access,
-                                                  size=args.size),
-             _render_compression,
+             _compression, _render_compression,
              {"--access": ACCESSES, "--size": dict(type=int, default=10 * MB)},
              ("table8_compression",)),
     Artifact("table9", "dedup granularity via Algorithm 1",
@@ -397,7 +452,7 @@ PAPER = (
              _render_dedup, {"--max-block": MAX_BLOCK}, ("table9_dedup",)),
     Artifact("probe-dedup", "run Algorithm 1 against one service",
              _probe_dedup, _render_probe_dedup,
-             {"service": dict(), "--access": ACCESS,
+             {"service": dict(type=service_name), "--access": ACCESS,
               "--max-block": MAX_BLOCK}),
     Artifact("fig5", "Figure 5: cross-user dedup ratio vs. block size",
              lambda args: dedup_ratio_curve(
@@ -413,7 +468,8 @@ PAPER = (
              lambda args: {service: infer_sync_deferment(service)
                            for service in args.services},
              _render_defer_probe,
-             {"services": dict(nargs="*", default=list(PAPER_DEFERMENTS),
+             {"services": dict(type=service_name, nargs="*",
+                               default=list(PAPER_DEFERMENTS),
                                metavar="SERVICE")},
              ("defer_probe",)),
     Artifact("asd", "§6.1: adaptive sync defer vs. the fixed deferments",

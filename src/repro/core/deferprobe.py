@@ -14,9 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from ..client import M1
 from ..units import KB
-from .experiments import run_appending
+from .cell import append, cell, measure
 
 
 @dataclass
@@ -31,9 +30,8 @@ class DeferProbeResult:
 
 def _syncs_at(service: str, x: float, appends: int) -> int:
     """Sync-transaction count for an appending run with period ``x``."""
-    run = run_appending(service, x, total=appends * KB, append_kb=1.0,
-                        machine=M1)
-    return run.sync_transactions
+    recipe = append(x, total=appends * KB, append_kb=1.0)
+    return measure(cell(service, recipe)).sync_transactions
 
 
 def infer_sync_deferment(

@@ -1,458 +1,27 @@
-"""The paper's controlled benchmark experiments (Experiments 1–7').
+"""The multi-file rigs of Experiments 8–11: faults, fleets, backends and
+sync strategies.
 
-Every function here reproduces one experiment from §4–§6 and returns plain
-result dataclasses the benchmark harness renders into the paper's tables and
-figure series.  All experiments are pure functions of their parameters —
-each builds a fresh simulated rig via :class:`~repro.client.SyncSession`.
+Experiments 1–7′ and ASD are one measurement each and live in
+:mod:`repro.core.cell`.  The rigs here drive workloads that do not fit one
+cell's recipe (fault schedules, retry policies, a fleet, a REST ledger, a
+strategy plug) and return their own result dataclasses.  All are pure
+functions of their parameters, each on a fresh simulated rig.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Optional, Sequence
 
 from ..client import (
     AccessMethod,
-    M1,
-    MachineProfile,
     ServiceProfile,
-    SERVICES,
     SyncSession,
     service_profile,
 )
 from ..content import random_content
 from ..simnet import LinkSpec, mn_link
 from ..units import KB, MB
-
-DEFAULT_SIZES = (1, 1 * KB, 1 * MB, 10 * MB)
-ALL_ACCESS = (AccessMethod.PC, AccessMethod.WEB, AccessMethod.MOBILE)
-
-
-def _session(service: str, access: AccessMethod,
-             machine: MachineProfile = M1,
-             link_spec: Optional[LinkSpec] = None,
-             profile: Optional[ServiceProfile] = None) -> SyncSession:
-    return SyncSession(profile or service_profile(service, access),
-                       machine=machine, link_spec=link_spec or mn_link())
-
-
-# ---------------------------------------------------------------------------
-# Experiment 1 — file creation (Table 6, Figure 3)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CreationCell:
-    """One (service, access, size) cell of Table 6."""
-
-    service: str
-    access: AccessMethod
-    size: int
-    traffic: int
-    overhead: int
-
-    @property
-    def tue(self) -> float:
-        """TUE (Eq. 1): sync traffic over data update size.
-
-        A zero-byte creation has no data update to amortise against, so its
-        TUE is infinite by convention — the old ``max(size, 1)`` guard
-        silently reported TUE == traffic, as if one byte had been written.
-        """
-        if self.size == 0:
-            return float("inf")
-        return self.traffic / self.size
-
-
-@dataclass
-class CreationResult:
-    cells: List[CreationCell] = field(default_factory=list)
-
-    def get(self, service: str, access: AccessMethod, size: int) -> CreationCell:
-        for cell in self.cells:
-            if (cell.service, cell.access, cell.size) == (service, access, size):
-                return cell
-        raise KeyError((service, access, size))
-
-
-def measure_creation(service: str, access: AccessMethod, size: int,
-                     seed: int = 1,
-                     machine: MachineProfile = M1,
-                     link_spec: Optional[LinkSpec] = None) -> CreationCell:
-    """Sync one freshly created "highly compressed" file of ``size`` bytes."""
-    session = _session(service, access, machine, link_spec)
-    session.create_random_file("exp1.bin", size, seed=seed)
-    session.run_until_idle()
-    return CreationCell(
-        service=service, access=access, size=size,
-        traffic=session.total_traffic,
-        overhead=session.total_traffic - session.meter.payload_bytes,
-    )
-
-
-def experiment1_creation(
-    services: Sequence[str] = SERVICES,
-    access_methods: Sequence[AccessMethod] = ALL_ACCESS,
-    sizes: Sequence[int] = DEFAULT_SIZES,
-) -> CreationResult:
-    """Reproduce Table 6: sync traffic of a compressed file creation."""
-    result = CreationResult()
-    for service in services:
-        for access in access_methods:
-            for size in sizes:
-                result.cells.append(measure_creation(service, access, size))
-    return result
-
-
-def experiment1_tue_curve(
-    services: Sequence[str] = SERVICES,
-    sizes: Sequence[int] = (1, 10, 100, 1 * KB, 10 * KB, 100 * KB,
-                            1 * MB, 10 * MB),
-    access: AccessMethod = AccessMethod.PC,
-) -> Dict[str, List[Tuple[int, float]]]:
-    """Reproduce Figure 3: TUE vs. size of the created file (PC clients)."""
-    curves: Dict[str, List[Tuple[int, float]]] = {}
-    for service in services:
-        curves[service] = [
-            (size, measure_creation(service, access, size).tue)
-            for size in sizes
-        ]
-    return curves
-
-
-# ---------------------------------------------------------------------------
-# Experiment 1' — batched creation (Table 7)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BatchCreationRow:
-    service: str
-    access: AccessMethod
-    traffic: int
-    tue: float
-    sync_transactions: int
-
-
-def measure_batch_creation(service: str, access: AccessMethod,
-                           count: int = 100, file_size: int = 1 * KB) -> BatchCreationRow:
-    """Move ``count`` distinct compressed files into the folder in a batch."""
-    if count <= 0 or file_size <= 0:
-        raise ValueError("count and file_size must be positive")
-    session = _session(service, access)
-    for index in range(count):
-        session.create_random_file(f"batch/file{index:03d}.bin", file_size,
-                                   seed=1000 + index)
-    session.run_until_idle()
-    update = count * file_size
-    return BatchCreationRow(
-        service=service, access=access,
-        traffic=session.total_traffic,
-        tue=session.total_traffic / update,
-        sync_transactions=session.client.stats.sync_transactions,
-    )
-
-
-def experiment1_batch(
-    services: Sequence[str] = SERVICES,
-    access_methods: Sequence[AccessMethod] = ALL_ACCESS,
-    count: int = 100,
-    file_size: int = 1 * KB,
-) -> List[BatchCreationRow]:
-    """Reproduce Table 7: total traffic for 100 batched 1 KB creations."""
-    return [
-        measure_batch_creation(service, access, count, file_size)
-        for service in services
-        for access in access_methods
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Experiment 2 — file deletion
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class DeletionRow:
-    service: str
-    access: AccessMethod
-    size: int
-    deletion_traffic: int
-
-
-def experiment2_deletion(
-    services: Sequence[str] = SERVICES,
-    access_methods: Sequence[AccessMethod] = (AccessMethod.PC,),
-    sizes: Sequence[int] = (1 * KB, 1 * MB, 10 * MB),
-) -> List[DeletionRow]:
-    """Delete each created file once fully synced; meter only the deletion."""
-    rows = []
-    for service in services:
-        for access in access_methods:
-            for size in sizes:
-                session = _session(service, access)
-                session.create_random_file("doomed.bin", size, seed=2)
-                session.run_until_idle()
-                session.reset_meter()
-                session.delete_file("doomed.bin")
-                session.run_until_idle()
-                rows.append(DeletionRow(service, access, size,
-                                        session.total_traffic))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Experiment 3 — one-byte modification (Figure 4)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ModificationCell:
-    service: str
-    access: AccessMethod
-    size: int
-    traffic: int
-
-    @property
-    def tue(self) -> float:
-        """TUE against the 1-byte data update; infinite for an (impossible
-        to modify, but constructible) zero-size cell, matching
-        :class:`CreationCell`."""
-        if self.size == 0:
-            return float("inf")
-        # TUE against a 1-byte update *is* the byte count, as a ratio.
-        return float(self.traffic)  # reprolint: disable=REP010 deliberate
-
-
-def measure_modification(service: str, access: AccessMethod, size: int,
-                         seed: int = 3) -> ModificationCell:
-    """Sync a random one-byte modification of a Z-byte compressed file."""
-    session = _session(service, access)
-    session.create_random_file("exp3.bin", size, seed=seed)
-    session.run_until_idle()
-    session.reset_meter()
-    session.modify_random_byte("exp3.bin", seed=seed)
-    session.run_until_idle()
-    return ModificationCell(service, access, size, session.total_traffic)
-
-
-def experiment3_modification(
-    services: Sequence[str] = SERVICES,
-    access_methods: Sequence[AccessMethod] = ALL_ACCESS,
-    sizes: Sequence[int] = (1 * KB, 10 * KB, 100 * KB, 1 * MB),
-) -> List[ModificationCell]:
-    """Reproduce Figure 4: sync traffic of a random byte modification."""
-    return [
-        measure_modification(service, access, size)
-        for access in access_methods
-        for service in services
-        for size in sizes
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Experiment 4 — compression (Table 8)
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class CompressionRow:
-    service: str
-    access: AccessMethod
-    size: int
-    upload_traffic: int
-    download_traffic: int
-
-
-def measure_compression(service: str, access: AccessMethod,
-                        size: int = 10 * MB, seed: int = 4) -> CompressionRow:
-    """Upload then download an X-byte text file of random English words."""
-    session = _session(service, access)
-    session.create_text_file("exp4.txt", size, seed=seed)
-    session.run_until_idle()
-    upload = session.total_traffic
-    session.reset_meter()
-    session.download("exp4.txt")
-    session.run_until_idle()
-    return CompressionRow(service, access, size, upload, session.total_traffic)
-
-
-def experiment4_compression(
-    services: Sequence[str] = SERVICES,
-    access_methods: Sequence[AccessMethod] = ALL_ACCESS,
-    size: int = 10 * MB,
-) -> List[CompressionRow]:
-    """Reproduce Table 8: sync traffic of a 10-MB text file, UP and DN."""
-    return [
-        measure_compression(service, access, size)
-        for service in services
-        for access in access_methods
-    ]
-
-
-# ---------------------------------------------------------------------------
-# Experiment 6 — frequent modifications (Figure 6) and ASD
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class AppendingRun:
-    """Result of one "X KB / X sec" appending experiment."""
-
-    service: str
-    x: float
-    total_appended: int
-    traffic: int
-    tue: float
-    sync_transactions: int
-    mean_batch_ops: float
-
-
-def run_appending(
-    service: str,
-    x: float,
-    total: int = 1 * MB,
-    access: AccessMethod = AccessMethod.PC,
-    machine: MachineProfile = M1,
-    link_spec: Optional[LinkSpec] = None,
-    profile: Optional[ServiceProfile] = None,
-    append_kb: Optional[float] = None,
-    seed: int = 6,
-) -> AppendingRun:
-    """Append ``x`` KB every ``x`` seconds until ``total`` bytes accumulate.
-
-    ``append_kb`` decouples the appended size from the period for the
-    fine-grained probes (e.g. the "1 KB/sec" runs of Experiment 7).
-    """
-    if x <= 0:
-        raise ValueError("x must be positive")
-    if total <= 0:
-        raise ValueError("total must be positive")
-    chunk = int((append_kb if append_kb is not None else x) * KB)
-    if chunk <= 0:
-        raise ValueError("append size must be at least 1 byte")
-    session = _session(service, access, machine, link_spec, profile=profile)
-    session.create_file("mods.bin", random_content(0))
-    session.run_until_idle()
-    session.reset_meter()
-
-    appended = 0
-    index = 0
-    while appended < total:
-        step = min(chunk, total - appended)
-        session.append("mods.bin", random_content(step, seed=seed * 10_000 + index))
-        appended += step
-        index += 1
-        session.advance(x)
-    session.run_until_idle()
-
-    stats = session.client.stats
-    ops = stats.ops_per_sync or [0]
-    return AppendingRun(
-        service=service, x=x, total_appended=appended,
-        traffic=session.total_traffic,
-        tue=session.total_traffic / appended,
-        sync_transactions=stats.sync_transactions,
-        mean_batch_ops=sum(ops) / len(ops),
-    )
-
-
-def experiment6_frequent_mods(
-    service: str,
-    xs: Iterable[float] = tuple(range(1, 21)),
-    total: int = 1 * MB,
-    machine: MachineProfile = M1,
-    link_spec: Optional[LinkSpec] = None,
-) -> List[AppendingRun]:
-    """Reproduce one subfigure of Figure 6."""
-    return [run_appending(service, float(x), total=total, machine=machine,
-                          link_spec=link_spec) for x in xs]
-
-
-def asd_comparison(
-    service: str,
-    xs: Iterable[float],
-    defer_factory: Callable,
-    total: int = 1 * MB,
-) -> List[Tuple[float, float, float]]:
-    """(x, tue_original, tue_with_policy) — the §6.1 ASD what-if analysis."""
-    rows = []
-    base_profile = service_profile(service, AccessMethod.PC)
-    modified = base_profile.with_defer(defer_factory)
-    for x in xs:
-        original = run_appending(service, float(x), total=total)
-        with_policy = run_appending(service, float(x), total=total,
-                                    profile=modified)
-        rows.append((float(x), original.tue, with_policy.tue))
-    return rows
-
-
-# ---------------------------------------------------------------------------
-# Experiment 7 — network environment and hardware (Figures 7 & 8)
-# ---------------------------------------------------------------------------
-
-def experiment7_locations(
-    service: str,
-    xs: Iterable[float],
-    mn_spec: Optional[LinkSpec] = None,
-    bj_spec: Optional[LinkSpec] = None,
-    total: int = 1 * MB,
-) -> List[Tuple[float, float, float]]:
-    """Reproduce Figure 7: (x, tue@MN, tue@BJ) for one service."""
-    from ..simnet import bj_link
-    mn_spec = mn_spec or mn_link()
-    bj_spec = bj_spec or bj_link()
-    rows = []
-    for x in xs:
-        at_mn = run_appending(service, float(x), total=total, link_spec=mn_spec)
-        at_bj = run_appending(service, float(x), total=total, link_spec=bj_spec)
-        rows.append((float(x), at_mn.tue, at_bj.tue))
-    return rows
-
-
-def experiment7_bandwidth(
-    service: str = "Dropbox",
-    bandwidths_mbps: Sequence[float] = (1.6, 2, 4, 8, 12, 16, 20),
-    rtt: float = 0.050,
-    total: int = 256 * KB,
-) -> List[Tuple[float, float]]:
-    """Reproduce Figure 8(a): Dropbox "1 KB/sec" TUE vs. bandwidth."""
-    rows = []
-    for mbps in bandwidths_mbps:
-        spec = LinkSpec(up_bw=mbps * 1e6, down_bw=mbps * 1e6, rtt=rtt)
-        run = run_appending(service, 1.0, total=total, link_spec=spec)
-        rows.append((mbps, run.tue))
-    return rows
-
-
-def experiment7_latency(
-    service: str = "Dropbox",
-    rtts: Sequence[float] = (0.040, 0.100, 0.200, 0.400, 0.600, 0.800, 1.000),
-    bandwidth_mbps: float = 20.0,
-    total: int = 256 * KB,
-) -> List[Tuple[float, float]]:
-    """Reproduce Figure 8(b): Dropbox "1 KB/sec" TUE vs. latency."""
-    rows = []
-    for rtt in rtts:
-        spec = LinkSpec(up_bw=bandwidth_mbps * 1e6,
-                        down_bw=bandwidth_mbps * 1e6, rtt=rtt)
-        run = run_appending(service, 1.0, total=total, link_spec=spec)
-        rows.append((rtt, run.tue))
-    return rows
-
-
-def experiment7_hardware(
-    service: str = "Dropbox",
-    machines: Optional[Sequence[MachineProfile]] = None,
-    xs: Iterable[float] = (1, 2, 3, 4, 6, 8, 10),
-    total: int = 512 * KB,
-) -> Dict[str, List[Tuple[float, float]]]:
-    """Reproduce Figure 8(c): TUE per machine for "X KB/X sec" appends."""
-    from ..client import M2, M3
-    machines = machines or (M1, M2, M3)
-    curves: Dict[str, List[Tuple[float, float]]] = {}
-    for machine in machines:
-        curves[machine.name] = [
-            (float(x), run_appending(service, float(x), total=total,
-                                     machine=machine).tue)
-            for x in xs
-        ]
-    return curves
-
 
 # ---------------------------------------------------------------------------
 # Experiment 8 — sync under failure: TUE vs. fault rate
@@ -774,8 +343,7 @@ def run_backend_cell(backend: str, mix: str,
 
     file_count = files if files is not None else _MIX_FILES[mix]
     sizes = generate_mix(mix, file_count, seed=seed)
-    session = _session("RestLab", AccessMethod.PC, link_spec=link_spec,
-                       profile=backend_profile(backend))
+    session = SyncSession(backend_profile(backend), link_spec=link_spec)
     for index, size in enumerate(sizes):
         session.create_random_file(f"f{index:04d}.bin", size,
                                    seed=1000 * seed + index)

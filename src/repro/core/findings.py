@@ -14,8 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List
 
-from ..client import AccessMethod, AdaptiveSyncDefer, service_profile
-from ..simnet import bj_link, mn_link
+from ..client import M1, M2, SERVICES, AdaptiveSyncDefer, service_profile
+from ..simnet import bj_link
 from ..trace import (
     Trace,
     batchable_small_fraction,
@@ -28,12 +28,8 @@ from ..trace import (
     small_file_fraction,
 )
 from ..units import KB, MB
-from .experiments import (
-    measure_batch_creation,
-    measure_compression,
-    measure_modification,
-    run_appending,
-)
+from .cell import (Cell, append, batch, cell, delete, measure, modify,
+                   upload_download)
 
 
 @dataclass
@@ -58,8 +54,8 @@ def verify_findings(trace_scale: float = 0.15) -> List[Finding]:
     # §4.1 — small files dominate and batch; BDS pays off.
     small = small_file_fraction(trace)
     batchable = batchable_small_fraction(trace)
-    dropbox_batch = measure_batch_creation("Dropbox", AccessMethod.PC, count=40)
-    box_batch = measure_batch_creation("Box", AccessMethod.PC, count=40)
+    dropbox_batch = measure(cell("Dropbox", batch(count=40)))
+    box_batch = measure(cell("Box", batch(count=40)))
     findings.append(Finding(
         "4.1", "majority of files are small (<100 KB) and most can batch",
         f"small={small:.0%} (paper 77%), batchable={batchable:.0%} (paper 66%)",
@@ -70,17 +66,16 @@ def verify_findings(trace_scale: float = 0.15) -> List[Finding]:
         dropbox_batch.tue * 4 < box_batch.tue))
 
     # §4.2 — deletion is negligible.
-    from .experiments import experiment2_deletion
-    deletions = experiment2_deletion(sizes=(1 * MB,))
-    worst = max(row.deletion_traffic for row in deletions)
+    worst = max(measure(cell(service, delete(1 * MB))).traffic
+                for service in SERVICES)
     findings.append(Finding(
         "4.2", "file deletion generates negligible (<100 KB) sync traffic",
         f"worst service: {worst / KB:.1f} KB", worst < 100 * KB))
 
     # §4.3 — modifications are common; IDS shrinks them dramatically.
     modified = modified_fraction(trace)
-    ids_mod = measure_modification("Dropbox", AccessMethod.PC, 1 * MB)
-    full_mod = measure_modification("GoogleDrive", AccessMethod.PC, 1 * MB)
+    ids_mod = measure(cell("Dropbox", modify(1 * MB)))
+    full_mod = measure(cell("GoogleDrive", modify(1 * MB)))
     findings.append(Finding(
         "4.3", "majority of files are modified at least once",
         f"{modified:.0%} (paper 84%)", 0.80 < modified < 0.88))
@@ -93,17 +88,17 @@ def verify_findings(trace_scale: float = 0.15) -> List[Finding]:
     # §5.1 — compression helps; support is patchy.
     compressible = compressible_fraction(trace)
     saving = compression_traffic_saving(trace)
-    dropbox_up = measure_compression("Dropbox", AccessMethod.PC, 2 * MB)
-    google_up = measure_compression("GoogleDrive", AccessMethod.PC, 2 * MB)
+    dropbox_up, = measure(cell("Dropbox", upload_download(2 * MB))).marked
+    google_up, = measure(cell("GoogleDrive", upload_download(2 * MB))).marked
     findings.append(Finding(
         "5.1", "about half of files compress; compression saves ~24% of bytes",
         f"compressible={compressible:.0%} (52%), saving={saving:.0%} (24%)",
         0.45 < compressible < 0.60 and 0.12 < saving < 0.33))
     findings.append(Finding(
         "5.1", "only some services compress (Dropbox yes, Google Drive no)",
-        f"Dropbox UP {dropbox_up.upload_traffic / MB:.1f} MB vs "
-        f"GoogleDrive {google_up.upload_traffic / MB:.1f} MB on 2 MB text",
-        dropbox_up.upload_traffic < 0.8 * google_up.upload_traffic))
+        f"Dropbox UP {dropbox_up / MB:.1f} MB vs "
+        f"GoogleDrive {google_up / MB:.1f} MB on 2 MB text",
+        dropbox_up < 0.8 * google_up))
 
     # §5.2 — duplicates exist; block dedup only trivially beats full-file.
     duplicates = duplicate_file_ratio(trace)
@@ -116,12 +111,11 @@ def verify_findings(trace_scale: float = 0.15) -> List[Finding]:
         0.10 < duplicates < 0.28 and block - full_file < 0.15))
 
     # §6.1 — fixed deferments fail past T; ASD fixes it.
-    above_t = run_appending("GoogleDrive", 6.0, total=128 * KB)
-    below_t = run_appending("GoogleDrive", 3.0, total=128 * KB)
-    asd_profile = service_profile("GoogleDrive", AccessMethod.PC).with_defer(
+    above_t = measure(cell("GoogleDrive", append(6.0, total=128 * KB)))
+    below_t = measure(cell("GoogleDrive", append(3.0, total=128 * KB)))
+    asd_profile = service_profile("GoogleDrive").with_defer(
         lambda: AdaptiveSyncDefer())
-    with_asd = run_appending("GoogleDrive", 6.0, total=128 * KB,
-                             profile=asd_profile)
+    with_asd = measure(Cell(asd_profile, append(6.0, total=128 * KB)))
     findings.append(Finding(
         "6.1", "fixed sync deferments fail once X > T; ASD keeps TUE ≈ 1",
         f"TUE below T {below_t.tue:.1f}, above T {above_t.tue:.1f}, "
@@ -129,11 +123,11 @@ def verify_findings(trace_scale: float = 0.15) -> List[Finding]:
         below_t.tue < 2 and above_t.tue > 10 and with_asd.tue < 2.5))
 
     # §6.2 — poor network or hardware lowers TUE under frequent mods.
-    at_mn = run_appending("Dropbox", 1.0, total=128 * KB, link_spec=mn_link())
-    at_bj = run_appending("Dropbox", 1.0, total=128 * KB, link_spec=bj_link())
-    from ..client import M1, M2
-    fast = run_appending("Dropbox", 1.0, total=128 * KB, machine=M1)
-    slow = run_appending("Dropbox", 1.0, total=128 * KB, machine=M2)
+    appends = append(1.0, total=128 * KB)
+    at_mn = measure(cell("Dropbox", appends))
+    at_bj = measure(cell("Dropbox", appends, link=bj_link()))
+    fast = measure(cell("Dropbox", appends, machine=M1))
+    slow = measure(cell("Dropbox", appends, machine=M2))
     findings.append(Finding(
         "6.2", "poor network or slow hardware batches updates and lowers TUE",
         f"MN {at_mn.tue:.1f} vs BJ {at_bj.tue:.1f}; "

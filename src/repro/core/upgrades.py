@@ -17,7 +17,6 @@ from ..client import (
     AccessMethod,
     AdaptiveSyncDefer,
     ServiceProfile,
-    SyncSession,
     service_profile,
 )
 from ..client.profiles import BdsMode, BdsSupport
@@ -25,6 +24,7 @@ from ..cloud import DedupConfig
 from ..compress import HIGH_COMPRESSION, MODERATE_COMPRESSION
 from ..content import random_content, text_content
 from ..units import KB, MB
+from .cell import Cell, Recipe, measure
 
 #: Upgrade name → profile transformer (the paper's section it comes from).
 UPGRADES: Dict[str, Callable[[ServiceProfile], ServiceProfile]] = {
@@ -63,53 +63,42 @@ def apply_all_upgrades(profile: ServiceProfile) -> ServiceProfile:
 
 
 # ---------------------------------------------------------------------------
-# Targeted workloads (each exercises exactly one mechanism)
+# Targeted workloads (each a cell recipe exercising exactly one mechanism)
 # ---------------------------------------------------------------------------
 
-def _workload_bds(session: SyncSession) -> int:
+def _workload_bds(session, mark) -> None:
     for index in range(50):
         session.create_file(f"w/{index}.bin", random_content(1 * KB, seed=index))
-    session.run_until_idle()
-    return 50 * KB
 
 
-def _workload_ids(session: SyncSession) -> int:
+def _workload_ids(session, mark) -> None:
     session.create_file("doc.bin", random_content(1 * MB, seed=1))
-    session.run_until_idle()
-    session.reset_meter()
+    mark()
     for index in range(3):
         session.modify_random_byte("doc.bin", seed=index)
         session.run_until_idle()
-    return 3
 
 
-def _workload_compression(session: SyncSession) -> int:
+def _workload_compression(session, mark) -> None:
     session.create_file("big.txt", text_content(2 * MB, seed=2))
-    session.run_until_idle()
-    return 2 * MB
 
 
-def _workload_dedup(session: SyncSession) -> int:
+def _workload_dedup(session, mark) -> None:
     content = random_content(512 * KB, seed=3)
     session.create_file("a.bin", content)
     session.run_until_idle()
     session.create_file("b.bin", content)
-    session.run_until_idle()
-    return 1 * MB
 
 
-def _workload_asd(session: SyncSession) -> int:
+def _workload_asd(session, mark) -> None:
     session.create_file("log.bin", random_content(0))
-    session.run_until_idle()
-    session.reset_meter()
+    mark()
     for index in range(24):
         session.append("log.bin", random_content(6 * KB, seed=index))
         session.advance(12.0)    # past every fixed deferment (max: 10.5 s)
-    session.run_until_idle()
-    return 24 * 6 * KB
 
 
-WORKLOADS: Dict[str, Callable[[SyncSession], int]] = {
+WORKLOADS: Dict[str, Recipe] = {
     "bds": _workload_bds,
     "ids": _workload_ids,
     "compression": _workload_compression,
@@ -134,13 +123,6 @@ class UpgradeResult:
         return 1.0 - self.traffic_after / self.traffic_before
 
 
-def _run(profile: ServiceProfile, workload) -> int:
-    session = SyncSession(profile)
-    workload(session)
-    session.run_until_idle()
-    return session.total_traffic
-
-
 def quantify_upgrade(service: str, upgrade: str,
                      access: AccessMethod = AccessMethod.PC) -> UpgradeResult:
     """Measure one upgrade's saving for one service on its target workload."""
@@ -149,8 +131,9 @@ def quantify_upgrade(service: str, upgrade: str,
     return UpgradeResult(
         service=service,
         upgrade=upgrade,
-        traffic_before=_run(base, workload),
-        traffic_after=_run(apply_upgrade(base, upgrade), workload),
+        traffic_before=measure(Cell(base, workload)).traffic,
+        traffic_after=measure(Cell(apply_upgrade(base, upgrade),
+                                   workload)).traffic,
     )
 
 

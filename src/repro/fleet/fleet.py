@@ -67,6 +67,9 @@ class Fleet:
         record: bool = False,
         domains: int = 1,
     ):
+        if clients < 1:
+            raise ValueError(f"a fleet needs at least one client "
+                             f"(got {clients})")
         if isinstance(profile, str):
             profile = service_profile(profile, access)
         self.profile = profile

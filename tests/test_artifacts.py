@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.artifacts import ARTIFACTS
+from repro.artifacts import ARTIFACTS, bench_args
 from repro.cli import build_parser, main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -56,3 +56,21 @@ def test_cli_prints_exactly_what_the_entry_renders(capsys, argv):
                        args.entry.render(args, args.entry.run(args)).values())
     assert main(argv) == 0
     assert capsys.readouterr().out == expected
+
+
+#: The archives cheap enough for tier-1: together they run every cell
+#: recipe but ``upload_download`` (Table 8, which ``findings`` covers).
+CHEAP_ARCHIVES = ("table7", "fig3", "fig4", "deletion", "asd", "probe-defer",
+                  "ablation-baselines", "ablation-defer")
+
+
+@pytest.mark.parametrize("name", CHEAP_ARCHIVES)
+def test_cheap_archive_renders_byte_for_byte(name):
+    """The archive step's ``git diff`` gate, for the micro entries, in
+    tier-1: each text at its default arguments equals the committed one."""
+    entry = next(entry for entry in ARTIFACTS if entry.name == name)
+    args = bench_args(entry)
+    texts = entry.render(args, entry.run(args))
+    for artifact, text in texts.items():
+        archived = ROOT / "benchmarks" / "results" / f"{artifact}.txt"
+        assert text + "\n" == archived.read_text(), artifact

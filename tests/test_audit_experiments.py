@@ -3,7 +3,7 @@
 import pytest
 
 from repro.client import AccessMethod, service_profile
-from repro.core import measure_creation, run_faulty_sync
+from repro.core import cell, create, measure, run_faulty_sync
 from repro.obs import AuditViolation, audit, audit_hub, recording, verify
 from repro.trace import ReplayPool, generate_trace, replay_trace
 from repro.trace.replay import ReplayReport
@@ -38,9 +38,9 @@ def test_audited_experiment8_resumable_and_restart_agree_with_untraced():
 
 
 def test_untraced_experiment_matches_traced_byte_for_byte():
-    plain = measure_creation("Box", AccessMethod.PC, 100 * KB)
+    plain = measure(cell("Box", create(100 * KB)))
     with recording(audit=True):
-        traced = measure_creation("Box", AccessMethod.PC, 100 * KB)
+        traced = measure(cell("Box", create(100 * KB)))
     assert traced == plain
 
 

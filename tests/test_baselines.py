@@ -12,7 +12,7 @@ from repro.client import (
     service_profile,
 )
 from repro.content import random_content, text_content
-from repro.core import run_appending
+from repro.core import Cell, append, measure
 from repro.units import KB, MB
 
 
@@ -52,8 +52,8 @@ def test_delta_granularity_ordering_under_frequent_mods():
     """Finer delta blocks → lower TUE on small appends (rsync 8 K beats
     Syncthing's 128 K beats Seafile's 1 M)."""
     tues = {
-        profile.service: run_appending(profile.service, 2.0, total=128 * KB,
-                                       profile=profile).tue
+        profile.service: measure(Cell(profile,
+                                      append(2.0, total=128 * KB))).tue
         for profile in BASELINES
     }
     assert tues["RsyncLike"] < tues["SyncthingLike"] <= tues["SeafileLike"]

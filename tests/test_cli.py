@@ -315,3 +315,42 @@ def test_zero_size_input_exits_two_with_the_message(capsys):
                  "--total", "0"])
     assert code == 2
     assert "total must be positive" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig3", "--service", "Dropbx"],
+    ["fig4", "--service", "Dropbx"],
+    ["fig6", "--service", "Dropbx"],
+    ["fig7", "--service", "Dropbx"],
+    ["probe-dedup", "Dropbx"],
+    ["probe-defer", "Dropbx"],
+    ["fleet", "--service", "Dropbx"],
+    ["upgrades", "--services", "Dropbx"],
+], ids=lambda argv: argv[0])
+def test_unknown_service_exits_two_naming_the_services(capsys, argv):
+    """Regression: each of these crashed with a bare KeyError traceback."""
+    with pytest.raises(SystemExit) as exit_:
+        main(argv)
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert "unknown service 'Dropbx'" in err
+    assert "GoogleDrive, OneDrive, Dropbox, Box, UbuntuOne, SugarSync" in err
+
+
+def test_service_names_stay_case_insensitive(capsys):
+    out = run(capsys, "fig4", "--service", "dropbox", "--access", "pc")
+    assert "dropbox" in out
+
+
+@pytest.mark.parametrize("argv", [
+    ["fig6", "--max-x", "0"],
+    ["fig7", "--max-x", "0"],
+    ["fleet", "--clients", "0"],
+], ids=lambda argv: " ".join(argv))
+def test_degenerate_grid_or_fleet_exits_two(capsys, argv):
+    """Regression: these printed a header-only table or an empty fleet's
+    TUE "—" and exited 0."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"repro {argv[0]}: error: ")

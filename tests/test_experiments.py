@@ -1,28 +1,44 @@
-"""Shape tests for the experiment harness (the paper's headline findings).
+"""Shape tests for the measurement cell (the paper's headline findings).
 
 These assert the *qualitative* results — who wins, orderings, crossovers —
 rather than absolute bytes, which is the reproduction contract.
 """
 
+import dataclasses
 import math
 
 import pytest
 
-from repro.client import AccessMethod
-from repro.core import (
-    CreationCell,
-    ModificationCell,
-    experiment1_batch,
-    experiment2_deletion,
-    experiment6_frequent_mods,
-    measure_batch_creation,
-    measure_compression,
-    measure_creation,
-    measure_modification,
-    run_appending,
-    run_faulty_sync,
-)
+from repro.client import SERVICES, AccessMethod
+from repro.core import (Cell, Reading, append, batch, cell, create, delete,
+                        measure, modify, run_faulty_sync, upload_download)
 from repro.units import KB, MB
+
+
+# ---------------------------------------------------------------------------
+# The cell itself
+# ---------------------------------------------------------------------------
+
+def test_cell_has_exactly_four_fields():
+    assert [field.name for field in dataclasses.fields(Cell)] == \
+        ["profile", "recipe", "link", "machine"]
+
+
+def test_each_mark_closes_one_phase():
+    """``mark()`` drains, keeps the closed phase's traffic and zeroes the
+    meter, so the reading covers only what follows the last mark."""
+    def recipe(session, mark):
+        session.create_random_file("a.bin", 64 * KB, seed=1)
+        mark()
+        mark()
+        session.create_random_file("b.bin", 32 * KB, seed=2)
+
+    reading = measure(cell("Box", recipe))
+    first, empty = reading.marked
+    assert first > 64 * KB and empty == 0
+    assert reading.update_bytes == 32 * KB
+    assert 32 * KB < reading.traffic < first
+    assert reading.sync_transactions == 2
 
 
 # ---------------------------------------------------------------------------
@@ -32,34 +48,38 @@ from repro.units import KB, MB
 def test_zero_size_creation_tue_is_infinite():
     """Regression: the old ``max(size, 1)`` denominator made a 0-byte
     creation report TUE == traffic, as if one byte had been written."""
-    cell = measure_creation("Dropbox", AccessMethod.PC, 0)
-    assert cell.traffic > 0            # the sync itself still costs bytes
-    assert math.isinf(cell.tue)
-    assert CreationCell("Dropbox", AccessMethod.PC, 0, traffic=1234,
-                        overhead=1234).tue == float("inf")
+    reading = measure(cell("Dropbox", create(0)))
+    assert reading.traffic > 0         # the sync itself still costs bytes
+    assert math.isinf(reading.tue)
+    assert math.isinf(Reading(traffic=1234, payload=0, update_bytes=0,
+                              sync_transactions=1).tue)
+
+
+def test_zero_size_modification_cell_tue_is_infinite():
+    """A modification reading with no data update cannot come out of
+    ``modify`` (you cannot flip a byte of an empty file) but is
+    constructible; its sentinel must match creation's instead of silently
+    reporting TUE == traffic.  Figure 4's 1-byte flip keeps TUE ==
+    traffic."""
+    assert math.isinf(Reading(traffic=999, payload=0, update_bytes=0,
+                              sync_transactions=1).tue)
+    one = Reading(traffic=999, payload=0, update_bytes=1, sync_transactions=1)
+    assert one.tue == 999.0
+    flip = measure(cell("Dropbox", modify(1 * KB)))
+    assert flip.update_bytes == 1
+    assert flip.tue == flip.traffic
 
 
 def test_one_byte_creation_tue_is_traffic():
     """Size 1 must keep its exact historical meaning: traffic / 1."""
-    cell = measure_creation("Dropbox", AccessMethod.PC, 1)
-    assert cell.tue == cell.traffic
-    assert not math.isinf(cell.tue)
-
-
-def test_zero_size_modification_cell_tue_is_infinite():
-    """A 0-size ModificationCell cannot come out of measure_modification
-    (you cannot modify a byte of an empty file) but is constructible; its
-    sentinel must match CreationCell's instead of silently reporting
-    TUE == traffic."""
-    assert math.isinf(
-        ModificationCell("Dropbox", AccessMethod.PC, 0, traffic=999).tue)
-    one = ModificationCell("Dropbox", AccessMethod.PC, 1, traffic=999)
-    assert one.tue == 999.0
+    reading = measure(cell("Dropbox", create(1)))
+    assert reading.tue == reading.traffic
+    assert not math.isinf(reading.tue)
 
 
 def test_creation_tue_decreases_with_size():
     """Figure 3: small files → huge TUE; ≥1 MB → TUE under ~1.5."""
-    tues = [measure_creation("GoogleDrive", AccessMethod.PC, size).tue
+    tues = [measure(cell("GoogleDrive", create(size))).tue
             for size in (1, 1 * KB, 100 * KB, 1 * MB, 10 * MB)]
     assert tues == sorted(tues, reverse=True)
     assert tues[0] > 1000          # 1-byte file: thousands
@@ -68,15 +88,15 @@ def test_creation_tue_decreases_with_size():
 
 def test_creation_traffic_close_to_table6_anchors():
     """Spot-check two calibration anchors from Table 6."""
-    gd = measure_creation("GoogleDrive", AccessMethod.PC, 1)
+    gd = measure(cell("GoogleDrive", create(1)))
     assert gd.traffic == pytest.approx(9 * KB, rel=0.35)
-    db = measure_creation("Dropbox", AccessMethod.PC, 10 * MB)
+    db = measure(cell("Dropbox", create(10 * MB)))
     assert db.traffic == pytest.approx(12.5 * MB, rel=0.15)
 
 
 def test_overhead_dominates_small_files():
-    cell = measure_creation("Box", AccessMethod.PC, 1 * KB)
-    assert cell.overhead > 10 * cell.size
+    reading = measure(cell("Box", create(1 * KB)))
+    assert reading.overhead > 10 * reading.update_bytes
 
 
 # ---------------------------------------------------------------------------
@@ -85,7 +105,7 @@ def test_overhead_dominates_small_files():
 
 def test_bds_services_beat_non_bds_by_an_order_of_magnitude():
     rows = {
-        service: measure_batch_creation(service, AccessMethod.PC, count=50)
+        service: measure(cell(service, batch(count=50)))
         for service in ("Dropbox", "UbuntuOne", "GoogleDrive", "Box")
     }
     assert rows["Dropbox"].tue < 3
@@ -100,9 +120,9 @@ def test_bds_services_beat_non_bds_by_an_order_of_magnitude():
 
 def test_deletion_negligible_for_all_services():
     """The paper: deletions generate < 100 KB regardless of anything."""
-    rows = experiment2_deletion(sizes=(1 * MB,))
-    for row in rows:
-        assert row.deletion_traffic < 100 * KB, row
+    for service in SERVICES:
+        reading = measure(cell(service, delete(1 * MB)))
+        assert reading.traffic < 100 * KB, (service, reading)
 
 
 # ---------------------------------------------------------------------------
@@ -113,9 +133,8 @@ def test_ids_flat_full_file_linear():
     """Figure 4(a): Dropbox's curve is flat in file size; Google Drive's
     grows linearly (full-file sync)."""
     sizes = (100 * KB, 1 * MB)
-    db = [measure_modification("Dropbox", AccessMethod.PC, size).traffic
-          for size in sizes]
-    gd = [measure_modification("GoogleDrive", AccessMethod.PC, size).traffic
+    db = [measure(cell("Dropbox", modify(size))).traffic for size in sizes]
+    gd = [measure(cell("GoogleDrive", modify(size))).traffic
           for size in sizes]
     assert db[1] < db[0] * 2          # flat-ish
     assert gd[1] > gd[0] * 5          # ~linear in size
@@ -124,14 +143,14 @@ def test_ids_flat_full_file_linear():
 
 def test_dropbox_modification_near_50kb():
     """§4.3: one-byte mod via Dropbox PC ≈ 50 KB (overhead + one chunk)."""
-    cell = measure_modification("Dropbox", AccessMethod.PC, 1 * MB)
-    assert 20 * KB < cell.traffic < 120 * KB
+    reading = measure(cell("Dropbox", modify(1 * MB)))
+    assert 20 * KB < reading.traffic < 120 * KB
 
 
 def test_mobile_and_web_always_full_file():
     """Figure 4(b)/(c): no IDS off the PC client."""
     for access in (AccessMethod.WEB, AccessMethod.MOBILE):
-        traffic = measure_modification("Dropbox", access, 1 * MB).traffic
+        traffic = measure(cell("Dropbox", modify(1 * MB), access)).traffic
         assert traffic > 0.9 * MB
 
 
@@ -141,23 +160,29 @@ def test_mobile_and_web_always_full_file():
 
 def test_compression_matrix_shapes():
     size = 2 * MB
-    db_pc = measure_compression("Dropbox", AccessMethod.PC, size)
-    gd_pc = measure_compression("GoogleDrive", AccessMethod.PC, size)
+
+    def up_down(service, access):
+        reading = measure(cell(service, upload_download(size), access))
+        up, = reading.marked
+        return up, reading.traffic
+
+    db_pc_up, db_pc_down = up_down("Dropbox", AccessMethod.PC)
+    gd_pc_up, gd_pc_down = up_down("GoogleDrive", AccessMethod.PC)
     # Dropbox compresses up and down; Google Drive neither.
-    assert db_pc.upload_traffic < 0.75 * size
-    assert db_pc.download_traffic < 0.65 * size
-    assert gd_pc.upload_traffic > size
-    assert gd_pc.download_traffic > size
+    assert db_pc_up < 0.75 * size
+    assert db_pc_down < 0.65 * size
+    assert gd_pc_up > size
+    assert gd_pc_down > size
     # Nobody compresses web uploads.
-    db_web = measure_compression("Dropbox", AccessMethod.WEB, size)
-    assert db_web.upload_traffic > size
-    assert db_web.download_traffic < 0.65 * size  # but the cloud still does
+    db_web_up, db_web_down = up_down("Dropbox", AccessMethod.WEB)
+    assert db_web_up > size
+    assert db_web_down < 0.65 * size  # but the cloud still does
     # Mobile upload compression is low-level: worse than PC, better than raw.
-    db_mobile = measure_compression("Dropbox", AccessMethod.MOBILE, size)
-    assert db_pc.upload_traffic < db_mobile.upload_traffic < size
+    db_mobile_up, _ = up_down("Dropbox", AccessMethod.MOBILE)
+    assert db_pc_up < db_mobile_up < size
     # Ubuntu One mobile downloads are uncompressed (Table 8's one asymmetry).
-    u1_mobile = measure_compression("UbuntuOne", AccessMethod.MOBILE, size)
-    assert u1_mobile.download_traffic > size
+    _, u1_mobile_down = up_down("UbuntuOne", AccessMethod.MOBILE)
+    assert u1_mobile_down > size
 
 
 # ---------------------------------------------------------------------------
@@ -166,52 +191,48 @@ def test_compression_matrix_shapes():
 
 def test_fixed_defer_plateau_then_spike():
     """Google Drive: TUE ≈ 1 for X < T ≈ 4.2, huge for X just above."""
-    below = run_appending("GoogleDrive", 3.0, total=128 * KB)
-    above = run_appending("GoogleDrive", 5.0, total=128 * KB)
+    below = measure(cell("GoogleDrive", append(3.0, total=128 * KB)))
+    above = measure(cell("GoogleDrive", append(5.0, total=128 * KB)))
     assert below.tue < 2.0
     assert above.tue > 10 * below.tue
 
 
 def test_tue_decreases_with_modification_period():
     """§6.1: lower update frequency ⇒ fewer sync events ⇒ smaller TUE."""
-    runs = [run_appending("Dropbox", x, total=256 * KB) for x in (1, 5, 10)]
-    tues = [run.tue for run in runs]
+    tues = [measure(cell("Dropbox", append(x, total=256 * KB))).tue
+            for x in (1, 5, 10)]
     assert tues == sorted(tues, reverse=True)
 
 
 def test_ids_beats_full_file_under_frequent_mods():
     """Why Dropbox/SugarSync max TUE ≪ Google Drive/Box in Figure 6."""
-    dropbox = run_appending("Dropbox", 5.0, total=256 * KB)
-    google = run_appending("GoogleDrive", 5.0, total=256 * KB)
+    dropbox = measure(cell("Dropbox", append(5.0, total=256 * KB)))
+    google = measure(cell("GoogleDrive", append(5.0, total=256 * KB)))
     assert dropbox.tue < google.tue / 3
 
 
 def test_experiment6_returns_full_sweep():
-    runs = experiment6_frequent_mods("Dropbox", xs=(1, 2), total=64 * KB)
-    assert [run.x for run in runs] == [1.0, 2.0]
-    assert all(run.total_appended == 64 * KB for run in runs)
+    """Every period appends the whole ``total``: the TUE denominator."""
+    for x in (1, 2):
+        reading = measure(cell("Dropbox", append(x, total=64 * KB)))
+        assert reading.update_bytes == 64 * KB
 
 
-def test_appending_validation():
-    with pytest.raises(ValueError):
-        run_appending("Dropbox", 0)
-    with pytest.raises(ValueError):
-        run_appending("Dropbox", 1.0, append_kb=0.0)
-
-
-def test_appending_rejects_zero_total():
-    """Regression: total=0 divided the traffic by zero appended bytes."""
-    with pytest.raises(ValueError, match="total must be positive"):
-        run_appending("Dropbox", 2.0, total=0)
-
-
-@pytest.mark.parametrize("kwargs", [{"count": 0}, {"file_size": 0},
-                                    {"count": -1}])
-def test_batch_creation_rejects_empty_batches(kwargs):
-    """Regression: an empty batch divided the traffic by a zero update."""
-    with pytest.raises(ValueError, match="must be positive"):
-        experiment1_batch(services=("Dropbox",),
-                          access_methods=(AccessMethod.PC,), **kwargs)
+@pytest.mark.parametrize("recipe, args, kwargs, message", [
+    (append, (0,), {}, "x must be positive"),
+    (append, (1.0,), {"append_kb": 0.0}, "append size"),
+    # Regression: total=0 divided the traffic by zero appended bytes.
+    (append, (2.0,), {"total": 0}, "total must be positive"),
+    # Regression: an empty batch divided the traffic by a zero update.
+    (batch, (), {"count": 0}, "must be positive"),
+    (batch, (), {"size": 0}, "must be positive"),
+    (batch, (), {"count": -1}, "must be positive"),
+], ids=["append-x", "append-kb", "append-total", "batch-count",
+        "batch-size", "batch-negative-count"])
+def test_recipe_rejects_degenerate_inputs(recipe, args, kwargs, message):
+    """Recipes check their inputs when built, before any rig exists."""
+    with pytest.raises(ValueError, match=message):
+        recipe(*args, **kwargs)
 
 
 @pytest.mark.parametrize("kwargs", [{"file_count": 0}, {"file_size": 0}])

@@ -519,3 +519,10 @@ def test_workload_rejects_too_many_writers():
     fleet = Fleet("GoogleDrive", clients=2, seed=0)
     with pytest.raises(ValueError):
         schedule_writer_workload(fleet, writers=3)
+
+
+@pytest.mark.parametrize("clients", [0, -1])
+def test_fleet_refuses_fewer_than_one_client(clients):
+    """Regression: an empty fleet ran to idle and reported TUE "—"."""
+    with pytest.raises(ValueError, match="at least one client"):
+        Fleet("GoogleDrive", clients=clients)

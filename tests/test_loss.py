@@ -4,7 +4,7 @@ import pytest
 
 from repro.client import AccessMethod, SyncSession
 from repro.content import random_content
-from repro.core import run_appending
+from repro.core import append, cell, measure
 from repro.simnet import Link, LinkSpec, mn_link
 from repro.units import KB, MB, Mbps
 
@@ -80,11 +80,11 @@ def test_lossy_link_inflates_sync_traffic():
 def test_loss_lowers_tue_under_frequent_mods():
     """Loss slows syncs → more natural batching → smaller TUE, the same
     mechanism as the paper's poor-network finding (§6.2)."""
-    clean = run_appending("Dropbox", 1.0, total=128 * KB,
-                          link_spec=mn_link())
-    lossy = run_appending("Dropbox", 1.0, total=128 * KB,
-                          link_spec=LinkSpec(up_bw=2 * Mbps, down_bw=2 * Mbps,
-                                             rtt=0.06, loss_rate=0.08))
+    appends = append(1.0, total=128 * KB)
+    clean = measure(cell("Dropbox", appends, link=mn_link()))
+    lossy = measure(cell("Dropbox", appends,
+                         link=LinkSpec(up_bw=2 * Mbps, down_bw=2 * Mbps,
+                                       rtt=0.06, loss_rate=0.08)))
     assert lossy.sync_transactions <= clean.sync_transactions
     assert lossy.tue < clean.tue * 1.05
 

@@ -39,15 +39,25 @@ def test_size_cell_uses_paper_units():
 
 
 def test_row_dict_includes_fields_and_properties():
-    from repro.core import measure_creation
+    from dataclasses import dataclass
+    from repro.core import cell, create, measure, upload_download
     from repro.client import AccessMethod
     from repro.reporting import row_dict
-    cell = measure_creation("Box", AccessMethod.PC, 1024)
-    row = row_dict(cell)
+
+    @dataclass
+    class Labelled:
+        service: str
+        access: AccessMethod
+
+    row = row_dict(Labelled("Box", AccessMethod.PC))
     assert row["service"] == "Box"
     assert row["access"] == "pc"        # enum flattened
+    reading = measure(cell("Box", upload_download(1024)))
+    row = row_dict(reading)
     assert row["traffic"] > 0
-    assert "tue" in row                  # property included
+    assert row["marked"] == list(reading.marked)    # tuple flattened
+    assert "tue" in row and "overhead" in row       # properties included
+    assert row_dict(measure(cell("Box", create(1024))))["tue"] > 1
 
 
 def test_row_dict_rejects_non_dataclass():
@@ -58,27 +68,29 @@ def test_row_dict_rejects_non_dataclass():
 
 
 def test_json_roundtrip(tmp_path):
-    from repro.core import experiment2_deletion
+    from repro.core import cell, delete, measure
     from repro.reporting import load_json, to_json
-    rows = experiment2_deletion(services=("Box",), sizes=(1024,))
+    rows = [measure(cell("Box", delete(1024)))]
     path = tmp_path / "out.json"
     to_json(rows, path)
     loaded = load_json(path)
-    assert loaded[0]["service"] == "Box"
-    assert loaded[0]["deletion_traffic"] == rows[0].deletion_traffic
+    assert loaded[0]["traffic"] == rows[0].traffic
+    assert loaded[0]["marked"] == list(rows[0].marked)
 
 
 def test_csv_export(tmp_path):
     import csv as csv_module
-    from repro.core import experiment2_deletion
+    from repro.core import cell, delete, measure
     from repro.reporting import to_csv
-    rows = experiment2_deletion(services=("Box", "Dropbox"), sizes=(1024,))
+    rows = [measure(cell(service, delete(1024)))
+            for service in ("Box", "Dropbox")]
     path = tmp_path / "out.csv"
     to_csv(rows, path)
     with path.open() as stream:
         loaded = list(csv_module.DictReader(stream))
     assert len(loaded) == 2
-    assert {row["service"] for row in loaded} == {"Box", "Dropbox"}
+    assert [int(row["traffic"]) for row in loaded] == \
+        [row.traffic for row in rows]
 
 
 def test_csv_empty(tmp_path):
