@@ -11,8 +11,7 @@ from ..reporting import (fmt_tue, render_backend_matrix,
                          render_fleet_members, render_strategy_matrix,
                          render_table)
 from ..simnet import bj_link, mn_link
-from ..trace import (ReplayPool, generate_trace, iter_trace_records,
-                     replay_all, traffic_overuse_fraction)
+from ..trace import generate_trace, replay_all, traffic_overuse_fraction
 from ..units import KB, fmt_size
 from .base import ACCESS, SEED, TRACE_SEED, Artifact, service_name
 
@@ -41,15 +40,6 @@ def _paper_replay(args):
 
 
 def _replay(args):
-    if args.stream:
-        # Stream records straight into the worker shards: the parent never
-        # materialises the trace (the scale-50 regime).
-        with ReplayPool.from_records(
-                iter_trace_records(scale=args.scale, seed=args.seed),
-                workers=args.workers) as pool:
-            reports = replay_all(access=args.access, seed=args.seed,
-                                 pool=pool, audit=args.audit)
-            return reports, pool.record_count
     trace = generate_trace(scale=args.scale, seed=args.seed)
     return replay_all(trace, access=args.access, seed=args.seed,
                       workers=args.workers, audit=args.audit), len(trace)
@@ -175,11 +165,7 @@ EXTENSIONS = (
              "savings per mechanism", _paper_replay, _render_replay, {},
              ("trace_replay",)),
     Artifact("replay", "macro trace-replay traffic estimate", _replay,
-             _render_replay,
-             dict(_REPLAY, **{"--stream": dict(
-                 action="store_true",
-                 help="stream records into the pool instead of "
-                      "materialising the trace")})),
+             _render_replay, _REPLAY),
     Artifact("overuse", "per-user traffic-overuse statistic ([36])",
              _overuse, _render_overuse,
              dict(_REPLAY, **{"--scale": dict(type=float, default=0.03)})),

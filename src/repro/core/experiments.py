@@ -392,6 +392,8 @@ def experiment10_backends(
     chunk store, because full BDS collapses wire transactions and packing
     collapses PUT/GC amplification.
     """
+    if files is not None and files < 1:
+        raise ValueError("files must be >= 1")
     cells: List[BackendCell] = []
     for mix in mixes:
         for backend in backends:
@@ -588,6 +590,8 @@ def experiment11_strategies(
     (full-file takes "fresh", the deltas take "scatter-edit",
     reconciliation takes "clone"), but the selector never loses.
     """
+    if files < 1:
+        raise ValueError("files must be >= 1")
     cells: List[StrategyCell] = []
     for workload in workloads:
         for link in links:

@@ -22,7 +22,7 @@ DETERMINISTIC_PACKAGES = (
     "repro.chunking", "repro.compress", "repro.fleet", "repro.fsim",
 )
 
-#: Modules whose dict/set iteration feeds byte accounting or shard merges,
+#: Modules whose dict/set iteration feeds byte accounting or report order,
 #: where ordering must be forced with ``sorted(...)`` (REP003).
 ACCOUNTING_MODULES = (
     "repro.trace.replay", "repro.trace.pool", "repro.trace.analysis",

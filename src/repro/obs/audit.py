@@ -25,11 +25,10 @@ Over one span recorder (``recorder=``):
   ledgers and the per-strategy payload claims explain exactly the wire
   payload of the exchanges they name.
 
-Over ledgers kept outside a trace: ``replay-conservation`` (``report=``,
-optionally ``parts=`` and ``settle_credits=``), ``fanout-conservation``
-(``ledger=``, ``recorders=``), ``rest-conservation`` (``store=``) and
-``domain-protocol`` (``scheduler=``); their checks' docstrings state
-them in full.
+Over ledgers kept outside a trace: ``replay-conservation`` (``report=``),
+``fanout-conservation`` (``ledger=``, ``recorders=``),
+``rest-conservation`` (``store=``) and ``domain-protocol``
+(``scheduler=``); their checks' docstrings state them in full.
 """
 
 from __future__ import annotations
@@ -475,31 +474,18 @@ _REPORT_COUNTERS = ("traffic_bytes", "data_update_bytes", "overhead_bytes",
                     "saved_by_ids", "file_count", "upload_events")
 
 
-def _replay_conservation(report: Any, parts: Optional[List[Any]] = None,
-                         settle_credits: Optional[Dict[str, int]] = None
-                         ) -> List[AuditViolation]:
-    """A (possibly merged) ReplayReport balances, and so does its merge.
-
-    Given ``parts``, the shard reports must sum, counter by counter, to
-    ``report``.  ``settle_credits`` is the phase-2 CROSS_USER dedup
-    correction the parallel merge applied (per-user bytes re-credited
-    from ``traffic_bytes`` to ``saved_by_dedup``); with it, raw phase-one
-    shard reports balance against the final merged report exactly —
-    traffic drops by the total credit, dedup savings rise by the same
-    total, and each user's traffic drops by their own credit, so not a
-    byte appears or vanishes in the settlement.  Without it, the merge
-    must be purely additive.
-    """
+def _replay_conservation(report: Any) -> List[AuditViolation]:
+    """A ReplayReport balances: no negative counter or per-user total,
+    per-user traffic sums to the report's traffic, overhead is a part of
+    it, and no user's modification traffic exceeds their total."""
     checks: List[Tuple[bool, str]] = []
-    if parts is not None:
-        checks.extend(_merge_checks(parts, report, settle_credits or {}))
     checks.extend((getattr(report, name) >= 0, f"negative counter {name}")
                   for name in _REPORT_COUNTERS)
     checks.extend((value >= 0, f"negative per-user traffic for user {user}")
                   for user, value in report.per_user_traffic.items())
     per_user_sum = sum(report.per_user_traffic.values())
     checks.append((per_user_sum == report.traffic_bytes,
-                   f"per-user traffic sums to {per_user_sum} but the merged "
+                   f"per-user traffic sums to {per_user_sum} but the "
                    f"report holds traffic_bytes={report.traffic_bytes}"))
     checks.append((report.overhead_bytes <= report.traffic_bytes,
                    f"overhead {report.overhead_bytes} exceeds total traffic "
@@ -511,39 +497,6 @@ def _replay_conservation(report: Any, parts: Optional[List[Any]] = None,
                        f"user {user} modification traffic {value} exceeds "
                        f"the user's total traffic"))
     return _failures("replay-conservation", checks, report.service)
-
-
-def _merge_checks(parts: List[Any], merged: Any, credits: Dict[str, int]
-                  ) -> List[Tuple[bool, str]]:
-    checks = [(value >= 0,
-               f"settle credit for {user} is negative ({value}): phase 2 "
-               f"can only move bytes from traffic into dedup savings")
-              for user, value in credits.items()]
-    adjustment = sum(credits.values())
-    for name in _REPORT_COUNTERS:
-        total = sum(getattr(part, name) for part in parts)
-        if name == "traffic_bytes":
-            total -= adjustment
-        elif name == "saved_by_dedup":
-            total += adjustment
-        checks.append((total == getattr(merged, name),
-                       f"shard {name} sums to {total} after settlement, "
-                       f"merged report holds {getattr(merged, name)}"))
-    for dict_name in ("per_user_traffic", "per_user_modification_traffic",
-                      "per_user_modification_update"):
-        summed: Dict[str, int] = {}
-        for part in parts:
-            for user, value in getattr(part, dict_name).items():
-                summed[user] = summed.get(user, 0) + value
-        if dict_name == "per_user_traffic":
-            for user, value in credits.items():
-                checks.append((user in summed,
-                               f"settle credit for unknown user {user}"))
-                summed[user] = summed.get(user, 0) - value
-        checks.append((summed == getattr(merged, dict_name),
-                       f"per-user dict {dict_name} does not merge "
-                       f"additively"))
-    return checks
 
 
 def _fanout_conservation(ledger: List[Any], recorders: List[TraceRecorder]
@@ -647,25 +600,18 @@ def _domain_protocol(scheduler: Any) -> List[AuditViolation]:
 @dataclass(frozen=True)
 class Invariant:
     """One conservation invariant: ``check(**inputs)`` returns its
-    violations.  ``inputs`` names the keyword inputs the check reads; a
-    trailing ``?`` marks one it can run without."""
+    violations.  ``inputs`` names the keyword inputs the check reads."""
 
     name: str
     inputs: Tuple[str, ...]
     check: Callable[..., List[AuditViolation]]
 
     def arguments(self, given: Mapping[str, Any]) -> Optional[Dict[str, Any]]:
-        """This row's keyword arguments out of ``given``, or None when a
-        required input is missing."""
-        args: Dict[str, Any] = {}
-        for name in self.inputs:
-            if name in given:
-                args[name] = given[name]
-            elif not name.endswith("?"):
-                return None
-            elif name[:-1] in given:
-                args[name[:-1]] = given[name[:-1]]
-        return args
+        """This row's keyword arguments out of ``given``, or None when an
+        input is missing."""
+        if not all(name in given for name in self.inputs):
+            return None
+        return {name: given[name] for name in self.inputs}
 
 
 #: Every invariant, in the order :func:`verify` runs them.
@@ -677,8 +623,7 @@ INVARIANTS: Tuple[Invariant, ...] = (
     Invariant("kind-conservation", ("recorder",), _kind_conservation),
     Invariant("bundle-conservation", ("recorder",), _bundle_conservation),
     Invariant("strategy-conservation", ("recorder",), _strategy_conservation),
-    Invariant("replay-conservation", ("report", "parts?", "settle_credits?"),
-              _replay_conservation),
+    Invariant("replay-conservation", ("report",), _replay_conservation),
     Invariant("fanout-conservation", ("ledger", "recorders"),
               _fanout_conservation),
     Invariant("rest-conservation", ("store",), _rest_conservation),

@@ -307,9 +307,8 @@ def iter_trace_records(scale: float = 1.0, seed: int = 42,
     Yields exactly the records of ``generate_trace(scale, seed)`` in the
     same order (it *is* ``generate_trace``'s implementation), without
     materialising the trace: peak memory is the duplicate-sampling pool
-    plus one record.  Feed it to ``ReplayPool.from_records`` to replay a
-    trace that never exists in the parent process at all.  The plan is
-    checked here, before the first record is asked for.
+    plus one record.  The plan is checked here, before the first record is
+    asked for.
     """
     config = config or GeneratorConfig(scale=scale, seed=seed)
     rows = _plan_records(config.service_plan(), config.seed)

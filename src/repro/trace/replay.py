@@ -14,21 +14,19 @@ tests/test_replay.py: for small synthetic traces the two agree on every
 qualitative ordering and within tens of percent on totals.
 
 This module is the estimator alone and starts no process or thread:
-:func:`replay_trace` prices a whole trace in one call of
-:func:`_replay_records`, a columnar kernel over 1024-record blocks
-(DESIGN.md, "The kernel and its floor").  Modification fractions come
-from one Philox stream per (seed, user), so every profile prices the same
-modifications of a trace.  :mod:`repro.trace.pool` runs the same kernel
-over user-disjoint shards in a persistent worker pool and merges the
-parts back byte for byte; it imports this module, never the reverse.
+:func:`replay_trace` prices a whole trace in one columnar pass over
+1024-record blocks (DESIGN.md, "The kernel and its floor").  Modification
+fractions come from one Philox stream per (seed, user), so every profile
+prices the same modifications of a trace.  :mod:`repro.trace.pool` runs
+whole :func:`replay_trace` calls, one profile each, in a persistent
+worker pool; it imports this module, never the reverse.
 """
 
 from __future__ import annotations
 
 import hashlib
-import sys
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -57,22 +55,15 @@ _MOD_FRACTION_LOG_MU = -3.9   # exp(-3.9) ≈ 0.02
 _MOD_FRACTION_LOG_SIGMA = 1.0
 
 #: Records per kernel block: one block's columns are the kernel's working
-#: set, so memory is O(block) + O(users) whatever the shard length.
+#: set, so memory is O(block) + O(users) whatever the trace length.
 _BLOCK = 1024
 #: Bound on len(block) × (most modifications + 1) × (largest size + its
 #: overheads), which bounds every ``int64`` value of a block.  Half of
 #: int64's range, so no truncated float product can round past the top.
 _INT64_HEADROOM = 1 << 62
 
-#: Counter fields summed exactly by :meth:`ReplayReport.merge`.
-_MERGE_COUNTERS = (
-    "file_count", "upload_events", "data_update_bytes", "traffic_bytes",
-    "overhead_bytes", "saved_by_compression", "saved_by_dedup",
-    "saved_by_bds", "saved_by_ids",
-)
-
-#: Per-user dict fields merged by key-wise addition.
-_MERGE_DICTS = (
+#: Per-user dict fields of a report, in declaration order.
+_PER_USER_DICTS = (
     "per_user_traffic", "per_user_modification_traffic",
     "per_user_modification_update",
 )
@@ -109,35 +100,6 @@ class ReplayReport:
     def total_savings(self) -> int:
         return (self.saved_by_compression + self.saved_by_dedup
                 + self.saved_by_bds + self.saved_by_ids)
-
-    @classmethod
-    def merge(cls, reports: Sequence["ReplayReport"]) -> "ReplayReport":
-        """Exact sum of shard reports: all counters and per-user dicts.
-
-        Every field is additive, so merging is associative and
-        order-insensitive up to dict insertion order (the parallel replay
-        canonicalises that separately).  Raises on an empty sequence or on
-        reports for different profiles — a merged report must mean one
-        (service, access) pair.
-        """
-        if not reports:
-            raise ValueError("cannot merge zero reports")
-        first = reports[0]
-        for other in reports[1:]:
-            if (other.service, other.access) != (first.service, first.access):
-                raise ValueError(
-                    f"cannot merge reports for different profiles: "
-                    f"{first.service}/{first.access} vs "
-                    f"{other.service}/{other.access}")
-        merged = cls(service=first.service, access=first.access)
-        for report in reports:
-            for name in _MERGE_COUNTERS:
-                setattr(merged, name, getattr(merged, name) + getattr(report, name))
-            for name in _MERGE_DICTS:
-                target = getattr(merged, name)
-                for user, value in getattr(report, name).items():
-                    target[user] = target.get(user, 0) + value
-        return merged
 
 
 def _fixed_overhead(profile: ServiceProfile) -> int:
@@ -186,11 +148,10 @@ def _draw_fractions(streams: Dict, seed: int, users: Sequence,
     the names themselves.  Each user's stream in ``streams`` (keyed as in
     ``users``) is Philox keyed by the 16-byte blake2b of
     ``replay:{seed}:{name}`` — no profile, so every service prices the
-    same modifications — built on first sight and consumed in global index
-    order, in the whole trace and in every user-disjoint shard alike: the
-    contract behind pooled == sequential.  Philox draws the same values
-    chunked or in one call, so each user's block total is one ``lognormal``
-    call, scattered back through a mask of the user's draws."""
+    same modifications — built on first sight and consumed in record
+    order.  Philox draws the same values chunked or in one call, so each
+    user's block total is one ``lognormal`` call, scattered back through a
+    mask of the user's draws."""
     keys, owners = np.unique(np.asarray(users), return_inverse=True)
     totals = np.bincount(owners, weights=counts,
                          minlength=len(keys)).astype(np.int64)
@@ -209,12 +170,12 @@ def _draw_fractions(streams: Dict, seed: int, users: Sequence,
     return np.minimum(fractions, 1.0, out=fractions)
 
 
-#: Bytes per unit digest.  Unit identities (segment-id blobs, up to 128 KB
-#: for a 2 GB file's full-file key) are folded to fixed-width blake2b
-#: digests before they enter the dedup set or the candidate state — the
-#: collision probability over a trillion distinct units is < 2⁻⁸⁰, far
-#: below any other modelling noise, and it is what makes the candidate
-#: summaries compact enough to ship between processes.
+#: Bytes per unit digest.  Wide unit identities (segment-id blobs, up to
+#: 128 KB for a 2 GB file's full-file key) are folded to fixed-width
+#: blake2b digests before they enter the dedup set — the collision
+#: probability over a trillion distinct units is < 2⁻⁸⁰, far below any
+#: other modelling noise, and the seen-set holds 16 bytes a unit, not the
+#: blob.
 _DIGEST_SIZE = 16
 
 
@@ -222,11 +183,10 @@ def _unit_digest(key) -> bytes:
     """Fixed-width identity digest for one dedup unit.
 
     ``key`` is the raw unit identity (the segment-id blob for a block, or
-    the ``(blob, size)`` tuple of a full-file key).  Digests are a unit's
-    identity across processes: the pool's candidates ship them.  Within a
-    shard, a one-segment unit is keyed by its id instead (see
-    :func:`_aligned_units`), equal exactly when the blobs are, so the
-    sequential and the sharded replay agree up to the collision bound above.
+    the ``(blob, size)`` tuple of a full-file key).  A one-segment block
+    unit is keyed by its id instead (see :func:`_aligned_units`), equal
+    exactly when the blobs are; a digest stands in for its blob up to the
+    collision bound above.
     """
     if isinstance(key, tuple):
         blob, size = key
@@ -276,23 +236,15 @@ def _fold(totals: Dict[int, int], users: np.ndarray,
         totals[code] = totals.get(code, 0) + int(sums[code])
 
 
-def _replay_records(trace: Trace, indices: Sequence[int],
-                    profile: ServiceProfile, seed: int,
-                    candidates=None) -> ReplayReport:
-    """Replay one shard: ``trace``'s records, whose global indices (in
-    increasing order) are ``indices``.
+def replay_trace(trace: Trace, profile: ServiceProfile,
+                 seed: int = 0) -> ReplayReport:
+    """Estimate the trace-wide sync traffic under one service profile.
 
-    The single code path behind both the sequential and the parallel
-    replay: :func:`replay_trace` calls it once with the whole trace (where
-    the local dedup state *is* the global state), shards call it with
-    per-user partitions.  ``candidates`` is the phase-1 collector of the
-    pool's CROSS_USER protocol: when given, every record that ships fresh
-    dedup units is reported through ``candidates.add(index, user,
-    full_wire, total_len, fresh_units)`` — the only thing this kernel
-    knows about it.  It prices column slices :data:`_BLOCK` records at a
-    time and reads no per-record object; totals that outlive a block are
-    Python ints.  A block dedup size the trace's segments cannot align is
-    refused before any record.
+    Prices column slices :data:`_BLOCK` records at a time and reads no
+    per-record object; totals that outlive a block are Python ints.  A
+    block dedup size the trace's segments cannot align is refused before
+    any record, and a block whose values could leave ``int64`` is refused
+    naming a record of it by its position in the trace.
     """
     dedup = profile.dedup
     if dedup.granularity is DedupGranularity.BLOCK \
@@ -313,8 +265,7 @@ def _replay_records(trace: Trace, indices: Sequence[int],
     batch_saving = max(fixed - batched_overhead, 0)
     pad = max(fixed, batched_overhead) + 2 * delta_block + 1  # for headroom
 
-    # Which records BDS would batch.  All of a user's records live in this
-    # shard, so the neighbourhoods equal the sequential ones.
+    # Which records BDS would batch.
     batched = creation_batch_flags(trace) if bds.mode is not BdsMode.NONE \
         else np.broadcast_to(False, len(trace))
     names, segments, offsets = trace.user_names, trace.segments, trace.offsets
@@ -322,7 +273,7 @@ def _replay_records(trace: Trace, indices: Sequence[int],
     streams: Dict[int, np.random.Generator] = {}
 
     seen_units: Set = set()
-    # Per user code, in first-sight order: the :data:`_MERGE_DICTS`.
+    # Per user code, in first-sight order: the :data:`_PER_USER_DICTS`.
     per_user: Tuple[Dict[int, int], ...] = ({}, {}, {})
     mod_events = data_update = traffic = overhead_total = 0
     saved_compression = saved_dedup = saved_bds = saved_ids = 0
@@ -338,7 +289,7 @@ def _replay_records(trace: Trace, indices: Sequence[int],
                 int(per_byte * biggest))) >= _INT64_HEADROOM:
             need = [(count + 1) * max(a, b) for count, a, b in zip(
                 counts.tolist(), size.tolist(), compressed.tolist())]
-            worst = indices[start + need.index(max(need))]
+            worst = start + need.index(max(need))
             raise OverflowError(f"record {worst}: its replay block could "
                                 f"exceed int64")
 
@@ -361,7 +312,6 @@ def _replay_records(trace: Trace, indices: Sequence[int],
             else:
                 owner, lengths, keys = _aligned_units(
                     segments, bounds, size, dedup.block_size)
-            owners = owner.tolist()
             scoped = keys if dedup_cross_user \
                 else zip(users[owner].tolist(), keys)
             # Fresh the first time its scoped key is seen (add returns None).
@@ -378,21 +328,6 @@ def _replay_records(trace: Trace, indices: Sequence[int],
                 # Python ints: full * shipped can exceed int64.
                 wire[p] = int(full_wire[p]) * int(shipped[p]) // int(total[p])
             saved_dedup += int((full_wire - wire).sum())
-            if candidates is not None:
-                fresh_units: Dict[int, List[Tuple[bytes, int]]] = {}
-                lengths_list = lengths.tolist()
-                for unit in np.flatnonzero(fresh).tolist():
-                    key = keys[unit]
-                    if not isinstance(key, bytes):
-                        key = _unit_digest(key.to_bytes(8, sys.byteorder,
-                                                        signed=True))
-                    fresh_units.setdefault(owners[unit], []).append(
-                        (key, lengths_list[unit]))
-                for p, units in fresh_units.items():
-                    if total[p]:
-                        candidates.add(int(indices[start + p]),
-                                       names[users[p]], int(full_wire[p]),
-                                       int(total[p]), units)
 
         in_batch = batched[start:stop]
         batch_count = int(np.count_nonzero(in_batch))
@@ -455,13 +390,7 @@ def _replay_records(trace: Trace, indices: Sequence[int],
         saved_by_compression=saved_compression, saved_by_dedup=saved_dedup,
         saved_by_bds=saved_bds, saved_by_ids=saved_ids,
         **{name: {names[code]: total for code, total in totals.items()}
-           for name, totals in zip(_MERGE_DICTS, per_user)})
-
-
-def replay_trace(trace: Trace, profile: ServiceProfile,
-                 seed: int = 0) -> ReplayReport:
-    """Estimate the trace-wide sync traffic under one service profile."""
-    return _replay_records(trace, range(len(trace)), profile, seed)
+           for name, totals in zip(_PER_USER_DICTS, per_user)})
 
 
 def modification_share(report: ReplayReport) -> Dict[str, float]:

@@ -224,7 +224,7 @@ class Trace:
     @classmethod
     def concat(cls, traces: Sequence["Trace"]) -> "Trace":
         """The traces' rows in order, as one trace: row by row, for joins
-        paid once (a pool worker's fed batches), not per replay."""
+        paid once (``iter_trace_shards``' shards), not per replay."""
         return cls.from_fields(map(_FIELDS, itertools.chain(*traces)),
                                sum(map(len, traces)))
 

@@ -1,11 +1,11 @@
 """Record-at-a-time replay loop — the oracle for ``repro.trace.replay``.
 
-This is ``_replay_records`` as it was before the estimator became a
-columnar kernel over 1024-record blocks: one pass over the shard, Python
-ints throughout, one scalar draw at a time from each user's stream.  It
-lives here (imported by nothing under ``src/``) so the differential
-battery in ``test_replay_kernel.py`` can hold the kernel to it report for
-report, candidate for candidate.
+This is ``replay_trace`` as it was before the estimator became a
+columnar kernel over 1024-record blocks: one pass over the records,
+Python ints throughout, one scalar draw at a time from each user's
+stream.  It lives here (imported by nothing under ``src/``) so the
+differential battery in ``test_replay_kernel.py`` can hold the kernel to
+it report for report.
 
 Its arithmetic is its own: the payload formula and the draw constants are
 copied, not imported, so a change to either in ``src/`` fails the battery
@@ -86,9 +86,8 @@ def _mod_fractions(streams: Dict[str, np.random.Generator], seed: int,
     ``lognormal`` at a time from its user's stream (built on first sight
     and kept in ``streams``), each clamped to 1.0.
 
-    Records reach this in global index order, per user, in the whole trace
-    and in any user-disjoint shard alike — the determinism contract that
-    makes parallel == sequential.
+    Records reach this in trace order, so each user's draws follow their
+    records whatever the other users do.
     """
     stream = streams.get(user)
     if stream is None:
@@ -101,20 +100,10 @@ def _mod_fractions(streams: Dict[str, np.random.Generator], seed: int,
     return fractions
 
 
-def reference_replay_records(shard: Sequence[Tuple[int, TraceRecord]],
-                             profile: ServiceProfile, seed: int,
-                             candidates=None) -> ReplayReport:
-    """Replay one shard of (global index, record) pairs.
-
-    The single code path behind both the sequential and the parallel
-    replay: :func:`replay_trace` calls it once with the whole trace (where
-    the local dedup state *is* the global state), shards call it with
-    per-user partitions.  ``candidates`` is the phase-1 collector of the
-    pool's CROSS_USER protocol: when given, every record that ships fresh
-    dedup units is reported through ``candidates.add(index, user,
-    full_wire, total_len, fresh_units)`` — the only thing this loop knows
-    about it.
-    """
+def reference_replay_records(records: Sequence[TraceRecord],
+                             profile: ServiceProfile,
+                             seed: int) -> ReplayReport:
+    """Replay ``records``, in order, under ``profile``."""
     # ---- constant per profile -----------------------------------------------
     fixed = _fixed_overhead(profile)
     saving_fraction = _LEVEL_SAVING_FRACTION[profile.upload_compression.level]
@@ -129,11 +118,9 @@ def reference_replay_records(shard: Sequence[Tuple[int, TraceRecord]],
         else max(bds.per_file_bytes, fixed // 8)
     batch_saving = max(fixed - batched_overhead, 0)
 
-    # Which records BDS would batch.  All of a user's records live in this
-    # shard, so the neighbourhoods equal the sequential ones.
-    batched = reference_creation_batch_flags(
-        [record for _, record in shard]) \
-        if bds.mode is not BdsMode.NONE else [False] * len(shard)
+    # Which records BDS would batch.
+    batched = reference_creation_batch_flags(records) \
+        if bds.mode is not BdsMode.NONE else [False] * len(records)
 
     streams: Dict[str, np.random.Generator] = {}
     seen_units: Set = set()
@@ -143,7 +130,7 @@ def reference_replay_records(shard: Sequence[Tuple[int, TraceRecord]],
     mod_events = data_update = traffic = overhead_total = 0
     saved_compression = saved_dedup = saved_bds = saved_ids = 0
 
-    for (index, record), in_batch in zip(shard, batched):
+    for record, in_batch in zip(records, batched):
         size = record.size
         compressed = record.compressed_size
         user = record.user
@@ -156,7 +143,6 @@ def reference_replay_records(shard: Sequence[Tuple[int, TraceRecord]],
 
         if dedup_enabled:
             shipped = total_len = 0
-            fresh_units: List[Tuple[bytes, int]] = []
             if dedup_full_file:
                 keys = ((record.full_file_key(), size),)
             else:
@@ -169,17 +155,12 @@ def reference_replay_records(shard: Sequence[Tuple[int, TraceRecord]],
                     continue
                 seen_units.add(scope_key)
                 shipped += length
-                if candidates is not None:
-                    fresh_units.append((digest, length))
             # A size-0 file — or a record with no content units at all —
             # has no bytes to negotiate: dedup neither ships nor saves
             # anything and the wire passes through unchanged.
             if total_len > 0:
                 wire = full_wire * shipped // total_len
                 saved_dedup += full_wire - wire
-                if fresh_units:     # only ever filled for a collector
-                    candidates.add(index, user, full_wire, total_len,
-                                   fresh_units)
 
         overhead = fixed
         if in_batch:
@@ -226,7 +207,7 @@ def reference_replay_records(shard: Sequence[Tuple[int, TraceRecord]],
 
     report = ReplayReport(
         service=profile.service, access=profile.access.value,
-        file_count=len(shard), upload_events=len(shard) + mod_events,
+        file_count=len(records), upload_events=len(records) + mod_events,
         data_update_bytes=data_update, traffic_bytes=traffic,
         overhead_bytes=overhead_total,
         saved_by_compression=saved_compression, saved_by_dedup=saved_dedup,

@@ -6,7 +6,6 @@ from repro.client import AccessMethod, service_profile
 from repro.core import cell, create, measure, run_faulty_sync
 from repro.obs import AuditViolation, audit, audit_hub, recording, verify
 from repro.trace import ReplayPool, generate_trace, replay_trace
-from repro.trace.replay import ReplayReport
 from repro.units import KB
 
 
@@ -62,36 +61,16 @@ def test_audited_experiment11_smoke():
 
 
 def test_audited_two_worker_parallel_replay():
-    """The merged parallel report passes conservation and matches the
-    sequential replay exactly."""
+    """The pooled report passes conservation and matches the sequential
+    replay exactly."""
     trace = generate_trace(scale=0.005, seed=7)
     profile = service_profile("Dropbox", AccessMethod.PC)
     sequential = replay_trace(trace, profile, seed=7)
     with ReplayPool(trace, workers=2) as pool:
-        merged = pool.replay(profile, seed=7)
-    assert merged == sequential
-    audit(report=merged)                # no raise
-    assert verify(report=merged) == []
-
-
-def test_replay_merge_is_counterwise_additive():
-    a = ReplayReport(service="Dropbox", access="pc", file_count=2,
-                     traffic_bytes=100, data_update_bytes=80,
-                     overhead_bytes=20, per_user_traffic={"u1": 100},
-                     per_user_modification_traffic={"u1": 10},
-                     per_user_modification_update={"u1": 5})
-    b = ReplayReport(service="Dropbox", access="pc", file_count=3,
-                     traffic_bytes=50, data_update_bytes=40,
-                     overhead_bytes=10, per_user_traffic={"u1": 20, "u2": 30},
-                     per_user_modification_traffic={"u2": 7},
-                     per_user_modification_update={"u2": 3})
-    merged = ReplayReport.merge([a, b])
-    assert verify(report=merged, parts=[a, b]) == []
-    audit(report=merged)
-    # Tamper with the merge: the auditor must notice.
-    merged.per_user_traffic["u2"] -= 1
-    assert any(v.invariant == "replay-conservation"
-               for v in verify(report=merged, parts=[a, b]))
+        pooled = pool.replay(profile, seed=7)
+    assert pooled == sequential
+    audit(report=pooled)                # no raise
+    assert verify(report=pooled) == []
 
 
 def test_corrupted_replay_report_raises():
@@ -118,39 +97,3 @@ def test_recording_audit_flag_raises_on_corruption():
             session.create_random_file("f.bin", 16 * KB, seed=1)
             session.run_until_idle()
             session.meter.record(0.0, Direction.DOWN, 0, 12345, kind="ghost")
-
-
-def test_replay_merge_balances_settle_credits():
-    """With settle_credits, raw phase-one shard reports must balance the
-    final merged report: traffic down by the credit total, dedup savings
-    up by the same total, each user's traffic down by their own credit."""
-    a = ReplayReport(service="UbuntuOne", access="pc", file_count=2,
-                     traffic_bytes=100, data_update_bytes=80,
-                     overhead_bytes=20, saved_by_dedup=5,
-                     per_user_traffic={"u1": 100},
-                     per_user_modification_traffic={"u1": 10},
-                     per_user_modification_update={"u1": 5})
-    b = ReplayReport(service="UbuntuOne", access="pc", file_count=3,
-                     traffic_bytes=50, data_update_bytes=40,
-                     overhead_bytes=10, per_user_traffic={"u2": 50})
-    merged = ReplayReport.merge([a, b])
-    credits = {"u2": 7}
-    merged.traffic_bytes -= 7
-    merged.saved_by_dedup += 7
-    merged.per_user_traffic["u2"] -= 7
-    assert verify(report=merged, parts=[a, b], settle_credits=credits) == []
-    # A settlement that only touched the totals but not the per-user dict
-    # is a conservation violation.
-    merged.per_user_traffic["u2"] += 7
-    assert any(v.invariant == "replay-conservation"
-               for v in verify(report=merged, parts=[a, b],
-                                            settle_credits=credits))
-    merged.per_user_traffic["u2"] -= 7
-    # Negative credits (bytes conjured into traffic) are rejected outright.
-    assert any("negative" in str(v)
-               for v in verify(report=merged, parts=[a, b],
-                                            settle_credits={"u2": -7}))
-    # Credits for a user no shard ever saw are rejected.
-    assert any("unknown user" in str(v)
-               for v in verify(report=merged, parts=[a, b],
-                                            settle_credits={"ghost": 7}))

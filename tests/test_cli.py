@@ -84,7 +84,7 @@ def test_trace_and_save(tmp_path, capsys):
     ("trace", ["trace", "--scale", "-1"]),
     ("trace", ["trace", "--scale", "0"]),
     ("replay", ["replay", "--scale", "0"]),
-    ("replay", ["replay", "--scale", "0", "--stream", "--workers", "2"]),
+    ("replay", ["replay", "--scale", "0", "--workers", "2"]),
     ("replay", ["audit", "replay", "--scale", "-1"]),
 ])
 def test_scale_the_generator_cannot_honour_exits_two(capsys, command, argv):
@@ -346,10 +346,16 @@ def test_service_names_stay_case_insensitive(capsys):
     ["fig6", "--max-x", "0"],
     ["fig7", "--max-x", "0"],
     ["fleet", "--clients", "0"],
+    ["replay", "--workers", "-3"],
+    ["overuse", "--workers", "0"],
+    ["backends", "--files", "0"],
+    ["backends", "--files", "-2"],
+    ["strategies", "--files", "0"],
 ], ids=lambda argv: " ".join(argv))
 def test_degenerate_grid_or_fleet_exits_two(capsys, argv):
-    """Regression: these printed a header-only table or an empty fleet's
-    TUE "—" and exited 0."""
+    """Regression: these printed a header-only table, an empty fleet's
+    TUE "—", a sequential replay or an empty sweep's verdict, and exited
+    0 (``strategies`` exited 1 on its "NO")."""
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -5,10 +5,9 @@ the real entry points are driven, at tiny scale: ``SyncSession.audit``,
 ``audit_hub``, ``Fleet.audit`` (one queue and two event domains),
 ``replay_all(..., audit=True)`` with and without a pool, and
 ``run_backend_cell``.  Every row must be evaluated, and with every input
-it reads — a row a caller never feeds, or feeds only half of (the shard
-merge of ``replay-conservation``), fails here.  Calling a row directly
-does not count: that is how an invariant stays an orphan while its unit
-tests pass.
+it reads — a row a caller never feeds, or feeds only half of, fails
+here.  Calling a row directly does not count: that is how an invariant
+stays an orphan while its unit tests pass.
 """
 
 import dataclasses
@@ -27,7 +26,8 @@ from repro.units import KB
 # the module of the same name.
 audit_module = importlib.import_module("repro.obs.audit")
 
-#: A CROSS_USER dedup profile, so a pooled replay settles phase-2 credits.
+#: A CROSS_USER dedup profile, whose units the whole trace must see: the
+#: pooled replay audits the report its worker priced over the full trace.
 CROSS_USER_SERVICE = "UbuntuOne"
 
 
@@ -83,7 +83,7 @@ def test_every_invariant_runs_with_every_input(evaluated):
     drive_production_paths()
     starved = {}
     for row in audit_module.INVARIANTS:
-        wanted = {name.rstrip("?") for name in row.inputs}
+        wanted = set(row.inputs)
         if evaluated[row.name] != wanted:
             starved[row.name] = sorted(wanted - evaluated[row.name])
     # row -> the inputs no production path gave it

@@ -2,9 +2,8 @@
 record-at-a-time oracle in ``reference_replay.py``.
 
 Equality is on the serialised report — every counter, and the per-user
-dicts' key order — and on the phase-1 dedup candidates the pool's
-CROSS_USER protocol ships and settles, with ``_BLOCK`` patched so block
-edges fall inside a user's run of records.  The kernel's ``int64`` rule
+dicts' key order — with ``_BLOCK`` patched so block edges fall inside a
+user's run of records.  The kernel's ``int64`` rule
 (prove headroom per block or raise, Python ints across blocks) and its
 O(block) memory are held here too.
 """
@@ -12,7 +11,6 @@ O(block) memory are held here too.
 import json
 import tracemalloc
 from dataclasses import asdict, replace
-from functools import partial
 from unittest import mock
 
 import numpy as np
@@ -23,8 +21,6 @@ import repro.trace.replay as replay_module
 from repro.client import SERVICES, AccessMethod, service_profile
 from repro.cloud.dedup import DedupConfig, DedupGranularity, DedupScope
 from repro.trace import Trace, TraceRecord, generate_trace, replay_trace
-from repro.trace.pool import _ShardCandidates
-from repro.trace.replay import _DIGEST_SIZE, _replay_records
 from repro.trace.schema import UNIT_SIZE
 from repro.units import GB, KB, MB
 
@@ -62,48 +58,19 @@ def make_record(user, size, count, created_at=0.0, segments=(),
         segments=np.asarray(segments, dtype=np.int64))
 
 
-def replay_with_candidates(replay, profile, seed):
-    candidates = _ShardCandidates()
-    return replay(profile, seed, candidates), candidates
+def kernel(records, profile, seed):
+    return replay_trace(Trace.from_records(records), profile, seed)
 
 
-def settle_table(candidates):
-    """A winner table in which every other fresh unit was first seen by an
-    earlier record elsewhere, so ``settle`` has credits to compute."""
-    blob, owner_blob = candidates.summary()
-    owners = np.frombuffer(owner_blob, dtype=np.int64).tolist()
-    return {blob[k * _DIGEST_SIZE:(k + 1) * _DIGEST_SIZE]: owner - k % 2
-            for k, owner in enumerate(owners)}
-
-
-def columns(shard):
-    """A list of (global index, record) pairs as the kernel's shard: the
-    records' columnar trace and the index column."""
-    return (Trace.from_records([record for _, record in shard]),
-            np.array([index for index, _ in shard], dtype=np.int64))
-
-
-def kernel(shard, profile, seed, candidates=None):
-    return _replay_records(*columns(shard), profile, seed, candidates)
-
-
-def assert_kernel_equals_oracle(shard, profile, seed):
-    trace, indices = columns(shard)
-    rows = list(zip(indices.tolist(), trace))    # the oracle reads the rows
-    kernel_report, kernel_units = replay_with_candidates(
-        partial(_replay_records, trace, indices), profile, seed)
-    oracle, oracle_units = replay_with_candidates(
-        partial(reference_replay_records, rows), profile, seed)
-    assert canonical(kernel_report) == canonical(oracle)
-    assert canonical(_replay_records(trace, indices, profile, seed)) \
-        == canonical(oracle)
-    assert kernel_units.summary() == oracle_units.summary()
-    winners = settle_table(oracle_units)
-    assert kernel_units.settle(winners) == oracle_units.settle(winners)
+def assert_kernel_equals_oracle(records, profile, seed):
+    trace = Trace.from_records(records)
+    rows = list(trace)      # the oracle reads the trace's rows
+    assert canonical(replay_trace(trace, profile, seed)) \
+        == canonical(reference_replay_records(rows, profile, seed))
 
 
 # ---------------------------------------------------------------------------
-# random shards
+# random traces
 # ---------------------------------------------------------------------------
 
 profiles = st.one_of(
@@ -121,16 +88,15 @@ sizes = st.one_of(
 
 
 @st.composite
-def shards(draw):
-    """(global index, record) pairs: fresh content, exact duplicates and
-    shared-prefix near duplicates, spread over three users."""
-    index = draw(st.sampled_from([0, 7, 2 ** 31 - 2]))
-    shard, next_segment = [], 1
+def traces(draw):
+    """Records of fresh content, exact duplicates and shared-prefix near
+    duplicates, spread over three users."""
+    records, next_segment = [], 1
     for _ in range(draw(st.integers(0, 10))):
         kind = draw(st.sampled_from(["fresh", "exact", "near"])) \
-            if shard else "fresh"
+            if records else "fresh"
         if kind == "exact":
-            source = draw(st.sampled_from(shard))[1]
+            source = draw(st.sampled_from(records))
             size, compressed = source.size, source.compressed_size
             segments = source.segments
         else:
@@ -139,39 +105,37 @@ def shards(draw):
             units = -(-size // UNIT_SIZE)
             kept = []
             if kind == "near":
-                source = draw(st.sampled_from(shard))[1]
+                source = draw(st.sampled_from(records))
                 kept = source.segments[:draw(st.integers(
                     0, min(units, len(source.segments))))]
             fresh = units - len(kept)
             segments = np.concatenate(
                 [kept, np.arange(next_segment, next_segment + fresh)])
             next_segment += fresh
-        shard.append((index, make_record(
+        records.append(make_record(
             draw(st.sampled_from(["u0", "u1", "u2"])), size,
             draw(st.integers(0, 40)), float(draw(st.integers(0, 20))),
-            segments, compressed)))
-        index += draw(st.integers(1, 3))
-    return shard
+            segments, compressed))
+    return records
 
 
 NO_MODIFICATION = [
-    (0, make_record("u0", 5 * MB, 0, 0.0, [1, 2])),
-    (1, make_record("u1", 5 * MB, 0, 1.0, [1, 2])),        # exact duplicate
-    (2, make_record("u0", 64, 0, 2.0, [3])),
+    make_record("u0", 5 * MB, 0, 0.0, [1, 2]),
+    make_record("u1", 5 * MB, 0, 1.0, [1, 2]),        # exact duplicate
+    make_record("u0", 64, 0, 2.0, [3]),
 ]
 EVERY_RECORD_MODIFIED = [
-    (10, make_record("u0", 0, 1, 0.0, [])),
-    (11, make_record("u1", 1, 40, 0.0, [1])),
-    (12, make_record("u0", UNIT_SIZE + 1, 3, 1.0, [2, 3])),
-    (13, make_record("u1", 4 * MB - 1, 7, 2.0, list(range(4, 36)),
-                     compressed=MB)),
+    make_record("u0", 0, 1, 0.0, []),
+    make_record("u1", 1, 40, 0.0, [1]),
+    make_record("u0", UNIT_SIZE + 1, 3, 1.0, [2, 3]),
+    make_record("u1", 4 * MB - 1, 7, 2.0, list(range(4, 36)), compressed=MB),
 ]
 #: Creation order u0, u1; first-modified order u1, u0.
 MODIFIED_OUT_OF_ORDER = [
-    (0, make_record("u0", 3 * MB, 0, 0.0, [1])),
-    (1, make_record("u1", 2 * MB, 2, 1.0, [2])),
-    (2, make_record("u0", 1 * MB, 1, 2.0, [3])),
-    (3, make_record("u1", 1 * MB, 1, 3.0, [4])),
+    make_record("u0", 3 * MB, 0, 0.0, [1]),
+    make_record("u1", 2 * MB, 2, 1.0, [2]),
+    make_record("u0", 1 * MB, 1, 2.0, [3]),
+    make_record("u1", 1 * MB, 1, 3.0, [4]),
 ]
 
 
@@ -182,73 +146,73 @@ def with_dedup(profile, granularity, block_size=4 * MB, cross_user=False):
 
 #: Units that recur inside one record, at one and at two segments a unit.
 REPEATS_A_UNIT_INSIDE_ITSELF = [
-    (0, make_record("u0", 4 * UNIT_SIZE, 0, 0.0, [1, 2, 1, 2])),
-    (1, make_record("u0", 3 * UNIT_SIZE, 0, 1.0, [1, 1, 1])),
+    make_record("u0", 4 * UNIT_SIZE, 0, 0.0, [1, 2, 1, 2]),
+    make_record("u0", 3 * UNIT_SIZE, 0, 1.0, [1, 1, 1]),
 ]
 #: More segments than the size covers: zero-length units, fresh or not.
 ZERO_LENGTH_UNITS = [
-    (0, make_record("u0", UNIT_SIZE + 1, 0, 0.0, range(1, 9))),
-    (1, make_record("u1", 0, 0, 0.0, [7, 8, 9])),
-    (2, make_record("u1", 5, 1, 1.0, [9, 1, 10])),
+    make_record("u0", UNIT_SIZE + 1, 0, 0.0, range(1, 9)),
+    make_record("u1", 0, 0, 0.0, [7, 8, 9]),
+    make_record("u1", 5, 1, 1.0, [9, 1, 10]),
 ]
 TOP = 2 ** 63 - 1
 #: Ids at both ends of int64, duplicated across users.
 EXTREME_IDS = [
-    (0, make_record("u0", 3 * UNIT_SIZE, 0, 0.0, [TOP, TOP - 1, -TOP - 1])),
-    (1, make_record("u1", 2 * UNIT_SIZE, 0, 1.0, [TOP, -TOP - 1])),
-    (2, make_record("u2", UNIT_SIZE, 0, 2.0, [TOP - 1])),
+    make_record("u0", 3 * UNIT_SIZE, 0, 0.0, [TOP, TOP - 1, -TOP - 1]),
+    make_record("u1", 2 * UNIT_SIZE, 0, 1.0, [TOP, -TOP - 1]),
+    make_record("u2", UNIT_SIZE, 0, 2.0, [TOP - 1]),
 ]
 #: Ids are values: the trace casts int32 ids to int64 when it is built, so
 #: int32 [5, 0, 6, 7] dedups with int64 [5, 0, 6, 7], and at two segments a
 #: unit its [5, 0] is no longer int64 [5], whose bytes it had.
 INT32_NEXT_TO_INT64 = [
-    (0, replace(make_record("u0", 4 * UNIT_SIZE, 0, 0.0),
-                segments=np.array([5, 0, 6, 7], dtype=np.int32))),
-    (1, make_record("u1", 4 * UNIT_SIZE, 0, 0.0, [5, 0, 6, 7])),
-    (2, make_record("u2", UNIT_SIZE, 0, 1.0, [5])),
+    replace(make_record("u0", 4 * UNIT_SIZE, 0, 0.0),
+            segments=np.array([5, 0, 6, 7], dtype=np.int32)),
+    make_record("u1", 4 * UNIT_SIZE, 0, 0.0, [5, 0, 6, 7]),
+    make_record("u2", UNIT_SIZE, 0, 1.0, [5]),
 ]
 
 
 @pytest.mark.parametrize("block", BLOCKS)
-@given(shard=shards(), profile=profiles,
+@given(records=traces(), profile=profiles,
        seed=st.integers(-2 ** 31, 2 ** 40))
-@example(shard=[], profile=DROPBOX, seed=0)
-@example(shard=NO_MODIFICATION, profile=UBUNTUONE, seed=1)
-@example(shard=EVERY_RECORD_MODIFIED, profile=DROPBOX, seed=2)
-@example(shard=MODIFIED_OUT_OF_ORDER, profile=GOOGLEDRIVE, seed=3)
-@example(shard=MODIFIED_OUT_OF_ORDER, profile=DROPBOX, seed=3)
-@example(shard=REPEATS_A_UNIT_INSIDE_ITSELF, seed=4, profile=with_dedup(
+@example(records=[], profile=DROPBOX, seed=0)
+@example(records=NO_MODIFICATION, profile=UBUNTUONE, seed=1)
+@example(records=EVERY_RECORD_MODIFIED, profile=DROPBOX, seed=2)
+@example(records=MODIFIED_OUT_OF_ORDER, profile=GOOGLEDRIVE, seed=3)
+@example(records=MODIFIED_OUT_OF_ORDER, profile=DROPBOX, seed=3)
+@example(records=REPEATS_A_UNIT_INSIDE_ITSELF, seed=4, profile=with_dedup(
     DROPBOX, DedupGranularity.BLOCK, UNIT_SIZE))
-@example(shard=REPEATS_A_UNIT_INSIDE_ITSELF, seed=4, profile=with_dedup(
+@example(records=REPEATS_A_UNIT_INSIDE_ITSELF, seed=4, profile=with_dedup(
     UBUNTUONE, DedupGranularity.BLOCK, 2 * UNIT_SIZE, cross_user=True))
-@example(shard=ZERO_LENGTH_UNITS, seed=5, profile=with_dedup(
+@example(records=ZERO_LENGTH_UNITS, seed=5, profile=with_dedup(
     UBUNTUONE, DedupGranularity.BLOCK, UNIT_SIZE, cross_user=True))
-@example(shard=ZERO_LENGTH_UNITS, seed=5, profile=with_dedup(
+@example(records=ZERO_LENGTH_UNITS, seed=5, profile=with_dedup(
     DROPBOX, DedupGranularity.BLOCK, 2 * UNIT_SIZE))
-@example(shard=EXTREME_IDS, seed=6, profile=with_dedup(
+@example(records=EXTREME_IDS, seed=6, profile=with_dedup(
     UBUNTUONE, DedupGranularity.BLOCK, UNIT_SIZE, cross_user=True))
-@example(shard=EXTREME_IDS, seed=6, profile=with_dedup(
+@example(records=EXTREME_IDS, seed=6, profile=with_dedup(
     UBUNTUONE, DedupGranularity.FULL_FILE, cross_user=True))
-@example(shard=INT32_NEXT_TO_INT64, seed=7, profile=with_dedup(
+@example(records=INT32_NEXT_TO_INT64, seed=7, profile=with_dedup(
     UBUNTUONE, DedupGranularity.BLOCK, UNIT_SIZE, cross_user=True))
-@example(shard=INT32_NEXT_TO_INT64, seed=7, profile=with_dedup(
+@example(records=INT32_NEXT_TO_INT64, seed=7, profile=with_dedup(
     UBUNTUONE, DedupGranularity.BLOCK, 2 * UNIT_SIZE, cross_user=True))
 @settings(max_examples=75, deadline=None)
-def test_kernel_equals_scalar_oracle(block, shard, profile, seed):
+def test_kernel_equals_scalar_oracle(block, records, profile, seed):
     with mock.patch.object(replay_module, "_BLOCK", block):
-        assert_kernel_equals_oracle(shard, profile, seed)
+        assert_kernel_equals_oracle(records, profile, seed)
 
 
 def test_int32_ids_dedup_by_value():
     profile = with_dedup(UBUNTUONE, DedupGranularity.BLOCK, 2 * UNIT_SIZE,
                          cross_user=True)
     report = kernel(INT32_NEXT_TO_INT64, profile, 7)
-    as_int64 = [(0, make_record("u0", 4 * UNIT_SIZE, 0, 0.0, [5, 0, 6, 7])),
+    as_int64 = [make_record("u0", 4 * UNIT_SIZE, 0, 0.0, [5, 0, 6, 7]),
                 *INT32_NEXT_TO_INT64[1:]]
     assert canonical(report) == canonical(kernel(as_int64, profile, 7))
     # u1 ships none of its units, u2 ships its [5] in full.
-    alone = [kernel([pair], profile, 7).per_user_traffic
-             for pair in INT32_NEXT_TO_INT64]
+    alone = [kernel([record], profile, 7).per_user_traffic
+             for record in INT32_NEXT_TO_INT64]
     assert alone[1]["u1"] - report.per_user_traffic["u1"] \
         == report.saved_by_dedup > 0
     assert report.per_user_traffic["u2"] == alone[2]["u2"]
@@ -263,14 +227,14 @@ def test_out_of_order_example_orders_the_dicts_differently():
 
 
 @pytest.fixture(scope="module")
-def generated_shard():
-    return list(enumerate(generate_trace(scale=0.01, seed=5)))
+def generated_records():
+    return list(generate_trace(scale=0.01, seed=5))
 
 
 @pytest.mark.parametrize("profile", STOCK, ids=lambda profile: profile.name)
-def test_every_stock_profile_on_a_generated_trace(profile, generated_shard):
+def test_every_stock_profile_on_a_generated_trace(profile, generated_records):
     with mock.patch.object(replay_module, "_BLOCK", 7):
-        assert_kernel_equals_oracle(generated_shard, profile, 5)
+        assert_kernel_equals_oracle(generated_records, profile, 5)
 
 
 @pytest.mark.parametrize("records", [[], [make_record("u0", MB, 2, 0.0, [1])]],
@@ -292,50 +256,53 @@ def test_block_size_the_trace_cannot_express_is_refused_up_front(records):
 def test_block_without_int64_headroom_raises_naming_the_record():
     """Bisect for the largest size one modified record's block admits: the
     kernel is exact right up to that edge and refuses one byte past it,
-    naming the record's global index — never a silent wrap."""
-    index = 7_000_000_001
-
-    def shard(size):
-        return [(index, make_record("u0", size, 3, 0.0, [1]))]
+    naming the record by its position — never a silent wrap."""
+    def records(size):
+        return [make_record("u0", size, 3, 0.0, [1])]
 
     accepted, refused = 1, 1 << 63
     while refused - accepted > 1:
         middle = (accepted + refused) // 2
         try:
-            kernel(shard(middle), DROPBOX, 0)
+            kernel(records(middle), DROPBOX, 0)
             accepted = middle
         except OverflowError:
             refused = middle
     assert accepted > 1 << 58
-    report = kernel(shard(accepted), DROPBOX, 0)
+    report = kernel(records(accepted), DROPBOX, 0)
     assert report.traffic_bytes > 1 << 59
     assert canonical(report) \
-        == canonical(reference_replay_records(shard(accepted), DROPBOX, 0))
-    with pytest.raises(OverflowError, match=f"^record {index}:"):
-        kernel(shard(refused), DROPBOX, 0)
+        == canonical(reference_replay_records(records(accepted), DROPBOX, 0))
+    with pytest.raises(OverflowError, match="^record 0:"):
+        kernel(records(refused), DROPBOX, 0)
 
 
 def test_overflow_names_the_record_that_needs_the_headroom():
-    shard = [(5, make_record("u0", MB, 2)),
-             (9, make_record("u1", 1 << 61, 0)),
-             (12, make_record("u0", MB, 40))]
-    with pytest.raises(OverflowError, match="^record 9:"):
-        kernel(shard, GOOGLEDRIVE, 0)
+    records = [make_record("u0", MB, 2),
+               make_record("u1", 1 << 61, 0),
+               make_record("u0", MB, 40)]
+    with pytest.raises(OverflowError, match="^record 1:"):
+        kernel(records, GOOGLEDRIVE, 0)
+    # In a later block the record is still named by its trace position.
+    with mock.patch.object(replay_module, "_BLOCK", 2):
+        with pytest.raises(OverflowError, match="^record 3:"):
+            kernel([make_record("u0", MB, 2)] * 3 + records[1:2],
+                   GOOGLEDRIVE, 0)
 
 
 def test_totals_that_span_blocks_are_python_ints():
     """Every one-record block fits ``int64``; the trace-wide counters and
     the per-user totals do not, and must not wrap."""
-    shard = [(k, make_record("u0", 1 << 60, 0, float(k), [k + 1]))
-             for k in range(16)]
+    records = [make_record("u0", 1 << 60, 0, float(k), [k + 1])
+               for k in range(16)]
     with pytest.raises(OverflowError):      # one 16-record block: refused
-        kernel(shard, GOOGLEDRIVE, 0)
+        kernel(records, GOOGLEDRIVE, 0)
     with mock.patch.object(replay_module, "_BLOCK", 1):
-        report = kernel(shard, GOOGLEDRIVE, 0)
+        report = kernel(records, GOOGLEDRIVE, 0)
     assert report.data_update_bytes == 16 << 60 > 1 << 63
     assert report.per_user_traffic["u0"] == report.traffic_bytes > 1 << 63
     assert canonical(report) \
-        == canonical(reference_replay_records(shard, GOOGLEDRIVE, 0))
+        == canonical(reference_replay_records(records, GOOGLEDRIVE, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -361,14 +328,14 @@ def _traced_peak(run) -> int:
 @pytest.mark.parametrize("profile", [DROPBOX, UBUNTUONE, GOOGLEDRIVE],
                          ids=lambda profile: profile.name)
 def test_kernel_memory_stays_within_the_oracles(profile, memory_trace):
-    """The kernel replays the trace's columns, the loop its (index, record)
-    list, built before the measurement as the columns were: both peaks are
+    """The kernel replays the trace's columns, the loop its record list,
+    built before the measurement as the columns were: both peaks are
     replay working sets.  The kernel may add one block's columns to what
     the loop held, not a column per record (an unblocked kernel adds
     2.8–4.5 MB here)."""
-    pairs = list(enumerate(memory_trace))
+    rows = list(memory_trace)
     kernel_peak = _traced_peak(lambda: replay_trace(memory_trace, profile, 0))
     oracle_peak = _traced_peak(
-        lambda: reference_replay_records(pairs, profile, 0))
+        lambda: reference_replay_records(rows, profile, 0))
     assert kernel_peak <= 1.3 * oracle_peak
     assert kernel_peak - oracle_peak <= 1024 * replay_module._BLOCK

@@ -1,6 +1,6 @@
-"""Parallel sharded replay: byte-identity with the sequential estimator,
-exact merge semantics, the two-phase CROSS_USER dedup protocol, and the
-streaming shard generator."""
+"""Parallel replay over profiles: byte-identity with the sequential
+estimator at any worker count, results in input order, a dead worker as
+a structured error, and the streaming shard generator."""
 
 import json
 import multiprocessing
@@ -13,14 +13,12 @@ from repro.client import AccessMethod, SERVICES, service_profile
 from repro.cloud.dedup import DedupConfig, DedupGranularity, DedupScope
 from repro.trace import (
     ReplayPool,
-    ReplayReport,
     Trace,
     TraceRecord,
     generate_trace,
     iter_trace_shards,
     replay_trace,
 )
-from repro.trace.pool import _shard_by_user
 from repro.trace.schema import UNIT_SIZE
 from repro.units import KB
 
@@ -43,7 +41,7 @@ def canonical(report):
 
 
 # ---------------------------------------------------------------------------
-# byte-identity property: every profile × both scopes × worker counts
+# byte-identity property: every service × worker counts
 # ---------------------------------------------------------------------------
 
 @pytest.mark.parametrize("service", SERVICES)
@@ -73,7 +71,7 @@ def test_parallel_empty_trace():
 @pytest.mark.parametrize("users", [0, 2])
 def test_pool_refuses_a_block_size_the_trace_cannot_express(users):
     """The pool raises the sequential path's error: in-process for an
-    empty trace, from every worker (wrapped) for a trace with records."""
+    empty trace, from the worker (wrapped) for a trace with records."""
     profile = replace(service_profile("Dropbox", AccessMethod.PC),
                       dedup=DedupConfig.block(100 * KB))
     trace = Trace.from_records([
@@ -92,7 +90,7 @@ def test_parallel_rejects_bad_worker_count(trace):
 
 
 def test_more_workers_than_users():
-    """A tiny trace with a single user still replays at high worker counts."""
+    """A tiny trace with few users still replays at high worker counts."""
     trace = generate_trace(scale=0.001, seed=3)
     profile = service_profile("UbuntuOne", AccessMethod.PC)
     sequential = replay_trace(trace, profile, seed=0)
@@ -101,7 +99,7 @@ def test_more_workers_than_users():
 
 
 # ---------------------------------------------------------------------------
-# adversarial CROSS_USER two-phase protocol
+# adversarial CROSS_USER traces
 # ---------------------------------------------------------------------------
 
 def _record(user, index, segments, size, created_at):
@@ -116,9 +114,9 @@ def _record(user, index, segments, size, created_at):
 def _cross_user_duplicate_trace():
     """Duplicates interleaved so first occurrences alternate across users:
 
-    every user shares content A and B with every other user, ordered so a
-    per-user shard always sees some units first that another shard saw
-    earlier — the worst case for first-occurrence resolution.
+    every user shares content A and B with every other user, ordered so
+    each user ships some units first and dedups others another user
+    shipped earlier — first occurrence is a trace-wide fact.
     """
     size = 3 * UNIT_SIZE + 5 * KB     # 3 full units + a short tail block
     a = [1, 2, 3, 4]
@@ -165,70 +163,6 @@ def test_same_user_scope_sees_no_cross_user_savings():
     for profile, sequential in ((cross, cross_report), (same, same_report)):
         parallel = replay_trace_parallel(trace, profile, workers=4, seed=0)
         assert canonical(parallel) == canonical(sequential)
-
-
-# ---------------------------------------------------------------------------
-# ReplayReport.merge
-# ---------------------------------------------------------------------------
-
-def test_merge_adds_counters_and_dicts():
-    a = ReplayReport(service="X", access="pc", file_count=2,
-                     traffic_bytes=100, data_update_bytes=50,
-                     per_user_traffic={"u0": 60, "u1": 40},
-                     per_user_modification_traffic={"u0": 10})
-    b = ReplayReport(service="X", access="pc", file_count=3,
-                     traffic_bytes=30, data_update_bytes=20,
-                     per_user_traffic={"u1": 20, "u2": 10},
-                     per_user_modification_traffic={"u2": 5})
-    merged = ReplayReport.merge([a, b])
-    assert merged.file_count == 5
-    assert merged.traffic_bytes == 130
-    assert merged.data_update_bytes == 70
-    assert merged.per_user_traffic == {"u0": 60, "u1": 60, "u2": 10}
-    assert merged.per_user_modification_traffic == {"u0": 10, "u2": 5}
-
-
-def test_merge_rejects_empty_and_mixed_profiles():
-    with pytest.raises(ValueError):
-        ReplayReport.merge([])
-    with pytest.raises(ValueError):
-        ReplayReport.merge([ReplayReport(service="X", access="pc"),
-                            ReplayReport(service="Y", access="pc")])
-
-
-def test_merge_of_user_shards_equals_whole(trace):
-    """For a user-disjoint partition without cross-shard dedup coupling,
-    merging shard reports reproduces the whole-trace report exactly."""
-    profile = service_profile("GoogleDrive", AccessMethod.PC)  # no dedup
-    shards = _shard_by_user(trace, 4)
-    assert len(shards) == 4
-    from repro.trace.replay import _replay_records
-    parts = [_replay_records(*shard, profile, seed=7) for shard in shards]
-    merged = ReplayReport.merge(parts)
-    whole = replay_trace(trace, profile, seed=7)
-    assert merged.traffic_bytes == whole.traffic_bytes
-    assert merged.data_update_bytes == whole.data_update_bytes
-    assert merged.per_user_traffic == whole.per_user_traffic
-
-
-def test_shard_by_user_is_a_partition(trace):
-    shards = _shard_by_user(trace, 5)
-    users_per_shard = [set(record.user for record in part)
-                       for part, _ in shards]
-    for i, left in enumerate(users_per_shard):
-        for right in users_per_shard[i + 1:]:
-            assert not (left & right)
-    total = sum(len(part) for part, _ in shards)
-    assert total == len(trace)
-    indices = sorted(index for _, ids in shards for index in ids.tolist())
-    assert indices == list(range(len(trace)))
-    # Each shard is gathered once: its rows are the trace's at its indices.
-    rows = list(trace)
-    for part, ids in shards:
-        assert [record.path for record in part] \
-            == [rows[index].path for index in ids.tolist()]
-        assert all(np.array_equal(record.segments, rows[index].segments)
-                   for record, index in zip(part, ids.tolist()))
 
 
 # ---------------------------------------------------------------------------
@@ -296,27 +230,44 @@ def test_sharded_generation_feeds_parallel_replay():
 
 
 # ---------------------------------------------------------------------------
-# persistent ReplayPool: reuse, reentrancy, streaming construction
+# persistent ReplayPool: reuse, input order, reentrancy
 # ---------------------------------------------------------------------------
 
 def test_replay_pool_is_reused_across_profiles(trace):
     """One fork, many profiles — the replay_all shape.  Every profile's
-    result through the shared pool must match its own sequential run."""
-    from repro.trace import ReplayPool
+    result through the shared pool must match its own sequential run, one
+    call at a time and all 18 stock profiles at once: ``replay_many``
+    answers in input order, whichever worker finishes first."""
     with ReplayPool(trace, workers=4) as pool:
-        assert pool.record_count == len(trace)
         for service in SERVICES:
             profile = service_profile(service, AccessMethod.PC)
             assert canonical(pool.replay(profile, seed=7)) \
                 == canonical(replay_trace(trace, profile, seed=7))
+        stock = [service_profile(service, access)
+                 for access in AccessMethod for service in SERVICES]
+        for order in (stock, stock[::-1]):
+            assert [canonical(report)
+                    for report in pool.replay_many(order, seed=7)] \
+                == [canonical(replay_trace(trace, profile, seed=7))
+                    for profile in order]
 
 
 def test_replay_all_pool_reuse_matches_sequential(trace):
+    """replay_all at every worker count is the sorted sequential replay of
+    all 18 stock profiles, byte for byte."""
     from repro.trace import replay_all
-    parallel = replay_all(trace, seed=7, workers=4)
-    sequential = replay_all(trace, seed=7, workers=1)
-    assert [canonical(r) for r in parallel] \
-        == [canonical(r) for r in sequential]
+    for access in AccessMethod:
+        sequential = sorted(
+            (replay_trace(trace, service_profile(service, access), seed=7)
+             for service in SERVICES),
+            key=lambda report: report.traffic_bytes)
+        for workers in (1, 2, 4, 8):
+            parallel = replay_all(trace, access=access, seed=7,
+                                  workers=workers)
+            assert [canonical(r) for r in parallel] \
+                == [canonical(r) for r in sequential]
+            assert [repr(r) for r in parallel] \
+                == [repr(r) for r in sequential]
 
 
 def test_replay_all_accepts_external_pool(trace):
@@ -378,62 +329,6 @@ def test_parallel_replay_is_reentrant_across_threads(trace):
         assert result == expected[name]
 
 
-def test_from_records_streams_byte_identical(trace):
-    """ReplayPool.from_records over a record stream equals replay of the
-    materialised trace: the parent never needs the full record list."""
-    from repro.trace import ReplayPool
-    for workers in (1, 3):
-        with ReplayPool.from_records(iter(trace),
-                                     workers=workers) as pool:
-            assert pool.record_count == len(trace)
-            for service in ("UbuntuOne", "GoogleDrive"):
-                profile = service_profile(service, AccessMethod.PC)
-                assert canonical(pool.replay(profile, seed=7)) \
-                    == canonical(replay_trace(trace, profile, seed=7))
-
-
-@pytest.mark.parametrize("workers", [1, 2])
-def test_from_records_refuses_a_malformed_record_by_its_stream_index(workers):
-    """The feed batches are columnar traces, so they pass the trace's
-    check: a malformed record is named by its index in the stream, not in
-    its batch, and the pool is closed."""
-    records = [_record(f"u{k % 2}", k, [k + 1], UNIT_SIZE, float(k))
-               for k in range(6)]
-    records[3] = replace(records[3], modify_count=-1)
-    before = set(multiprocessing.active_children())
-    with pytest.raises(ValueError, match=r"^trace record 3 \('u1/f0003.bin'"
-                       r"\): modify_count must be non-negative"):
-        ReplayPool.from_records(iter(records), workers=workers)
-    assert set(multiprocessing.active_children()) <= before
-
-
-def test_from_records_generator_stream_parity():
-    """End-to-end streaming: iter_trace_records feeds the pool directly
-    and matches the materialised generate_trace replay byte for byte."""
-    from repro.trace import ReplayPool, iter_trace_records
-    whole = generate_trace(scale=0.01, seed=11)
-    profile = service_profile("UbuntuOne", AccessMethod.PC)
-    with ReplayPool.from_records(iter_trace_records(scale=0.01, seed=11),
-                                 workers=4) as pool:
-        assert canonical(pool.replay(profile, seed=2)) \
-            == canonical(replay_trace(whole, profile, seed=2))
-
-
-def test_from_shards_matches_assembled_order():
-    """A shard stream (iter_trace_shards) flattened into from_records: the
-    replay's sequential reference is the concatenated shard ordering."""
-    assembled = Trace.concat(list(iter_trace_shards(
-        scale=0.01, seed=11, shard_users=3)))
-    profile = service_profile("UbuntuOne", AccessMethod.PC)
-    flattened = (record
-                 for shard in iter_trace_shards(scale=0.01, seed=11,
-                                                shard_users=3)
-                 for record in shard)
-    with ReplayPool.from_records(flattened, workers=4) as pool:
-        assert canonical(pool.replay(profile, seed=2)) \
-            == canonical(replay_trace(assembled, profile, seed=2))
-
-
 # ---------------------------------------------------------------------------
 # integer-exact dedup accounting (the >2**53 regression)
 # ---------------------------------------------------------------------------
@@ -470,7 +365,6 @@ def test_dedup_accounting_is_integer_exact_above_2_53():
     assert int(wire * shipped / total_len) != wire * shipped // total_len
     sequential = replay_trace(trace, profile, seed=0)
     assert sequential.saved_by_dedup == expected_saved
-    # Phase 2 settles u1's lost block with the same integer expression.
     for workers in (1, 2):
         parallel = replay_trace_parallel(trace, profile, workers=workers,
                                          seed=0)
@@ -479,8 +373,8 @@ def test_dedup_accounting_is_integer_exact_above_2_53():
 
 def test_zero_size_records_under_cross_user_dedup_parallel():
     """Size-0 records have no dedup units (total_len == 0): the explicit
-    empty-units branch ships the wire unchanged, emits no candidates, and
-    the parallel protocol agrees at every worker count."""
+    empty-units branch ships the wire unchanged, and the pool agrees at
+    every worker count."""
     base = service_profile("UbuntuOne", AccessMethod.PC)
     for granularity in (DedupGranularity.FULL_FILE, DedupGranularity.BLOCK):
         profile = replace(base, dedup=DedupConfig(
@@ -503,35 +397,12 @@ def test_zero_size_records_under_cross_user_dedup_parallel():
 
 
 # ---------------------------------------------------------------------------
-# shard assignment determinism
+# every CROSS_USER profile on duplicates that stay within a user
 # ---------------------------------------------------------------------------
 
-def test_shard_by_user_ties_by_first_appearance():
-    """Equal-count users must be placed in first-appearance order (the
-    documented tie-break), so shard contents are a pure function of the
-    trace and the shard count."""
-    records = []
-    index = 0
-    for user in ("alice", "bob", "carol"):
-        for _ in range(2):
-            records.append(_record(user, index, [index], UNIT_SIZE,
-                                   created_at=float(index)))
-            index += 1
-    shards = _shard_by_user(Trace.from_records(records), 2)
-    # Greedy heaviest-first with a stable sort: alice -> shard 0,
-    # bob -> shard 1, carol ties at load 2/2 -> lowest index, shard 0.
-    assert [sorted({r.user for r in part}) for part, _ in shards] \
-        == [["alice", "carol"], ["bob"]]
-
-
-# ---------------------------------------------------------------------------
-# phase-2 short-circuit and the winner table on the settle message
-# ---------------------------------------------------------------------------
-
-def _single_shard_unit_trace():
-    """Plenty of dedup, zero contention: every duplicate is within one
-    user, so no unit has candidates in more than one shard and phase 2
-    must short-circuit entirely."""
+def _within_user_duplicate_trace():
+    """Plenty of dedup, none of it across users: every duplicate is one
+    user's own earlier file."""
     records = []
     index = 0
     for user in ("u0", "u1", "u2"):
@@ -543,9 +414,9 @@ def _single_shard_unit_trace():
     return Trace.from_records(records)
 
 
-def test_phase2_short_circuit_parity_across_cross_user_profiles():
+def test_within_user_duplicates_parity_across_cross_user_profiles():
     from repro.client import all_profiles
-    trace = _single_shard_unit_trace()
+    trace = _within_user_duplicate_trace()
     cross_profiles = [
         profile
         for access in (AccessMethod.PC, AccessMethod.MOBILE)
@@ -561,59 +432,6 @@ def test_phase2_short_circuit_parity_across_cross_user_profiles():
                                              workers=workers, seed=0)
             assert canonical(parallel) == canonical(sequential), \
                 (profile.name, workers)
-
-
-def test_contested_winners_skips_single_shard_units():
-    from repro.trace.pool import _contested_winners
-    from repro.trace.replay import _unit_digest
-    from array import array
-    d = [_unit_digest(bytes([n]) * 4) for n in range(4)]
-
-    def summary(pairs):
-        return (b"".join(digest for digest, _ in pairs),
-                array("q", [idx for _, idx in pairs]).tobytes())
-
-    # Disjoint digests across shards: nothing contested, nobody settles.
-    winners, losers = _contested_winners(
-        [summary([(d[0], 0)]), summary([(d[1], 5)]), None])
-    assert winners == {} and losers == []
-    # d[2] contested across shards 0 and 2: smallest index wins, only the
-    # losing shard is listed.
-    winners, losers = _contested_winners(
-        [summary([(d[2], 3), (d[0], 0)]), None, summary([(d[2], 9)])])
-    assert winners == {d[2]: 3}
-    assert losers == [2]
-
-
-def test_winner_table_round_trips_on_the_settle_message():
-    """The contested-winner table rides ``("settle", digests, indices)``
-    through the worker pipe (which pickles): empty, one entry, and the
-    full-trace 4-worker size."""
-    import pickle
-    from repro.trace.pool import _pack_winner_table, _unpack_winner_table
-    from repro.trace.replay import _unit_digest
-    for entries in (0, 1, 30_219):
-        winners = {_unit_digest(n.to_bytes(8, "little")): n * 17
-                   for n in range(entries)}
-        message = pickle.loads(pickle.dumps(
-            ("settle", *_pack_winner_table(winners))))
-        assert message[0] == "settle"
-        assert _unpack_winner_table(*message[1:]) == winners
-
-
-def test_settle_credits_conserve_bytes_under_audit():
-    """replay_audited proves the two-phase settlement conserves bytes:
-    traffic lost == dedup saving gained, user by user."""
-    from repro.trace import ReplayPool
-    trace = _cross_user_duplicate_trace()
-    base = service_profile("UbuntuOne", AccessMethod.PC)
-    profile = replace(base, dedup=DedupConfig(
-        granularity=DedupGranularity.BLOCK, scope=DedupScope.CROSS_USER,
-        block_size=2 * UNIT_SIZE))
-    with ReplayPool(trace, workers=4) as pool:
-        report = pool.replay_audited(profile, seed=0)
-    assert canonical(report) == canonical(replay_trace(trace, profile,
-                                                       seed=0))
 
 
 # ---------------------------------------------------------------------------
@@ -649,9 +467,9 @@ needs_fork = pytest.mark.skipif(
     reason="worker processes need the fork start method")
 
 
-def _assert_pool_died_naming_shard_one(pool, children, error):
+def _assert_pool_died_naming(position, pool, children, error):
     message = str(error.value)
-    assert "shard 1" in message and f"pid {children[1].pid}" in message
+    assert f"worker {position} (pid {children[position].pid})" in message
     assert "signal 9" in message
     assert pool.worker_count == 0
     assert not set(children) & set(multiprocessing.active_children())
@@ -660,8 +478,28 @@ def _assert_pool_died_naming_shard_one(pool, children, error):
         pool.replay(service_profile("Dropbox", AccessMethod.PC))
 
 
+def _slow_trace():
+    """One record with millions of modifications — seconds of draws per
+    profile — so a kill lands while the parent is blocked on a reply."""
+    return Trace.from_records([
+        _record("small", 0, [1], UNIT_SIZE, created_at=0.0),
+        replace(_record("large", 1, [2], UNIT_SIZE, created_at=1.0),
+                modify_count=5_000_000)])
+
+
+def _kill_later(process):
+    import os
+    import signal
+    import threading
+    killer = threading.Timer(0.2, os.kill, (process.pid, signal.SIGKILL))
+    killer.start()
+    return killer
+
+
 @needs_fork
 def test_worker_killed_between_calls_is_a_structured_error(trace):
+    """Worker 1 dies while idle: the next call, whose one job goes to
+    worker 0, still finds it."""
     import os
     import signal
     profile = service_profile("UbuntuOne", AccessMethod.PC)
@@ -673,28 +511,36 @@ def test_worker_killed_between_calls_is_a_structured_error(trace):
     children[1].join(timeout=10)
     with pytest.raises(RuntimeError) as error:
         pool.replay(profile, seed=7)
-    _assert_pool_died_naming_shard_one(pool, children, error)
+    _assert_pool_died_naming(1, pool, children, error)
 
 
 @needs_fork
 def test_worker_killed_mid_replay_is_a_structured_error():
-    """Shard 1 is one record with millions of modifications — seconds of
-    draws — so the kill lands while the parent is blocked on its reply."""
-    import os
-    import signal
-    import threading
-    records = [_record("small", 0, [1], UNIT_SIZE, created_at=0.0),
-               replace(_record("large", 1, [2], UNIT_SIZE, created_at=1.0),
-                       modify_count=5_000_000)]
-    pool = ReplayPool(Trace.from_records(records), workers=2)
+    """The worker running the call's one profile is killed mid-replay."""
+    pool = ReplayPool(_slow_trace(), workers=2)
     children = list(pool._processes)
     assert len(children) == 2
-    killer = threading.Timer(0.2, os.kill,
-                             (children[1].pid, signal.SIGKILL))
-    killer.start()
+    killer = _kill_later(children[0])
     try:
         with pytest.raises(RuntimeError) as error:
             pool.replay(service_profile("Dropbox", AccessMethod.PC))
     finally:
         killer.join(timeout=10)
-    _assert_pool_died_naming_shard_one(pool, children, error)
+    _assert_pool_died_naming(0, pool, children, error)
+
+
+@needs_fork
+def test_worker_killed_with_two_profiles_in_flight_is_a_structured_error():
+    """Both workers busy, one profile each (Dropbox's IDS draws are the
+    slow ones), when worker 1 is killed: the call raises naming it, and
+    the survivor is reaped with the pool."""
+    pool = ReplayPool(_slow_trace(), workers=2)
+    children = list(pool._processes)
+    killer = _kill_later(children[1])
+    try:
+        with pytest.raises(RuntimeError) as error:
+            pool.replay_many([service_profile("Dropbox", AccessMethod.PC)]
+                             * 2)
+    finally:
+        killer.join(timeout=10)
+    _assert_pool_died_naming(1, pool, children, error)
