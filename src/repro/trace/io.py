@@ -18,7 +18,7 @@ from typing import Union
 
 import numpy as np
 
-from .schema import Trace, TraceRecord
+from .schema import MalformedRecord, Trace, TraceRecord
 
 _FIELDS = [
     "user", "service", "path", "size", "compressed_size",
@@ -36,10 +36,19 @@ def _encode_segments(segments: np.ndarray) -> str:
 
 
 def _decode_segments(text: str) -> np.ndarray:
+    runs = [run.split(":") for run in text.split(";") if run]
+    if any(len(run) != 2 or int(run[1]) <= 0 for run in runs):
+        raise ValueError(f"{text!r} is not start:length runs of positive "
+                         f"length")
     return np.concatenate([np.empty(0, dtype=np.int64)] + [
         np.arange(int(start), int(start) + int(length), dtype=np.int64)
-        for start, length in (run.split(":") for run in text.split(";")
-                              if run)])
+        for start, length in runs])
+
+
+#: How each column's text parses; the rest are text.
+_PARSERS = {"size": int, "compressed_size": int, "created_at": float,
+            "modified_at": float, "modify_count": int, "content_id": int,
+            "segments": _decode_segments}
 
 
 def write_csv(trace: Trace, stream) -> None:
@@ -51,13 +60,25 @@ def write_csv(trace: Trace, stream) -> None:
         writer.writerow(row)
 
 
+def _parse_row(index: int, row: dict) -> TraceRecord:
+    fields = {}
+    for name in _FIELDS:
+        text = row.get(name)
+        try:
+            if text is None:
+                raise ValueError("missing")
+            fields[name] = _PARSERS.get(name, str)(text)
+        except (ValueError, OverflowError) as error:
+            raise MalformedRecord(index, row.get("path") or "",
+                                  f"column {name!r}: {error}") from None
+    return TraceRecord(**fields)
+
+
 def read_csv(stream) -> Trace:
-    return Trace.from_records(TraceRecord(
-        row["user"], row["service"], row["path"], int(row["size"]),
-        int(row["compressed_size"]), float(row["created_at"]),
-        float(row["modified_at"]), int(row["modify_count"]),
-        _decode_segments(row["segments"]), int(row["content_id"]))
-        for row in csv.DictReader(stream))
+    """A trace from CSV rows; a row that does not parse is refused as a
+    :class:`MalformedRecord` naming its position among the rows."""
+    return Trace.from_records(map(_parse_row, itertools.count(),
+                                  csv.DictReader(stream)))
 
 
 def save_trace(trace: Trace, path: Union[str, Path]) -> None:

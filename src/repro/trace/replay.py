@@ -15,7 +15,8 @@ qualitative ordering and within tens of percent on totals.
 
 This module is the estimator alone and starts no process or thread:
 :func:`replay_trace` prices a whole trace in one columnar pass over
-1024-record blocks (DESIGN.md, "The kernel and its floor").  Modification
+1024-record blocks, after one pass that finds which dedup units ship
+(DESIGN.md, "The kernel and its floor").  Modification
 fractions come from one Philox stream per (seed, user), so every profile
 prices the same modifications of a trace.  :mod:`repro.trace.pool` runs
 whole :func:`replay_trace` calls, one profile each, in a persistent
@@ -26,13 +27,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..client import ServiceProfile
 from ..client.profiles import BdsMode
-from ..cloud.dedup import DedupGranularity, DedupScope
+from ..cloud.dedup import DedupConfig, DedupGranularity, DedupScope
 from ..compress import CompressionLevel
 from .analysis import creation_batch_flags
 from .schema import UNIT_SIZE, Trace, first_sight
@@ -170,23 +171,27 @@ def _draw_fractions(streams: Dict, seed: int, users: Sequence,
     return np.minimum(fractions, 1.0, out=fractions)
 
 
-#: Bytes per unit digest.  Wide unit identities (segment-id blobs, up to
-#: 128 KB for a 2 GB file's full-file key) are folded to fixed-width
-#: blake2b digests before they enter the dedup set — the collision
+#: Bytes per unit digest.  A unit whose ids are not one run of consecutive
+#: ids (~0.15 % of the 4 MB units of a generated trace) is keyed by the
+#: blake2b digest of its id blob — up to 128 KB for a 2 GB file's
+#: full-file key — read as two ``int64`` key columns.  The collision
 #: probability over a trillion distinct units is < 2⁻⁸⁰, far below any
-#: other modelling noise, and the seen-set holds 16 bytes a unit, not the
-#: blob.
+#: other modelling noise.
 _DIGEST_SIZE = 16
+#: Dedup units per run test: the steps between one slice's segments are
+#: the test's one segment-sized buffer (all segments at once read 2.94 MB
+#: against the 2.53 MB the memory bound allows at scale 0.05).
+_UNIT_SLICE = 1024
 
 
 def _unit_digest(key) -> bytes:
-    """Fixed-width identity digest for one dedup unit.
+    """Fixed-width identity digest for one dedup unit that is not a run.
 
-    ``key`` is the raw unit identity (the segment-id blob for a block, or
-    the ``(blob, size)`` tuple of a full-file key).  A one-segment block
-    unit is keyed by its id instead (see :func:`_aligned_units`), equal
-    exactly when the blobs are; a digest stands in for its blob up to the
-    collision bound above.
+    ``key`` is the raw unit identity: the segment-id blob of a block, or
+    the ``(blob, size)`` tuple of a full-file key.  A run of consecutive
+    ids is keyed by its first id and count instead (see
+    :func:`_dedup_columns`), equal exactly when the blobs are; a digest
+    stands in for its blob up to the collision bound above.
     """
     if isinstance(key, tuple):
         blob, size = key
@@ -197,32 +202,84 @@ def _unit_digest(key) -> bytes:
     return digest.digest()
 
 
-def _aligned_units(segments: np.ndarray, bounds: np.ndarray, size: np.ndarray,
-                   block_size: int) -> Tuple[np.ndarray, np.ndarray, list]:
-    """Every unit :meth:`TraceRecord.block_keys` yields for a block's
-    records, in record order, as (record position, length, key) columns;
-    record ``p``'s ids are ``segments[bounds[p]:bounds[p + 1]]``.
+def _dedup_columns(trace: Trace, dedup: DedupConfig
+                   ) -> Tuple[np.ndarray, np.ndarray]:
+    """Per record, the bytes of its dedup units that ship and the bytes
+    all its units cover, as two ``int64`` columns.
 
-    A one-segment unit is keyed by its ``int64`` id, any other by the
-    :func:`_unit_digest` of its ids' bytes: both stand in for the id blob
-    exactly, and an int never equals a digest.
+    A unit (a full-file key, or a block :meth:`TraceRecord.block_keys`
+    yields) is a row of ``int64`` keys: ``(0, first id, count)`` when each
+    step between its ids is +1 in ``int64``, else ``(1, its digest)``;
+    then the size of a full-file key and, under same-user scope, the user
+    code.  Rows are equal exactly when the units are (up to the digest's
+    collision bound), and a unit ships when it is the first in trace order
+    with its row: one stable lexsort lists equal rows in trace order.
     """
-    per_unit = block_size // UNIT_SIZE
-    counts = np.diff(bounds)
-    units = -(-counts // per_unit)
-    owner = np.repeat(np.arange(len(counts)), units)
-    first = (np.arange(len(owner))
-             - np.repeat(np.cumsum(units) - units, units)) * per_unit
-    lengths = np.clip(size[owner] - first * UNIT_SIZE, 0, block_size)
-    start = bounds[owner] + first
-    stop = np.minimum(start + per_unit, bounds[1:][owner])
-    keys = segments[start].tolist()
+    offsets, segments, size = trace.offsets, trace.segments, trace.size
+    full_file = dedup.granularity is DedupGranularity.FULL_FILE
+    if full_file:
+        owner, start, stop, lengths = None, offsets[:-1], offsets[1:], size
+    else:
+        per_unit = dedup.block_size // UNIT_SIZE
+        units = -(-np.diff(offsets) // per_unit)
+        owner = np.repeat(np.arange(len(trace)), units)
+        first = (np.arange(len(owner))
+                 - np.repeat(np.cumsum(units) - units, units)) * per_unit
+        lengths = np.clip(size[owner] - first * UNIT_SIZE, 0,
+                          dedup.block_size)
+        start = offsets[:-1][owner] + first
+        stop = np.minimum(start + per_unit, offsets[1:][owner])
+        del units, first
+    kind, low_key, high_key = np.zeros((3, len(start)), np.int64)
     view = memoryview(segments)   # a slice's bytes, uncopied
-    wide = np.flatnonzero(stop - start > 1)
-    for unit, low, high in zip(wide.tolist(), start[wide].tolist(),
-                               stop[wide].tolist()):
-        keys[unit] = _unit_digest(view[low:high])
-    return owner, lengths, keys
+    for low in range(0, len(start), _UNIT_SLICE):
+        high = min(low + _UNIT_SLICE, len(start))
+        begin, end = start[low:high], stop[low:high]
+        count = end - begin
+        # Units of consecutive records tile one slice of the segments; an
+        # index i breaks a run when segments[i + 1] is not segments[i] + 1.
+        base = int(begin[0])
+        breaks = np.flatnonzero(
+            np.diff(segments[base:int(end[-1])]) != 1) + base
+        run = np.searchsorted(breaks, begin) == np.searchsorted(
+            breaks, np.maximum(end - 1, begin))
+        filled = np.flatnonzero(count)
+        low_key[low + filled] = segments[begin[filled]]
+        high_key[low:high] = count
+        wide = np.flatnonzero(~run)
+        if wide.size:
+            blobs = [view[a:b] for a, b in zip(begin[wide].tolist(),
+                                               end[wide].tolist())]
+            if full_file:
+                blobs = zip(blobs, size[low + wide].tolist())
+            digests = np.frombuffer(b"".join(map(_unit_digest, blobs)),
+                                    np.int64).reshape(-1, 2)
+            kind[low + wide] = 1
+            low_key[low + wide], high_key[low + wide] = digests.T
+    del start, stop
+    columns = [kind, low_key, high_key]
+    if full_file:
+        columns.append(size)
+    if dedup.scope is DedupScope.SAME_USER:
+        columns.append(trace.user_code if full_file
+                       else trace.user_code[owner])
+    order = np.lexsort(columns)
+    # Sorted, a row is new where it differs from the row before it.
+    new = np.zeros(len(order), bool)
+    new[:1] = True
+    for column in columns:
+        ordered = column[order]
+        new[1:] |= ordered[1:] != ordered[:-1]
+    del columns, ordered
+    fresh = np.empty_like(new)
+    fresh[order] = new
+    shipped = np.where(fresh, lengths, 0)
+    if full_file:
+        return shipped, size
+    per_record = np.zeros((2, len(trace)), np.int64)
+    np.add.at(per_record[0], owner, shipped)
+    np.add.at(per_record[1], owner, lengths)
+    return per_record[0], per_record[1]
 
 
 def _fold(totals: Dict[int, int], users: np.ndarray,
@@ -241,7 +298,8 @@ def replay_trace(trace: Trace, profile: ServiceProfile,
     """Estimate the trace-wide sync traffic under one service profile.
 
     Prices column slices :data:`_BLOCK` records at a time and reads no
-    per-record object; totals that outlive a block are Python ints.  A
+    per-record object; totals that outlive a block are Python ints, and
+    what dedup ships is resolved for the whole trace first.  A
     block dedup size the trace's segments cannot align is refused before
     any record, and a block whose values could leave ``int64`` is refused
     naming a record of it by its position in the trace.
@@ -257,8 +315,6 @@ def replay_trace(trace: Trace, profile: ServiceProfile,
     per_byte = profile.overhead.per_byte_factor
     delta_block = profile.delta_block if profile.uses_ids else 0
     dedup_enabled = dedup.enabled
-    dedup_full_file = dedup.granularity is DedupGranularity.FULL_FILE
-    dedup_cross_user = dedup.scope is DedupScope.CROSS_USER
     bds = profile.bds
     batched_overhead = bds.per_file_bytes if bds.mode is BdsMode.FULL \
         else max(bds.per_file_bytes, fixed // 8)
@@ -268,11 +324,12 @@ def replay_trace(trace: Trace, profile: ServiceProfile,
     # Which records BDS would batch.
     batched = creation_batch_flags(trace) if bds.mode is not BdsMode.NONE \
         else np.broadcast_to(False, len(trace))
-    names, segments, offsets = trace.user_names, trace.segments, trace.offsets
+    names = trace.user_names
     # One modification stream per user code, alive across blocks.
     streams: Dict[int, np.random.Generator] = {}
 
-    seen_units: Set = set()
+    if dedup_enabled:
+        dedup_shipped, dedup_total = _dedup_columns(trace, dedup)
     # Per user code, in first-sight order: the :data:`_PER_USER_DICTS`.
     per_user: Tuple[Dict[int, int], ...] = ({}, {}, {})
     mod_events = data_update = traffic = overhead_total = 0
@@ -301,26 +358,7 @@ def replay_trace(trace: Trace, profile: ServiceProfile,
             size + _trunc(per_byte * size) - full_wire, 0).sum())
         wire = full_wire
         if dedup_enabled:
-            bounds = offsets[start:stop + 1]
-            if dedup_full_file:
-                view = memoryview(segments)
-                keys = [_unit_digest((view[low:high], length))
-                        for low, high, length in zip(bounds[:-1].tolist(),
-                                                     bounds[1:].tolist(),
-                                                     size.tolist())]
-                owner, lengths = np.arange(stop - start), size
-            else:
-                owner, lengths, keys = _aligned_units(
-                    segments, bounds, size, dedup.block_size)
-            scoped = keys if dedup_cross_user \
-                else zip(users[owner].tolist(), keys)
-            # Fresh the first time its scoped key is seen (add returns None).
-            fresh = np.array([key not in seen_units
-                              and not seen_units.add(key)
-                              for key in scoped], dtype=bool)
-            shipped, total = np.zeros((2, stop - start), np.int64)
-            np.add.at(shipped, owner, np.where(fresh, lengths, 0))
-            np.add.at(total, owner, lengths)
+            shipped, total = dedup_shipped[start:stop], dedup_total[start:stop]
             # A size-0 file — or a record with no content units at all —
             # has total 0: dedup neither ships nor saves anything.
             wire = full_wire.copy()

@@ -139,7 +139,9 @@ class Trace:
     ``segments[offsets[k]:offsets[k + 1]]``; times are ``float64``, other
     numbers ``int64``.  Iterating or indexing builds :class:`TraceRecord`
     rows.  Rows enter through :meth:`from_fields`; every trace passes one
-    vectorised check, which names the first malformed row.
+    vectorised check, which names a column whose length is wrong, else
+    the first malformed row: a row's offsets must lie within ``segments``
+    in order, its codes within their tables.
     """
 
     user_names: List[str] = field(default_factory=list)
@@ -163,6 +165,15 @@ class Trace:
                                 if name.endswith("_at") else np.int64)
             column.flags.writeable = False
             setattr(self, name, column)
+        rows = len(self.size)
+        for name in ("user_code", "service_code", "path", "offsets",
+                     *_COLUMNS):
+            expected = rows + (name == "offsets")
+            if len(getattr(self, name)) != expected:
+                raise ValueError(f"trace column {name!r} holds "
+                                 f"{len(getattr(self, name))} entries, not "
+                                 f"{expected}")
+        starts, stops = self.offsets[:-1], self.offsets[1:]
         failures = [(int(np.argmax(bad)), reason) for bad, reason in (
             ((self.size < 0) | (self.compressed_size < 0),
              "sizes must be non-negative"),
@@ -170,7 +181,15 @@ class Trace:
             (~(np.isfinite(self.created_at) & np.isfinite(self.modified_at)),
              "times must be finite"),
             (self.modified_at < self.created_at,
-             "modification cannot precede creation")) if bad.any()]
+             "modification cannot precede creation"),
+            (stops < starts, "segment offsets must not decrease"),
+            ((starts < 0) | (stops > len(self.segments)),
+             "segment offsets must lie within the segments column"),
+            ((self.user_code < 0) | (self.user_code >= len(self.user_names)),
+             "user code outside the user table"),
+            ((self.service_code < 0)
+             | (self.service_code >= len(self.service_names)),
+             "service code outside the service table")) if bad.any()]
         if failures:
             row, reason = min(failures, key=lambda failure: failure[0])
             raise MalformedRecord(row, self.path[row], reason)

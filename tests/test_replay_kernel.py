@@ -24,6 +24,7 @@ from repro.trace import Trace, TraceRecord, generate_trace, replay_trace
 from repro.trace.schema import UNIT_SIZE
 from repro.units import GB, KB, MB
 
+from . import reference_replay as oracle_module
 from .reference_replay import reference_replay_records
 
 STOCK = [service_profile(service, access)
@@ -173,6 +174,47 @@ INT32_NEXT_TO_INT64 = [
 ]
 
 
+#: Same first id, last id, count and id sum as [1, 2, 3, 4], but no run.
+SHUFFLED_RUN = [
+    make_record("u0", 4 * UNIT_SIZE, 0, 0.0, [1, 2, 3, 4]),
+    make_record("u0", 4 * UNIT_SIZE, 0, 1.0, [1, 3, 2, 4]),
+    make_record("u1", 4 * UNIT_SIZE, 0, 2.0, [1, 3, 2, 4]),
+    make_record("u1", 4 * UNIT_SIZE, 0, 3.0, [1, 2, 3, 4]),
+]
+#: [TOP, -TOP - 1] steps by +1 in int64: a run that wraps, next to the
+#: runs that end at the top and start at the bottom.
+WRAPPING_RUN = [
+    make_record("u0", 2 * UNIT_SIZE, 0, 0.0, [TOP, -TOP - 1]),
+    make_record("u1", 2 * UNIT_SIZE, 0, 1.0, [TOP - 1, TOP]),
+    make_record("u0", 2 * UNIT_SIZE, 0, 2.0, [-TOP - 1, -TOP]),
+    make_record("u1", 2 * UNIT_SIZE, 0, 3.0, [TOP, -TOP - 1]),
+    make_record("u0", 3 * UNIT_SIZE, 0, 4.0, [TOP - 1, TOP, -TOP - 1]),
+]
+#: A run and two non-runs that share its first id and count.
+RUN_AND_NOT = [
+    make_record("u0", 3 * UNIT_SIZE, 0, 0.0, [5, 6, 7]),
+    make_record("u1", 3 * UNIT_SIZE, 0, 1.0, [5, 9, 7]),
+    make_record("u0", 3 * UNIT_SIZE, 0, 2.0, [5, 7, 6]),
+    make_record("u1", 3 * UNIT_SIZE, 0, 3.0, [5, 6, 7]),
+]
+#: Full-file, two-segment and 4 MB units, under both scopes.
+RUN_KEY_DEDUPS = [(granularity, block_size, cross_user)
+                  for granularity, block_size in (
+                      (DedupGranularity.FULL_FILE, 4 * MB),
+                      (DedupGranularity.BLOCK, 2 * UNIT_SIZE),
+                      (DedupGranularity.BLOCK, 4 * MB))
+                  for cross_user in (False, True)]
+
+
+def run_key_examples(test):
+    """Every run-key record list under every :data:`RUN_KEY_DEDUPS`."""
+    for records in (SHUFFLED_RUN, WRAPPING_RUN, RUN_AND_NOT):
+        for dedup in RUN_KEY_DEDUPS:
+            test = example(records=records, seed=8,
+                           profile=with_dedup(DROPBOX, *dedup))(test)
+    return test
+
+
 @pytest.mark.parametrize("block", BLOCKS)
 @given(records=traces(), profile=profiles,
        seed=st.integers(-2 ** 31, 2 ** 40))
@@ -197,10 +239,32 @@ INT32_NEXT_TO_INT64 = [
     UBUNTUONE, DedupGranularity.BLOCK, UNIT_SIZE, cross_user=True))
 @example(records=INT32_NEXT_TO_INT64, seed=7, profile=with_dedup(
     UBUNTUONE, DedupGranularity.BLOCK, 2 * UNIT_SIZE, cross_user=True))
+@run_key_examples
 @settings(max_examples=75, deadline=None)
 def test_kernel_equals_scalar_oracle(block, records, profile, seed):
     with mock.patch.object(replay_module, "_BLOCK", block):
         assert_kernel_equals_oracle(records, profile, seed)
+
+
+@pytest.mark.parametrize("dedup", RUN_KEY_DEDUPS)
+def test_a_digest_equal_to_a_run_key_stays_apart(dedup):
+    """A blake2b half-pair never equals a real (first id, count), so the
+    collision is forged: [5, 9, 7] digests to the int64s (5, 3), the run
+    key of [5, 6, 7].  The oracle digests both units and tells them apart;
+    the kernel must too, by the kind column alone."""
+    real = replay_module._unit_digest
+    forged_blob = np.array([5, 9, 7], np.int64).tobytes()
+
+    def forged(key):
+        blob = key[0] if isinstance(key, tuple) else key
+        if bytes(blob) == forged_blob:
+            return np.array([5, 3], np.int64).tobytes()
+        return real(key)
+
+    with mock.patch.object(replay_module, "_unit_digest", forged), \
+            mock.patch.object(oracle_module, "_unit_digest", forged):
+        assert_kernel_equals_oracle(RUN_AND_NOT, with_dedup(DROPBOX, *dedup),
+                                    8)
 
 
 def test_int32_ids_dedup_by_value():
@@ -306,7 +370,7 @@ def test_totals_that_span_blocks_are_python_ints():
 
 
 # ---------------------------------------------------------------------------
-# memory: O(block) + O(users) + the dedup set, whatever the trace length
+# memory: O(block) + O(users) + the dedup keys, whatever the trace length
 # ---------------------------------------------------------------------------
 
 @pytest.fixture(scope="module")
@@ -323,6 +387,34 @@ def _traced_peak(run) -> int:
     finally:
         tracemalloc.stop()
     return peak - base
+
+
+def not_runs(trace, dedup):
+    """The trace's units at ``dedup``'s granularity whose ids are not one
+    run of consecutive ids, counted record by record."""
+    per_unit = len(trace.segments) + 1 \
+        if dedup.granularity is DedupGranularity.FULL_FILE \
+        else dedup.block_size // UNIT_SIZE
+    count = 0
+    for record in trace:
+        ids = record.segments.tolist()
+        for first in range(0, len(ids), per_unit):
+            unit = ids[first:first + per_unit]
+            count += any(b - a != 1 for a, b in zip(unit, unit[1:]))
+    return count
+
+
+@pytest.mark.parametrize("profile", [DROPBOX, UBUNTUONE],
+                         ids=lambda profile: profile.name)
+def test_kernel_digests_only_the_units_that_are_not_runs(profile,
+                                                         memory_trace):
+    """One blake2b (one ``_unit_digest`` call) per unit that is not a
+    run, and none for the rest."""
+    with mock.patch.object(replay_module, "_unit_digest",
+                           wraps=replay_module._unit_digest) as digest:
+        replay_trace(memory_trace, profile, 0)
+    expected = not_runs(memory_trace, profile.dedup)
+    assert 0 < digest.call_count == expected
 
 
 @pytest.mark.parametrize("profile", [DROPBOX, UBUNTUONE, GOOGLEDRIVE],

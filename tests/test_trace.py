@@ -33,6 +33,7 @@ from repro.trace import (
     summary_stats,
     write_csv,
 )
+from repro.trace.schema import MalformedRecord
 from repro.units import GB, KB, MB
 
 SCALE = 0.06
@@ -108,6 +109,99 @@ def test_read_csv_refuses_a_malformed_row_naming_it(name):
                        match=rf"^trace record 1 \('bad'\): {reason}"):
         read_csv(csv_with(**fields))
     assert len(read_csv(csv_with())) == 2
+
+
+#: CSV rows ``read_csv`` loaded silently (``5:-3`` as no segments) or
+#: refused without naming the row (a bare ``ValueError`` or
+#: ``AttributeError``).
+UNPARSABLE = {
+    "negative-run": (dict(segments="5:-3"), r"column 'segments': '5:-3' is "
+                     r"not start:length runs of positive length"),
+    "empty-run": (dict(segments="0:3;5:0"), "column 'segments': '0:3;5:0'"),
+    "run-without-length": (dict(segments="5"), "column 'segments': '5'"),
+    "text-size": (dict(size="abc"), "column 'size': invalid literal"),
+    "text-time": (dict(created_at="soon"), "column 'created_at': could not "
+                  "convert"),
+    "id-past-int64": (dict(segments=f"{2 ** 63}:1"), "column 'segments'"),
+}
+
+
+@pytest.mark.parametrize("fields, reason", UNPARSABLE.values(),
+                         ids=UNPARSABLE.keys())
+def test_read_csv_refuses_a_row_that_does_not_parse(fields, reason):
+    with pytest.raises(MalformedRecord,
+                       match=rf"^trace record 1 \('bad'\): {reason}"):
+        read_csv(csv_with(**fields))
+
+
+def test_read_csv_refuses_a_row_missing_a_column():
+    text = csv_with().getvalue().splitlines()
+    text[2] = text[2].rsplit(",", 1)[0]     # no segments
+    with pytest.raises(MalformedRecord, match=r"^trace record 1 \('bad'\): "
+                       r"column 'segments': missing"):
+        read_csv(io.StringIO("\n".join(text)))
+    header = text[0].replace("size,", "bytes,", 1)
+    with pytest.raises(MalformedRecord, match=r"^trace record 0 \('kept'\): "
+                       r"column 'size': missing"):
+        read_csv(io.StringIO("\n".join([header, *text[1:]])))
+
+
+def trace_columns(**fields):
+    """Two valid rows as :class:`Trace` columns, ``fields`` written over."""
+    columns = dict(user_names=["u"], service_names=["s"], user_code=[0, 0],
+                   service_code=[0, 0], path=["kept", "bad"],
+                   size=[UNIT_SIZE, UNIT_SIZE], compressed_size=[1, 1],
+                   created_at=[0.0, 0.0], modified_at=[0.0, 0.0],
+                   modify_count=[0, 0], content_id=[1, 2], offsets=[0, 1, 2],
+                   segments=[7, 8])
+    return dict(columns, **fields)
+
+
+#: Columns the trace accepted and replay then mispriced (UbuntuOne/pc
+#: read offsets [0, 1, 5] as traffic 260, dedup 0) or crashed on with a
+#: bare IndexError.
+MISSHAPEN = {
+    "offsets-past-segments": (dict(offsets=[0, 1, 5]), "segment offsets "
+                              "must lie within the segments column"),
+    "decreasing-offsets": (dict(offsets=[0, 2, 1]),
+                           "segment offsets must not decrease"),
+    "user-code-past-table": (dict(user_code=[0, 1]),
+                             "user code outside the user table"),
+    "negative-user-code": (dict(user_code=[0, -1]),
+                           "user code outside the user table"),
+    "service-code-past-table": (dict(service_code=[0, 3]),
+                                "service code outside the service table"),
+}
+
+
+@pytest.mark.parametrize("fields, reason", MISSHAPEN.values(),
+                         ids=MISSHAPEN.keys())
+def test_trace_refuses_columns_a_row_cannot_be_read_from(fields, reason):
+    with pytest.raises(MalformedRecord,
+                       match=rf"^trace record 1 \('bad'\): {reason}"):
+        Trace(**trace_columns(**fields))
+    assert len(Trace(**trace_columns())) == 2
+
+
+def test_trace_refuses_a_first_offset_before_the_segments():
+    with pytest.raises(MalformedRecord, match=r"^trace record 0 \('kept'\): "
+                       r"segment offsets must lie within the segments"):
+        Trace(**trace_columns(offsets=[-1, 1, 2]))
+
+
+@pytest.mark.parametrize("fields, column, length", [
+    (dict(offsets=[0, 1]), "offsets", 2),
+    (dict(offsets=[0, 1, 2, 2]), "offsets", 4),
+    (dict(path=["kept"]), "path", 1),
+    (dict(modify_count=[0, 0, 0]), "modify_count", 3),
+    (dict(user_code=[0]), "user_code", 1),
+], ids=["offsets-of-n", "offsets-of-n+2", "short-path", "long-count",
+        "short-codes"])
+def test_trace_refuses_columns_of_disagreeing_lengths(fields, column, length):
+    expected = 3 if column == "offsets" else 2
+    with pytest.raises(ValueError, match=rf"^trace column '{column}' holds "
+                       rf"{length} entries, not {expected}$"):
+        Trace(**trace_columns(**fields))
 
 
 def test_int32_segment_ids_are_kept_by_value():
