@@ -14,6 +14,7 @@ from ..client import (BASELINES, AccessMethod, AdaptiveSyncDefer,
                       ByteCounterDefer, FixedDefer, NoDefer, SERVICES,
                       SyncSession, service_profile)
 from ..client.defer import ScanIntervalDefer
+from ..cloud import DedupConfig
 from ..compress import (HIGH_COMPRESSION, LOW_COMPRESSION,
                         MODERATE_COMPRESSION, NO_COMPRESSION)
 from ..content import random_content, text_content
@@ -21,7 +22,7 @@ from ..core import (UPGRADES, Cell, append, batch, compare_designs, measure,
                     modify, quantify_all)
 from ..delta import diff_stats
 from ..reporting import render_table
-from ..trace import generate_trace
+from ..trace import dedup_columns, generate_trace
 from ..units import KB, MB, fmt_size
 from .base import TRACE_SEED, Artifact, service_name
 
@@ -99,39 +100,27 @@ def _render_compression_levels(args, rows_data):
 # -- dedup granularity x scope on the trace --------------------------------
 
 DEDUP_CONFIGS = (
-    ("none", None, None),
-    ("full-file / same-user", None, "user"),
-    ("full-file / cross-user", None, "global"),
-    ("4 MB blocks / same-user", 4 * MB, "user"),
-    ("4 MB blocks / cross-user", 4 * MB, "global"),
-    ("512 KB blocks / cross-user", 512 * KB, "global"),
+    ("none", DedupConfig.none()),
+    ("full-file / same-user", DedupConfig.full_file()),
+    ("full-file / cross-user", DedupConfig.full_file(cross_user=True)),
+    ("4 MB blocks / same-user", DedupConfig.block(4 * MB)),
+    ("4 MB blocks / cross-user", DedupConfig.block(4 * MB, cross_user=True)),
+    ("512 KB blocks / cross-user",
+     DedupConfig.block(512 * KB, cross_user=True)),
 )
 
 
-def _uploaded_bytes(trace, block_size, scope):
+def _uploaded_bytes(trace, dedup):
     """Bytes shipped if every file uploads once under this dedup config."""
-    seen = set()
-    total = 0
-    for record in trace:
-        keys = ([record.full_file_key()] if block_size is None
-                else list(record.block_keys(block_size)))
-        for key in keys:
-            length = record.size if block_size is None else key[1]
-            scoped = key if scope == "global" else (record.user, key)
-            if scope is None or scoped in seen:
-                if scope is None:
-                    total += length
-                continue
-            seen.add(scoped)
-            total += length
-    return total
+    if not dedup.enabled:
+        return trace.total_bytes()
+    return sum(dedup_columns(trace, dedup)[0].tolist())
 
 
 def _dedup_scope(args):
     trace = generate_trace(scale=0.3, seed=TRACE_SEED)
-    return trace.total_bytes(), [
-        (name, _uploaded_bytes(trace, block, scope))
-        for name, block, scope in DEDUP_CONFIGS]
+    return trace.total_bytes(), [(name, _uploaded_bytes(trace, dedup))
+                                 for name, dedup in DEDUP_CONFIGS]
 
 
 def _render_dedup_scope(args, result):

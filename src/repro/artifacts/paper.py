@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import numpy as np
+
 from ..client import (M1, M2, M3, SERVICES, AccessMethod, AdaptiveSyncDefer,
                       service_profile)
 from ..core import (Cell, append, batch, cell, create, delete,
@@ -40,10 +42,12 @@ def _trace_tables(args):
 def _render_trace_tables(args, result):
     trace, stats, batchable, saving = result
     users = trace.users()
+    files = dict(zip(trace.service_names, np.bincount(
+        trace.service_code, minlength=len(trace.service_names)).tolist()))
     rows = [
-        [service, str(users.get(service, 0)), str(len(records)),
+        [service, str(users[service]), str(files[service]),
          str(SERVICE_USERS[service]), str(SERVICE_FILES[service])]
-        for service, records in sorted(trace.by_service().items())
+        for service in sorted(users)
     ]
     composition = render_table(
         ["Service", "Users", "Files", "Paper users", "Paper files"], rows,

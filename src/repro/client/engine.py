@@ -27,6 +27,7 @@ from typing import (TYPE_CHECKING, Dict, List, NamedTuple, Optional, Sequence,
 
 from ..chunking import Chunk, chunk_data
 from ..cloud import CloudServer, NotFound, QuotaExceeded, TransientError
+from ..cloud.errors import StaleBasis
 from ..content import Content
 from ..fsim import FileEvent, FileOp, SyncFolder
 from ..simnet import (
@@ -543,8 +544,16 @@ class SyncClient:
                     return duration
             # Renamed *and* modified, or the move was refused: sync content.
 
-        spent, record = self._strategy_transfer(
-            change, content, lightweight=lightweight, in_batch=in_batch)
+        try:
+            spent, record = self._strategy_transfer(
+                change, content, lightweight=lightweight, in_batch=in_batch)
+        except StaleBasis as error:
+            # Another writer replaced or deleted the delta's basis: ship
+            # the content whole and let the conflict rules settle it.
+            del self._records[path]
+            duration += error.elapsed
+            spent, record = self._strategy_transfer(
+                change, content, lightweight=lightweight, in_batch=in_batch)
         duration += spent
 
         if overhead.notify_down:

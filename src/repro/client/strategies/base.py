@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
+from ...cloud.errors import StaleBasis
 from ...delta import CdcChunk, FileSignature, cdc_chunk_list, compute_signature
 
 
@@ -171,11 +172,17 @@ class SyncStrategy:
 
     def transfer(self, client: Any, change: Any, content: Any,
                  lightweight: bool = False, in_batch: bool = False) -> float:
-        """Move the content; returns wall-clock duration (seconds)."""
+        """Move the content; returns wall-clock duration (seconds), which
+        a :class:`StaleBasis` refusal carries as its ``elapsed``."""
         client.charge_cpu(self.cpu_units(client, change, content))
         duration = 0.0
-        for request in self.describe(client, change, content, client.server):
-            duration += client._guarded_exchange(request)
+        try:
+            for request in self.describe(client, change, content,
+                                         client.server):
+                duration += client._guarded_exchange(request)
+        except StaleBasis as error:
+            error.elapsed = duration
+            raise
         return duration
 
     def estimate(self, client: Any, change: Any,

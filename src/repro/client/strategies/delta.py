@@ -70,7 +70,8 @@ class FixedBlockDeltaStrategy(DeltaStrategy):
         return compute_delta(signature, target.content.data)
 
     def _apply(self, client: Any, path: str, delta: Any, md5: str) -> None:
-        client.server.apply_delta(client.user, path, delta, md5)
+        client.server.apply_delta(client.user, path, delta, md5,
+                                  client._records[path].content.md5)
         client.stats.delta_syncs += 1
 
 
@@ -89,7 +90,8 @@ class CdcDeltaStrategy(DeltaStrategy):
                                 target.content.data, target.chunks())
 
     def _apply(self, client: Any, path: str, delta: Any, md5: str) -> None:
-        client.server.apply_cdc_delta(client.user, path, delta, md5)
+        client.server.apply_cdc_delta(client.user, path, delta, md5,
+                                      client._records[path].content.md5)
         client.stats.cdc_delta_syncs += 1
 
 

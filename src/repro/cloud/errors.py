@@ -43,6 +43,11 @@ class QuotaExceeded(CloudError):
     """Account storage quota would be exceeded by the operation."""
 
 
+class StaleBasis(CloudError):
+    """A delta's basis is no longer the path's head: another writer
+    replaced or deleted it first (HTTP 412)."""
+
+
 class IntegrityError(CloudError):
     """Stored data failed a digest check — corruption in the pipeline."""
 

@@ -31,7 +31,8 @@ from ..delta import apply_delta as apply_rsync_delta
 from ..simnet.faults import FaultKind
 from .accounts import AccountRegistry
 from .dedup import DedupConfig, DedupIndex
-from .errors import IntegrityError, NotFound, RateLimited, ServiceUnavailable
+from .errors import (IntegrityError, NotFound, RateLimited,
+                     ServiceUnavailable, StaleBasis)
 from .metadata import FileVersion, MetadataServer
 from .midlayer import ChunkStore
 from .object_store import ObjectStore
@@ -232,16 +233,30 @@ class CloudServer:
 
     # -- the IDS mid-layer ---------------------------------------------------
 
+    def _delta_basis(self, user: str, path: str,
+                     basis_md5: str) -> FileVersion:
+        """The head a delta cut against ``basis_md5`` applies to, or
+        :class:`StaleBasis` when another writer replaced or deleted it."""
+        try:
+            head = self.metadata.head(user, path)
+            if head.md5 == basis_md5:
+                return head
+        except NotFound:
+            pass
+        raise StaleBasis(f"{user}:{path}: the delta's basis is no longer "
+                         f"the head")
+
     def apply_delta(self, user: str, path: str, delta: Delta,
-                    expected_md5: str) -> FileVersion:
+                    expected_md5: str, basis_md5: str) -> FileVersion:
         """MODIFY transformed into GET + PUT + DELETE (§4.3).
 
         The client ships only the rsync delta; the mid-layer GETs the old
         content from REST objects, applies the delta, PUTs the new content,
         and DELETEs stale objects.  Every verb lands in
-        ``self.objects.ops`` so the REST amplification is measurable.
+        ``self.objects.ops`` so the REST amplification is measurable.  The
+        head must still be the basis the delta was cut against.
         """
-        head = self.metadata.head(user, path)
+        head = self._delta_basis(user, path, basis_md5)
         old_data = self.chunks.fetch_many(list(head.chunk_keys))  # GETs
         new_data = apply_rsync_delta(old_data, delta)
         if fingerprint(new_data) != expected_md5:
@@ -258,14 +273,14 @@ class CloudServer:
         return new_version
 
     def apply_cdc_delta(self, user: str, path: str, cdelta: CdcDelta,
-                        expected_md5: str) -> FileVersion:
+                        expected_md5: str, basis_md5: str) -> FileVersion:
         """Content-defined-chunk variant of :meth:`apply_delta`.
 
-        Same GET + apply + PUT + DELETE shape; the stream references
-        byte ranges of the basis (coalesced CDC chunk matches) instead of
-        fixed rsync blocks.
+        Same GET + apply + PUT + DELETE shape and basis precondition; the
+        stream references byte ranges of the basis (coalesced CDC chunk
+        matches) instead of fixed rsync blocks.
         """
-        head = self.metadata.head(user, path)
+        head = self._delta_basis(user, path, basis_md5)
         old_data = self.chunks.fetch_many(list(head.chunk_keys))  # GETs
         new_data = apply_cdc_stream(old_data, cdelta)
         if fingerprint(new_data) != expected_md5:

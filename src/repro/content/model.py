@@ -62,15 +62,6 @@ class Content:
             self._md5 = hashlib.md5(self.data).hexdigest()
         return self._md5
 
-    def block_md5s(self, block_size: int) -> list:
-        """Per-block MD5 fingerprints (head-aligned fixed blocks, §5.2)."""
-        if block_size <= 0:
-            raise ValueError("block size must be positive")
-        return [
-            hashlib.md5(self.data[offset:offset + block_size]).hexdigest()
-            for offset in range(0, max(len(self.data), 1), block_size)
-        ]
-
     # -- mutation helpers (each returns a new Content) ---------------------
 
     def append(self, extra: "Content") -> "Content":

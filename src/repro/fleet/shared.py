@@ -183,8 +183,9 @@ class _OriginTaggingProxy:
         self._hub.announce(self._origin, path, version.version, "commit")
         return version
 
-    def apply_delta(self, user, path, delta, expected_md5):
-        version = self._server.apply_delta(user, path, delta, expected_md5)
+    def apply_delta(self, user, path, delta, expected_md5, basis_md5):
+        version = self._server.apply_delta(user, path, delta, expected_md5,
+                                           basis_md5)
         self._hub.announce(self._origin, path, version.version, "commit")
         return version
 

@@ -15,8 +15,9 @@ qualitative ordering and within tens of percent on totals.
 
 This module is the estimator alone and starts no process or thread:
 :func:`replay_trace` prices a whole trace in one columnar pass over
-1024-record blocks, after one pass that finds which dedup units ship
-(DESIGN.md, "The kernel and its floor").  Modification
+1024-record blocks, after the trace analysis's one pass that finds which
+dedup units ship (:func:`~repro.trace.analysis.dedup_columns`; DESIGN.md,
+"The kernel and its floor").  Modification
 fractions come from one Philox stream per (seed, user), so every profile
 prices the same modifications of a trace.  :mod:`repro.trace.pool` runs
 whole :func:`replay_trace` calls, one profile each, in a persistent
@@ -33,10 +34,9 @@ import numpy as np
 
 from ..client import ServiceProfile
 from ..client.profiles import BdsMode
-from ..cloud.dedup import DedupConfig, DedupGranularity, DedupScope
 from ..compress import CompressionLevel
-from .analysis import creation_batch_flags
-from .schema import UNIT_SIZE, Trace, first_sight
+from .analysis import creation_batch_flags, dedup_columns
+from .schema import Trace, first_sight
 
 #: Fraction of a file's *achievable* compression each level realises,
 #: relative to HIGH's saving on repro.compress's Experiment 4 text corpus
@@ -171,117 +171,6 @@ def _draw_fractions(streams: Dict, seed: int, users: Sequence,
     return np.minimum(fractions, 1.0, out=fractions)
 
 
-#: Bytes per unit digest.  A unit whose ids are not one run of consecutive
-#: ids (~0.15 % of the 4 MB units of a generated trace) is keyed by the
-#: blake2b digest of its id blob — up to 128 KB for a 2 GB file's
-#: full-file key — read as two ``int64`` key columns.  The collision
-#: probability over a trillion distinct units is < 2⁻⁸⁰, far below any
-#: other modelling noise.
-_DIGEST_SIZE = 16
-#: Dedup units per run test: the steps between one slice's segments are
-#: the test's one segment-sized buffer (all segments at once read 2.94 MB
-#: against the 2.53 MB the memory bound allows at scale 0.05).
-_UNIT_SLICE = 1024
-
-
-def _unit_digest(key) -> bytes:
-    """Fixed-width identity digest for one dedup unit that is not a run.
-
-    ``key`` is the raw unit identity: the segment-id blob of a block, or
-    the ``(blob, size)`` tuple of a full-file key.  A run of consecutive
-    ids is keyed by its first id and count instead (see
-    :func:`_dedup_columns`), equal exactly when the blobs are; a digest
-    stands in for its blob up to the collision bound above.
-    """
-    if isinstance(key, tuple):
-        blob, size = key
-        digest = hashlib.blake2b(blob, digest_size=_DIGEST_SIZE)
-        digest.update(size.to_bytes(8, "little"))
-    else:
-        digest = hashlib.blake2b(key, digest_size=_DIGEST_SIZE)
-    return digest.digest()
-
-
-def _dedup_columns(trace: Trace, dedup: DedupConfig
-                   ) -> Tuple[np.ndarray, np.ndarray]:
-    """Per record, the bytes of its dedup units that ship and the bytes
-    all its units cover, as two ``int64`` columns.
-
-    A unit (a full-file key, or a block :meth:`TraceRecord.block_keys`
-    yields) is a row of ``int64`` keys: ``(0, first id, count)`` when each
-    step between its ids is +1 in ``int64``, else ``(1, its digest)``;
-    then the size of a full-file key and, under same-user scope, the user
-    code.  Rows are equal exactly when the units are (up to the digest's
-    collision bound), and a unit ships when it is the first in trace order
-    with its row: one stable lexsort lists equal rows in trace order.
-    """
-    offsets, segments, size = trace.offsets, trace.segments, trace.size
-    full_file = dedup.granularity is DedupGranularity.FULL_FILE
-    if full_file:
-        owner, start, stop, lengths = None, offsets[:-1], offsets[1:], size
-    else:
-        per_unit = dedup.block_size // UNIT_SIZE
-        units = -(-np.diff(offsets) // per_unit)
-        owner = np.repeat(np.arange(len(trace)), units)
-        first = (np.arange(len(owner))
-                 - np.repeat(np.cumsum(units) - units, units)) * per_unit
-        lengths = np.clip(size[owner] - first * UNIT_SIZE, 0,
-                          dedup.block_size)
-        start = offsets[:-1][owner] + first
-        stop = np.minimum(start + per_unit, offsets[1:][owner])
-        del units, first
-    kind, low_key, high_key = np.zeros((3, len(start)), np.int64)
-    view = memoryview(segments)   # a slice's bytes, uncopied
-    for low in range(0, len(start), _UNIT_SLICE):
-        high = min(low + _UNIT_SLICE, len(start))
-        begin, end = start[low:high], stop[low:high]
-        count = end - begin
-        # Units of consecutive records tile one slice of the segments; an
-        # index i breaks a run when segments[i + 1] is not segments[i] + 1.
-        base = int(begin[0])
-        breaks = np.flatnonzero(
-            np.diff(segments[base:int(end[-1])]) != 1) + base
-        run = np.searchsorted(breaks, begin) == np.searchsorted(
-            breaks, np.maximum(end - 1, begin))
-        filled = np.flatnonzero(count)
-        low_key[low + filled] = segments[begin[filled]]
-        high_key[low:high] = count
-        wide = np.flatnonzero(~run)
-        if wide.size:
-            blobs = [view[a:b] for a, b in zip(begin[wide].tolist(),
-                                               end[wide].tolist())]
-            if full_file:
-                blobs = zip(blobs, size[low + wide].tolist())
-            digests = np.frombuffer(b"".join(map(_unit_digest, blobs)),
-                                    np.int64).reshape(-1, 2)
-            kind[low + wide] = 1
-            low_key[low + wide], high_key[low + wide] = digests.T
-    del start, stop
-    columns = [kind, low_key, high_key]
-    if full_file:
-        columns.append(size)
-    if dedup.scope is DedupScope.SAME_USER:
-        columns.append(trace.user_code if full_file
-                       else trace.user_code[owner])
-    order = np.lexsort(columns)
-    # Sorted, a row is new where it differs from the row before it.
-    new = np.zeros(len(order), bool)
-    new[:1] = True
-    for column in columns:
-        ordered = column[order]
-        new[1:] |= ordered[1:] != ordered[:-1]
-    del columns, ordered
-    fresh = np.empty_like(new)
-    fresh[order] = new
-    shipped = np.where(fresh, lengths, 0)
-    if full_file:
-        return shipped, size
-    per_record = np.zeros((2, len(trace)), np.int64)
-    np.add.at(per_record[0], owner, shipped)
-    np.add.at(per_record[1], owner, lengths)
-    return per_record[0], per_record[1]
-
-
 def _fold(totals: Dict[int, int], users: np.ndarray,
           values: np.ndarray) -> None:
     """Add one block's per-record ``values`` into ``totals``, user code →
@@ -304,17 +193,17 @@ def replay_trace(trace: Trace, profile: ServiceProfile,
     any record, and a block whose values could leave ``int64`` is refused
     naming a record of it by its position in the trace.
     """
-    dedup = profile.dedup
-    if dedup.granularity is DedupGranularity.BLOCK \
-            and dedup.block_size % UNIT_SIZE:
-        raise ValueError(f"{profile.name}: dedup block size {dedup.block_size}"
-                         f" is not a multiple of the {UNIT_SIZE}-byte segment")
+    dedup_enabled = profile.dedup.enabled
+    if dedup_enabled:
+        try:
+            dedup_shipped, dedup_total = dedup_columns(trace, profile.dedup)
+        except ValueError as error:
+            raise ValueError(f"{profile.name}: {error}") from None
     # ---- constant per profile -----------------------------------------------
     fixed = _fixed_overhead(profile)
     saving_fraction = _LEVEL_SAVING_FRACTION[profile.upload_compression.level]
     per_byte = profile.overhead.per_byte_factor
     delta_block = profile.delta_block if profile.uses_ids else 0
-    dedup_enabled = dedup.enabled
     bds = profile.bds
     batched_overhead = bds.per_file_bytes if bds.mode is BdsMode.FULL \
         else max(bds.per_file_bytes, fixed // 8)
@@ -328,8 +217,6 @@ def replay_trace(trace: Trace, profile: ServiceProfile,
     # One modification stream per user code, alive across blocks.
     streams: Dict[int, np.random.Generator] = {}
 
-    if dedup_enabled:
-        dedup_shipped, dedup_total = _dedup_columns(trace, dedup)
     # Per user code, in first-sight order: the :data:`_PER_USER_DICTS`.
     per_user: Tuple[Dict[int, int], ...] = ({}, {}, {})
     mod_events = data_update = traffic = overhead_total = 0

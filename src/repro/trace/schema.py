@@ -15,11 +15,10 @@ all the paper's trace analyses (Figures 2 and 5, §4/§5 statistics) consume.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Sequence, Tuple
+from typing import Dict, Iterable, Iterator, List, Tuple
 
 import numpy as np
 
@@ -65,16 +64,6 @@ class TraceRecord:
         """The paper's definition: compresses below 90 % of original."""
         return self.compression_ratio < 0.90
 
-    @property
-    def was_modified(self) -> bool:
-        return self.modify_count > 0
-
-    @property
-    def md5(self) -> str:
-        """Full-file fingerprint derived from the content identity."""
-        raw = self.segments.tobytes() + self.size.to_bytes(8, "little")
-        return hashlib.md5(raw).hexdigest()
-
     def full_file_key(self) -> Tuple[bytes, int]:
         """Hashable identity for full-file dedup analysis."""
         return (self.segments.tobytes(), self.size)
@@ -96,13 +85,6 @@ class TraceRecord:
             length = min(block_size, remaining)
             remaining -= length
             yield (ids.tobytes(), length)
-
-    def block_md5s(self, block_size: int) -> List[str]:
-        """Block-level MD5 hash codes as the trace records them."""
-        return [
-            hashlib.md5(identity + length.to_bytes(8, "little")).hexdigest()
-            for identity, length in self.block_keys(block_size)
-        ]
 
 
 #: The per-record columns besides the codes, ``float64`` if named ``*_at``.
@@ -240,28 +222,6 @@ class Trace:
                    times[0], times[1], ints[4, :count], ints[5, :count],
                    ints[6], np.frombuffer(segments, np.int64))
 
-    @classmethod
-    def concat(cls, traces: Sequence["Trace"]) -> "Trace":
-        """The traces' rows in order, as one trace: row by row, for joins
-        paid once (``iter_trace_shards``' shards), not per replay."""
-        return cls.from_fields(map(_FIELDS, itertools.chain(*traces)),
-                               sum(map(len, traces)))
-
-    def take(self, indices) -> "Trace":
-        """The rows at ``indices``, in that order, under the same tables."""
-        indices = np.asarray(indices, dtype=np.int64)
-        starts = self.offsets[indices]
-        lengths = self.offsets[indices + 1] - starts
-        offsets = np.concatenate(([0], np.cumsum(lengths)))
-        gather = np.repeat(starts - offsets[:-1], lengths) \
-            + np.arange(offsets[-1])
-        return Trace(
-            self.user_names, self.service_names, self.user_code[indices],
-            self.service_code[indices],
-            [self.path[index] for index in indices.tolist()],
-            offsets=offsets, segments=self.segments[gather],
-            **{name: getattr(self, name)[indices] for name in _COLUMNS})
-
     def __len__(self) -> int:
         return len(self.size)
 
@@ -286,16 +246,15 @@ class Trace:
                               compressed, created, modified, count,
                               self.segments[bounds[k]:bounds[k + 1]], content)
 
-    def by_service(self) -> Dict[str, "Trace"]:
-        """service → its rows, services in order of first appearance."""
-        return {self.service_names[code]:
-                self.take(np.flatnonzero(self.service_code == code))
-                for code in first_sight(self.service_code)}
-
     def users(self) -> Dict[str, int]:
-        """service → distinct user count (the paper's Table 2)."""
-        return {service: len(set(part.user_code.tolist()))
-                for service, part in self.by_service().items()}
+        """service → distinct user count (the paper's Table 2), services
+        in order of first appearance."""
+        width = max(len(self.user_names), 1)
+        pairs = np.unique(self.service_code * width + self.user_code)
+        counts = np.bincount(pairs // width,
+                             minlength=len(self.service_names)).tolist()
+        return {self.service_names[code]: counts[code]
+                for code in first_sight(self.service_code)}
 
     def total_bytes(self) -> int:
         return sum(self.size.tolist())

@@ -14,9 +14,9 @@ rule: :func:`reference_creation_batch_flags` is the per-group sort loop
 ``repro.trace.analysis.creation_batch_flags`` ran before it became one
 lexsort, and ``test_analysis.py`` holds the two to each other.  From the
 estimator the oracle takes only what is under comparison or shared by
-definition — the report type, the fixed overhead, the unit digest and the
-level saving fractions — and from the trace analysis only the batch
-window and the small-file threshold.
+definition — the report type, the fixed overhead and the level saving
+fractions — and from the trace analysis only the batch window, the
+small-file threshold and the unit digest of its dedup pass.
 """
 
 import hashlib
@@ -27,12 +27,15 @@ import numpy as np
 from repro.client import ServiceProfile
 from repro.client.profiles import BdsMode
 from repro.cloud.dedup import DedupGranularity, DedupScope
-from repro.trace.analysis import BDS_BATCH_WINDOW, SMALL_FILE_THRESHOLD
+from repro.trace.analysis import (
+    BDS_BATCH_WINDOW,
+    SMALL_FILE_THRESHOLD,
+    _unit_digest,
+)
 from repro.trace.replay import (
     _LEVEL_SAVING_FRACTION,
     ReplayReport,
     _fixed_overhead,
-    _unit_digest,
 )
 from repro.trace.schema import TraceRecord
 

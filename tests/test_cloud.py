@@ -296,7 +296,7 @@ def test_apply_delta_via_midlayer_counts_rest_ops():
     ops_before = server.objects.ops.total_ops()
     new = old.modify_byte(100)
     delta = compute_delta(compute_signature(old.data, 512), new.data)
-    server.apply_delta("u", "f.bin", delta, new.md5)
+    server.apply_delta("u", "f.bin", delta, new.md5, old.md5)
     assert server.download("u", "f.bin") == new.data
     # The MODIFY became GET + PUT + DELETE against the REST store (§4.3).
     assert server.objects.ops.total_ops() > ops_before

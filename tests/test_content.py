@@ -95,22 +95,6 @@ def test_overwrite_region():
         base.overwrite_region(7, Content(b"ZZ"))
 
 
-def test_block_md5s_cover_whole_file():
-    content = random_content(2500, seed=2)
-    blocks = content.block_md5s(1000)
-    assert len(blocks) == 3
-    assert blocks[0] != blocks[1]
-
-
-def test_block_md5s_empty_file_has_one_block():
-    assert len(random_content(0).block_md5s(1024)) == 1
-
-
-def test_block_md5s_invalid_block_size():
-    with pytest.raises(ValueError):
-        random_content(10).block_md5s(0)
-
-
 def test_equality_and_hash_follow_bytes():
     a = random_content(128, seed=1)
     b = Content(bytes(a.data))

@@ -79,10 +79,19 @@ CONCURRENT_RENAMES = [("write", 0, "a.bin", 1), ("write", 0, "c.bin", 1),
                       ("rename", 0, "a.bin", 1), ("rename", 0, "c.bin", 2),
                       ("rename", 1, "c.bin", 2)]
 
+#: Eleven 1 KB writes, then a 12 KB one: the last op lands while one IDS
+#: member's delta is cut against a basis the other has replaced (a write)
+#: or tombstoned (a rename).
+_WRITES = [("write", 0, "a.bin", 1)] * 11 + [("write", 0, "a.bin", 12)]
+STALE_BASIS_RENAME = _WRITES + [("rename", 1, "a.bin", 11)]
+STALE_BASIS_WRITE = _WRITES + [("write", 1, "a.bin", 11)]
+
 
 @settings(max_examples=20, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @example(service="GoogleDrive", writers=2, seed=0, ops=CONCURRENT_RENAMES)
+@example(service="Dropbox", writers=2, seed=0, ops=STALE_BASIS_RENAME)
+@example(service="Dropbox", writers=2, seed=0, ops=STALE_BASIS_WRITE)
 @given(service=st.sampled_from(SERVICES),
        writers=st.integers(min_value=2, max_value=4),
        seed=st.integers(min_value=0, max_value=2 ** 16),
@@ -108,3 +117,21 @@ def test_a_rename_whose_source_another_member_moved_still_converges():
     assert fleet.converged()
     assert "c.bin" not in fleet.members[0].folder.paths()
     fleet.audit()
+
+
+def test_a_delta_whose_basis_another_member_replaced_ships_whole():
+    """The server refuses a delta cut against a basis another member has
+    replaced or tombstoned; the member ships its version whole instead of
+    raising out of the event loop, and ends where a non-IDS fleet does."""
+    for ops in (STALE_BASIS_RENAME, STALE_BASIS_WRITE):
+        folders = {}
+        for service in ("Dropbox", "GoogleDrive"):
+            fleet = Fleet(service, clients=2, seed=0, record=True)
+            schedule_ops(fleet, ops)
+            fleet.run_until_idle()
+            assert fleet.converged()
+            fleet.audit()
+            folder = fleet.members[0].folder
+            folders[service] = {path: folder.get(path).md5
+                                for path in folder.paths()}
+        assert folders["Dropbox"] == folders["GoogleDrive"]

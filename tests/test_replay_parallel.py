@@ -2,6 +2,7 @@
 estimator at any worker count, results in input order, a dead worker as
 a structured error, and the streaming shard generator."""
 
+import itertools
 import json
 import multiprocessing
 from dataclasses import asdict, replace
@@ -215,7 +216,7 @@ def test_sharded_generation_feeds_parallel_replay():
     """End-to-end at-scale workflow: generate shard-by-shard, replay the
     concatenation in parallel, match the monolithic sequential result."""
     whole = generate_trace(scale=0.015, seed=33)
-    assembled = Trace.concat(list(iter_trace_shards(
+    assembled = Trace.from_records(itertools.chain(*iter_trace_shards(
         scale=0.015, seed=33, shard_users=6)))
     profile = service_profile("UbuntuOne", AccessMethod.PC)
     a = replay_trace(whole, profile, seed=0)
