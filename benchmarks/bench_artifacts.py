@@ -26,7 +26,7 @@ from repro.artifacts.paper import FIG2_GRID as GRID
 from repro.artifacts.paper import PAPER_DEFERMENTS as EXPECTED
 from repro.artifacts.paper import TABLE6_SIZES
 from repro.client import AccessMethod
-from repro.core import run_faulty_sync
+from repro.core import faulty, measure, uploads
 from repro.trace import SERVICE_FILES
 from repro.units import GB, KB, MB
 
@@ -244,20 +244,20 @@ def check_fig8(args, readings):
     assert curves["M2"][0] < 0.8 * curves["M1"][0]
 
 
-def check_faults(args, sweep):
-    resumable, restart = sweep[True], sweep[False]
+def check_faults(args, readings):
+    rates = args.fault_rates
+    resumable = [readings[rate, True] for rate in rates]
+    restart = [readings[rate, False] for rate in rates]
     # Determinism: the same seed reproduces byte-identical traffic totals.
-    again = run_faulty_sync(fault_rate=0.5, resumable=False)
-    baseline = next(r for r in restart if r.fault_rate == 0.5)
-    assert again == baseline
+    assert measure(faulty(uploads(), 0.5, False)) == readings[0.5, False]
 
     # Restart-from-zero TUE strictly increases with the fault rate.
     restart_tues = [r.tue for r in restart]
     assert all(a < b for a, b in zip(restart_tues, restart_tues[1:]))
 
     # The resumable client is strictly cheaper at every nonzero rate.
-    for res, nores in zip(resumable, restart):
-        if res.fault_rate > 0:
+    for rate, res, nores in zip(rates, resumable, restart):
+        if rate > 0:
             assert res.tue < nores.tue
             assert 0 < res.wasted < nores.wasted
 
@@ -286,24 +286,25 @@ def check_trace_replay(args, result):
     assert by_service["GoogleDrive"].total_savings == 0
 
 
-def check_backends(args, cells):
-    by_key = {(cell.backend, cell.mix): cell for cell in cells}
-    chunk = by_key[("chunk", "paper")].rest_ops_per_file
-    shard = by_key[("packshard", "paper")].rest_ops_per_file
+def check_backends(args, readings):
+    per_file = {(mix, backend): reading.rest.total_ops() / files
+                for (mix, backend, files), reading in readings.items()}
+    chunk = per_file["paper", "chunk"]
+    shard = per_file["paper", "packshard"]
     # Request count, not payload, dominates a small-file bill: packed
     # shards plus bundling cut the paper mix's REST ops/file at least 10x.
     assert chunk / shard >= 10, (chunk, shard)
 
 
-def check_strategies(args, cells):
+def check_strategies(args, readings):
     # Dominance is the entry's ``ok``; the frontier claim is that each
     # static strategy owns a regime, so none is cheapest on every row.
-    statics = [cell for cell in cells if cell.strategy != "adaptive"]
-    rows = {(cell.workload, cell.link) for cell in statics}
-    winners = {min((cell for cell in statics
-                    if (cell.workload, cell.link) == row),
-                   key=lambda cell: cell.tue).strategy
-               for row in rows}
+    rows = {}
+    for (workload, link, strategy), reading in readings.items():
+        if strategy != "adaptive":
+            rows.setdefault((workload, link), []).append(
+                (reading.tue, strategy))
+    winners = {min(row, key=lambda pair: pair[0])[1] for row in rows.values()}
     assert len(winners) > 1, winners
 
 
@@ -391,13 +392,12 @@ def check_ablation_history(args, rows_data):
     assert stored[1] < stored[3] < stored[6] < stored[None]
 
 
-def check_ablation_tradeoffs(args, reports):
-    by_name = {report.profile_name: report for report in reports}
-    ids = by_name["Dropbox/pc"]
-    full = by_name["Box/pc"]
+def check_ablation_tradeoffs(args, readings):
+    ids = readings["Dropbox"]
+    full = readings["Box"]
     # The double-edged sword, quantified.
-    assert ids.traffic_bytes < full.traffic_bytes / 3
-    assert ids.rest_operations > full.rest_operations
+    assert ids.traffic < full.traffic / 3
+    assert ids.rest.total_ops() > full.rest.total_ops()
 
 
 CHECKS = {name[len("check_"):].replace("_", "-"): check

@@ -18,8 +18,8 @@ from ..cloud import DedupConfig
 from ..compress import (HIGH_COMPRESSION, LOW_COMPRESSION,
                         MODERATE_COMPRESSION, NO_COMPRESSION)
 from ..content import random_content, text_content
-from ..core import (UPGRADES, Cell, append, batch, compare_designs, measure,
-                    modify, quantify_all)
+from ..core import (UPGRADES, Cell, append, batch, cell, cpu_seconds, measure,
+                    mixed, modify, quantify_all)
 from ..delta import diff_stats
 from ..reporting import render_table
 from ..trace import dedup_columns, generate_trace
@@ -224,23 +224,20 @@ def _render_history(args, rows_data):
 
 # -- the §7 cost vectors ---------------------------------------------------
 
-def _mixed_workload(session):
-    """Compressible + incompressible creation, then ten edits."""
-    session.create_file("doc.txt", text_content(512 * KB, seed=1))
-    session.create_file("img.jpg", random_content(512 * KB, seed=2))
-    session.run_until_idle()
-    for index in range(10):
-        session.modify_random_byte("doc.txt", seed=10 + index)
-        session.run_until_idle()
-    return 1 * MB + 10
+def _tradeoffs(args):
+    return {service: measure(cell(service, mixed)) for service in SERVICES}
 
 
-def _render_tradeoffs(args, reports):
-    rows = [[report.profile_name, fmt_size(report.traffic_bytes),
-             f"{report.tue:.2f}", fmt_size(report.stored_bytes),
-             str(report.rest_operations), f"{report.client_cpu_seconds:.2f}",
-             f"{report.server_cpu_seconds:.2f}"]
-            for report in reports]
+def _render_tradeoffs(args, readings):
+    rows = []
+    for service, reading in sorted(readings.items(),
+                                   key=lambda item: item[1].traffic):
+        priced = cell(service, mixed)
+        client_cpu, server_cpu = cpu_seconds(priced, reading)
+        rows.append([priced.profile.name, fmt_size(reading.traffic),
+                     f"{reading.tue:.2f}", fmt_size(reading.stored_bytes),
+                     str(reading.rest.total_ops()), f"{client_cpu:.2f}",
+                     f"{server_cpu:.2f}"])
     return {"ablation_tradeoffs": render_table(
         ["Design", "Traffic", "TUE", "Stored", "REST ops", "Client CPU (s)",
          "Server CPU (s)"], rows,
@@ -289,8 +286,5 @@ ABLATIONS = (
              _history, _render_history, {},
              ("ablation_history_retention",)),
     Artifact("ablation-tradeoffs", "§7 cost vectors: traffic, CPU, storage",
-             lambda args: compare_designs(
-                 [service_profile(name, AccessMethod.PC)
-                  for name in SERVICES], _mixed_workload),
-             _render_tradeoffs, {}, ("ablation_tradeoffs",)),
+             _tradeoffs, _render_tradeoffs, {}, ("ablation_tradeoffs",)),
 )

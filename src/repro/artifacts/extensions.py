@@ -4,8 +4,10 @@ sync strategies, one registry entry each."""
 from __future__ import annotations
 
 from ..client import SERVICES
-from ..core import (experiment8_faults, experiment10_backends,
-                    experiment11_strategies, run_collaboration)
+from ..core import (BACKENDS, FILE_MIXES, MIX_FILES, STRATEGIES,
+                    STRATEGY_LINKS, STRATEGY_WORKLOADS, Cell, backend_profile,
+                    churn, faulty, measure, run_collaboration,
+                    run_strategy_cell, uploads)
 from ..fleet import Fleet, schedule_writer_workload
 from ..reporting import (fmt_tue, render_backend_matrix,
                          render_fleet_members, render_strategy_matrix,
@@ -20,11 +22,19 @@ from .base import ACCESS, SEED, TRACE_SEED, Artifact, service_name
 FAULT_RATES = (0.0, 0.1, 0.25, 0.5, 0.75, 1.0)
 
 
-def _render_faults(args, sweep):
-    rows = [[f"{resume.fault_rate:.2f}",
-             f"{restart.tue:.3f}", f"{restart.wasted:,}",
-             f"{resume.tue:.3f}", f"{resume.wasted:,}"]
-            for resume, restart in zip(sweep[True], sweep[False])]
+def _faults(args):
+    """``{(rate, resumable): Reading}``, the resumable sweep first."""
+    return {(rate, resumable): measure(faulty(uploads(), rate, resumable))
+            for resumable in (True, False) for rate in args.fault_rates}
+
+
+def _render_faults(args, readings):
+    rows = []
+    for rate in args.fault_rates:
+        resume, restart = readings[rate, True], readings[rate, False]
+        rows.append([f"{rate:.2f}",
+                     f"{restart.tue:.3f}", f"{restart.wasted:,}",
+                     f"{resume.tue:.3f}", f"{resume.wasted:,}"])
     return {"exp8_faults": render_table(
         ["fault rate", "TUE (restart)", "wasted B (restart)",
          "TUE (resume)", "wasted B (resume)"], rows,
@@ -122,41 +132,63 @@ def _render_fleet(args, result):
 
 # -- Experiments 10 and 11: storage backends and sync strategies -----------
 
-def _render_backends(args, cells):
+def _backends(args):
+    """``{(mix, backend, files): Reading}``, mix-major."""
+    readings = {}
+    for mix in FILE_MIXES:
+        files = MIX_FILES[mix] if args.files is None else args.files
+        for backend in BACKENDS:
+            readings[mix, backend, files] = measure(Cell(
+                backend_profile(backend), churn(mix, files, seed=args.seed)))
+    return readings
+
+
+def _render_backends(args, readings):
     lines = [render_backend_matrix(
-        cells, title=f"Experiment 10 — storage backends (seed {args.seed})")]
-    by_key = {(cell.backend, cell.mix): cell for cell in cells}
-    chunk = by_key.get(("chunk", "paper"))
-    shard = by_key.get(("packshard", "paper"))
-    if chunk and shard and shard.rest_ops_per_file > 0:
-        ratio = chunk.rest_ops_per_file / shard.rest_ops_per_file
-        lines.append(f"paper mix: packshard issues {ratio:.1f}x fewer REST "
-                     f"ops/file than the chunk store")
+        readings,
+        title=f"Experiment 10 — storage backends (seed {args.seed})")]
+    per_file = {(mix, backend): reading.rest.total_ops() / files
+                for (mix, backend, files), reading in readings.items()}
+    chunk = per_file.get(("paper", "chunk"))
+    shard = per_file.get(("paper", "packshard"))
+    if chunk is not None and shard:
+        lines.append(f"paper mix: packshard issues {chunk / shard:.1f}x "
+                     f"fewer REST ops/file than the chunk store")
     return {"backends": "\n".join(lines)}
 
 
-def _dominated(cells) -> bool:
+def _strategies(args):
+    """``{(workload, link, strategy): Reading}``, every cell audited."""
+    return {(workload, link, strategy): run_strategy_cell(
+                strategy, workload, link, files=args.files, seed=args.seed,
+                audit=args.audit)
+            for workload in STRATEGY_WORKLOADS for link in STRATEGY_LINKS
+            for strategy in STRATEGIES}
+
+
+def _dominated(readings) -> bool:
     """Adaptive TUE <= every static strategy's on every workload x link."""
-    adaptive = {(c.workload, c.link): c.tue
-                for c in cells if c.strategy == "adaptive"}
-    return all(adaptive[(c.workload, c.link)] <= c.tue + 1e-12
-               for c in cells
-               if c.strategy != "adaptive" and (c.workload, c.link) in adaptive)
+    adaptive = {(workload, link): reading.tue
+                for (workload, link, strategy), reading in readings.items()
+                if strategy == "adaptive"}
+    return all(adaptive[workload, link] <= reading.tue + 1e-12
+               for (workload, link, strategy), reading in readings.items()
+               if strategy != "adaptive" and (workload, link) in adaptive)
 
 
-def _render_strategies(args, cells):
+def _render_strategies(args, readings):
     return {"strategies": "\n".join([
         render_strategy_matrix(
-            cells, title=f"Experiment 11 — sync strategies (seed {args.seed})"),
+            readings,
+            title=f"Experiment 11 — sync strategies (seed {args.seed})"),
         "adaptive selector TUE <= every static strategy on every cell: "
-        + ("yes" if _dominated(cells) else "NO")])}
+        + ("yes" if _dominated(readings) else "NO")])}
 
 
 #: Experiments 8–11 and the macro replay.
 EXTENSIONS = (
     Artifact("faults", "Experiment 8: TUE vs. fault rate, resume vs. restart",
-             lambda args: experiment8_faults(fault_rates=args.fault_rates),
-             _render_faults,
+             _faults, _render_faults,
              {"--fault-rate": dict(type=float, nargs="+",
                                    default=list(FAULT_RATES),
                                    dest="fault_rates")},
@@ -181,17 +213,13 @@ EXTENSIONS = (
               "--link": dict(choices=("mn", "bj"), default="mn"),
               "--domains": dict(type=int, default=1)}),
     Artifact("backends", "Experiment 10: storage backends × file-size mixes",
-             lambda args: experiment10_backends(files=args.files,
-                                                seed=args.seed),
-             _render_backends,
+             _backends, _render_backends,
              {"--files": dict(type=int, default=None),
               "--seed": dict(type=int, default=0)},
              ("backends",)),
     Artifact("strategies",
              "Experiment 11: sync strategies × workloads × links",
-             lambda args: experiment11_strategies(
-                 files=args.files, seed=args.seed, audit=args.audit),
-             _render_strategies,
+             _strategies, _render_strategies,
              {"--files": dict(type=int, default=3),
               "--seed": dict(type=int, default=0)},
              ("strategies",), ok=_dominated),

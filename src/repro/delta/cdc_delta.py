@@ -61,11 +61,6 @@ class CdcDelta:
                    if isinstance(op, ChunkLiteralOp))
 
     @property
-    def matched_bytes(self) -> int:
-        return sum(op.length for op in self.ops
-                   if isinstance(op, ChunkCopyOp))
-
-    @property
     def wire_size(self) -> int:
         """Bytes this delta occupies in the sync stream."""
         size = CDC_STREAM_HEADER_BYTES

@@ -63,16 +63,6 @@ class Delta:
         return sum(len(op.data) for op in self.ops if isinstance(op, LiteralOp))
 
     @property
-    def matched_bytes(self) -> int:
-        total = 0
-        for op in self.ops:
-            if isinstance(op, CopyOp):
-                total += op.count * self.block_size
-        # The final basis block may be short; callers treat this as an
-        # upper bound, apply_delta handles the true lengths.
-        return total
-
-    @property
     def wire_size(self) -> int:
         """Bytes this delta occupies in the sync stream."""
         size = 8  # stream header

@@ -6,11 +6,13 @@ regenerates, row for row, what the paper reports.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Dict, Iterable, List, Mapping, Optional,
+                    Sequence, Tuple)
 
 from ..units import fmt_size
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
+    from ..core.cell import Reading
     from ..fleet.report import FleetReport
 
 
@@ -67,21 +69,24 @@ def render_fleet_members(report: "FleetReport",
          "Conflicts"], rows, title=title)
 
 
-def render_backend_matrix(cells: Sequence, title: Optional[str] = None) -> str:
-    """The Experiment 10 backend × mix sweep, one row per cell.
+def render_backend_matrix(readings: Mapping[Tuple[str, str, int], "Reading"],
+                          title: Optional[str] = None) -> str:
+    """The Experiment 10 sweep, one row per ``(mix, backend, files)`` cell.
 
     Shared between ``repro backends`` and the archive runner
     ``benchmarks/bench_artifacts.py``, which writes ``results/backends.txt``.
     """
-    rows = [
-        [cell.mix, cell.backend, str(cell.files),
-         f"{cell.rest_ops_per_file:.2f}", str(cell.rest_ops),
-         f"{cell.put_ops}/{cell.get_ops}/{cell.delete_ops}/{cell.list_ops}",
-         fmt_size(cell.stored_bytes), fmt_tue(cell.tue, precision=3),
-         str(cell.shards_sealed), str(cell.shard_compactions),
-         str(cell.bundle_commits)]
-        for cell in cells
-    ]
+    rows = []
+    for (mix, backend, files), reading in readings.items():
+        rest = reading.rest
+        rows.append([
+            mix, backend, str(files), f"{rest.total_ops() / files:.2f}",
+            str(rest.total_ops()),
+            f"{rest.put}/{rest.get}/{rest.delete}/{rest.list}",
+            fmt_size(reading.stored_bytes), fmt_tue(reading.tue, precision=3),
+            str(reading.server.shards_sealed),
+            str(reading.server.shard_compactions),
+            str(reading.client.bundle_commits)])
     return render_table(
         ["Mix", "Backend", "Files", "Ops/file", "REST ops",
          "P/G/D/L", "Stored", "TUE", "Sealed", "Compact", "Bundles"],
@@ -102,10 +107,11 @@ def fmt_tue(value: float, precision: int = 2) -> str:
     return f"{value:.{precision}f}"
 
 
-def render_strategy_matrix(cells: Sequence,
+def render_strategy_matrix(readings: Mapping[Tuple[str, str, str], "Reading"],
                            title: Optional[str] = None) -> str:
-    """The Experiment 11 frontier matrix: workload × link rows, one TUE
-    column per strategy, and the per-row winner.
+    """The Experiment 11 frontier matrix over ``(workload, link, strategy)``
+    cells: workload × link rows, one TUE column per strategy, and the
+    per-row winner.
 
     The Winner column names the cheapest *static* strategy, so a glance
     shows no static column winning every row; a ``*`` marks the adaptive
@@ -113,36 +119,28 @@ def render_strategy_matrix(cells: Sequence,
     dominance contract says it always should.
     """
     strategies: List[str] = []
-    for cell in cells:
-        if cell.strategy not in strategies:
-            strategies.append(cell.strategy)
-    grid: dict = {}
-    row_keys: List[Tuple[str, str]] = []
-    for cell in cells:
-        key = (cell.workload, cell.link)
-        if key not in grid:
-            grid[key] = {}
-            row_keys.append(key)
-        grid[key][cell.strategy] = cell
+    grid: Dict[Tuple[str, str], Dict[str, float]] = {}
+    for (workload, link, strategy), reading in readings.items():
+        if strategy not in strategies:
+            strategies.append(strategy)
+        grid.setdefault((workload, link), {})[strategy] = reading.tue
     rows = []
-    for workload, link in row_keys:
-        row_cells = grid[(workload, link)]
-        statics = [c for c in row_cells.values() if c.strategy != "adaptive"]
-        best = min(statics or row_cells.values(),
-                   key=lambda c: (c.tue if c.tue == c.tue else float("inf"),
-                                  c.strategy))
+    for (workload, link), tues in grid.items():
+        statics = {name: tue for name, tue in tues.items()
+                   if name != "adaptive"}
+        _, best = min((tue if tue == tue else float("inf"), name)
+                      for name, tue in (statics or tues).items())
         row = [workload, link]
         for name in strategies:
-            cell = row_cells.get(name)
-            if cell is None:
+            if name not in tues:
                 row.append("—")
                 continue
-            text = fmt_tue(cell.tue, precision=3)
+            text = fmt_tue(tues[name], precision=3)
             if name == "adaptive" and (
-                    cell.tue <= best.tue or cell.tue != cell.tue):
+                    tues[name] <= tues[best] or tues[name] != tues[name]):
                 text += "*"
             row.append(text)
-        row.append(best.strategy)
+        row.append(best)
         rows.append(row)
     return render_table(
         ["Workload", "Link"] + list(strategies) + ["Winner"],

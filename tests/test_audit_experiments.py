@@ -3,7 +3,8 @@
 import pytest
 
 from repro.client import AccessMethod, service_profile
-from repro.core import cell, create, measure, run_faulty_sync
+from repro.core import (cell, create, faulty, measure, run_strategy_cell,
+                        uploads)
 from repro.obs import AuditViolation, audit, audit_hub, recording, verify
 from repro.trace import ReplayPool, generate_trace, replay_trace
 from repro.units import KB
@@ -13,9 +14,8 @@ def test_audited_experiment8_under_nonzero_fault_rate():
     """The hardest path for conservation: aborts, retries, restart resends
     and brownout rejections must all still sum span-by-span."""
     with recording() as hub:
-        run = run_faulty_sync("Dropbox", fault_rate=0.75, resumable=False,
-                              file_count=2, file_size=512 * KB,
-                              unit_size=128 * KB)
+        run = measure(faulty(uploads(count=2, size=512 * KB), 0.75,
+                             resumable=False, unit_size=128 * KB))
     assert run.wasted > 0                      # faults actually fired
     audit_hub(hub)                             # every invariant holds
     kinds = {s.kind for rec in hub.recorders for s in rec.spans}
@@ -26,13 +26,11 @@ def test_audited_experiment8_under_nonzero_fault_rate():
 def test_audited_experiment8_resumable_and_restart_agree_with_untraced():
     """Tracing must not perturb the fault model either."""
     for resumable in (False, True):
-        plain = run_faulty_sync("Dropbox", fault_rate=0.5,
-                                resumable=resumable, file_count=2,
-                                file_size=256 * KB, unit_size=64 * KB)
+        rig = faulty(uploads(count=2, size=256 * KB), 0.5, resumable,
+                     unit_size=64 * KB)
+        plain = measure(rig)
         with recording(audit=True):
-            traced = run_faulty_sync("Dropbox", fault_rate=0.5,
-                                     resumable=resumable, file_count=2,
-                                     file_size=256 * KB, unit_size=64 * KB)
+            traced = measure(rig)
         assert traced == plain
 
 
@@ -47,13 +45,11 @@ def test_audited_experiment11_smoke():
     """Experiment 11 cells under one ambient hub: the full conservation
     audit must hold, including strategy-conservation over the
     per-strategy delta-exchange cost ledger."""
-    from repro.core import run_strategy_cell
-
     with recording() as hub:
         for name in ("full-file", "set-reconcile", "adaptive"):
-            cell = run_strategy_cell(name, "scatter-edit", "mn",
-                                     files=2, seed=3)
-            assert cell.traffic > 0
+            reading = run_strategy_cell(name, "scatter-edit", "mn",
+                                        files=2, seed=3)
+            assert reading.traffic > 0
     audit_hub(hub)
     kinds = {s.kind for rec in hub.recorders for s in rec.spans}
     assert "delta-exchange" in kinds

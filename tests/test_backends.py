@@ -8,6 +8,7 @@ the backend × mix sweep the CLI and bench report.
 
 import pytest
 
+from repro.artifacts import ARTIFACTS, bench_args
 from repro.chunking import fingerprint
 from repro.client import (
     AccessMethod,
@@ -32,10 +33,12 @@ from repro.content import random_content
 from repro.core import (
     BACKENDS,
     FILE_MIXES,
+    MIX_FILES,
+    Cell,
     backend_profile,
-    experiment10_backends,
+    churn,
     generate_mix,
-    run_backend_cell,
+    measure,
 )
 from repro.obs import AuditViolation, audit, audit_hub, recording, verify
 from repro.units import KB
@@ -717,25 +720,29 @@ def test_backend_profile_declarations():
     assert shard.storage_backend == "packshard"
 
 
+def backend_cell(backend, files=MIX_FILES["paper"]):
+    return Cell(backend_profile(backend), churn("paper", files))
+
+
 def test_backend_cell_is_rerun_identical():
-    first = run_backend_cell("packshard", "paper", files=24)
-    second = run_backend_cell("packshard", "paper", files=24)
-    assert first == second
+    rig = backend_cell("packshard", files=24)
+    assert measure(rig) == measure(rig)
 
 
 def test_paper_mix_packshard_cuts_rest_ops_tenfold():
-    chunk = run_backend_cell("chunk", "paper")
-    shard = run_backend_cell("packshard", "paper")
-    assert shard.bundle_commits >= 1
-    assert chunk.rest_ops_per_file / shard.rest_ops_per_file >= 10.0
+    chunk = measure(backend_cell("chunk"))
+    shard = measure(backend_cell("packshard"))
+    assert shard.client.bundle_commits >= 1
+    assert chunk.rest.total_ops() / shard.rest.total_ops() >= 10.0
 
 
 def test_experiment10_matrix_is_mix_major():
-    cells = experiment10_backends(files=6)
-    assert len(cells) == len(BACKENDS) * len(FILE_MIXES)
-    assert [cell.mix for cell in cells[:len(BACKENDS)]] \
-        == [FILE_MIXES[0]] * len(BACKENDS)
-    assert [cell.backend for cell in cells[:len(BACKENDS)]] == list(BACKENDS)
-    assert all(cell.rest_ops > 0 and cell.stored_bytes > 0
-               for cell in cells)
-    assert all(cell.tue >= 1.0 for cell in cells)
+    entry = next(entry for entry in ARTIFACTS if entry.name == "backends")
+    args = bench_args(entry)
+    args.files = 6
+    readings = entry.run(args)
+    assert list(readings) == [(mix, backend, 6) for mix in FILE_MIXES
+                              for backend in BACKENDS]
+    assert all(reading.rest.total_ops() > 0 and reading.stored_bytes > 0
+               for reading in readings.values())
+    assert all(reading.tue >= 1.0 for reading in readings.values())

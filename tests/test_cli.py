@@ -262,17 +262,17 @@ def test_strategies_exits_one_when_adaptive_loses_a_cell(monkeypatch, capsys):
 
     from repro.artifacts import extensions
 
-    sweep = extensions.experiment11_strategies
+    measured = extensions.run_strategy_cell
+    lost = []
 
-    def adaptive_loses_one_cell(**kwargs):
-        cells = sweep(**kwargs)
-        loser = next(index for index, cell in enumerate(cells)
-                     if cell.strategy == "adaptive")
-        cells[loser] = replace(cells[loser],
-                               traffic=10 * cells[loser].traffic)
-        return cells
+    def adaptive_loses_one_cell(strategy, *args, **kwargs):
+        reading = measured(strategy, *args, **kwargs)
+        if strategy == "adaptive" and not lost:
+            lost.append(reading)
+            reading = replace(reading, traffic=10 * reading.traffic)
+        return reading
 
-    monkeypatch.setattr(extensions, "experiment11_strategies",
+    monkeypatch.setattr(extensions, "run_strategy_cell",
                         adaptive_loses_one_cell)
     assert main(["strategies"]) == 1
     assert "every static strategy on every cell: NO" in \

@@ -10,8 +10,9 @@ import math
 import pytest
 
 from repro.client import SERVICES, AccessMethod
-from repro.core import (Cell, Reading, append, batch, cell, create, delete,
-                        measure, modify, run_faulty_sync, upload_download)
+from repro.core import (Cell, Reading, append, batch, cell, churn, create,
+                        delete, edits, generate_mix, measure, modify,
+                        upload_download, uploads)
 from repro.units import KB, MB
 
 
@@ -19,9 +20,10 @@ from repro.units import KB, MB
 # The cell itself
 # ---------------------------------------------------------------------------
 
-def test_cell_has_exactly_four_fields():
+def test_cell_fields_are_the_rig_and_the_session_seam():
     assert [field.name for field in dataclasses.fields(Cell)] == \
-        ["profile", "recipe", "link", "machine"]
+        ["profile", "recipe", "link", "machine", "retry", "faults",
+         "strategy"]
 
 
 def test_each_mark_closes_one_phase():
@@ -68,6 +70,14 @@ def test_zero_size_modification_cell_tue_is_infinite():
     flip = measure(cell("Dropbox", modify(1 * KB)))
     assert flip.update_bytes == 1
     assert flip.tue == flip.traffic
+
+
+def test_idle_cell_tue_is_nan():
+    """No traffic and no update leaves the TUE undefined (``nan``), the
+    convention ``fmt_tue`` renders as ``—``; it is not infinite."""
+    reading = measure(cell("Dropbox", lambda session, mark: None))
+    assert (reading.traffic, reading.update_bytes) == (0, 0)
+    assert math.isnan(reading.tue)
 
 
 def test_one_byte_creation_tue_is_traffic():
@@ -227,16 +237,26 @@ def test_experiment6_returns_full_sweep():
     (batch, (), {"count": 0}, "must be positive"),
     (batch, (), {"size": 0}, "must be positive"),
     (batch, (), {"count": -1}, "must be positive"),
+    # Regression: a negative count built a cell with -0.0 REST ops/file,
+    # and zero files an empty one.
+    (churn, ("paper", -3), {}, "files must be >= 1"),
+    (churn, ("paper", 0), {}, "files must be >= 1"),
+    (edits, ("scatter-edit", -1), {}, "files must be >= 1"),
+    (edits, ("fresh", 0), {}, "files must be >= 1"),
+    (edits, ("bogus",), {}, "unknown workload"),
+    (generate_mix, ("paper", -2), {}, "files must be >= 0"),
 ], ids=["append-x", "append-kb", "append-total", "batch-count",
-        "batch-size", "batch-negative-count"])
+        "batch-size", "batch-negative-count", "churn-negative-files",
+        "churn-zero-files", "edits-negative-files", "edits-zero-files",
+        "edits-unknown-workload", "mix-negative-files"])
 def test_recipe_rejects_degenerate_inputs(recipe, args, kwargs, message):
     """Recipes check their inputs when built, before any rig exists."""
     with pytest.raises(ValueError, match=message):
         recipe(*args, **kwargs)
 
 
-@pytest.mark.parametrize("kwargs", [{"file_count": 0}, {"file_size": 0}])
+@pytest.mark.parametrize("kwargs", [{"count": 0}, {"size": 0}])
 def test_faulty_sync_rejects_empty_uploads(kwargs):
     """Regression: no uploaded bytes divided the traffic by zero."""
     with pytest.raises(ValueError, match="must be positive"):
-        run_faulty_sync(**kwargs)
+        uploads(**kwargs)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.client import AccessMethod, RetryPolicy, SyncSession
 from repro.cloud import CloudServer, RateLimited, ServiceUnavailable
-from repro.core import run_faulty_sync
+from repro.core import faulty, measure, uploads
 from repro.core.tue import TrafficReport
 from repro.simnet import (
     Channel,
@@ -184,15 +184,15 @@ def test_session_without_faults_reports_zero_waste():
 
 
 def test_faulty_session_decomposes_traffic():
-    run = run_faulty_sync(fault_rate=1.0, resumable=True, file_count=2)
-    assert run.transient_errors > 0
+    run = measure(faulty(uploads(count=2), 1.0, resumable=True))
+    assert run.client.transient_errors > 0
     assert run.wasted > 0
     assert run.useful + run.wasted == run.traffic
 
 
 def test_restart_from_zero_wastes_more_than_resume():
-    resume = run_faulty_sync(fault_rate=0.75, resumable=True, file_count=2)
-    restart = run_faulty_sync(fault_rate=0.75, resumable=False, file_count=2)
+    resume = measure(faulty(uploads(count=2), 0.75, resumable=True))
+    restart = measure(faulty(uploads(count=2), 0.75, resumable=False))
     assert restart.wasted > resume.wasted
     assert restart.tue > resume.tue
     # Both deliver the same payload; the difference is pure failure cost.

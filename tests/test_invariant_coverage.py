@@ -4,7 +4,7 @@ Each row of ``repro.obs.INVARIANTS`` is wrapped with a counter, then only
 the real entry points are driven, at tiny scale: ``SyncSession.audit``,
 ``audit_hub``, ``Fleet.audit`` (one queue and two event domains),
 ``replay_all(..., audit=True)`` with and without a pool, and
-``run_backend_cell``.  Every row must be evaluated, and with every input
+the Experiment 10 cell.  Every row must be evaluated, and with every input
 it reads — a row a caller never feeds, or feeds only half of, fails
 here.  Calling a row directly does not count: that is how an invariant
 stays an orphan while its unit tests pass.
@@ -16,7 +16,7 @@ import importlib
 import pytest
 
 from repro.client import AccessMethod, SyncSession
-from repro.core import run_backend_cell
+from repro.core import Cell, backend_profile, churn, measure
 from repro.fleet import Fleet, schedule_writer_workload
 from repro.obs import TraceHub, audit_hub, recording
 from repro.trace import ReplayPool, generate_trace, replay_all
@@ -76,7 +76,7 @@ def drive_production_paths():
     with ReplayPool(trace, workers=2) as pool:
         replay_all(services=[CROSS_USER_SERVICE], pool=pool, audit=True)
 
-    run_backend_cell("object", "paper", files=4)
+    measure(Cell(backend_profile("object"), churn("paper", 4)))
 
 
 def test_every_invariant_runs_with_every_input(evaluated):

@@ -157,7 +157,7 @@ def test_explicit_strategy_matches_pre_refactor_baseline(profile, link_name,
                           "set-reconcile", "adaptive"])
 def test_strategy_cell_traced_equals_untraced(strategy_name):
     """The audit/trace machinery must not perturb a strategy's bytes."""
-    from repro.core.experiments import run_strategy_cell
+    from repro.core import run_strategy_cell
 
     untraced = run_strategy_cell(strategy_name, "scatter-edit", "mn",
                                  files=2, seed=5, audit=False)

@@ -13,8 +13,8 @@ Regenerate after an intentional change with::
 import os
 from pathlib import Path
 
-from repro.core import experiment11_strategies
-from repro.core.experiments import StrategyCell
+from repro.core import (STRATEGIES, STRATEGY_WORKLOADS, Reading,
+                        run_strategy_cell)
 from repro.reporting import render_strategy_matrix
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -33,22 +33,23 @@ def check_golden(name: str, text: str) -> None:
 def test_strategy_matrix_smoke_sweep():
     """A reduced real sweep (every strategy, one link per workload class)
     under the full conservation audit, rendered and frozen."""
-    cells = experiment11_strategies(links=("mn",), files=2, seed=0)
+    readings = {(workload, "mn", strategy):
+                run_strategy_cell(strategy, workload, "mn", files=2, seed=0)
+                for workload in STRATEGY_WORKLOADS for strategy in STRATEGIES}
     text = render_strategy_matrix(
-        cells, title="Experiment 11 — sync strategies (smoke, seed 0)")
+        readings, title="Experiment 11 — sync strategies (smoke, seed 0)")
     check_golden("strategy_matrix.txt", text + "\n")
 
 
 def synthetic(strategy, workload, link, update, traffic):
-    return StrategyCell(strategy=strategy, workload=workload, link=link,
-                        files=0, update_bytes=update, traffic=traffic,
-                        strategy_payload=0, round_trips=0, cpu_units=0)
+    return (workload, link, strategy), Reading(
+        traffic=traffic, payload=0, update_bytes=update, sync_transactions=0)
 
 
 def test_strategy_matrix_nan_and_inf_cells():
     """Degenerate cells follow the PR 3 conventions: an idle cell (no
     traffic, no update) renders ``—``; pure overhead renders ``inf``."""
-    cells = [
+    readings = dict([
         # Idle row: every strategy nan; adaptive still starred (vacuous
         # dominance), winner is the alphabetically-first static.
         synthetic("full-file", "idle", "mn", 0, 0),
@@ -60,8 +61,8 @@ def test_strategy_matrix_nan_and_inf_cells():
         # Mixed row with a strategy column missing entirely.
         synthetic("full-file", "edit", "mn", 1000, 2000),
         synthetic("adaptive", "edit", "mn", 1000, 1500),
-    ]
-    text = render_strategy_matrix(cells, title="degenerate cells")
+    ])
+    text = render_strategy_matrix(readings, title="degenerate cells")
     check_golden("strategy_matrix_edge.txt", text + "\n")
     assert "—" in text
     assert "inf" in text

@@ -8,7 +8,7 @@ and the table renderer — to the same convention.
 
 import math
 
-from repro.core.tradeoffs import CostReport
+from repro.core import Reading
 from repro.reporting import fmt_tue
 from repro.trace.replay import ReplayReport
 
@@ -32,8 +32,8 @@ def test_replay_report_tue_plain_ratio():
 
 
 def test_cost_report_matches_convention():
-    make = lambda traffic, update: CostReport(
-        profile_name="p", traffic_bytes=traffic, data_update_bytes=update)
+    make = lambda traffic, update: Reading(
+        traffic=traffic, payload=0, update_bytes=update, sync_transactions=0)
     assert math.isinf(make(10, 0).tue)
     assert math.isnan(make(0, 0).tue)
     assert make(10, 5).tue == 2.0
