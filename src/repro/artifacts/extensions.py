@@ -111,11 +111,17 @@ def _fleet(args):
                                  file_size=args.size, seed=args.seed,
                                  link_spec=link)
     return (fleet.report(), writers, baseline,
-            fleet.sim.cross_messages if args.domains > 1 else 0)
+            fleet.sim.cross_messages if args.domains > 1 else 0,
+            fleet.converged())
+
+
+def _fleet_converged(result) -> bool:
+    """Every live member ended with the same folder state."""
+    return result[-1]
 
 
 def _render_fleet(args, result):
-    report, writers, baseline, cross_messages = result
+    report, writers, baseline, cross_messages, converged = result
     lines = [render_fleet_members(
         report, title=f"Fleet — {report.service}, {report.clients} clients, "
                       f"{writers} writer(s), seed {args.seed}")]
@@ -127,6 +133,7 @@ def _render_fleet(args, result):
                  f"{report.commit_epochs} commit epoch(s); amplification "
                  f"{fmt_tue(report.amplification(baseline))}x vs a solo "
                  f"writer")
+    lines.append("live members converged: " + ("yes" if converged else "NO"))
     return {"fleet": "\n".join(lines)}
 
 
@@ -211,7 +218,8 @@ EXTENSIONS = (
               "--files": dict(type=int, default=2),
               "--size": dict(type=int, default=64 * KB),
               "--link": dict(choices=("mn", "bj"), default="mn"),
-              "--domains": dict(type=int, default=1)}),
+              "--domains": dict(type=int, default=1)},
+             ok=_fleet_converged),
     Artifact("backends", "Experiment 10: storage backends × file-size mixes",
              _backends, _render_backends,
              {"--files": dict(type=int, default=None),

@@ -126,9 +126,9 @@ class FleetMember:
         if recorder is not None:
             recorder.bind_meter(self.meter)
             hub.server.attach_recorder(recorder)
-        #: Per-member seeded stream (fetch-backoff jitter) — one
-        #: ``random.Random`` per client per REP002, keyed off seed + index.
-        self.rng = random.Random(seed * 1_000_003 + index)
+        #: Seed of the per-member fetch-backoff stream; see :attr:`rng`.
+        self._rng_seed = seed * 1_000_003 + index
+        self._rng: Optional[random.Random] = None
         #: Injectors are stateful, so each member gets its own bound to the
         #: shared schedule; the same failure windows hit the whole fleet.
         self.faults = (FaultInjector(fault_schedule)
@@ -150,6 +150,18 @@ class FleetMember:
 
     def _track_update(self, event) -> None:
         self._update_bytes += event.update_bytes
+
+    @property
+    def rng(self) -> random.Random:
+        """Per-member seeded stream (fetch-backoff jitter): one
+        ``random.Random`` per client per REP002, keyed off seed + index.
+
+        Built on first use: only a retried fetch draws from it, so a
+        member that never retries holds no Mersenne-Twister state.
+        """
+        if self._rng is None:
+            self._rng = random.Random(self._rng_seed)
+        return self._rng
 
     # -- membership ---------------------------------------------------------
 

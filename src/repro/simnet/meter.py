@@ -6,14 +6,17 @@ and overhead (``Overhead traffic = Total sync traffic - payload``,
 Experiment 1).  :class:`TrafficMeter` performs the same accounting on the
 simulated wire: every byte a connection puts on the link is recorded with a
 direction (``UP`` = client→cloud, ``DOWN`` = cloud→client), a payload/overhead
-split, and a free-form kind tag used by tests and reports.
+split, and a free-form kind tag used by tests and reports.  Each wire event is
+one :class:`TrafficRecord` row, a ``NamedTuple``: a fleet meters several per
+delivery, so a row is one tuple rather than a dataclass instance.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from operator import index
+from typing import Dict, List, NamedTuple, Tuple
 
 
 class Direction(enum.Enum):
@@ -23,10 +26,11 @@ class Direction(enum.Enum):
     DOWN = "down"  # cloud → client
 
 
-@dataclass(frozen=True)
-class TrafficRecord:
+class TrafficRecord(NamedTuple):
     """One metered wire event (a transfer, handshake, ack stream, ...).
 
+    An immutable ``NamedTuple`` row: fields read by name, ``_replace``
+    builds a changed copy, and assigning a field raises ``AttributeError``.
     ``wasted`` marks the failure-induced portion of the record — bytes that
     crossed the wire but delivered no new data (retransmissions, aborted
     transfers, rejected requests).  It is a *decomposition* of
@@ -92,11 +96,18 @@ class TrafficMeter:
         kind: str = "",
         wasted: int = 0,
     ) -> TrafficRecord:
-        """Meter one wire event; negative byte counts are programming errors.
+        """Meter one wire event as a :class:`TrafficRecord` row.
 
-        ``wasted`` tags how much of this record was failure-induced; it must
-        not exceed ``payload + overhead`` (it is a split, not extra bytes).
+        Byte counts go through ``operator.index``: any integer, numpy's
+        included, is metered as a Python ``int``; a float raises
+        ``TypeError`` rather than being truncated, and a negative count
+        raises ``ValueError``; either way nothing is metered.  ``wasted``
+        tags how much of this record was failure-induced; it must not
+        exceed ``payload + overhead`` (it is a split, not extra bytes).
         """
+        payload = index(payload)
+        overhead = index(overhead)
+        wasted = index(wasted)
         if payload < 0 or overhead < 0 or wasted < 0:
             raise ValueError("traffic byte counts must be non-negative")
         if wasted > payload + overhead:
@@ -107,7 +118,6 @@ class TrafficMeter:
             totals = self.down
         else:
             raise ValueError(f"unknown traffic direction {direction!r}")
-        payload, overhead, wasted = int(payload), int(overhead), int(wasted)
         entry = TrafficRecord(time, direction, payload, overhead, kind, wasted)
         self.records.append(entry)
         totals.payload += payload

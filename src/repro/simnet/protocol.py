@@ -21,7 +21,8 @@ depend on serialisation delay and RTT counts, not on slow-start dynamics
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence, Tuple
+from typing import (TYPE_CHECKING, Any, Dict, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 from .clock import Simulator
 from .faults import FaultInjector, TransferInterrupted
@@ -139,27 +140,30 @@ class Channel:
         )
         self._settle("connect", "handshake", now, now, now + duration,
                      [(Direction.UP, 0, up, 0), (Direction.DOWN, 0, down, 0)],
-                     op="handshake", up_bytes=up, down_bytes=down)
+                     None if self.recorder is None else
+                     dict(op="handshake", up_bytes=up, down_bytes=down))
         return duration
 
     def _settle(self, span_kind: str, name: str, at: float, start: float,
                 end: float, flows: Sequence[Tuple[Direction, int, int, int]],
-                **attrs) -> None:
+                attrs: Optional[Dict[str, Any]]) -> None:
         """The epilogue every wire op shares.
 
         Meters the op's ``(direction, payload, overhead, wasted)`` flows
         at time ``at``, emits its one span carrying exactly that meter
-        delta, and advances the wire clock and keep-alive window to
-        ``end``.
+        delta and ``attrs``, and advances the wire clock and keep-alive
+        window to ``end``.  Callers build ``attrs`` only when a recorder
+        is attached (``None`` otherwise): an unrecorded wire op builds no
+        span attributes.
         """
         recorder = self.recorder
-        before = self.meter.snapshot() if recorder is not None else None
+        meter = self.meter
+        before = meter.snapshot() if recorder is not None else None
         for direction, payload, overhead, wasted in flows:
-            self.meter.record(at, direction, payload, overhead, kind=name,
-                              wasted=wasted)
+            meter.record(at, direction, payload, overhead, name, wasted)
         if recorder is not None:
             recorder.record_span(span_kind, name, "channel", start, end,
-                                 delta=self.meter.since(before), **attrs)
+                                 delta=meter.since(before), **attrs)
         self._busy_until = end
         self._connected_until = end + self.costs.idle_timeout
 
@@ -253,9 +257,11 @@ class Channel:
               plan.up_retx),
              (Direction.DOWN, down_payload, plan.down_total - down_payload,
               plan.down_retx)],
-            op="exchange", up_payload=up_payload, down_payload=down_payload,
-            up_wire=plan.up_wire, down_wire=plan.down_wire,
-            up_retx=plan.up_retx, down_retx=plan.down_retx)
+            None if self.recorder is None else dict(
+                op="exchange", up_payload=up_payload,
+                down_payload=down_payload, up_wire=plan.up_wire,
+                down_wire=plan.down_wire, up_retx=plan.up_retx,
+                down_retx=plan.down_retx))
         self.exchange_count += 1
         return duration
 
@@ -292,8 +298,9 @@ class Channel:
         if sent_down:
             flows.append((Direction.DOWN, 0, sent_down, sent_down))
         self._settle("exchange", kind + "-aborted", fail_at, start,
-                     start + elapsed, flows, op="aborted",
-                     sent_up=sent_up, sent_down=sent_down)
+                     start + elapsed, flows,
+                     None if self.recorder is None else
+                     dict(op="aborted", sent_up=sent_up, sent_down=sent_down))
         self._connected_until = -1.0  # the blackout killed the connection
         if self.recorder is not None:
             self.recorder.record_span(
@@ -323,8 +330,9 @@ class Channel:
             "exchange", kind, start, start, start + duration,
             [(Direction.UP, 0, up_bytes, up_bytes),
              (Direction.DOWN, 0, down_bytes, down_bytes)],
-            op="rejected", up_wire=framing.up_wire,
-            down_wire=framing.down_wire)
+            None if self.recorder is None else
+            dict(op="rejected", up_wire=framing.up_wire,
+                 down_wire=framing.down_wire))
         return duration
 
     def resend_wasted(self, wire_bytes: int, kind: str = "restart") -> float:
@@ -347,7 +355,8 @@ class Channel:
             "exchange", kind, start, start, start + duration,
             [(Direction.UP, 0, gross_up, gross_up),
              (Direction.DOWN, 0, acks, acks)],
-            op="restart", wire_bytes=wire_bytes)
+            None if self.recorder is None else
+            dict(op="restart", wire_bytes=wire_bytes))
         return duration
 
     def _slow_start_rtts(self, wire_bytes: int) -> float:
@@ -375,7 +384,8 @@ class Channel:
         if acks:
             flows.append((Direction.UP, 0, acks, 0))
         self._settle("exchange", kind, start, start, start + duration, flows,
-                     op="notification", nbytes=nbytes)
+                     None if self.recorder is None else
+                     dict(op="notification", nbytes=nbytes))
         return duration
 
     def drop_connection(self) -> None:

@@ -137,6 +137,7 @@ def test_fleet_audited(capsys):
     out = run(capsys, "audit", "fleet", "--clients", "3", "--writers", "2",
               "--seed", "3")
     assert "client0" in out and "fleet TUE" in out
+    assert "live members converged: yes" in out
     assert "event domains" not in out
 
 
@@ -277,6 +278,23 @@ def test_strategies_exits_one_when_adaptive_loses_a_cell(monkeypatch, capsys):
     assert main(["strategies"]) == 1
     assert "every static strategy on every cell: NO" in \
         capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv", [["fleet"], ["audit", "fleet"]],
+                         ids=" ".join)
+def test_fleet_exits_one_when_a_follower_diverges(monkeypatch, capsys, argv):
+    """Regression: a fleet whose members did not converge exited 0."""
+    from repro.fleet import FleetMember
+
+    apply_entry = FleetMember._apply_entry
+
+    def client2_never_applies(member, entry):
+        if member.name != "client2":
+            apply_entry(member, entry)
+
+    monkeypatch.setattr(FleetMember, "_apply_entry", client2_never_applies)
+    assert main([*argv, "--clients", "3", "--writers", "1"]) == 1
+    assert "live members converged: NO" in capsys.readouterr().out
 
 
 def test_strategies_audited_run_passes(capsys):

@@ -2,6 +2,7 @@
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -186,17 +187,42 @@ def test_reset_zeroes_the_totals_in_place():
 def test_snapshot_stays_a_replaceable_frozen_dataclass():
     """The recorder rebuilds snapshots with ``MeterSnapshot(**dict)`` and
     ``dataclasses.replace``; both, and immutability, must survive the
-    positional construction inside the meter."""
+    positional construction inside the meter.  A record is a ``NamedTuple``
+    row: ``_replace`` copies it and assigning a field raises
+    ``AttributeError``, the base of ``FrozenInstanceError``."""
     meter = TrafficMeter()
     record = meter.record(0.0, Direction.UP, 10, 2, kind="k", wasted=1)
     snap = meter.snapshot()
     assert MeterSnapshot(**dataclasses.asdict(snap)) == snap
     assert dataclasses.replace(snap, up_wasted=0).up_wasted == 0
-    assert dataclasses.replace(record, kind="other").total == 12
+    assert record._replace(kind="other").total == 12
     with pytest.raises(dataclasses.FrozenInstanceError):
         snap.up_payload = 0
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         record.payload = 0
+
+
+@pytest.mark.parametrize("field", ["payload", "overhead", "wasted"])
+def test_a_non_integral_byte_count_is_refused_before_metering(field):
+    """Regression: ``record(0.0, UP, 10.7)`` metered 10 bytes."""
+    meter = TrafficMeter()
+    counts = dict(payload=20, overhead=5, wasted=1)
+    counts[field] = 10.7
+    with pytest.raises(TypeError):
+        meter.record(0.0, Direction.UP, **counts)
+    assert meter.records == [] and meter.total_bytes == 0
+    assert meter.wasted_bytes == 0
+
+
+def test_numpy_integer_counts_meter_as_python_ints():
+    meter = TrafficMeter()
+    record = meter.record(0.0, Direction.DOWN, np.int64(10), np.uint16(2),
+                          wasted=np.int32(1))
+    assert record == (0.0, Direction.DOWN, 10, 2, "", 1)
+    assert all(type(count) is int
+               for count in (record.payload, record.overhead, record.wasted,
+                             meter.down.payload, meter.down.overhead,
+                             meter.down.wasted))
 
 
 # -- the ledger against its own record list ---------------------------------
