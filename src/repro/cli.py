@@ -102,53 +102,26 @@ def cmd_trace(args) -> int:
     return 0
 
 
-#: Baseline applied by default when the file exists (repo root); passing
-#: --baseline explicitly makes a missing file an error instead.
-DEFAULT_BASELINE = "reprolint-baseline.json"
-
-
 def cmd_lint(args) -> int:
     import json as _json
-    import os.path
 
     from .lint import ALL_RULES, lint_paths
 
-    baseline = args.baseline
-    if baseline is None:
-        baseline = DEFAULT_BASELINE if os.path.exists(DEFAULT_BASELINE) \
-            else None
-    elif not os.path.exists(baseline):
-        print(f"error: baseline file {baseline!r} does not exist",
-              file=sys.stderr)
-        return 2
-    result = lint_paths(args.paths, ALL_RULES, baseline_path=baseline)
-
-    stale_fails = bool(result.stale) and args.fail_stale
+    result = lint_paths(args.paths, ALL_RULES)
     if args.format == "json":
         payload = {
             "files": result.file_count,
             "findings": [finding.to_dict() for finding in result.findings],
-            "baseline_applied": result.baseline_applied,
-            "stale_baseline": [
-                {"rule": entry.rule, "path": entry.path,
-                 "comment": entry.comment}
-                for entry in result.stale],
         }
         print(_json.dumps(payload, indent=2))
-        return 1 if (result.findings or stale_fails) else 0
+        return 0 if result.ok else 1
 
     for finding in result.findings:
         print(finding.format())
-    for entry in result.stale:
-        print(f"{'error' if args.fail_stale else 'warning'}: stale baseline "
-              f"entry {entry.rule} for {entry.path} — the finding no longer "
-              f"fires; remove the suppression")
-    status = "FAILED" if (result.findings or stale_fails) else "ok"
     print(f"reprolint: {result.file_count} file(s), "
-          f"{len(result.findings)} finding(s), "
-          f"{result.baseline_applied} baselined, "
-          f"{len(result.stale)} stale — {status}")
-    return 1 if (result.findings or stale_fails) else 0
+          f"{len(result.findings)} finding(s) — "
+          f"{'ok' if result.ok else 'FAILED'}")
+    return 0 if result.ok else 1
 
 
 #: The commands that are not reproduced artifacts: name -> (description,
@@ -162,9 +135,7 @@ TOOLS = {
     "lint": ("reprolint: static determinism/conservation invariants",
              cmd_lint,
              {"paths": dict(nargs="*", default=["src"]),
-              "--format": dict(choices=("text", "json"), default="text"),
-              "--baseline": dict(default=None),
-              "--fail-stale": dict(action="store_true", dest="fail_stale")}),
+              "--format": dict(choices=("text", "json"), default="text")}),
 }
 
 #: ``repro audit NAME`` and ``repro trace-run NAME``: each takes any

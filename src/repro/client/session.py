@@ -21,7 +21,6 @@ from ..simnet import (
     FaultSchedule,
     Link,
     LinkSpec,
-    NetworkEmulator,
     Simulator,
     TrafficMeter,
     mn_link,
@@ -55,7 +54,6 @@ class SyncSession:
         self.profile = profile
         self.sim = sim or Simulator()
         self.link = Link(link_spec or mn_link())
-        self.netem = NetworkEmulator(self.sim, self.link)
         self.server = server or CloudServer(
             dedup=profile.dedup,
             storage_chunk_size=profile.storage_chunk_size,
@@ -163,10 +161,10 @@ class SyncSession:
 
     def tue(self, update_size: Optional[int] = None) -> float:
         """Traffic Usage Efficiency (Eq. 1)."""
+        from ..core.tue import tue  # local: core imports client
+
         denominator = self._update_bytes if update_size is None else update_size
-        if denominator <= 0:
-            raise ValueError("data update size must be positive to compute TUE")
-        return self.meter.total_bytes / denominator
+        return tue(self.meter.total_bytes, denominator)
 
     def reset_meter(self) -> None:
         """Zero the traffic meter (e.g. between UP and DN phases)."""

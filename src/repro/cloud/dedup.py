@@ -102,9 +102,5 @@ class DedupIndex:
         if self.config.enabled:
             self._index[self._key(user, digest)] = chunk_key
 
-    def forget_user(self, user: str) -> None:
-        """Drop a user's private index entries (account deletion)."""
-        self._index = {k: v for k, v in self._index.items() if k[0] != user}
-
     def __len__(self) -> int:
         return len(self._index)

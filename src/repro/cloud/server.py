@@ -23,7 +23,7 @@ stored bytes) used by the §7 tradeoff analyses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..chunking import cdc_chunks, fingerprint
 from ..delta import CdcDelta, Delta, apply_cdc_delta as apply_cdc_stream
@@ -256,21 +256,7 @@ class CloudServer:
         ``self.objects.ops`` so the REST amplification is measurable.  The
         head must still be the basis the delta was cut against.
         """
-        head = self._delta_basis(user, path, basis_md5)
-        old_data = self.chunks.fetch_many(list(head.chunk_keys))  # GETs
-        new_data = apply_rsync_delta(old_data, delta)
-        if fingerprint(new_data) != expected_md5:
-            raise IntegrityError("delta application produced wrong content")
-        self.stats.delta_applications += 1
-
-        chunk_size = self.storage_chunk_size or max(len(new_data), 1)
-        digests, keys, sizes = self._store_content(user, new_data, chunk_size)
-
-        # DELETE the old version's objects that no new version references.
-        new_version = self.commit(
-            user, path, len(new_data), expected_md5, digests, keys, sizes)
-        self._delete_stale(set(head.chunk_keys))
-        return new_version
+        return self._apply_to_basis(user, path, delta, expected_md5, basis_md5)
 
     def apply_cdc_delta(self, user: str, path: str, cdelta: CdcDelta,
                         expected_md5: str, basis_md5: str) -> FileVersion:
@@ -280,12 +266,28 @@ class CloudServer:
         stream references byte ranges of the basis (coalesced CDC chunk
         matches) instead of fixed rsync blocks.
         """
+        return self._apply_to_basis(user, path, cdelta, expected_md5, basis_md5)
+
+    def _apply_to_basis(self, user: str, path: str,
+                        delta: Union[Delta, CdcDelta], expected_md5: str,
+                        basis_md5: str) -> FileVersion:
+        """GET the basis head, apply ``delta`` with its own codec, check the
+        md5, PUT and commit the result, then DELETE the old version's
+        objects that no new version references."""
+        cdc = isinstance(delta, CdcDelta)
         head = self._delta_basis(user, path, basis_md5)
         old_data = self.chunks.fetch_many(list(head.chunk_keys))  # GETs
-        new_data = apply_cdc_stream(old_data, cdelta)
+        if cdc:
+            new_data = apply_cdc_stream(old_data, delta)
+        else:
+            new_data = apply_rsync_delta(old_data, delta)
         if fingerprint(new_data) != expected_md5:
-            raise IntegrityError("cdc delta application produced wrong content")
-        self.stats.cdc_delta_applications += 1
+            raise IntegrityError(f"{'cdc delta' if cdc else 'delta'} "
+                                 f"application produced wrong content")
+        if cdc:
+            self.stats.cdc_delta_applications += 1
+        else:
+            self.stats.delta_applications += 1
 
         chunk_size = self.storage_chunk_size or max(len(new_data), 1)
         digests, keys, sizes = self._store_content(user, new_data, chunk_size)

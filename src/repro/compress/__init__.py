@@ -7,7 +7,6 @@ from .policy import (
     NO_COMPRESSION,
     CompressionLevel,
     CompressionPolicy,
-    winzip_reference_size,
 )
 
 __all__ = [
@@ -17,5 +16,4 @@ __all__ = [
     "LOW_COMPRESSION",
     "MODERATE_COMPRESSION",
     "NO_COMPRESSION",
-    "winzip_reference_size",
 ]

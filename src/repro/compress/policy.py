@@ -106,12 +106,3 @@ NO_COMPRESSION = CompressionPolicy(CompressionLevel.NONE)
 LOW_COMPRESSION = CompressionPolicy(CompressionLevel.LOW)
 MODERATE_COMPRESSION = CompressionPolicy(CompressionLevel.MODERATE)
 HIGH_COMPRESSION = CompressionPolicy(CompressionLevel.HIGH)
-
-
-def winzip_reference_size(content: Content) -> int:
-    """The paper's reference compressor: highest-level whole-stream DEFLATE.
-
-    Used by the trace analysis to classify files as "effectively compressed"
-    (compressed/original < 90 %).
-    """
-    return HIGH_COMPRESSION.wire_size(content)

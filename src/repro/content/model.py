@@ -88,13 +88,6 @@ class Content:
         rng = random.Random(f"pick:{seed}:{len(self.data)}")
         return self.modify_byte(rng.randrange(len(self.data)), seed=seed)
 
-    def overwrite_region(self, offset: int, patch: "Content") -> "Content":
-        """Replace bytes starting at ``offset`` with ``patch`` (in-place edit)."""
-        end = offset + patch.size
-        if offset < 0 or end > len(self.data):
-            raise IndexError("patch region outside file bounds")
-        return Content(self.data[:offset] + patch.data + self.data[end:])
-
     def slice(self, offset: int, length: int) -> "Content":
         return Content(self.data[offset:offset + length])
 

@@ -32,6 +32,7 @@ from ..obs import audit as conservation_audit
 from ..obs import current_hub, recording
 from ..simnet import FaultSchedule, LinkSpec, bj_link, lte_link, mn_link
 from ..units import KB, MB
+from .tue import tue
 
 #: ``recipe(session, mark)`` applies one experiment's file operations.
 Recipe = Callable[[SyncSession, Callable[[], None]], None]
@@ -77,15 +78,8 @@ class Reading:
 
     @property
     def tue(self) -> float:
-        """TUE (Eq. 1): traffic over the data update since the last mark.
-
-        With no data update to amortise against, traffic makes the TUE
-        infinite and no traffic at all leaves it undefined (``nan``), the
-        convention :func:`~repro.reporting.fmt_tue` renders.
-        """
-        if self.update_bytes == 0:
-            return float("inf") if self.traffic else float("nan")
-        return self.traffic / self.update_bytes
+        """TUE (Eq. 1): traffic over the data update since the last mark."""
+        return tue(self.traffic, self.update_bytes)
 
 
 @dataclass(frozen=True)

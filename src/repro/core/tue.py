@@ -6,6 +6,11 @@ When compression is in play, the paper defines the data update size as the
 *compressed* size of the altered bits (footnote 2); :func:`tue` leaves the
 choice of denominator to the caller, and :func:`compressed_update_size`
 computes the footnote-2 variant.
+
+:func:`tue` is the one zero-update rule every ``tue`` property applies:
+traffic against no update is infinitely inefficient (``inf``) and no
+traffic at all is undefined (``nan``), the two cases
+:func:`~repro.reporting.fmt_tue` renders.
 """
 
 from __future__ import annotations
@@ -14,15 +19,21 @@ from dataclasses import dataclass
 
 from ..compress import CompressionPolicy, HIGH_COMPRESSION
 from ..content import Content
-from ..simnet import MeterSnapshot, TrafficMeter
+from ..simnet import TrafficMeter
 
 
 def tue(total_sync_traffic: int, data_update_size: int) -> float:
-    """Traffic Usage Efficiency — Eq. 1 of the paper."""
-    if data_update_size <= 0:
-        raise ValueError("data update size must be positive")
+    """Traffic Usage Efficiency — Eq. 1 of the paper.
+
+    ``inf`` for traffic against a zero update, ``nan`` for neither; only a
+    negative count raises.
+    """
+    if data_update_size < 0:
+        raise ValueError("data update size cannot be negative")
     if total_sync_traffic < 0:
         raise ValueError("sync traffic cannot be negative")
+    if data_update_size == 0:
+        return float("inf") if total_sync_traffic else float("nan")
     return total_sync_traffic / data_update_size
 
 
@@ -30,11 +41,6 @@ def compressed_update_size(update: Content,
                            policy: CompressionPolicy = HIGH_COMPRESSION) -> int:
     """Footnote 2: the compressed size of the altered bits."""
     return policy.wire_size(update)
-
-
-def overhead_traffic(total_sync_traffic: int, payload_size: int) -> int:
-    """Experiment 1's decomposition: overhead ≈ total − payload."""
-    return max(total_sync_traffic - payload_size, 0)
 
 
 @dataclass(frozen=True)
@@ -92,10 +98,6 @@ class TrafficReport:
     def overhead_fraction(self) -> float:
         return self.overhead / self.total if self.total else 0.0
 
-    @property
-    def wasted_fraction(self) -> float:
-        return self.wasted / self.total if self.total else 0.0
-
     @staticmethod
     def from_meter(meter: TrafficMeter, data_update_size: int) -> "TrafficReport":
         return TrafficReport(
@@ -106,16 +108,4 @@ class TrafficReport:
             data_update_size=data_update_size,
             up_wasted=meter.up.wasted,
             down_wasted=meter.down.wasted,
-        )
-
-    @staticmethod
-    def from_snapshot(snapshot: MeterSnapshot, data_update_size: int) -> "TrafficReport":
-        return TrafficReport(
-            up_payload=snapshot.up_payload,
-            up_overhead=snapshot.up_overhead,
-            down_payload=snapshot.down_payload,
-            down_overhead=snapshot.down_overhead,
-            data_update_size=data_update_size,
-            up_wasted=snapshot.up_wasted,
-            down_wasted=snapshot.down_wasted,
         )

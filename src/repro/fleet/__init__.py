@@ -9,7 +9,7 @@ deterministic conflict copies, and clients may join or leave mid-run.
 
 from .fleet import Fleet, schedule_writer_workload
 from .member import FleetMember, MemberStats
-from .report import FleetReport, MemberReport, fleet_tue
+from .report import FleetReport, MemberReport
 from .shared import (
     EPOCH_BACKFILL,
     FanoutEpoch,
@@ -27,6 +27,5 @@ __all__ = [
     "MemberStats",
     "SharedFolderHub",
     "conflict_copy_name",
-    "fleet_tue",
     "schedule_writer_workload",
 ]

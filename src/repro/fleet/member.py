@@ -46,7 +46,6 @@ from ..simnet import (
     FaultSchedule,
     Link,
     LinkSpec,
-    NetworkEmulator,
     TrafficMeter,
     TransferInterrupted,
     mn_link,
@@ -119,7 +118,6 @@ class FleetMember:
         self.left_at: Optional[float] = None
 
         self.link = Link(link_spec or mn_link())
-        self.netem = NetworkEmulator(self.sim, self.link)
         self.meter = TrafficMeter()
         self.folder = SyncFolder(self.sim)
         self.recorder = recorder

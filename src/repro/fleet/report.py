@@ -6,12 +6,6 @@ the other N-1 members), while the denominator is only the *local* data
 updates members actually made.  As collaborator count N grows, each commit
 is paid for roughly N times — the TUE(N) amplification the collaboration
 experiment sweeps.
-
-Unlike :attr:`~repro.core.tue.TrafficReport.tue` (which raises on a zero
-denominator because a per-session report should always have updates),
-:func:`fleet_tue` follows the repo-wide rendering convention directly:
-``nan`` when nothing happened at all, ``inf`` for traffic without updates
-(pure-follower members are exactly that).
 """
 
 from __future__ import annotations
@@ -20,16 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Tuple
 
-from ..core.tue import TrafficReport
-
-
-def fleet_tue(traffic: int, update: int) -> float:
-    """TUE with the repo's nan/inf conventions instead of raising."""
-    if update > 0:
-        return traffic / update
-    if traffic > 0:
-        return math.inf
-    return math.nan
+from ..core.tue import TrafficReport, tue
 
 
 @dataclass(frozen=True)
@@ -48,7 +33,7 @@ class MemberReport:
 
     @property
     def tue(self) -> float:
-        return fleet_tue(self.traffic.total, self.traffic.data_update_size)
+        return self.traffic.tue
 
 
 @dataclass(frozen=True)
@@ -91,7 +76,7 @@ class FleetReport:
 
     @property
     def tue(self) -> float:
-        return fleet_tue(self.traffic_bytes, self.update_bytes)
+        return tue(self.traffic_bytes, self.update_bytes)
 
     def amplification(self, baseline: "FleetReport") -> float:
         """TUE(N) / TUE(baseline) — the fan-out amplification factor."""

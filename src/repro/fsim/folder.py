@@ -15,7 +15,7 @@ import numpy as np
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
-from ..content import Content, random_content
+from ..content import Content
 from ..simnet import Simulator
 
 
@@ -121,9 +121,6 @@ class SyncFolder:
         if old is None:
             raise MissingFileError(path)
         return self._emit(path, FileOp.DELETE, 0, 0)
-
-    def create_empty(self, path: str) -> FileEvent:
-        return self.create(path, random_content(0))
 
     def truncate(self, path: str, length: int) -> FileEvent:
         """Cut a file down to ``length`` bytes (log rotation, editors)."""

@@ -19,24 +19,19 @@ Architecture:
   :class:`Finding` objects with ``file:line``, rule id, and a fix hint;
 * one pass — every file is parsed once, its per-file rules run, and the
   same contexts then feed the tree-wide checks;
-* pragmas — ``# reprolint: disable=REP001`` on the offending line or
-  ``# reprolint: disable-file[=REP001]`` anywhere; a pragma naming an
-  unknown rule id is itself a lint error (``REP000``), never silently
-  ignored;
-* baseline — a committed JSON file of accepted findings keyed by
-  (rule, path); entries require a justification comment, and an entry
-  whose finding no longer fires is reported as *stale* so suppressions
-  cannot outlive the code they excused.
+* pragmas — the one suppression path: ``# reprolint: disable=REP001`` on
+  the offending line or ``# reprolint: disable-file[=REP001]`` anywhere; a
+  pragma naming an unknown rule id is itself a lint error (``REP000``),
+  never silently ignored.
 
 ``REP000`` is reserved for meta errors (syntax errors, malformed pragmas,
-malformed baseline entries) and cannot be suppressed.
+unreadable files) and cannot be suppressed.
 """
 
 from __future__ import annotations
 
 import ast
 import io
-import json
 import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path, PurePath
@@ -319,66 +314,6 @@ def _is_set_expr(node: ast.AST) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# Baseline
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BaselineEntry:
-    """One accepted finding: (rule, path) plus its justification."""
-
-    rule: str
-    path: str
-    comment: str
-
-    def matches(self, finding: Finding) -> bool:
-        if finding.rule != self.rule:
-            return False
-        return (finding.path == self.path
-                or finding.path.endswith("/" + self.path))
-
-
-def load_baseline(path: str, known_ids: Set[str],
-                  ) -> Tuple[List[BaselineEntry], List[Finding]]:
-    """Parse a baseline file; malformed entries become ``REP000`` findings."""
-    entries: List[BaselineEntry] = []
-    errors: List[Finding] = []
-
-    def error(message: str) -> None:
-        errors.append(Finding(META_RULE, PurePath(path).as_posix(), 1, 0,
-                              message, "fix the baseline file"))
-
-    try:
-        payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    except (OSError, ValueError) as exc:
-        error(f"cannot read baseline: {exc}")
-        return entries, errors
-    raw_entries = payload.get("entries") if isinstance(payload, dict) else None
-    if not isinstance(raw_entries, list):
-        error("baseline must be an object with an 'entries' list")
-        return entries, errors
-    for position, raw in enumerate(raw_entries):
-        if not isinstance(raw, dict):
-            error(f"baseline entry #{position} is not an object")
-            continue
-        rule = raw.get("rule", "")
-        target = raw.get("path", "")
-        comment = raw.get("comment", "")
-        if rule not in known_ids:
-            error(f"baseline entry #{position} names unknown rule {rule!r}")
-            continue
-        if not target or not isinstance(target, str):
-            error(f"baseline entry #{position} is missing a 'path'")
-            continue
-        if not comment or not isinstance(comment, str) or not comment.strip():
-            error(f"baseline entry #{position} ({rule} in {target}) has no "
-                  f"justification 'comment' — every suppression must say why")
-            continue
-        entries.append(BaselineEntry(rule, PurePath(target).as_posix(),
-                                     comment.strip()))
-    return entries, errors
-
-
-# ---------------------------------------------------------------------------
 # Running
 # ---------------------------------------------------------------------------
 
@@ -389,12 +324,10 @@ SKIP_DIR_NAMES = frozenset({"__pycache__", "lint_fixtures", ".git"})
 
 @dataclass
 class LintResult:
-    """Outcome of one lint run, after pragma + baseline suppression."""
+    """Outcome of one lint run, after pragma suppression."""
 
     findings: List[Finding]
-    stale: List[BaselineEntry]
     file_count: int
-    baseline_applied: int = 0
 
     @property
     def ok(self) -> bool:
@@ -456,9 +389,8 @@ def lint_source(source: str, path: str, rules: Sequence[Rule],
     return _lint_entries([(path, source)], rules, module)
 
 
-def lint_paths(paths: Sequence[str], rules: Sequence[Rule],
-               baseline_path: Optional[str] = None) -> LintResult:
-    """Lint files/trees in one pass, then apply the committed baseline."""
+def lint_paths(paths: Sequence[str], rules: Sequence[Rule]) -> LintResult:
+    """Lint files/trees in one pass."""
     entries: List[Tuple[str, str]] = []
     findings: List[Finding] = []
     file_count = 0
@@ -471,23 +403,5 @@ def lint_paths(paths: Sequence[str], rules: Sequence[Rule],
             findings.append(Finding(META_RULE, file_path.as_posix(), 1, 0,
                                     f"cannot read file: {exc}", ""))
     findings.extend(_lint_entries(entries, rules))
-
-    baseline: List[BaselineEntry] = []
-    if baseline_path is not None:
-        baseline, baseline_errors = load_baseline(
-            baseline_path, {rule.id for rule in rules})
-        findings.extend(baseline_errors)
-    kept: List[Finding] = []
-    matched: Set[BaselineEntry] = set()
-    for finding in findings:
-        entry = next((e for e in baseline if e.matches(finding)), None)
-        if entry is not None and finding.rule != META_RULE:
-            matched.add(entry)
-        else:
-            kept.append(finding)
-    kept.sort(key=lambda f: f.sort_key)
-    return LintResult(findings=kept,
-                      stale=[entry for entry in baseline
-                             if entry not in matched],
-                      file_count=file_count,
-                      baseline_applied=len(findings) - len(kept))
+    findings.sort(key=lambda f: f.sort_key)
+    return LintResult(findings=findings, file_count=file_count)

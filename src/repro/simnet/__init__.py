@@ -5,13 +5,6 @@ real networks captured with Wireshark, shaped by a Netfilter proxy — with a
 deterministic discrete-event equivalent (see DESIGN.md, "Substitutions").
 """
 
-from .analysis import (
-    KindBreakdown,
-    kind_breakdown,
-    peak_throughput,
-    sync_event_sizes,
-    throughput_series,
-)
 from .clock import (
     CalendarEventQueue,
     Event,
@@ -46,7 +39,6 @@ from .link import (
     packetize,
 )
 from .meter import Direction, MeterSnapshot, TrafficMeter, TrafficRecord, TrafficTotals
-from .netem import NetworkEmulator
 from .protocol import Channel, ProtocolCosts
 
 __all__ = [
@@ -57,11 +49,6 @@ __all__ = [
     "DomainScheduler",
     "EventDomain",
     "HeapEventQueue",
-    "KindBreakdown",
-    "kind_breakdown",
-    "peak_throughput",
-    "sync_event_sizes",
-    "throughput_series",
     "Direction",
     "Event",
     "FaultEpisode",
@@ -74,7 +61,6 @@ __all__ = [
     "LinkSpec",
     "MSS",
     "MeterSnapshot",
-    "NetworkEmulator",
     "PER_PACKET_HEADER",
     "ProtocolCosts",
     "SimulationError",

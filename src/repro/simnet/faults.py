@@ -195,11 +195,6 @@ class FaultStats:
     rate_limited: int = 0
     wasted_bytes_injected: int = 0
 
-    @property
-    def total_injected(self) -> int:
-        return (self.blackout_aborts + self.connect_failures
-                + self.server_unavailable + self.rate_limited)
-
 
 class FaultInjector:
     """Binds a :class:`FaultSchedule` to the live measurement rig.

@@ -233,9 +233,9 @@ def dedup_columns(trace: Trace, dedup: DedupConfig
     The one statement of the first-occurrence rule: a unit ships when it
     is the first in trace order with its identity (within one user under
     same-user scope).  A full-file unit is the record's segment ids and
-    size; a block is the ids :meth:`TraceRecord.block_keys` covers, its
-    length the bytes of the file under it, so a 50 KB ``[7]`` file and
-    the first block of a 256 KB ``[7, 8]`` file are one unit.  A block
+    size; a block is the ids a head-aligned ``block_size`` window covers,
+    its length the bytes of the file under it, so a 50 KB ``[7]`` file
+    and the first block of a 256 KB ``[7, 8]`` file are one unit.  A block
     size the segments cannot align is refused before any record.
 
     Each unit is a row of ``int64`` keys: ``(0, first id, count)`` when

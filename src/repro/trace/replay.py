@@ -91,11 +91,9 @@ class ReplayReport:
 
     @property
     def tue(self) -> float:
-        if self.data_update_bytes <= 0:
-            # Zero-size convention (PR 3): traffic with no data update is
-            # infinitely inefficient; no traffic at all is undefined.
-            return float("inf") if self.traffic_bytes > 0 else float("nan")
-        return self.traffic_bytes / self.data_update_bytes
+        from ..core.tue import tue  # local: core imports trace
+
+        return tue(self.traffic_bytes, self.data_update_bytes)
 
     @property
     def total_savings(self) -> int:

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List, Tuple
+from typing import Dict, Iterable, Iterator, List
 
 import numpy as np
 
@@ -58,33 +58,6 @@ class TraceRecord:
         if self.size == 0:
             return 1.0
         return self.compressed_size / self.size
-
-    @property
-    def effectively_compressible(self) -> bool:
-        """The paper's definition: compresses below 90 % of original."""
-        return self.compression_ratio < 0.90
-
-    def full_file_key(self) -> Tuple[bytes, int]:
-        """Hashable identity for full-file dedup analysis."""
-        return (self.segments.tobytes(), self.size)
-
-    def block_keys(self, block_size: int) -> Iterator[Tuple[bytes, int]]:
-        """(identity, length) per block at ``block_size`` granularity.
-
-        Blocks are head-aligned and fixed-size (§5.2); the final block is
-        short.  Identity is the tuple of covered segment ids, so two files
-        sharing a prefix share exactly the aligned prefix blocks.
-        """
-        if block_size % UNIT_SIZE != 0:
-            raise ValueError(f"block size must be a multiple of {UNIT_SIZE}")
-        units_per_block = block_size // UNIT_SIZE
-        remaining = self.size
-        segments = self.segments
-        for start in range(0, len(segments), units_per_block):
-            ids = segments[start:start + units_per_block]
-            length = min(block_size, remaining)
-            remaining -= length
-            yield (ids.tobytes(), length)
 
 
 #: The per-record columns besides the codes, ``float64`` if named ``*_at``.

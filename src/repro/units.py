@@ -56,10 +56,3 @@ def fmt_size(nbytes: float) -> str:
         if value >= scale:
             return f"{value / scale:.2f} {unit}"
     return f"{value:.0f} B"
-
-
-def fmt_rate(bps: float) -> str:
-    """Render a bandwidth in the paper's Mbps/Kbps style."""
-    if bps >= Mbps:
-        return f"{bps / Mbps:.1f} Mbps"
-    return f"{bps / Kbps:.0f} Kbps"

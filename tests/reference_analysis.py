@@ -7,12 +7,44 @@ keyed by ``(ids, length)``, a full-file unit by ``(ids, size)``, a
 same-user unit by the user's name.  They live here (imported by nothing
 under ``src/``) so ``test_analysis_differential.py`` can hold
 :func:`repro.trace.analysis.dedup_columns` and the statistics read from it
-to them, value for value.  Each reads :class:`TraceRecord` rows only.
+to them, value for value.  Each reads :class:`TraceRecord` rows only,
+through the three per-record unit functions below, which
+``reference_replay.py`` shares.
 """
 
-from typing import Dict, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
-from repro.trace import Trace
+from repro.trace import UNIT_SIZE, Trace, TraceRecord
+
+
+def effectively_compressible(record: TraceRecord) -> bool:
+    """The paper's definition: compresses below 90 % of original."""
+    return record.compression_ratio < 0.90
+
+
+def full_file_key(record: TraceRecord) -> Tuple[bytes, int]:
+    """Hashable identity for full-file dedup analysis."""
+    return (record.segments.tobytes(), record.size)
+
+
+def block_keys(record: TraceRecord,
+               block_size: int) -> Iterator[Tuple[bytes, int]]:
+    """(identity, length) per block at ``block_size`` granularity.
+
+    Blocks are head-aligned and fixed-size (§5.2); the final block is
+    short.  Identity is the tuple of covered segment ids, so two files
+    sharing a prefix share exactly the aligned prefix blocks.
+    """
+    if block_size % UNIT_SIZE != 0:
+        raise ValueError(f"block size must be a multiple of {UNIT_SIZE}")
+    units_per_block = block_size // UNIT_SIZE
+    remaining = record.size
+    segments = record.segments
+    for start in range(0, len(segments), units_per_block):
+        ids = segments[start:start + units_per_block]
+        length = min(block_size, remaining)
+        remaining -= length
+        yield (ids.tobytes(), length)
 
 
 def reference_deduplicated(trace: Trace,
@@ -24,8 +56,8 @@ def reference_deduplicated(trace: Trace,
     seen = set()
     for record in trace:
         before += record.size
-        for unit in ([(record.full_file_key(), record.size)]
-                     if block_size is None else record.block_keys(block_size)):
+        for unit in ([(full_file_key(record), record.size)]
+                     if block_size is None else block_keys(record, block_size)):
             if unit not in seen:     # (identity, length)
                 seen.add(unit)
                 after += unit[1]
@@ -39,8 +71,8 @@ def reference_uploaded_bytes(trace: Trace, block_size: Optional[int],
     seen = set()
     total = 0
     for record in trace:
-        keys = ([record.full_file_key()] if block_size is None
-                else list(record.block_keys(block_size)))
+        keys = ([full_file_key(record)] if block_size is None
+                else list(block_keys(record, block_size)))
         for key in keys:
             length = record.size if block_size is None else key[1]
             scoped = key if scope == "global" else (record.user, key)
@@ -57,7 +89,7 @@ def reference_compressible_fraction(trace: Trace) -> float:
     """Fraction of files with compression ratio < 0.9, row by row."""
     if len(trace) == 0:
         return 0.0
-    return sum(1 for r in trace if r.effectively_compressible) / len(trace)
+    return sum(1 for r in trace if effectively_compressible(r)) / len(trace)
 
 
 def reference_users(trace: Trace) -> Dict[str, int]:

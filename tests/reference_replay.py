@@ -39,6 +39,8 @@ from repro.trace.replay import (
 )
 from repro.trace.schema import TraceRecord
 
+from .reference_analysis import block_keys, full_file_key
+
 _MOD_FRACTION_LOG_MU = -3.9   # exp(-3.9) ≈ 0.02
 _MOD_FRACTION_LOG_SIGMA = 1.0
 
@@ -147,9 +149,9 @@ def reference_replay_records(records: Sequence[TraceRecord],
         if dedup_enabled:
             shipped = total_len = 0
             if dedup_full_file:
-                keys = ((record.full_file_key(), size),)
+                keys = ((full_file_key(record), size),)
             else:
-                keys = record.block_keys(dedup.block_size)
+                keys = block_keys(record, dedup.block_size)
             for key, length in keys:
                 total_len += length
                 digest = _unit_digest(key)

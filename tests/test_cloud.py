@@ -109,13 +109,6 @@ def test_cross_user_scope_shares():
     assert index.hits == 1
 
 
-def test_forget_user_drops_private_entries():
-    index = DedupIndex(DedupConfig.block(4096))
-    index.register("alice", "d1", "k1")
-    index.forget_user("alice")
-    assert index.lookup("alice", "d1") is None
-
-
 def test_block_config_validation():
     with pytest.raises(ValueError):
         DedupConfig(DedupGranularity.BLOCK, DedupScope.SAME_USER, block_size=0)

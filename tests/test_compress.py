@@ -9,7 +9,6 @@ from repro.compress import (
     LOW_COMPRESSION,
     MODERATE_COMPRESSION,
     NO_COMPRESSION,
-    winzip_reference_size,
 )
 from repro.content import Content, random_content, text_content
 from repro.units import MB
@@ -70,11 +69,6 @@ def test_segmented_compress_starts_with_valid_stream():
     head = first.decompress(compressed)
     covered = int(16 * 1024 * 0.85)  # MODERATE: 85 % of each 16 KB segment
     assert head == content.data[:covered]
-
-
-def test_winzip_reference_is_high_level():
-    content = text_content(100_000, seed=7)
-    assert winzip_reference_size(content) == HIGH_COMPRESSION.wire_size(content)
 
 
 def test_ratio_definition():

@@ -87,14 +87,6 @@ def test_modify_random_byte_on_empty_rejected():
         random_content(0).modify_random_byte()
 
 
-def test_overwrite_region():
-    base = Content(b"abcdefgh")
-    patched = base.overwrite_region(2, Content(b"XY"))
-    assert patched.data == b"abXYefgh"
-    with pytest.raises(IndexError):
-        base.overwrite_region(7, Content(b"ZZ"))
-
-
 def test_equality_and_hash_follow_bytes():
     a = random_content(128, seed=1)
     b = Content(bytes(a.data))

@@ -1,5 +1,6 @@
 """Integration-level tests of the sync client engine's behaviours."""
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -353,7 +354,8 @@ def test_update_tracking_matches_folder_events():
     assert session.data_update_bytes == 150
 
 
-def test_tue_requires_positive_denominator():
+def test_tue_rejects_only_a_negative_denominator():
     session = session_for()
+    assert math.isnan(session.tue())    # no traffic against no update
     with pytest.raises(ValueError):
-        session.tue()
+        session.tue(update_size=-1)

@@ -16,7 +16,6 @@ from repro.fleet import (
     EPOCH_BACKFILL,
     Fleet,
     conflict_copy_name,
-    fleet_tue,
     schedule_writer_workload,
 )
 from repro.obs import verify
@@ -91,12 +90,19 @@ def test_fleet_run_until_idle_returns_final_time():
     assert end > 0.0
 
 
-# -- fleet_tue conventions --------------------------------------------------
+# -- fleet TUE conventions -------------------------------------------------
 
 def test_fleet_tue_conventions():
-    assert fleet_tue(100, 50) == 2.0
-    assert math.isinf(fleet_tue(100, 0))
-    assert math.isnan(fleet_tue(0, 0))
+    idle = Fleet("GoogleDrive", clients=2, seed=7)
+    idle.run_until_idle()
+    assert math.isnan(idle.report().tue)    # no traffic, no update
+    fleet = small_fleet(clients=4)
+    fleet.run_until_idle()
+    report = fleet.report()
+    follower = report.members[3]            # never wrote anything
+    assert follower.traffic.data_update_size == 0
+    assert math.isinf(follower.tue)
+    assert report.tue == report.traffic_bytes / report.update_bytes
 
 
 # -- convergence ------------------------------------------------------------
@@ -123,8 +129,7 @@ def test_followers_receive_content():
     assert follower.stats.fanout_fetches == 4
     # A pure follower has traffic but no local updates: TUE is inf.
     traffic = follower.traffic_report()
-    assert math.isinf(fleet_tue(int(traffic.total),
-                                int(traffic.data_update_size)))
+    assert math.isinf(traffic.tue)
 
 
 def test_fleet_tue_exceeds_solo_tue():

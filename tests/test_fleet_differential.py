@@ -18,7 +18,6 @@ from repro.fsim import SyncFolder
 from repro.obs import TraceHub
 from repro.simnet import (
     Link,
-    NetworkEmulator,
     Simulator,
     TrafficMeter,
     bj_link,
@@ -67,7 +66,6 @@ def run_direct(profile, link_spec):
                          storage_chunk_size=profile.storage_chunk_size,
                          name=profile.name)
     link = Link(link_spec)
-    NetworkEmulator(sim, link)
     meter = TrafficMeter()
     folder = SyncFolder(sim)
     hub = TraceHub()

@@ -102,9 +102,3 @@ def test_paths_and_total_bytes():
     folder.create("a", random_content(20))
     assert folder.paths() == ["a", "b"]
     assert folder.total_bytes() == 30
-
-
-def test_create_empty():
-    _, folder = make_folder()
-    event = folder.create_empty("e")
-    assert event.size == 0

@@ -69,13 +69,6 @@ def test_asymmetric_directions():
         link.transfer_time(1000, upstream=False)
 
 
-def test_upload_duration_includes_rtts():
-    link = Link(LinkSpec(up_bw=8 * Mbps, down_bw=8 * Mbps, rtt=0.1))
-    base = link.upload_duration(1000, round_trips=0)
-    with_rtt = link.upload_duration(1000, round_trips=2)
-    assert with_rtt == pytest.approx(base + 0.2)
-
-
 def test_paper_vantage_points():
     mn = mn_link()
     bj = bj_link()
@@ -86,12 +79,11 @@ def test_paper_vantage_points():
 
 def test_spec_with_helpers_do_not_mutate():
     spec = mn_link()
-    faster = spec.with_bandwidth(up_bw=5 * Mbps)
-    assert spec.up_bw == 20 * Mbps
-    assert faster.up_bw == 5 * Mbps
-    assert faster.down_bw == spec.down_bw
-    slower = spec.with_rtt(0.5)
-    assert slower.rtt == 0.5 and spec.rtt != 0.5
+    lossy = spec.with_loss(0.03)
+    assert spec.loss_rate == 0.0
+    assert lossy.loss_rate == 0.03
+    assert (lossy.up_bw, lossy.down_bw, lossy.rtt) == \
+        (spec.up_bw, spec.down_bw, spec.rtt)
 
 
 def test_wire_cost_excludes_payload():

@@ -1,4 +1,4 @@
-"""CLI behaviour of ``repro lint``: formats, exit codes, baseline modes."""
+"""CLI behaviour of ``repro lint``: formats and exit codes."""
 
 import json
 
@@ -48,31 +48,13 @@ def test_lint_json_format(violating_tree, capsys):
     assert finding["line"] == 5 and finding["hint"]
 
 
-def test_lint_explicit_missing_baseline_exits_two(violating_tree, capsys):
-    code = main(["lint", str(violating_tree / "src"),
-                 "--baseline", str(violating_tree / "missing.json")])
-    assert code == 2
-    assert "does not exist" in capsys.readouterr().err
-
-
-def test_lint_baseline_suppresses_and_reports_stale(violating_tree, capsys,
-                                                    tmp_path):
-    baseline = tmp_path / "b.json"
-    baseline.write_text(json.dumps({"version": 1, "entries": [
-        {"rule": "REP001", "path": "src/repro/simnet/clocked.py",
-         "comment": "known, tracked"},
-        {"rule": "REP002", "path": "src/repro/simnet/clocked.py",
-         "comment": "stale: nothing fires here"},
-    ]}), encoding="utf-8")
-    assert main(["lint", str(violating_tree / "src"),
-                 "--baseline", str(baseline)]) == 0
-    out = capsys.readouterr().out
-    assert "1 baselined" in out and "1 stale" in out
-
-    # --fail-stale turns the stale warning into a failure (the CI step).
-    assert main(["lint", str(violating_tree / "src"),
-                 "--baseline", str(baseline), "--fail-stale"]) == 1
-    assert "stale baseline entry" in capsys.readouterr().out
+def test_lint_has_no_baseline_option(violating_tree, capsys):
+    # Inline pragmas are the one suppression path.
+    with pytest.raises(SystemExit) as exit_info:
+        main(["lint", str(violating_tree / "src"),
+              "--baseline", str(violating_tree / "b.json")])
+    assert exit_info.value.code == 2
+    assert "unrecognized arguments: --baseline" in capsys.readouterr().err
 
 
 def test_lint_fixture_files_only_when_named_explicitly(capsys):

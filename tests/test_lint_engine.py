@@ -1,12 +1,8 @@
-"""Engine-level tests: module derivation, pragmas, baseline, meta errors."""
+"""Engine-level tests: module derivation, pragmas, meta errors."""
 
-import json
 import textwrap
 
-from repro.lint import (ALL_RULES, META_RULE, derive_module, lint_paths,
-                        lint_source, load_baseline)
-
-KNOWN_IDS = {rule.id for rule in ALL_RULES}
+from repro.lint import ALL_RULES, META_RULE, derive_module, lint_source
 
 
 def _lint(source, path="src/repro/simnet/fixture.py", module=None):
@@ -112,91 +108,6 @@ def test_syntax_error_becomes_meta_finding():
     assert len(findings) == 1
     assert findings[0].rule == META_RULE
     assert "syntax error" in findings[0].message
-
-
-# -- baseline ---------------------------------------------------------------
-
-def _write_tree(tmp_path, violating=True):
-    package = tmp_path / "src" / "repro" / "simnet"
-    package.mkdir(parents=True)
-    body = ("import time\n\ndef f():\n    return time.time()\n"
-            if violating else "def f():\n    return 0\n")
-    (package / "fixture_mod.py").write_text(body, encoding="utf-8")
-    return tmp_path / "src"
-
-
-def _write_baseline(tmp_path, entries):
-    path = tmp_path / "baseline.json"
-    path.write_text(json.dumps({"version": 1, "entries": entries}),
-                    encoding="utf-8")
-    return path
-
-
-def test_baseline_suppresses_matching_finding(tmp_path):
-    tree = _write_tree(tmp_path)
-    baseline = _write_baseline(tmp_path, [
-        {"rule": "REP001", "path": "src/repro/simnet/fixture_mod.py",
-         "comment": "legacy wall clock, tracked separately"}])
-    result = lint_paths([str(tree)], ALL_RULES, baseline_path=str(baseline))
-    assert result.ok
-    assert result.baseline_applied == 1
-    assert result.stale == []
-
-
-def test_baseline_path_suffix_matching(tmp_path):
-    # Committed baselines use repo-relative paths; lint may run on abs paths.
-    tree = _write_tree(tmp_path)
-    baseline = _write_baseline(tmp_path, [
-        {"rule": "REP001", "path": "repro/simnet/fixture_mod.py",
-         "comment": "suffix match"}])
-    result = lint_paths([str(tree)], ALL_RULES, baseline_path=str(baseline))
-    assert result.ok and result.baseline_applied == 1
-
-
-def test_baseline_entry_goes_stale_when_finding_disappears(tmp_path):
-    tree = _write_tree(tmp_path, violating=False)
-    baseline = _write_baseline(tmp_path, [
-        {"rule": "REP001", "path": "src/repro/simnet/fixture_mod.py",
-         "comment": "no longer needed"}])
-    result = lint_paths([str(tree)], ALL_RULES, baseline_path=str(baseline))
-    assert result.ok  # stale is reported, not a finding
-    assert len(result.stale) == 1
-    assert result.stale[0].rule == "REP001"
-
-
-def test_baseline_requires_justification_comment(tmp_path):
-    baseline = _write_baseline(tmp_path, [
-        {"rule": "REP001", "path": "src/x.py", "comment": "   "}])
-    entries, errors = load_baseline(str(baseline), KNOWN_IDS)
-    assert entries == []
-    assert len(errors) == 1 and errors[0].rule == META_RULE
-    assert "justification" in errors[0].message
-
-
-def test_baseline_rejects_unknown_rule(tmp_path):
-    baseline = _write_baseline(tmp_path, [
-        {"rule": "REP999", "path": "src/x.py", "comment": "??"}])
-    entries, errors = load_baseline(str(baseline), KNOWN_IDS)
-    assert entries == [] and errors[0].rule == META_RULE
-
-
-def test_baseline_never_hides_meta_findings(tmp_path):
-    package = tmp_path / "src" / "repro"
-    package.mkdir(parents=True)
-    (package / "broken.py").write_text("def f(:\n", encoding="utf-8")
-    baseline = _write_baseline(tmp_path, [
-        {"rule": "REP000", "path": "src/repro/broken.py",
-         "comment": "trying to hide a syntax error"}])
-    entries, errors = load_baseline(str(baseline), KNOWN_IDS)
-    assert entries == [] and errors  # REP000 is not a known (baselinable) id
-    result = lint_paths([str(tmp_path / "src")], ALL_RULES,
-                        baseline_path=str(baseline))
-    assert not result.ok
-
-
-def test_missing_baseline_file_is_an_error(tmp_path):
-    entries, errors = load_baseline(str(tmp_path / "nope.json"), KNOWN_IDS)
-    assert entries == [] and errors[0].rule == META_RULE
 
 
 # -- multi-line statement pragma anchoring (issue 9 satellite) --------------

@@ -1,12 +1,10 @@
 """Whole-tree ``lint_paths`` edge cases: empty and broken files inside the
-tree, impersonated modules with unknown pragma ids, baselines naming a
-deleted file, and pragmas on findings the tree pass reports."""
+tree, impersonated modules with unknown pragma ids, and pragmas on
+findings the tree pass reports."""
 
-import json
 import re
 import textwrap
 
-from repro.cli import main
 from repro.lint import ALL_RULES, META_RULE, lint_paths
 
 
@@ -60,24 +58,6 @@ def test_unknown_rule_pragma_in_impersonated_module(tmp_path):
     # The impersonation pragma puts the file in scope (REP001 fires) and
     # the unknown id is a non-suppressible meta error.
     assert rules == [META_RULE, "REP001"]
-
-
-def test_fail_stale_when_the_baselined_file_was_deleted(tmp_path, capsys):
-    _write_tree(tmp_path, {
-        "src/repro/present.py": "def ok():\n    return 1\n",
-    })
-    baseline = tmp_path / "baseline.json"
-    baseline.write_text(json.dumps({"entries": [
-        {"rule": "REP001", "path": "src/repro/deleted.py",
-         "comment": "file was removed in a refactor"},
-    ]}), encoding="utf-8")
-    result = lint_paths([str(tmp_path / "src")], ALL_RULES,
-                        baseline_path=str(baseline))
-    assert [entry.path for entry in result.stale] \
-        == ["src/repro/deleted.py"]
-    assert main(["lint", str(tmp_path / "src"),
-                 "--baseline", str(baseline), "--fail-stale"]) == 1
-    assert "stale baseline" in capsys.readouterr().out
 
 
 # -- pragma suppression ---------------------------------------------------------

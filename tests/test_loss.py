@@ -87,11 +87,3 @@ def test_loss_lowers_tue_under_frequent_mods():
                                        rtt=0.06, loss_rate=0.08)))
     assert lossy.sync_transactions <= clean.sync_transactions
     assert lossy.tue < clean.tue * 1.05
-
-
-def test_netem_set_loss():
-    from repro.simnet import NetworkEmulator, Simulator
-    link = Link(mn_link())
-    emulator = NetworkEmulator(Simulator(), link)
-    emulator.set_loss(0.03)
-    assert link.spec.loss_rate == 0.03

@@ -81,13 +81,13 @@ def test_replay_agrees_with_micro_engine_on_small_trace():
         ("c.bin", random_content(16 * KB, seed=3)),
     ]
 
+    from repro.compress import HIGH_COMPRESSION
     records = []
     for index, (path, content) in enumerate(files):
-        from repro.compress import winzip_reference_size
         units = max(1, -(-content.size // UNIT_SIZE))
         records.append(TraceRecord(
             user="u", service="X", path=path, size=content.size,
-            compressed_size=winzip_reference_size(content),
+            compressed_size=HIGH_COMPRESSION.wire_size(content),
             created_at=index * 100.0, modified_at=index * 100.0,
             modify_count=0,
             segments=np.arange(index * 100, index * 100 + units,

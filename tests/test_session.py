@@ -57,12 +57,6 @@ def test_advance_moves_virtual_time_without_requiring_events():
     assert session.sim.now == 100.0
 
 
-def test_netem_attached_to_session_link():
-    session = SyncSession("Box", link_spec=mn_link())
-    session.netem.set_bandwidth(up_bw=2 * Mbps)
-    assert session.link.spec.up_bw == 2 * Mbps
-
-
 def test_tue_with_explicit_denominator():
     session = SyncSession("Box")
     session.create_random_file("f.bin", 100 * KB)

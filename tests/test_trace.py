@@ -36,6 +36,8 @@ from repro.trace import (
 from repro.trace.schema import MalformedRecord
 from repro.units import GB, KB, MB
 
+from .reference_analysis import block_keys, effectively_compressible, full_file_key
+
 SCALE = 0.06
 
 
@@ -252,13 +254,14 @@ def test_rows_round_trip_through_the_columns(records, data):
 def test_compression_properties():
     record = make_record(size=100, compressed_size=50)
     assert record.compression_ratio == 0.5
-    assert record.effectively_compressible
-    assert not make_record(size=100, compressed_size=95).effectively_compressible
+    assert effectively_compressible(record)
+    assert not effectively_compressible(
+        make_record(size=100, compressed_size=95))
 
 
 def test_block_keys_lengths_sum_to_size():
     record = make_record(size=300 * KB)
-    keys = list(record.block_keys(128 * KB))
+    keys = list(block_keys(record, 128 * KB))
     assert sum(length for _, length in keys) == 300 * KB
     assert len(keys) == 3
 
@@ -266,19 +269,19 @@ def test_block_keys_lengths_sum_to_size():
 def test_block_keys_require_unit_multiple():
     record = make_record()
     with pytest.raises(ValueError):
-        list(record.block_keys(100))
+        list(block_keys(record, 100))
 
 
 def test_block_keys_differ_per_block():
     record = make_record(size=3 * UNIT_SIZE)
-    assert len(set(record.block_keys(UNIT_SIZE))) == 3
+    assert len(set(block_keys(record, UNIT_SIZE))) == 3
 
 
 def test_duplicates_share_md5():
     shared = np.arange(5, dtype=np.int64)
     a = make_record(size=5 * UNIT_SIZE, segments=shared)
     b = make_record(size=5 * UNIT_SIZE, segments=shared, user="other")
-    assert a.full_file_key() == b.full_file_key()
+    assert full_file_key(a) == full_file_key(b)
 
 
 def test_prefix_sharing_visible_at_block_level():
@@ -286,11 +289,11 @@ def test_prefix_sharing_visible_at_block_level():
     near = np.concatenate([base[:4], np.arange(100, 104, dtype=np.int64)])
     a = make_record(size=8 * UNIT_SIZE, segments=base)
     b = make_record(size=8 * UNIT_SIZE, segments=near)
-    a_keys = list(a.block_keys(2 * UNIT_SIZE))
-    b_keys = list(b.block_keys(2 * UNIT_SIZE))
+    a_keys = list(block_keys(a, 2 * UNIT_SIZE))
+    b_keys = list(block_keys(b, 2 * UNIT_SIZE))
     assert a_keys[0] == b_keys[0] and a_keys[1] == b_keys[1]
     assert a_keys[2] != b_keys[2]
-    assert a.full_file_key() != b.full_file_key()
+    assert full_file_key(a) != full_file_key(b)
 
 
 # ---------------------------------------------------------------------------
@@ -393,8 +396,8 @@ def test_generation_is_deterministic():
     a = generate_trace(scale=0.01, seed=3)
     b = generate_trace(scale=0.01, seed=3)
     assert len(a) == len(b)
-    assert [r.full_file_key() for r in list(a)[:50]] \
-        == [r.full_file_key() for r in list(b)[:50]]
+    assert [full_file_key(r) for r in list(a)[:50]] \
+        == [full_file_key(r) for r in list(b)[:50]]
 
 
 @pytest.mark.parametrize("scale", [0, -1, -0.0, float("nan"), float("inf")])

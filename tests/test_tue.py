@@ -1,9 +1,11 @@
 """Unit tests for the TUE metric and traffic reports."""
 
+import math
+
 import pytest
 
 from repro.content import text_content
-from repro.core import TrafficReport, compressed_update_size, overhead_traffic, tue
+from repro.core import TrafficReport, compressed_update_size, tue
 from repro.simnet import Direction, TrafficMeter
 
 
@@ -12,15 +14,12 @@ def test_tue_definition():
 
 
 def test_tue_validation():
-    with pytest.raises(ValueError):
-        tue(100, 0)
+    assert tue(100, 0) == math.inf
+    assert math.isnan(tue(0, 0))
     with pytest.raises(ValueError):
         tue(-1, 100)
-
-
-def test_overhead_traffic_decomposition():
-    assert overhead_traffic(total_sync_traffic=1100, payload_size=1000) == 100
-    assert overhead_traffic(500, 1000) == 0  # never negative
+    with pytest.raises(ValueError):
+        tue(100, -1)
 
 
 def test_compressed_update_size_uses_footnote2():
@@ -39,13 +38,3 @@ def test_report_from_meter():
     assert report.payload == 1000
     assert report.tue == pytest.approx(1.15)
     assert report.overhead_fraction == pytest.approx(150 / 1150)
-
-
-def test_report_from_snapshot_diff():
-    meter = TrafficMeter()
-    meter.record(0.0, Direction.UP, payload=500, overhead=0)
-    snap = meter.snapshot()
-    meter.record(1.0, Direction.UP, payload=300, overhead=30)
-    report = TrafficReport.from_snapshot(meter.since(snap), data_update_size=300)
-    assert report.total == 330
-    assert report.tue == pytest.approx(1.1)

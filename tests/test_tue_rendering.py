@@ -1,16 +1,67 @@
 """Zero-size TUE convention across report types, plus its rendering.
 
-PR 3 fixed the simulator cells to report inf (traffic with a zero-byte
-update) / nan (no traffic at all) instead of masking the zero with a
-``max(x, 1)`` denominator.  This locks the replay and tradeoff reports —
-and the table renderer — to the same convention.
+Every ``tue`` reports inf for traffic with a zero-byte update and nan for
+no traffic at all, instead of raising or masking the zero with a
+``max(x, 1)`` denominator: :func:`repro.core.tue` states the rule once
+and every report type's ``tue`` calls it.  The table renderer shows both.
 """
 
 import math
 
-from repro.core import Reading
+import pytest
+
+from repro.client import SyncSession
+from repro.core import Reading, TrafficReport
+from repro.fleet import FleetReport, MemberReport
 from repro.reporting import fmt_tue
+from repro.simnet import Direction
 from repro.trace.replay import ReplayReport
+
+
+def _traffic_report(traffic, update):
+    return TrafficReport(up_payload=traffic, up_overhead=0, down_payload=0,
+                         down_overhead=0, data_update_size=update)
+
+
+def _member(traffic, update):
+    return MemberReport(name="m0", live=True, joined_at=0.0,
+                        traffic=_traffic_report(traffic, update),
+                        notifications=0, fanout_fetches=0, suppressed=0,
+                        conflicts=0, backfilled=0)
+
+
+def _session_tue(traffic, update):
+    session = SyncSession("Box")
+    if traffic:
+        session.meter.record(0.0, Direction.UP, payload=traffic, overhead=0)
+    return session.tue(update)
+
+
+TUE_OF = {
+    "Reading": lambda t, u: Reading(traffic=t, payload=0, update_bytes=u,
+                                    sync_transactions=0).tue,
+    "TrafficReport": lambda t, u: _traffic_report(t, u).tue,
+    "SyncSession": _session_tue,
+    "ReplayReport": lambda t, u: ReplayReport(
+        service="p", access="sync", traffic_bytes=t,
+        data_update_bytes=u).tue,
+    "MemberReport": lambda t, u: _member(t, u).tue,
+    "FleetReport": lambda t, u: FleetReport(
+        service="p", clients=1, members=(_member(t, u),), commit_epochs=0,
+        fanout_pushed_bytes=0, conflicts=0).tue,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(TUE_OF))
+@pytest.mark.parametrize("traffic, update, expected", [
+    (0, 0, math.nan), (300, 0, math.inf), (300, 100, 3.0)])
+def test_every_tue_follows_the_zero_update_rule(kind, traffic, update,
+                                                expected):
+    value = TUE_OF[kind](traffic, update)
+    if math.isnan(expected):
+        assert math.isnan(value)
+    else:
+        assert value == expected
 
 
 def test_replay_report_tue_inf_when_traffic_without_update():

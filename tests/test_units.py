@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.units import GB, KB, MB, Mbps, fmt_rate, fmt_size, parse_size
+from repro.units import GB, KB, MB, fmt_size, parse_size
 
 
 def test_constants_are_binary():
@@ -36,8 +36,3 @@ def test_fmt_size_matches_paper_style():
     assert fmt_size(2 * GB) == "2.00 G"
     assert fmt_size(10 * MB) == "10.00 M"
     assert fmt_size(KB) == "1.00 K"
-
-
-def test_fmt_rate():
-    assert fmt_rate(20 * Mbps) == "20.0 Mbps"
-    assert fmt_rate(800_000) == "800 Kbps"
