@@ -41,14 +41,6 @@ class RetryPolicy:
 
     #: Consecutive failed attempts tolerated for one request before giving up.
     max_attempts: int = 6
-    #: First backoff delay, seconds.
-    base_backoff: float = 0.5
-    #: Multiplier applied per further attempt (exponential backoff).
-    backoff_factor: float = 2.0
-    #: Ceiling on a single backoff delay, seconds.
-    max_backoff: float = 30.0
-    #: Uniform jitter fraction: each delay is scaled by 1 ± jitter.
-    jitter: float = 0.1
     #: Seed for the jitter RNG — same seed, same backoff sequence.
     seed: int = 0
     #: Resume chunked transfers at the failed chunk (True) or restart the
@@ -60,22 +52,11 @@ class RetryPolicy:
     def __post_init__(self) -> None:
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be at least 1")
-        if self.base_backoff <= 0 or self.backoff_factor < 1.0:
-            raise ValueError("backoff must be positive and non-decreasing")
-        if self.max_backoff < self.base_backoff:
-            raise ValueError("max_backoff must be >= base_backoff")
-        if not 0.0 <= self.jitter < 1.0:
-            raise ValueError("jitter must be in [0, 1)")
         if self.backoff_budget <= 0:
             raise ValueError("backoff_budget must be positive")
 
     def make_state(self) -> "RetryState":
         return RetryState(self)
-
-    def describe(self) -> str:
-        mode = "resumable" if self.resumable else "restart"
-        return (f"retry({mode}, x{self.max_attempts}, "
-                f"{self.base_backoff:g}s*{self.backoff_factor:g})")
 
 
 class RetryState:
@@ -97,14 +78,13 @@ class RetryState:
         return self.spent >= self.policy.backoff_budget
 
     def backoff(self, attempt: int) -> float:
-        """Jittered exponential delay before retry number ``attempt`` (1-based)."""
+        """Jittered exponential delay before retry number ``attempt``
+        (1-based): 0.5 s doubling per attempt up to 30 s, each delay then
+        scaled by a seeded uniform 1 ± 10 %."""
         if attempt < 1:
             raise ValueError("attempt numbers are 1-based")
-        policy = self.policy
-        raw = min(policy.base_backoff * policy.backoff_factor ** (attempt - 1),
-                  policy.max_backoff)
-        if policy.jitter:
-            raw *= 1.0 + policy.jitter * (2.0 * self._rng.random() - 1.0)
+        raw = min(0.5 * 2.0 ** (attempt - 1), 30.0)
+        raw *= 1.0 + 0.1 * (2.0 * self._rng.random() - 1.0)
         self.spent += raw
         self.total_retries += 1
         return raw

@@ -1,7 +1,7 @@
 """High-level facade: one user, one device, one service, one wire.
 
 :class:`SyncSession` assembles the full measurement rig the paper uses per
-experiment — simulator, link (+ emulator), cloud server, sync folder, client
+experiment — simulator, link, cloud server, sync folder, client
 engine, traffic meter — and exposes the file operations and the TUE readout.
 
 Sessions can share a ``sim`` and a ``server`` to model several users or

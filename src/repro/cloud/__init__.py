@@ -17,7 +17,7 @@ from .metadata import FileEntry, FileVersion, MetadataServer
 from .midlayer import ChunkStore
 from .object_store import LIST_PAGE_SIZE, ObjectRecord, ObjectStore, \
     RestOpCounters
-from .packshard import PackShardConfig, PackShardStats, PackShardStore
+from .packshard import PackShardStats, PackShardStore
 from .server import CloudServer, ServerStats
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "NotFound",
     "ObjectRecord",
     "ObjectStore",
-    "PackShardConfig",
     "PackShardStats",
     "PackShardStore",
     "QuotaExceeded",

@@ -16,18 +16,20 @@ from typing import Iterable, List, Optional
 from .errors import IntegrityError, NotFound, annotate_manifest_error
 from .object_store import ObjectStore
 
+#: Every chunk object's key starts with this; garbage collection lists it.
+KEY_PREFIX = "chunks/"
+
 
 class ChunkStore:
     """Content chunks stored as individual full-file REST objects."""
 
-    def __init__(self, objects: ObjectStore, prefix: str = "chunks/"):
+    def __init__(self, objects: ObjectStore):
         self.objects = objects
-        self.prefix = prefix
         self._sequence = itertools.count()
 
     def store(self, data: bytes, md5: Optional[str] = None) -> str:
         """PUT one chunk as a fresh object; returns its key."""
-        key = f"{self.prefix}{next(self._sequence):012d}"
+        key = f"{KEY_PREFIX}{next(self._sequence):012d}"
         self.objects.put(key, data, md5)
         return key
 
@@ -72,7 +74,7 @@ class ChunkStore:
         """
         live = set(live)
         removed = 0
-        for key in self.objects.list_keys(self.prefix):
+        for key in self.objects.list_keys(KEY_PREFIX):
             if key not in live:
                 self.delete(key)
                 removed += 1

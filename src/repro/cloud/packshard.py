@@ -25,7 +25,7 @@ use, plus the one extra REST primitive real stores offer: ranged GET
   ranged GETs; ``fetch_many`` coalesces contiguous units of the same
   container into a single range request.
 * ``delete`` marks garbage in the container's manifest.  When a container's
-  garbage fraction crosses the configured threshold it is compacted: one
+  garbage reaches half its payload it is compacted: one
   whole-container GET, survivors re-buffered under their original keys,
   one DELETE — costs all visible in :class:`RestOpCounters`.
 
@@ -46,6 +46,9 @@ from .object_store import ObjectStore
 
 _MANIFEST_LEN_BYTES = 8
 
+#: A slot's buffer seals into a container once it holds this many bytes.
+TARGET_CONTAINER_BYTES = 4 * 1024 * 1024
+
 
 def _encode_manifest(entries: List[Tuple[str, int, int]]) -> bytes:
     """Length-prefixed JSON trailer: ``[[key, offset, length], ...]``."""
@@ -63,24 +66,6 @@ def _decode_manifest(blob: bytes) -> List[Tuple[str, int, int]]:
         raise IntegrityError("container manifest trailer overruns the blob")
     entries = json.loads(blob[start:start + body_len].decode("ascii"))
     return [(key, offset, length) for key, offset, length in entries]
-
-
-@dataclass(frozen=True)
-class PackShardConfig:
-    """Tuning knobs for the packed-shard backend."""
-
-    slots: int = 4
-    target_container_bytes: int = 4 * 1024 * 1024
-    compact_garbage_fraction: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.slots <= 0:
-            raise ValueError("slots must be positive")
-        if self.target_container_bytes <= 0:
-            raise ValueError("target_container_bytes must be positive")
-        if not 0.0 < self.compact_garbage_fraction <= 1.0:
-            raise ValueError(
-                "compact_garbage_fraction must be in (0, 1]")
 
 
 @dataclass
@@ -124,12 +109,8 @@ class PackShardStore:
     collect_garbage`` surface, radically different REST cost profile.
     """
 
-    def __init__(self, objects: ObjectStore,
-                 config: Optional[PackShardConfig] = None,
-                 prefix: str = "shards/"):
+    def __init__(self, objects: ObjectStore):
         self.objects = objects
-        self.config = config or PackShardConfig()
-        self.prefix = prefix
         self.stats = PackShardStats()
         self._sequence = itertools.count()
         self._seal_sequence = itertools.count()
@@ -142,21 +123,21 @@ class PackShardStore:
     # -- placement ----------------------------------------------------------
 
     def placement_slot(self, data: bytes) -> int:
-        """Algorithmic placement: ``slot = blake2b(data) mod slots``."""
+        """Algorithmic placement: ``slot = blake2b(data) mod 4``."""
         digest = hashlib.blake2b(data, digest_size=8).digest()
-        return int.from_bytes(digest, "big") % self.config.slots
+        return int.from_bytes(digest, "big") % 4
 
     # -- writes -------------------------------------------------------------
 
     def store(self, data: bytes, md5: Optional[str] = None) -> str:
         """Buffer one unit; zero REST ops until the slot seals.  ``md5`` is
         ignored: a container's etag is hashed over the blob at seal."""
-        key = f"{self.prefix}u{next(self._sequence):012d}"
+        key = f"shards/u{next(self._sequence):012d}"
         slot = self.placement_slot(data)
         self._open.setdefault(slot, []).append((key, bytes(data)))
         self._open_bytes[slot] = self._open_bytes.get(slot, 0) + len(data)
         self._locations[key] = _Location(slot=slot)
-        if self._open_bytes[slot] >= self.config.target_container_bytes:
+        if self._open_bytes[slot] >= TARGET_CONTAINER_BYTES:
             self._seal(slot)
         return key
 
@@ -174,7 +155,7 @@ class PackShardStore:
         units = self._open.get(slot) or []
         if not units:
             return
-        container_key = (f"{self.prefix}c{slot:03d}-"
+        container_key = (f"shards/c{slot:03d}-"
                          f"{next(self._seal_sequence):08d}")
         entries: List[Tuple[str, int, int]] = []
         offset = 0
@@ -298,9 +279,7 @@ class PackShardStore:
         if not container.manifest:
             self._drop_container(container)
             return
-        threshold = (self.config.compact_garbage_fraction
-                     * container.payload_bytes)
-        if container.garbage_bytes >= threshold:
+        if container.garbage_bytes >= 0.5 * container.payload_bytes:
             self._compact(container)
 
     def _drop_container(self, container: _Container) -> None:
@@ -327,5 +306,5 @@ class PackShardStore:
         self.stats.compactions += 1
         self.stats.compaction_copied_bytes += copied
         self.stats.garbage_reclaimed_bytes += container.garbage_bytes
-        if self._open_bytes.get(slot, 0) >= self.config.target_container_bytes:
+        if self._open_bytes.get(slot, 0) >= TARGET_CONTAINER_BYTES:
             self._seal(slot)

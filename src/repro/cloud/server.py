@@ -36,7 +36,7 @@ from .errors import (IntegrityError, NotFound, RateLimited,
 from .metadata import FileVersion, MetadataServer
 from .midlayer import ChunkStore
 from .object_store import ObjectStore
-from .packshard import PackShardConfig, PackShardStore
+from .packshard import PackShardStore
 
 
 @dataclass
@@ -64,7 +64,6 @@ class CloudServer:
         storage_chunk_size: Optional[int] = None,
         name: str = "cloud",
         backend: str = "chunk",
-        shard_config: Optional[PackShardConfig] = None,
     ):
         self.name = name
         self.dedup_config = dedup or DedupConfig.none()
@@ -79,7 +78,7 @@ class CloudServer:
         if backend == "chunk":
             self.chunks = ChunkStore(self.objects)
         elif backend == "packshard":
-            self.chunks = PackShardStore(self.objects, config=shard_config)
+            self.chunks = PackShardStore(self.objects)
         else:
             raise ValueError(f"unknown storage backend {backend!r}")
         self.metadata = MetadataServer()

@@ -118,13 +118,12 @@ _TEXT_NOISE_FRACTION = 0.18
 _NOISE_ALPHABET = "abcdefghijklmnopqrstuvwxyz0123456789"
 
 
-def text_content(size: int, seed: int = 0,
-                 noise_fraction: float = _TEXT_NOISE_FRACTION) -> Content:
+def text_content(size: int, seed: int = 0) -> Content:
     """Compressible content — random English words, Zipf-weighted.
 
-    Matches Experiment 4's workload.  A ``noise_fraction`` of the tokens are
-    random alphanumeric strings (names, identifiers, numbers in real prose),
-    which sets the entropy so highest-level DEFLATE reproduces the paper's
+    Matches Experiment 4's workload.  18 % of the tokens are random
+    alphanumeric strings (names, identifiers, numbers in real prose), which
+    sets the entropy so highest-level DEFLATE reproduces the paper's
     WinZip reference ratio (~45 %).
     """
     if size < 0:
@@ -137,7 +136,7 @@ def text_content(size: int, seed: int = 0,
         batch = rng.choices(WORDS, weights=weights, k=256)
         tokens = [
             "".join(rng.choices(_NOISE_ALPHABET, k=rng.randint(4, 10)))
-            if rng.random() < noise_fraction else word
+            if rng.random() < _TEXT_NOISE_FRACTION else word
             for word in batch
         ]
         blob = (" ".join(tokens) + " ").encode("ascii")
@@ -164,8 +163,9 @@ def compressible_content(size: int, ratio: float, seed: int = 0) -> Content:
     return Content(head + bytes(filler))
 
 
-def measured_compress_ratio(content: Content, level: int = 9) -> float:
-    """Actual DEFLATE ratio (compressed/original) of a content object."""
+def measured_compress_ratio(content: Content) -> float:
+    """Actual level-9 DEFLATE ratio (compressed/original) of a content
+    object."""
     if content.size == 0:
         return 1.0
-    return len(zlib.compress(content.data, level)) / content.size
+    return len(zlib.compress(content.data, 9)) / content.size

@@ -31,6 +31,7 @@ WORDS = (
 ).split()
 
 
-def zipf_weights(n: int, exponent: float = 1.05) -> list:
-    """Zipf-style sampling weights for the first ``n`` vocabulary entries."""
-    return [1.0 / (rank ** exponent) for rank in range(1, n + 1)]
+def zipf_weights(n: int) -> list:
+    """Zipf-style sampling weights (exponent 1.05) for the first ``n``
+    vocabulary entries."""
+    return [1.0 / (rank ** 1.05) for rank in range(1, n + 1)]

@@ -180,19 +180,19 @@ def _paired_sessions(service: str, access: AccessMethod) -> Tuple[SyncSession, S
 
 def experiment5_dedup(
     services=("GoogleDrive", "OneDrive", "Dropbox", "Box", "UbuntuOne", "SugarSync"),
-    access: AccessMethod = AccessMethod.PC,
     max_block: int = 16 * MB,
 ) -> List[DedupFinding]:
-    """Reproduce Table 9 by black-box probing each simulated service."""
+    """Reproduce Table 9 by black-box probing each simulated service's PC
+    client."""
     findings = []
     for service in services:
-        same_alice, same_bob = _paired_sessions(service, access)
+        same_alice, same_bob = _paired_sessions(service, AccessMethod.PC)
         same = iterative_self_duplication(same_alice, max_block=max_block)
 
         # The paper's cross-user procedure (§5.2): first confirm cross-user
         # *full-file* dedup by re-uploading an identical file from a second
         # account; only then is Algorithm 1 worth re-running across users.
-        cross_alice, cross_bob = _paired_sessions(service, access)
+        cross_alice, cross_bob = _paired_sessions(service, AccessMethod.PC)
         if detect_full_file_dedup(cross_alice, cross_bob):
             cross = iterative_self_duplication(cross_alice, cross_bob,
                                                max_block=max_block)

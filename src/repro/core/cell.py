@@ -150,14 +150,15 @@ def create(size: int, seed: int = 1) -> Recipe:
     return recipe
 
 
-def batch(count: int = 100, size: int = 1 * KB) -> Recipe:
-    """Experiment 1′ (Table 7): ``count`` distinct files created at once."""
-    if count <= 0 or size <= 0:
-        raise ValueError("count and size must be positive")
+def batch(count: int = 100) -> Recipe:
+    """Experiment 1′ (Table 7): ``count`` distinct 1 KB files created at
+    once."""
+    if count <= 0:
+        raise ValueError("count must be positive")
 
     def recipe(session, mark):
         for index in range(count):
-            session.create_random_file(f"batch/file{index:03d}.bin", size,
+            session.create_random_file(f"batch/file{index:03d}.bin", 1 * KB,
                                        seed=1000 + index)
     return recipe
 
@@ -171,29 +172,29 @@ def delete(size: int) -> Recipe:
     return recipe
 
 
-def modify(size: int, seed: int = 3) -> Recipe:
+def modify(size: int) -> Recipe:
     """Experiment 3 (Figure 4): flip one random byte of a synced file."""
     def recipe(session, mark):
-        session.create_random_file("exp3.bin", size, seed=seed)
+        session.create_random_file("exp3.bin", size, seed=3)
         mark()
-        session.modify_random_byte("exp3.bin", seed=seed)
+        session.modify_random_byte("exp3.bin", seed=3)
     return recipe
 
 
-def upload_download(size: int = 10 * MB, seed: int = 4) -> Recipe:
+def upload_download(size: int = 10 * MB) -> Recipe:
     """Experiment 4 (Table 8): upload a text file, then download it.
 
     The upload is ``marked[0]``; the download is the reading's traffic.
     """
     def recipe(session, mark):
-        session.create_text_file("exp4.txt", size, seed=seed)
+        session.create_text_file("exp4.txt", size, seed=4)
         mark()
         session.download("exp4.txt")
     return recipe
 
 
-def append(x: float, total: int = 1 * MB, append_kb: Optional[float] = None,
-           seed: int = 6) -> Recipe:
+def append(x: float, total: int = 1 * MB,
+           append_kb: Optional[float] = None) -> Recipe:
     """Experiments 6 and 7: append ``x`` KB every ``x`` s up to ``total``.
 
     ``append_kb`` decouples the appended size from the period for the
@@ -215,7 +216,7 @@ def append(x: float, total: int = 1 * MB, append_kb: Optional[float] = None,
         while appended < total:
             step = min(chunk, total - appended)
             session.append("mods.bin",
-                           random_content(step, seed=seed * 10_000 + index))
+                           random_content(step, seed=60_000 + index))
             appended += step
             index += 1
             session.advance(x)

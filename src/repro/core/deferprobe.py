@@ -6,7 +6,7 @@ large (per-update sync), then refines X with fractional steps — finding
 T ≈ 4.2 s for Google Drive, ≈ 10.5 s for OneDrive and ≈ 6 s for SugarSync.
 
 :func:`infer_sync_deferment` reproduces that procedure: bracket the jump on
-the integer grid, then bisect with float periods down to ``resolution``.
+the integer grid up to 20 s, then bisect with float periods down to 0.1 s.
 """
 
 from __future__ import annotations
@@ -16,6 +16,9 @@ from typing import List, Optional, Tuple
 
 from ..units import KB
 from .cell import append, cell, measure
+
+#: 1 KB appends per probe run.
+APPENDS = 24
 
 
 @dataclass
@@ -28,18 +31,13 @@ class DeferProbeResult:
     samples: List[Tuple[float, int]]  # (x, sync_transactions)
 
 
-def _syncs_at(service: str, x: float, appends: int) -> int:
+def _syncs_at(service: str, x: float) -> int:
     """Sync-transaction count for an appending run with period ``x``."""
-    recipe = append(x, total=appends * KB, append_kb=1.0)
+    recipe = append(x, total=APPENDS * KB, append_kb=1.0)
     return measure(cell(service, recipe)).sync_transactions
 
 
-def infer_sync_deferment(
-    service: str,
-    max_period: int = 20,
-    appends: int = 24,
-    resolution: float = 0.1,
-) -> DeferProbeResult:
+def infer_sync_deferment(service: str) -> DeferProbeResult:
     """Estimate a service's fixed sync deferment T, or None if there is none.
 
     A period is classified "deferred" when the whole run collapses into a
@@ -49,9 +47,9 @@ def infer_sync_deferment(
     samples: List[Tuple[float, int]] = []
 
     def deferred(x: float) -> bool:
-        syncs = _syncs_at(service, x, appends)
+        syncs = _syncs_at(service, x)
         samples.append((x, syncs))
-        return syncs <= max(2, appends // 8)
+        return syncs <= max(2, APPENDS // 8)
 
     if not deferred(1.0):
         # Updates at 1 s period already sync individually: no deferment.
@@ -59,7 +57,7 @@ def infer_sync_deferment(
 
     low = 1.0
     high = None
-    for x in range(2, max_period + 1):
+    for x in range(2, 21):
         if deferred(float(x)):
             low = float(x)
         else:
@@ -69,7 +67,7 @@ def infer_sync_deferment(
         # Deferred across the whole sweep: T exceeds the probe range.
         return DeferProbeResult(service, None, (low, float("inf")), samples)
 
-    while high - low > resolution:
+    while high - low > 0.1:
         mid = (low + high) / 2.0
         if deferred(mid):
             low = mid

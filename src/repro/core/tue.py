@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..compress import CompressionPolicy, HIGH_COMPRESSION
+from ..compress import HIGH_COMPRESSION
 from ..content import Content
 from ..simnet import TrafficMeter
 
@@ -37,10 +37,10 @@ def tue(total_sync_traffic: int, data_update_size: int) -> float:
     return total_sync_traffic / data_update_size
 
 
-def compressed_update_size(update: Content,
-                           policy: CompressionPolicy = HIGH_COMPRESSION) -> int:
-    """Footnote 2: the compressed size of the altered bits."""
-    return policy.wire_size(update)
+def compressed_update_size(update: Content) -> int:
+    """Footnote 2: the compressed size of the altered bits, at the highest
+    DEFLATE level (the paper's WinZip reference)."""
+    return HIGH_COMPRESSION.wire_size(update)
 
 
 @dataclass(frozen=True)

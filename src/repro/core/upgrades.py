@@ -137,11 +137,10 @@ def quantify_upgrade(service: str, upgrade: str,
     )
 
 
-def quantify_all(services: Sequence[str],
-                 access: AccessMethod = AccessMethod.PC) -> List[UpgradeResult]:
-    """Full service × upgrade savings matrix."""
+def quantify_all(services: Sequence[str]) -> List[UpgradeResult]:
+    """Full service × upgrade savings matrix, PC clients."""
     return [
-        quantify_upgrade(service, upgrade, access)
+        quantify_upgrade(service, upgrade)
         for service in services
         for upgrade in UPGRADES
     ]

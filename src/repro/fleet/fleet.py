@@ -216,10 +216,10 @@ def schedule_writer_workload(
     files_per_writer: int = 2,
     file_size: int = 64 * KB,
     spacing: float = 20.0,
-    start: float = 1.0,
     seed: int = 0,
 ) -> int:
-    """Stagger seeded file creations across the first ``writers`` members.
+    """Stagger seeded file creations across the first ``writers`` members,
+    from t = 1 s.
 
     Writes are spaced far enough apart (default 20 s against a 0.2 s
     notification delay) that each commit fans out fully before the next
@@ -237,7 +237,7 @@ def schedule_writer_workload(
             content = random_content(
                 file_size, seed=seed * 100_003 + index * 1_000
                 + round_index + 1)
-            at = start + (round_index * writers + index) * spacing
+            at = 1.0 + (round_index * writers + index) * spacing
             # Schedule through the member's own handle so a sharded fleet
             # keeps each writer's kickoff in the writer's domain.
             member.sim.schedule_at(at, member.folder.create,

@@ -1,7 +1,7 @@
 """One fleet member: a full SyncClient plus the follower half of the folder.
 
 Each member owns the same rig a :class:`~repro.client.SyncSession` would
-assemble — folder, link, network emulator, meter, channel, client engine —
+assemble — folder, link, meter, channel, client engine —
 but its engine talks to the cloud through the hub's origin-tagging proxy,
 and the member additionally *receives*: hub notifications land here, get a
 metered notification frame immediately, and schedule a download one

@@ -90,14 +90,13 @@ class Rule:
         return iter(())
 
     def at(self, ctx: "FileContext", node: ast.AST,
-           message: Optional[str] = None,
-           hint: Optional[str] = None) -> Finding:
+           message: Optional[str] = None) -> Finding:
         return Finding(
             rule=self.id, path=ctx.path,
             line=getattr(node, "lineno", 1),
             col=getattr(node, "col_offset", 0),
             message=message if message is not None else self.summary,
-            hint=hint if hint is not None else self.hint)
+            hint=self.hint)
 
 
 def dotted_name(node: ast.AST) -> str:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import json
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple
 
 from ..simnet.meter import MeterSnapshot, TrafficMeter
@@ -122,10 +122,9 @@ class PhaseStat:
 class TraceRecorder:
     """Ordered ledger of spans for one session (one meter)."""
 
-    def __init__(self, label: str = "session",
-                 meter: Optional[TrafficMeter] = None) -> None:
+    def __init__(self, label: str = "session") -> None:
         self.label = label
-        self.meter = meter
+        self.meter: Optional[TrafficMeter] = None
         self.spans: List[Span] = []
         #: Exported totals, used instead of a live meter after JSONL reload.
         self.totals: Optional[MeterSnapshot] = None
@@ -233,30 +232,66 @@ class TraceHub:
 
     @classmethod
     def from_jsonl(cls, path: str) -> "TraceHub":
+        """Load a :meth:`to_jsonl` dump.  A malformed line raises
+        ``ValueError`` naming ``path`` and the line's 1-based number."""
         hub = cls()
-        current: Optional[TraceRecorder] = None
         with open(path, "r", encoding="utf-8") as stream:
-            entries = [(number, json.loads(text))
-                       for number, text in enumerate(stream, start=1)
-                       if text.strip()]
-        for number, entry in entries:
-            if entry["type"] == "session":
-                current = TraceRecorder(entry["session"])
-                if entry["totals"] is not None:
-                    current.totals = MeterSnapshot(**entry["totals"])
-                hub.recorders.append(current)
-                continue
-            if current is None:
-                raise ValueError("span line before any session header")
-            if entry["kind"] not in SPAN_KINDS:
-                raise ValueError(f"{path}, line {number}: unknown span kind "
-                                 f"{entry['kind']!r}")
-            delta = (MeterSnapshot(**entry["delta"])
-                     if entry["delta"] is not None else None)
-            current.spans.append(Span(
-                entry["index"], entry["kind"], entry["name"], entry["source"],
-                entry["start"], entry["end"], delta, entry.get("attrs", {})))
+            for number, text in enumerate(stream, start=1):
+                try:
+                    if text.strip():
+                        hub._load_line(text)
+                except ValueError as error:
+                    raise ValueError(f"{path}, line {number}: {error}") \
+                        from None
         return hub
+
+    def _load_line(self, text: str) -> None:
+        try:
+            entry = json.loads(text)
+        except json.JSONDecodeError as error:
+            raise ValueError(f"not JSON ({error.msg}, column "
+                             f"{error.colno})") from None
+        if not isinstance(entry, dict):
+            raise ValueError(
+                f"expected a JSON object, got {type(entry).__name__}")
+        kind = entry.get("type")
+        keys = _DUMP_KEYS.get(kind) if isinstance(kind, str) else None
+        if keys is None:
+            raise ValueError(f"unknown line type {kind!r}")
+        missing = [key for key in keys if key not in entry]
+        if missing:
+            raise ValueError(f"{kind} line lacks {', '.join(missing)}")
+        if kind == "session":
+            recorder = TraceRecorder(entry["session"])
+            recorder.totals = _dump_snapshot("totals", entry["totals"])
+            self.recorders.append(recorder)
+        elif not self.recorders:
+            raise ValueError("span line before any session header")
+        elif entry["kind"] not in SPAN_KINDS:
+            raise ValueError(f"unknown span kind {entry['kind']!r}")
+        else:
+            self.recorders[-1].spans.append(Span(
+                entry["index"], entry["kind"], entry["name"], entry["source"],
+                entry["start"], entry["end"],
+                _dump_snapshot("delta", entry["delta"]),
+                entry.get("attrs", {})))
+
+
+#: The keys each line type of a JSONL dump must carry.
+_DUMP_KEYS = {
+    "session": ("session", "totals"),
+    "span": ("index", "kind", "name", "source", "start", "end", "delta"),
+}
+_METER_KEYS = frozenset(meter_field.name
+                        for meter_field in fields(MeterSnapshot))
+
+
+def _dump_snapshot(key: str, value: Any) -> Optional[MeterSnapshot]:
+    """A dumped ``delta``/``totals`` (an object or null) as a snapshot."""
+    if value is not None and not (isinstance(value, dict)
+                                  and _METER_KEYS.issuperset(value)):
+        raise ValueError(f"{key} is not a meter snapshot: {value!r}")
+    return None if value is None else MeterSnapshot(**value)
 
 
 # -- ambient hub ----------------------------------------------------------

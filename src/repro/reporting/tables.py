@@ -39,10 +39,10 @@ def render_table(headers: Sequence[str], rows: Iterable[Sequence[str]],
 
 def render_series(points: Sequence[Tuple[float, float]],
                   x_label: str = "x", y_label: str = "y",
-                  title: Optional[str] = None,
-                  x_format: str = "g", y_format: str = ".2f") -> str:
-    """A figure's data series as two aligned columns."""
-    rows = [(format(x, x_format), format(y, y_format)) for x, y in points]
+                  title: Optional[str] = None) -> str:
+    """A figure's data series as two aligned columns (x as ``g``, y to two
+    decimals)."""
+    rows = [(f"{x:g}", f"{y:.2f}") for x, y in points]
     return render_table([x_label, y_label], rows, title=title)
 
 

@@ -11,11 +11,11 @@ Every simulator runs on :class:`HeapEventQueue`, a ``heapq`` of
 (a Brown-style calendar/bucket queue with eager cancellation, the default
 from PR 6 until PR 21) is a reference only: the pop-order property test
 compares the heap against it, and it stays importable
-(``Simulator(queue="calendar")``) because ``benchmarks/perf`` probes it.
+(``make_event_queue("calendar")``) because ``benchmarks/perf`` probes it.
 
 Both order events by ``(time, seq)`` where ``seq`` is the schedule-call
-counter, so pop order — and therefore every downstream byte count — is
-identical regardless of which queue is in use.
+counter, so their pop orders — and therefore every downstream byte count —
+are identical.
 """
 
 from __future__ import annotations
@@ -295,7 +295,7 @@ def make_event_queue(kind: str = "heap") -> EventQueue:
 
 
 class Simulator:
-    """An event loop with a virtual clock over a pluggable event queue.
+    """An event loop with a virtual clock, starting at 0, over a heap queue.
 
     Usage::
 
@@ -304,16 +304,10 @@ class Simulator:
         sim.run_until_idle()
     """
 
-    def __init__(self, start_time: float = 0.0,
-                 queue: Union[str, EventQueue] = "heap",
-                 seq: Optional[Any] = None):
-        self._now = float(start_time)
-        self._queue: EventQueue = (make_event_queue(queue)
-                                   if isinstance(queue, str) else queue)
-        #: ``seq`` is injectable so a :class:`~repro.simnet.domains.
-        #: DomainScheduler` can stamp every domain's events from one global
-        #: counter — the property that makes sharded runs byte-identical.
-        self._seq = seq if seq is not None else itertools.count()
+    def __init__(self) -> None:
+        self._now = 0.0
+        self._queue = HeapEventQueue()
+        self._seq = itertools.count()
         self._running = False
 
     @property

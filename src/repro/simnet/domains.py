@@ -27,14 +27,7 @@ from dataclasses import dataclass
 from math import inf
 from typing import Any, Callable, List, Optional
 
-from .clock import (
-    CalendarEventQueue,
-    Event,
-    EventQueue,
-    SimulationError,
-    make_event_queue,
-    resolve_delay,
-)
+from .clock import Event, HeapEventQueue, SimulationError, resolve_delay
 
 
 @dataclass(frozen=True)
@@ -50,7 +43,7 @@ class DomainMessage:
 
 class EventDomain:
     """One shard's scheduling handle: the ``Simulator`` surface a member
-    (folder, link emulator, channel, engine) binds to.
+    (folder, channel, engine) binds to.
 
     ``now`` reads the scheduler's global clock; ``schedule``/``schedule_at``
     stamp events from the scheduler's shared epoch counter and push onto
@@ -61,7 +54,7 @@ class EventDomain:
     __slots__ = ("scheduler", "index", "queue")
 
     def __init__(self, scheduler: "DomainScheduler", index: int,
-                 queue: EventQueue):
+                 queue: HeapEventQueue):
         self.scheduler = scheduler
         self.index = index
         self.queue = queue
@@ -102,17 +95,16 @@ class DomainScheduler:
     members schedule through their own :class:`EventDomain` handles.
     """
 
-    def __init__(self, domains: int = 1, start_time: float = 0.0,
-                 queue: str = "heap", trace_messages: bool = False):
+    def __init__(self, domains: int = 1, trace_messages: bool = False):
         if domains < 1:
             raise SimulationError(f"need at least one domain (got {domains})")
-        self._now = float(start_time)
+        self._now = 0.0
         self._epochs = itertools.count()
         self._running = False
         #: Index of the domain whose event is currently executing, or None.
         self._executing: Optional[int] = None
         self.domains: List[EventDomain] = [
-            EventDomain(self, index, make_event_queue(queue))
+            EventDomain(self, index, HeapEventQueue())
             for index in range(domains)]
         #: ``cross_matrix[source][target]`` counts epoch-stamped handoffs.
         self.cross_matrix: List[List[int]] = [

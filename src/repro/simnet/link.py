@@ -59,19 +59,19 @@ def mn_link(rtt: float = 0.060) -> LinkSpec:
     return LinkSpec(up_bw=20 * Mbps, down_bw=20 * Mbps, rtt=rtt)
 
 
-def bj_link(rtt: float = 0.340) -> LinkSpec:
+def bj_link() -> LinkSpec:
     """The paper's Beijing vantage point: ~1.6 Mbps, RTT ∈ (200, 480) ms."""
-    return LinkSpec(up_bw=1.6 * Mbps, down_bw=1.6 * Mbps, rtt=rtt)
+    return LinkSpec(up_bw=1.6 * Mbps, down_bw=1.6 * Mbps, rtt=0.340)
 
 
-def lte_link(rtt: float = 0.120) -> LinkSpec:
+def lte_link() -> LinkSpec:
     """A cellular (LTE) profile: asymmetric 8/24 Mbps, 120 ms RTT, 0.5% loss.
 
     Not one of the paper's two wired vantage points — added for the sync
     strategy sweeps (Experiment 11), where nonzero base loss makes wire
     bytes, not just duration, differ per link.
     """
-    return LinkSpec(up_bw=8 * Mbps, down_bw=24 * Mbps, rtt=rtt,
+    return LinkSpec(up_bw=8 * Mbps, down_bw=24 * Mbps, rtt=0.120,
                     loss_rate=0.005)
 
 
@@ -128,14 +128,14 @@ class Link:
         # the caller's packetisation of the extra bytes).
         return math.ceil(loss / (1.0 - loss) * packets * mean_packet)
 
-    def recovery_rtts(self, wire_bytes: int, cap: float = 8.0,
+    def recovery_rtts(self, wire_bytes: int,
                       loss_rate: Optional[float] = None) -> float:
-        """Expected extra round trips spent in loss recovery."""
+        """Expected extra round trips spent in loss recovery, at most 8."""
         loss = self.spec.loss_rate if loss_rate is None else loss_rate
         if loss <= 0.0 or wire_bytes <= 0:
             return 0.0
         packets = -(-wire_bytes // MSS)
-        return min(loss * packets, cap)
+        return min(loss * packets, 8.0)
 
     # -- wire byte accounting ---------------------------------------------
 

@@ -33,30 +33,28 @@ if TYPE_CHECKING:  # pragma: no cover - typing only, avoids an import cycle
     from ..obs.recorder import TraceRecorder
 
 
+#: TCP handshake bytes: SYN + final ACK up, SYN-ACK down (66 B segments).
+TCP_HANDSHAKE_UP = 2 * 66
+TCP_HANDSHAKE_DOWN = 66
+#: Round trips of one request→response turnaround.
+EXCHANGE_RTTS = 1.0
+#: Upload-queue RTT inflation ("bufferbloat"): every protocol round trip
+#: issued while the uplink queue drains waits behind it.  Real and large on
+#: low-bandwidth residential uplinks like the paper's BJ vantage point.
+QUEUE_INFLATION = 6.0
+
+
 @dataclass
 class ProtocolCosts:
     """Byte/RTT costs of the HTTPS stack, tunable per service profile."""
 
-    tcp_handshake_up: int = 2 * 66      # SYN + final ACK
-    tcp_handshake_down: int = 66        # SYN-ACK
     tls_handshake_up: int = 1_200       # ClientHello + key exchange
     tls_handshake_down: int = 3_800     # ServerHello + certificate chain
     handshake_rtts: float = 3.0         # TCP (1) + TLS (2)
     request_header: int = 450           # HTTP request line + headers + TLS framing
     response_header: int = 350
-    exchange_rtts: float = 1.0          # request→response turnaround
     idle_timeout: float = 55.0          # keep-alive window before re-handshake
     use_tls: bool = True
-    #: TCP initial congestion window, segments (slow start restarts after
-    #: idle periods, which sync workloads hit constantly).
-    initial_cwnd: int = 10
-    #: Upload-queue RTT inflation ("bufferbloat"): every protocol round trip
-    #: issued while the uplink queue drains waits behind it.  Real and large
-    #: on low-bandwidth residential uplinks like the paper's BJ vantage point.
-    queue_inflation: float = 6.0
-    #: How long the client takes to notice a dead link (RTO-style timeout)
-    #: when a fault-injection blackout swallows its traffic.
-    fault_detect_timeout: float = 1.0
 
 
 class _WirePlan(NamedTuple):
@@ -127,8 +125,8 @@ class Channel:
         if now <= self._connected_until:
             return 0.0
         costs = self.costs
-        up = costs.tcp_handshake_up
-        down = costs.tcp_handshake_down
+        up = TCP_HANDSHAKE_UP
+        down = TCP_HANDSHAKE_DOWN
         if costs.use_tls:
             up += costs.tls_handshake_up
             down += costs.tls_handshake_down
@@ -214,7 +212,6 @@ class Channel:
         """
         start = self.effective_now()
         duration = self._ensure_connection(start)
-        costs = self.costs
 
         # Loss: expected retransmissions add overhead bytes and recovery
         # RTTs.  An active loss burst raises the loss rate for this exchange.
@@ -229,14 +226,14 @@ class Channel:
         up_transfer = self.link.transfer_time(plan.gross_up, upstream=True)
         down_transfer = self.link.transfer_time(plan.gross_down,
                                                 upstream=False)
-        rtts = (costs.exchange_rtts + extra_rtts
+        rtts = (EXCHANGE_RTTS + extra_rtts
                 + self._slow_start_rtts(plan.up_wire)
                 + self.link.recovery_rtts(plan.up_wire + plan.up_hdr,
                                           loss_rate=loss_rate))
         # Bufferbloat: round trips issued during the upload wait behind the
         # uplink queue, so each effective RTT stretches by the residual
         # serialisation delay.
-        queue_delay = costs.queue_inflation * up_transfer
+        queue_delay = QUEUE_INFLATION * up_transfer
         duration += (
             up_transfer + down_transfer
             + self.link.round_trip_time(rtts) + queue_delay
@@ -282,7 +279,6 @@ class Channel:
     def _interrupt(self, start: float, duration: float, episode,
                    kind: str, gross_up: int, gross_down: int) -> TransferInterrupted:
         """Abort an exchange swallowed by a blackout; meter the waste."""
-        costs = self.costs
         fail_at = max(episode.start, start)
         progress = (fail_at - start) / duration if duration > 0 else 0.0
         sent_up = int(gross_up * progress)
@@ -291,8 +287,9 @@ class Channel:
         if not mid_transfer:
             # The connection attempt ran straight into the outage: only the
             # unanswered SYN retries cross the wire.
-            sent_up = costs.tcp_handshake_up
-        detect = min(costs.fault_detect_timeout, max(episode.end - fail_at, 0.0))
+            sent_up = TCP_HANDSHAKE_UP
+        # The client notices the dead link after an RTO-style 1 s timeout.
+        detect = min(1.0, max(episode.end - fail_at, 0.0))
         elapsed = (fail_at - start) + detect
         flows = [(Direction.UP, 0, sent_up, sent_up)]
         if sent_down:
@@ -325,7 +322,7 @@ class Channel:
         up_bytes, down_bytes = framing.up_total, framing.down_total
         duration += (self.link.transfer_time(up_bytes, upstream=True)
                      + self.link.transfer_time(down_bytes, upstream=False)
-                     + self.link.round_trip_time(self.costs.exchange_rtts))
+                     + self.link.round_trip_time(EXCHANGE_RTTS))
         self._settle(
             "exchange", kind, start, start, start + duration,
             [(Direction.UP, 0, up_bytes, up_bytes),
@@ -349,7 +346,7 @@ class Channel:
         hdr, acks = self.link.wire_cost(wire_bytes)
         gross_up = wire_bytes + hdr
         up_transfer = self.link.transfer_time(gross_up, upstream=True)
-        duration += (up_transfer * (1.0 + self.costs.queue_inflation)
+        duration += (up_transfer * (1.0 + QUEUE_INFLATION)
                      + self.link.round_trip_time(1.0))
         self._settle(
             "exchange", kind, start, start, start + duration,
@@ -363,10 +360,11 @@ class Channel:
         """Extra round trips spent growing the congestion window from cold.
 
         Sync transactions are separated by idle periods long enough for the
-        congestion window to reset, so every exchange restarts slow start.
+        congestion window to reset, so every exchange restarts slow start
+        from an initial window of 10 segments.
         """
         segments = -(-wire_bytes // MSS) if wire_bytes > 0 else 0
-        cwnd = max(self.costs.initial_cwnd, 1)
+        cwnd = 10
         rounds = 0
         while segments > cwnd:
             segments -= cwnd
@@ -374,7 +372,7 @@ class Channel:
             rounds += 1
         return float(rounds)
 
-    def notify(self, nbytes: int, kind: str = "notification") -> float:
+    def notify(self, nbytes: int) -> float:
         """Server→client push (sync notifications, status updates)."""
         hdr, acks = self.link.wire_cost(nbytes)
         start = self.effective_now()
@@ -383,7 +381,8 @@ class Channel:
         flows = [(Direction.DOWN, 0, nbytes + hdr, 0)]
         if acks:
             flows.append((Direction.UP, 0, acks, 0))
-        self._settle("exchange", kind, start, start, start + duration, flows,
+        self._settle("exchange", "notification", start, start,
+                     start + duration, flows,
                      None if self.recorder is None else
                      dict(op="notification", nbytes=nbytes))
         return duration

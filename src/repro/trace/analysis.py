@@ -106,13 +106,13 @@ def summary_stats(trace: Trace) -> TraceStats:
 # §4.1: small files and batchability
 # ---------------------------------------------------------------------------
 
-def small_file_fraction(trace: Trace, threshold: int = SMALL_FILE_THRESHOLD,
-                        compressed: bool = False) -> float:
-    """Fraction of files under ``threshold`` (the paper's 77 % / 81 %)."""
+def small_file_fraction(trace: Trace, compressed: bool = False) -> float:
+    """Fraction of files under :data:`SMALL_FILE_THRESHOLD` (the paper's
+    77 % / 81 %)."""
     sizes = trace.sizes(compressed=compressed)
     if len(sizes) == 0:
         return 0.0
-    return float((sizes < threshold).mean())
+    return float((sizes < SMALL_FILE_THRESHOLD).mean())
 
 
 def creation_batch_flags(trace: Trace,
@@ -139,15 +139,12 @@ def creation_batch_flags(trace: Trace,
     return flags
 
 
-def batchable_small_fraction(trace: Trace,
-                             threshold: int = SMALL_FILE_THRESHOLD,
-                             window: float = BDS_BATCH_WINDOW) -> float:
+def batchable_small_fraction(trace: Trace) -> float:
     """Fraction of small files that arrive in creation batches (§4.1's 66 %)."""
-    small_total = int(np.count_nonzero(trace.size < threshold))
+    small_total = int(np.count_nonzero(trace.size < SMALL_FILE_THRESHOLD))
     if small_total == 0:
         return 0.0
-    return int(np.count_nonzero(creation_batch_flags(trace, threshold,
-                                                     window))) / small_total
+    return int(np.count_nonzero(creation_batch_flags(trace))) / small_total
 
 
 # ---------------------------------------------------------------------------
@@ -336,10 +333,8 @@ def dedup_ratio(trace: Trace, block_size: Optional[int] = None) -> float:
     return trace.total_bytes() / after if after else 1.0
 
 
-def dedup_ratio_curve(
-    trace: Trace,
-    block_sizes: Sequence[int] = BLOCK_GRANULARITIES,
-) -> List[Tuple[Optional[int], float]]:
-    """Figure 5's series: dedup ratio per block size, plus full-file (None)."""
+def dedup_ratio_curve(trace: Trace) -> List[Tuple[Optional[int], float]]:
+    """Figure 5's series: dedup ratio per block size of
+    :data:`BLOCK_GRANULARITIES`, plus full-file (None)."""
     return [(block_size, dedup_ratio(trace, block_size))
-            for block_size in (*block_sizes, None)]
+            for block_size in (*BLOCK_GRANULARITIES, None)]

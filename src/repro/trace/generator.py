@@ -305,7 +305,7 @@ def iter_trace_records(scale: float = 1.0, seed: int = 42,
     """Stream the statistical twin trace record by record.
 
     Yields exactly the records of ``generate_trace(scale, seed)`` in the
-    same order (it *is* ``generate_trace``'s implementation), without
+    same order (both draw the same ``_plan_records`` rows), without
     materialising the trace: peak memory is the duplicate-sampling pool
     plus one record.  The plan is checked here, before the first record is
     asked for.
@@ -343,13 +343,19 @@ def iter_trace_shards(scale: float = 1.0, seed: int = 42,
     Memory stays bounded by one service's records plus the lightweight
     duplicate-sampling pool, instead of the whole trace — the difference
     between fitting a ``scale=50`` (~11M file) replay in RAM or not.
+    ``shard_users`` and the plan are checked here, before the first shard
+    is asked for.
     """
     if shard_users < 1:
         raise ValueError("shard_users must be >= 1")
     config = config or GeneratorConfig(scale=scale, seed=seed)
-    plan = config.service_plan()
+    return _plan_shards(config.service_plan(), config.seed, shard_users)
+
+
+def _plan_shards(plan: Dict[str, Tuple[int, int]], seed: int,
+                 shard_users: int) -> Iterator[Trace]:
     for service, rows in itertools.groupby(
-            _plan_records(plan, config.seed), key=itemgetter(1)):
+            _plan_records(plan, seed), key=itemgetter(1)):
         n_users = plan[service][0]
         group_of = {user: idx // shard_users
                     for idx, user in enumerate(_user_names(service, n_users))}

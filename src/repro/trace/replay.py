@@ -35,6 +35,7 @@ import numpy as np
 from ..client import ServiceProfile
 from ..client.profiles import BdsMode
 from ..compress import CompressionLevel
+from ..simnet.protocol import TCP_HANDSHAKE_DOWN, TCP_HANDSHAKE_UP
 from .analysis import creation_batch_flags, dedup_columns
 from .schema import Trace, first_sight
 
@@ -111,7 +112,7 @@ def _fixed_overhead(profile: ServiceProfile) -> int:
     overhead = profile.overhead
     handshake = 0
     if overhead.connection_per_sync:
-        handshake = (costs.tcp_handshake_up + costs.tcp_handshake_down
+        handshake = (TCP_HANDSHAKE_UP + TCP_HANDSHAKE_DOWN
                      + (costs.tls_handshake_up + costs.tls_handshake_down
                         if costs.use_tls else 0))
     framing = (costs.request_header + costs.response_header) \

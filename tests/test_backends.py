@@ -24,7 +24,6 @@ from repro.cloud import (
     LIST_PAGE_SIZE,
     NotFound,
     ObjectStore,
-    PackShardConfig,
     PackShardStore,
     annotate_manifest_error,
 )
@@ -41,7 +40,7 @@ from repro.core import (
     measure,
 )
 from repro.obs import AuditViolation, audit, audit_hub, recording, verify
-from repro.units import KB
+from repro.units import KB, MB
 
 
 # ---------------------------------------------------------------------------
@@ -302,29 +301,39 @@ def test_single_key_fetch_many_hands_back_the_stored_object():
     other = chunks.store(b" and more")
     assert chunks.fetch_many([key, other]) == b"only unit and more"
     shard = _shard()
-    units = [shard.store(b"u" * 8), shard.store(b"v" * 8)]
-    assert shard.fetch_many(units[:1]) == b"u" * 8   # one run, one piece
-    assert shard.fetch_many(units) == b"u" * 8 + b"v" * 8
+    pieces = _one_slot(8, 8)
+    units = [shard.store(piece) for piece in pieces]
+    assert shard.fetch_many(units[:1]) == pieces[0]  # one run, one piece
+    assert shard.fetch_many(units) == b"".join(pieces)
 
 
 # ---------------------------------------------------------------------------
 # packed-shard backend
 # ---------------------------------------------------------------------------
 
-def _shard(slots=1, target=1 << 20, fraction=0.5):
-    return PackShardStore(ObjectStore(), PackShardConfig(
-        slots=slots, target_container_bytes=target,
-        compact_garbage_fraction=fraction))
+def _shard():
+    return PackShardStore(ObjectStore())
+
+
+def _one_slot(*sizes):
+    """Distinct units of the given sizes that all place into slot 0, so
+    they share one open buffer and then one container."""
+    shard, units, value = _shard(), [], 0
+    for size in sizes:
+        while shard.placement_slot(bytes([value]) * size) != 0:
+            value += 1
+        units.append(bytes([value]) * size)
+        value += 1
+    return units
 
 
 def test_placement_is_deterministic_and_in_range():
-    shard = _shard(slots=7)
+    shard = _shard()
     data = random_content(4 * KB, seed=1).data
     slot = shard.placement_slot(data)
-    assert 0 <= slot < 7
+    assert 0 <= slot < 4
     assert shard.placement_slot(data) == slot
-    assert shard.placement_slot(data) == PackShardStore(
-        ObjectStore(), PackShardConfig(slots=7)).placement_slot(data)
+    assert shard.placement_slot(data) == _shard().placement_slot(data)
 
 
 def test_store_buffers_with_zero_rest_ops_until_flush():
@@ -340,10 +349,12 @@ def test_store_buffers_with_zero_rest_ops_until_flush():
 
 
 def test_slot_seals_itself_at_target_size():
-    shard = _shard(target=100)
-    shard.store(b"x" * 60)
+    target = 4 * MB                          # the container size target
+    shard = _shard()
+    first, second = _one_slot(target - 40, 50)
+    shard.store(first)
     assert shard.stats.containers_sealed == 0
-    shard.store(b"y" * 50)
+    shard.store(second)
     assert shard.stats.containers_sealed == 1
     assert shard.objects.ops.put == 1
 
@@ -357,7 +368,7 @@ def test_read_of_pending_unit_seals_its_slot():
 
 def test_fetch_many_coalesces_contiguous_runs():
     shard = _shard()
-    pieces = [bytes([value]) * 32 for value in range(3)]
+    pieces = _one_slot(32, 32, 32)
     keys = [shard.store(piece) for piece in pieces]
     shard.flush()
     before = shard.objects.ops.get
@@ -368,7 +379,7 @@ def test_fetch_many_coalesces_contiguous_runs():
 
 def test_fetch_many_attributes_packshard_failures():
     shard = _shard()
-    keys = [shard.store(bytes([value]) * 16) for value in range(2)]
+    keys = [shard.store(piece) for piece in _one_slot(16, 16)]
     shard.flush()
     container_key = next(iter(shard._containers))
     shard.objects._objects[container_key].data += b"!"
@@ -383,7 +394,7 @@ def test_fetch_many_attributes_packshard_failures():
 
 def test_container_manifest_trailer_roundtrip():
     shard = _shard()
-    keys = [shard.store(bytes([value]) * 10) for value in range(3)]
+    keys = [shard.store(piece) for piece in _one_slot(10, 10, 10)]
     shard.flush()
     container_key = next(iter(shard._containers))
     blob = shard.objects._objects[container_key].data
@@ -414,8 +425,8 @@ def test_delete_of_pending_unit_costs_nothing():
 def test_reads_verify_the_container_units_moved_into(md5_calls):
     """Compaction re-seals survivors into a new container: reads hash that
     container (once), and corruption in it fails them."""
-    shard = _shard(fraction=0.5)
-    pieces = [bytes([value]) * 100 for value in range(4)]
+    shard = _shard()
+    pieces = _one_slot(100, 100, 100, 100)
     keys = [shard.store(piece) for piece in pieces]
     shard.flush()
     old_container = next(iter(shard._containers))
@@ -440,8 +451,8 @@ def test_reads_verify_the_container_units_moved_into(md5_calls):
 
 
 def test_sealed_delete_marks_garbage_then_compacts():
-    shard = _shard(fraction=0.5)
-    pieces = [bytes([value]) * 100 for value in range(4)]
+    shard = _shard()
+    pieces = _one_slot(100, 100, 100, 100)
     keys = [shard.store(piece) for piece in pieces]
     shard.flush()
     shard.delete(keys[0])                    # 100/400 garbage: below 0.5
@@ -458,10 +469,10 @@ def test_sealed_delete_marks_garbage_then_compacts():
 
 
 def test_fully_garbage_container_is_one_delete():
-    shard = _shard(fraction=1.0)
-    keys = [shard.store(bytes([value]) * 50) for value in range(2)]
+    shard = _shard()
+    keys = [shard.store(piece) for piece in _one_slot(10, 90)]
     shard.flush()
-    shard.delete(keys[0])
+    shard.delete(keys[0])                    # 10/100 garbage: below 0.5
     shard.delete(keys[1])                    # manifest empties: drop
     assert shard.objects.ops.get == 0
     assert shard.objects.ops.delete == 1
@@ -471,25 +482,14 @@ def test_fully_garbage_container_is_one_delete():
 
 
 def test_packshard_collect_garbage_needs_no_list_ops():
-    shard = _shard(fraction=1.0)
-    keys = [shard.store(bytes([value]) * 20) for value in range(4)]
+    shard = _shard()
+    pieces = _one_slot(20, 20, 20, 20)
+    keys = [shard.store(piece) for piece in pieces]
     shard.flush()
     removed = shard.collect_garbage(keys[:1])
     assert removed == 3
     assert shard.objects.ops.list == 0
-    assert shard.fetch(keys[0]) == bytes([0]) * 20
-
-
-def test_packshard_config_validation():
-    with pytest.raises(ValueError):
-        PackShardConfig(slots=0)
-    with pytest.raises(ValueError):
-        PackShardConfig(target_container_bytes=0)
-    with pytest.raises(ValueError):
-        PackShardConfig(compact_garbage_fraction=0.0)
-    with pytest.raises(ValueError):
-        PackShardConfig(compact_garbage_fraction=1.5)
-    assert PackShardConfig(compact_garbage_fraction=1.0).slots == 4
+    assert shard.fetch(keys[0]) == pieces[0]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Unit tests for the discrete-event simulator core."""
 
+import itertools
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.simnet import (
     DomainScheduler,
+    Event,
     HeapEventQueue,
     SimulationError,
     Simulator,
@@ -15,12 +18,16 @@ from repro.simnet import (
 QUEUE_KINDS = ["calendar", "heap"]
 
 
+def simulator_on(queue):
+    """A Simulator whose own heap is swapped for ``queue``, so a run-loop
+    property is checked over the calendar reference too."""
+    sim = Simulator()
+    sim._queue = queue
+    return sim
+
+
 def test_clock_starts_at_zero():
     assert Simulator().now == 0.0
-
-
-def test_clock_custom_start():
-    assert Simulator(start_time=5.0).now == 5.0
 
 
 def test_events_run_in_time_order():
@@ -179,8 +186,9 @@ def test_schedule_rejects_genuinely_negative_delay():
 
 def simulator_and_domain(queue_kind):
     """Both ``resolve_delay`` callers: a Simulator and a domain handle."""
-    return [Simulator(queue=queue_kind),
-            DomainScheduler(domains=2, queue=queue_kind).domain(1)]
+    domain = DomainScheduler(domains=2).domain(1)
+    domain.queue = make_event_queue(queue_kind)
+    return [simulator_on(make_event_queue(queue_kind)), domain]
 
 
 @pytest.mark.parametrize("method", ["schedule", "schedule_at"])
@@ -231,7 +239,7 @@ class CountingQueue:
 @pytest.mark.parametrize("queue_kind", QUEUE_KINDS)
 def test_run_until_idle_pops_once_per_event_and_never_peeks(queue_kind):
     queue = CountingQueue(make_event_queue(queue_kind))
-    sim = Simulator(queue=queue)
+    sim = simulator_on(queue)
     for delay in (3.0, 1.0, 2.0, 2.0):
         sim.schedule(delay, lambda: None)
     assert sim.run_until_idle() == 3.0
@@ -261,7 +269,7 @@ def test_scheduler_run_until_idle_scans_domains_once_per_event():
 @pytest.mark.parametrize("queue_kind", QUEUE_KINDS)
 def test_pending_count_exact_under_every_cancel_order(queue_kind):
     """The heap's live counter can drift four ways; none may move it."""
-    sim = Simulator(queue=queue_kind)
+    sim = simulator_on(make_event_queue(queue_kind))
     fired = []
     head = sim.schedule(1.0, fired.append, "head")
     events = [sim.schedule(2.0 + i, fired.append, i) for i in range(4)]
@@ -286,29 +294,35 @@ def test_pending_count_exact_under_every_cancel_order(queue_kind):
 # -- heapq vs. the calendar-queue reference -----------------------------------
 
 def run_script(queue_kind, script):
-    """Drive one simulator through a schedule/cancel script; return firings.
+    """Drive one queue through a push/cancel/pop script; return firings.
 
-    ``script`` is a list of (delay, cancel_index) pairs: each step schedules
-    an event ``delay`` after the previous step's absolute time, then (if
-    ``cancel_index`` is not None) cancels the event scheduled at that index.
-    Half the events self-schedule a follow-up to exercise scheduling from
-    inside callbacks.
+    ``script`` is a list of (time, cancel_index) pairs: each step pushes an
+    event at ``time``, then (if ``cancel_index`` is not None) cancels the
+    event pushed at that index.  The events then pop in order, and each
+    even label pushes one follow-up 0.25 later, so pushes interleave with
+    pops as they do inside a run.  Sequence stamps count pushes, as the
+    simulator's do.
     """
-    sim = Simulator(queue=queue_kind)
+    queue = make_event_queue(queue_kind)
+    seq = itertools.count()
     fired = []
     events = []
 
-    def fire(label):
-        fired.append((sim.now, label))
-        if label % 2 == 0 and label < 1000:
-            # One follow-up only — labels ≥ 1000 never re-schedule.
-            sim.schedule(0.25, fire, label + 1000)
+    def push(time, label):
+        event = Event(time, next(seq), None, (label,))
+        queue.push(event)
+        return event
 
-    for label, (delay, cancel_index) in enumerate(script):
-        events.append(sim.schedule(delay, fire, label))
+    for label, (time, cancel_index) in enumerate(script):
+        events.append(push(time, label))
         if cancel_index is not None:
             events[cancel_index % len(events)].cancel()
-    sim.run_until_idle()
+    while (event := queue.pop()) is not None:
+        (label,) = event.args
+        fired.append((event.time, label))
+        if label % 2 == 0 and label < 1000:
+            # One follow-up only — labels ≥ 1000 never re-schedule.
+            push(event.time + 0.25, label + 1000)
     return fired
 
 

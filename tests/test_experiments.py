@@ -235,7 +235,6 @@ def test_experiment6_returns_full_sweep():
     (append, (2.0,), {"total": 0}, "total must be positive"),
     # Regression: an empty batch divided the traffic by a zero update.
     (batch, (), {"count": 0}, "must be positive"),
-    (batch, (), {"size": 0}, "must be positive"),
     (batch, (), {"count": -1}, "must be positive"),
     # Regression: a negative count built a cell with -0.0 REST ops/file,
     # and zero files an empty one.
@@ -246,7 +245,7 @@ def test_experiment6_returns_full_sweep():
     (edits, ("bogus",), {}, "unknown workload"),
     (generate_mix, ("paper", -2), {}, "files must be >= 0"),
 ], ids=["append-x", "append-kb", "append-total", "batch-count",
-        "batch-size", "batch-negative-count", "churn-negative-files",
+        "batch-negative-count", "churn-negative-files",
         "churn-zero-files", "edits-negative-files", "edits-zero-files",
         "edits-unknown-workload", "mix-negative-files"])
 def test_recipe_rejects_degenerate_inputs(recipe, args, kwargs, message):

@@ -182,14 +182,16 @@ def test_corrupted_clock_raises_monotone_violation():
 
 
 def test_backwards_span_raises_sanity_violation():
-    recorder = TraceRecorder(meter=TrafficMeter())
+    recorder = TraceRecorder()
+    recorder.bind_meter(TrafficMeter())
     recorder.record_span("sync-transaction", "sync", "client", 5.0, 1.0)
     violations = verify(recorder=recorder)
     assert [v.invariant for v in violations] == ["span-sanity"]
 
 
 def test_wire_span_without_delta_is_a_violation():
-    recorder = TraceRecorder(meter=TrafficMeter())
+    recorder = TraceRecorder()
+    recorder.bind_meter(TrafficMeter())
     recorder.record_span("exchange", "upload", "channel", 0.0, 1.0, op="exchange")
     violations = verify(recorder=recorder)
     assert any(v.invariant == "span-sanity" for v in violations)
@@ -229,32 +231,61 @@ def test_load_jsonl_returns_an_auditable_hub(tmp_path):
     audit_hub(loaded)
 
 
-@pytest.mark.parametrize("kind, attrs, refusal", [
-    ("bundle-commit", {"files": 1, "payload": 0, "ledger": [["a"]]},
-     "bundle-conservation"),
-    ("bundle-commit", {"files": 1, "payload": 0, "ledger": [["a", "five", 3]]},
-     "bundle-conservation"),
-    ("delta-exchange", {"payload": "5", "wire_names": ["upload"]},
-     "strategy-conservation"),
-    ("bogus", {}, "line 2: unknown span kind 'bogus'"),
-], ids=["short-ledger-entry", "non-numeric-ledger-entry", "string-payload",
-        "unknown-kind"])
-def test_hostile_span_dump_is_refused_not_crashed(tmp_path, kind, attrs,
-                                                  refusal):
-    """A one-span dump with malformed attrs is an audit violation naming
-    the invariant and the span; an unknown kind fails the load, naming
-    the line — never a bare IndexError/ValueError/TypeError, never a pass."""
-    path = tmp_path / "hostile.jsonl"
-    header = {"type": "session", "session": "hostile", "totals": None}
+HOSTILE_HEADER = {"type": "session", "session": "hostile", "totals": None}
+
+
+def hostile_span(kind, attrs=None, **changes):
     span = {"type": "span", "session": "hostile", "index": 0, "kind": kind,
             "name": "x", "source": "client", "start": 0.0, "end": 1.0,
-            "delta": None, "attrs": attrs}
-    path.write_text(json.dumps(header) + "\n" + json.dumps(span) + "\n",
-                    encoding="utf-8")
-    if kind == "bogus":
-        with pytest.raises(ValueError, match=refusal):
+            "delta": None, "attrs": attrs or {}}
+    span.update(changes)
+    return span
+
+
+@pytest.mark.parametrize("lines, refusal", [
+    ([HOSTILE_HEADER, hostile_span(
+        "bundle-commit", {"files": 1, "payload": 0, "ledger": [["a"]]})],
+     "bundle-conservation"),
+    ([HOSTILE_HEADER, hostile_span(
+        "bundle-commit",
+        {"files": 1, "payload": 0, "ledger": [["a", "five", 3]]})],
+     "bundle-conservation"),
+    ([HOSTILE_HEADER, hostile_span(
+        "delta-exchange", {"payload": "5", "wire_names": ["upload"]})],
+     "strategy-conservation"),
+    ([HOSTILE_HEADER, hostile_span("bogus")],
+     "line 2: unknown span kind 'bogus'"),
+    ([HOSTILE_HEADER, "{not json"], "line 2: not JSON ("),
+    ([HOSTILE_HEADER, ["span"]], "line 2: expected a JSON object, got list"),
+    ([HOSTILE_HEADER, {k: v for k, v in hostile_span("exchange").items()
+                       if k != "delta"}],
+     "line 2: span line lacks delta"),
+    ([HOSTILE_HEADER, hostile_span("exchange", delta={"up_bytes": 1})],
+     "line 2: delta is not a meter snapshot: {'up_bytes': 1}"),
+    ([dict(HOSTILE_HEADER, totals={"record_count": 0, "bogus": 1})],
+     "line 1: totals is not a meter snapshot: {'record_count': 0, "
+     "'bogus': 1}"),
+    ([{"type": "bogus"}, hostile_span("exchange")],
+     "line 1: unknown line type 'bogus'"),
+], ids=["short-ledger-entry", "non-numeric-ledger-entry", "string-payload",
+        "unknown-kind", "not-json", "json-list", "span-without-delta",
+        "unknown-delta-key", "unknown-totals-key", "unknown-line-type"])
+def test_hostile_span_dump_is_refused_not_crashed(tmp_path, lines, refusal):
+    """A one-span dump with malformed attrs is an audit violation naming
+    the invariant and the span; a malformed line fails the load with a
+    ValueError naming the path and the line — never a bare
+    IndexError/KeyError/TypeError/JSONDecodeError, never a pass."""
+    path = tmp_path / "hostile.jsonl"
+    path.write_text("".join(
+        (line if isinstance(line, str) else json.dumps(line)) + "\n"
+        for line in lines), encoding="utf-8")
+    if refusal.startswith("line "):
+        with pytest.raises(ValueError) as err:
             TraceHub.from_jsonl(str(path))
+        assert type(err.value) is ValueError
+        assert str(err.value).startswith(f"{path}, {refusal}")
         return
+    kind = lines[-1]["kind"]
     with pytest.raises(AuditViolation) as err:
         audit_hub(TraceHub.from_jsonl(str(path)))
     assert err.value.invariant == refusal

@@ -1,5 +1,7 @@
 """Tests for the client retry policy and its engine integration."""
 
+import random
+
 import pytest
 
 from repro.client import (
@@ -20,20 +22,7 @@ def test_policy_validation():
     with pytest.raises(ValueError):
         RetryPolicy(max_attempts=0)
     with pytest.raises(ValueError):
-        RetryPolicy(base_backoff=0)
-    with pytest.raises(ValueError):
-        RetryPolicy(backoff_factor=0.5)
-    with pytest.raises(ValueError):
-        RetryPolicy(max_backoff=0.1, base_backoff=1.0)
-    with pytest.raises(ValueError):
-        RetryPolicy(jitter=1.0)
-    with pytest.raises(ValueError):
         RetryPolicy(backoff_budget=0)
-
-
-def test_describe_names_the_recovery_design():
-    assert "resumable" in RetryPolicy(resumable=True).describe()
-    assert "restart" in RetryPolicy(resumable=False).describe()
 
 
 def test_backoff_sequence_is_seeded_and_reproducible():
@@ -47,31 +36,28 @@ def test_backoff_sequence_is_seeded_and_reproducible():
 
 
 def test_backoff_grows_exponentially_within_jitter():
-    policy = RetryPolicy(base_backoff=1.0, backoff_factor=2.0, jitter=0.1,
-                         max_backoff=1000.0)
-    state = policy.make_state()
-    for attempt in range(1, 8):
-        raw = 2.0 ** (attempt - 1)
+    state = RetryPolicy().make_state()
+    for attempt in range(1, 7):          # 0.5 s doubling, below the cap
+        raw = 0.5 * 2.0 ** (attempt - 1)
         delay = state.backoff(attempt)
         assert raw * 0.9 <= delay <= raw * 1.1
 
 
 def test_backoff_capped_at_max():
-    policy = RetryPolicy(base_backoff=1.0, backoff_factor=10.0,
-                         max_backoff=5.0, jitter=0.0)
-    state = policy.make_state()
-    assert state.backoff(1) == 1.0
-    assert state.backoff(4) == 5.0  # 1000 capped to 5
+    state = RetryPolicy(seed=5).make_state()
+    rng = random.Random(5)
+    for attempt, raw in ((1, 0.5), (7, 30.0), (20, 30.0)):  # 32 s, 2^18 s
+        assert state.backoff(attempt) == \
+            raw * (1.0 + 0.1 * (2.0 * rng.random() - 1.0))
 
 
 def test_budget_resets_per_transaction_but_rng_does_not():
-    policy = RetryPolicy(base_backoff=10.0, backoff_factor=1.0,
-                         backoff_budget=25.0, jitter=0.0)
+    policy = RetryPolicy(backoff_budget=80.0)
     state = policy.make_state()
-    state.backoff(1)
-    state.backoff(1)
+    state.backoff(7)                     # each 30 s ± 10 %
+    state.backoff(7)
     assert not state.budget_exhausted()
-    state.backoff(1)
+    state.backoff(7)
     assert state.budget_exhausted()
     state.begin_transaction()
     assert not state.budget_exhausted()
