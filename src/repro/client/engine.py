@@ -650,7 +650,7 @@ class SyncClient:
             for unit in units:
                 if unit.digest in missing_set:
                     unit_wires.append(profile.upload_compression.wire_size(
-                        Content(unit.data)))
+                        Content.with_md5(unit.data, unit.digest)))
                     key = self.server.upload_chunk(self.user, unit.digest,
                                                    unit.data)
                     missing_set.discard(unit.digest)
@@ -814,8 +814,7 @@ class SyncClient:
         overhead = self.profile.overhead
         if overhead.connection_per_sync:
             self.channel.drop_connection()
-        data = self.server.download(self.user, path)
-        content = Content(data)
+        content = self.server.download_content(self.user, path)
         wire = self.profile.download_compression.wire_size(content)
         self._guarded_exchange(Exchange(
             "download", up_meta=400, down_payload=wire,

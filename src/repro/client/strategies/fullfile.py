@@ -33,7 +33,8 @@ class FullFileStrategy(SyncStrategy):
         profile = client.profile
         unit_size = profile.storage_chunk_size or max(content.size, 1)
         polls, upload = client._upload_requests([
-            profile.upload_compression.wire_size(Content(unit.data))
+            profile.upload_compression.wire_size(
+                Content.with_md5(unit.data, unit.digest))
             for unit in chunk_data(content.data, unit_size)])
         return polls + upload
 

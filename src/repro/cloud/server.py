@@ -26,6 +26,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ..chunking import cdc_chunks, fingerprint
+from ..content import Content
 from ..delta import CdcDelta, Delta, apply_cdc_delta as apply_cdc_stream
 from ..delta import apply_delta as apply_rsync_delta
 from ..simnet.faults import FaultKind
@@ -437,6 +438,14 @@ class CloudServer:
                 # (The memo is no part of the frozen version's value.)
                 object.__setattr__(head, "verified", data)
         return data
+
+    def download_content(self, user: str, path: str) -> Content:
+        """:meth:`download` as a :class:`Content` that carries the head
+        digest the reassembly was checked against, so nothing downstream
+        hashes the bytes again."""
+        data = self.download(user, path)
+        md5 = self.metadata.head(user, path).md5
+        return Content.with_md5(data, md5) if md5 else Content(data)
 
     def head_version(self, user: str, path: str) -> int:
         """Version number of the path's newest metadata entry.

@@ -16,6 +16,11 @@ window, which is exactly how battery/latency-constrained clients trade ratio
 for speed (and how Dropbox's chunked protocol behaves, since each 4 MB chunk
 is compressed independently).  Smaller segments + lower zlib level ⇒ worse
 ratio, reproducing the paper's ordering LOW > MODERATE > HIGH (in bytes).
+
+A wire size is a pure function of (level, bytes), and the same bytes are
+priced again by every profile that shares a level and by every repeat of a
+cell, so :meth:`CompressionPolicy.wire_size` remembers it under the MD5 the
+caller already holds (see :data:`WIRE_SIZE_MEMO_ENTRIES`).
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass
+from typing import Dict, Tuple
 
 from ..content import Content
 
@@ -54,6 +60,18 @@ _PARAMS = {
     CompressionLevel.MODERATE: _LevelParams(zlib_level=3, segment=16 * 1024, coverage=0.85),
     CompressionLevel.HIGH: _LevelParams(zlib_level=9, segment=1 << 62, coverage=1.0),
 }
+
+
+#: Wire sizes the memo holds before it evicts its oldest entry (FIFO).  A
+#: ``sync-create`` pass prices 120 distinct (level, unit) pairs; at capacity
+#: the memo holds about 1 MB (``tests/test_compress.py`` bounds it).
+WIRE_SIZE_MEMO_ENTRIES = 4096
+
+#: ``(level, md5, size) -> wire size`` for contents whose MD5 was already
+#: computed.  Keying on a digest some other step paid for is what makes a
+#: lookup cheaper than the DEFLATE it replaces; ``size`` keeps two byte
+#: strings that were handed one digest apart.
+_WIRE_SIZES: Dict[Tuple[CompressionLevel, str, int], int] = {}
 
 
 class CompressionPolicy:
@@ -90,10 +108,25 @@ class CompressionPolicy:
         Compression never expands the payload on the wire: real clients fall
         back to stored (uncompressed) framing when DEFLATE would grow the
         data, so the size is capped at the original.
+
+        A content whose MD5 is already known (:attr:`Content.cached_md5`)
+        is priced once per level and then looked up; any other is priced
+        directly, because nothing hashes bytes only to look them up.
         """
-        if self.level is CompressionLevel.NONE or content.size == 0:
-            return content.size
-        return min(content.size, len(self.compress(content.data)))
+        size = content.size
+        if self.level is CompressionLevel.NONE or size == 0:
+            return size
+        digest = content.cached_md5
+        if digest is None:
+            return min(size, len(self.compress(content.data)))
+        key = (self.level, digest, size)
+        wire = _WIRE_SIZES.get(key)
+        if wire is None:
+            wire = min(size, len(self.compress(content.data)))
+            if len(_WIRE_SIZES) >= WIRE_SIZE_MEMO_ENTRIES:
+                del _WIRE_SIZES[next(iter(_WIRE_SIZES))]
+            _WIRE_SIZES[key] = wire
+        return wire
 
     def ratio(self, content: Content) -> float:
         """wire_size / original size (≤ 1.0 by the stored-fallback rule)."""

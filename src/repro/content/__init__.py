@@ -3,7 +3,6 @@
 from .model import (
     Content,
     compressible_content,
-    measured_compress_ratio,
     random_content,
     text_content,
 )
@@ -13,7 +12,6 @@ __all__ = [
     "Content",
     "WORDS",
     "compressible_content",
-    "measured_compress_ratio",
     "random_content",
     "text_content",
 ]

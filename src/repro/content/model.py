@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import random
-import zlib
 from typing import Optional
 
 from .words import WORDS, zipf_weights
@@ -54,6 +53,22 @@ class Content:
     @property
     def size(self) -> int:
         return len(self.data)
+
+    @classmethod
+    def with_md5(cls, data: bytes, md5: str) -> "Content":
+        """``data`` whose MD5 hexdigest the caller already holds (a chunk's
+        fingerprint, a digest the server checked the bytes against), so
+        nothing hashes it again.  The caller vouches that ``md5`` is the
+        digest of ``data``."""
+        content = cls(data)
+        content._md5 = md5
+        return content
+
+    @property
+    def cached_md5(self) -> Optional[str]:
+        """The MD5 if something already computed it, else ``None``; reading
+        it never hashes."""
+        return self._md5
 
     @property
     def md5(self) -> str:
@@ -162,10 +177,3 @@ def compressible_content(size: int, ratio: float, seed: int = 0) -> Content:
     head = random_content(random_part, seed=rng.randrange(1 << 30)).data
     return Content(head + bytes(filler))
 
-
-def measured_compress_ratio(content: Content) -> float:
-    """Actual level-9 DEFLATE ratio (compressed/original) of a content
-    object."""
-    if content.size == 0:
-        return 1.0
-    return len(zlib.compress(content.data, 9)) / content.size

@@ -4,8 +4,8 @@
 
 When compression is in play, the paper defines the data update size as the
 *compressed* size of the altered bits (footnote 2); :func:`tue` leaves the
-choice of denominator to the caller, and :func:`compressed_update_size`
-computes the footnote-2 variant.
+choice of denominator to the caller (``HIGH_COMPRESSION.wire_size`` prices
+the footnote-2 variant).
 
 :func:`tue` is the one zero-update rule every ``tue`` property applies:
 traffic against no update is infinitely inefficient (``inf``) and no
@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ..compress import HIGH_COMPRESSION
-from ..content import Content
 from ..simnet import TrafficMeter
 
 
@@ -35,12 +33,6 @@ def tue(total_sync_traffic: int, data_update_size: int) -> float:
     if data_update_size == 0:
         return float("inf") if total_sync_traffic else float("nan")
     return total_sync_traffic / data_update_size
-
-
-def compressed_update_size(update: Content) -> int:
-    """Footnote 2: the compressed size of the altered bits, at the highest
-    DEFLATE level (the paper's WinZip reference)."""
-    return HIGH_COMPRESSION.wire_size(update)
 
 
 @dataclass(frozen=True)

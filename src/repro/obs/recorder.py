@@ -261,6 +261,10 @@ class TraceHub:
         missing = [key for key in keys if key not in entry]
         if missing:
             raise ValueError(f"{kind} line lacks {', '.join(missing)}")
+        for key in keys:
+            _check_type(key, entry[key])
+        attrs = entry.get("attrs", {})
+        _check_type("attrs", attrs)
         if kind == "session":
             recorder = TraceRecorder(entry["session"])
             recorder.totals = _dump_snapshot("totals", entry["totals"])
@@ -273,8 +277,7 @@ class TraceHub:
             self.recorders[-1].spans.append(Span(
                 entry["index"], entry["kind"], entry["name"], entry["source"],
                 entry["start"], entry["end"],
-                _dump_snapshot("delta", entry["delta"]),
-                entry.get("attrs", {})))
+                _dump_snapshot("delta", entry["delta"]), attrs))
 
 
 #: The keys each line type of a JSONL dump must carry.
@@ -284,12 +287,36 @@ _DUMP_KEYS = {
 }
 _METER_KEYS = frozenset(meter_field.name
                         for meter_field in fields(MeterSnapshot))
+#: The JSON type each scalar field of a dump line must have, and its name
+#: in the refusal.  ``totals``/``delta`` are checked by
+#: :func:`_dump_snapshot`.
+_DUMP_TYPES = {
+    "session": ((str,), "a string"),
+    "index": ((int,), "an integer"),
+    "kind": ((str,), "a string"),
+    "name": ((str,), "a string"),
+    "source": ((str,), "a string"),
+    "start": ((int, float), "a number"),
+    "end": ((int, float), "a number"),
+    "attrs": ((dict,), "an object"),
+}
+
+
+def _check_type(key: str, value: Any) -> None:
+    """Refuse a dumped field whose JSON type is wrong (``true`` is no
+    number), before it can reach a comparison or a hash."""
+    spec = _DUMP_TYPES.get(key)
+    if spec is not None and (isinstance(value, bool)
+                             or not isinstance(value, spec[0])):
+        raise ValueError(f"{key} is not {spec[1]}: {value!r}")
 
 
 def _dump_snapshot(key: str, value: Any) -> Optional[MeterSnapshot]:
-    """A dumped ``delta``/``totals`` (an object or null) as a snapshot."""
-    if value is not None and not (isinstance(value, dict)
-                                  and _METER_KEYS.issuperset(value)):
+    """A dumped ``delta``/``totals`` (an object of integer counts, or null)
+    as a snapshot."""
+    if value is not None and not (
+            isinstance(value, dict) and _METER_KEYS.issuperset(value)
+            and all(type(count) is int for count in value.values())):
         raise ValueError(f"{key} is not a meter snapshot: {value!r}")
     return None if value is None else MeterSnapshot(**value)
 

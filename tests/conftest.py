@@ -1,6 +1,7 @@
 """Fixtures shared across test modules."""
 
 import hashlib
+import zlib
 
 import pytest
 
@@ -19,4 +20,20 @@ def md5_calls(monkeypatch):
         return real(data, **kwargs)
 
     monkeypatch.setattr(hashlib, "md5", counting)
+    return calls
+
+
+@pytest.fixture
+def zlib_calls(monkeypatch):
+    """Every ``zlib.compress(...)`` call made while the test runs, as a list
+    of the byte lengths compressed — the DEFLATE work behind wire sizes.
+    ``src/`` always spells the call ``zlib.compress``."""
+    real = zlib.compress
+    calls = []
+
+    def counting(data, *args, **kwargs):
+        calls.append(len(data))
+        return real(data, *args, **kwargs)
+
+    monkeypatch.setattr(zlib, "compress", counting)
     return calls

@@ -1,7 +1,12 @@
 """Unit tests for the compression policies (§5.1 behaviours)."""
 
-import pytest
+import hashlib
+import tracemalloc
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from repro.client import AccessMethod, SyncSession
 from repro.compress import (
     CompressionLevel,
     CompressionPolicy,
@@ -10,8 +15,9 @@ from repro.compress import (
     MODERATE_COMPRESSION,
     NO_COMPRESSION,
 )
+from repro.compress.policy import WIRE_SIZE_MEMO_ENTRIES, _WIRE_SIZES
 from repro.content import Content, random_content, text_content
-from repro.units import MB
+from repro.units import KB, MB
 
 
 def test_none_is_identity():
@@ -76,3 +82,108 @@ def test_ratio_definition():
     policy = CompressionPolicy(CompressionLevel.HIGH)
     assert policy.ratio(content) == pytest.approx(
         policy.wire_size(content) / content.size)
+
+
+# -- the wire-size memo -----------------------------------------------------
+
+def known(data: bytes) -> Content:
+    """``data`` holding its digest, the way a chunk or a download does."""
+    return Content.with_md5(data, hashlib.md5(data).hexdigest())
+
+
+def direct(policy: CompressionPolicy, data: bytes) -> int:
+    """The oracle: price ``data`` with DEFLATE, no memo."""
+    return min(len(data), len(policy.compress(data)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.one_of(
+           st.binary(max_size=2 * KB),
+           st.text(alphabet="ab c", max_size=40 * KB).map(str.encode)),
+       level=st.sampled_from(list(CompressionLevel)))
+def test_memoised_wire_size_equals_direct_pricing(data, level):
+    """Memo path (digest known), a second object with equal bytes (a hit
+    once the first filled the entry) and the direct path (digest unknown)
+    all price what DEFLATE prices."""
+    policy = CompressionPolicy(level)
+    expected = direct(policy, data)
+    assert policy.wire_size(known(data)) == expected
+    assert policy.wire_size(known(bytes(bytearray(data)))) == expected
+    unhashed = Content(data)
+    assert policy.wire_size(unhashed) == expected
+    assert unhashed.cached_md5 is None
+
+
+def test_memo_evicts_its_oldest_entries_past_its_bound():
+    """Filling past the bound keeps it at the bound, drops the oldest first,
+    and an evicted unit is priced again, correctly."""
+    extra = 16
+    blobs = [index.to_bytes(4, "big") * 64
+             for index in range(WIRE_SIZE_MEMO_ENTRIES + extra)]
+    for blob in blobs:
+        assert LOW_COMPRESSION.wire_size(known(blob)) == \
+            direct(LOW_COMPRESSION, blob)
+    assert len(_WIRE_SIZES) == WIRE_SIZE_MEMO_ENTRIES
+    oldest = (CompressionLevel.LOW, hashlib.md5(blobs[0]).hexdigest(),
+              len(blobs[0]))
+    newest = (CompressionLevel.LOW, hashlib.md5(blobs[-1]).hexdigest(),
+              len(blobs[-1]))
+    assert oldest not in _WIRE_SIZES and newest in _WIRE_SIZES
+    assert LOW_COMPRESSION.wire_size(known(blobs[0])) == \
+        direct(LOW_COMPRESSION, blobs[0])
+    assert len(_WIRE_SIZES) == WIRE_SIZE_MEMO_ENTRIES
+
+
+def test_levels_never_share_a_memo_entry():
+    """Whichever level prices the bytes first must not answer for another."""
+    data = text_content(64 * KB, seed=4096).data
+    policies = (HIGH_COMPRESSION, MODERATE_COMPRESSION, LOW_COMPRESSION)
+    priced = [policy.wire_size(known(data)) for policy in policies]
+    assert priced == [direct(policy, data) for policy in policies]
+    assert len(set(priced)) == len(policies)
+
+
+def test_memo_keys_on_size_beside_the_digest():
+    """Two byte strings handed one digest (only a caller's mistake can do
+    that) are still priced apart."""
+    short = Content.with_md5(b"a" * 100, "one-digest")
+    long = Content.with_md5(b"ab" * 5000, "one-digest")
+    assert HIGH_COMPRESSION.wire_size(short) == \
+        direct(HIGH_COMPRESSION, short.data)
+    assert HIGH_COMPRESSION.wire_size(long) == \
+        direct(HIGH_COMPRESSION, long.data)
+
+
+def test_memo_footprint_at_capacity_is_bounded():
+    """A full memo holds keys, digests and sizes, never the bytes priced."""
+    _WIRE_SIZES.clear()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        for index in range(WIRE_SIZE_MEMO_ENTRIES):
+            LOW_COMPRESSION.wire_size(known(index.to_bytes(4, "big") * 256))
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(_WIRE_SIZES) == WIRE_SIZE_MEMO_ENTRIES
+    assert held < 1.5 * MB
+
+
+def test_second_session_on_the_same_file_runs_no_deflate(zlib_calls,
+                                                         md5_calls):
+    """Dropbox PC compresses uploads (moderate) and downloads (high).  A
+    second session syncing and fetching the very same bytes finds both
+    wire sizes in the memo, and hashes exactly what the first did."""
+    content = text_content(300 * KB, seed=4097)
+    counts = []
+    for _ in range(2):
+        del zlib_calls[:], md5_calls[:]
+        session = SyncSession("Dropbox", AccessMethod.PC)
+        session.create_file("a.txt", Content(content.data))
+        session.run_until_idle()
+        assert session.download("a.txt").data == content.data
+        counts.append((len(zlib_calls), list(md5_calls)))
+    (first_zlib, first_md5), (second_zlib, second_md5) = counts
+    assert first_zlib > 0
+    assert second_zlib == 0
+    assert second_md5 == first_md5

@@ -3,10 +3,10 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.compress import HIGH_COMPRESSION
 from repro.content import (
     Content,
     compressible_content,
-    measured_compress_ratio,
     random_content,
     text_content,
 )
@@ -32,11 +32,15 @@ def test_text_content_exact_size_and_ascii():
 
 
 def test_random_content_incompressible():
-    assert measured_compress_ratio(random_content(100_000, seed=1)) > 0.99
+    content = random_content(100_000, seed=1)
+    assert content.md5  # a known digest: priced through the wire-size memo
+    assert HIGH_COMPRESSION.ratio(content) > 0.99
 
 
 def test_text_content_compressible():
-    assert measured_compress_ratio(text_content(100_000, seed=1)) < 0.6
+    content = text_content(100_000, seed=1)
+    assert HIGH_COMPRESSION.ratio(content) < 0.6
+    assert content.cached_md5 is None  # priced directly, never hashed
 
 
 def test_negative_size_rejected():
@@ -98,7 +102,7 @@ def test_equality_and_hash_follow_bytes():
 def test_compressible_content_hits_target_ratio():
     for target in (0.3, 0.5, 0.8):
         content = compressible_content(200_000, target, seed=1)
-        actual = measured_compress_ratio(content)
+        actual = HIGH_COMPRESSION.ratio(content)
         assert abs(actual - target) < 0.12
 
 

@@ -267,9 +267,23 @@ def hostile_span(kind, attrs=None, **changes):
      "'bogus': 1}"),
     ([{"type": "bogus"}, hostile_span("exchange")],
      "line 1: unknown line type 'bogus'"),
+    ([HOSTILE_HEADER, hostile_span(["exchange"])],
+     "line 2: kind is not a string: ['exchange']"),
+    ([HOSTILE_HEADER, hostile_span("exchange", start="0")],
+     "line 2: start is not a number: '0'"),
+    ([HOSTILE_HEADER, hostile_span("exchange", end="1")],
+     "line 2: end is not a number: '1'"),
+    ([HOSTILE_HEADER, hostile_span("exchange", index="0")],
+     "line 2: index is not an integer: '0'"),
+    ([HOSTILE_HEADER, hostile_span("exchange", delta={"up_payload": "5"})],
+     "line 2: delta is not a meter snapshot: {'up_payload': '5'}"),
+    ([HOSTILE_HEADER, hostile_span("exchange", attrs=["payload"])],
+     "line 2: attrs is not an object: ['payload']"),
 ], ids=["short-ledger-entry", "non-numeric-ledger-entry", "string-payload",
         "unknown-kind", "not-json", "json-list", "span-without-delta",
-        "unknown-delta-key", "unknown-totals-key", "unknown-line-type"])
+        "unknown-delta-key", "unknown-totals-key", "unknown-line-type",
+        "list-kind", "string-start", "string-end", "string-index",
+        "string-delta-count", "list-attrs"])
 def test_hostile_span_dump_is_refused_not_crashed(tmp_path, lines, refusal):
     """A one-span dump with malformed attrs is an audit violation naming
     the invariant and the span; a malformed line fails the load with a

@@ -4,8 +4,9 @@ import math
 
 import pytest
 
+from repro.compress import HIGH_COMPRESSION
 from repro.content import text_content
-from repro.core import TrafficReport, compressed_update_size, tue
+from repro.core import TrafficReport, tue
 from repro.simnet import Direction, TrafficMeter
 
 
@@ -24,7 +25,7 @@ def test_tue_validation():
 
 def test_compressed_update_size_uses_footnote2():
     update = text_content(100_000, seed=1)
-    compressed = compressed_update_size(update)
+    compressed = HIGH_COMPRESSION.wire_size(update)
     assert compressed < update.size
 
 
