@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Optional, Tuple
 
-from ...content import Content
 from ...delta import DEFAULT_BLOCK_SIZE, chunk_list_delta, compute_delta
 from .base import Exchange, FileRecord, SyncStrategy, payload_exchange
 
@@ -34,11 +33,7 @@ class DeltaStrategy(SyncStrategy):
     def _build_plan(self, client: Any, basis: FileRecord,
                     target: FileRecord) -> Tuple[Any, int]:
         delta = self._encode(client, basis, target)
-        literals = b"".join(
-            op.data for op in delta.ops if hasattr(op, "data"))
-        wire_literals = client.profile.upload_compression.wire_size(
-            Content(literals))
-        return delta, wire_literals + (delta.wire_size - len(literals))
+        return delta, client.profile.upload_compression.delta_wire_size(delta)
 
     def cpu_units(self, client: Any, change: Any, content: Any) -> int:
         return client._records[change.path].content.size + content.size

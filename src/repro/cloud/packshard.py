@@ -64,7 +64,21 @@ def _decode_manifest(blob: bytes) -> List[Tuple[str, int, int]]:
     start = len(blob) - _MANIFEST_LEN_BYTES - body_len
     if start < 0:
         raise IntegrityError("container manifest trailer overruns the blob")
-    entries = json.loads(blob[start:start + body_len].decode("ascii"))
+    try:
+        entries = json.loads(blob[start:start + body_len].decode("ascii"))
+    except (UnicodeDecodeError, ValueError, RecursionError) as error:
+        raise IntegrityError(
+            f"container manifest trailer is not ASCII JSON: {error}") from error
+    if not isinstance(entries, list):
+        raise IntegrityError("container manifest trailer is not a list")
+    for position, entry in enumerate(entries):
+        if not (isinstance(entry, list) and len(entry) == 3
+                and isinstance(entry[0], str)
+                and all(type(count) is int and count >= 0
+                        for count in entry[1:])):
+            raise IntegrityError(
+                f"container manifest entry {position} is not "
+                f"[key, offset, length] with non-negative integers")
     return [(key, offset, length) for key, offset, length in entries]
 
 

@@ -426,6 +426,12 @@ class CloudServer:
 
     def download(self, user: str, path: str) -> bytes:
         """Reassemble the head version's content (GET per chunk)."""
+        return self.download_content(user, path).data
+
+    def download_content(self, user: str, path: str) -> Content:
+        """:meth:`download` as a :class:`Content` that carries the head
+        digest the reassembly was checked against, so nothing downstream
+        hashes the bytes again."""
         head = self.metadata.head(user, path)
         data = self.chunks.fetch_many(list(head.chunk_keys))
         if head.md5 and data is not head.verified:
@@ -437,15 +443,7 @@ class CloudServer:
                 # remembering it would only pin a second copy of the file.
                 # (The memo is no part of the frozen version's value.)
                 object.__setattr__(head, "verified", data)
-        return data
-
-    def download_content(self, user: str, path: str) -> Content:
-        """:meth:`download` as a :class:`Content` that carries the head
-        digest the reassembly was checked against, so nothing downstream
-        hashes the bytes again."""
-        data = self.download(user, path)
-        md5 = self.metadata.head(user, path).md5
-        return Content.with_md5(data, md5) if md5 else Content(data)
+        return Content.with_md5(data, head.md5) if head.md5 else Content(data)
 
     def head_version(self, user: str, path: str) -> int:
         """Version number of the path's newest metadata entry.

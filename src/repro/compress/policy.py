@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import zlib
 from dataclasses import dataclass
-from typing import Dict, Tuple
+from typing import Any, Dict, Tuple
 
 from ..content import Content
 
@@ -127,6 +127,15 @@ class CompressionPolicy:
                 del _WIRE_SIZES[next(iter(_WIRE_SIZES))]
             _WIRE_SIZES[key] = wire
         return wire
+
+    def delta_wire_size(self, delta: Any) -> int:
+        """Bytes that cross the wire for a delta stream (rsync or CDC):
+        its literal runs joined and priced under this policy, plus the
+        stream's framing and copy tokens as they are."""
+        literals = b"".join(op.data for op in delta.ops
+                            if hasattr(op, "data"))
+        return (self.wire_size(Content(literals))
+                + (delta.wire_size - len(literals)))
 
     def ratio(self, content: Content) -> float:
         """wire_size / original size (≤ 1.0 by the stored-fallback rule)."""

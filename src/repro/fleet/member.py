@@ -4,9 +4,12 @@ Each member owns the same rig a :class:`~repro.client.SyncSession` would
 assemble — folder, link, meter, channel, client engine —
 but its engine talks to the cloud through the hub's origin-tagging proxy,
 and the member additionally *receives*: hub notifications land here, get a
-metered notification frame immediately, and schedule a download one
-notification delay later (serialised per member: a device has one network
-interface).
+metered notification frame immediately, and schedule a fetch one
+notification delay later.  Downloads are serialised per member, because a
+device has one network interface: a fetch that finds the member idle
+applies at once, inside the fetch event; one that finds it busy waits in
+the member's FIFO, which drains one apply at a time, each starting when
+the previous download ends.
 
 Remote application never echoes: folder mutations go through the silent
 ``apply_remote``/``remove_remote``/``rename_remote`` paths and the engine's
@@ -30,15 +33,15 @@ Race resolution (deterministic, documented in DESIGN.md):
 from __future__ import annotations
 
 import random
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Optional, TYPE_CHECKING
+from typing import Deque, Dict, Optional, TYPE_CHECKING
 
 from ..client.engine import SyncClient
 from ..client.hardware import M1, MachineProfile
 from ..client.profiles import ServiceProfile
 from ..client.retry import RetryPolicy
 from ..cloud import NotFound, TransientError
-from ..content import Content
 from ..delta import compute_delta, compute_signature
 from ..fsim import SyncFolder
 from ..simnet import (
@@ -141,7 +144,13 @@ class FleetMember:
         #: path → newest version this member has locally applied or
         #: originated; the follower's re-download suppression state.
         self._versions: Dict[str, int] = {}
-        self._busy_until = 0.0
+        #: When the member's current download ends; a fetch before then
+        #: waits in :attr:`_queue`.
+        self._idle_at = 0.0
+        #: Deliveries waiting for the interface, oldest first, while a
+        #: drain is scheduled at :attr:`_idle_at`; ``None`` otherwise, so
+        #: an idle member holds no queue object.
+        self._queue: Optional[Deque[FanoutEpoch]] = None
         self._update_bytes = 0
         self.folder.subscribe(self._track_update)
         hub.register(self)
@@ -164,9 +173,11 @@ class FleetMember:
     # -- membership ---------------------------------------------------------
 
     def leave(self) -> None:
-        """Leave the folder: no further notifications, fetches, or uploads."""
+        """Leave the folder: no further notifications, fetches, or uploads;
+        deliveries still queued are dropped."""
         self.live = False
         self.left_at = self.sim.now
+        self._queue = None
         for path in self.client.pending_paths():
             self.client.discard_pending(path)
 
@@ -201,14 +212,30 @@ class FleetMember:
                           self._fetch_entry, entry)
 
     def _fetch_entry(self, entry: FanoutEpoch) -> None:
+        """Apply ``entry`` now if the member is idle; otherwise queue it
+        behind the deliveries already waiting for the interface."""
         if not self.live:
             return
-        start = max(self.sim.now, self._busy_until)
-        self.sim.schedule_at(start, self._apply_entry, entry)
+        if self._queue is not None:
+            self._queue.append(entry)
+        elif self.sim.now < self._idle_at:
+            self._queue = deque((entry,))
+            self.sim.schedule_at(self._idle_at, self._drain)
+        else:
+            self._apply_entry(entry)
+
+    def _drain(self) -> None:
+        """The previous download just ended: apply queued deliveries in
+        arrival order until one occupies the interface again."""
+        queue = self._queue
+        while queue:
+            self._apply_entry(queue.popleft())
+            if queue and self.sim.now < self._idle_at:
+                self.sim.schedule_at(self._idle_at, self._drain)
+                return
+        self._queue = None
 
     def _apply_entry(self, entry: FanoutEpoch) -> None:
-        if not self.live:
-            return
         up, down = self.meter.up, self.meter.down
         up_before = up.total
         down_before = down.total
@@ -243,7 +270,7 @@ class FleetMember:
                 now, now + duration, epoch=entry.epoch, origin=entry.origin,
                 path=entry.path, member=self.name, down_bytes=down_bytes,
                 up_bytes=up.total - up_before)
-        self._busy_until = self.sim.now + duration
+        self._idle_at = self.sim.now + duration
 
     # -- remote-change application -------------------------------------------
 
@@ -338,24 +365,21 @@ class FleetMember:
         """Bring ``path`` to the server head, delta-encoded when possible."""
         server = self.hub.server
         try:
-            data = server.download(self.hub.user, path)
+            content = server.download_content(self.hub.user, path)
         except NotFound:
             # Tombstoned between commit and fetch: the deletion's own epoch
             # removes the local copy, so only suppress this version.
             self._versions[path] = max(self._versions.get(path, 0), version)
             return 0.0
-        content = Content(data)
         old = self.folder.get(path) if self.folder.exists(path) else None
         as_delta = self.profile.uses_ids and old is not None and old.size > 0
+        compression = self.profile.download_compression
         if as_delta:
             signature = compute_signature(old.data, self.profile.delta_block)
-            delta = compute_delta(signature, content.data)
-            literals = b"".join(op.data for op in delta.ops
-                                if hasattr(op, "data"))
-            wire = (self.profile.download_compression.wire_size(
-                Content(literals)) + (delta.wire_size - len(literals)))
+            wire = compression.delta_wire_size(
+                compute_delta(signature, content.data))
         else:
-            wire = self.profile.download_compression.wire_size(content)
+            wire = compression.wire_size(content)
         duration = self._fanout_exchange(
             up_meta=_FETCH_META_UP, down_payload=wire,
             down_meta=self.profile.overhead.meta_down // 2,
@@ -458,7 +482,7 @@ class FleetMember:
                     "fanout-notification", "backfill", f"fleet:{self.name}",
                     now, now, epoch=EPOCH_BACKFILL, path=path,
                     member=self.name, down_bytes=down.total - before)
-        self._busy_until = self.sim.now + total
+        self._idle_at = self.sim.now + total
 
     # -- measurement -----------------------------------------------------------
 

@@ -168,8 +168,8 @@ class _OriginTaggingProxy:
     def upload_chunk(self, user, digest, data):
         return self._server.upload_chunk(user, digest, data)
 
-    def download(self, user, path):
-        return self._server.download(user, path)
+    def download_content(self, user, path):
+        return self._server.download_content(user, path)
 
     def head_version(self, user, path):
         return self._server.head_version(user, path)

@@ -1,16 +1,22 @@
-"""The fleet's old allocations — the oracle for the lean fan-out delivery.
+"""The fleet's old allocations and delivery — the oracle for the lean,
+queued fan-out delivery.
 
 Before a delivery allocated only what it meters, the meter kept each wire
 event as a frozen-dataclass row (range checks on the raw counts, then an
 ``int()`` coercion), and every fleet member built its fetch-backoff
 ``random.Random`` up front, whether or not it ever retried.
 
+Before a member queued its deliveries, a delivery was two events
+(notification -> fetch -> apply): the fetch scheduled the apply at
+``max(now, idle_at)``, behind every event already due at that instant,
+and ``idle_at`` moved only when an apply ran, so two fetches reaching a
+member at one instant both started downloading then.
+
 :class:`ReferenceFleet` is a :class:`~repro.fleet.Fleet` whose members do
-exactly that, and whose fetch is pinned to the two-event delivery
-(notification -> fetch -> apply), so a change to how production schedules
-a delivery shows too.  Everything else is the production code, so a
-differential against it isolates what the row type, the span-attribute
-skip, the lazy RNG and any scheduling change did.
+exactly that.  Everything else is the production code, so a differential
+against it isolates what the row type, the span-attribute skip, the lazy
+RNG and the per-member queue did.  The queue moves when downloads start,
+so the oracle speaks for everything except time.
 """
 
 import random
@@ -67,7 +73,7 @@ class ReferenceMeter(TrafficMeter):
 
 class ReferenceMember(FleetMember):
     """A member with an eager RNG whose meter keeps old-style rows, and
-    the two-event delivery pinned here."""
+    the old two-event delivery."""
 
     def __init__(self, hub, index: int, name: str, profile, seed: int = 0,
                  **kwargs):
@@ -80,10 +86,13 @@ class ReferenceMember(FleetMember):
     def _fetch_entry(self, entry: FanoutEpoch) -> None:
         """The apply is its own event, queued behind everything already
         due at this instant, even when the member is idle."""
-        if not self.live:
-            return
-        start = max(self.sim.now, self._busy_until)
-        self.sim.schedule_at(start, self._apply_entry, entry)
+        if self.live:
+            self.sim.schedule_at(max(self.sim.now, self._idle_at),
+                                 self._apply_if_live, entry)
+
+    def _apply_if_live(self, entry: FanoutEpoch) -> None:
+        if self.live:
+            self._apply_entry(entry)
 
 
 class ReferenceFleet(Fleet):

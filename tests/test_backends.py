@@ -6,7 +6,10 @@ backend, full BDS (capped for packshard) with its conservation audit, and
 the backend × mix sweep the CLI and bench report.
 """
 
+import json
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.artifacts import ARTIFACTS, bench_args
 from repro.chunking import fingerprint
@@ -407,6 +410,61 @@ def test_container_manifest_trailer_roundtrip():
         _decode_manifest(b"tiny")
     with pytest.raises(IntegrityError):
         _decode_manifest(b"body" + (999).to_bytes(8, "big"))
+
+
+@pytest.mark.parametrize("body", [
+    "\u00e9".encode("utf-8"),          # not ASCII
+    b"not json",
+    b"{}",                               # an object, not a list
+    b"[1]",                              # an entry that is not a list
+    b"[[1,2]]",                          # too short
+    b'[["k",0,5,9]]',                    # too long
+    b'[[7,0,5]]',                        # key not a string
+    b'[["k",-1,5]]',                     # negative offset
+    b'[["k",0,5.0]]',                    # float length
+    b'[["k",true,5]]',                   # bool offset
+    b"[" * 100_000,                      # nested past the recursion limit
+], ids=repr)
+def test_hostile_manifest_trailer_is_an_integrity_error(body):
+    with pytest.raises(IntegrityError):
+        _decode_manifest(body + len(body).to_bytes(8, "big"))
+
+
+MANIFEST_ENTRIES = st.lists(st.tuples(st.text(), st.integers(0, 2 ** 64),
+                                      st.integers(0, 2 ** 64)))
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+    lambda children: st.lists(children) | st.dictionaries(st.text(),
+                                                          children),
+    max_leaves=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(prefix=st.binary(max_size=16),
+       body=st.one_of(
+           st.binary(max_size=64),
+           JSON_VALUES.map(lambda value: json.dumps(value).encode()),
+           MANIFEST_ENTRIES.map(lambda entries: _encode_manifest(entries)[:-8]),
+       ),
+       length=st.one_of(st.none(), st.integers(0, 2 ** 64 - 1)))
+def test_manifest_decoder_round_trips_or_refuses(prefix, body, length):
+    """Any trailer either decodes to a manifest that encodes back to
+    itself, or is refused as ``IntegrityError``; never anything else."""
+    length = len(body) if length is None else length
+    try:
+        entries = _decode_manifest(prefix + body + length.to_bytes(8, "big"))
+    except IntegrityError:
+        return
+    assert all(isinstance(key, str) and type(offset) is int
+               and type(size) is int and min(offset, size) >= 0
+               for key, offset, size in entries)
+    assert _decode_manifest(_encode_manifest(entries)) == entries
+
+
+@given(prefix=st.binary(max_size=16), entries=MANIFEST_ENTRIES)
+def test_encoded_manifest_round_trips(prefix, entries):
+    blob = prefix + _encode_manifest(entries)
+    assert _decode_manifest(blob) == [tuple(entry) for entry in entries]
 
 
 def test_delete_of_pending_unit_costs_nothing():

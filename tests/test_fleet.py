@@ -132,6 +132,25 @@ def test_followers_receive_content():
     assert math.isinf(traffic.tue)
 
 
+def test_a_member_downloads_through_its_proxy():
+    """Regression: the origin-tagging proxy had no ``download_content``, so
+    a member's ``client.download`` raised ``AttributeError``."""
+    fleet = Fleet("GoogleDrive", clients=3, seed=7)
+    schedule_writer_workload(fleet, writers=1, files_per_writer=1,
+                             file_size=16 * KB, seed=7)
+    fleet.run_until_idle()
+    follower = fleet.members[1]
+    before = follower.meter.down.total
+    content = follower.client.download("w0/doc0.bin")
+    assert follower.meter.down.total > before
+    head = fleet.server.metadata.head(fleet.hub.user, "w0/doc0.bin").md5
+    local = follower.folder.get("w0/doc0.bin")
+    assert content.data == local.data and content.cached_md5 == head
+    # The fan-out delivered the server head with the digest it was
+    # checked against, so nothing hashes the follower's copy again.
+    assert local.cached_md5 == head
+
+
 def test_fleet_tue_exceeds_solo_tue():
     solo = Fleet("GoogleDrive", clients=1, seed=7)
     schedule_writer_workload(solo, writers=1, file_size=16 * KB, seed=7)

@@ -1,32 +1,36 @@
-"""A fan-out delivery allocates only what it meters, and nothing else moves.
+"""A fan-out delivery is one queued apply per member, allocates only what it
+meters, and nothing but time moves.
 
-Three changes keep an undisturbed delivery lean: the meter's rows are
-``NamedTuple``s, the channel builds span attributes only under a recorder,
-and a member builds its fetch-backoff ``random.Random`` on first use.  The
-differential here holds a fleet to :class:`ReferenceFleet` (frozen-dataclass
-rows, an eager RNG) over writers, notification delays, write spacing,
-fault schedules and domain counts: the report, every member's meter totals
-and records, the epoch ledger and the span dump must be equal.
+A member's downloads are serialised: a fetch that finds the member idle
+applies inside the fetch event (one simulator event per delivery), and one
+that finds it busy waits in the member's FIFO, whose next apply starts when
+the previous download ends.  The meter's rows are ``NamedTuple``s, the
+channel builds span attributes only under a recorder, and a member builds
+its fetch-backoff ``random.Random`` on first use.
 
-The delivery itself stays two simulator events (notification -> fetch ->
-apply).  Applying inline when the member is idle moves the apply ahead of
-every other event queued for the same instant, and a writer whose batch
-commits two files at once hands each follower two fetches at one instant:
-the second one then waits out the first download instead of starting
-alongside it, and the records' times and the spans move.
-``SAME_INSTANT_BATCH`` is that run, kept as an explicit example.
+The differential here holds a fleet to :class:`ReferenceFleet`
+(frozen-dataclass rows, an eager RNG, and the old two-event delivery, whose
+same-instant fetches both started at once) over writers, notification
+delays, write spacing, fault schedules and domain counts: the report,
+convergence, the epoch ledger, every member's meter totals, and every
+record and span with its times removed must be equal.  Only when things
+happen may move.  ``SAME_INSTANT_BATCH`` is the run where it does: a
+writer whose sync batch commits two files at once hands each follower two
+fetches at one instant, and the second download waits out the first.
 """
 
 import gc
 import random
 import tracemalloc
 import types
+from collections import Counter
 
 from hypothesis import example, given, settings, strategies as st
 
 from repro.fleet import Fleet, schedule_writer_workload
 from repro.fleet import member as member_module
-from repro.simnet import FaultEpisode, FaultKind, FaultSchedule
+from repro.simnet import (FaultEpisode, FaultKind, FaultSchedule,
+                          HeapEventQueue)
 from repro.units import KB
 
 from .reference_fleet import ReferenceFleet
@@ -52,31 +56,39 @@ def faults_for(fault_seed):
 
 def run(fleet_type, service, clients, writers, delay, files, spacing,
         fault_seed, domains, seed):
-    """One recorded run; returns everything the differential compares."""
+    """One recorded run; returns everything the differential compares:
+    what happened, with the times it happened at left out."""
     fleet = fleet_type(service, clients=clients, seed=seed,
                        notification_delay=delay, faults=faults_for(fault_seed),
                        domains=domains, record=True)
     schedule_writer_workload(fleet, writers=writers, files_per_writer=files,
                              file_size=16 * KB, spacing=spacing, seed=seed)
-    end = fleet.run_until_idle()
+    fleet.run_until_idle()
     return fleet, {
-        "end": end,
         "report": fleet.report(),
         "converged": fleet.converged(),
         "ledger": [(entry.epoch, entry.path, entry.pushed_bytes,
                     entry.deliveries) for entry in fleet.hub.ledger],
         "totals": [(member.meter.up, member.meter.down)
                    for member in fleet.members],
-        "records": [[(record.time, record.direction, record.payload,
-                      record.overhead, record.kind, record.wasted)
-                     for record in member.meter.records]
+        # Order is time too: an idle member's apply runs inside its fetch
+        # event, ahead of other events due at that instant, where the
+        # reference's runs behind them; each member's rows compare as
+        # multisets.
+        "records": [multiset((record.direction, record.payload,
+                              record.overhead, record.kind, record.wasted)
+                             for record in member.meter.records)
                     for member in fleet.members],
-        "spans": [[(span.kind, span.name, span.source, span.start, span.end,
-                    span.delta, sorted(span.attrs.items()))
-                   for span in recorder.spans]
+        "spans": [multiset((span.kind, span.name, span.source, span.delta,
+                            sorted(span.attrs.items()))
+                           for span in recorder.spans)
                   for recorder in fleet.trace_hub.recorders],
         "cross": getattr(fleet.sim, "cross_messages", 0),
     }
+
+
+def multiset(rows):
+    return sorted(rows, key=repr)
 
 
 @settings(max_examples=25, deadline=None)
@@ -97,18 +109,40 @@ def test_fleet_matches_the_reference_delivery(service, clients, writers,
     args = (service, clients, min(writers, clients), delay, files, spacing,
             fault_seed, domains, seed)
     _, expected = run(ReferenceFleet, *args)
-    _, actual = run(Fleet, *args)
+    fleet, actual = run(Fleet, *args)
     for key, value in expected.items():
         assert actual[key] == value, key
+    assert_downloads_are_serialised(fleet)
+
+
+def assert_downloads_are_serialised(fleet):
+    """No member's fetch starts before its previous one has ended."""
+    for member in fleet.members:
+        fetches = [span for span in member.recorder.spans
+                   if span.name == "fetch"]
+        for before, after in zip(fetches, fetches[1:]):
+            assert after.start >= before.end
 
 
 def test_the_examples_reach_the_same_instant_busy_and_retry_paths():
     """The explicit examples drive what the generated ones may miss."""
     fleet, _ = run(Fleet, **SAME_INSTANT_BATCH)
-    follower = fleet.members[1]
-    fetch_times = [record.time for record in follower.meter.records
-                   if record.kind == "fanout-download"]
-    assert len(fetch_times) == 4 and fetch_times[0] == fetch_times[2]
+    for member in fleet.members[1:]:
+        fetch_times = [record.time for record in member.meter.records
+                       if record.kind == "fanout-download"]
+        first, second = [span for span in member.recorder.spans
+                         if span.name == "fetch"]
+        # Both fetches reach the member at one instant; the second
+        # download starts exactly when the first one ends.
+        assert len(fetch_times) == 4
+        assert fetch_times[0] == fetch_times[1] == first.start
+        assert first.end > first.start
+        assert fetch_times[2] == fetch_times[3] == second.start == first.end
+    # The oracle keeps the old order: both downloads started at once.
+    reference, _ = run(ReferenceFleet, **SAME_INSTANT_BATCH)
+    first, second = [span for span in reference.members[1].recorder.spans
+                     if span.name == "fetch"]
+    assert first.start == second.start < first.end
 
     fleet, _ = run(Fleet, **FAULTED_OVERLAP)
     spans = [span for recorder in fleet.trace_hub.recorders
@@ -121,6 +155,90 @@ def test_the_examples_reach_the_same_instant_busy_and_retry_paths():
     assert any(span.name == "fetch" and span.start > (
         ledger[span.attrs["epoch"]].committed_at + 3.0 + 1e-9)
         for span in spans if span.kind == "fanout-notification")
+
+
+def test_leave_drops_the_queued_deliveries():
+    fleet, _ = run(Fleet, **SAME_INSTANT_BATCH)
+    first, _ = [span for span in fleet.members[1].recorder.spans
+                if span.name == "fetch"]
+    leave_at = (first.start + first.end) / 2
+
+    fleet = Fleet(SAME_INSTANT_BATCH["service"], clients=3, seed=5,
+                  notification_delay=SAME_INSTANT_BATCH["delay"])
+    schedule_writer_workload(fleet, writers=1, files_per_writer=2,
+                             file_size=16 * KB, spacing=0.0, seed=5)
+    leaver = fleet.members[1]
+    fleet.sim.schedule_at(leave_at, leaver.leave)
+    fleet.run_until_idle()
+    assert leaver.stats.fanout_fetches == 1 and leaver._queue is None
+    assert fleet.members[2].stats.fanout_fetches == 2
+    assert fleet.converged()
+
+
+def test_a_join_time_backfill_occupies_the_member():
+    """A commit that reaches a joiner inside its backfill window waits for
+    the backfill to end."""
+    fleet = Fleet("GoogleDrive", clients=2, seed=11, record=True)
+    schedule_writer_workload(fleet, writers=1, files_per_writer=12,
+                             file_size=64 * KB, spacing=1.0, seed=11)
+    window = []
+
+    def join():
+        joiner = fleet.join()
+        window.append((fleet.sim.now, joiner._idle_at))
+
+    # The writer commits one file a second from t = 5.2.  A joiner at
+    # t = 16 backfills eleven of them, about a second of downloads, and the
+    # twelfth commit's notification lands inside that window.
+    fleet.sim.schedule_at(16.0, join)
+    fleet.run_until_idle()
+    assert fleet.converged()
+    (joined, idle_at), = window
+    joiner = fleet.members[2]
+    assert joiner.stats.backfilled == 11
+    (fetch,) = [span for span in joiner.recorder.spans
+                if span.name == "fetch"]
+    arrived = fleet.hub.ledger[-1].committed_at + fleet.hub.notification_delay
+    assert joined < arrived < idle_at
+    assert fetch.start == idle_at
+
+
+# -- what a delivery costs the event loop ----------------------------------
+
+def counting_pops(monkeypatch):
+    """Record every event the simulator pops."""
+    popped = []
+    pop = HeapEventQueue.pop
+
+    def counting(queue):
+        event = pop(queue)
+        if event is not None:
+            popped.append(event.callback.__name__)
+        return event
+
+    monkeypatch.setattr(HeapEventQueue, "pop", counting)
+    return popped
+
+
+def test_a_delivery_to_an_idle_member_is_one_simulator_event(monkeypatch):
+    """Widely spaced commits find every follower idle: one more follower
+    costs one pop per delivery, the fetch, and nothing drains."""
+    popped = counting_pops(monkeypatch)
+    pops, deliveries = {}, {}
+    for clients in (3, 4):
+        del popped[:]
+        fleet = Fleet("GoogleDrive", clients=clients, seed=3)
+        schedule_writer_workload(fleet, writers=1, files_per_writer=2,
+                                 file_size=4 * KB, seed=3)
+        fleet.run_until_idle()
+        assert fleet.converged()
+        pops[clients] = Counter(popped)
+        deliveries[clients] = sum(entry.deliveries
+                                  for entry in fleet.hub.ledger)
+        assert pops[clients]["_fetch_entry"] == deliveries[clients]
+        assert pops[clients]["_drain"] == 0
+    assert deliveries[4] - deliveries[3] == 2
+    assert sum(pops[4].values()) - sum(pops[3].values()) == 2
 
 
 # -- the member's fetch-backoff stream ------------------------------------
