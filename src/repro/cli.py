@@ -103,19 +103,9 @@ def cmd_trace(args) -> int:
 
 
 def cmd_lint(args) -> int:
-    import json as _json
-
     from .lint import ALL_RULES, lint_paths
 
     result = lint_paths(args.paths, ALL_RULES)
-    if args.format == "json":
-        payload = {
-            "files": result.file_count,
-            "findings": [finding.to_dict() for finding in result.findings],
-        }
-        print(_json.dumps(payload, indent=2))
-        return 0 if result.ok else 1
-
     for finding in result.findings:
         print(finding.format())
     print(f"reprolint: {result.file_count} file(s), "
@@ -134,8 +124,7 @@ TOOLS = {
                "--out": dict(default=None)}),
     "lint": ("reprolint: static determinism/conservation invariants",
              cmd_lint,
-             {"paths": dict(nargs="*", default=["src"]),
-              "--format": dict(choices=("text", "json"), default="text")}),
+             {"paths": dict(nargs="*", default=["src"])}),
 }
 
 #: ``repro audit NAME`` and ``repro trace-run NAME``: each takes any

@@ -814,7 +814,7 @@ class SyncClient:
         overhead = self.profile.overhead
         if overhead.connection_per_sync:
             self.channel.drop_connection()
-        content = self.server.download_content(self.user, path)
+        content, _ = self.server.download_content(self.user, path)
         wire = self.profile.download_compression.wire_size(content)
         self._guarded_exchange(Exchange(
             "download", up_meta=400, down_payload=wire,

@@ -426,12 +426,12 @@ class CloudServer:
 
     def download(self, user: str, path: str) -> bytes:
         """Reassemble the head version's content (GET per chunk)."""
-        return self.download_content(user, path).data
+        return self.download_content(user, path)[0].data
 
-    def download_content(self, user: str, path: str) -> Content:
+    def download_content(self, user: str, path: str) -> Tuple[Content, int]:
         """:meth:`download` as a :class:`Content` that carries the head
         digest the reassembly was checked against, so nothing downstream
-        hashes the bytes again."""
+        hashes the bytes again, with the number of the version it is."""
         head = self.metadata.head(user, path)
         data = self.chunks.fetch_many(list(head.chunk_keys))
         if head.md5 and data is not head.verified:
@@ -443,21 +443,20 @@ class CloudServer:
                 # remembering it would only pin a second copy of the file.
                 # (The memo is no part of the frozen version's value.)
                 object.__setattr__(head, "verified", data)
-        return Content.with_md5(data, head.md5) if head.md5 else Content(data)
+        content = Content.with_md5(data, head.md5) if head.md5 \
+            else Content(data)
+        return content, head.version
 
-    def head_version(self, user: str, path: str) -> int:
-        """Version number of the path's newest metadata entry.
+    def head_version(self, user: str, path: str) -> Optional[FileVersion]:
+        """The path's newest metadata entry; None if it was never committed.
 
-        Tombstones count (a deletion *is* a newer version for notification
-        ordering); a never-committed path is version 0.  Followers use this
-        to suppress re-downloads: a fetch that already delivered head
-        version v satisfies every notification for versions <= v.
+        Tombstones count: a deletion *is* a newer version for notification
+        ordering, so a rename announces its source's tombstone version.
         """
         try:
-            entry = self.metadata.get_entry(user, path)
+            return self.metadata.get_entry(user, path).head
         except NotFound:
-            return 0
-        return entry.head.version
+            return None
 
     def delete_file(self, user: str, path: str) -> FileVersion:
         """Fake deletion: tombstone the path, retain every stored version."""

@@ -330,13 +330,10 @@ class FleetMember:
                 else:
                     self.client.discard_pending(old)
                 self.client.drop_remote(old)
-            try:
-                head_md5 = self.hub.server.metadata.head(
-                    self.hub.user, new).md5
-            except NotFound:
-                head_md5 = None
-            if (head_md5 is not None and self.folder.exists(old)
-                    and self.folder.get(old).md5 == head_md5):
+            head = self.hub.server.head_version(self.hub.user, new)
+            if (head is not None and not head.deleted
+                    and self.folder.exists(old)
+                    and self.folder.get(old).md5 == head.md5):
                 # The local bytes are already the server head: apply the
                 # move as pure metadata, mirroring the origin's exchange.
                 self.folder.rename_remote(old, new)
@@ -344,9 +341,7 @@ class FleetMember:
                 duration += self._fanout_exchange(
                     up_meta=_RENAME_META_UP, down_meta=_RENAME_META_DOWN,
                     kind="fanout-rename")
-                self._versions[new] = max(
-                    entry.version,
-                    self.hub.server.head_version(self.hub.user, new))
+                self._versions[new] = max(entry.version, head.version)
                 self.stats.fanout_renames += 1
             else:
                 duration += self._download(new, entry.version, entry.epoch)
@@ -363,9 +358,9 @@ class FleetMember:
 
     def _download(self, path: str, version: int, epoch: int) -> float:
         """Bring ``path`` to the server head, delta-encoded when possible."""
-        server = self.hub.server
         try:
-            content = server.download_content(self.hub.user, path)
+            content, delivered = self.hub.server.download_content(
+                self.hub.user, path)
         except NotFound:
             # Tombstoned between commit and fetch: the deletion's own epoch
             # removes the local copy, so only suppress this version.
@@ -386,13 +381,12 @@ class FleetMember:
             kind="fanout-delta" if as_delta else "fanout-download")
         self.folder.apply_remote(path, content)
         self.client.absorb_remote(path, content)
-        # download() delivered the server head, which may already be newer
-        # than the notified version (two commits inside one notification
-        # delay).  Recording the head lets this one download serve both
-        # commits; a later commit has a higher version and its own
-        # notification, so nothing newer is ever skipped.
-        self._versions[path] = max(
-            version, server.head_version(self.hub.user, path))
+        # The download delivered the server head, which may already be
+        # newer than the notified version (two commits inside one
+        # notification delay).  Recording the head lets this one download
+        # serve both commits; a later commit has a higher version and its
+        # own notification, so nothing newer is ever skipped.
+        self._versions[path] = max(version, delivered)
         return duration
 
     def _fanout_exchange(self, kind: str = "fanout-download",
@@ -457,14 +451,12 @@ class FleetMember:
 
     def backfill(self) -> None:
         """Download every live shared path (a client joining mid-run)."""
-        server = self.hub.server
         down = self.meter.down
         total = 0.0
-        for path in server.metadata.list_paths(self.hub.user):
+        for path in self.hub.server.metadata.list_paths(self.hub.user):
             before = down.total
-            head = server.head_version(self.hub.user, path)
             try:
-                total += self._download(path, head, EPOCH_BACKFILL)
+                total += self._download(path, 0, EPOCH_BACKFILL)
             except (TransientError, TransferInterrupted) as error:
                 self.stats.fetch_giveups += 1
                 if self.recorder is not None:

@@ -171,9 +171,6 @@ class _OriginTaggingProxy:
     def download_content(self, user, path):
         return self._server.download_content(user, path)
 
-    def head_version(self, user, path):
-        return self._server.head_version(user, path)
-
     # -- commit-shaped calls (announced) ----------------------------------
 
     def commit(self, user, path, size, md5, chunk_digests, chunk_keys,
@@ -196,7 +193,7 @@ class _OriginTaggingProxy:
 
     def rename_file(self, user, old_path, new_path):
         version = self._server.rename_file(user, old_path, new_path)
-        old_version = self._server.head_version(user, old_path)
+        tombstone = self._server.head_version(user, old_path)
         self._hub.announce(self._origin, new_path, version.version, "rename",
-                           old_path=old_path, old_version=old_version)
+                           old_path=old_path, old_version=tombstone.version)
         return version

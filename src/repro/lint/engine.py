@@ -19,13 +19,13 @@ Architecture:
   :class:`Finding` objects with ``file:line``, rule id, and a fix hint;
 * one pass — every file is parsed once, its per-file rules run, and the
   same contexts then feed the tree-wide checks;
-* pragmas — the one suppression path: ``# reprolint: disable=REP001`` on
-  the offending line or ``# reprolint: disable-file[=REP001]`` anywhere; a
-  pragma naming an unknown rule id is itself a lint error (``REP000``),
-  never silently ignored.
+* pragmas — the one suppression path: ``# reprolint: disable=REP001 why``
+  suppresses the named rules on its own physical line and nowhere else; a
+  pragma naming an unknown rule id, or any other directive, is itself a
+  lint error (``REP000``), never silently ignored.
 
 ``REP000`` is reserved for meta errors (syntax errors, malformed pragmas,
-unreadable files) and cannot be suppressed.
+unreadable files); no pragma can name it.
 """
 
 from __future__ import annotations
@@ -63,10 +63,6 @@ class Finding:
         if self.hint:
             text += f" (hint: {self.hint})"
         return text
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"rule": self.rule, "path": self.path, "line": self.line,
-                "col": self.col, "message": self.message, "hint": self.hint}
 
 
 class Rule:
@@ -131,17 +127,13 @@ class _Pragmas:
     """Parsed ``# reprolint:`` directives for one file."""
 
     module: Optional[str] = None
-    file_disables: Set[str] = field(default_factory=set)   # rule ids, or "*"
     line_disables: Dict[int, Set[str]] = field(default_factory=dict)
     errors: List[Tuple[int, str]] = field(default_factory=list)
 
     def suppresses(self, finding: Finding) -> bool:
-        if finding.rule == META_RULE:
-            return False
-        if finding.rule in self.file_disables or "*" in self.file_disables:
-            return True
-        rules = self.line_disables.get(finding.line, ())
-        return finding.rule in rules or "*" in rules
+        # Meta findings never come here: they are kept unconditionally,
+        # and REP000 is no rule id a pragma can name.
+        return finding.rule in self.line_disables.get(finding.line, ())
 
 
 def _parse_pragmas(source: str, known_ids: Set[str]) -> _Pragmas:
@@ -159,46 +151,40 @@ def _parse_pragmas(source: str, known_ids: Set[str]) -> _Pragmas:
         if not text.startswith(_PRAGMA_PREFIX):
             continue
         line = token.start[0]
-        for word in text[len(_PRAGMA_PREFIX):].split():
+        for index, word in enumerate(text[len(_PRAGMA_PREFIX):].split()):
             key, equals, value = word.partition("=")
-            if not equals:
-                if key in ("module", "disable", "disable-file"):
-                    pragmas.errors.append(
-                        (line, f"pragma '{key}' requires =VALUE"))
-                    continue
-                # First non-directive token starts the justification prose
-                # that every suppression pragma should carry.
-                break
-            if key == "module" and value:
+            if key in ("module", "disable") and not value:
+                pragmas.errors.append(
+                    (line, f"pragma '{key}' requires =VALUE"))
+            elif key == "module":
                 pragmas.module = value
-            elif key in ("disable", "disable-file"):
-                rules = set(value.split(",")) if value else set()
-                unknown = sorted(r for r in rules
-                                 if r != "*" and r not in known_ids)
-                if not rules or unknown:
+            elif key == "disable":
+                rules = set(value.split(","))
+                unknown = sorted(rules - known_ids)
+                if unknown:
                     pragmas.errors.append(
-                        (line, f"pragma '{key}' names unknown or missing "
-                               f"rule id(s): " + (", ".join(unknown) or "<none>")))
-                    continue
-                if key == "disable-file":
-                    pragmas.file_disables |= rules
+                        (line, "pragma 'disable' names unknown rule id(s): "
+                               + ", ".join(map(repr, unknown))))
                 else:
                     pragmas.line_disables.setdefault(line, set()).update(rules)
-            else:
+            elif equals or index == 0:
                 pragmas.errors.append(
                     (line, f"unknown reprolint pragma {word!r}"))
+            else:
+                # The justification prose every suppression pragma should
+                # carry starts at the first word after the directives.
+                break
     return pragmas
 
 
 class FileContext:
     """One file under analysis: source, AST with parent links, scope info."""
 
-    def __init__(self, path: str, source: str, known_ids: Set[str],
-                 module: Optional[str] = None) -> None:
+    def __init__(self, path: str, source: str, known_ids: Set[str]) -> None:
         self.path = PurePath(path).as_posix()
         self.source = source
         self.pragmas = _parse_pragmas(source, known_ids)
-        self.module = self.pragmas.module or module or derive_module(path)
+        self.module = self.pragmas.module or derive_module(path)
         self.tree = ast.parse(source, filename=path)
         # Every rule walks the whole file; walk it once, in ast.walk order.
         self._nodes: List[ast.AST] = list(ast.walk(self.tree))
@@ -207,46 +193,6 @@ class FileContext:
             for child in ast.iter_child_nodes(node):
                 self._parents[id(child)] = node
         self._set_names: Optional[Dict[int, Set[str]]] = None
-        self._anchor_pragmas_to_statements()
-
-    def _anchor_pragmas_to_statements(self) -> None:
-        """Expand each line pragma to its statement's full line span.
-
-        A ``# reprolint: disable=...`` comment physically sits on one line,
-        but the statement it annotates may span several — and rules report
-        findings at the sub-expression's own line, which for a multi-line
-        call is often a continuation line.  Anchoring: a pragma anywhere on
-        a statement's lines suppresses on every line of that statement.
-        Compound statements (``def``/``if``/``with``...) only contribute
-        their *header* lines, so a pragma on a ``def`` line never blankets
-        the function body.
-        """
-        if not self.pragmas.line_disables:
-            return
-        spans: List[Tuple[int, int]] = []
-        for node in self._nodes:
-            if not isinstance(node, ast.stmt):
-                continue
-            end = getattr(node, "end_lineno", None) or node.lineno
-            body = getattr(node, "body", None)
-            if isinstance(body, list) and body \
-                    and isinstance(body[0], ast.stmt):
-                end = max(node.lineno, body[0].lineno - 1)
-            if end > node.lineno:
-                spans.append((node.lineno, end))
-        expanded: Dict[int, Set[str]] = {}
-        for line, rules in self.pragmas.line_disables.items():
-            best: Optional[Tuple[int, int]] = None
-            for span in spans:
-                if span[0] <= line <= span[1] and (
-                        best is None
-                        or span[1] - span[0] < best[1] - best[0]):
-                    best = span
-            covered = range(best[0], best[1] + 1) if best else range(line,
-                                                                     line + 1)
-            for target in covered:
-                expanded.setdefault(target, set()).update(rules)
-        self.pragmas.line_disables = expanded
 
     # -- navigation --------------------------------------------------------
 
@@ -344,8 +290,8 @@ def iter_python_files(paths: Sequence[str]) -> Iterator[Path]:
             yield path
 
 
-def _lint_entries(entries: Sequence[Tuple[str, str]], rules: Sequence[Rule],
-                  module: Optional[str] = None) -> List[Finding]:
+def _lint_entries(entries: Sequence[Tuple[str, str]],
+                  rules: Sequence[Rule]) -> List[Finding]:
     """Parse each ``(path, source)`` once, run every rule's per-file check
     on it, then every rule's tree check over all of them; pragmas apply
     to both kinds of finding alike."""
@@ -359,7 +305,7 @@ def _lint_entries(entries: Sequence[Tuple[str, str]], rules: Sequence[Rule],
     contexts: Dict[str, FileContext] = {}
     for path, source in entries:
         try:
-            ctx = FileContext(path, source, known_ids, module=module)
+            ctx = FileContext(path, source, known_ids)
         except SyntaxError as exc:
             keep(Finding(META_RULE, PurePath(path).as_posix(),
                          exc.lineno or 1, exc.offset or 0,
@@ -381,11 +327,11 @@ def _lint_entries(entries: Sequence[Tuple[str, str]], rules: Sequence[Rule],
     return sorted(findings.values(), key=lambda f: f.sort_key)
 
 
-def lint_source(source: str, path: str, rules: Sequence[Rule],
-                module: Optional[str] = None) -> List[Finding]:
+def lint_source(source: str, path: str,
+                rules: Sequence[Rule]) -> List[Finding]:
     """Lint one source string as a one-file tree: its tree-wide rules see
     only this file."""
-    return _lint_entries([(path, source)], rules, module)
+    return _lint_entries([(path, source)], rules)
 
 
 def lint_paths(paths: Sequence[str], rules: Sequence[Rule]) -> LintResult:

@@ -27,7 +27,7 @@ DETERMINISTIC_PACKAGES = (
 ACCOUNTING_MODULES = (
     "repro.trace.replay", "repro.trace.pool", "repro.trace.analysis",
     "repro.trace.schema",
-    "repro.simnet.meter", "repro.simnet.analysis", "repro.obs",
+    "repro.simnet.meter", "repro.obs",
     "repro.cloud.dedup", "repro.core.tue",
 )
 

@@ -11,6 +11,7 @@ import math
 import pytest
 
 from repro import chunking
+from repro.cloud import MetadataServer
 from repro.content import random_content
 from repro.fleet import (
     EPOCH_BACKFILL,
@@ -149,6 +150,26 @@ def test_a_member_downloads_through_its_proxy():
     # The fan-out delivered the server head with the digest it was
     # checked against, so nothing hashes the follower's copy again.
     assert local.cached_md5 == head
+
+
+def test_a_delivery_reads_the_server_head_once(monkeypatch):
+    """A follower takes the version from the read that returned the
+    content: one metadata lookup per fetch, plus one per writer commit."""
+    calls = []
+    get_entry = MetadataServer.get_entry
+
+    def counting(self, user, path):
+        calls.append(path)
+        return get_entry(self, user, path)
+
+    monkeypatch.setattr(MetadataServer, "get_entry", counting)
+    fleet = Fleet("GoogleDrive", clients=100, seed=42)
+    schedule_writer_workload(fleet, writers=4, file_size=16 * KB, seed=42)
+    fleet.run_until_idle()
+    assert fleet.converged()
+    fetches = sum(member.stats.fanout_fetches for member in fleet.members)
+    assert fetches == 99 * 8
+    assert len(calls) == fetches + 8
 
 
 def test_fleet_tue_exceeds_solo_tue():

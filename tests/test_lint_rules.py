@@ -6,12 +6,17 @@ produce zero findings.  The test asserts *exact* (line, rule) sets, so a
 rule that drifts (fires on the wrong line, or stops firing) fails loudly.
 """
 
+import ast
 import re
 from pathlib import Path
 
 import pytest
 
 from repro.lint import ALL_RULES, RULES_BY_ID, lint_source
+from repro.lint.rules.conservation import (_DISPLAY_MODULES,
+                                           METER_MUTATION_MODULES)
+from repro.lint.rules.determinism import (ACCOUNTING_MODULES,
+                                          DETERMINISTIC_PACKAGES)
 
 FIXTURES = Path(__file__).parent / "lint_fixtures"
 _EXPECT_RE = re.compile(r"#\s*expect:\s*(REP\d+)")
@@ -82,3 +87,36 @@ def test_fixture_modules_impersonate_scoped_packages():
         "# reprolint: module=repro.simnet.fixture", "# plain comment"),
         str(path), ALL_RULES)
     assert unscoped == []  # out of scope -> silent
+
+
+# -- rule scopes name real modules ---------------------------------------------
+
+SRC = Path(__file__).parent.parent / "src"
+_DOTTED_REPRO = re.compile(r"repro(\.[A-Za-z_]\w*)*")
+
+
+def _scope_names():
+    """Every string literal in the rule modules that reads as a dotted
+    ``repro`` module name: the scope tuples and inline scopes such as
+    REP020's ``repro.simnet.meter`` alike."""
+    names = {}
+    for path in sorted((SRC / "repro" / "lint" / "rules").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str) \
+                    and _DOTTED_REPRO.fullmatch(node.value):
+                names.setdefault(node.value, f"{path.name}:{node.lineno}")
+    return names
+
+
+def test_rule_scopes_name_modules_that_exist():
+    # A renamed or deleted module silently drops out of a scoped rule;
+    # fail here instead.
+    names = _scope_names()
+    for scope in (DETERMINISTIC_PACKAGES, ACCOUNTING_MODULES,
+                  METER_MUTATION_MODULES, _DISPLAY_MODULES):
+        assert set(scope) <= set(names)
+    missing = sorted(
+        f"{name} ({where})" for name, where in names.items()
+        if not (SRC.joinpath(*name.split(".")).with_suffix(".py").is_file()
+                or (SRC.joinpath(*name.split(".")) / "__init__.py").is_file()))
+    assert missing == []
