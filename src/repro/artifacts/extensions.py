@@ -50,6 +50,8 @@ def _paper_replay(args):
 
 
 def _replay(args):
+    # The replay RNG must see --seed, or every run silently replays at
+    # seed=0 regardless of it.
     trace = generate_trace(scale=args.scale, seed=args.seed)
     return replay_all(trace, access=args.access, seed=args.seed,
                       workers=args.workers, audit=args.audit), len(trace)
@@ -69,15 +71,8 @@ def _render_replay(args, result):
               f"traffic and per-mechanism savings")}
 
 
-def _overuse(args):
-    # The replay RNG must see --seed, or every run silently replays at
-    # seed=0 regardless of it.
-    trace = generate_trace(scale=args.scale, seed=args.seed)
-    return replay_all(trace, access=args.access, seed=args.seed,
-                      workers=args.workers, audit=args.audit)
-
-
-def _render_overuse(args, reports):
+def _render_overuse(args, result):
+    reports, _ = result
     rows = [[report.service, f"{traffic_overuse_fraction(report):.1%}"]
             for report in sorted(reports,
                                  key=lambda r: SERVICES.index(r.service))]
@@ -206,7 +201,7 @@ EXTENSIONS = (
     Artifact("replay", "macro trace-replay traffic estimate", _replay,
              _render_replay, _REPLAY),
     Artifact("overuse", "per-user traffic-overuse statistic ([36])",
-             _overuse, _render_overuse,
+             _replay, _render_overuse,
              dict(_REPLAY, **{"--scale": dict(type=float, default=0.03)})),
     Artifact("fleet", "shared-folder fleet: N writers, fan-out amplification",
              _fleet, _render_fleet,

@@ -6,6 +6,8 @@ engine, traffic meter — and exposes the file operations and the TUE readout.
 
 Sessions can share a ``sim`` and a ``server`` to model several users or
 devices against one cloud (cross-user dedup, Experiment 5).
+Fleet members (:class:`~repro.fleet.FleetMember`) are sessions over a
+shared server, which add the follower half of a shared folder.
 """
 
 from __future__ import annotations

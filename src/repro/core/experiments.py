@@ -34,10 +34,8 @@ def run_collaboration(
     clients: Optional[int] = None,
     files_per_writer: int = 2,
     file_size: int = 64 * KB,
-    spacing: float = 20.0,
     seed: int = 9,
     link_spec: Optional[LinkSpec] = None,
-    notification_delay: float = 0.2,
 ):
     """One fleet run: ``writers`` active writers among ``clients`` members.
 
@@ -48,11 +46,10 @@ def run_collaboration(
     from ..fleet import Fleet, schedule_writer_workload
 
     fleet = Fleet(service, access=access, clients=clients or writers,
-                  link_spec=link_spec or mn_link(), seed=seed,
-                  notification_delay=notification_delay)
+                  link_spec=link_spec or mn_link(), seed=seed)
     schedule_writer_workload(fleet, writers=writers,
                              files_per_writer=files_per_writer,
-                             file_size=file_size, spacing=spacing, seed=seed)
+                             file_size=file_size, seed=seed)
     fleet.run_until_idle()
     return fleet.report()
 

@@ -5,7 +5,8 @@
 :class:`~repro.simnet.Simulator` (a ``heapq`` event loop keyed by
 ``(time, seq)`` — the global scheduler), one
 :class:`~repro.cloud.CloudServer`, one :class:`~repro.fleet.shared.
-SharedFolderHub`, and per-member links/meters/engines.  Everything the run
+SharedFolderHub`, and one :class:`~repro.fleet.member.FleetMember` per
+client — a session over that shared server.  Everything the run
 does — notification interleaving, retry jitter, conflict-copy naming — is a
 pure function of the constructor arguments, so ``Fleet(..., seed=S)`` is
 byte-identical across reruns at any client count.
@@ -23,26 +24,20 @@ Client churn composes with the rest: :meth:`Fleet.join` mid-run spawns a
 member that backfills current server state, :meth:`FleetMember.leave`
 drops a member out of all future fan-outs, and a
 :class:`~repro.simnet.FaultSchedule` applies the same failure windows to
-every member plus the server front door.
+every member: each member's session binds its own injector to the
+schedule and attaches it to the shared server, so the server's brownouts
+follow that one schedule too.
 """
 
 from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Union
 
-from ..client.hardware import M1, MachineProfile
 from ..client.profiles import AccessMethod, ServiceProfile, service_profile
-from ..client.retry import RetryPolicy
 from ..cloud import CloudServer
-from ..content import Content, random_content
+from ..content import random_content
 from ..obs.recorder import TraceHub, current_hub, session_recorder
-from ..simnet import (
-    DomainScheduler,
-    FaultInjector,
-    FaultSchedule,
-    LinkSpec,
-    Simulator,
-)
+from ..simnet import DomainScheduler, FaultSchedule, LinkSpec, Simulator
 from ..units import KB
 from .member import FleetMember
 from .report import FleetReport, MemberReport
@@ -57,12 +52,9 @@ class Fleet:
         profile: Union[str, ServiceProfile],
         access: AccessMethod = AccessMethod.PC,
         clients: int = 2,
-        machine: MachineProfile = M1,
         link_spec: Optional[LinkSpec] = None,
         seed: int = 0,
         notification_delay: float = 0.2,
-        user: str = "shared",
-        retry: Optional[RetryPolicy] = None,
         faults: Optional[FaultSchedule] = None,
         record: bool = False,
         domains: int = 1,
@@ -73,10 +65,8 @@ class Fleet:
         if isinstance(profile, str):
             profile = service_profile(profile, access)
         self.profile = profile
-        self.machine = machine
         self.link_spec = link_spec
         self.seed = seed
-        self.retry = retry
         self.faults = faults
 
         #: ``domains > 1`` shards the fleet into that many independently
@@ -97,11 +87,7 @@ class Fleet:
             storage_chunk_size=profile.storage_chunk_size,
             name=profile.name,
             backend=profile.storage_backend)
-        self.server_faults: Optional[FaultInjector] = None
-        if faults is not None:
-            self.server_faults = FaultInjector(faults)
-            self.server.attach_faults(self.server_faults)
-        self.hub = SharedFolderHub(self.sim, self.server, user=user,
+        self.hub = SharedFolderHub(self.sim, self.server,
                                    notification_delay=notification_delay)
         #: An ambient recording context (``with recording(...)``) wins; the
         #: ``record`` flag otherwise stands up a private hub so audits can
@@ -136,8 +122,8 @@ class Fleet:
                if isinstance(self.sim, DomainScheduler) else self.sim)
         return FleetMember(
             hub=self.hub, index=index, name=name, profile=self.profile,
-            machine=self.machine, link_spec=self.link_spec, seed=self.seed,
-            retry=self.retry, fault_schedule=self.faults,
+            link_spec=self.link_spec, seed=self.seed,
+            fault_schedule=self.faults,
             recorder=self._recorder(name), sim=sim)
 
     def join(self, name: Optional[str] = None) -> FleetMember:

@@ -1,15 +1,15 @@
-"""One fleet member: a full SyncClient plus the follower half of the folder.
+"""One fleet member: a :class:`~repro.client.SyncSession` plus the follower
+half of the folder.
 
-Each member owns the same rig a :class:`~repro.client.SyncSession` would
-assemble — folder, link, meter, channel, client engine —
-but its engine talks to the cloud through the hub's origin-tagging proxy,
-and the member additionally *receives*: hub notifications land here, get a
-metered notification frame immediately, and schedule a fetch one
-notification delay later.  Downloads are serialised per member, because a
-device has one network interface: a fetch that finds the member idle
-applies at once, inside the fetch event; one that finds it busy waits in
-the member's FIFO, which drains one apply at a time, each starting when
-the previous download ends.
+A member *is* a session — the same folder, link, meter, channel and client
+engine every single-client experiment measures — whose server is the hub's
+origin-tagging proxy over the fleet's shared cloud.  What it adds is the
+receiving side: hub notifications land here, get a metered notification
+frame immediately, and schedule a fetch one notification delay later.
+Downloads are serialised per member, because a device has one network
+interface: a fetch that finds the member idle applies at once, inside the
+fetch event; one that finds it busy waits in the member's FIFO, which
+drains one apply at a time, each starting when the previous download ends.
 
 Remote application never echoes: folder mutations go through the silent
 ``apply_remote``/``remove_remote``/``rename_remote`` paths and the engine's
@@ -37,22 +37,11 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Optional, TYPE_CHECKING
 
-from ..client.engine import SyncClient
-from ..client.hardware import M1, MachineProfile
 from ..client.profiles import ServiceProfile
-from ..client.retry import RetryPolicy
+from ..client.session import SyncSession
 from ..cloud import NotFound, TransientError
 from ..delta import compute_delta, compute_signature
-from ..fsim import SyncFolder
-from ..simnet import (
-    FaultInjector,
-    FaultSchedule,
-    Link,
-    LinkSpec,
-    TrafficMeter,
-    TransferInterrupted,
-    mn_link,
-)
+from ..simnet import FaultSchedule, LinkSpec, TransferInterrupted
 from .shared import EPOCH_BACKFILL, FanoutEpoch, SharedFolderHub, conflict_copy_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -86,7 +75,7 @@ class MemberStats:
     backfilled: int = 0
 
 
-class FleetMember:
+class FleetMember(SyncSession):
     """A live participant in one shared folder."""
 
     #: Follower downloads survive faults with a seeded jittered backoff; a
@@ -100,44 +89,30 @@ class FleetMember:
         index: int,
         name: str,
         profile: ServiceProfile,
-        machine: MachineProfile = M1,
         link_spec: Optional[LinkSpec] = None,
         seed: int = 0,
-        retry: Optional[RetryPolicy] = None,
         fault_schedule: Optional[FaultSchedule] = None,
         recorder: Optional["TraceRecorder"] = None,
         sim: Optional["SimLike"] = None,
     ):
+        # The member's scheduling surface is the fleet-global simulator, or
+        # this member's :class:`~repro.simnet.EventDomain` when sharded.
+        # Each session binds its own injector to the shared schedule, so
+        # the same failure windows hit the whole fleet.
+        super().__init__(
+            profile, link_spec=link_spec,
+            sim=sim if sim is not None else hub.sim,
+            server=hub.proxy_for(name), user=hub.user,
+            faults=fault_schedule, recorder=recorder)
         self.hub = hub
-        #: The member's scheduling surface: the fleet-global simulator, or
-        #: this member's :class:`~repro.simnet.EventDomain` when sharded.
-        self.sim = sim if sim is not None else hub.sim
         self.index = index
         self.name = name
-        self.profile = profile
-        self.machine = machine
         self.live = True
         self.joined_at = self.sim.now
         self.left_at: Optional[float] = None
-
-        self.link = Link(link_spec or mn_link())
-        self.meter = TrafficMeter()
-        self.folder = SyncFolder(self.sim)
-        self.recorder = recorder
-        if recorder is not None:
-            recorder.bind_meter(self.meter)
-            hub.server.attach_recorder(recorder)
         #: Seed of the per-member fetch-backoff stream; see :attr:`rng`.
         self._rng_seed = seed * 1_000_003 + index
         self._rng: Optional[random.Random] = None
-        #: Injectors are stateful, so each member gets its own bound to the
-        #: shared schedule; the same failure windows hit the whole fleet.
-        self.faults = (FaultInjector(fault_schedule)
-                       if fault_schedule is not None else None)
-        self.client = SyncClient(
-            sim=self.sim, folder=self.folder, server=hub.proxy_for(name),
-            profile=profile, machine=machine, link=self.link, meter=self.meter,
-            user=hub.user, retry=retry, faults=self.faults, recorder=recorder)
         self.channel = self.client.channel
 
         self.stats = MemberStats()
@@ -151,12 +126,7 @@ class FleetMember:
         #: drain is scheduled at :attr:`_idle_at`; ``None`` otherwise, so
         #: an idle member holds no queue object.
         self._queue: Optional[Deque[FanoutEpoch]] = None
-        self._update_bytes = 0
-        self.folder.subscribe(self._track_update)
         hub.register(self)
-
-    def _track_update(self, event) -> None:
-        self._update_bytes += event.update_bytes
 
     @property
     def rng(self) -> random.Random:
@@ -475,17 +445,3 @@ class FleetMember:
                     now, now, epoch=EPOCH_BACKFILL, path=path,
                     member=self.name, down_bytes=down.total - before)
         self._idle_at = self.sim.now + total
-
-    # -- measurement -----------------------------------------------------------
-
-    @property
-    def data_update_bytes(self) -> int:
-        """This member's accumulated *local* data update size (remote
-        applications are silent and never count)."""
-        return self._update_bytes
-
-    def traffic_report(self):
-        """Per-member :class:`~repro.core.tue.TrafficReport`."""
-        from ..core.tue import TrafficReport  # local: core imports client
-
-        return TrafficReport.from_meter(self.meter, self._update_bytes)

@@ -95,10 +95,11 @@ class SharedFolderHub:
     """
 
     def __init__(self, sim: "Simulator", server: CloudServer,
-                 user: str = "shared", notification_delay: float = 0.2):
+                 notification_delay: float = 0.2):
         self.sim = sim
         self.server = server
-        self.user = user
+        #: The one server-side namespace every member syncs as.
+        self.user = "shared"
         self.notification_delay = notification_delay
         self.members: List["FleetMember"] = []
         self._by_name: Dict[str, "FleetMember"] = {}
@@ -152,6 +153,12 @@ class _OriginTaggingProxy:
         self._origin = origin
 
     # -- pass-through (no fan-out) ----------------------------------------
+
+    def attach_faults(self, injector) -> None:
+        self._server.attach_faults(injector)
+
+    def attach_recorder(self, recorder) -> None:
+        self._server.attach_recorder(recorder)
 
     def set_time(self, now: float) -> None:
         self._server.set_time(now)

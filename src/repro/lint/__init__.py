@@ -6,11 +6,9 @@ rule of ``ALL_RULES`` on it, and hands the same parsed files to the
 tree-wide check (REP053).
 """
 
-from .engine import (FileContext, Finding, LintResult, META_RULE, Rule,
-                     derive_module, iter_python_files, lint_paths,
-                     lint_source)
+from .engine import (FileContext, Finding, META_RULE, Rule, derive_module,
+                     lint_paths, lint_source)
 from .rules import ALL_RULES, RULES_BY_ID
 
-__all__ = ["ALL_RULES", "FileContext", "Finding", "LintResult", "META_RULE",
-           "RULES_BY_ID", "Rule", "derive_module", "iter_python_files",
-           "lint_paths", "lint_source"]
+__all__ = ["ALL_RULES", "FileContext", "Finding", "META_RULE", "RULES_BY_ID",
+           "Rule", "derive_module", "lint_paths", "lint_source"]

@@ -151,7 +151,10 @@ def _parse_pragmas(source: str, known_ids: Set[str]) -> _Pragmas:
         if not text.startswith(_PRAGMA_PREFIX):
             continue
         line = token.start[0]
-        for index, word in enumerate(text[len(_PRAGMA_PREFIX):].split()):
+        words = text[len(_PRAGMA_PREFIX):].split()
+        if not words:
+            pragmas.errors.append((line, "empty reprolint pragma"))
+        for index, word in enumerate(words):
             key, equals, value = word.partition("=")
             if key in ("module", "disable") and not value:
                 pragmas.errors.append(
@@ -178,11 +181,10 @@ def _parse_pragmas(source: str, known_ids: Set[str]) -> _Pragmas:
 
 
 class FileContext:
-    """One file under analysis: source, AST with parent links, scope info."""
+    """One file under analysis: pragmas, AST with parent links, scope info."""
 
     def __init__(self, path: str, source: str, known_ids: Set[str]) -> None:
         self.path = PurePath(path).as_posix()
-        self.source = source
         self.pragmas = _parse_pragmas(source, known_ids)
         self.module = self.pragmas.module or derive_module(path)
         self.tree = ast.parse(source, filename=path)

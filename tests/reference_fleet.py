@@ -105,6 +105,6 @@ class ReferenceFleet(Fleet):
                if isinstance(self.sim, DomainScheduler) else self.sim)
         return ReferenceMember(
             hub=self.hub, index=index, name=name, profile=self.profile,
-            machine=self.machine, link_spec=self.link_spec, seed=self.seed,
-            retry=self.retry, fault_schedule=self.faults,
+            link_spec=self.link_spec, seed=self.seed,
+            fault_schedule=self.faults,
             recorder=self._recorder(name), sim=sim)

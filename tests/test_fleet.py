@@ -11,7 +11,9 @@ import math
 import pytest
 
 from repro import chunking
+from repro.client import SyncSession
 from repro.cloud import MetadataServer
+from repro.core import TrafficReport
 from repro.content import random_content
 from repro.fleet import (
     EPOCH_BACKFILL,
@@ -104,6 +106,21 @@ def test_fleet_tue_conventions():
     assert follower.traffic.data_update_size == 0
     assert math.isinf(follower.tue)
     assert report.tue == report.traffic_bytes / report.update_bytes
+
+
+def test_member_is_its_session():
+    # A member measures with the same session code as a single-client
+    # cell: its TUE, audit and traffic report are the SyncSession's own.
+    fleet = small_fleet()
+    fleet.run_until_idle()
+    writer = fleet.members[0]
+    for member in fleet.members:
+        assert isinstance(member, SyncSession)
+        member.audit()
+        assert member.traffic_report() == TrafficReport.from_meter(
+            member.meter, member.data_update_bytes)
+    assert writer.data_update_bytes > 0
+    assert writer.tue() == writer.traffic_report().tue
 
 
 # -- convergence ------------------------------------------------------------

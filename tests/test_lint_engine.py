@@ -87,6 +87,13 @@ def test_malformed_pragma_key_is_a_lint_error():
     assert "requires =VALUE" in findings[0].message
 
 
+def test_empty_pragma_is_a_lint_error():
+    # A bare prefix names no directive: it is a meta error, not a no-op.
+    findings = _lint("x = 1  # reprolint:\n")
+    assert [(f.rule, f.line) for f in findings] == [(META_RULE, 1)]
+    assert "empty reprolint pragma" in findings[0].message
+
+
 def test_pragma_allows_trailing_justification_prose():
     findings = _lint("""\
         import time
