@@ -149,17 +149,11 @@ class SyncSession:
         """Failure-induced bytes: retransmissions, aborted sends, re-sends."""
         return self.meter.wasted_bytes
 
-    @property
-    def useful_traffic(self) -> int:
-        """Total traffic minus the failure-induced component."""
-        return self.meter.useful_bytes
-
-    def traffic_report(self, update_size: Optional[int] = None):
+    def traffic_report(self):
         """Full :class:`~repro.core.tue.TrafficReport` for this session."""
         from ..core.tue import TrafficReport  # local: core imports client
 
-        denominator = self._update_bytes if update_size is None else update_size
-        return TrafficReport.from_meter(self.meter, denominator)
+        return TrafficReport.from_meter(self.meter, self._update_bytes)
 
     def tue(self, update_size: Optional[int] = None) -> float:
         """Traffic Usage Efficiency (Eq. 1)."""

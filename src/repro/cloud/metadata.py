@@ -34,11 +34,6 @@ class FileVersion:
     verified: Optional[bytes] = field(
         default=None, init=False, compare=False, repr=False)
 
-    @property
-    def manifest_bytes(self) -> int:
-        """Approximate serialized size of this version's manifest."""
-        return 64 + 48 * len(self.chunk_digests)
-
 
 @dataclass
 class FileEntry:

@@ -2,7 +2,6 @@
 
 from .model import (
     Content,
-    compressible_content,
     random_content,
     text_content,
 )
@@ -11,7 +10,6 @@ from .words import WORDS
 __all__ = [
     "Content",
     "WORDS",
-    "compressible_content",
     "random_content",
     "text_content",
 ]

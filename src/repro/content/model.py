@@ -158,22 +158,3 @@ def text_content(size: int, seed: int = 0) -> Content:
         pieces.append(blob)
         produced += len(blob)
     return Content(b"".join(pieces)[:size])
-
-
-def compressible_content(size: int, ratio: float, seed: int = 0) -> Content:
-    """Content engineered to DEFLATE to approximately ``ratio`` of its size.
-
-    Mixes incompressible random bytes with highly compressible runs; used by
-    the trace generator to synthesise files across the compressibility
-    spectrum the trace exhibits (52 % effectively compressible).
-    """
-    if not 0.0 < ratio <= 1.0:
-        raise ValueError("ratio must be in (0, 1]")
-    if ratio >= 0.999:
-        return random_content(size, seed=seed)
-    random_part = int(size * ratio * 0.98)
-    filler = size - random_part
-    rng = random.Random(f"mix:{seed}:{size}")
-    head = random_content(random_part, seed=rng.randrange(1 << 30)).data
-    return Content(head + bytes(filler))
-

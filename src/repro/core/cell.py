@@ -69,10 +69,6 @@ class Reading:
     logical_bytes: int = 0
 
     @property
-    def overhead(self) -> int:
-        return self.traffic - self.payload
-
-    @property
     def useful(self) -> int:
         return self.traffic - self.wasted
 

@@ -60,35 +60,8 @@ class TrafficReport:
                 + self.down_payload + self.down_overhead)
 
     @property
-    def overhead(self) -> int:
-        return self.up_overhead + self.down_overhead
-
-    @property
-    def payload(self) -> int:
-        return self.up_payload + self.down_payload
-
-    @property
-    def wasted(self) -> int:
-        """Failure-induced bytes (already included in :attr:`total`)."""
-        return self.up_wasted + self.down_wasted
-
-    @property
-    def useful(self) -> int:
-        """Bytes the sync protocol would have moved on a healthy network."""
-        return self.total - self.wasted
-
-    @property
     def tue(self) -> float:
         return tue(self.total, self.data_update_size)
-
-    @property
-    def useful_tue(self) -> float:
-        """TUE of the useful component alone — the healthy-network baseline."""
-        return tue(self.useful, self.data_update_size)
-
-    @property
-    def overhead_fraction(self) -> float:
-        return self.overhead / self.total if self.total else 0.0
 
     @staticmethod
     def from_meter(meter: TrafficMeter, data_update_size: int) -> "TrafficReport":

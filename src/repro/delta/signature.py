@@ -51,10 +51,6 @@ class FileSignature:
             for block in self.blocks:
                 self._by_weak.setdefault(block.weak, []).append(block)
 
-    def candidates(self, weak: int) -> List[BlockSignature]:
-        """Blocks whose weak checksum collides with ``weak``."""
-        return self._by_weak.get(weak, [])
-
     def find(self, weak: int, window: bytes) -> Tuple[bool, int]:
         """Two-level match: weak first, strong on collision.
 

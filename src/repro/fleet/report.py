@@ -1,4 +1,4 @@
-"""Fleet-level traffic accounting: merged reports and fan-out amplification.
+"""Fleet-level traffic accounting: member reports and fan-out amplification.
 
 A fleet's TUE differs from a single session's: the numerator is every byte
 any member moved (uploads *and* the fan-out downloads the cloud pushed to
@@ -57,22 +57,6 @@ class FleetReport:
     def traffic_bytes(self) -> int:
         """Σ sync traffic across members (the TUE numerator)."""
         return int(sum(member.traffic.total for member in self.members))
-
-    @property
-    def merged(self) -> TrafficReport:
-        """Field-wise sum of every member's traffic report."""
-        return TrafficReport(
-            up_payload=int(sum(m.traffic.up_payload for m in self.members)),
-            up_overhead=int(sum(m.traffic.up_overhead for m in self.members)),
-            down_payload=int(sum(m.traffic.down_payload
-                                 for m in self.members)),
-            down_overhead=int(sum(m.traffic.down_overhead
-                                  for m in self.members)),
-            data_update_size=self.update_bytes,
-            up_wasted=int(sum(m.traffic.up_wasted for m in self.members)),
-            down_wasted=int(sum(m.traffic.down_wasted
-                                for m in self.members)),
-        )
 
     @property
     def tue(self) -> float:

@@ -47,8 +47,9 @@ class EventDomain:
 
     ``now`` reads the scheduler's global clock; ``schedule``/``schedule_at``
     stamp events from the scheduler's shared epoch counter and push onto
-    this domain's own queue.  The handle is deliberately *only* the
-    scheduling surface — running the clock is the scheduler's job.
+    this domain's own queue.  Running the clock is the scheduler's job:
+    ``run_until_idle``/``run_until`` run every domain, so a session bound
+    to one domain drives the whole fleet, as on the global queue.
     """
 
     __slots__ = ("scheduler", "index", "queue")
@@ -84,6 +85,14 @@ class EventDomain:
     def pending_count(self) -> int:
         """Not-yet-cancelled events queued on this domain alone."""
         return len(self.queue)
+
+    def run_until_idle(self, max_time: Optional[float] = None) -> float:
+        """Run the scheduler, every domain, until idle or ``max_time``."""
+        return self.scheduler.run_until_idle(max_time=max_time)
+
+    def run_until(self, time: float) -> float:
+        """Run the scheduler, every domain, through ``time``."""
+        return self.scheduler.run_until(time)
 
 
 class DomainScheduler:

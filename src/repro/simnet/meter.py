@@ -16,7 +16,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from operator import index
-from typing import Dict, List, NamedTuple, Tuple
+from typing import Dict, List, NamedTuple
 
 
 class Direction(enum.Enum):
@@ -60,10 +60,6 @@ class TrafficTotals:
     @property
     def total(self) -> int:
         return self.payload + self.overhead
-
-    @property
-    def useful(self) -> int:
-        return self.total - self.wasted
 
     def add(self, payload: int, overhead: int, wasted: int = 0) -> None:
         self.payload += payload
@@ -145,25 +141,13 @@ class TrafficMeter:
         """Failure-induced bytes (retransmissions, aborts, rejected requests)."""
         return self.up.wasted + self.down.wasted
 
-    @property
-    def useful_bytes(self) -> int:
-        """Total sync traffic minus the failure-induced component."""
-        return self.total_bytes - self.wasted_bytes
-
-    def bytes_by_kind(self) -> Dict[str, int]:
-        """Total bytes grouped by record kind (handshake, payload, ack, ...)."""
-        out: Dict[str, int] = {}
-        for record in self.records:
-            out[record.kind] = out.get(record.kind, 0) + record.total
-        return out
-
     def totals_by_kind(self) -> Dict[str, TrafficTotals]:
-        """Payload/overhead/wasted totals per record kind, both directions.
+        """Payload/overhead/wasted totals per record kind (handshake,
+        payload, ack, ...), both directions.
 
-        The wasted-aware companion of :meth:`bytes_by_kind`: summing any
-        field across kinds reproduces the meter-wide counter, which lets a
-        per-kind ``useful_tue`` be reported and lets the conservation audit
-        cross-check the ledger kind by kind.
+        Summing any field across kinds reproduces the meter-wide counter,
+        which lets the conservation audit cross-check the ledger kind by
+        kind.
         """
         out: Dict[str, TrafficTotals] = {}
         for record in self.records:
@@ -188,11 +172,6 @@ class TrafficMeter:
                              len(self.records) - snapshot.record_count,
                              up.wasted - snapshot.up_wasted,
                              down.wasted - snapshot.down_wasted)
-
-    def records_since(self, snapshot: "MeterSnapshot") -> Tuple[TrafficRecord, ...]:
-        """Records appended after ``snapshot`` was taken, as an immutable
-        copy — records metered later must not leak into a captured view."""
-        return tuple(self.records[snapshot.record_count:])
 
     def reset(self) -> None:
         self.records.clear()
@@ -229,13 +208,5 @@ class MeterSnapshot:
         return self.up_payload + self.down_payload
 
     @property
-    def overhead(self) -> int:
-        return self.up_overhead + self.down_overhead
-
-    @property
     def wasted(self) -> int:
         return self.up_wasted + self.down_wasted
-
-    @property
-    def useful(self) -> int:
-        return self.total - self.wasted

@@ -35,7 +35,7 @@ from typing import (Callable, Dict, Generator, Iterator, List, NamedTuple,
 import numpy as np
 
 from ..units import GB, KB, MB
-from .schema import UNIT_SIZE, Trace, TraceRecord
+from .schema import UNIT_SIZE, Trace
 
 #: Table 2 of the paper.
 SERVICE_USERS = {
@@ -297,22 +297,6 @@ def _plan_records(plan: Dict[str, Tuple[int, int]],
         next_segment = yield from _service_records(
             service, n_users, n_files, rng, draw, pool, index, next_segment)
         index += n_files
-
-
-def iter_trace_records(scale: float = 1.0, seed: int = 42,
-                       config: Optional[GeneratorConfig] = None
-                       ) -> Iterator[TraceRecord]:
-    """Stream the statistical twin trace record by record.
-
-    Yields exactly the records of ``generate_trace(scale, seed)`` in the
-    same order (both draw the same ``_plan_records`` rows), without
-    materialising the trace: peak memory is the duplicate-sampling pool
-    plus one record.  The plan is checked here, before the first record is
-    asked for.
-    """
-    config = config or GeneratorConfig(scale=scale, seed=seed)
-    rows = _plan_records(config.service_plan(), config.seed)
-    return (TraceRecord(*row) for row in rows)
 
 
 def generate_trace(scale: float = 1.0, seed: int = 42,

@@ -19,36 +19,6 @@ Mbps = 1_000_000
 MSEC = 1e-3
 SEC = 1.0
 
-_SUFFIXES = {
-    "": 1,
-    "B": 1,
-    "K": KB,
-    "KB": KB,
-    "M": MB,
-    "MB": MB,
-    "G": GB,
-    "GB": GB,
-}
-
-
-def parse_size(text: str) -> int:
-    """Parse a human-style size string such as ``"10M"`` or ``"1 KB"``.
-
-    >>> parse_size("10M")
-    10485760
-    >>> parse_size("1")
-    1
-    """
-    cleaned = text.strip().upper().replace(" ", "")
-    index = len(cleaned)
-    while index > 0 and not cleaned[index - 1].isdigit():
-        index -= 1
-    number, suffix = cleaned[:index], cleaned[index:]
-    if not number or suffix not in _SUFFIXES:
-        raise ValueError(f"unparseable size: {text!r}")
-    return int(number) * _SUFFIXES[suffix]
-
-
 def fmt_size(nbytes: float) -> str:
     """Render a byte count the way the paper's tables do (e.g. ``1.28 M``)."""
     value = float(nbytes)

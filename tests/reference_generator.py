@@ -152,7 +152,7 @@ def _service_records(service: str, n_users: int, n_files: int,
 
 def reference_records(plan: Dict[str, Tuple[int, int]],
                       seed: int) -> Iterator[TraceRecord]:
-    """The record stream ``iter_trace_records`` produced for ``plan``."""
+    """The records ``generate_trace`` produces for ``plan``, in order."""
     rng = np.random.default_rng(seed)
     segments = _SegmentFactory()
     pool: List[_PoolEntry] = []

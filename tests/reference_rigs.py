@@ -72,7 +72,7 @@ def run_faulty_sync(service: str = "Dropbox", fault_rate: float = 1.0,
         service=service, fault_rate=fault_rate, resumable=resumable,
         traffic=session.total_traffic,
         wasted=session.wasted_traffic,
-        useful=session.useful_traffic,
+        useful=session.total_traffic - session.wasted_traffic,
         tue=session.total_traffic / update,
         transient_errors=stats.transient_errors,
         retries=stats.retries,

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from repro.compress import HIGH_COMPRESSION
 from repro.content import (
     Content,
-    compressible_content,
     random_content,
     text_content,
 )
@@ -97,20 +96,6 @@ def test_equality_and_hash_follow_bytes():
     assert a == b
     assert hash(a) == hash(b)
     assert a != Content(b"other")
-
-
-def test_compressible_content_hits_target_ratio():
-    for target in (0.3, 0.5, 0.8):
-        content = compressible_content(200_000, target, seed=1)
-        actual = HIGH_COMPRESSION.ratio(content)
-        assert abs(actual - target) < 0.12
-
-
-def test_compressible_content_validation():
-    with pytest.raises(ValueError):
-        compressible_content(100, 0.0)
-    with pytest.raises(ValueError):
-        compressible_content(100, 1.5)
 
 
 @given(st.integers(min_value=0, max_value=5000), st.integers(min_value=0, max_value=100))

@@ -42,12 +42,12 @@ def test_ids_mirror_downloads_delta_not_full_file():
     editor, follower = fleet.members
     editor.folder.create("big.bin", random_content(1 * MB, seed=1))
     fleet.run_until_idle()
-    full = follower.meter.bytes_by_kind()["fanout-download"]
+    full = follower.meter.totals_by_kind()["fanout-download"].total
     editor.folder.modify_random_byte("big.bin", seed=2)
     fleet.run_until_idle()
-    by_kind = follower.meter.bytes_by_kind()
-    assert by_kind["fanout-download"] == full
-    assert 0 < by_kind["fanout-delta"] < full // 10
+    by_kind = follower.meter.totals_by_kind()
+    assert by_kind["fanout-download"].total == full
+    assert 0 < by_kind["fanout-delta"].total < full // 10
     assert fleet.converged()
 
 
@@ -57,16 +57,16 @@ def test_deletion_propagates():
     editor, *followers = fleet.members
     editor.folder.create("gone.bin", random_content(16 * KB, seed=1))
     fleet.run_until_idle()
-    downloaded = [follower.meter.bytes_by_kind()["fanout-download"]
+    downloaded = [follower.meter.totals_by_kind()["fanout-download"].total
                   for follower in followers]
     editor.folder.delete("gone.bin")
     fleet.run_until_idle()
     assert fleet.converged()
     for follower, before in zip(followers, downloaded):
         assert follower.folder.paths() == []
-        by_kind = follower.meter.bytes_by_kind()
-        assert by_kind["fanout-download"] == before
-        assert by_kind["delete-sync"] > 0
+        by_kind = follower.meter.totals_by_kind()
+        assert by_kind["fanout-download"].total == before
+        assert by_kind["delete-sync"].total > 0
 
 
 def test_stale_notifications_do_not_redownload():
@@ -75,13 +75,14 @@ def test_stale_notifications_do_not_redownload():
     editor.folder.create("f.bin", random_content(8 * KB, seed=1))
     fleet.run_until_idle()
     fetches = follower.stats.fanout_fetches
-    downloaded = follower.meter.bytes_by_kind()["fanout-download"]
+    downloaded = follower.meter.totals_by_kind()["fanout-download"].total
     # Re-delivering an already applied epoch is a no-op.
     follower.receive_notification(fleet.hub.ledger[-1])
     fleet.run_until_idle()
     assert follower.stats.fanout_fetches == fetches
     assert follower.stats.suppressed == 1
-    assert follower.meter.bytes_by_kind()["fanout-download"] == downloaded
+    assert (follower.meter.totals_by_kind()["fanout-download"].total
+            == downloaded)
 
 
 def test_two_commits_within_one_notification_delay():

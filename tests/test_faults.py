@@ -179,10 +179,8 @@ def test_session_without_faults_reports_zero_waste():
     session.create_random_file("f.bin", 1 * MB, seed=1)
     session.run_until_idle()
     assert session.wasted_traffic == 0
-    assert session.useful_traffic == session.total_traffic
     report = session.traffic_report()
-    assert report.wasted == 0
-    assert report.useful_tue == report.tue
+    assert report.up_wasted == report.down_wasted == 0
 
 
 def test_faulty_session_decomposes_traffic():
@@ -208,7 +206,5 @@ def test_traffic_report_wasted_fields_roundtrip():
     meter.record(0.0, Direction.DOWN, payload=0, overhead=50, wasted=25)
     report = TrafficReport.from_meter(meter, data_update_size=800)
     assert report.total == 1050
-    assert report.wasted == 125
-    assert report.useful == 925
+    assert (report.up_wasted, report.down_wasted) == (100, 25)
     assert report.tue == pytest.approx(1050 / 800)
-    assert report.useful_tue == pytest.approx(925 / 800)

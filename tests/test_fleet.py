@@ -373,7 +373,8 @@ def test_one_byte_edit_fans_out_as_delta_only_on_ids_profiles(service,
     assert fleet.converged()
     fleet.audit()
     pulled = follower.meter.total_bytes - baseline
-    deltas = follower.meter.bytes_by_kind().get("fanout-delta", 0)
+    by_kind = follower.meter.totals_by_kind()
+    deltas = by_kind["fanout-delta"].total if "fanout-delta" in by_kind else 0
     if uses_ids:
         assert 0 < deltas <= pulled < 100 * KB
     else:

@@ -125,6 +125,26 @@ def test_late_joiner_placement_is_join_order_pure():
     assert joiner.sim is fleet.sim.domain(5 % 4)
 
 
+def test_a_sharded_member_runs_the_whole_fleet():
+    """A member's session clock is its domain; running it runs every
+    domain, as a member of an unsharded fleet runs the one queue."""
+    def build():
+        fleet = Fleet("GoogleDrive", clients=4, seed=3, domains=2)
+        schedule_writer_workload(fleet, writers=2, file_size=16 * KB, seed=3)
+        return fleet
+
+    whole, by_member = build(), build()
+    whole.run_until_idle()
+    by_member.members[1].run_until_idle()
+    assert by_member.report() == whole.report()
+    assert by_member.converged() and whole.converged()
+
+    stepped = build()
+    assert stepped.members[1].advance(5.0) == 5.0 == stepped.sim.now
+    stepped.members[0].run_until_idle()
+    assert stepped.report() == whole.report()
+
+
 def test_fleet_rejects_nonpositive_domains():
     with pytest.raises(ValueError):
         Fleet("GoogleDrive", clients=2, domains=0)

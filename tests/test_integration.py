@@ -131,3 +131,21 @@ def test_simulation_time_advances_realistically():
     session.run_until_idle()
     # Defer 4.2 s + upload at 20 Mbps (~0.5 s) + handshakes.
     assert 4.2 < session.sim.now < 20.0
+
+
+def test_every_exported_name_resolves():
+    """Each name in a ``repro`` module's ``__all__`` is an attribute of that
+    module, so a deleted function cannot stay exported."""
+    import importlib
+    import pkgutil
+
+    import repro
+
+    modules = [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")]
+    exported = [(module, name) for module in modules
+                for name in getattr(module, "__all__", ())]
+    assert len(exported) > 300
+    assert [(module.__name__, name) for module, name in exported
+            if not hasattr(module, name)] == []

@@ -49,36 +49,12 @@ def test_snapshot_diff_isolates_interval():
     assert delta.record_count == 2
 
 
-def test_records_since_returns_new_records_only():
-    meter = TrafficMeter()
-    meter.record(0.0, Direction.UP, 1, 0, kind="old")
-    snap = meter.snapshot()
-    meter.record(1.0, Direction.UP, 2, 0, kind="new")
-    kinds = [r.kind for r in meter.records_since(snap)]
-    assert kinds == ["new"]
-
-
-def test_records_since_is_an_immutable_copy():
-    """Regression: records_since used to return a live list slice, so
-    records metered *after* the snapshot leaked into a previously captured
-    view (and callers could mutate the meter's ledger through it)."""
-    meter = TrafficMeter()
-    meter.record(0.0, Direction.UP, 1, 0, kind="old")
-    snap = meter.snapshot()
-    meter.record(1.0, Direction.UP, 2, 0, kind="new")
-    view = meter.records_since(snap)
-    meter.record(2.0, Direction.UP, 3, 0, kind="late")
-    assert [r.kind for r in view] == ["new"]          # no leak
-    assert [r.kind for r in view] == ["new"]          # re-iterable
-    assert isinstance(view, tuple)
-
-
 def test_bytes_by_kind_groups_totals():
     meter = TrafficMeter()
     meter.record(0.0, Direction.UP, 10, 2, kind="upload")
     meter.record(0.0, Direction.DOWN, 0, 5, kind="upload")
     meter.record(0.0, Direction.DOWN, 0, 7, kind="notify")
-    groups = meter.bytes_by_kind()
+    groups = {k: t.total for k, t in meter.totals_by_kind().items()}
     assert groups == {"upload": 17, "notify": 7}
 
 
@@ -94,8 +70,9 @@ def test_totals_by_kind_decomposes_payload_overhead_wasted():
     assert kinds["upload"].overhead == 7
     assert kinds["upload"].wasted == 3
     assert kinds["restart"].wasted == kinds["restart"].total == 40
-    # totals by kind must match bytes_by_kind and the meter-wide counters
-    assert {k: t.total for k, t in kinds.items()} == meter.bytes_by_kind()
+    # totals by kind group both directions and match the meter-wide counters
+    assert {k: t.total for k, t in kinds.items()} == {
+        "upload": 17, "notify": 7, "restart": 40}
     assert sum(t.payload for t in kinds.values()) == meter.payload_bytes
     assert sum(t.overhead for t in kinds.values()) == meter.overhead_bytes
 
@@ -132,9 +109,8 @@ def test_wasted_bytes_are_a_decomposition():
     meter.record(1.0, Direction.DOWN, payload=0, overhead=50, wasted=50)
     assert meter.total_bytes == 170          # wasted does not inflate totals
     assert meter.wasted_bytes == 80
-    assert meter.useful_bytes == 90
     assert meter.up.wasted == 30
-    assert meter.down.useful == 0
+    assert meter.down.wasted == meter.down.total
 
 
 def test_wasted_cannot_exceed_record_total():
@@ -155,7 +131,6 @@ def test_snapshot_diff_carries_wasted():
     assert delta.up_wasted == 10
     assert delta.down_wasted == 6
     assert delta.wasted == 16
-    assert delta.useful == delta.total - delta.wasted
 
 
 def test_reset_clears_wasted():
@@ -278,14 +253,12 @@ def test_totals_snapshots_and_deltas_equal_sums_over_records(events):
             == expected[direction]
     assert meter.total_bytes == sum(r.total for r in meter.records)
     assert meter.wasted_bytes == sum(r.wasted for r in meter.records)
-    assert meter.useful_bytes == meter.total_bytes - meter.wasted_bytes
 
     for snap, count in snapshots:
         assert snap.record_count == count
         assert _snapshot_sums(snap) == _sums(meter.records[:count])
         delta = meter.since(snap)
-        later = meter.records_since(snap)
-        assert later == tuple(meter.records[count:])
+        later = meter.records[count:]
         assert delta.record_count == len(later)
         assert _snapshot_sums(delta) == _sums(later)
 

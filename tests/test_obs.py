@@ -118,7 +118,7 @@ def test_tracing_does_not_perturb_measurements():
     traced, _ = traced_session("GoogleDrive")
     run_small_workload(traced)
     assert traced.total_traffic == plain.total_traffic
-    assert traced.meter.bytes_by_kind() == plain.meter.bytes_by_kind()
+    assert traced.meter.totals_by_kind() == plain.meter.totals_by_kind()
     assert traced.sim.now == plain.sim.now
 
 

@@ -16,7 +16,7 @@ def make_channel(costs=None, rtt=0.05):
 def test_first_exchange_pays_handshake():
     _, channel, meter = make_channel()
     channel.exchange(up_payload=100)
-    kinds = meter.bytes_by_kind()
+    kinds = meter.totals_by_kind()
     assert "handshake" in kinds
     assert channel.handshake_count == 1
 

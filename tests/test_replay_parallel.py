@@ -215,8 +215,8 @@ def test_iter_trace_shards_rejects_bad_group_size():
 @pytest.mark.parametrize("kwargs", [{"shard_users": 0}, {"scale": -1}],
                          ids=["group-size", "scale"])
 def test_iter_trace_shards_checks_its_arguments_at_the_call(kwargs):
-    """Like ``iter_trace_records``: a bad argument raises when the stream
-    is built, not at its first ``next()``."""
+    """A bad argument raises when the stream is built, not at its first
+    ``next()``."""
     with pytest.raises(ValueError):
         iter_trace_shards(**{"scale": 0.01, "seed": 1, **kwargs})
 

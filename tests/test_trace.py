@@ -22,7 +22,6 @@ from repro.trace import (
     dedup_ratio_curve,
     duplicate_file_ratio,
     generate_trace,
-    iter_trace_records,
     iter_trace_shards,
     load_trace,
     modified_fraction,
@@ -419,9 +418,6 @@ def test_generator_refuses_a_service_plan_it_cannot_honour(plan, culprit):
         config.service_plan()
     with pytest.raises(ValueError, match=culprit):
         generate_trace(config=config)
-    # Refused when the stream is asked for, not at its first record.
-    with pytest.raises(ValueError, match=culprit):
-        iter_trace_records(config=config)
     with pytest.raises(ValueError, match=culprit):
         next(iter_trace_shards(config=config))
 

@@ -4,17 +4,15 @@ oracle (``tests/reference_generator.py``).
 The golden pins three plans byte for byte; this holds the generator to the
 pre-flattening code over any plan — 1–6 services (names may differ only by
 case, so two services can share user names), 1–40 users, 0–400 files, any
-seed — field by field and segment by segment, on both the record stream and
-the shard stream.  The bounded draw's half-word buffer is what makes this
+seed — field by field and segment by segment, on both the generated trace
+and the shard stream.  The bounded draw's half-word buffer is what makes this
 worth running: it is carried across services, bursts and the three draw
 sites, and one misplaced half-word moves every later record.
 """
 
-import tracemalloc
-
 from hypothesis import example, given, settings, strategies as st
 
-from repro.trace import GeneratorConfig, iter_trace_records, iter_trace_shards
+from repro.trace import GeneratorConfig, generate_trace, iter_trace_shards
 
 from .reference_generator import reference_records, reference_shards
 
@@ -41,7 +39,7 @@ def fields(record):
 @settings(max_examples=40, deadline=None)
 def test_record_stream_equals_the_oracle(plan, seed):
     config = GeneratorConfig(seed=seed, services=plan)
-    ours = [fields(record) for record in iter_trace_records(config=config)]
+    ours = [fields(record) for record in generate_trace(config=config)]
     assert ours == [fields(record)
                     for record in reference_records(plan, seed)]
     assert len(ours) == sum(files for _, files in plan.values())
@@ -59,25 +57,3 @@ def test_shard_stream_equals_the_oracle(plan, seed, shard_users):
                                            config=config)]
     assert ours == [[fields(record) for record in shard]
                     for shard in reference_shards(plan, seed, shard_users)]
-
-
-def _streaming_peak(records) -> int:
-    tracemalloc.start()
-    try:
-        base, _ = tracemalloc.get_traced_memory()
-        count = sum(1 for _ in records)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert count
-    return peak - base
-
-
-def test_streaming_peak_is_no_higher_than_the_oracle():
-    """Streaming holds the duplicate-sampling pool plus one record, and
-    four pool columns hold less than a frozen dataclass per original."""
-    plan = GeneratorConfig(scale=0.02, seed=42).service_plan()
-    ours = _streaming_peak(iter_trace_records(scale=0.02, seed=42))
-    oracle = _streaming_peak(reference_records(plan, 42))
-    assert ours <= oracle
-

@@ -35,7 +35,6 @@ def test_report_from_meter():
     meter.record(0.0, Direction.DOWN, payload=0, overhead=50)
     report = TrafficReport.from_meter(meter, data_update_size=1000)
     assert report.total == 1150
-    assert report.overhead == 150
-    assert report.payload == 1000
+    assert (report.up_payload, report.down_payload) == (1000, 0)
+    assert (report.up_overhead, report.down_overhead) == (100, 50)
     assert report.tue == pytest.approx(1.15)
-    assert report.overhead_fraction == pytest.approx(150 / 1150)
