@@ -156,7 +156,10 @@ class SyncClient:
         self.channel = Channel(sim, link, self.meter, profile.protocol,
                                faults=faults, recorder=recorder)
         self.retry = retry
-        self._retry_state: Optional[RetryState] = (
+        #: The policy's mutable side: jitter stream and backoff budget.  Each
+        #: sync transaction begins a retry transaction on it, and so does
+        #: each delivery a fleet follower applies.
+        self.retry_state: Optional[RetryState] = (
             retry.make_state() if retry is not None else None)
         self.defer_policy: DeferPolicy = profile.make_defer()
         #: The sync strategy routing every content transfer (see
@@ -352,8 +355,8 @@ class SyncClient:
         start = self.sim.now
         before = self.meter.snapshot()
         self.server.set_time(start)
-        if self._retry_state is not None:
-            self._retry_state.begin_transaction()
+        if self.retry_state is not None:
+            self.retry_state.begin_transaction()
         duration = self.machine.sync_processing_time()
 
         uploads = [c for c in changes if not c.deleted]
@@ -412,7 +415,7 @@ class SyncClient:
 
     # -- resilient transfers ---------------------------------------------------
 
-    def _guarded_exchange(self, *requests: Exchange) -> float:
+    def guarded_exchange(self, *requests: Exchange) -> float:
         """Send server-bound exchanges in order under the retry policy.
 
         Each request checks server availability first (brownout windows
@@ -437,7 +440,10 @@ class SyncClient:
             while True:
                 try:
                     self.server.check_available(self.channel.effective_now())
-                    duration += self.channel.exchange(**request._asdict())
+                    duration += self.channel.exchange(
+                        up_payload=request.up_payload,
+                        down_payload=request.down_payload, kind=request.kind,
+                        up_meta=request.up_meta, down_meta=request.down_meta)
                     break
                 except (TransientError, TransferInterrupted) as error:
                     if self.retry is None:
@@ -470,7 +476,7 @@ class SyncClient:
         """
         self.stats.transient_errors += 1
         elapsed = getattr(error, "elapsed", 0.0)
-        state = self._retry_state
+        state = self.retry_state
         assert state is not None and self.retry is not None
         if attempt >= self.retry.max_attempts or state.budget_exhausted():
             self.stats.retry_giveups += 1
@@ -525,7 +531,7 @@ class SyncClient:
         if self._is_pure_rename(change):
             # Metadata-only move: no content crosses the wire (§4.2's
             # attribute-change pattern applies to renames as well).
-            duration = self._guarded_exchange(Exchange(
+            duration = self.guarded_exchange(Exchange(
                 "rename", up_meta=_DELETE_META_UP,
                 down_meta=_DELETE_META_DOWN))
             try:
@@ -638,7 +644,7 @@ class SyncClient:
         duration = 0.0
         missing = digests
         if profile.dedup.enabled and digests:
-            duration = self._guarded_exchange(Exchange(
+            duration = self.guarded_exchange(Exchange(
                 "dedup-negotiation",
                 up_meta=_NEG_BASE_UP + _NEG_UP_PER_UNIT * len(digests),
                 down_meta=_NEG_BASE_DOWN + _NEG_DOWN_PER_UNIT * len(digests)))
@@ -707,8 +713,8 @@ class SyncClient:
         duration, (staged,) = self._stage_units([content])
         polls, upload = self._upload_requests(
             staged.unit_wires, lightweight=lightweight, in_batch=in_batch)
-        duration += self._guarded_exchange(*polls)
-        duration += self._guarded_exchange(*upload)
+        duration += self.guarded_exchange(*polls)
+        duration += self.guarded_exchange(*upload)
         self._commit(path, staged)
         return duration
 
@@ -738,7 +744,7 @@ class SyncClient:
         """
         overhead = self.profile.overhead
         start = self.sim.now
-        duration = self._guarded_exchange(*self.poll_requests())
+        duration = self.guarded_exchange(*self.poll_requests())
         paths = [change.path for change in uploads]
         spent, staged = self._stage_units(
             [self.folder.get(path) for path in paths])
@@ -747,7 +753,7 @@ class SyncClient:
                   for path, file in zip(paths, staged)]
         total_payload = sum(wire for _, wire, _ in ledger)
         manifest_bytes = self.profile.bds.per_file_bytes * len(staged)
-        duration += self._guarded_exchange(payload_exchange(
+        duration += self.guarded_exchange(payload_exchange(
             overhead, "bundle-commit", total_payload,
             meta_up=overhead.meta_up + manifest_bytes))
         # Record the ledger as soon as the bytes are on the wire: even if a
@@ -786,7 +792,7 @@ class SyncClient:
             return 0.0  # created and deleted before ever reaching the cloud
         duration = 0.0
         for target in targets:
-            duration += self._guarded_exchange(Exchange(
+            duration += self.guarded_exchange(Exchange(
                 "delete", up_meta=_DELETE_META_UP,
                 down_meta=_DELETE_META_DOWN))
             try:
@@ -816,7 +822,7 @@ class SyncClient:
             self.channel.drop_connection()
         content, _ = self.server.download_content(self.user, path)
         wire = self.profile.download_compression.wire_size(content)
-        self._guarded_exchange(Exchange(
+        self.guarded_exchange(Exchange(
             "download", up_meta=400, down_payload=wire,
             down_meta=overhead.meta_down
             + int(overhead.per_byte_factor * wire)))

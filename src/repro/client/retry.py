@@ -12,13 +12,15 @@ the paper's TUE metric is built to expose.
 the profile vectors); :class:`RetryState` is the per-client mutable side —
 a seeded RNG for jitter and the per-transaction backoff budget — so that
 identical seeds always produce identical backoff sequences and experiments
-stay exactly repeatable.
+stay exactly repeatable.  The RNG is built on the first backoff, so a
+client that never retries holds no Mersenne-Twister state.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Optional
 
 
 class RetriesExhausted(RuntimeError):
@@ -64,7 +66,7 @@ class RetryState:
 
     def __init__(self, policy: RetryPolicy):
         self.policy = policy
-        self._rng = random.Random(policy.seed)
+        self._rng: Optional[random.Random] = None
         #: Backoff seconds spent in the current sync transaction.
         self.spent = 0.0
         #: Lifetime counters, surfaced through ClientStats as well.
@@ -83,6 +85,8 @@ class RetryState:
         scaled by a seeded uniform 1 ± 10 %."""
         if attempt < 1:
             raise ValueError("attempt numbers are 1-based")
+        if self._rng is None:
+            self._rng = random.Random(self.policy.seed)
         raw = min(0.5 * 2.0 ** (attempt - 1), 30.0)
         raw *= 1.0 + 0.1 * (2.0 * self._rng.random() - 1.0)
         self.spent += raw

@@ -23,7 +23,7 @@ The contract has three legs:
   wire exchanges.
 
 Strategies never import the engine: they duck-type on the client object
-(`client.profile`, ``client._guarded_exchange``, ``client.server``, …)
+(`client.profile`, ``client.guarded_exchange``, ``client.server``, …)
 so this package stays import-cycle-free, like the recorder protocol.
 """
 
@@ -179,7 +179,7 @@ class SyncStrategy:
         try:
             for request in self.describe(client, change, content,
                                          client.server):
-                duration += client._guarded_exchange(request)
+                duration += client.guarded_exchange(request)
         except StaleBasis as error:
             error.elapsed = duration
             raise

@@ -28,9 +28,9 @@ class FileVersion:
     stored_sizes: tuple       # on-disk size per chunk (post-compression)
     committed_at: float
     deleted: bool = False
-    #: The reassembled ``bytes`` object that last matched ``md5`` — set by
-    #: :meth:`CloudServer.download`, for single-unit versions only, and
-    #: gone with the version when history is purged.
+    #: The reassembled ``bytes`` object that last matched ``md5``, set by
+    #: :meth:`CloudServer.download_content` for single-unit versions only.
+    #: It goes with the version when history is purged.
     verified: Optional[bytes] = field(
         default=None, init=False, compare=False, repr=False)
 

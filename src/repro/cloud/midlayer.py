@@ -52,7 +52,7 @@ class ChunkStore:
                 raise annotate_manifest_error(
                     error, key, position, len(keys)) from error
         # One key: hand back the stored object itself, so a caller that
-        # remembers what it verified (``CloudServer.download``) sees it again.
+        # remembers what it verified (``download_content``) sees it again.
         return pieces[0] if len(pieces) == 1 else b"".join(pieces)
 
     def delete(self, key: str) -> None:

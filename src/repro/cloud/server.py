@@ -12,7 +12,7 @@ the client engine drives:
 * :meth:`apply_cdc_delta` — the same mid-layer for content-defined chunks;
 * :meth:`reconcile` / :meth:`apply_reconciled` — two-round set
   reconciliation against a user-wide CDC chunk index;
-* :meth:`download`, :meth:`delete_file`, :meth:`restore_version`.
+* :meth:`download_content`, :meth:`delete_file`, :meth:`restore_version`.
 
 Traffic is *not* metered here: bytes cross the wire in the client engine,
 which meters them on its :class:`~repro.simnet.meter.TrafficMeter`.  The
@@ -424,14 +424,11 @@ class CloudServer:
 
     # -- reads, deletes, rollback ---------------------------------------------
 
-    def download(self, user: str, path: str) -> bytes:
-        """Reassemble the head version's content (GET per chunk)."""
-        return self.download_content(user, path)[0].data
-
     def download_content(self, user: str, path: str) -> Tuple[Content, int]:
-        """:meth:`download` as a :class:`Content` that carries the head
-        digest the reassembly was checked against, so nothing downstream
-        hashes the bytes again, with the number of the version it is."""
+        """Reassemble the head version's content (GET per chunk) as a
+        :class:`Content` that carries the head digest the reassembly was
+        checked against, so nothing downstream hashes the bytes again, with
+        the number of the version it is."""
         head = self.metadata.head(user, path)
         data = self.chunks.fetch_many(list(head.chunk_keys))
         if head.md5 and data is not head.verified:

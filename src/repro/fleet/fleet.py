@@ -26,7 +26,9 @@ drops a member out of all future fan-outs, and a
 :class:`~repro.simnet.FaultSchedule` applies the same failure windows to
 every member: each member's session binds its own injector to the
 schedule and attaches it to the shared server, so the server's brownouts
-follow that one schedule too.
+follow that one schedule too.  Each member rides the faults out under its
+session's seeded :class:`~repro.client.RetryPolicy`, uploads and follower
+fetches alike.
 """
 
 from __future__ import annotations

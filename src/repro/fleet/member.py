@@ -10,6 +10,10 @@ Downloads are serialised per member, because a device has one network
 interface: a fetch that finds the member idle applies at once, inside the
 fetch event; one that finds it busy waits in the member's FIFO, which
 drains one apply at a time, each starting when the previous download ends.
+Each delivery is one retry transaction of the session's engine, under its
+:class:`~repro.client.RetryPolicy`, exactly as each upload sync is.  A
+delivery whose retries run out is tried again one notification delay after
+the give-up, so an outage can delay a follower but never leave it stale.
 
 Remote application never echoes: folder mutations go through the silent
 ``apply_remote``/``remove_remote``/``rename_remote`` paths and the engine's
@@ -32,16 +36,17 @@ Race resolution (deterministic, documented in DESIGN.md):
 
 from __future__ import annotations
 
-import random
 from collections import deque
 from dataclasses import dataclass
 from typing import Deque, Dict, Optional, TYPE_CHECKING
 
 from ..client.profiles import ServiceProfile
+from ..client.retry import RetriesExhausted, RetryPolicy
 from ..client.session import SyncSession
-from ..cloud import NotFound, TransientError
+from ..client.strategies.base import Exchange
+from ..cloud import NotFound
 from ..delta import compute_delta, compute_signature
-from ..simnet import FaultSchedule, LinkSpec, TransferInterrupted
+from ..simnet import FaultSchedule, LinkSpec
 from .shared import EPOCH_BACKFILL, FanoutEpoch, SharedFolderHub, conflict_copy_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -78,11 +83,6 @@ class MemberStats:
 class FleetMember(SyncSession):
     """A live participant in one shared folder."""
 
-    #: Follower downloads survive faults with a seeded jittered backoff; a
-    #: notification is one-shot, so after this many attempts it gives up
-    #: (a later epoch for the path will bring the member back in sync).
-    MAX_FETCH_ATTEMPTS = 8
-
     def __init__(
         self,
         hub: SharedFolderHub,
@@ -97,12 +97,13 @@ class FleetMember(SyncSession):
     ):
         # The member's scheduling surface is the fleet-global simulator, or
         # this member's :class:`~repro.simnet.EventDomain` when sharded.
-        # Each session binds its own injector to the shared schedule, so
-        # the same failure windows hit the whole fleet.
+        # Each session binds its own injector to the shared schedule (the
+        # same failure windows hit the whole fleet) and its own retry seed.
         super().__init__(
             profile, link_spec=link_spec,
             sim=sim if sim is not None else hub.sim,
             server=hub.proxy_for(name), user=hub.user,
+            retry=RetryPolicy(seed=seed * 1_000_003 + index),
             faults=fault_schedule, recorder=recorder)
         self.hub = hub
         self.index = index
@@ -110,10 +111,6 @@ class FleetMember(SyncSession):
         self.live = True
         self.joined_at = self.sim.now
         self.left_at: Optional[float] = None
-        #: Seed of the per-member fetch-backoff stream; see :attr:`rng`.
-        self._rng_seed = seed * 1_000_003 + index
-        self._rng: Optional[random.Random] = None
-        self.channel = self.client.channel
 
         self.stats = MemberStats()
         #: path → newest version this member has locally applied or
@@ -127,18 +124,6 @@ class FleetMember(SyncSession):
         #: an idle member holds no queue object.
         self._queue: Optional[Deque[FanoutEpoch]] = None
         hub.register(self)
-
-    @property
-    def rng(self) -> random.Random:
-        """Per-member seeded stream (fetch-backoff jitter): one
-        ``random.Random`` per client per REP002, keyed off seed + index.
-
-        Built on first use: only a retried fetch draws from it, so a
-        member that never retries holds no Mersenne-Twister state.
-        """
-        if self._rng is None:
-            self._rng = random.Random(self._rng_seed)
-        return self._rng
 
     # -- membership ---------------------------------------------------------
 
@@ -168,7 +153,7 @@ class FleetMember(SyncSession):
         self.stats.notifications += 1
         down = self.meter.down
         before = down.total
-        self.channel.notify(max(self.profile.overhead.notify_down,
+        self.client.channel.notify(max(self.profile.overhead.notify_down,
                                 _NOTIFY_FLOOR))
         down_bytes = down.total - before
         entry.pushed_bytes += down_bytes
@@ -209,22 +194,15 @@ class FleetMember(SyncSession):
         up, down = self.meter.up, self.meter.down
         up_before = up.total
         down_before = down.total
+        self.client.retry_state.begin_transaction()
         try:
             applied, duration = self._apply(entry)
-        except (TransientError, TransferInterrupted) as error:
-            # Retries exhausted: whatever the failed attempts burned is on
-            # the meter (and in the epoch ledger); a later epoch for this
-            # path will re-converge the member.
-            self.stats.fetch_giveups += 1
+        except RetriesExhausted as error:
             down_bytes = down.total - down_before
             entry.pushed_bytes += down_bytes
-            if self.recorder is not None:
-                now = self.sim.now
-                self.recorder.record_span(
-                    "fanout-notification", "give-up", f"fleet:{self.name}",
-                    now, now, epoch=entry.epoch, origin=entry.origin,
-                    path=entry.path, member=self.name,
-                    down_bytes=down_bytes, error=str(error))
+            self._give_up(error, down_bytes, self._fetch_entry, entry,
+                          epoch=entry.epoch, origin=entry.origin,
+                          path=entry.path)
             return
         down_bytes = down.total - down_before
         entry.pushed_bytes += down_bytes
@@ -279,10 +257,9 @@ class FleetMember(SyncSession):
         self.client.discard_pending(path)
         self.folder.remove_remote(path)
         self.client.drop_remote(path)
-        duration = self._fanout_exchange(
-            up_meta=_DELETE_META_UP, down_meta=_DELETE_META_DOWN,
-            kind="delete-sync")
-        return True, duration
+        return True, self.client.guarded_exchange(Exchange(
+            "delete-sync", up_meta=_DELETE_META_UP,
+            down_meta=_DELETE_META_DOWN))
 
     def _apply_rename(self, entry: FanoutEpoch):
         old, new = entry.old_path, entry.path
@@ -308,9 +285,9 @@ class FleetMember(SyncSession):
                 # move as pure metadata, mirroring the origin's exchange.
                 self.folder.rename_remote(old, new)
                 self.client.move_remote(old, new)
-                duration += self._fanout_exchange(
-                    up_meta=_RENAME_META_UP, down_meta=_RENAME_META_DOWN,
-                    kind="fanout-rename")
+                duration += self.client.guarded_exchange(Exchange(
+                    "fanout-rename", up_meta=_RENAME_META_UP,
+                    down_meta=_RENAME_META_DOWN))
                 self._versions[new] = max(entry.version, head.version)
                 self.stats.fanout_renames += 1
             else:
@@ -345,10 +322,10 @@ class FleetMember(SyncSession):
                 compute_delta(signature, content.data))
         else:
             wire = compression.wire_size(content)
-        duration = self._fanout_exchange(
+        duration = self.client.guarded_exchange(Exchange(
+            "fanout-delta" if as_delta else "fanout-download",
             up_meta=_FETCH_META_UP, down_payload=wire,
-            down_meta=self.profile.overhead.meta_down // 2,
-            kind="fanout-delta" if as_delta else "fanout-download")
+            down_meta=self.profile.overhead.meta_down // 2))
         self.folder.apply_remote(path, content)
         self.client.absorb_remote(path, content)
         # The download delivered the server head, which may already be
@@ -358,37 +335,6 @@ class FleetMember(SyncSession):
         # own notification, so nothing newer is ever skipped.
         self._versions[path] = max(version, delivered)
         return duration
-
-    def _fanout_exchange(self, kind: str = "fanout-download",
-                         **kwargs) -> float:
-        """One follower-side exchange, retried under a seeded backoff."""
-        duration = 0.0
-        attempt = 0
-        while True:
-            try:
-                self.hub.server.check_available(self.channel.effective_now())
-                return duration + self.channel.exchange(kind=kind, **kwargs)
-            except (TransientError, TransferInterrupted) as error:
-                if isinstance(error, TransientError):
-                    # A rejected request still burns its framing.
-                    error.elapsed = self.channel.error_exchange(
-                        kind=kind + "-rejected")
-                attempt += 1
-                if attempt >= self.MAX_FETCH_ATTEMPTS:
-                    raise
-                wait = min(0.5 * (2 ** (attempt - 1)), 20.0) \
-                    * (0.75 + 0.5 * self.rng.random())
-                retry_at = getattr(error, "retry_at", None)
-                if retry_at is not None:
-                    wait = max(wait, retry_at - self.channel.effective_now())
-                if self.recorder is not None:
-                    at = self.channel.effective_now()
-                    self.recorder.record_span(
-                        "retry-attempt", type(error).__name__,
-                        f"fleet:{self.name}", at, at + wait,
-                        attempt=attempt, wait=wait, error=str(error))
-                self.channel.wait(wait)
-                duration += getattr(error, "elapsed", 0.0) + wait
 
     # -- conflict copies -----------------------------------------------------
 
@@ -421,27 +367,49 @@ class FleetMember(SyncSession):
 
     def backfill(self) -> None:
         """Download every live shared path (a client joining mid-run)."""
-        down = self.meter.down
         total = 0.0
         for path in self.hub.server.metadata.list_paths(self.hub.user):
-            before = down.total
-            try:
-                total += self._download(path, 0, EPOCH_BACKFILL)
-            except (TransientError, TransferInterrupted) as error:
-                self.stats.fetch_giveups += 1
-                if self.recorder is not None:
-                    now = self.sim.now
-                    self.recorder.record_span(
-                        "fanout-notification", "give-up",
-                        f"fleet:{self.name}", now, now,
-                        epoch=EPOCH_BACKFILL, path=path, member=self.name,
-                        down_bytes=down.total - before, error=str(error))
-                continue
-            self.stats.backfilled += 1
-            if self.recorder is not None:
-                now = self.sim.now
-                self.recorder.record_span(
-                    "fanout-notification", "backfill", f"fleet:{self.name}",
-                    now, now, epoch=EPOCH_BACKFILL, path=path,
-                    member=self.name, down_bytes=down.total - before)
+            total += self._backfill_path(path)
         self._idle_at = self.sim.now + total
+
+    def _backfill_path(self, path: str) -> float:
+        down = self.meter.down
+        before = down.total
+        self.client.retry_state.begin_transaction()
+        try:
+            duration = self._download(path, 0, EPOCH_BACKFILL)
+        except RetriesExhausted as error:
+            self._give_up(error, down.total - before, self._backfill_again,
+                          path, epoch=EPOCH_BACKFILL, path=path)
+            return 0.0
+        self.stats.backfilled += 1
+        if self.recorder is not None:
+            now = self.sim.now
+            self.recorder.record_span(
+                "fanout-notification", "backfill", f"fleet:{self.name}",
+                now, now, epoch=EPOCH_BACKFILL, path=path,
+                member=self.name, down_bytes=down.total - before)
+        return duration
+
+    def _backfill_again(self, path: str) -> None:
+        if self.live:
+            self._idle_at = max(self._idle_at,
+                                self.sim.now + self._backfill_path(path))
+
+    def _give_up(self, error: RetriesExhausted, down_bytes: int, again,
+                 arg, **attrs) -> None:
+        """A download ran out of retries; whatever its attempts burned is
+        already metered.  A notification is one-shot, so the member runs
+        ``again(arg)`` one notification delay after the give-up's wire
+        time: otherwise an outage could leave it stale until some later
+        commit to the path, and the fleet diverged."""
+        self.stats.fetch_giveups += 1
+        if self.recorder is not None:
+            now = self.sim.now
+            self.recorder.record_span(
+                "fanout-notification", "give-up", f"fleet:{self.name}",
+                now, now, member=self.name, down_bytes=down_bytes,
+                error=str(error), **attrs)
+        wire_now = self.client.channel.effective_now()
+        self.sim.schedule(wire_now - self.sim.now + self.hub.notification_delay,
+                          again, arg)

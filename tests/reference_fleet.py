@@ -3,8 +3,7 @@ queued fan-out delivery.
 
 Before a delivery allocated only what it meters, the meter kept each wire
 event as a frozen-dataclass row (range checks on the raw counts, then an
-``int()`` coercion), and every fleet member built its fetch-backoff
-``random.Random`` up front, whether or not it ever retried.
+``int()`` coercion).
 
 Before a member queued its deliveries, a delivery was two events
 (notification -> fetch -> apply): the fetch scheduled the apply at
@@ -14,12 +13,11 @@ member at one instant both started downloading then.
 
 :class:`ReferenceFleet` is a :class:`~repro.fleet.Fleet` whose members do
 exactly that.  Everything else is the production code, so a differential
-against it isolates what the row type, the span-attribute skip, the lazy
-RNG and the per-member queue did.  The queue moves when downloads start,
+against it isolates what the row type, the span-attribute skip and the
+per-member queue did.  The queue moves when downloads start,
 so the oracle speaks for everything except time.
 """
 
-import random
 from dataclasses import dataclass
 from typing import Optional
 
@@ -72,16 +70,14 @@ class ReferenceMeter(TrafficMeter):
 
 
 class ReferenceMember(FleetMember):
-    """A member with an eager RNG whose meter keeps old-style rows, and
-    the old two-event delivery."""
+    """A member whose meter keeps old-style rows, and the old two-event
+    delivery."""
 
-    def __init__(self, hub, index: int, name: str, profile, seed: int = 0,
-                 **kwargs):
-        super().__init__(hub, index, name, profile, seed=seed, **kwargs)
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
         # The channel and the recorder already hold this meter object, so
         # switching its class is what puts every wire event on old rows.
         self.meter.__class__ = ReferenceMeter
-        self._rng = random.Random(seed * 1_000_003 + index)
 
     def _fetch_entry(self, entry: FanoutEpoch) -> None:
         """The apply is its own event, queued behind everything already

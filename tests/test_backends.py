@@ -583,12 +583,12 @@ def test_server_packshard_end_to_end():
     second = random_content(3000, seed=2)
     _upload(server, "u", "a.bin", first, chunk_size=1024)
     _upload(server, "u", "b.bin", second, chunk_size=1024)
-    assert server.download("u", "a.bin") == first.data
-    assert server.download("u", "b.bin") == second.data
+    assert server.download_content("u", "a.bin")[0].data == first.data
+    assert server.download_content("u", "b.bin")[0].data == second.data
     assert server.stats.shards_sealed >= 1      # mirrored from the backend
     server.delete_file("u", "a.bin")
     server.purge_history("u", "a.bin", keep_last=1)
-    assert server.download("u", "b.bin") == second.data
+    assert server.download_content("u", "b.bin")[0].data == second.data
     audit(store=server.objects)
 
 
@@ -620,8 +620,8 @@ def test_bundled_commit_converges_and_counts():
     assert session.client.stats.bundle_commits == 1
     assert session.client.stats.bundled_files == 4
     for index in range(4):
-        assert session.server.download("user1", f"s{index}.bin") \
-            == random_content(2 * KB, seed=10 + index).data
+        content, _ = session.server.download_content("user1", f"s{index}.bin")
+        assert content.data == random_content(2 * KB, seed=10 + index).data
     audit_hub(hub)                               # bundle-conservation holds
 
 
@@ -671,7 +671,7 @@ def test_large_files_are_not_bundled():
         "big.bin", profile.bds.max_file_bytes + 1, seed=99)
     session.run_until_idle()
     assert session.client.stats.bundled_files == 3
-    assert session.server.download("user1", "big.bin") \
+    assert session.server.download_content("user1", "big.bin")[0].data \
         == random_content(profile.bds.max_file_bytes + 1, seed=99).data
 
 
@@ -680,7 +680,7 @@ def test_single_small_file_skips_the_bundle_path():
     session.create_random_file("only.bin", 2 * KB, seed=1)
     session.run_until_idle()
     assert session.client.stats.bundle_commits == 0
-    assert session.server.download("user1", "only.bin") \
+    assert session.server.download_content("user1", "only.bin")[0].data \
         == random_content(2 * KB, seed=1).data
 
 
@@ -745,11 +745,11 @@ def test_mixed_full_bds_batch_converges_and_balances(profile):
         batched.add("edit.bin")
     assert {entry[0] for entry in ledger} == batched
     for path in session.folder.paths():
-        assert session.server.download("user1", path) \
+        assert session.server.download_content("user1", path)[0].data \
             == session.folder.get(path).data, path
     for path in ("old.bin", "gone.bin"):
         with pytest.raises(NotFound):
-            session.server.download("user1", path)
+            session.server.download_content("user1", path)
     audit_hub(hub)
 
 

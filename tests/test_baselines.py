@@ -22,10 +22,11 @@ def test_baseline_converges(profile):
     content = random_content(300 * KB, seed=1)
     session.create_file("x.bin", content)
     session.run_until_idle()
-    assert session.server.download("user1", "x.bin") == content.data
+    assert session.server.download_content("user1", "x.bin")[0].data \
+        == content.data
     session.modify_random_byte("x.bin", seed=2)
     session.run_until_idle()
-    assert session.server.download("user1", "x.bin") == \
+    assert session.server.download_content("user1", "x.bin")[0].data == \
         session.folder.get("x.bin").data
 
 

@@ -223,14 +223,14 @@ def test_upload_download_roundtrip():
     server = CloudServer()
     content = random_content(5000, seed=1)
     upload(server, "u", "f.bin", content)
-    assert server.download("u", "f.bin") == content.data
+    assert server.download_content("u", "f.bin")[0].data == content.data
 
 
 def test_chunked_upload_roundtrip():
     server = CloudServer(storage_chunk_size=1024)
     content = random_content(5000, seed=2)
     upload(server, "u", "f.bin", content, chunk_size=1024)
-    assert server.download("u", "f.bin") == content.data
+    assert server.download_content("u", "f.bin")[0].data == content.data
 
 
 def test_upload_chunk_verifies_digest():
@@ -277,9 +277,9 @@ def test_fake_deletion_and_restore():
     upload(server, "u", "f.bin", content)
     server.delete_file("u", "f.bin")
     with pytest.raises(NotFound):
-        server.download("u", "f.bin")
+        server.download_content("u", "f.bin")
     server.restore_version("u", "f.bin", 1)
-    assert server.download("u", "f.bin") == content.data
+    assert server.download_content("u", "f.bin")[0].data == content.data
 
 
 def test_apply_delta_via_midlayer_counts_rest_ops():
@@ -290,7 +290,7 @@ def test_apply_delta_via_midlayer_counts_rest_ops():
     new = old.modify_byte(100)
     delta = compute_delta(compute_signature(old.data, 512), new.data)
     server.apply_delta("u", "f.bin", delta, new.md5, old.md5)
-    assert server.download("u", "f.bin") == new.data
+    assert server.download_content("u", "f.bin")[0].data == new.data
     # The MODIFY became GET + PUT + DELETE against the REST store (§4.3).
     assert server.objects.ops.total_ops() > ops_before
     assert server.stats.delta_applications == 1
@@ -312,7 +312,7 @@ def test_garbage_collection_spares_version_history():
     upload(server, "u", "f.bin", v2)
     # Both versions' chunks are live (rollback support) — GC removes nothing.
     assert server.collect_garbage() == 0
-    assert server.download("u", "f.bin") == v2.data
+    assert server.download_content("u", "f.bin")[0].data == v2.data
 
 
 def test_duplicate_upload_not_stored_twice():
@@ -345,7 +345,7 @@ def test_purge_history_reclaims_storage():
     assert removed == 3
     assert server.objects.stored_bytes <= stored_before - 3 * 100_000
     # The head still downloads; old versions are gone.
-    assert server.download("u", "f.bin") == versions[-1].data
+    assert server.download_content("u", "f.bin")[0].data == versions[-1].data
     with pytest.raises(NotFound):
         server.metadata.version("u", "f.bin", 1)
 
@@ -374,29 +374,30 @@ def test_download_rehashes_a_swapped_chunk_and_never_remembers_a_failure():
     server = CloudServer()
     content = random_content(5000, seed=21)
     upload(server, "u", "f.bin", content)
-    good = server.download("u", "f.bin")
-    assert server.download("u", "f.bin") is good     # verified, remembered
+    good = server.download_content("u", "f.bin")[0].data
+    # Verified, remembered.
+    assert server.download_content("u", "f.bin")[0].data is good
     _swap_only_chunk(server, "u", "f.bin",
                      random_content(5000, seed=22).data)     # equal length
     for _ in range(3):
         with pytest.raises(IntegrityError, match="reassembly"):
-            server.download("u", "f.bin")
+            server.download_content("u", "f.bin")
     _swap_only_chunk(server, "u", "f.bin", good)     # the good object is back
-    assert server.download("u", "f.bin") is good
+    assert server.download_content("u", "f.bin")[0].data is good
 
 
 def test_rename_and_rollback_do_not_inherit_a_verdict():
     server = CloudServer()
     content = random_content(5000, seed=23)
     upload(server, "u", "f.bin", content)
-    server.download("u", "f.bin")
+    server.download_content("u", "f.bin")
     _swap_only_chunk(server, "u", "f.bin", random_content(5000, seed=24).data)
     server.rename_file("u", "f.bin", "g.bin")        # same chunk, new head
     with pytest.raises(IntegrityError, match="reassembly"):
-        server.download("u", "g.bin")
+        server.download_content("u", "g.bin")
     server.restore_version("u", "f.bin", 1)          # same chunk, new head
     with pytest.raises(IntegrityError, match="reassembly"):
-        server.download("u", "f.bin")
+        server.download_content("u", "f.bin")
 
 
 def test_digest_work_follows_heads_and_stored_objects_not_downloads(
@@ -407,7 +408,7 @@ def test_digest_work_follows_heads_and_stored_objects_not_downloads(
     def download(path="f.bin"):
         """(bytes returned, sizes hashed to return them)."""
         before = len(md5_calls)
-        return server.download("u", path), md5_calls[before:]
+        return server.download_content("u", path)[0].data, md5_calls[before:]
 
     upload(server, "u", "f.bin", v1)
     assert download() == (v1.data, [3000, 3000])     # stored object + head
@@ -429,10 +430,10 @@ def test_multi_chunk_file_is_hashed_on_every_download(md5_calls):
     server = CloudServer(storage_chunk_size=1024)
     content = random_content(4096, seed=27)
     upload(server, "u", "f.bin", content, chunk_size=1024)
-    server.download("u", "f.bin")                    # verifies the four units
+    server.download_content("u", "f.bin")        # verifies the four units
     for _ in range(3):
         before = len(md5_calls)
-        assert server.download("u", "f.bin") == content.data
+        assert server.download_content("u", "f.bin")[0].data == content.data
         assert md5_calls[before:] == [4096]
     assert server.metadata.head("u", "f.bin").verified is None
 
@@ -462,10 +463,10 @@ def test_no_memo_outlives_the_bytes_it_describes(backend, chunk_size,
         gc.collect()
         baseline = tracemalloc.get_traced_memory()[0]
         upload(server, "u", "f.bin", v1, chunk_size=chunk_size)
-        assert server.download("u", "f.bin") == v1.data
+        assert server.download_content("u", "f.bin")[0].data == v1.data
         assert held() < held_after_download + 0.25
         upload(server, "u", "f.bin", v2, chunk_size=chunk_size)   # overwrite
-        assert server.download("u", "f.bin") == v2.data
+        assert server.download_content("u", "f.bin")[0].data == v2.data
         server.delete_file("u", "f.bin")
         assert server.purge_history("u", "f.bin", keep_last=1) == 2
         assert server.objects.stored_bytes == 0

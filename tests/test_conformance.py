@@ -23,7 +23,8 @@ def test_creation_converges(profile):
     content = random_content(32 * KB, seed=1)
     session.create_file("conf.bin", content)
     session.run_until_idle()
-    assert session.server.download("user1", "conf.bin") == content.data
+    assert session.server.download_content("user1", "conf.bin")[0].data \
+        == content.data
 
 
 @pytest.mark.parametrize("profile", ALL, ids=lambda p: p.name)

@@ -28,7 +28,8 @@ def test_creation_reaches_cloud():
     content = random_content(10 * KB, seed=1)
     session.create_file("a.bin", content)
     session.run_until_idle()
-    assert session.server.download("user1", "a.bin") == content.data
+    assert session.server.download_content("user1", "a.bin")[0].data \
+        == content.data
     assert session.client.stats.files_synced == 1
 
 
@@ -38,7 +39,7 @@ def test_modification_updates_cloud():
     session.run_until_idle()
     session.modify_random_byte("a.bin", seed=2)
     session.run_until_idle()
-    assert session.server.download("user1", "a.bin") == \
+    assert session.server.download_content("user1", "a.bin")[0].data == \
         session.folder.get("a.bin").data
 
 
@@ -50,7 +51,7 @@ def test_ids_client_uses_delta_for_modification():
     session.modify_random_byte("a.bin", seed=2)
     session.run_until_idle()
     assert session.client.stats.delta_syncs == 1
-    assert session.server.download("user1", "a.bin") == \
+    assert session.server.download_content("user1", "a.bin")[0].data == \
         session.folder.get("a.bin").data
 
 
@@ -162,8 +163,9 @@ def _one_byte_edits(files):
         session.modify_random_byte(f"f{index}.bin", seed=100 + index)
     session.run_until_idle()
     for index in range(files):
-        assert session.server.download("user1", f"f{index}.bin") \
-            == session.folder.get(f"f{index}.bin").data
+        path = f"f{index}.bin"
+        assert session.server.download_content("user1", path)[0].data \
+            == session.folder.get(path).data
     return (session.total_traffic,
             session.client.stats.sync_transactions - transactions)
 
@@ -278,7 +280,8 @@ def test_every_upload_route_stages_units_identically(dedup):
         send(client)
         (file,) = calls
         staged[route] = (file.digests, file.keys, file.sizes)
-        assert server.download("user1", "a.bin") == content.data
+        assert server.download_content("user1", "a.bin")[0].data \
+            == content.data
     assert len(staged["upload"][0]) == 3
     assert staged["upload"] == staged["bds"]
     assert negotiations == ({route: 1 for route in routes}
@@ -300,7 +303,7 @@ def test_rename_after_source_recreated_keeps_both_files():
     session.write_file("c.bin", random_content(1, seed=3))
     session.run_until_idle()
     for path in ("b.bin", "c.bin"):
-        assert session.server.download("user1", path) == \
+        assert session.server.download_content("user1", path)[0].data == \
             session.folder.get(path).data, path
 
 
@@ -343,7 +346,7 @@ def test_shadow_tracks_synced_state():
     session.append("a.bin", random_content(1 * KB, seed=3))
     session.run_until_idle()
     assert session.client.stats.delta_syncs == 2
-    assert session.server.download("user1", "a.bin") == \
+    assert session.server.download_content("user1", "a.bin")[0].data == \
         session.folder.get("a.bin").data
 
 

@@ -58,11 +58,11 @@ def check_invariants(session: SyncSession) -> None:
     # 1. Convergence: cloud head state == folder state.
     for path in PATHS:
         if session.folder.exists(path):
-            assert session.server.download("user1", path) == \
+            assert session.server.download_content("user1", path)[0].data == \
                 session.folder.get(path).data, path
         else:
             with pytest.raises(NotFound):
-                session.server.download("user1", path)
+                session.server.download_content("user1", path)
     # 2. Meter sanity.
     meter = session.meter
     assert meter.payload_bytes >= 0
@@ -131,8 +131,9 @@ def test_interleaved_two_users_never_cross(data):
     for session, other in ((alice, "bob"), (bob, "alice")):
         for path in PATHS:
             if session.folder.exists(path):
-                assert server.download(session.client.user, path) == \
-                    session.folder.get(path).data
+                stored, _ = server.download_content(session.client.user,
+                                                    path)
+                assert stored.data == session.folder.get(path).data
         # No path of one user is visible under the other unless they made it.
         own_paths = set(server.metadata.list_paths(session.client.user))
         assert own_paths == set(session.folder.paths())

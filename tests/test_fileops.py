@@ -69,12 +69,12 @@ def test_rename_is_metadata_only_on_the_wire():
     session.run_until_idle()
     assert session.total_traffic < 20 * KB
     assert session.client.stats.renames_synced == 1
-    assert session.server.download("user1", "b.bin") == \
+    assert session.server.download_content("user1", "b.bin")[0].data == \
         session.folder.get("b.bin").data
     # The old path is tombstoned, not duplicated.
     from repro.cloud import NotFound
     with pytest.raises(NotFound):
-        session.server.download("user1", "a.bin")
+        session.server.download_content("user1", "a.bin")
 
 
 def test_rename_then_modify_syncs_both():
@@ -85,7 +85,7 @@ def test_rename_then_modify_syncs_both():
     session.folder.rename("a.bin", "b.bin")
     session.modify_random_byte("b.bin", seed=2)
     session.run_until_idle()
-    assert session.server.download("user1", "b.bin") == \
+    assert session.server.download_content("user1", "b.bin")[0].data == \
         session.folder.get("b.bin").data
     # Rename stayed cheap and the modification went as a delta.
     assert session.client.stats.delta_syncs == 1
@@ -97,7 +97,7 @@ def test_rename_before_first_sync_uploads_under_new_name():
     session.create_file("tmp.bin", random_content(64 * KB, seed=1))
     session.folder.rename("tmp.bin", "final.bin")
     session.run_until_idle()
-    assert session.server.download("user1", "final.bin") == \
+    assert session.server.download_content("user1", "final.bin")[0].data == \
         session.folder.get("final.bin").data
     from repro.cloud import NotFound
     with pytest.raises(NotFound):
@@ -114,7 +114,7 @@ def test_insert_ships_delta_for_ids_client():
     # rsync's rolling match re-finds the shifted suffix: only ~the insert
     # region (plus boundary blocks) crosses the wire.
     assert session.total_traffic < 120 * KB
-    assert session.server.download("user1", "a.bin") == \
+    assert session.server.download_content("user1", "a.bin")[0].data == \
         session.folder.get("a.bin").data
 
 
@@ -124,6 +124,6 @@ def test_truncate_syncs_correctly():
     session.run_until_idle()
     session.folder.truncate("log.bin", 100 * KB)
     session.run_until_idle()
-    assert session.server.download("user1", "log.bin") == \
+    assert session.server.download_content("user1", "log.bin")[0].data == \
         session.folder.get("log.bin").data
     assert session.server.metadata.head("user1", "log.bin").size == 100 * KB

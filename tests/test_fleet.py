@@ -484,7 +484,8 @@ def fanout_spans(follower):
 def test_fanout_balances_when_followers_give_up():
     """Outage windows that outlast every retry: each follower burns its
     rejected-request framing, gives up, and the epoch must still balance —
-    the give-up branches work out their own down-byte delta."""
+    the give-up branches work out their own down-byte delta.  The path
+    stays owed: once the outage ends, every follower fetches it again."""
     # The commit lands (and notifies) at t=5.2; the fetch 0.2 s later finds
     # the server down, and every retry lands in the next, longer window.
     # A member joining inside the outage gives up on its backfill too.
@@ -504,7 +505,9 @@ def test_fanout_balances_when_followers_give_up():
                    if span.name == "give-up"]
         assert len(giveups) == 1 and giveups[0].attrs["down_bytes"] > 0
     first = fleet.hub.ledger[0]
-    assert first.deliveries == 0 and first.pushed_bytes > 0
+    assert first.deliveries == 2 and first.pushed_bytes > 0
+    assert fleet.members[3].stats.backfilled == 1
+    assert fleet.converged()
     fleet.audit()  # fanout-conservation: pushed == sum of follower down_bytes
 
 

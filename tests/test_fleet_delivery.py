@@ -5,18 +5,27 @@ A member's downloads are serialised: a fetch that finds the member idle
 applies inside the fetch event (one simulator event per delivery), and one
 that finds it busy waits in the member's FIFO, whose next apply starts when
 the previous download ends.  The meter's rows are ``NamedTuple``s, the
-channel builds span attributes only under a recorder, and a member builds
-its fetch-backoff ``random.Random`` on first use.
+channel builds span attributes only under a recorder, and a member's retry
+state builds its backoff ``random.Random`` on the first backoff.
 
 The differential here holds a fleet to :class:`ReferenceFleet`
-(frozen-dataclass rows, an eager RNG, and the old two-event delivery, whose
-same-instant fetches both started at once) over writers, notification
-delays, write spacing, fault schedules and domain counts: the report,
-convergence, the epoch ledger, every member's meter totals, and every
-record and span with its times removed must be equal.  Only when things
-happen may move.  ``SAME_INSTANT_BATCH`` is the run where it does: a
-writer whose sync batch commits two files at once hands each follower two
-fetches at one instant, and the second download waits out the first.
+(frozen-dataclass rows and the old two-event delivery, whose same-instant
+fetches both started at once) over writers, notification delays, write
+spacing, fault schedules and domain counts.  Without faults the report,
+convergence, the epoch ledger, every member's meter totals and folder, and
+every record and span with its times removed must be equal: only when
+things happen may move.  ``SAME_INSTANT_BATCH`` is the run where it does:
+a writer whose sync batch commits two files at once hands each follower
+two fetches at one instant, and the second download waits out the first.
+
+Under faults the time a download starts decides which requests a fault
+window hits, and the reference starts downloads at other times by design,
+so a retry may land in one fleet and not the other and the bytes differ.
+A writer's upload shares its channel with its downloads, so commits from
+different writers can interleave in another order.  There the differential
+compares what time cannot move: every member's final folder, each
+writer's commits in its own order, both fleets converging, both audits,
+and serialised downloads.
 """
 
 import gc
@@ -27,8 +36,8 @@ from collections import Counter
 
 from hypothesis import example, given, settings, strategies as st
 
+from repro.client import retry as retry_module
 from repro.fleet import Fleet, schedule_writer_workload
-from repro.fleet import member as member_module
 from repro.simnet import (FaultEpisode, FaultKind, FaultSchedule,
                           HeapEventQueue)
 from repro.units import KB
@@ -45,6 +54,17 @@ SAME_INSTANT_BATCH = dict(service="GoogleDrive", clients=3, writers=1,
 #: the next notification.
 FAULTED_OVERLAP = dict(service="Dropbox", clients=4, writers=2, delay=3.0,
                        files=2, spacing=0.5, fault_seed=10, domains=2, seed=7)
+#: A faulted run whose bytes depend on when downloads start: member 2's
+#: down overhead differs between the reference's delivery and the queued
+#: one, while both end in the same folders.
+FAULTED_TIMING = dict(service="GoogleDrive", clients=4, writers=4, delay=3.0,
+                      files=2, spacing=0.5, fault_seed=21637, domains=1,
+                      seed=0)
+#: A follower's retries run out in an outage: it fetches the path again
+#: one notification delay later, and the fleet still converges.
+FAULTED_GIVE_UP = dict(service="GoogleDrive", clients=2, writers=2,
+                       delay=25.0, files=2, spacing=20.0, fault_seed=34267,
+                       domains=2, seed=5451)
 
 
 def faults_for(fault_seed):
@@ -67,8 +87,10 @@ def run(fleet_type, service, clients, writers, delay, files, spacing,
     return fleet, {
         "report": fleet.report(),
         "converged": fleet.converged(),
-        "ledger": [(entry.epoch, entry.path, entry.pushed_bytes,
-                    entry.deliveries) for entry in fleet.hub.ledger],
+        "ledger": [(entry.epoch, entry.origin, entry.path,
+                    entry.pushed_bytes, entry.deliveries)
+                   for entry in fleet.hub.ledger],
+        "folders": [fleet.folder_state(member) for member in fleet.members],
         "totals": [(member.meter.up, member.meter.down)
                    for member in fleet.members],
         # Order is time too: an idle member's apply runs inside its fetch
@@ -94,6 +116,8 @@ def multiset(rows):
 @settings(max_examples=25, deadline=None)
 @example(**SAME_INSTANT_BATCH)
 @example(**FAULTED_OVERLAP)
+@example(**FAULTED_TIMING)
+@example(**FAULTED_GIVE_UP)
 @given(service=st.sampled_from(["GoogleDrive", "Dropbox"]),
        clients=st.integers(min_value=2, max_value=5),
        writers=st.integers(min_value=1, max_value=5),
@@ -108,11 +132,26 @@ def test_fleet_matches_the_reference_delivery(service, clients, writers,
                                               fault_seed, domains, seed):
     args = (service, clients, min(writers, clients), delay, files, spacing,
             fault_seed, domains, seed)
-    _, expected = run(ReferenceFleet, *args)
+    reference, expected = run(ReferenceFleet, *args)
     fleet, actual = run(Fleet, *args)
-    for key, value in expected.items():
-        assert actual[key] == value, key
     assert_downloads_are_serialised(fleet)
+    if fault_seed is None:
+        for key, value in expected.items():
+            assert actual[key] == value, key
+        return
+    assert actual["converged"] and expected["converged"]
+    assert actual["folders"] == expected["folders"]
+    assert commits_by_origin(actual) == commits_by_origin(expected)
+    reference.audit()
+    fleet.audit()
+
+
+def commits_by_origin(result):
+    """origin -> the paths it committed, in epoch order."""
+    commits = {}
+    for _, origin, path, _, _ in result["ledger"]:
+        commits.setdefault(origin, []).append(path)
+    return commits
 
 
 def assert_downloads_are_serialised(fleet):
@@ -147,8 +186,12 @@ def test_the_examples_reach_the_same_instant_busy_and_retry_paths():
     fleet, _ = run(Fleet, **FAULTED_OVERLAP)
     spans = [span for recorder in fleet.trace_hub.recorders
              for span in recorder.spans]
-    assert any(span.kind == "retry-attempt" and span.source.startswith(
-        "fleet:") for span in spans)
+    # Members past the writers never upload: their retries are fetches,
+    # run by the session's client like any upload's.
+    writers = FAULTED_OVERLAP["writers"]
+    assert any(span.kind == "retry-attempt" and span.source == "client"
+               for member in fleet.members[writers:]
+               for span in member.recorder.spans)
     # A fetch that started after its notification delay had passed waited
     # for the member's previous download: the busy path.
     ledger = {entry.epoch: entry for entry in fleet.hub.ledger}
@@ -241,17 +284,58 @@ def test_a_delivery_to_an_idle_member_is_one_simulator_event(monkeypatch):
     assert sum(pops[4].values()) - sum(pops[3].values()) == 2
 
 
-# -- the member's fetch-backoff stream ------------------------------------
+# -- retries: the session's policy, one stream per member -----------------
+
+def test_a_faulted_fleet_converges():
+    """Dense brownouts and blackouts reject uploads and fetches alike; each
+    is retried under the member's policy until it lands, and every retry
+    is counted on the member's client."""
+    fleet = Fleet("GoogleDrive", clients=4, seed=0, notification_delay=3.0,
+                  faults=faults_for(133), record=True)
+    schedule_writer_workload(fleet, writers=4, files_per_writer=2,
+                             file_size=16 * KB, spacing=0.5, seed=0)
+    fleet.run_until_idle()
+    paths = {f"w{index}/doc{round_index}.bin"
+             for index in range(4) for round_index in range(2)}
+    assert set(fleet.server.metadata.list_paths(fleet.hub.user)) == paths
+    for member in fleet.members:
+        assert set(member.folder.paths()) == paths
+    assert fleet.converged()
+    assert any(record.kind.startswith("fanout-")
+               and record.kind.endswith("-rejected")
+               for member in fleet.members for record in member.meter.records)
+    for member in fleet.members:
+        retries = [span for span in member.recorder.spans
+                   if span.kind == "retry-attempt" and span.name != "give-up"]
+        assert member.client.stats.retries == len(retries)
+
+
+def test_a_given_up_delivery_is_fetched_again():
+    """A follower whose retries run out in an outage keeps the path owed:
+    it fetches the entry once more a notification delay later."""
+    fleet, _ = run(Fleet, **FAULTED_GIVE_UP)
+    follower = fleet.members[1]
+    (give_up,) = [span for span in follower.recorder.spans
+                  if span.kind == "fanout-notification"
+                  and span.name == "give-up"]
+    assert follower.stats.fetch_giveups == 1
+    (fetch,) = [span for span in follower.recorder.spans
+                if span.name == "fetch"
+                and span.attrs["epoch"] == give_up.attrs["epoch"]]
+    assert fetch.start >= give_up.start + FAULTED_GIVE_UP["delay"]
+    assert fleet.converged()
+    fleet.audit()
+
 
 def counting_random(monkeypatch):
-    """Count ``random.Random`` constructions made by the member module."""
+    """Count ``random.Random`` constructions made by retry states."""
     built = []
 
     def build(seed):
         built.append(seed)
         return random.Random(seed)
 
-    monkeypatch.setattr(member_module, "random",
+    monkeypatch.setattr(retry_module, "random",
                         types.SimpleNamespace(Random=build))
     return built
 
@@ -269,8 +353,9 @@ def test_a_fault_free_fleet_builds_no_member_rng(monkeypatch):
 
 def test_a_retried_fetch_draws_the_member_seeded_backoff(monkeypatch):
     """Each follower's fetch lands in a 1 ms brownout and retries once: its
-    wait is the first jittered backoff of ``Random(seed * 1_000_003 +
-    index)``, and only the members that retried built a stream."""
+    wait is the session policy's first jittered backoff, drawn from
+    ``Random(seed * 1_000_003 + index)``, and only the members that
+    retried built a stream."""
     seed = 11
     quiet = Fleet("GoogleDrive", clients=4, seed=seed)
     schedule_writer_workload(quiet, writers=1, file_size=16 * KB, seed=seed)
@@ -297,7 +382,7 @@ def test_a_retried_fetch_draws_the_member_seeded_backoff(monkeypatch):
     assert sorted(waits) == [1, 2, 3]
     for index, wait in waits.items():
         draw = random.Random(seed * 1_000_003 + index).random()
-        assert wait == 0.5 * (0.75 + 0.5 * draw)
+        assert wait == 0.5 * (1 + 0.1 * (2 * draw - 1))
     assert built == [seed * 1_000_003 + index for index in (1, 2, 3)]
 
 

@@ -31,8 +31,8 @@ def test_two_users_namespaces_are_isolated():
     alice.create_file("doc.bin", random_content(10 * KB, seed=1))
     alice.run_until_idle()
     with pytest.raises(NotFound):
-        server.download("bob", "doc.bin")
-    assert server.download("alice", "doc.bin")
+        server.download_content("bob", "doc.bin")
+    assert server.download_content("alice", "doc.bin")[0].data
 
 
 def test_full_lifecycle_create_modify_delete_restore():
@@ -47,13 +47,15 @@ def test_full_lifecycle_create_modify_delete_restore():
     session.run_until_idle()
     server = session.server
     with pytest.raises(NotFound):
-        server.download("user1", "life.bin")
+        server.download_content("user1", "life.bin")
     # Roll back to version 2 (the modification) — fake deletion kept it.
     server.restore_version("user1", "life.bin", 2)
-    assert server.download("user1", "life.bin") == modified.data
+    assert server.download_content("user1", "life.bin")[0].data \
+        == modified.data
     # Version 1 (the original) is also intact.
     server.restore_version("user1", "life.bin", 1)
-    assert server.download("user1", "life.bin") == original.data
+    assert server.download_content("user1", "life.bin")[0].data \
+        == original.data
 
 
 def test_many_files_many_operations_consistency():
@@ -72,9 +74,9 @@ def test_many_files_many_operations_consistency():
         path = f"d/f{index}.bin"
         if index % 4 == 1:
             with pytest.raises(NotFound):
-                session.server.download("user1", path)
+                session.server.download_content("user1", path)
         else:
-            assert session.server.download("user1", path) == \
+            assert session.server.download_content("user1", path)[0].data == \
                 session.folder.get(path).data
 
 
@@ -85,7 +87,8 @@ def test_text_files_compressed_end_to_end():
     session.run_until_idle()
     # Wire bytes well below the file size; cloud content still exact.
     assert session.total_traffic < 0.75 * MB
-    assert session.server.download("user1", "notes.txt") == content.data
+    assert session.server.download_content("user1", "notes.txt")[0].data \
+        == content.data
 
 
 def test_byte_counter_defer_like_uds():

@@ -21,7 +21,7 @@ def test_over_quota_sync_fails_gracefully():
     assert session.client.stats.failed_syncs == 1
     assert session.client.failures
     with pytest.raises(NotFound):
-        session.server.download("user1", "big.bin")
+        session.server.download_content("user1", "big.bin")
     # The local file is untouched.
     assert session.folder.get("big.bin").size == 1 * MB
 
@@ -32,7 +32,7 @@ def test_client_keeps_working_after_quota_failure():
     session.run_until_idle()
     session.create_file("small.bin", random_content(32 * KB, seed=2))
     session.run_until_idle()
-    assert session.server.download("user1", "small.bin")
+    assert session.server.download_content("user1", "small.bin")[0].data
     assert session.client.stats.failed_syncs == 1
 
 
@@ -57,7 +57,7 @@ def test_quota_freed_by_deletion_allows_new_upload():
     session.run_until_idle()
     session.create_file("second.bin", random_content(200 * KB, seed=2))
     session.run_until_idle()
-    assert session.server.download("user1", "second.bin")
+    assert session.server.download_content("user1", "second.bin")[0].data
     assert session.client.stats.failed_syncs == 0
 
 

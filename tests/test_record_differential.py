@@ -139,7 +139,7 @@ def run_script(strategy, script):
     ledger = {name: (tally.payload, tally.exchanges, tally.cpu_units)
               for name, tally in session.client.strategy_ledger.items()}
     for path in session.folder.paths():
-        assert session.server.download("user1", path) == \
+        assert session.server.download_content("user1", path)[0].data == \
             session.folder.get(path).data
     return session, spans, (report.up_payload, report.up_overhead,
                             report.down_payload, report.down_overhead), ledger

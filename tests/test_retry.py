@@ -1,6 +1,7 @@
 """Tests for the client retry policy and its engine integration."""
 
 import random
+import types
 
 import pytest
 
@@ -11,6 +12,7 @@ from repro.client import (
     RetryState,
     SyncSession,
 )
+from repro.client import retry as retry_module
 from repro.obs import recording
 from repro.simnet import FaultEpisode, FaultKind, FaultSchedule
 from repro.units import KB, MB
@@ -51,6 +53,28 @@ def test_backoff_capped_at_max():
             raw * (1.0 + 0.1 * (2.0 * rng.random() - 1.0))
 
 
+def test_the_jitter_rng_is_built_on_the_first_backoff(monkeypatch):
+    """A state that never backs off holds no RNG; once built, it draws
+    what an eager ``Random(seed)`` draws."""
+    built = []
+
+    def build(seed):
+        built.append(seed)
+        return random.Random(seed)
+
+    monkeypatch.setattr(retry_module, "random",
+                        types.SimpleNamespace(Random=build))
+    state = RetryPolicy(seed=9).make_state()
+    state.begin_transaction()
+    assert not state.budget_exhausted()
+    assert built == []
+    eager = random.Random(9)
+    for attempt in (1, 2, 3):
+        assert state.backoff(attempt) == 0.5 * 2.0 ** (attempt - 1) \
+            * (1.0 + 0.1 * (2.0 * eager.random() - 1.0))
+    assert built == [9]
+
+
 def test_budget_resets_per_transaction_but_rng_does_not():
     policy = RetryPolicy(backoff_budget=80.0)
     state = policy.make_state()
@@ -89,7 +113,7 @@ def test_client_with_retry_rides_out_a_blackout():
     assert stats.retries > 0
     assert session.wasted_traffic > 0
     # The file made it to the cloud despite the outage.
-    assert session.server.download("user1", "f.bin") is not None
+    assert session.server.download_content("user1", "f.bin")[0].data
 
 
 def test_client_without_retry_abandons_the_sync():

@@ -170,7 +170,7 @@ def test_rename_moves_the_record_and_its_chunking(monkeypatch):
     session.run_until_idle()
     assert len(chunked) == 2
     assert chunked[1] is client._records["b.bin"].content.data
-    assert session.server.download("user1", "b.bin") == \
+    assert session.server.download_content("user1", "b.bin")[0].data == \
         session.folder.get("b.bin").data
 
 
@@ -200,7 +200,7 @@ def test_quota_failure_keeps_the_last_committed_record():
     session.run_until_idle()
     assert session.client.stats.delta_syncs \
         + session.client.stats.cdc_delta_syncs == 1
-    assert session.server.download("user1", "a.bin") == \
+    assert session.server.download_content("user1", "a.bin")[0].data == \
         session.folder.get("a.bin").data
 
 
@@ -215,7 +215,7 @@ def test_exhausted_retries_keep_the_last_committed_record():
     session.advance(60.0)
     session.modify_random_byte("a.bin", seed=44)
     session.run_until_idle()
-    assert session.server.download("user1", "a.bin") == \
+    assert session.server.download_content("user1", "a.bin")[0].data == \
         session.folder.get("a.bin").data
 
 
@@ -355,4 +355,4 @@ def test_delete_after_rename_onto_deleted_path_tombstones_both():
     session.run_until_idle()
     for path in ("a.bin", "c.bin"):
         with pytest.raises(NotFound):
-            session.server.download("user1", path)
+            session.server.download_content("user1", path)

@@ -122,7 +122,8 @@ def test_pinned_strategy_sessions_converge(name, base_size, edits, seed):
     session.advance(30.0)
     session.write_file("f.bin", Content(new))
     session.run_until_idle()
-    assert session.server.download(session.client.user, "f.bin") == new
+    stored, _ = session.server.download_content(session.client.user, "f.bin")
+    assert stored.data == new
 
 
 @given(edits=edits_strategy, seed=st.integers(min_value=0, max_value=99))

@@ -108,7 +108,7 @@ def test_workload_converges_and_reports_update(workload):
     assert session.total_traffic > 0
     # Every surviving local file is on the cloud byte-for-byte.
     for path in session.folder.paths():
-        assert session.server.download("user1", path) == \
+        assert session.server.download_content("user1", path)[0].data == \
             session.folder.get(path).data
 
 
@@ -144,6 +144,6 @@ def test_mixed_office_rename_stayed_renamed():
     session = SyncSession("Dropbox", AccessMethod.PC)
     mixed_office(session)
     session.run_until_idle()
-    assert session.server.download("user1", "docs/final.doc")
+    assert session.server.download_content("user1", "docs/final.doc")[0].data
     with pytest.raises(NotFound):
-        session.server.download("user1", "docs/report00.doc")
+        session.server.download_content("user1", "docs/report00.doc")
