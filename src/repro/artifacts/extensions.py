@@ -111,7 +111,7 @@ def _fleet(args):
 
 
 def _fleet_converged(result) -> bool:
-    """Every live member ended with the same folder state."""
+    """Every member ended with the same folder state."""
     return result[-1]
 
 
@@ -128,7 +128,7 @@ def _render_fleet(args, result):
                  f"{report.commit_epochs} commit epoch(s); amplification "
                  f"{fmt_tue(report.amplification(baseline))}x vs a solo "
                  f"writer")
-    lines.append("live members converged: " + ("yes" if converged else "NO"))
+    lines.append("members converged: " + ("yes" if converged else "NO"))
     return {"fleet": "\n".join(lines)}
 
 

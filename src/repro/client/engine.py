@@ -310,10 +310,6 @@ class SyncClient:
         self._uploading = False
         self._maybe_sync()
 
-    def idle(self) -> bool:
-        """True when nothing is pending, uploading, or scheduled."""
-        return not self._pending and not self._uploading
-
     # -- remote-change application (shared folders) ---------------------------
     #
     # A fleet follower applies changes that *other* writers committed.  The
@@ -324,10 +320,6 @@ class SyncClient:
     def has_pending(self, path: str) -> bool:
         """True when the path has local changes not yet synced up."""
         return path in self._pending
-
-    def pending_paths(self) -> List[str]:
-        """Paths with unsynced local changes, in sorted order."""
-        return sorted(self._pending)
 
     def discard_pending(self, path: str) -> None:
         """Forget a path's pending local state (its changes were moved to a

@@ -46,10 +46,6 @@ class FileEntry:
     def head(self) -> FileVersion:
         return self.versions[-1]
 
-    @property
-    def exists(self) -> bool:
-        return bool(self.versions) and not self.head.deleted
-
 
 class MetadataServer:
     """Tracks every user's file tree; all mutations are append-only."""

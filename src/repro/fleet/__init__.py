@@ -4,21 +4,15 @@ Many concurrent :class:`~repro.client.SyncClient`s — each with its own
 link, meter, and seeded RNG stream — interleave against one
 :class:`~repro.cloud.CloudServer` through a single global event queue.
 Commits fan out to collaborators, write-write races resolve as
-deterministic conflict copies, and clients may join or leave mid-run.
+deterministic conflict copies.
 """
 
 from .fleet import Fleet, schedule_writer_workload
 from .member import FleetMember, MemberStats
 from .report import FleetReport, MemberReport
-from .shared import (
-    EPOCH_BACKFILL,
-    FanoutEpoch,
-    SharedFolderHub,
-    conflict_copy_name,
-)
+from .shared import FanoutEpoch, SharedFolderHub, conflict_copy_name
 
 __all__ = [
-    "EPOCH_BACKFILL",
     "FanoutEpoch",
     "Fleet",
     "FleetMember",

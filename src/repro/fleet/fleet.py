@@ -20,9 +20,7 @@ byte-identical to the ``domains=1`` run — same traffic totals, same span
 streams, same rendered report (pinned by the differential tests in
 ``tests/test_fleet_sharded.py``).
 
-Client churn composes with the rest: :meth:`Fleet.join` mid-run spawns a
-member that backfills current server state, :meth:`FleetMember.leave`
-drops a member out of all future fan-outs, and a
+A fleet has the members it was built with, named ``client0`` onwards.  A
 :class:`~repro.simnet.FaultSchedule` applies the same failure windows to
 every member: each member's session binds its own injector to the
 schedule and attaches it to the shared server, so the server's brownouts
@@ -106,20 +104,17 @@ class Fleet:
     def members(self) -> List[FleetMember]:
         return self.hub.members
 
-    def live_members(self) -> List[FleetMember]:
-        return self.hub.live_members()
-
     def _recorder(self, name: str):
         label = f"{self.profile.name}/{name}"
         if self.trace_hub is not None:
             return self.trace_hub.new_recorder(label)
         return session_recorder(label)
 
-    def _spawn(self, name: Optional[str] = None) -> FleetMember:
+    def _spawn(self) -> FleetMember:
         index = len(self.hub.members)
-        name = name or f"client{index}"
-        # Pure algorithmic placement (shard = f(UID)): join-order index
-        # alone decides the domain, so churn keeps placement deterministic.
+        name = f"client{index}"
+        # Pure algorithmic placement (shard = f(UID)): the member's index
+        # alone decides the domain.
         sim = (self.sim.domain_for(index)
                if isinstance(self.sim, DomainScheduler) else self.sim)
         return FleetMember(
@@ -127,12 +122,6 @@ class Fleet:
             link_spec=self.link_spec, seed=self.seed,
             fault_schedule=self.faults,
             recorder=self._recorder(name), sim=sim)
-
-    def join(self, name: Optional[str] = None) -> FleetMember:
-        """A client joins mid-run and backfills current shared state."""
-        member = self._spawn(name)
-        member.backfill()
-        return member
 
     # -- execution ----------------------------------------------------------
 
@@ -147,25 +136,20 @@ class Fleet:
                 for path in member.folder.paths()}
 
     def converged(self) -> bool:
-        """All live members hold identical folder state."""
-        live = self.live_members()
-        if len(live) < 2:
-            return True
-        reference = self.folder_state(live[0])
+        """All members hold identical folder state."""
+        reference = self.folder_state(self.members[0])
         return all(self.folder_state(member) == reference
-                   for member in live[1:])
+                   for member in self.members[1:])
 
     def report(self) -> FleetReport:
         members = tuple(
             MemberReport(
-                name=member.name, live=member.live,
-                joined_at=member.joined_at,
+                name=member.name,
                 traffic=member.traffic_report(),
                 notifications=member.stats.notifications,
                 fanout_fetches=member.stats.fanout_fetches,
                 suppressed=member.stats.suppressed,
                 conflicts=member.stats.conflicts,
-                backfilled=member.stats.backfilled,
             )
             for member in self.hub.members)
         return FleetReport(

@@ -47,7 +47,7 @@ from ..client.strategies.base import Exchange
 from ..cloud import NotFound
 from ..delta import compute_delta, compute_signature
 from ..simnet import FaultSchedule, LinkSpec
-from .shared import EPOCH_BACKFILL, FanoutEpoch, SharedFolderHub, conflict_copy_name
+from .shared import FanoutEpoch, SharedFolderHub, conflict_copy_name
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from typing import Union
@@ -77,11 +77,10 @@ class MemberStats:
     suppressed: int = 0
     conflicts: int = 0
     fetch_giveups: int = 0
-    backfilled: int = 0
 
 
 class FleetMember(SyncSession):
-    """A live participant in one shared folder."""
+    """A participant in one shared folder."""
 
     def __init__(
         self,
@@ -108,9 +107,6 @@ class FleetMember(SyncSession):
         self.hub = hub
         self.index = index
         self.name = name
-        self.live = True
-        self.joined_at = self.sim.now
-        self.left_at: Optional[float] = None
 
         self.stats = MemberStats()
         #: path → newest version this member has locally applied or
@@ -124,17 +120,6 @@ class FleetMember(SyncSession):
         #: an idle member holds no queue object.
         self._queue: Optional[Deque[FanoutEpoch]] = None
         hub.register(self)
-
-    # -- membership ---------------------------------------------------------
-
-    def leave(self) -> None:
-        """Leave the folder: no further notifications, fetches, or uploads;
-        deliveries still queued are dropped."""
-        self.live = False
-        self.left_at = self.sim.now
-        self._queue = None
-        for path in self.client.pending_paths():
-            self.client.discard_pending(path)
 
     # -- origin bookkeeping --------------------------------------------------
 
@@ -169,8 +154,6 @@ class FleetMember(SyncSession):
     def _fetch_entry(self, entry: FanoutEpoch) -> None:
         """Apply ``entry`` now if the member is idle; otherwise queue it
         behind the deliveries already waiting for the interface."""
-        if not self.live:
-            return
         if self._queue is not None:
             self._queue.append(entry)
         elif self.sim.now < self._idle_at:
@@ -200,9 +183,7 @@ class FleetMember(SyncSession):
         except RetriesExhausted as error:
             down_bytes = down.total - down_before
             entry.pushed_bytes += down_bytes
-            self._give_up(error, down_bytes, self._fetch_entry, entry,
-                          epoch=entry.epoch, origin=entry.origin,
-                          path=entry.path)
+            self._give_up(error, down_bytes, entry)
             return
         down_bytes = down.total - down_before
         entry.pushed_bytes += down_bytes
@@ -219,6 +200,25 @@ class FleetMember(SyncSession):
                 path=entry.path, member=self.name, down_bytes=down_bytes,
                 up_bytes=up.total - up_before)
         self._idle_at = self.sim.now + duration
+
+    def _give_up(self, error: RetriesExhausted, down_bytes: int,
+                 entry: FanoutEpoch) -> None:
+        """A delivery ran out of retries; whatever its attempts burned is
+        already metered.  A notification is one-shot, so the member fetches
+        ``entry`` again one notification delay after the give-up's wire
+        time: otherwise an outage could leave it stale until some later
+        commit to the path, and the fleet diverged."""
+        self.stats.fetch_giveups += 1
+        if self.recorder is not None:
+            now = self.sim.now
+            self.recorder.record_span(
+                "fanout-notification", "give-up", f"fleet:{self.name}",
+                now, now, member=self.name, down_bytes=down_bytes,
+                error=str(error), epoch=entry.epoch, origin=entry.origin,
+                path=entry.path)
+        wire_now = self.client.channel.effective_now()
+        self.sim.schedule(wire_now - self.sim.now + self.hub.notification_delay,
+                          self._fetch_entry, entry)
 
     # -- remote-change application -------------------------------------------
 
@@ -362,54 +362,3 @@ class FleetMember(SyncSession):
                 "conflict-resolved", flavor, f"fleet:{self.name}", now, now,
                 epoch=entry.epoch, origin=entry.origin, path=path,
                 conflict_path=conflict_path, member=self.name)
-
-    # -- join-time catch-up ----------------------------------------------------
-
-    def backfill(self) -> None:
-        """Download every live shared path (a client joining mid-run)."""
-        total = 0.0
-        for path in self.hub.server.metadata.list_paths(self.hub.user):
-            total += self._backfill_path(path)
-        self._idle_at = self.sim.now + total
-
-    def _backfill_path(self, path: str) -> float:
-        down = self.meter.down
-        before = down.total
-        self.client.retry_state.begin_transaction()
-        try:
-            duration = self._download(path, 0, EPOCH_BACKFILL)
-        except RetriesExhausted as error:
-            self._give_up(error, down.total - before, self._backfill_again,
-                          path, epoch=EPOCH_BACKFILL, path=path)
-            return 0.0
-        self.stats.backfilled += 1
-        if self.recorder is not None:
-            now = self.sim.now
-            self.recorder.record_span(
-                "fanout-notification", "backfill", f"fleet:{self.name}",
-                now, now, epoch=EPOCH_BACKFILL, path=path,
-                member=self.name, down_bytes=down.total - before)
-        return duration
-
-    def _backfill_again(self, path: str) -> None:
-        if self.live:
-            self._idle_at = max(self._idle_at,
-                                self.sim.now + self._backfill_path(path))
-
-    def _give_up(self, error: RetriesExhausted, down_bytes: int, again,
-                 arg, **attrs) -> None:
-        """A download ran out of retries; whatever its attempts burned is
-        already metered.  A notification is one-shot, so the member runs
-        ``again(arg)`` one notification delay after the give-up's wire
-        time: otherwise an outage could leave it stale until some later
-        commit to the path, and the fleet diverged."""
-        self.stats.fetch_giveups += 1
-        if self.recorder is not None:
-            now = self.sim.now
-            self.recorder.record_span(
-                "fanout-notification", "give-up", f"fleet:{self.name}",
-                now, now, member=self.name, down_bytes=down_bytes,
-                error=str(error), **attrs)
-        wire_now = self.client.channel.effective_now()
-        self.sim.schedule(wire_now - self.sim.now + self.hub.notification_delay,
-                          again, arg)

@@ -22,14 +22,11 @@ class MemberReport:
     """One member's traffic plus its follower-side counters."""
 
     name: str
-    live: bool
-    joined_at: float
     traffic: TrafficReport
     notifications: int
     fanout_fetches: int
     suppressed: int
     conflicts: int
-    backfilled: int
 
     @property
     def tue(self) -> float:

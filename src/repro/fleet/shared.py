@@ -5,11 +5,11 @@ A shared folder has one server-side namespace (all members sync as one
 member passes through an origin-tagging proxy which, besides forwarding to
 the real :class:`~repro.cloud.CloudServer`, announces the change to the
 :class:`SharedFolderHub`.  The hub opens a **commit epoch** — a ledger entry
-naming the origin, the path/version, and the members that were live at
-commit time — then fans the notification out to every live member except
-the origin.  Followers meter what the fan-out costs them; the ledger
-accumulates the same bytes on the server side, which is exactly what the
-``fanout-conservation`` audit invariant balances.
+naming the origin, the path/version, and the members to notify — then fans
+the notification out to every member except the origin.  Followers meter
+what the fan-out costs them; the ledger accumulates the same bytes on the
+server side, which is exactly what the ``fanout-conservation`` audit
+invariant balances.
 
 Write-write races resolve as deterministic Dropbox-style conflict copies:
 ``name (conflicted copy of <client>)`` (see :func:`conflict_copy_name`),
@@ -27,11 +27,6 @@ from ..cloud import CloudServer
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..simnet import Simulator
     from .member import FleetMember
-
-#: Reserved epoch tag for join-time backfill downloads: they move real
-#: bytes but belong to no commit epoch, so the fan-out audit skips them.
-EPOCH_BACKFILL = -1
-
 
 def conflict_copy_name(path: str, member: str,
                        exists: Callable[[str], bool]) -> str:
@@ -78,7 +73,7 @@ class FanoutEpoch:
     version: int
     kind: str                    # "commit" | "delete" | "rename"
     committed_at: float
-    targets: Tuple[str, ...]     # live members other than the origin
+    targets: Tuple[str, ...]     # every member but the origin
     old_path: Optional[str] = None   # renames: the vacated path
     old_version: int = 0             # renames: the old path's tombstone
     pushed_bytes: int = 0
@@ -86,9 +81,9 @@ class FanoutEpoch:
 
 
 class SharedFolderHub:
-    """Fan-out of one shared folder's commits to its live members.
+    """Fan-out of one shared folder's commits to its members.
 
-    Members register in join order and are notified in that order on every
+    Members register in index order and are notified in that order on every
     announce — a plain list walk, never set/dict iteration, so the event
     interleaving (and therefore every byte count) is a pure function of the
     seed.
@@ -115,15 +110,12 @@ class SharedFolderHub:
         """The server handle a member's SyncClient should talk to."""
         return _OriginTaggingProxy(self.server, self, origin)
 
-    def live_members(self) -> List["FleetMember"]:
-        return [member for member in self.members if member.live]
-
     def announce(self, origin: str, path: str, version: int, kind: str,
                  old_path: Optional[str] = None,
                  old_version: int = 0) -> FanoutEpoch:
-        """Open a commit epoch and notify every live member but the origin."""
+        """Open a commit epoch and notify every member but the origin."""
         targets = [member for member in self.members
-                   if member.live and member.name != origin]
+                   if member.name != origin]
         entry = FanoutEpoch(
             epoch=len(self.ledger), origin=origin, path=path, version=version,
             kind=kind, committed_at=self.sim.now,

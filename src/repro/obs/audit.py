@@ -511,8 +511,7 @@ def _fanout_conservation(ledger: List[Any], recorders: List[TraceRecorder]
     * server ``pushed_bytes`` == Σ follower span ``down_bytes``;
     * exactly the epoch's ``targets`` were notified, the origin never.
 
-    Backfill downloads (epoch < 0) move real bytes outside any commit
-    epoch and are exempt by construction.
+    A span whose epoch names no ledger entry is itself a violation.
     """
     out: List[AuditViolation] = []
     by_epoch_bytes: Dict[int, int] = {}
@@ -528,9 +527,7 @@ def _fanout_conservation(ledger: List[Any], recorders: List[TraceRecorder]
                     f"fanout-notification span {span.name!r} carries no "
                     f"epoch attribute", span=span, session=recorder.label))
                 continue
-            if epoch < 0:
-                continue  # join-time backfill: no commit epoch to balance
-            if epoch >= len(ledger):
+            if not 0 <= epoch < len(ledger):
                 out.append(AuditViolation(
                     "fanout-conservation",
                     f"span references unknown epoch {epoch} "

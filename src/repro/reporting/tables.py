@@ -57,15 +57,14 @@ def render_fleet_members(report: "FleetReport",
     layout may leak into it.
     """
     rows = [
-        [member.name, "yes" if member.live else "left",
-         fmt_size(int(member.traffic.total)),
+        [member.name, fmt_size(int(member.traffic.total)),
          fmt_size(int(member.traffic.data_update_size)),
          fmt_tue(member.tue), str(member.notifications),
          str(member.fanout_fetches), str(member.conflicts)]
         for member in report.members
     ]
     return render_table(
-        ["Member", "Live", "Traffic", "Update", "TUE", "Notifs", "Fetches",
+        ["Member", "Traffic", "Update", "TUE", "Notifs", "Fetches",
          "Conflicts"], rows, title=title)
 
 

@@ -14,10 +14,10 @@ make the merge deterministic, prove equality instead of arguing it.)
 
 Cross-domain effects are explicit: scheduling onto domain *B* while domain
 *A*'s event is executing is a **domain message** — an epoch-stamped,
-time-ordered handoff (commit fan-out and churn are the fleet's two
-sources).  The scheduler accounts every crossing in a source×target matrix
-and checks the protocol invariants (monotone epochs, no backwards
-delivery), which :func:`verify_domain_protocol` exposes to the audit layer.
+time-ordered handoff (commit fan-out is the fleet's source).  The
+scheduler accounts every crossing in a source×target matrix and checks the
+protocol invariants (monotone epochs, no backwards delivery), which
+:func:`verify_domain_protocol` exposes to the audit layer.
 """
 
 from __future__ import annotations

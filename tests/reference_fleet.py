@@ -19,7 +19,6 @@ so the oracle speaks for everything except time.
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.fleet import FanoutEpoch, Fleet, FleetMember
 from repro.simnet import DomainScheduler, Direction, TrafficMeter
@@ -82,21 +81,16 @@ class ReferenceMember(FleetMember):
     def _fetch_entry(self, entry: FanoutEpoch) -> None:
         """The apply is its own event, queued behind everything already
         due at this instant, even when the member is idle."""
-        if self.live:
-            self.sim.schedule_at(max(self.sim.now, self._idle_at),
-                                 self._apply_if_live, entry)
-
-    def _apply_if_live(self, entry: FanoutEpoch) -> None:
-        if self.live:
-            self._apply_entry(entry)
+        self.sim.schedule_at(max(self.sim.now, self._idle_at),
+                             self._apply_entry, entry)
 
 
 class ReferenceFleet(Fleet):
     """A :class:`~repro.fleet.Fleet` whose members are reference members."""
 
-    def _spawn(self, name: Optional[str] = None) -> FleetMember:
+    def _spawn(self) -> FleetMember:
         index = len(self.hub.members)
-        name = name or f"client{index}"
+        name = f"client{index}"
         sim = (self.sim.domain_for(index)
                if isinstance(self.sim, DomainScheduler) else self.sim)
         return ReferenceMember(

@@ -137,7 +137,7 @@ def test_fleet_audited(capsys):
     out = run(capsys, "audit", "fleet", "--clients", "3", "--writers", "2",
               "--seed", "3")
     assert "client0" in out and "fleet TUE" in out
-    assert "live members converged: yes" in out
+    assert "members converged: yes" in out
     assert "event domains" not in out
 
 
@@ -294,7 +294,7 @@ def test_fleet_exits_one_when_a_follower_diverges(monkeypatch, capsys, argv):
 
     monkeypatch.setattr(FleetMember, "_apply_entry", client2_never_applies)
     assert main([*argv, "--clients", "3", "--writers", "1"]) == 1
-    assert "live members converged: NO" in capsys.readouterr().out
+    assert "members converged: NO" in capsys.readouterr().out
 
 
 def test_strategies_audited_run_passes(capsys):

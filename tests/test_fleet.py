@@ -1,7 +1,7 @@
 """Fleet-scale shared-folder simulation: convergence, determinism, fan-out.
 
 The fleet layer's contract is threefold: every run is a pure function of
-its seed (byte-identical reruns), all live members converge to identical
+its seed (byte-identical reruns), all members converge to identical
 folder state, and every byte the server pushes during fan-out is balanced
 by follower-side span evidence (the ``fanout-conservation`` invariant).
 """
@@ -15,13 +15,8 @@ from repro.client import SyncSession
 from repro.cloud import MetadataServer
 from repro.core import TrafficReport
 from repro.content import random_content
-from repro.fleet import (
-    EPOCH_BACKFILL,
-    Fleet,
-    conflict_copy_name,
-    schedule_writer_workload,
-)
-from repro.obs import verify
+from repro.fleet import Fleet, conflict_copy_name, schedule_writer_workload
+from repro.obs import AuditViolation, verify
 from repro.simnet import Direction, FaultEpisode, FaultKind, FaultSchedule
 from repro.units import KB, MB
 
@@ -415,37 +410,6 @@ def test_commit_after_suppressed_fetch_still_downloads():
     assert follower.stats.fanout_fetches == 2
 
 
-# -- churn ------------------------------------------------------------------
-
-def test_join_backfills_current_state():
-    fleet = Fleet("GoogleDrive", clients=2, seed=11, record=True)
-    schedule_writer_workload(fleet, writers=2, spacing=30.0,
-                             file_size=16 * KB, seed=11)
-    fleet.sim.schedule_at(45.0, fleet.join)
-    fleet.run_until_idle()
-    assert fleet.converged()
-    fleet.audit()
-    joiner = fleet.members[2]
-    assert joiner.stats.backfilled > 0
-    assert sorted(joiner.folder.paths()) == sorted(
-        fleet.members[0].folder.paths())
-
-
-def test_leave_stops_fanout_to_member():
-    fleet = Fleet("GoogleDrive", clients=3, seed=11, record=True)
-    schedule_writer_workload(fleet, writers=2, spacing=30.0,
-                             file_size=16 * KB, seed=11)
-    fleet.sim.schedule_at(45.0, fleet.members[2].leave)
-    fleet.run_until_idle()
-    assert fleet.converged()  # only over live members
-    fleet.audit()
-    leaver = fleet.members[2]
-    assert not leaver.live
-    # Commits after t=45 never targeted the departed member.
-    late = [entry for entry in fleet.hub.ledger if entry.committed_at > 45.0]
-    assert late and all("client2" not in entry.targets for entry in late)
-
-
 # -- fan-out invariant violations are detected ------------------------------
 
 def test_fanout_audit_catches_byte_imbalance():
@@ -469,6 +433,23 @@ def test_fanout_audit_catches_missing_notification():
     assert any("targeted" in str(violation) for violation in violations)
 
 
+def test_fanout_audit_refuses_a_span_outside_every_epoch():
+    """A fan-out span whose epoch names no ledger entry is a violation,
+    negative epochs included: no epoch is exempt from the balance."""
+    fleet = small_fleet()
+    fleet.run_until_idle()
+    fleet.audit()
+    follower = fleet.members[2]
+    now = fleet.sim.now
+    follower.recorder.record_span(
+        "fanout-notification", "fetch", f"fleet:{follower.name}", now, now,
+        epoch=-1, path="w0/doc0.bin", member=follower.name, down_bytes=0)
+    with pytest.raises(AuditViolation) as caught:
+        fleet.audit()
+    assert caught.value.invariant == "fanout-conservation"
+    assert "unknown epoch -1" in str(caught.value)
+
+
 def fanout_spans(follower):
     """A pure follower's ``fanout-notification`` spans, checked against
     the independent witness: it never writes, so every byte its meter saw
@@ -484,11 +465,10 @@ def fanout_spans(follower):
 def test_fanout_balances_when_followers_give_up():
     """Outage windows that outlast every retry: each follower burns its
     rejected-request framing, gives up, and the epoch must still balance —
-    the give-up branches work out their own down-byte delta.  The path
+    the give-up works out its own down-byte delta.  The path
     stays owed: once the outage ends, every follower fetches it again."""
     # The commit lands (and notifies) at t=5.2; the fetch 0.2 s later finds
     # the server down, and every retry lands in the next, longer window.
-    # A member joining inside the outage gives up on its backfill too.
     outage = FaultSchedule(
         FaultEpisode(start=5.3, duration=40.0 * k,
                      kind=FaultKind.SERVER_UNAVAILABLE) for k in range(1, 10))
@@ -496,53 +476,37 @@ def test_fanout_balances_when_followers_give_up():
                   record=True)
     schedule_writer_workload(fleet, writers=1, spacing=600.0,
                              file_size=16 * KB, seed=7)
-    fleet.sim.schedule_at(5.35, fleet.join)
     fleet.run_until_idle()
     assert [member.stats.fetch_giveups for member in fleet.members] \
-        == [0, 1, 1, 1]
+        == [0, 1, 1]
     for follower in fleet.members[1:]:
         giveups = [span for span in fanout_spans(follower)
                    if span.name == "give-up"]
         assert len(giveups) == 1 and giveups[0].attrs["down_bytes"] > 0
     first = fleet.hub.ledger[0]
     assert first.deliveries == 2 and first.pushed_bytes > 0
-    assert fleet.members[3].stats.backfilled == 1
     assert fleet.converged()
     fleet.audit()  # fanout-conservation: pushed == sum of follower down_bytes
 
 
 def test_pure_follower_meter_equals_its_fanout_evidence():
-    """Notify, fetch and join-time backfill spans add up to the follower's
-    meter, in both directions."""
+    """Notify and fetch spans add up to the follower's meter, in both
+    directions."""
     fleet = Fleet("GoogleDrive", clients=3, seed=11, record=True)
     schedule_writer_workload(fleet, writers=1, spacing=30.0,
                              file_size=16 * KB, seed=11)
-    fleet.sim.schedule_at(15.0, fleet.join)  # between the two commits
     fleet.run_until_idle()
     fleet.audit()
     names = set()
     for follower in fleet.members[1:]:
         spans = fanout_spans(follower)
         names.update(span.name for span in spans)
-        if follower.stats.backfilled:
-            continue  # a backfill's request bytes ride in no span
         requests = [record.total for record in follower.meter.records
                     if record.direction is Direction.UP
                     and record.kind != "notification"]  # i.e. not the acks
         assert sum(span.attrs.get("up_bytes", 0) for span in spans) \
             == sum(requests) > 0
-    assert names == {"notify", "fetch", "backfill"}
-
-
-def test_backfill_epoch_is_exempt_from_fanout_balance():
-    assert EPOCH_BACKFILL < 0
-    fleet = Fleet("GoogleDrive", clients=2, seed=11, record=True)
-    schedule_writer_workload(fleet, writers=1, spacing=30.0,
-                             file_size=16 * KB, seed=11)
-    fleet.sim.schedule_at(45.0, fleet.join)
-    fleet.run_until_idle()
-    # Backfill moved bytes outside any epoch; the audit must stay clean.
-    fleet.audit()
+    assert names == {"notify", "fetch"}
 
 
 # -- digest work per pass ---------------------------------------------------

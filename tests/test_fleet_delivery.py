@@ -200,52 +200,6 @@ def test_the_examples_reach_the_same_instant_busy_and_retry_paths():
         for span in spans if span.kind == "fanout-notification")
 
 
-def test_leave_drops_the_queued_deliveries():
-    fleet, _ = run(Fleet, **SAME_INSTANT_BATCH)
-    first, _ = [span for span in fleet.members[1].recorder.spans
-                if span.name == "fetch"]
-    leave_at = (first.start + first.end) / 2
-
-    fleet = Fleet(SAME_INSTANT_BATCH["service"], clients=3, seed=5,
-                  notification_delay=SAME_INSTANT_BATCH["delay"])
-    schedule_writer_workload(fleet, writers=1, files_per_writer=2,
-                             file_size=16 * KB, spacing=0.0, seed=5)
-    leaver = fleet.members[1]
-    fleet.sim.schedule_at(leave_at, leaver.leave)
-    fleet.run_until_idle()
-    assert leaver.stats.fanout_fetches == 1 and leaver._queue is None
-    assert fleet.members[2].stats.fanout_fetches == 2
-    assert fleet.converged()
-
-
-def test_a_join_time_backfill_occupies_the_member():
-    """A commit that reaches a joiner inside its backfill window waits for
-    the backfill to end."""
-    fleet = Fleet("GoogleDrive", clients=2, seed=11, record=True)
-    schedule_writer_workload(fleet, writers=1, files_per_writer=12,
-                             file_size=64 * KB, spacing=1.0, seed=11)
-    window = []
-
-    def join():
-        joiner = fleet.join()
-        window.append((fleet.sim.now, joiner._idle_at))
-
-    # The writer commits one file a second from t = 5.2.  A joiner at
-    # t = 16 backfills eleven of them, about a second of downloads, and the
-    # twelfth commit's notification lands inside that window.
-    fleet.sim.schedule_at(16.0, join)
-    fleet.run_until_idle()
-    assert fleet.converged()
-    (joined, idle_at), = window
-    joiner = fleet.members[2]
-    assert joiner.stats.backfilled == 11
-    (fetch,) = [span for span in joiner.recorder.spans
-                if span.name == "fetch"]
-    arrived = fleet.hub.ledger[-1].committed_at + fleet.hub.notification_delay
-    assert joined < arrived < idle_at
-    assert fetch.start == idle_at
-
-
 # -- what a delivery costs the event loop ----------------------------------
 
 def counting_pops(monkeypatch):

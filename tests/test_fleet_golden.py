@@ -35,18 +35,17 @@ def check_golden(name: str, text: str) -> None:
 def render_member_table(fleet) -> str:
     report = fleet.report()
     rows = [
-        [member.name, "yes" if member.live else "left",
-         fmt_size(int(member.traffic.total)),
+        [member.name, fmt_size(int(member.traffic.total)),
          fmt_size(int(member.traffic.data_update_size)),
          fmt_tue(member.tue), str(member.notifications),
          str(member.fanout_fetches), str(member.conflicts)]
         for member in report.members
     ]
-    rows.append(["fleet", "", fmt_size(report.traffic_bytes),
+    rows.append(["fleet", fmt_size(report.traffic_bytes),
                  fmt_size(report.update_bytes), fmt_tue(report.tue),
                  "", "", str(report.conflicts)])
     return render_table(
-        ["Member", "Live", "Traffic", "Update", "TUE", "Notifs", "Fetches",
+        ["Member", "Traffic", "Update", "TUE", "Notifs", "Fetches",
          "Conflicts"], rows,
         title=f"Fleet — {report.service}, {report.clients} clients")
 

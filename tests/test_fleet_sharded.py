@@ -6,7 +6,7 @@ global queue — same traffic totals, same wire-level span streams, same
 rendered report — at any domain count, because every event is stamped from
 one global epoch counter and dispatched in global ``(time, epoch)`` order.
 These tests pin that contract across service profiles × domain counts
-{1, 2, 4}, through churn and fault composition, and check the
+{1, 2, 4}, through fault composition, and check the
 cross-domain message protocol's own invariants.
 """
 
@@ -30,8 +30,7 @@ PROFILE_NAMES = sorted(
     {profile.service for profile in all_profiles(AccessMethod.PC)})
 
 
-def run_fleet(profile_name, domains, seed=7, clients=6, churn=False,
-              faults=None):
+def run_fleet(profile_name, domains, seed=7, clients=6, faults=None):
     """One recorded fleet run; returns everything byte-identity compares."""
     hub = TraceHub()
     with recording(hub=hub):
@@ -39,9 +38,6 @@ def run_fleet(profile_name, domains, seed=7, clients=6, churn=False,
                       domains=domains, faults=faults)
         schedule_writer_workload(fleet, writers=min(3, clients),
                                  file_size=16 * KB, seed=seed)
-        if churn:
-            fleet.sim.schedule_at(45.0, fleet.join)
-            fleet.sim.schedule_at(55.0, fleet.members[-1].leave)
         end = fleet.run_until_idle()
         fleet.audit()
     report = fleet.report()
@@ -82,25 +78,23 @@ def test_sharded_run_is_byte_identical_across_profiles(profile_name, domains):
     assert sharded["fleet"].sim.cross_messages > 0
 
 
-# -- property: random profile/seed/churn/faults combinations ----------------
+# -- property: random profile/seed/faults combinations -----------------------
 
 @given(
     profile_name=st.sampled_from(PROFILE_NAMES),
     domains=st.sampled_from([2, 4]),
     seed=st.integers(min_value=0, max_value=2**16),
-    churn=st.booleans(),
     with_faults=st.booleans(),
 )
 @settings(deadline=None, max_examples=25)
 def test_sharded_run_is_byte_identical_property(profile_name, domains, seed,
-                                                churn, with_faults):
+                                                with_faults):
     faults = (FaultSchedule.generate(seed=seed, horizon=300.0,
                                      mean_interval=40.0, mean_duration=4.0)
               if with_faults else None)
-    base = run_fleet(profile_name, domains=1, seed=seed, churn=churn,
-                     faults=faults)
+    base = run_fleet(profile_name, domains=1, seed=seed, faults=faults)
     sharded = run_fleet(profile_name, domains=domains, seed=seed,
-                        churn=churn, faults=faults)
+                        faults=faults)
     assert_byte_identical(base, sharded)
 
 
@@ -116,13 +110,6 @@ def test_members_place_algorithmically_across_domains():
     fleet = Fleet("GoogleDrive", clients=6, seed=0, domains=4)
     for member in fleet.members:
         assert member.sim is fleet.sim.domain(member.index % 4)
-
-
-def test_late_joiner_placement_is_join_order_pure():
-    fleet = Fleet("GoogleDrive", clients=5, seed=0, domains=4)
-    joiner = fleet.join()
-    assert joiner.index == 5
-    assert joiner.sim is fleet.sim.domain(5 % 4)
 
 
 def test_a_sharded_member_runs_the_whole_fleet():

@@ -1,15 +1,15 @@
 """Property-based fleet tests: random multi-writer interleavings converge.
 
-Whatever interleaving of writes, renames, deletes, joins, and leaves 2–4
-concurrent writers throw at one shared folder, after the simulation drains:
+Whatever interleaving of writes, renames and deletes 2–4 concurrent
+writers throw at one shared folder, after the simulation drains:
 
-* every live member holds the identical folder state (path → bytes);
+* every member holds the identical folder state (path → bytes);
 * the six byte-conservation invariants hold on every member's recorder;
 * the fan-out invariant holds: per commit epoch, server bytes pushed equal
   the sum of follower bytes received.
 
-Operations are generated blind (they may target missing paths or departed
-members); each scheduled op checks applicability at its own fire time, so
+Operations are generated blind (they may target missing paths); each
+scheduled op checks applicability at its own fire time, so
 the *interleaving* — not the generator — decides what races occur.
 """
 
@@ -24,7 +24,7 @@ SERVICES = ("GoogleDrive", "Dropbox")
 
 op_strategy = st.lists(
     st.tuples(
-        st.sampled_from(["write", "rename", "delete", "join", "leave"]),
+        st.sampled_from(["write", "rename", "delete"]),
         st.integers(min_value=0, max_value=3),     # acting member index
         st.sampled_from(PATHS),
         st.integers(min_value=1, max_value=24),    # size in KB / spacing
@@ -38,21 +38,8 @@ def schedule_ops(fleet, ops):
     the op fires, so races come from the interleaving itself."""
 
     def fire(op, member_index, path, arg, index):
-        members = fleet.members
-        member = members[member_index % len(members)]
-        if op == "join":
-            if len(members) < 6:
-                fleet.join()
-            return
-        if not member.live:
-            return
-        if op == "leave":
-            # Never drop below one live member; index 0 stays for good
-            # measure so convergence always has a reference.
-            if member_index % len(members) != 0 \
-                    and len(fleet.live_members()) > 1:
-                member.leave()
-        elif op == "write":
+        member = fleet.members[member_index % len(fleet.members)]
+        if op == "write":
             if member.folder.exists(path):
                 member.folder.write(path,
                                     random_content(arg * KB, seed=index))
@@ -101,9 +88,9 @@ def test_random_interleavings_converge(service, writers, seed, ops):
     schedule_ops(fleet, ops)
     fleet.run_until_idle()
     assert fleet.converged(), (
-        "live members diverged:\n" + "\n".join(
+        "members diverged:\n" + "\n".join(
             f"  {member.name}: {sorted(member.folder.paths())}"
-            for member in fleet.live_members()))
+            for member in fleet.members))
     # Byte conservation on every member, plus the fan-out balance.
     fleet.audit()
 

@@ -24,10 +24,9 @@ def _traffic_report(traffic, update):
 
 
 def _member(traffic, update):
-    return MemberReport(name="m0", live=True, joined_at=0.0,
-                        traffic=_traffic_report(traffic, update),
+    return MemberReport(name="m0", traffic=_traffic_report(traffic, update),
                         notifications=0, fanout_fetches=0, suppressed=0,
-                        conflicts=0, backfilled=0)
+                        conflicts=0)
 
 
 def _session_tue(traffic, update):
