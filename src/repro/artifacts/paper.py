@@ -224,9 +224,8 @@ _ACCESS_SHORT = {AccessMethod.PC: "PC", AccessMethod.WEB: "Web",
 
 
 def _compression(args):
-    return {(service, access): measure(cell(service,
-                                            upload_download(args.size),
-                                            access))
+    recipe = upload_download(args.size)
+    return {(service, access): measure(cell(service, recipe, access))
             for service in SERVICES for access in args.access}
 
 

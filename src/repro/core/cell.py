@@ -181,9 +181,12 @@ def upload_download(size: int = 10 * MB) -> Recipe:
     """Experiment 4 (Table 8): upload a text file, then download it.
 
     The upload is ``marked[0]``; the download is the reading's traffic.
+    The text is built here, once, so the cells sharing one recipe share it.
     """
+    content = text_content(size, seed=4)
+
     def recipe(session, mark):
-        session.create_text_file("exp4.txt", size, seed=4)
+        session.create_file("exp4.txt", content)
         mark()
         session.download("exp4.txt")
     return recipe

@@ -88,8 +88,9 @@ def verify_findings(trace_scale: float = 0.15) -> List[Finding]:
     # §5.1 — compression helps; support is patchy.
     compressible = compressible_fraction(trace)
     saving = compression_traffic_saving(trace)
-    dropbox_up, = measure(cell("Dropbox", upload_download(2 * MB))).marked
-    google_up, = measure(cell("GoogleDrive", upload_download(2 * MB))).marked
+    text = upload_download(2 * MB)
+    dropbox_up, = measure(cell("Dropbox", text)).marked
+    google_up, = measure(cell("GoogleDrive", text)).marked
     findings.append(Finding(
         "5.1", "about half of files compress; compression saves ~24% of bytes",
         f"compressible={compressible:.0%} (52%), saving={saving:.0%} (24%)",

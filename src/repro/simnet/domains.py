@@ -96,12 +96,13 @@ class EventDomain:
 
 
 class DomainScheduler:
-    """The conservative cross-domain run loop (drop-in ``Simulator``).
+    """The conservative cross-domain run loop, in ``Simulator``'s place.
 
-    Exposes the full :class:`~repro.simnet.Simulator` API so fleet-level
-    code runs unchanged; scheduling directly on the scheduler routes to the
-    currently executing domain (or domain 0 outside any event), while
-    members schedule through their own :class:`EventDomain` handles.
+    Has the :class:`~repro.simnet.Simulator` surface fleet-level code calls
+    on it: ``now``, ``schedule``, the run loops and the queue reads.
+    Scheduling directly on the scheduler routes to the currently executing
+    domain (or domain 0 outside any event), while members schedule, and
+    ``schedule_at``, through their own :class:`EventDomain` handles.
     """
 
     def __init__(self, domains: int = 1, trace_messages: bool = False):
@@ -165,10 +166,6 @@ class DomainScheduler:
         """Schedule on the executing domain (domain 0 outside any event)."""
         target = self._executing if self._executing is not None else 0
         return self.domains[target].schedule(delay, callback, *args)
-
-    def schedule_at(self, time: float, callback: Callable[..., Any],
-                    *args: Any) -> Event:
-        return self.schedule(time - self._now, callback, *args)
 
     def _min_domain(self) -> Optional[EventDomain]:
         """The domain holding the globally ``(time, epoch)``-minimal event.

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from array import array
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import (Callable, Dict, Generator, Iterator, List, NamedTuple,
-                    Optional, Tuple)
+                    Optional, Tuple, Union)
 
 import numpy as np
 
@@ -114,20 +114,27 @@ class GeneratorConfig:
 
 
 class _Pool(NamedTuple):
-    """Prior originals, kept for duplicate sampling: one column per field.
+    """Prior originals, kept for duplicate sampling: five ``int64`` columns.
 
-    Holding full :class:`TraceRecord` rows in the pool would pin every
-    original of the whole trace in memory; the duplicate/near-duplicate
-    draw only needs these four fields, which is what makes
-    :func:`iter_trace_shards` memory-bounded at large scales.  Columns,
-    because an object per original, once freed, leaves holes that a later
-    replay does not fill (+1.3 MB peak RSS replaying scale 0.1).
+    The duplicate/near-duplicate draw needs an original's size, compressed
+    size, content id and segment ids, and almost every original's ids are
+    one run: ``first`` and ``count`` rebuild them as
+    ``range(first, first + count)``.  Only a near-duplicate whose shared
+    prefix and fresh tail are not one run keeps its ids, in ``spliced``
+    under its index, with ``first`` -1.  That is 40 B an original, where
+    an ``ndarray`` per original held 328 B, and what bounds
+    :func:`iter_trace_shards`' memory by a service rather than the trace.
+    ``array`` columns, not lists of objects: an object per original, once
+    freed, leaves holes that a later replay does not fill (+1.3 MB peak
+    RSS replaying scale 0.1).
     """
 
-    sizes: List[int]
-    compressed_sizes: List[int]
-    segments: List[np.ndarray]
-    content_ids: List[int]
+    sizes: array
+    compressed_sizes: array
+    content_ids: array
+    firsts: array
+    counts: array
+    spliced: Dict[int, np.ndarray]
 
 
 def _activity_cdf(n_users: int) -> np.ndarray:
@@ -197,7 +204,8 @@ def _service_records(service: str, n_users: int, n_files: int,
                      next_segment: int) -> Generator[tuple, None, int]:
     """Yield one service's records' fields in creation order, the first at
     global ``index`` and fresh 128 KB segment ids from ``next_segment`` on;
-    return the next free segment id.
+    return the next free segment id.  A record's ids are a ``range`` when
+    they are one run, which :meth:`Trace.from_fields` expands.
 
     This is the single code path behind :func:`generate_trace` and
     :func:`iter_trace_shards`, so they consume the identical RNG stream and
@@ -205,7 +213,7 @@ def _service_records(service: str, n_users: int, n_files: int,
     :func:`_bounded_draw`, shared by every service.
     """
     random, lognormal = rng.random, rng.lognormal
-    sizes, compressed_sizes, segments, content_ids = pool
+    sizes, compressed_sizes, content_ids, firsts, counts, spliced = pool
     users = _user_names(service, n_users)
     activity = _activity_cdf(n_users)
     files_left = n_files
@@ -228,26 +236,37 @@ def _service_records(service: str, n_users: int, n_files: int,
                 if sizes[source] > _DUP_SOURCE_MAX:
                     source = -1
             duplicate = source >= 0 and roll < _P_DUPLICATE
+            segment_ids: Union[range, np.ndarray]
             if duplicate:
                 size, compressed = sizes[source], compressed_sizes[source]
-                segment_ids = segments[source]
+                first = firsts[source]
+                segment_ids = (range(first, first + counts[source])
+                               if first >= 0 else spliced[source])
                 content_id = content_ids[source]
             else:
                 shared = 0
-                if source >= 0 and len(segments[source]) >= 2:
+                if source >= 0 and counts[source] >= 2:
                     lo, hi = _NEAR_SHARE_RANGE
-                    shared = max(1, int(len(segments[source])
+                    shared = max(1, int(counts[source]
                                         * (lo + (hi - lo) * random())))
                 # At least the shared prefix: the fresh tail is never < 0.
                 size = max(min(max(int(lognormal(_SIZE_MU, _SIZE_SIGMA)), 1),
                                _SIZE_MAX), shared * UNIT_SIZE)
                 fresh = max(1, -(-size // UNIT_SIZE)) - shared
-                segment_ids = np.arange(next_segment, next_segment + fresh,
-                                        dtype=np.int64)
+                first, count = next_segment, fresh
                 next_segment += fresh
                 if shared:
-                    segment_ids = np.concatenate(
-                        [segments[source][:shared], segment_ids])
+                    prefix = firsts[source]
+                    segment_ids = np.concatenate([
+                        np.arange(prefix, prefix + shared, dtype=np.int64)
+                        if prefix >= 0 else spliced[source][:shared],
+                        np.arange(first, first + fresh, dtype=np.int64)])
+                    # Ids only ever grow, so the first and last tell a run.
+                    first, count = int(segment_ids[0]), len(segment_ids)
+                    if int(segment_ids[-1]) - first != count - 1:
+                        first = -1
+                if first >= 0:
+                    segment_ids = range(first, first + count)
                 small = size < _SMALL
                 if random() < (_P_COMPRESSIBLE_SMALL if small
                                else _P_COMPRESSIBLE_LARGE):
@@ -278,10 +297,13 @@ def _service_records(service: str, n_users: int, n_files: int,
                    size, compressed, created_at, modified_at, modify_count,
                    segment_ids, content_id)
             if not duplicate:
+                if first < 0:
+                    spliced[len(sizes)] = segment_ids
                 sizes.append(size)
                 compressed_sizes.append(compressed)
-                segments.append(segment_ids)
                 content_ids.append(content_id)
+                firsts.append(first)
+                counts.append(count)
             index += 1
         files_left -= burst
     return next_segment
@@ -291,7 +313,7 @@ def _plan_records(plan: Dict[str, Tuple[int, int]],
                   seed: int) -> Iterator[tuple]:
     rng = np.random.default_rng(seed)
     draw = _bounded_draw(rng)
-    pool = _Pool([], [], [], [])
+    pool = _Pool(*(array("q") for _ in range(5)), {})
     index = next_segment = 0
     for service, (n_users, n_files) in sorted(plan.items()):
         next_segment = yield from _service_records(
@@ -324,9 +346,10 @@ def iter_trace_shards(scale: float = 1.0, seed: int = 42,
     shard, each shard covers at most ``shard_users`` consecutive users of
     one service, and records keep their generation order within a shard.
 
-    Memory stays bounded by one service's records plus the lightweight
-    duplicate-sampling pool, instead of the whole trace — the difference
-    between fitting a ``scale=50`` (~11M file) replay in RAM or not.
+    Memory stays bounded by one service's columns, the shard being handed
+    out and the duplicate pool (40 B an original), instead of the whole
+    trace: at full scale the stream peaks at about 83 MB RSS against
+    97 MB for :func:`generate_trace`.
     ``shard_users`` and the plan are checked here, before the first shard
     is asked for.
     """
@@ -338,20 +361,25 @@ def iter_trace_shards(scale: float = 1.0, seed: int = 42,
 
 def _plan_shards(plan: Dict[str, Tuple[int, int]], seed: int,
                  shard_users: int) -> Iterator[Trace]:
-    for service, rows in itertools.groupby(
-            _plan_records(plan, seed), key=itemgetter(1)):
-        n_users = plan[service][0]
+    records = _plan_records(plan, seed)
+    for service, (n_users, n_files) in sorted(plan.items()):
         group_of = {user: idx // shard_users
                     for idx, user in enumerate(_user_names(service, n_users))}
-        n_groups = -(-n_users // shard_users)
-        buckets: List[List[tuple]] = [[] for _ in range(n_groups)]
-        for row in rows:
-            buckets[group_of[row[0]]].append(row)
-        for group in range(n_groups):
-            shard = buckets[group]
-            # Hand the bucket off and drop our reference immediately, so a
-            # consumer that discards shards as it goes keeps peak memory at
-            # one shard, not one service.
-            buckets[group] = []
-            if shard:
-                yield Trace.from_fields(shard, len(shard))
+        # The service's trace lives in the callee alone, so it is freed
+        # before the next service is built.
+        yield from _group_shards(
+            Trace.from_fields(itertools.islice(records, n_files), n_files),
+            group_of, -(-n_users // shard_users))
+
+
+def _group_shards(rows: Trace, group_of: Dict[str, int],
+                  n_groups: int) -> Iterator[Trace]:
+    """``rows`` one user group at a time, groups in order, each group's
+    rows in generation order (the argsort is stable)."""
+    groups = np.array([group_of[user] for user in rows.user_names],
+                      np.int64)[rows.user_code]
+    order = np.argsort(groups, kind="stable")
+    ends = np.bincount(groups, minlength=n_groups).cumsum().tolist()
+    for lo, hi in zip([0] + ends, ends):
+        if hi > lo:
+            yield rows.take(order[lo:hi])

@@ -18,7 +18,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from operator import attrgetter
-from typing import Dict, Iterable, Iterator, List
+from typing import Dict, Iterable, Iterator, List, Sequence
 
 import numpy as np
 
@@ -75,6 +75,34 @@ def first_sight(codes: np.ndarray) -> List[int]:
     """The distinct values of ``codes``, in order of first appearance."""
     unique, first = np.unique(codes, return_index=True)
     return unique[np.argsort(first)].tolist()
+
+
+def _joined(ids: Sequence, lengths: List[int]) -> np.ndarray:
+    """Rows' segment ids end to end as ``int64``: each ``range`` of step 1
+    as ``start + j``, all at once; other ranges spelled out, and other ids
+    cast safely."""
+    starts = [blob.start if type(blob) is range and blob.step == 1 else None
+              for blob in ids]
+    rest = [row for row, start in enumerate(starts) if start is None]
+    if rest:
+        spelled = np.concatenate(
+            [np.arange(blob.start, blob.stop, blob.step, dtype=np.int64)
+             if type(blob) is range else blob
+             for blob in map(ids.__getitem__, rest)],
+            dtype=np.int64, casting="safe")
+        if len(rest) == len(ids):
+            return spelled
+        for row in rest:
+            starts[row] = 0
+    counts = np.array(lengths, np.int64)
+    ends = counts.cumsum()
+    joined = np.arange(ends[-1], dtype=np.int64) + np.repeat(
+        np.array(starts, np.int64) - (ends - counts), counts)
+    if rest:
+        mask = np.zeros(len(ids), bool)
+        mask[rest] = True
+        joined[np.repeat(mask, counts)] = spelled
+    return joined
 
 
 class MalformedRecord(ValueError):
@@ -158,8 +186,10 @@ class Trace:
     def from_fields(cls, rows: Iterable[tuple], count: int) -> "Trace":
         """``count`` rows, tuples in :class:`TraceRecord` field order, as a
         trace: :data:`_ROWS_AT_ONCE` rows at a time into columns allocated
-        once, users and services coded at first sight.  Refuses segment
-        ids that do not cast safely to ``int64``."""
+        once, users and services coded at first sight.  A row's segment
+        ids may be a ``range``: one of step 1 is a run, expanded with its
+        batch's other runs in one vectorised pass.  Refuses segment ids
+        that do not cast safely to ``int64``."""
         rows, tables = iter(rows), ({}, {})
         # User and service codes, size, compressed size, modify count and
         # content id; the last row, one longer, becomes the offsets.
@@ -177,23 +207,49 @@ class Trace:
                                      for name in names]
             ints[2:6, start:stop] = size, compressed, modify_count, content
             times[:, start:stop] = created, modified
-            ints[6, start + 1:stop + 1] = list(map(len, ids))
+            lengths = list(map(len, ids))
+            ints[6, start + 1:stop + 1] = lengths
             paths += path
             try:
-                segments += memoryview(np.concatenate(
-                    ids, dtype=np.int64, casting="safe"))
+                segments += memoryview(_joined(ids, lengths))
             except TypeError:
-                for row, blob in enumerate(map(np.asarray, ids), start):
-                    if not np.can_cast(blob.dtype, np.int64, "safe"):
+                for row, blob in enumerate(ids, start):
+                    if type(blob) is range:
+                        continue
+                    dtype = np.asarray(blob).dtype
+                    if not np.can_cast(dtype, np.int64, "safe"):
                         raise MalformedRecord(
                             row, paths[row], f"segment ids of dtype "
-                            f"{blob.dtype} do not cast safely to int64") \
-                            from None
+                            f"{dtype} do not cast safely to int64") from None
+                raise
         np.cumsum(ints[6], out=ints[6])
         return cls(list(tables[0]), list(tables[1]), ints[0, :count],
                    ints[1, :count], paths, ints[2, :count], ints[3, :count],
                    times[0], times[1], ints[4, :count], ints[5, :count],
                    ints[6], np.frombuffer(segments, np.int64))
+
+    def take(self, rows: np.ndarray) -> "Trace":
+        """Rows ``rows`` of this trace, in that order, as a trace of their
+        own, with users and services coded at first sight as
+        :meth:`from_fields` would code them."""
+        tables = []
+        for names, codes in ((self.user_names, self.user_code[rows]),
+                             (self.service_names, self.service_code[rows])):
+            seen = first_sight(codes)
+            recode = np.zeros(len(names), np.int64)
+            recode[seen] = np.arange(len(seen))
+            tables.append(([names[code] for code in seen], recode[codes]))
+        starts = self.offsets[rows]
+        counts = self.offsets[rows + 1] - starts
+        offsets = np.zeros(len(rows) + 1, np.int64)
+        np.cumsum(counts, out=offsets[1:])
+        gather = np.arange(offsets[-1], dtype=np.int64) + np.repeat(
+            starts - offsets[:-1], counts)
+        (users, user_code), (services, service_code) = tables
+        return Trace(users, services, user_code, service_code,
+                     [self.path[row] for row in rows.tolist()],
+                     *(getattr(self, name)[rows] for name in _COLUMNS),
+                     offsets, self.segments[gather])
 
     def __len__(self) -> int:
         return len(self.size)
